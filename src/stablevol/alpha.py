@@ -3,9 +3,19 @@
 Levels are circumradii (not squared radii): a simplex that is Gabriel (its
 smallest circumsphere contains no other point strictly inside) enters at its
 own circumradius, anything else inherits the smallest level among its
-cofaces. Vertices enter at 0. Borderline sphere-membership decisions fall
-back to exact rational arithmetic, so cocircular configurations such as unit
-squares get exact levels.
+cofaces. Vertices enter at 0. The complex is the Delaunay complex of
+`delaunay.delaunay` (a certified Qhull triangulation, or the Bowyer-Watson
+fallback).
+
+`_is_gabriel` decides every Gabriel test. A float filter with a relative
+band classes each point as inside, outside or borderline; borderline points
+are decided in exact rational arithmetic, so cocircular configurations such
+as unit squares get exact levels. `alpha_levels` hands it only the points a
+KD-tree finds within slightly more than the circumradius of the center
+(`_candidate_radius`). That ball contains every point the float band can
+class as inside or borderline, so the pruned test decides exactly as a scan
+of all points does, on any input; the full scan, which `_is_gabriel` runs
+when given no candidates, is the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -15,11 +25,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .complexes import OrderWithLevel, SimplicialComplex, build_order
 from .delaunay import DegenerateInputError, delaunay
 
 _GABRIEL_BAND = 1e-9  # relative width of the float filter around the sphere
+# radius factor of the candidate search; far above the band and the float
+# error of the distances, so no point the band can flag is missed
+_CANDIDATE_SLACK = 1e-6
 
 
 @dataclass
@@ -153,21 +167,20 @@ def alpha_levels(cx: SimplicialComplex, points) -> list:
     huge_r2 = 1e12 * (spread + 1.0)
     n = cx.dim
     levels = [0.0] * len(cx)
-    centers = {}
-    r2s = {}
+    circ = {}  # dimension -> (simplex ids, circumcenters, squared radii)
     for k in range(1, n + 1):
         ids = cx.ids_of_dim(k)
         if not ids:
             continue
         vl = np.array([cx.simplices[i] for i in ids], dtype=int)
-        cs, r2 = _circum_batch(pts, vl, huge_r2=huge_r2)
+        circ[k] = (ids, *_circum_batch(pts, vl, huge_r2=huge_r2))
+    tree = cKDTree(pts)
+    for k in sorted(circ, reverse=True):
+        ids, cs, r2 = circ[k]
+        near = tree.query_ball_point(cs, _candidate_radius(r2)) if k < n else None
         for j, sid in enumerate(ids):
-            centers[sid] = cs[j]
-            r2s[sid] = r2[j]
-    for k in range(n, 0, -1):
-        for sid in cx.ids_of_dim(k):
-            if k == n or _is_gabriel(cx, pts, sid, centers[sid], r2s[sid]):
-                levels[sid] = math.sqrt(max(r2s[sid], 0.0))
+            if k == n or _is_gabriel(cx, pts, sid, cs[j], r2[j], near[j]):
+                levels[sid] = math.sqrt(max(r2[j], 0.0))
             else:
                 levels[sid] = min(levels[c] for c in cx.cofaces[sid])
     # clamp float noise so level(face) <= level(coface) holds exactly
@@ -180,18 +193,32 @@ def alpha_levels(cx: SimplicialComplex, points) -> list:
     return levels
 
 
-def _is_gabriel(cx, pts, sid, center, r2) -> bool:
-    """True iff no other input point lies strictly inside the circumball."""
+def _candidate_radius(r2):
+    """Search radius that covers every point the float band can flag.
+
+    The band flags a point at squared distance d2 only if
+    d2 <= r2 + 1e-9 * (d2 + r2 + 1e-300), that is, only within
+    (1 + 1.1e-9) * sqrt(r2 + 1e-300) of the center.
+    """
+    return np.sqrt(np.maximum(r2, 0.0) + 1e-300) * (1.0 + _CANDIDATE_SLACK)
+
+
+def _is_gabriel(cx, pts, sid, center, r2, candidates=None) -> bool:
+    """True iff no other input point lies strictly inside the circumball.
+
+    `candidates`, if given, are the indices of the points to test; it must
+    include every point within `_candidate_radius(r2)` of the center.
+    Without it every point is tested.
+    """
     verts = cx.simplices[sid]
-    d2 = ((pts - center) ** 2).sum(axis=1)
+    idx = np.arange(len(pts)) if candidates is None else np.asarray(candidates, dtype=np.intp)
+    for v in verts:
+        idx = idx[idx != v]
+    d2 = ((pts[idx] - center) ** 2).sum(axis=1)
     band = _GABRIEL_BAND * (d2 + r2 + 1e-300)
-    inside = d2 < r2 - band
-    unsure = np.abs(d2 - r2) <= band
-    mask = np.ones(len(pts), dtype=bool)
-    mask[list(verts)] = False
-    if np.any(inside & mask):
+    if (d2 < r2 - band).any():
         return False
-    border = np.nonzero(unsure & mask)[0]
+    border = idx[np.abs(d2 - r2) <= band]
     if len(border) == 0:
         return True
     ec, er2 = _circum_exact([pts[v] for v in verts])

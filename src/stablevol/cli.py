@@ -177,7 +177,7 @@ def _emit(text: str, out_path):
 
 
 def _dump_json(obj, out_path):
-    _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", out_path)
+    _emit(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", out_path)
 
 
 def _pair_json(p, squared=False):

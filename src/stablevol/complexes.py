@@ -9,6 +9,7 @@ to vertex tuples, so incidence lookups are O(1).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -281,7 +282,10 @@ def complex_from_json(obj) -> OrderWithLevel:
         raise ValueError("invalid complex: " + "; ".join(bad))
     level = [0.0] * len(cx)
     for e in entries:
-        level[cx.index[simplex(e["v"])]] = float(e["level"])
+        lv = float(e["level"])
+        if not math.isfinite(lv):
+            raise ValueError(f"non-finite level {lv} for simplex {list(e['v'])}")
+        level[cx.index[simplex(e["v"])]] = lv
     if int(obj.get("vertices", cx.vertex_count)) != cx.vertex_count:
         raise ValueError("vertex count does not match simplex list")
     return build_order(cx, level)

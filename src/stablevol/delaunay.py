@@ -1,17 +1,52 @@
-"""Incremental Bowyer-Watson Delaunay triangulation in 2D and 3D.
+"""Delaunay triangulation of 2D and 3D pointclouds with exact combinatorics.
 
-The triangulation keeps ghost cells through a single vertex at infinity, so
-hull growth needs no special casing: a ghost cell conflicts with a point
-exactly when the point lies strictly outside its hull facet. All predicate
-decisions run on deterministically jittered coordinates with exact signs, so
-the combinatorics are those of a genuinely general-position pointcloud. A
-predicate that still evaluates to zero raises DegenerateInputError.
+All predicate decisions run on deterministically jittered coordinates with
+exact signs, so the combinatorics are those of a genuinely general-position
+pointcloud, whose Delaunay triangulation is unique.
+
+The triangulation comes from Qhull (`scipy.spatial.Delaunay`) run on the
+jittered coordinates, and is accepted only if it passes a certificate
+evaluated with the exact-sign predicates:
+
+- every point is a vertex, and Qhull set no point aside as coplanar;
+- every cell has nonzero orientation (negative cells are re-oriented);
+- no facet lies in more than two cells; the two cells of an interior facet
+  lie on opposite sides of it, and the vertex of one opposite the facet is
+  strictly outside the circumsphere of the other;
+- every point other than a hull facet's own vertices lies strictly on the
+  inner side of that facet: the hull is convex, so in particular locally
+  convex.
+
+The first three make the cells cover a neighbourhood of each interior facet
+exactly once, and the last makes the hull facets facets of the convex hull,
+so the cells triangulate the convex hull. Being locally Delaunay with strict
+signs everywhere, that triangulation is the unique Delaunay triangulation of
+the jittered points, hence the one the incremental construction below
+builds. The checks run as numpy float filters (`predicates.orient_batch`,
+`predicates.circumsphere_side_batch`), and only the rows the filter cannot
+decide reach the scalar predicates.
+
+If Qhull fails or any check fails, `_bowyer_watson` builds the
+triangulation: an incremental Bowyer-Watson construction with ghost cells
+through a single vertex at infinity, so hull growth needs no special
+casing (a ghost cell conflicts with a point exactly when the point lies
+strictly outside its hull facet). A predicate that evaluates to zero there
+raises DegenerateInputError.
 """
 
 from __future__ import annotations
 
+import numpy as np
+from scipy.spatial import Delaunay, QhullError
+
 from .complexes import SimplicialComplex
-from .predicates import circumsphere_side, jittered_points, orient
+from .predicates import (
+    circumsphere_side,
+    circumsphere_side_batch,
+    jittered_points,
+    orient,
+    orient_batch,
+)
 
 INFINITE = -1
 
@@ -166,11 +201,93 @@ def _initial_cells(tri: _Triangulation, seed_ids):
                     break
 
 
+def _bowyer_watson(pts, jit, dim) -> SimplicialComplex:
+    """Incremental Bowyer-Watson triangulation of the jittered points `jit`.
+
+    Insertion follows the coordinate-sorted order of the raw points `pts`
+    for determinism and walk locality.
+    """
+    tri = _Triangulation(jit, dim)
+    insertion = sorted(range(len(pts)), key=lambda i: pts[i])
+    _initial_cells(tri, list(insertion[: dim + 1]))
+    for p in insertion[dim + 1 :]:
+        tri.insert(p)
+    top = [
+        tuple(sorted(v)) for v in tri.verts.values() if INFINITE not in v
+    ]
+    return SimplicialComplex(top, closure=True)
+
+
+# rows of one batched hull check; bounds the temporaries to a few MiB
+_HULL_CHUNK_ROWS = 1 << 16
+
+
+def _certified_qhull(P):
+    """Qhull's Delaunay cells of the jittered points P, an (n, d) array, if
+    they pass the certificate in the module docstring, else None."""
+    n, dim = P.shape
+    try:
+        tri = Delaunay(P)
+    except QhullError:
+        return None
+    cells = np.array(tri.simplices, dtype=np.intp)
+    coplanar = len(tri.coplanar)
+    del tri  # release Qhull's arrays before the checks allocate theirs
+    if coplanar or len(np.unique(cells)) != n:
+        return None
+
+    o = orient_batch(P, cells)
+    if np.any(o == 0):
+        return None
+    # swapping these two arguments negates orient2d / orient3d exactly, in
+    # the float and in the exact stage, so the swapped cells are positive
+    a, b = (0, 1) if dim == 2 else (2, 3)
+    neg = o < 0
+    cells[neg, a], cells[neg, b] = cells[neg, b], cells[neg, a]
+
+    # facet k of a cell omits its vertex k; flat facet id = cell * (dim+1) + k
+    m, width = cells.shape
+    keys = np.sort(
+        np.stack([np.delete(cells, k, axis=1) for k in range(width)], axis=1), axis=2
+    ).reshape(m * width, dim)
+    order = np.lexsort(keys.T[::-1])
+    same = np.all(keys[order[1:]] == keys[order[:-1]], axis=1)
+    if np.any(same[1:] & same[:-1]):
+        return None  # a facet in three or more cells
+    first, second = order[:-1][same], order[1:][same]
+
+    # the two cells of an interior facet lie on opposite sides of it, and the
+    # far vertex of the second is strictly outside the circumsphere of the first
+    far = cells.reshape(-1)[second]
+    near_cell, near_k = np.divmod(first, width)
+    flipped = cells[near_cell]
+    flipped[np.arange(len(far)), near_k] = far
+    if np.any(orient_batch(P, flipped) >= 0):
+        return None
+    if np.any(circumsphere_side_batch(P, cells[near_cell], far) >= 0):
+        return None
+
+    # convex hull: every other point is on the inner side of each hull facet
+    interior = np.zeros(m * width, dtype=bool)
+    interior[first] = interior[second] = True
+    hull = np.flatnonzero(~interior)
+    step = max(1, _HULL_CHUNK_ROWS // n)
+    pid = np.arange(n)
+    for lo in range(0, len(hull), step):
+        fc, fk = np.divmod(hull[lo : lo + step], width)
+        rows = np.repeat(cells[fc][:, None, :], n, axis=1)
+        rows[np.arange(len(fc))[:, None], pid, fk[:, None]] = pid
+        own = np.zeros((len(fc), n), dtype=bool)
+        own[np.arange(len(fc))[:, None], cells[fc]] = True
+        if np.any(orient_batch(P, rows[~own]) <= 0):
+            return None
+    return cells
+
+
 def delaunay(points, dim=None) -> SimplicialComplex:
     """Delaunay complex of a 2D/3D pointcloud as a SimplicialComplex.
 
-    Vertex ids are input point indices. Insertion follows coordinate-sorted
-    order for determinism and walk locality.
+    Vertex ids are input point indices.
     """
     pts = [tuple(map(float, p)) for p in points]
     if dim is None:
@@ -185,12 +302,14 @@ def delaunay(points, dim=None) -> SimplicialComplex:
         if len(p) != dim or any(x != x or x in (float("inf"), float("-inf")) for x in p):
             raise ValueError(f"bad coordinates {p}")
     jit = jittered_points(pts)
-    tri = _Triangulation(jit, dim)
-    insertion = sorted(range(len(pts)), key=lambda i: pts[i])
-    _initial_cells(tri, list(insertion[: dim + 1]))
-    for p in insertion[dim + 1 :]:
-        tri.insert(p)
-    top = [
-        tuple(sorted(v)) for v in tri.verts.values() if INFINITE not in v
-    ]
-    return SimplicialComplex(top, closure=True)
+    arr = np.asarray(jit, dtype=float)
+    with np.errstate(over="ignore"):
+        sq_extent = ((arr.max(axis=0) - arr.min(axis=0)) ** 2).sum()
+    if not np.isfinite(sq_extent):
+        raise ValueError(
+            "coordinate range too large: the squared bounding-box extent overflows"
+        )
+    cells = _certified_qhull(arr)
+    if cells is None:
+        return _bowyer_watson(pts, jit, dim)
+    return SimplicialComplex(map(tuple, cells.tolist()), closure=True)

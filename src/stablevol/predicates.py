@@ -5,11 +5,19 @@ with a running magnitude of the summed terms. When the result is safely
 larger than the accumulated rounding error the float sign is returned;
 otherwise the determinant is recomputed exactly over fractions. Inputs are
 floats, so the fraction stage is exact, never heuristic.
+
+The float stage of each predicate is written once and runs either on floats
+or elementwise on numpy arrays. `orient_batch` and `circumsphere_side_batch`
+use it to evaluate many rows at once with the same operations and guards,
+and pass only the rows the filter cannot decide to the scalar predicates,
+so every batch sign equals the scalar predicate's sign for that row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 _EPS = 2.0 ** -52
 # generous safety factors; too large only costs a rational re-evaluation
@@ -50,21 +58,19 @@ def _det_exact(rows) -> Fraction:
     return det
 
 
-def orient2d(pa, pb, pc) -> int:
-    """Sign of det[b-a; c-a]: +1 when (a, b, c) is counterclockwise."""
+def _orient2d_float(pa, pb, pc):
+    """(det, magnitude, rows) of orient2d's float stage."""
     acx = pa[0] - pc[0]
     acy = pa[1] - pc[1]
     bcx = pb[0] - pc[0]
     bcy = pb[1] - pc[1]
     det = acx * bcy - acy * bcx
     mag = abs(acx * bcy) + abs(acy * bcx)
-    if abs(det) > _ORIENT_GUARD * mag:
-        return _sign(det)
-    return _sign(_det_exact([[acx, acy], [bcx, bcy]]))
+    return det, mag, [[acx, acy], [bcx, bcy]]
 
 
-def orient3d(pa, pb, pc, pd) -> int:
-    """Sign of det[b-a; c-a; d-a]."""
+def _orient3d_float(pa, pb, pc, pd):
+    """(det, magnitude, rows) of orient3d's float stage."""
     adx = pb[0] - pa[0]
     ady = pb[1] - pa[1]
     adz = pb[2] - pa[2]
@@ -79,13 +85,23 @@ def orient3d(pa, pb, pc, pd) -> int:
     t3 = adz * (bdx * cdy - bdy * cdx)
     det = t1 - t2 + t3
     mag = abs(t1) + abs(t2) + abs(t3)
+    return det, mag, [[adx, ady, adz], [bdx, bdy, bdz], [cdx, cdy, cdz]]
+
+
+def orient2d(pa, pb, pc) -> int:
+    """Sign of det[b-a; c-a]: +1 when (a, b, c) is counterclockwise."""
+    det, mag, rows = _orient2d_float(pa, pb, pc)
     if abs(det) > _ORIENT_GUARD * mag:
         return _sign(det)
-    return _sign(
-        _det_exact(
-            [[adx, ady, adz], [bdx, bdy, bdz], [cdx, cdy, cdz]]
-        )
-    )
+    return _sign(_det_exact(rows))
+
+
+def orient3d(pa, pb, pc, pd) -> int:
+    """Sign of det[b-a; c-a; d-a]."""
+    det, mag, rows = _orient3d_float(pa, pb, pc, pd)
+    if abs(det) > _ORIENT_GUARD * mag:
+        return _sign(det)
+    return _sign(_det_exact(rows))
 
 
 def orient(points) -> int:
@@ -101,7 +117,10 @@ def _lifted_rows(points, p):
     rows = []
     for v in points:
         diff = [v[i] - p[i] for i in range(len(p))]
-        rows.append(diff + [sum(x * x for x in diff)])
+        lift = diff[0] * diff[0]
+        for x in diff[1:]:
+            lift = lift + x * x  # left to right, for floats and arrays alike
+        rows.append(diff + [lift])
     return rows
 
 
@@ -141,6 +160,58 @@ def circumsphere_side(points, p) -> int:
     # p inside  <=>  (-1)^(d+1) * det * orient < 0
     parity = -1 if (d + 1) % 2 else 1
     return -_sign(parity * s * o)
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation
+
+
+def _columns(P, idx):
+    """Per row position j, the coordinate arrays of the points P[idx[:, j]]."""
+    return [[P[idx[:, j], a] for a in range(P.shape[1])] for j in range(idx.shape[1])]
+
+
+def _undecided(det, mag, guard) -> np.ndarray:
+    """Rows whose float determinant does not clear the guard.
+
+    A NaN or infinite determinant never clears it, so such rows go to the
+    scalar predicate too.
+    """
+    return ~(np.abs(det) > guard * mag)
+
+
+def orient_batch(P, idx) -> np.ndarray:
+    """orient() of the points P[idx[r]] for every row r of an index array.
+
+    P is an (n, d) float array with d = 2 or 3, idx an (m, d+1) int array.
+    """
+    P = np.asarray(P, dtype=float)
+    idx = np.asarray(idx, dtype=np.intp)
+    stage = _orient2d_float if P.shape[1] == 2 else _orient3d_float
+    det, mag, _ = stage(*_columns(P, idx))
+    out = np.sign(det).astype(np.int64)
+    for r in np.flatnonzero(_undecided(det, mag, _ORIENT_GUARD)):
+        out[r] = orient(P[idx[r]].tolist())
+    return out
+
+
+def circumsphere_side_batch(P, idx, q) -> np.ndarray:
+    """circumsphere_side(P[idx[r]], P[q[r]]) for every row r.
+
+    Raises ValueError, as the scalar predicate does, if a row's simplex is
+    degenerate.
+    """
+    P = np.asarray(P, dtype=float)
+    idx = np.asarray(idx, dtype=np.intp)
+    q = np.asarray(q, dtype=np.intp)
+    d = P.shape[1]
+    o = orient_batch(P, idx)
+    det, mag = _det_float(_lifted_rows(_columns(P, idx), [P[q, a] for a in range(d)]))
+    parity = -1 if (d + 1) % 2 else 1
+    out = -np.sign(parity * np.sign(det) * o).astype(np.int64)
+    for r in np.flatnonzero(_undecided(det, mag, _SPHERE_GUARD) | (o == 0)):
+        out[r] = circumsphere_side(P[idx[r]].tolist(), P[q[r]].tolist())
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
-"""Shared test utilities: perturbation samplers and brute-force oracles."""
+"""Shared test utilities: perturbation samplers, brute-force oracles and
+geometry test inputs."""
 
 import itertools
+import math
 
 import numpy as np
 
 from stablevol.complexes import build_order
+from stablevol.fixtures import GENERATORS, generate
 
 
 def monotone_repair(cx, levels):
@@ -154,3 +157,22 @@ def shortest_nontrivial_loop(order, k_rank):
         if not is_z2_boundary(order, cyc, k_rank + 1):
             best = (float(len(cyc)), cyc)
     return best
+
+
+def geometry_cases():
+    """Named pointclouds that exercise the geometry: every `gen` fixture,
+    seeded random clouds, exact grids, a cocircular ring and far clusters."""
+    rng = np.random.default_rng(20211)
+    cases = {f"gen-{name}": generate(name, 0).points for name in sorted(GENERATORS)}
+    cases["cloud2d-400"] = rng.random((400, 2))
+    cases["cloud2d-3200"] = rng.random((3200, 2)) * 40.0
+    cases["cloud3d-800"] = rng.random((800, 3))
+    cases["grid-20x20"] = np.array([(x, y) for x in range(20) for y in range(20)], dtype=float)
+    cases["grid-6x6x6"] = np.array(list(itertools.product(range(6), repeat=3)), dtype=float)
+    cases["ring-12"] = np.array(
+        [(math.cos(2 * math.pi * k / 12), math.sin(2 * math.pi * k / 12)) for k in range(12)]
+    )
+    far = rng.random((20, 2))
+    far[10:, 0] += 1e4
+    cases["far-clusters"] = far
+    return cases

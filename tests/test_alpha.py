@@ -1,9 +1,11 @@
+import importlib
 import math
 import random
 
 import numpy as np
 import pytest
 
+from helpers import geometry_cases
 from stablevol.alpha import alpha_filtration, alpha_levels, parse_pointcloud
 from stablevol.delaunay import delaunay
 from stablevol.fixtures import fig1_five_points, lattice_3x3x3
@@ -130,3 +132,38 @@ def test_exact_grid_square_classes():
     for p in d1.pairs:
         assert abs(p.birth_time - 0.5) < 1e-9
         assert abs(p.death_time - 1 / math.sqrt(2)) < 1e-9
+
+
+alpha_mod = importlib.import_module("stablevol.alpha")
+CASES = geometry_cases()
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + ["duplicates"])
+def test_pruned_levels_equal_full_scan(name, monkeypatch):
+    pts = np.array([(0.5, 0.5)] * 5) if name == "duplicates" else CASES[name]
+    cx = delaunay(pts)
+    pruned = alpha_levels(cx, pts)
+    full_scan = alpha_mod._is_gabriel
+
+    def without_candidates(cx, pts, sid, center, r2, candidates=None):
+        return full_scan(cx, pts, sid, center, r2)
+
+    monkeypatch.setattr(alpha_mod, "_is_gabriel", without_candidates)
+    assert pruned == alpha_levels(cx, pts)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_degree1_diagram_invariant_under_permutation(seed):
+    # levels are float circumradii computed from a simplex's lowest-id vertex,
+    # so relabelling the points may move them by a few ulps
+    rng = np.random.default_rng(seed)
+    pts = rng.random((300, 2))
+    perm = rng.permutation(len(pts))
+
+    def d1(p):
+        f = alpha_filtration(p)
+        return sorted(q.coords() for q in pers.diagram(pers.reduce(f.order), f.order, 1).pairs)
+
+    a, b = d1(pts), d1(pts[perm])
+    assert len(a) == len(b) > 0
+    assert np.allclose(a, b, rtol=1e-12, atol=0.0)

@@ -88,6 +88,35 @@ def test_degenerate_input_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_overflowing_coordinates_exit_2(tmp_path, capsys):
+    p = tmp_path / "huge.txt"
+    p.write_text("0 0\n1e200 0\n0 1e200\n1e200 1e200\n")
+    code, out, err = run(["pd", str(p)], capsys)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "extent" in err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_level_exit_2(tmp_path, capsys, token):
+    p = tmp_path / "cx.json"
+    p.write_text(
+        '{"vertices": 2, "simplices": [{"v": [0], "level": 0}, '
+        '{"v": [1], "level": 0}, {"v": [0, 1], "level": %s}]}' % token
+    )
+    code, out, err = run(["pd", str(p)], capsys)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "non-finite level" in err
+
+
+def test_json_output_refuses_nan(tmp_path):
+    from stablevol.cli import _dump_json
+
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        _dump_json({"birth": float("nan")}, str(path))
+    assert not path.exists()
+
+
 def test_ambiguous_pair_exit_4(fig1_file, capsys):
     code, _, err = run(
         ["vol", fig1_file, "--birth", "0:1", "--death", "0:1"], capsys

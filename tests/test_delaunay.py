@@ -1,10 +1,34 @@
+import importlib
 import random
 
+import numpy as np
 import pytest
 
+from helpers import geometry_cases
 from stablevol.complexes import validate_complex
 from stablevol.delaunay import DegenerateInputError, delaunay
 from stablevol.predicates import circumsphere_side, jittered_points
+
+# the package re-exports the function `delaunay` under the module's name
+dl = importlib.import_module("stablevol.delaunay")
+CASES = geometry_cases()
+
+
+def bowyer_watson(points):
+    pts = [tuple(map(float, p)) for p in points]
+    return dl._bowyer_watson(pts, jittered_points(pts), len(pts[0]))
+
+
+def count_fallbacks(monkeypatch):
+    calls = []
+    orig = dl._bowyer_watson
+
+    def counted(*args):
+        calls.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(dl, "_bowyer_watson", counted)
+    return calls
 
 
 def test_three_points_one_triangle():
@@ -115,3 +139,50 @@ def test_two_far_clusters():
     cx = delaunay(pts)
     assert validate_complex(cx) == []
     assert len(cx.ids_of_dim(0)) == 20
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_qhull_path_matches_bowyer_watson(name, monkeypatch):
+    calls = count_fallbacks(monkeypatch)
+    cx = delaunay(CASES[name])
+    assert calls == []  # the certificate accepted Qhull's triangulation
+    assert cx.simplices == bowyer_watson(CASES[name]).simplices
+
+
+def test_duplicate_points_take_the_fallback(monkeypatch):
+    calls = count_fallbacks(monkeypatch)
+    cx = delaunay([(0.5, 0.5)] * 5)
+    assert calls == [1]
+    assert cx.simplices == bowyer_watson([(0.5, 0.5)] * 5).simplices
+
+
+QUAD = [(0, 0), (1, 0), (1.1, 1), (0, 1)]  # Delaunay diagonal is 1-3
+FAN = QUAD + [(0.5, 0.5)]  # Delaunay triangulation is the fan around point 4
+
+
+@pytest.mark.parametrize(
+    "pts, cells, accepted",
+    [
+        (QUAD, [(0, 1, 3), (1, 2, 3)], True),
+        (QUAD, [(0, 1, 2), (0, 2, 3)], False),  # not locally Delaunay
+        (QUAD, [(0, 1, 3)], False),  # point 2 is not a vertex
+        (FAN, [(4, 0, 1), (4, 1, 2), (4, 2, 3), (4, 3, 0)], True),
+        (FAN, [(4, 1, 2), (4, 2, 3), (4, 3, 0)], False),  # hull not convex
+        ([(0, 0), (2, 0), (1, 1), (1, 3)], [(0, 1, 2), (0, 1, 3)], False),  # overlap
+        ([(0, 0), (2, 0), (1, 1), (1, -1), (1, 3)], [(0, 1, 2), (0, 1, 3), (0, 1, 4)], False),
+        # a tetrahedron's boundary folded onto the plane: no hull facet, and
+        # each far vertex is outside the circle of the cell listed first
+        ([(0, 0), (4, 0), (2, 4), (2, 1)], [(0, 1, 3), (0, 3, 2), (3, 1, 2), (0, 1, 2)], False),
+    ],
+)
+def test_certificate_checks_qhull_output(monkeypatch, pts, cells, accepted):
+    class QhullResult:
+        simplices = np.array(cells)
+        coplanar = np.empty((0, 3), dtype=int)
+
+    monkeypatch.setattr(dl, "Delaunay", lambda P: QhullResult)
+    jit = jittered_points([tuple(map(float, p)) for p in pts])
+    result = dl._certified_qhull(np.array(jit))
+    assert (result is not None) == accepted
+    if accepted:
+        assert sorted(map(sorted, result.tolist())) == sorted(map(sorted, cells))
