@@ -9,7 +9,6 @@ from .complexes import (
     SimplicialComplex,
     boundary,
     build_order,
-    chain_rational,
     chain_z2,
     complex_from_json,
     complex_to_json,

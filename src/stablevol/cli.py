@@ -30,7 +30,6 @@ from .dualtree import (
     sweep_sizes,
 )
 from .fixtures import GENERATORS, generate
-from .parallel import default_threads
 from .persistence import StarPairError
 
 EXIT_PARSE = 2
@@ -53,7 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p, pair=True):
         p.add_argument("input", help="pointcloud text file or complex JSON file")
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
         if pair:
             p.add_argument("--degree", type=int, default=1)
             p.add_argument("--pair-index", type=int, default=None,
@@ -89,6 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, required=True, help="uniform box half width")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted for compatibility; has no effect (trials run in order)")
 
     p = sub.add_parser("rsc", help="reconstructed shortest cycle")
     add_common(p)
@@ -302,10 +302,7 @@ def cmd_stat(args) -> int:
 
     pc = PointCloud(points.shape[1], points)
     pair = _select_pair(order, args)
-    threads = args.threads if args.threads else default_threads()
-    fm = statistical_frequencies(
-        pc, pair, NoiseModel(args.noise, seed=args.seed), args.trials, threads=threads
-    )
+    fm = statistical_frequencies(pc, pair, NoiseModel(args.noise, seed=args.seed), args.trials)
     obj = {
         "trials": fm.trials,
         "matched": fm.matched,

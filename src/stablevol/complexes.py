@@ -154,15 +154,6 @@ def chain_z2(ids: Iterable[int], cx: SimplicialComplex) -> Chain:
     return Chain("z2", d, {i: 1 for i, c in coeffs.items() if c})
 
 
-def chain_rational(coeffs: Mapping[int, object], cx: SimplicialComplex) -> Chain:
-    cleaned = {int(i): Fraction(c) for i, c in coeffs.items() if Fraction(c) != 0}
-    dims = {cx.dim_of(i) for i in cleaned}
-    if len(dims) > 1:
-        raise ValueError(f"mixed dimensions in chain: {sorted(dims)}")
-    d = dims.pop() if dims else 0
-    return Chain("rational", d, cleaned)
-
-
 def boundary(cx: SimplicialComplex, ch: Chain) -> Chain:
     """Boundary with alternating signs on the sorted vertex list (Z/2 drops signs)."""
     if ch.dim < 1:
@@ -272,20 +263,46 @@ def complex_to_json(o: OrderWithLevel) -> dict:
 
 
 def complex_from_json(obj) -> OrderWithLevel:
-    """Load the JSON complex format, validate closure, and build the order."""
+    """Load the JSON complex format, validate closure, and build the order.
+
+    Input that does not have the format's shape raises a one-line ValueError.
+    """
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
+    if not isinstance(obj, dict) or not isinstance(obj.get("simplices"), list):
+        raise ValueError('complex JSON must be an object with a "simplices" list')
     entries = obj["simplices"]
+    for k, e in enumerate(entries):
+        if not isinstance(e, dict) or not isinstance(e.get("v"), list):
+            raise ValueError(f'simplex entry {k} must be an object with a "v" list')
+        if not all(map(_is_json_int, e["v"])):
+            raise ValueError(f"simplex entry {k} has a non-integer vertex id: {e['v']!r}")
+        lv = e.get("level")
+        if isinstance(lv, bool) or not isinstance(lv, (int, float)):
+            raise ValueError(f"simplex entry {k} needs a numeric level, got {lv!r}")
     cx = SimplicialComplex([e["v"] for e in entries])
     bad = validate_complex(cx)
     if bad:
         raise ValueError("invalid complex: " + "; ".join(bad))
     level = [0.0] * len(cx)
     for e in entries:
-        lv = float(e["level"])
+        try:
+            lv = float(e["level"])
+        except OverflowError:  # an integer literal beyond the float range
+            lv = math.inf
         if not math.isfinite(lv):
             raise ValueError(f"non-finite level {lv} for simplex {list(e['v'])}")
         level[cx.index[simplex(e["v"])]] = lv
-    if int(obj.get("vertices", cx.vertex_count)) != cx.vertex_count:
+    vertices = obj.get("vertices", cx.vertex_count)
+    if not _is_json_int(vertices):
+        raise ValueError(f'"vertices" must be an integer, got {vertices!r}')
+    if int(vertices) != cx.vertex_count:
         raise ValueError("vertex count does not match simplex list")
     return build_order(cx, level)
+
+
+def _is_json_int(x) -> bool:
+    """True for a JSON integer; an integral float such as 1.0 counts as one."""
+    if isinstance(x, bool):
+        return False
+    return isinstance(x, int) or isinstance(x, float) and x.is_integer()

@@ -1,26 +1,14 @@
-"""Deterministic thread-pool mapping.
+"""Ordered mapping of the `stat` resampling trials.
 
-Results come back in submission order regardless of thread count, so output
-bytes never depend on scheduling. Default worker count comes from the
-STABLEVOL_THREADS environment variable, falling back to the CPU count.
+The trials run one after another in the calling thread and the results come
+back in item order. They are pure Python, so worker threads would only
+contend for the interpreter lock.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 
-
-def default_threads() -> int:
-    env = os.environ.get("STABLEVOL_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
+# Kept as a named function with this signature because the benchmark's tracer
+# wraps `parallel.parallel_map` and calls it with three positional arguments.
 def parallel_map(fn, items, threads: int = 1) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    return [fn(x) for x in items]

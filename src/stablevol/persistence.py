@@ -5,7 +5,6 @@ bottleneck distance.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -72,8 +71,14 @@ def reduce(o: OrderWithLevel, clearing: bool = True) -> list:
     else:
         proc = range(n)
     raw_pairs, raw_essentials, _ = kernels.reduce_columns(cols, proc, clearing=clearing)
+    return _build_pairs(o, raw_pairs, raw_essentials)
+
+
+def _build_pairs(o: OrderWithLevel, rank_pairs, essential_ranks) -> list:
+    """PersistencePairs from (birth rank, death rank) pairs and essential
+    birth ranks, sorted by (degree, birth rank)."""
     pairs = []
-    for i, j in raw_pairs:
+    for i, j in rank_pairs:
         bi, dj = o.order[i], o.order[j]
         pairs.append(
             PersistencePair(
@@ -86,7 +91,7 @@ def reduce(o: OrderWithLevel, clearing: bool = True) -> list:
                 death_rank=j,
             )
         )
-    for i in raw_essentials:
+    for i in essential_ranks:
         bi = o.order[i]
         pairs.append(
             PersistencePair(
@@ -127,38 +132,13 @@ def cohomology_reduce(o: OrderWithLevel):
     raw_pairs, raw_essentials, v = kernels.reduce_columns(
         cols, range(n), clearing=False, track_v=True
     )
-    pairs = []
+    rank_pairs = []
     cocycles = {}
     for u, c in raw_pairs:
         i, j = n - 1 - c, n - 1 - u
-        bi, dj = o.order[i], o.order[j]
-        pairs.append(
-            PersistencePair(
-                degree=o.cx.dim_of(bi),
-                birth_simplex=bi,
-                death_simplex=dj,
-                birth_time=o.level[bi],
-                death_time=o.level[dj],
-                birth_rank=i,
-                death_rank=j,
-            )
-        )
+        rank_pairs.append((i, j))
         cocycles[(i, j)] = {o.order[n - 1 - cc] for cc in v[c]}
-    for c in raw_essentials:
-        i = n - 1 - c
-        bi = o.order[i]
-        pairs.append(
-            PersistencePair(
-                degree=o.cx.dim_of(bi),
-                birth_simplex=bi,
-                death_simplex=None,
-                birth_time=o.level[bi],
-                death_time=math.inf,
-                birth_rank=i,
-                death_rank=None,
-            )
-        )
-    pairs.sort(key=lambda p: (p.degree, p.birth_rank))
+    pairs = _build_pairs(o, rank_pairs, [n - 1 - c for c in raw_essentials])
     return pairs, cocycles
 
 
@@ -236,38 +216,3 @@ def _feasible(p1, p2, e1, e2, lam) -> bool:
         if try_augment(u, seen):
             matched += 1
     return matched == size
-
-
-def bottleneck_bruteforce(d1: Diagram, d2: Diagram) -> float:
-    """Factorial-enumeration oracle for small diagrams (tests only)."""
-    e1 = sorted(p.birth_time for p in d1.essential())
-    e2 = sorted(p.birth_time for p in d2.essential())
-    if len(e1) != len(e2):
-        return math.inf
-    ess = max((abs(a - b) for a, b in zip(e1, e2)), default=0.0)
-    p1 = [p.coords() for p in d1.finite()]
-    p2 = [p.coords() for p in d2.finite()]
-    n1, n2 = len(p1), len(p2)
-    m = n1 + n2
-    if m == 0:
-        return ess
-    left = p1 + [None] * n2
-    right = p2 + [None] * n1
-    best = math.inf
-    for perm in itertools.permutations(range(m)):
-        worst = ess
-        for u, v in enumerate(perm):
-            a, b = left[u], right[v]
-            if a is None and b is None:
-                c = 0.0
-            elif a is None:
-                c = (b[1] - b[0]) / 2.0
-            elif b is None:
-                c = (a[1] - a[0]) / 2.0
-            else:
-                c = max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-            worst = max(worst, c)
-            if worst >= best:
-                break
-        best = min(best, worst)
-    return best

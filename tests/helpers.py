@@ -3,10 +3,11 @@ geometry test inputs."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from stablevol.complexes import build_order
+from stablevol.complexes import Chain, build_order
 from stablevol.fixtures import GENERATORS, generate
 
 
@@ -176,3 +177,48 @@ def geometry_cases():
     far[10:, 0] += 1e4
     cases["far-clusters"] = far
     return cases
+
+
+def chain_rational(coeffs, cx):
+    """Chain with exact rational coefficients; zero coefficients are dropped."""
+    cleaned = {int(i): Fraction(c) for i, c in coeffs.items() if Fraction(c) != 0}
+    dims = {cx.dim_of(i) for i in cleaned}
+    if len(dims) > 1:
+        raise ValueError(f"mixed dimensions in chain: {sorted(dims)}")
+    d = dims.pop() if dims else 0
+    return Chain("rational", d, cleaned)
+
+
+def bottleneck_bruteforce(d1, d2):
+    """Factorial-enumeration oracle for the bottleneck distance of small diagrams."""
+    e1 = sorted(p.birth_time for p in d1.essential())
+    e2 = sorted(p.birth_time for p in d2.essential())
+    if len(e1) != len(e2):
+        return math.inf
+    ess = max((abs(a - b) for a, b in zip(e1, e2)), default=0.0)
+    p1 = [p.coords() for p in d1.finite()]
+    p2 = [p.coords() for p in d2.finite()]
+    n1, n2 = len(p1), len(p2)
+    m = n1 + n2
+    if m == 0:
+        return ess
+    left = p1 + [None] * n2
+    right = p2 + [None] * n1
+    best = math.inf
+    for perm in itertools.permutations(range(m)):
+        worst = ess
+        for u, v in enumerate(perm):
+            a, b = left[u], right[v]
+            if a is None and b is None:
+                c = 0.0
+            elif a is None:
+                c = (b[1] - b[0]) / 2.0
+            elif b is None:
+                c = (a[1] - a[0]) / 2.0
+            else:
+                c = max(abs(a[0] - b[0]), abs(a[1] - b[1]))
+            worst = max(worst, c)
+            if worst >= best:
+                break
+        best = min(best, worst)
+    return best

@@ -12,7 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from helpers import admissible_order, perturbed_order, shortest_nontrivial_loop
+from helpers import (
+    admissible_order,
+    bottleneck_bruteforce,
+    perturbed_order,
+    shortest_nontrivial_loop,
+)
 from stablevol import persistence as pers
 from stablevol import volopt as V
 from stablevol.alpha import alpha_filtration
@@ -195,7 +200,7 @@ def test_criterion_5_stability_fuzz():
                 assert d <= dist + 1e-12, (k, d, dist)
                 checked += 1
                 if len(d1) + len(d2) <= 7:
-                    assert abs(d - pers.bottleneck_bruteforce(d1, d2)) < 1e-12
+                    assert abs(d - bottleneck_bruteforce(d1, d2)) < 1e-12
                     oracle_checked += 1
     elapsed = time.perf_counter() - t0
     ok = checked >= 300 and oracle_checked >= 100
@@ -363,9 +368,11 @@ def test_criterion_10_cli_determinism(tmp_path):
         outs = []
         for run_i, threads in enumerate((1, 1, 8)):
             out = tmp_path / f"out_{run_i}.bin"
-            assert main(argv + ["--threads", str(threads), "-o", str(out)]) == 0
+            # only stat takes --threads, which has no effect on its output
+            extra = ["--threads", str(threads)] if argv[0] == "stat" else []
+            assert main(argv + extra + ["-o", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2], argv
     elapsed = time.perf_counter() - t0
     report(10, True, f"{len(invocations)} invocations byte-identical across runs "
-                     f"and thread counts, {elapsed:.1f}s")
+                     f"(stat also across --threads values), {elapsed:.1f}s")

@@ -189,15 +189,6 @@ def test_rsc_degree_guard():
         reconstructed_shortest_cycle(o, h0)
 
 
-def test_default_threads_env_override(monkeypatch):
-    from stablevol.parallel import default_threads
-
-    monkeypatch.setenv("STABLEVOL_THREADS", "3")
-    assert default_threads() == 3
-    monkeypatch.delenv("STABLEVOL_THREADS")
-    assert default_threads() >= 1
-
-
 def test_unmatched_trials_reported_with_warning():
     import math as _math
 

@@ -1,12 +1,8 @@
 import math
 import random
 
-from stablevol.persistence import (
-    Diagram,
-    PersistencePair,
-    bottleneck,
-    bottleneck_bruteforce,
-)
+from helpers import bottleneck_bruteforce
+from stablevol.persistence import Diagram, PersistencePair, bottleneck
 
 
 def diag_of(finite=(), essential=()):

@@ -96,7 +96,9 @@ def test_overflowing_coordinates_exit_2(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1 and "extent" in err
 
 
-@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "token", ["NaN", "Infinity", "-Infinity", pytest.param("1" + "0" * 400, id="1e400")]
+)
 def test_non_finite_level_exit_2(tmp_path, capsys, token):
     p = tmp_path / "cx.json"
     p.write_text(
@@ -106,6 +108,36 @@ def test_non_finite_level_exit_2(tmp_path, capsys, token):
     code, out, err = run(["pd", str(p)], capsys)
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and "non-finite level" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{}",
+        '{"simplices": 5}',
+        '{"simplices": [7]}',
+        '{"simplices": [{"v": [0]}]}',
+        '{"simplices": [{"v": 5, "level": 0}]}',
+        '{"simplices": [{"v": [0], "level": null}]}',
+        '{"vertices": null, "simplices": [{"v": [0], "level": 0}]}',
+        '{"simplices": [{"v": [0.5], "level": 0}]}',
+    ],
+    ids=["no-simplices", "simplices-number", "entry-number", "no-level", "v-number",
+         "level-null", "vertices-null", "v-fraction"],
+)
+def test_malformed_complex_json_exit_2(tmp_path, capsys, text):
+    p = tmp_path / "cx.json"
+    p.write_text(text)
+    code, out, err = run(["pd", str(p)], capsys)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_pd_rejects_threads(fig1_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pd", fig1_file, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_json_output_refuses_nan(tmp_path):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from helpers import chain_rational
 from stablevol.complexes import (
     Chain,
     DimensionError,
@@ -11,7 +12,6 @@ from stablevol.complexes import (
     SimplicialComplex,
     boundary,
     build_order,
-    chain_rational,
     chain_z2,
     complex_from_json,
     complex_to_json,

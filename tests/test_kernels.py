@@ -1,10 +1,8 @@
-"""The compiled and pure-Python reduction kernels implement one contract."""
+"""The Z/2 reduction kernel records a witness for every death column."""
 
 import random
 
-import pytest
-
-from stablevol import _reduction_py, kernels
+from stablevol import kernels
 
 
 def random_boundary_like(rng, n):
@@ -16,39 +14,13 @@ def random_boundary_like(rng, n):
     return cols
 
 
-def test_kernels_agree_on_random_matrices():
-    try:
-        from stablevol import _speedups
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    rng = random.Random(42)
-    for _ in range(60):
-        n = rng.randint(1, 70)
-        cols = random_boundary_like(rng, n)
-        order = list(range(n))
-        rng.shuffle(order)
-        for tv in (False, True):
-            assert _reduction_py.reduce_columns(
-                cols, order, False, tv
-            ) == _speedups.reduce_columns(cols, order, False, tv)
-        assert _reduction_py.reduce_columns(
-            cols, list(range(n)), True, False
-        ) == _speedups.reduce_columns(cols, list(range(n)), True, False)
-
-
-def test_backend_env_override(monkeypatch):
-    monkeypatch.setenv("STABLEVOL_PURE_PYTHON", "1")
-    assert kernels.active_backend() == "python"
-    monkeypatch.delenv("STABLEVOL_PURE_PYTHON")
-
-
 def test_v_columns_witness_combination():
     # the tracked v column must reproduce the reduced column by XOR of inputs
     rng = random.Random(9)
     for _ in range(30):
         n = rng.randint(2, 40)
         cols = random_boundary_like(rng, n)
-        pairs, _, v = _reduction_py.reduce_columns(cols, range(n), False, True)
+        pairs, _, v = kernels.reduce_columns(cols, range(n), False, True)
         for low, j in pairs:
             acc = 0
             for c in v[j]:
