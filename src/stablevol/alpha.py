@@ -7,20 +7,29 @@ cofaces. Vertices enter at 0. The complex is the Delaunay complex of
 `delaunay.delaunay` (a certified Qhull triangulation, or the Bowyer-Watson
 fallback).
 
-`_is_gabriel` decides every Gabriel test. A float filter with a relative
-band classes each point as inside, outside or borderline; borderline points
-are decided in exact rational arithmetic, so cocircular configurations such
-as unit squares get exact levels. `alpha_levels` hands it only the points a
-KD-tree finds within slightly more than the circumradius of the center
-(`_candidate_radius`). That ball contains every point the float band can
-class as inside or borderline, so the pruned test decides exactly as a scan
-of all points does, on any input; the full scan, which `_is_gabriel` runs
-when given no candidates, is the reference the tests compare against.
+The Gabriel test classes each other point as inside, outside or borderline
+with a float filter of relative band width `_GABRIEL_BAND`, and decides
+borderline points in exact rational arithmetic, so cocircular
+configurations such as unit squares get exact levels. Only the points a
+KD-tree finds within slightly more than the circumradius of the center are
+tested (`_candidate_radius`); that ball contains every point the float band
+can class as inside or borderline, so the pruned test decides exactly as a
+scan of all points does, on any input.
+
+`alpha_levels` works one dimension at a time, top down, on arrays: it runs
+the float band once over all (simplex, candidate point) pairs of the
+dimension. A simplex with an inside point is not Gabriel, one with neither
+an inside nor a borderline point is, and only the remaining ones reach
+`_is_gabriel`, which repeats the band for that simplex and decides its
+borderline points exactly. Minima over cofaces are per-dimension reductions
+over the complex's CSR coface arrays. `_is_gabriel` without candidates
+scans every point; the tests compare `alpha_levels` with a per-simplex loop
+over that full scan.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -161,36 +170,78 @@ def _circum_exact(verts_pts):
 
 
 def alpha_levels(cx: SimplicialComplex, points) -> list:
-    """Alpha level per simplex id for a Delaunay complex of the points."""
+    """Alpha level per simplex id for a Delaunay complex of the points.
+
+    A simplex of lower than top dimension with no coface (possible only in
+    a complex that is not pure) enters at its own circumradius.
+    """
     pts = np.asarray(points, dtype=float)
     spread = float(((pts.max(axis=0) - pts.min(axis=0)) ** 2).sum())
     huge_r2 = 1e12 * (spread + 1.0)
     n = cx.dim
-    levels = [0.0] * len(cx)
-    circ = {}  # dimension -> (simplex ids, circumcenters, squared radii)
-    for k in range(1, n + 1):
+    levels = np.zeros(len(cx))
+    tree = cKDTree(pts)
+    for k in range(n, 0, -1):
         ids = cx.ids_of_dim(k)
         if not ids:
             continue
-        vl = np.array([cx.simplices[i] for i in ids], dtype=int)
-        circ[k] = (ids, *_circum_batch(pts, vl, huge_r2=huge_r2))
-    tree = cKDTree(pts)
-    for k in sorted(circ, reverse=True):
-        ids, cs, r2 = circ[k]
-        near = tree.query_ball_point(cs, _candidate_radius(r2)) if k < n else None
-        for j, sid in enumerate(ids):
-            if k == n or _is_gabriel(cx, pts, sid, cs[j], r2[j], near[j]):
-                levels[sid] = math.sqrt(max(r2[j], 0.0))
-            else:
-                levels[sid] = min(levels[c] for c in cx.cofaces[sid])
+        verts = cx.vertex_array(k)
+        cs, r2 = _circum_batch(pts, verts, huge_r2=huge_r2)
+        own = np.sqrt(np.maximum(r2, 0.0))
+        if k == n:
+            levels[ids.start : ids.stop] = own
+            continue
+        gabriel = _gabriel_mask(cx, pts, tree, ids, verts, cs, r2)
+        cap, has = _coface_min(cx, k, levels)
+        levels[ids.start : ids.stop] = np.where(gabriel | ~has, own, cap)
     # clamp float noise so level(face) <= level(coface) holds exactly
     for k in range(n - 1, -1, -1):
-        for sid in cx.ids_of_dim(k):
-            if cx.cofaces[sid]:
-                cap = min(levels[c] for c in cx.cofaces[sid])
-                if levels[sid] > cap:
-                    levels[sid] = cap
-    return levels
+        ids = cx.ids_of_dim(k)
+        cap, _ = _coface_min(cx, k, levels)
+        lv = levels[ids.start : ids.stop]
+        levels[ids.start : ids.stop] = np.where(lv > cap, cap, lv)
+    return levels.tolist()
+
+
+def _gabriel_mask(cx, pts, tree, ids, verts, cs, r2):
+    """Gabriel flag of each simplex of one dimension (ids, vertex rows,
+    circumcenters, squared radii).
+
+    The KD-tree candidates of all simplices go through the float band of
+    `_is_gabriel` at once, as (simplex, point) pairs. A simplex with a point
+    inside is not Gabriel, one with neither an inside nor a borderline point
+    is; `_is_gabriel` decides the rest.
+    """
+    near = tree.query_ball_point(cs, _candidate_radius(r2))
+    counts = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
+    sim = np.repeat(np.arange(len(near)), counts)
+    pt = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp, count=int(counts.sum()))
+    other = (pt[:, None] != verts[sim]).all(axis=1)
+    sim, pt = sim[other], pt[other]
+    d2 = ((pts[pt] - cs[sim]) ** 2).sum(axis=1)
+    r2s = r2[sim]
+    band = _GABRIEL_BAND * (d2 + r2s + 1e-300)
+    inside = np.zeros(len(near), dtype=bool)
+    inside[sim[d2 < r2s - band]] = True
+    border = np.zeros(len(near), dtype=bool)
+    border[sim[np.abs(d2 - r2s) <= band]] = True
+    gabriel = ~(inside | border)
+    for j in np.flatnonzero(border & ~inside):
+        gabriel[j] = _is_gabriel(cx, pts, ids[j], cs[j], r2[j], near[j])
+    return gabriel
+
+
+def _coface_min(cx, k, levels):
+    """Smallest level among the cofaces of each k-simplex (inf where there
+    is none), and which k-simplices have a coface."""
+    ptr, idx = cx.coface_csr(k)
+    has = ptr[1:] > ptr[:-1]
+    out = np.full(len(has), np.inf)
+    if has.any():
+        # reduce within this dimension's slice only: the last segment of
+        # reduceat runs to the end of the array it is given
+        out[has] = np.minimum.reduceat(levels[idx], ptr[:-1][has])
+    return out, has
 
 
 def _candidate_radius(r2):

@@ -8,11 +8,14 @@ to vertex tuples, so incidence lookups are O(1).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 
 class MonotonicityError(ValueError):
@@ -49,38 +52,89 @@ class SimplicialComplex:
     """Finite simplicial complex with dense simplex ids and incidence maps.
 
     Ids are assigned in (dimension, lexicographic vertex tuple) order, so a
-    complex built from the same simplex set is always indexed identically.
+    complex built from the same simplex set is always indexed identically,
+    and the ids of one dimension are contiguous.
+
+    `simplices` may be an iterable of vertex iterables, or an (m, k+1)
+    integer array of m k-simplices. Repeated simplices are kept once; with
+    `closure`, every face of a given simplex is added.
+
+    The build runs one dimension at a time on integer arrays, from the top
+    dimension down: it finds the unique rows, lists each simplex's faces in
+    vertex-removal order and locates them among the simplices one dimension
+    lower. `faces[i]` lists the ids of the faces of simplex i in
+    vertex-removal order, `cofaces[i]` the ids of its cofaces in ascending
+    order, and `_missing` the (simplex id, face tuple) pairs of faces not in
+    the complex. `vertex_array`, `face_array` and `coface_csr` give the same
+    incidences per dimension as arrays.
     """
 
-    def __init__(self, simplices: Iterable, closure: bool = False):
-        canon = {simplex(s) for s in simplices}
-        if closure:
-            stack = list(canon)
-            while stack:
-                s = stack.pop()
-                if len(s) == 1:
-                    continue
-                for f in faces_of(s):
-                    if f not in canon:
-                        canon.add(f)
-                        stack.append(f)
-        self.simplices: list = sorted(canon, key=lambda s: (len(s), s))
-        self.index: dict = {s: i for i, s in enumerate(self.simplices)}
-        self.dim = max((len(s) - 1 for s in self.simplices), default=-1)
-        n = len(self.simplices)
-        self.faces: list = [[] for _ in range(n)]
-        self.cofaces: list = [[] for _ in range(n)]
+    def __init__(self, simplices, closure: bool = False):
+        given = _rows_by_width(simplices)
+        top = max(given, default=0)
+        rows = [None] * top  # dimension k -> (m, k+1) sorted unique vertex rows
+        # dimension k -> (m, k+1) face indices among the (k-1)-simplices, -1 if missing
+        local_faces = [None] * top
+        below = None  # faces of the dimension above, one row per face
+        for k in range(top - 1, -1, -1):
+            cand = given.get(k + 1, np.empty((0, k + 1), dtype=np.int64))
+            n_given = len(cand)
+            if below is not None:
+                cand = np.concatenate([cand, below])
+            rank = _lex_rank(cand)
+            uniq, first = np.unique(rank if closure else rank[:n_given], return_index=True)
+            rows[k] = cand[first]
+            if below is not None:
+                q = rank[n_given:]
+                pos = np.searchsorted(uniq, q)
+                hit = pos < len(uniq)
+                hit[hit] = uniq[pos[hit]] == q[hit]
+                local_faces[k + 1] = np.where(hit, pos, -1).reshape(-1, k + 2)
+            if k > 0:
+                below = np.stack(
+                    [np.delete(rows[k], j, axis=1) for j in range(k + 1)], axis=1
+                ).reshape(-1, k)
+        sizes = [len(r) for r in rows]
+        self._offsets = [0, *itertools.accumulate(sizes)]
+        self.dim = top - 1
+        self._verts = rows
+        self._faces = [np.empty((sizes[0], 0), dtype=np.int64)] if top else []
+        for k in range(1, top):
+            f = local_faces[k]
+            self._faces.append(np.where(f >= 0, f + self._offsets[k - 1], -1))
+        self._cofaces = [_coface_csr(local_faces[k + 1], sizes[k], self._offsets[k + 1])
+                         for k in range(top - 1)]
+        if top:
+            self._cofaces.append((np.zeros(sizes[-1] + 1, dtype=np.int64),
+                                  np.empty(0, dtype=np.int64)))
+        for a in (*self._verts, *self._faces, *(x for csr in self._cofaces for x in csr)):
+            a.flags.writeable = False
+
+        # the lists below share one Python int per vertex id and per simplex id
+        flat = np.concatenate([r.ravel() for r in rows]) if top else np.empty(0, np.int64)
+        values, inverse = np.unique(flat, return_inverse=True)
+        vertex_ints = values.astype(object)[inverse]
+        id_ints = np.arange(self._offsets[-1]).astype(object)
+        self.simplices: list = []
+        start = 0
+        for r in rows:
+            block = vertex_ints[start : start + r.size].reshape(r.shape)
+            self.simplices.extend(zip(*block.T.tolist()))
+            start += r.size
+        self.index: dict = dict(zip(self.simplices, id_ints.tolist()))
+        self.faces: list = []
         self._missing: list = []  # (simplex id, missing face tuple)
-        for i, s in enumerate(self.simplices):
-            if len(s) == 1:
-                continue
-            for f in faces_of(s):
-                fi = self.index.get(f)
-                if fi is None:
-                    self._missing.append((i, f))
-                else:
-                    self.faces[i].append(fi)
-                    self.cofaces[fi].append(i)
+        for k, f in enumerate(self._faces):
+            lists = id_ints[f].tolist()
+            for r, c in zip(*np.nonzero(f < 0)):
+                i = self._offsets[k] + int(r)
+                self._missing.append((i, faces_of(self.simplices[i])[c]))
+                lists[r] = id_ints[f[r][f[r] >= 0]].tolist()
+            self.faces.extend(lists)
+        self.cofaces: list = []
+        for ptr, idx in self._cofaces:
+            ids, bounds = id_ints[idx].tolist(), ptr.tolist()
+            self.cofaces.extend([ids[a:b] for a, b in zip(bounds, bounds[1:])])
 
     def __len__(self):
         return len(self.simplices)
@@ -88,12 +142,80 @@ class SimplicialComplex:
     def dim_of(self, i: int) -> int:
         return len(self.simplices[i]) - 1
 
-    def ids_of_dim(self, k: int) -> list:
-        return [i for i, s in enumerate(self.simplices) if len(s) - 1 == k]
+    def ids_of_dim(self, k: int) -> range:
+        if not 0 <= k <= self.dim:
+            return range(0)
+        return range(self._offsets[k], self._offsets[k + 1])
+
+    def vertex_array(self, k: int) -> np.ndarray:
+        """(m, k+1) vertex ids of the k-simplices, in id order."""
+        return self._verts[k]
+
+    def face_array(self, k: int) -> np.ndarray:
+        """(m, k+1) ids of the faces of the k-simplices in vertex-removal
+        order, -1 where a face is missing; (m, 0) for vertices."""
+        return self._faces[k]
+
+    def coface_csr(self, k: int):
+        """(ptr, idx): the cofaces of the j-th k-simplex are idx[ptr[j]:ptr[j+1]]."""
+        return self._cofaces[k]
 
     @property
     def vertex_count(self) -> int:
-        return sum(1 for s in self.simplices if len(s) == 1)
+        return len(self.ids_of_dim(0))
+
+
+def _rows_by_width(simplices) -> dict:
+    """Canonical (sorted) vertex rows of the given simplices, by width.
+
+    Raises what `simplex` raises for the first simplex it rejects.
+    """
+    if isinstance(simplices, np.ndarray):
+        if simplices.ndim != 2:
+            raise ValueError("a simplex array must have shape (m, k+1)")
+        groups = {simplices.shape[1]: simplices} if len(simplices) else {}
+    else:
+        simplices = [tuple(s) for s in simplices]
+        groups = {}
+        for s in simplices:
+            groups.setdefault(len(s), []).append(s)
+    rows = {}
+    for w, g in groups.items():
+        try:
+            a = np.array(g, dtype=np.int64).reshape(len(g), w)
+        except OverflowError:
+            raise ValueError("vertex ids must fit in a signed 64-bit integer") from None
+        a.sort(axis=1)
+        if w == 0 or (a[:, 1:] == a[:, :-1]).any():
+            for s in simplices:
+                simplex(s)
+        rows[w] = a
+    return rows
+
+
+def _lex_rank(rows: np.ndarray) -> np.ndarray:
+    """Dense rank of each row of an (m, w) integer array in lexicographic
+    order; equal rows share a rank."""
+    order = np.lexsort(rows.T[::-1])
+    s = rows[order]
+    new = np.ones(len(s), dtype=bool)
+    new[1:] = (s[1:] != s[:-1]).any(axis=1)
+    rank = np.empty(len(s), dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return rank
+
+
+def _coface_csr(local_faces, m: int, offset: int):
+    """CSR coface lists of m simplices from the (c, k+2) local face ids of
+    their c cofaces, whose ids start at `offset`; ascending within a row."""
+    width = local_faces.shape[1]
+    face = local_faces.ravel()
+    coface = np.repeat(np.arange(offset, offset + len(local_faces)), width)
+    keep = face >= 0
+    face, coface = face[keep], coface[keep]
+    ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(face, minlength=m), out=ptr[1:])
+    return ptr, coface[np.argsort(face, kind="stable")]
 
 
 def validate_complex(cx: SimplicialComplex, max_violations: int = 10) -> list:
@@ -192,9 +314,9 @@ class OrderWithLevel:
         self.cx = cx
         self.level = list(map(float, level))
         self.order = list(order)
-        self.rank = [0] * len(cx)
-        for pos, sid in enumerate(self.order):
-            self.rank[sid] = pos
+        rank = np.zeros(len(cx), dtype=np.int64)
+        rank[self.order] = np.arange(len(self.order))
+        self.rank = rank.tolist()
 
     def __len__(self):
         return len(self.order)
@@ -210,19 +332,25 @@ def build_order(cx: SimplicialComplex, level) -> OrderWithLevel:
     """Total order refining the level map; ties break by (dim, lex verts).
 
     Raises MonotonicityError naming the first face/coface pair whose levels
-    are out of order. The level argument may be a sequence indexed by simplex
-    id or a mapping from vertex tuples (or ids) to levels.
+    are out of order (by coface id, then face in vertex-removal order). The
+    level argument may be a sequence indexed by simplex id or a mapping from
+    vertex tuples (or ids) to levels.
     """
     bad = validate_complex(cx)
     if bad:
         raise ValueError("invalid complex: " + "; ".join(bad))
     lv = _levels_as_list(cx, level)
-    for i in range(len(cx)):
-        for fi in cx.faces[i]:
-            if lv[fi] > lv[i]:
-                raise MonotonicityError(cx.simplices[fi], cx.simplices[i], lv[fi], lv[i])
-    order = sorted(range(len(cx)), key=lambda i: (lv[i], len(cx.simplices[i]), cx.simplices[i]))
-    return OrderWithLevel(cx, lv, order)
+    arr = np.array(lv, dtype=float)
+    for k in range(1, cx.dim + 1):
+        ids = cx.ids_of_dim(k)
+        faces = cx.face_array(k)
+        over = arr[faces] > arr[ids.start : ids.stop, None]
+        if over.any():
+            r, c = divmod(int(over.argmax()), k + 1)
+            i, fi = ids[r], int(faces[r, c])
+            raise MonotonicityError(cx.simplices[fi], cx.simplices[i], lv[fi], lv[i])
+    # ids ascend in (dim, lex verts) order, so a stable sort breaks the ties
+    return OrderWithLevel(cx, lv, np.argsort(arr, kind="stable").tolist())
 
 
 def _levels_as_list(cx: SimplicialComplex, level) -> list:
@@ -280,19 +408,27 @@ def complex_from_json(obj) -> OrderWithLevel:
         lv = e.get("level")
         if isinstance(lv, bool) or not isinstance(lv, (int, float)):
             raise ValueError(f"simplex entry {k} needs a numeric level, got {lv!r}")
-    cx = SimplicialComplex([e["v"] for e in entries])
-    bad = validate_complex(cx)
-    if bad:
-        raise ValueError("invalid complex: " + "; ".join(bad))
+    keys = [tuple(sorted(map(int, e["v"]))) for e in entries]
+    cx = SimplicialComplex(keys)
+    if len(cx) < len(keys):
+        first = {}
+        for k, s in enumerate(keys):
+            if s in first:
+                raise ValueError(
+                    f"simplex {list(s)} is listed twice, in entries {first[s]} and {k}"
+                )
+            first[s] = k
+    if cx._missing:
+        raise ValueError("invalid complex: " + "; ".join(validate_complex(cx)))
     level = [0.0] * len(cx)
-    for e in entries:
+    for s, e in zip(keys, entries):
         try:
             lv = float(e["level"])
         except OverflowError:  # an integer literal beyond the float range
             lv = math.inf
         if not math.isfinite(lv):
             raise ValueError(f"non-finite level {lv} for simplex {list(e['v'])}")
-        level[cx.index[simplex(e["v"])]] = lv
+        level[cx.index[s]] = lv
     vertices = obj.get("vertices", cx.vertex_count)
     if not _is_json_int(vertices):
         raise ValueError(f'"vertices" must be an integer, got {vertices!r}')

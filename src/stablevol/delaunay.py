@@ -312,4 +312,4 @@ def delaunay(points, dim=None) -> SimplicialComplex:
     cells = _certified_qhull(arr)
     if cells is None:
         return _bowyer_watson(pts, jit, dim)
-    return SimplicialComplex(map(tuple, cells.tolist()), closure=True)
+    return SimplicialComplex(cells, closure=True)

@@ -66,7 +66,6 @@ def reduce_columns(columns, order, clearing=True, track_v=False):
 
 def _bits(mask: int) -> list:
     out = []
-    i = 0
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)

@@ -7,7 +7,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from stablevol.complexes import Chain, build_order
+from stablevol.alpha import _circum_batch, _is_gabriel
+from stablevol.complexes import (
+    Chain,
+    MonotonicityError,
+    _levels_as_list,
+    build_order,
+    faces_of,
+    simplex,
+    validate_complex,
+)
 from stablevol.fixtures import GENERATORS, generate
 
 
@@ -222,3 +231,87 @@ def bottleneck_bruteforce(d1, d2):
                 break
         best = min(best, worst)
     return best
+
+
+class TupleComplex:
+    """Per-simplex reference builder: the same attributes as
+    `SimplicialComplex`, built from Python tuples, sets and dicts."""
+
+    def __init__(self, simplices, closure=False):
+        canon = {simplex(s) for s in simplices}
+        if closure:
+            stack = list(canon)
+            while stack:
+                s = stack.pop()
+                if len(s) == 1:
+                    continue
+                for f in faces_of(s):
+                    if f not in canon:
+                        canon.add(f)
+                        stack.append(f)
+        self.simplices = sorted(canon, key=lambda s: (len(s), s))
+        self.index = {s: i for i, s in enumerate(self.simplices)}
+        self.dim = max((len(s) - 1 for s in self.simplices), default=-1)
+        n = len(self.simplices)
+        self.faces = [[] for _ in range(n)]
+        self.cofaces = [[] for _ in range(n)]
+        self._missing = []
+        for i, s in enumerate(self.simplices):
+            if len(s) == 1:
+                continue
+            for f in faces_of(s):
+                fi = self.index.get(f)
+                if fi is None:
+                    self._missing.append((i, f))
+                else:
+                    self.faces[i].append(fi)
+                    self.cofaces[fi].append(i)
+
+    def __len__(self):
+        return len(self.simplices)
+
+    def ids_of_dim(self, k):
+        return [i for i, s in enumerate(self.simplices) if len(s) - 1 == k]
+
+
+def build_order_by_key(cx, level):
+    """Reference order: (levels, order) with ties broken by sorting on the
+    (level, dim, lex verts) key; raises as `build_order` does."""
+    bad = validate_complex(cx)
+    if bad:
+        raise ValueError("invalid complex: " + "; ".join(bad))
+    lv = _levels_as_list(cx, level)
+    for i in range(len(cx)):
+        for fi in cx.faces[i]:
+            if lv[fi] > lv[i]:
+                raise MonotonicityError(cx.simplices[fi], cx.simplices[i], lv[fi], lv[i])
+    order = sorted(range(len(cx)), key=lambda i: (lv[i], len(cx.simplices[i]), cx.simplices[i]))
+    return lv, order
+
+
+def alpha_levels_full_scan(cx, points):
+    """Reference alpha levels: one Gabriel test per simplex against every
+    point (`_is_gabriel` without candidates), minima over cofaces in Python."""
+    pts = np.asarray(points, dtype=float)
+    spread = float(((pts.max(axis=0) - pts.min(axis=0)) ** 2).sum())
+    huge_r2 = 1e12 * (spread + 1.0)
+    n = cx.dim
+    levels = [0.0] * len(cx)
+    for k in range(n, 0, -1):
+        ids = list(cx.ids_of_dim(k))
+        if not ids:
+            continue
+        vl = np.array([cx.simplices[i] for i in ids], dtype=int)
+        cs, r2 = _circum_batch(pts, vl, huge_r2=huge_r2)
+        for j, sid in enumerate(ids):
+            if k == n or _is_gabriel(cx, pts, sid, cs[j], r2[j]):
+                levels[sid] = math.sqrt(max(r2[j], 0.0))
+            else:
+                levels[sid] = min(levels[c] for c in cx.cofaces[sid])
+    for k in range(n - 1, -1, -1):
+        for sid in cx.ids_of_dim(k):
+            if cx.cofaces[sid]:
+                cap = min(levels[c] for c in cx.cofaces[sid])
+                if levels[sid] > cap:
+                    levels[sid] = cap
+    return levels

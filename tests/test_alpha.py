@@ -1,12 +1,12 @@
-import importlib
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import geometry_cases
-from stablevol.alpha import alpha_filtration, alpha_levels, parse_pointcloud
+from helpers import alpha_levels_full_scan, geometry_cases
+from stablevol.alpha import _circum_exact, alpha_filtration, alpha_levels, parse_pointcloud
 from stablevol.delaunay import delaunay
 from stablevol.fixtures import fig1_five_points, lattice_3x3x3
 from stablevol import persistence as pers
@@ -134,22 +134,34 @@ def test_exact_grid_square_classes():
         assert abs(p.death_time - 1 / math.sqrt(2)) < 1e-9
 
 
-alpha_mod = importlib.import_module("stablevol.alpha")
 CASES = geometry_cases()
+CASES["duplicates"] = np.array([(0.5, 0.5)] * 5)
+CASES["cloud3d-300"] = np.random.default_rng(2024).random((300, 3))
+# the last edge (and in 3D the last triangle) is not Gabriel, so it takes
+# the minimum over its cofaces, the last segment of its dimension
+CASES["last-nongabriel-2d"] = np.array([(2.0, 0.5), (0.0, 0.0), (4.0, 0.0)])
+CASES["last-nongabriel-3d"] = np.random.default_rng(1).random((12, 3))
 
 
-@pytest.mark.parametrize("name", sorted(CASES) + ["duplicates"])
-def test_pruned_levels_equal_full_scan(name, monkeypatch):
-    pts = np.array([(0.5, 0.5)] * 5) if name == "duplicates" else CASES[name]
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_pruned_levels_equal_full_scan(name):
+    pts = CASES[name]
     cx = delaunay(pts)
-    pruned = alpha_levels(cx, pts)
-    full_scan = alpha_mod._is_gabriel
+    assert alpha_levels(cx, pts) == alpha_levels_full_scan(cx, pts)
 
-    def without_candidates(cx, pts, sid, center, r2, candidates=None):
-        return full_scan(cx, pts, sid, center, r2)
 
-    monkeypatch.setattr(alpha_mod, "_is_gabriel", without_candidates)
-    assert pruned == alpha_levels(cx, pts)
+@pytest.mark.parametrize("name", ["last-nongabriel-2d", "last-nongabriel-3d"])
+def test_last_simplex_of_a_dimension_is_not_gabriel(name):
+    pts = CASES[name]
+    cx = delaunay(pts)
+    for k in range(1, cx.dim):
+        last = cx.ids_of_dim(k)[-1]
+        center, r2 = _circum_exact([pts[v] for v in cx.simplices[last]])
+        inside = [
+            p for p in range(len(pts)) if p not in cx.simplices[last]
+            and sum((Fraction(x) - c) ** 2 for x, c in zip(pts[p], center)) < r2
+        ]
+        assert inside
 
 
 @pytest.mark.parametrize("seed", [3, 4])

@@ -121,9 +121,13 @@ def test_non_finite_level_exit_2(tmp_path, capsys, token):
         '{"simplices": [{"v": [0], "level": null}]}',
         '{"vertices": null, "simplices": [{"v": [0], "level": 0}]}',
         '{"simplices": [{"v": [0.5], "level": 0}]}',
+        '{"simplices": [{"v": [0], "level": 0}, {"v": [0], "level": 5}]}',
+        '{"simplices": [{"v": [0], "level": 0}, {"v": [1], "level": 0}, '
+        '{"v": [1, 0], "level": 1}, {"v": [0, 1], "level": 1}]}',
     ],
     ids=["no-simplices", "simplices-number", "entry-number", "no-level", "v-number",
-         "level-null", "vertices-null", "v-fraction"],
+         "level-null", "vertices-null", "v-fraction", "duplicate-vertex-entry",
+         "duplicate-reordered-edge"],
 )
 def test_malformed_complex_json_exit_2(tmp_path, capsys, text):
     p = tmp_path / "cx.json"

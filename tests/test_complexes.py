@@ -2,9 +2,16 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
-from helpers import chain_rational
+from helpers import (
+    TupleComplex,
+    build_order_by_key,
+    chain_rational,
+    geometry_cases,
+    monotone_repair,
+)
 from stablevol.complexes import (
     Chain,
     DimensionError,
@@ -20,7 +27,7 @@ from stablevol.complexes import (
     validate_complex,
 )
 from stablevol.delaunay import delaunay
-from stablevol.alpha import alpha_filtration
+from stablevol.alpha import alpha_filtration, alpha_levels
 from stablevol.fixtures import fig1_five_points
 
 
@@ -171,3 +178,125 @@ def test_complex_json_rejects_unclosed():
     bad = {"vertices": 1, "simplices": [{"v": [0, 1], "level": 1.0}, {"v": [0], "level": 0.0}]}
     with pytest.raises(ValueError):
         complex_from_json(json.dumps(bad))
+
+
+def test_complex_json_rejects_duplicate_simplex():
+    obj = {"simplices": [{"v": [0], "level": 0}, {"v": [1], "level": 0},
+                         {"v": [1, 0], "level": 1}, {"v": [0, 1], "level": 2}]}
+    with pytest.raises(ValueError, match=r"simplex \[0, 1\] is listed twice, in entries 2 and 3"):
+        complex_from_json(json.dumps(obj))
+    # the Python API keeps de-duplicating
+    assert SimplicialComplex([(1, 0), (0, 1)], closure=True).simplices == [(0,), (1,), (0, 1)]
+
+
+# ---------------------------------------------------------------------------
+# the array builder against the per-simplex reference builder
+
+
+def assert_same_complex(cx, ref):
+    assert cx.simplices == ref.simplices
+    assert cx.index == ref.index
+    assert cx.dim == ref.dim
+    assert cx.faces == ref.faces
+    assert cx.cofaces == ref.cofaces
+    assert cx._missing == ref._missing
+    assert validate_complex(cx) == validate_complex(ref)
+    assert cx.vertex_count == len(ref.ids_of_dim(0))
+    for k in range(-1, cx.dim + 2):
+        ids = cx.ids_of_dim(k)
+        assert isinstance(ids, range) and list(ids) == ref.ids_of_dim(k)
+        if not 0 <= k <= cx.dim:
+            continue
+        # the per-dimension arrays say the same as the lists
+        assert [tuple(r) for r in cx.vertex_array(k).tolist()] == [cx.simplices[i] for i in ids]
+        assert [[f for f in row if f >= 0] for row in cx.face_array(k).tolist()] == [
+            cx.faces[i] for i in ids
+        ]
+        ptr, idx = cx.coface_csr(k)
+        assert [idx[a:b].tolist() for a, b in zip(ptr[:-1], ptr[1:])] == [
+            cx.cofaces[i] for i in ids
+        ]
+
+
+def assert_same_order(cx, ref, level):
+    try:
+        expect = build_order_by_key(ref, level)
+    except MonotonicityError as exc:
+        with pytest.raises(MonotonicityError) as got:
+            build_order(cx, level)
+        assert (got.value.face, got.value.coface, str(got.value)) == (
+            exc.face, exc.coface, str(exc))
+        return
+    o = build_order(cx, level)
+    assert (o.level, o.order) == expect
+    assert all(o.rank[sid] == pos for pos, sid in enumerate(o.order))
+
+
+GEOMETRY = geometry_cases()
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRY))
+def test_builder_matches_reference_on_delaunay(name):
+    pts = GEOMETRY[name]
+    cx = delaunay(pts)
+    top = [cx.simplices[i] for i in cx.ids_of_dim(cx.dim)]
+    ref = TupleComplex(top, closure=True)
+    assert_same_complex(cx, ref)
+    # rows in any order, vertices in any order within a row, as array or tuples
+    rng = np.random.default_rng(5)
+    cells = rng.permuted(np.array(top)[rng.permutation(len(top))], axis=1)
+    assert_same_complex(SimplicialComplex(cells, closure=True), ref)
+    assert_same_complex(SimplicialComplex(map(tuple, cells.tolist()), closure=True), ref)
+    assert_same_order(cx, ref, alpha_levels(cx, pts))
+
+
+UNCLOSED = [(0, 1, 2), (1, 2, 3), (0, 1), (2,), (5, 7), (3,), (2, 5, 6, 9)]
+
+
+@pytest.mark.parametrize("closure", [False, True])
+@pytest.mark.parametrize(
+    "simplices",
+    [
+        UNCLOSED,
+        [(v,) for v in range(4)] + [(0, 1), (1, 2)] + [(i, i + 1, i + 2) for i in range(20)],
+        [(-5, 70000, 2**40), (-5, 3), (2**40, -7, 3, 99999), (-(2**63), 2**63 - 1)],
+        [(0, 1), (1, 0), (0,), (0,), (1,)],
+        [(4,)],
+        [],
+    ],
+    ids=["unclosed", "many-missing", "negative-and-large-ids", "repeats", "one-vertex", "empty"],
+)
+def test_builder_matches_reference(simplices, closure):
+    cx = SimplicialComplex(simplices, closure=closure)
+    ref = TupleComplex(simplices, closure=closure)
+    assert_same_complex(cx, ref)
+    if not ref._missing and len(ref):
+        level = [float(len(s)) for s in ref.simplices]
+        assert_same_order(cx, ref, level)
+    elif ref._missing:
+        with pytest.raises(ValueError, match="invalid complex: missing face"):
+            build_order(cx, [0.0] * len(cx))
+
+
+def test_builder_rejects_what_simplex_rejects():
+    with pytest.raises(ValueError, match=r"duplicate vertices in simplex \(1, 1\)"):
+        SimplicialComplex([(0, 1), (1, 1)])
+    with pytest.raises(ValueError, match=r"duplicate vertices in simplex \(2, 2, 3\)"):
+        SimplicialComplex(np.array([[0, 1, 2], [3, 2, 2]]))
+    with pytest.raises(ValueError, match="empty simplex"):
+        SimplicialComplex([(0,), ()])
+    with pytest.raises(ValueError, match="64-bit"):
+        SimplicialComplex([(0, 2**63)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_order_with_tied_levels_matches_reference(seed):
+    # 3D grid cells with levels drawn from three values: ties everywhere
+    cx = delaunay(GEOMETRY["grid-6x6x6"][:80])
+    ref = TupleComplex([cx.simplices[i] for i in cx.ids_of_dim(cx.dim)], closure=True)
+    rng = random.Random(seed)
+    raw = [float(rng.randint(0, 2)) for _ in range(len(cx))]
+    assert_same_order(cx, ref, monotone_repair(ref, raw))
+    # the raw draw violates monotonicity many times; the first pair is named
+    assert_same_order(cx, ref, raw)
+    assert_same_order(cx, ref, {s: raw[i] for i, s in enumerate(cx.simplices)})
