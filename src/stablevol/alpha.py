@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .complexes import OrderWithLevel, SimplicialComplex, build_order
 from .delaunay import DegenerateInputError, delaunay
@@ -175,6 +174,8 @@ def alpha_levels(cx: SimplicialComplex, points) -> list:
     A simplex of lower than top dimension with no coface (possible only in
     a complex that is not pure) enters at its own circumradius.
     """
+    from scipy.spatial import cKDTree
+
     pts = np.asarray(points, dtype=float)
     spread = float(((pts.max(axis=0) - pts.min(axis=0)) ** 2).sum())
     huge_r2 = 1e12 * (spread + 1.0)

@@ -3,8 +3,9 @@
 Subcommands: pd (diagrams), vol (volumes), sweep (epsilon vs size), stat
 (statistical resampling baseline), rsc (reconstructed shortest cycles), gen
 (dataset fixtures). Results go to stdout or -o; logs go to stderr. Exit
-codes: 0 ok, 2 parse error, 3 degenerate input, 4 pair not uniquely
-resolvable, 5 essential pair.
+codes: 0 ok, 2 parse error, 3 degenerate input or a failed LP (infeasible,
+unbounded, solver failure, or a rounded support that is not Z/2-feasible), 4
+pair not uniquely resolvable, 5 essential pair.
 """
 
 from __future__ import annotations
@@ -370,6 +371,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except DegenerateInputError as e:
         print(f"error: degenerate input: {e}", file=sys.stderr)
+        return EXIT_DEGENERATE
+    except volopt.LPError as e:
+        print(f"error: linear program: {e}", file=sys.stderr)
         return EXIT_DEGENERATE
     except StarPairError as e:
         print(f"error: essential pair: {e}", file=sys.stderr)

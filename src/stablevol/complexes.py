@@ -336,9 +336,10 @@ def build_order(cx: SimplicialComplex, level) -> OrderWithLevel:
     level argument may be a sequence indexed by simplex id or a mapping from
     vertex tuples (or ids) to levels.
     """
-    bad = validate_complex(cx)
-    if bad:
-        raise ValueError("invalid complex: " + "; ".join(bad))
+    # SimplicialComplex derives faces and cofaces from one face array, so they
+    # agree; only a missing face (possible without closure) is checked
+    if cx._missing:
+        raise ValueError("invalid complex: " + "; ".join(validate_complex(cx)))
     lv = _levels_as_list(cx, level)
     arr = np.array(lv, dtype=float)
     for k in range(1, cx.dim + 1):

@@ -37,7 +37,6 @@ raises DegenerateInputError.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
 
 from .complexes import SimplicialComplex
 from .predicates import (
@@ -222,9 +221,19 @@ def _bowyer_watson(pts, jit, dim) -> SimplicialComplex:
 _HULL_CHUNK_ROWS = 1 << 16
 
 
+def Delaunay(P):
+    """`scipy.spatial.Delaunay`, imported on the first triangulation, so that
+    the subcommands that build none never load scipy.spatial."""
+    from scipy.spatial import Delaunay
+
+    return Delaunay(P)
+
+
 def _certified_qhull(P):
     """Qhull's Delaunay cells of the jittered points P, an (n, d) array, if
     they pass the certificate in the module docstring, else None."""
+    from scipy.spatial import QhullError
+
     n, dim = P.shape
     try:
         tri = Delaunay(P)

@@ -11,12 +11,10 @@ never corrupt an output.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .complexes import OrderWithLevel
 from .persistence import PersistencePair, StarPairError
@@ -26,15 +24,19 @@ class TooLargeError(ValueError):
     """Candidate set too large for exhaustive enumeration."""
 
 
-class InfeasibleError(RuntimeError):
+class LPError(RuntimeError):
+    """The l1 program or its rounding failed; the CLI exits 3."""
+
+
+class InfeasibleError(LPError):
     """LP infeasible; for a valid problem this is an internal logic error."""
 
 
-class UnboundedError(RuntimeError):
+class UnboundedError(LPError):
     pass
 
 
-class ApproximationMismatch(RuntimeError):
+class ApproximationMismatch(LPError):
     """Rounded l1 support is not Z/2-feasible (the relaxation gap showed)."""
 
     def __init__(self, violating):
@@ -190,12 +192,36 @@ class RawSolution:
     residual: float
 
 
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, imported on the first solve, so that the
+    subcommands that solve no LP never load scipy.optimize."""
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
+
+
+def _row_matrix(rows, col: dict, n_cols: int):
+    """Coefficients of (tau, {candidate id: +-1}, const) rows as a sparse
+    matrix, one row each, columns numbered by `col`."""
+    from scipy import sparse
+
+    data, ri, ci = [], [], []
+    for r, (tau, coeffs, const) in enumerate(rows):
+        for w, c in coeffs.items():
+            data.append(float(c))
+            ri.append(r)
+            ci.append(col[w])
+    return sparse.coo_matrix((data, (ri, ci)), shape=(len(rows), n_cols))
+
+
 def solve_lp(prog: L1Program) -> RawSolution:
     """Solve the l1 program with a deterministic simplex backend (HiGHS).
 
     The program is fed literally: free alphas, majorant alpha_bars, the two
     coupling inequalities per candidate, and the equality rows.
     """
+    from scipy import sparse
+
     m = len(prog.candidates)
     col = {w: i for i, w in enumerate(prog.candidates)}
     eq_rows = list(prog.rows)
@@ -208,13 +234,7 @@ def solve_lp(prog: L1Program) -> RawSolution:
             raise InfeasibleError(f"no candidates and nonzero constants at {bad}")
         return RawSolution(np.zeros(0), 0.0, "optimal", 0.0)
     cost = np.concatenate([np.zeros(m), np.ones(m)])
-    data, ri, ci = [], [], []
-    for r, (tau, coeffs, const) in enumerate(eq_rows):
-        for w, c in coeffs.items():
-            data.append(float(c))
-            ri.append(r)
-            ci.append(col[w])
-    A_eq = sparse.coo_matrix((data, (ri, ci)), shape=(len(eq_rows), 2 * m)).tocsc()
+    A_eq = _row_matrix(eq_rows, col, 2 * m).tocsc()
     b_eq = np.array([-float(const) for _, _, const in eq_rows])
     # alpha - alpha_bar <= 0 and -alpha - alpha_bar <= 0
     ud, uri, uci = [], [], []
@@ -237,7 +257,7 @@ def solve_lp(prog: L1Program) -> RawSolution:
     if res.status == 3:
         raise UnboundedError("l1 program unbounded")
     if not res.success:
-        raise RuntimeError(f"LP solver failed: {res.message}")
+        raise LPError(f"LP solver failed: {res.message}")
     alphas = res.x[:m]
     resid = 0.0
     for (tau, coeffs, const) in eq_rows:
@@ -289,6 +309,33 @@ def z2_violations(p: VolumeProblem, support: set) -> list:
     return bad
 
 
+def pin_sign_hint(prog: L1Program) -> int:
+    """The pin sign that the equality rows imply; +1 if they cannot tell.
+
+    Over a field, the equality rows fix the birth-simplex coefficient of the
+    boundary for every feasible real chain. One least-squares solution of
+    the rows (LSMR) therefore gives that coefficient; its sign is taken when
+    the value lies within 0.5 of +1 or -1. A program without a pin, without
+    candidates or without rows gets +1.
+    """
+    if prog.pinned is None or not prog.candidates or not prog.rows:
+        return 1
+    from scipy.sparse.linalg import lsmr
+
+    col = {w: i for i, w in enumerate(prog.candidates)}
+    A = _row_matrix(prog.rows, col, len(col)).tocsr()
+    b = np.array([-float(const) for _, _, const in prog.rows])
+    x = lsmr(A, b)[0]
+    _, coeffs, const, _ = prog.pinned
+    value = const + sum(c * x[col[w]] for w, c in coeffs.items())
+    return -1 if abs(value + 1) < 0.5 else 1
+
+
+def _pinned_to(prog: L1Program, sign: int) -> L1Program:
+    """The program with its pin set to `sign`: `to_lp(p, pin_sign=sign)`."""
+    return replace(prog, pinned=prog.pinned[:3] + (sign,))
+
+
 def solve_volume(
     o: OrderWithLevel,
     pair: PersistencePair,
@@ -297,15 +344,21 @@ def solve_volume(
     ov_cells: Optional[set] = None,
     threshold: float = 1e-6,
 ) -> VolumeSolution:
-    """make_problem + to_lp + solve + exact rounding, with the pin retried on
-    the opposite sign in optimal mode."""
+    """make_problem + to_lp + solve + exact rounding.
+
+    In optimal mode the pin sign comes from `pin_sign_hint`, so HiGHS
+    normally solves one program. If that program is infeasible (the hint
+    was wrong or undecided), it is solved again with the opposite sign.
+    """
     p = make_problem(o, pair, mode, epsilon, ov_cells)
+    prog = to_lp(p)
+    if prog.pinned is None:
+        return round_support(p, solve_lp(prog), threshold)
+    sign = pin_sign_hint(prog)
     try:
-        raw = solve_lp(to_lp(p, pin_sign=1))
+        raw = solve_lp(_pinned_to(prog, sign))
     except InfeasibleError:
-        if p.mode != "optimal":
-            raise
-        raw = solve_lp(to_lp(p, pin_sign=-1))
+        raw = solve_lp(_pinned_to(prog, -sign))
     return round_support(p, raw, threshold)
 
 

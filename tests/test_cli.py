@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from stablevol import schemas
+import stablevol
+from stablevol import schemas, volopt
 from stablevol.cli import main
 from stablevol.complexes import complex_to_json
 from stablevol.fixtures import appendix_filtration
@@ -151,6 +156,85 @@ def test_json_output_refuses_nan(tmp_path):
     with pytest.raises(ValueError):
         _dump_json({"birth": float("nan")}, str(path))
     assert not path.exists()
+
+
+def _zero_alphas(prog):
+    # rounds to the death cell alone, which violates the constraints
+    return volopt.RawSolution(np.zeros(len(prog.candidates)), 0.0, "optimal", 0.0)
+
+
+def _unbounded(prog):
+    raise volopt.UnboundedError("l1 program unbounded")
+
+
+def _solver_failure(prog):
+    raise volopt.LPError("LP solver failed: iteration limit reached")
+
+
+@pytest.mark.parametrize(
+    "solve_lp, message",
+    [
+        (_zero_alphas, "rounded support violates"),
+        (_unbounded, "unbounded"),
+        (_solver_failure, "LP solver failed"),
+    ],
+    ids=["mismatch", "unbounded", "solver-failure"],
+)
+def test_lp_failure_exit_3(fig1_file, capsys, monkeypatch, solve_lp, message):
+    monkeypatch.setattr(volopt, "solve_lp", solve_lp)
+    code, out, err = run(
+        ["vol", fig1_file, "--pair-index", "1", "--method", "stable-lp",
+         "--epsilon", "0.05"],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert message in err
+
+
+SCIPY_PARTS = ("scipy.optimize", "scipy.spatial", "scipy.sparse")
+
+# run in a fresh interpreter: prints the scipy parts loaded after each step
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+import stablevol.cli as cli
+
+def loaded():
+    return [m for m in %r if m in sys.modules]
+
+steps = {"import": loaded()}
+for name, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    steps[name] = loaded()
+print(json.dumps(steps))
+""" % (SCIPY_PARTS,)
+
+
+def test_scipy_is_loaded_only_where_it_is_used(tmp_path):
+    cx_path = tmp_path / "cx.json"
+    cx_path.write_text(json.dumps(complex_to_json(appendix_filtration())))
+    fig1 = str(tmp_path / "fig1.txt")
+    pair = ["--pair-index", "1"]
+    steps = [
+        ("gen", ["gen", "fig1-five-points", "-o", fig1]),
+        ("rsc", ["rsc", str(cx_path), "--birth", "2", "--death", "7"]),
+        ("pd", ["pd", fig1]),
+        ("stat", ["stat", fig1, *pair, "--noise", "0.05", "--trials", "2", "--seed", "1"]),
+        ("vol", ["vol", fig1, *pair, "--method", "stable-lp", "--epsilon", "0.05"]),
+    ]
+    src = str(Path(stablevol.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(steps)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded["import"] == loaded["gen"] == loaded["rsc"] == []
+    assert "scipy.optimize" not in loaded["pd"] + loaded["stat"]
+    assert "scipy.spatial" in loaded["pd"]
+    assert "scipy.optimize" in loaded["vol"]
 
 
 def test_ambiguous_pair_exit_4(fig1_file, capsys):

@@ -6,8 +6,8 @@ import pytest
 
 from stablevol.alpha import alpha_filtration
 from stablevol.dualtree import build_dual_graph, compute_tree, optimal_volume_tree, stable_volume_tree
-from stablevol.fixtures import fig1_five_points
-from stablevol.persistence import StarPairError, reduce
+from stablevol.fixtures import fig1_five_points, lattice_3x3x3
+from stablevol.persistence import StarPairError, diagram, reduce
 from stablevol import volopt as V
 
 
@@ -217,3 +217,83 @@ def test_lp_equals_tree_in_3d_codim1():
             for eps in (0.0, 0.03, 0.1):
                 sv_tree = stable_volume_tree(tree, p, eps).cells
                 assert V.solve_volume(f.order, p, "stable", eps).cells == sv_tree
+
+
+def lattice_optimal_problems():
+    """Optimal-mode problems of the degree-1 pairs of lattice_3x3x3 seeds
+    0-4 whose l1 program has candidates and equality rows."""
+    out = []
+    for seed in range(5):
+        f = alpha_filtration(lattice_3x3x3(seed).points)
+        for p in diagram(reduce(f.order), f.order, 1).pairs:
+            if p.essential:
+                continue
+            prob = V.make_problem(f.order, p, "optimal")
+            prog = V.to_lp(prob)
+            if prog.candidates and prog.rows:
+                out.append((f.order, p, prob, prog))
+    return out
+
+
+def count_linprog(monkeypatch):
+    calls = []
+    linprog = V.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(V, "linprog", counted)
+    return calls
+
+
+def test_pin_sign_hint_is_the_feasible_sign(monkeypatch):
+    problems = lattice_optimal_problems()
+    assert len(problems) > 100
+    signs = set()
+    calls = count_linprog(monkeypatch)
+    for order, p, prob, prog in problems:
+        hint = V.pin_sign_hint(prog)
+        signs.add(hint)
+        V.solve_lp(V.to_lp(prob, pin_sign=hint))
+        with pytest.raises(V.InfeasibleError):
+            V.solve_lp(V.to_lp(prob, pin_sign=-hint))
+        del calls[:]
+        V.solve_volume(order, p, "optimal")
+        assert len(calls) == 1
+    assert signs == {1, -1}
+
+
+def test_wrong_pin_sign_hint_retries_to_the_same_cells(monkeypatch):
+    problems = lattice_optimal_problems()[:12]
+    expected = [V.solve_volume(o, p, "optimal").cells for o, p, _, _ in problems]
+    hint = V.pin_sign_hint
+    monkeypatch.setattr(V, "pin_sign_hint", lambda prog: -hint(prog))
+    solve_lp = V.solve_lp
+    solved = []
+
+    def spy(prog):
+        solved.append(prog)
+        return solve_lp(prog)
+
+    monkeypatch.setattr(V, "solve_lp", spy)
+    for (order, p, prob, _), cells in zip(problems, expected):
+        del solved[:]
+        assert V.solve_volume(order, p, "optimal").cells == cells
+        # the retry solves to_lp's program for the opposite sign
+        first, second = solved
+        assert first == V.to_lp(prob, pin_sign=first.pinned[3])
+        assert second == V.to_lp(prob, pin_sign=-first.pinned[3])
+
+
+@pytest.mark.parametrize(
+    "prog",
+    [
+        V.L1Program([], [(3, {}, 0)], (0, {}, -1, 1)),  # no candidates
+        V.L1Program([5, 6], [], (0, {5: 1}, 0, 1)),  # no rows
+        V.L1Program([5], [], (0, {}, -1, 1)),
+    ],
+    ids=["no-candidates", "no-rows", "no-rows-untouched-pin"],
+)
+def test_pin_sign_hint_keeps_plus_one_without_candidates_or_rows(prog):
+    assert V.pin_sign_hint(prog) == 1
