@@ -11,8 +11,6 @@ from .complexes import (
     build_order,
     chain_z2,
     complex_from_json,
-    complex_to_json,
-    sublevel_complex,
     validate_complex,
 )
 from .delaunay import DegenerateInputError, delaunay
@@ -32,7 +30,6 @@ from .persistence import (
     Diagram,
     PersistencePair,
     StarPairError,
-    bottleneck,
     cohomology_reduce,
     diagram,
     reduce,
@@ -40,9 +37,7 @@ from .persistence import (
 from .volopt import (
     ApproximationMismatch,
     L1Program,
-    TooLargeError,
     VolumeProblem,
-    brute_force_volume,
     make_problem,
     round_support,
     solve_lp,

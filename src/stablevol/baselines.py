@@ -28,13 +28,18 @@ from .persistence import PersistencePair
 
 @dataclass
 class NoiseModel:
-    """Uniform box noise; identical seed means identical perturbation stream."""
+    """Uniform box noise; identical seed means identical perturbation stream.
+
+    The half width must be positive, and the box width 2 * half_width finite.
+    """
 
     half_width: float
     seed: int
     kind: str = "uniform-box"
 
     def __post_init__(self):
+        if not math.isfinite(2.0 * self.half_width):
+            raise ValueError(f"noise half width must be finite, got {self.half_width}")
         if self.half_width <= 0:
             raise ValueError("noise half_width must be positive")
         if self.kind != "uniform-box":
@@ -171,9 +176,12 @@ def reconstructed_shortest_cycle(
 
     With C the representative cocycle of the pair, each edge of C present at
     step k proposes the loop (shortest path between its endpoints avoiding C)
-    + (the edge itself); the lightest proposal wins. Weights are hop counts
-    unless euclidean=True (needs points). A fully separating cut is reported
-    via status="disconnected", not raised.
+    + (the edge itself); the lightest proposal wins, ties going to the least
+    sorted edge tuple. Each search is bounded by the best loop so far: it
+    stops once its paths plus the proposing edge are strictly heavier.
+    Weights are hop counts unless euclidean=True (needs points). A fully
+    separating cut is reported via status="disconnected", not raised.
+    Without `cocycle`, the pair's cocycle comes from `cohomology_reduce`.
     """
     if pair.degree != 1:
         raise ValueError("reconstructed shortest cycles apply to degree-1 pairs only")
@@ -207,11 +215,13 @@ def reconstructed_shortest_cycle(
     crossings = [sid for sid in present if sid in cut]
     for sid in crossings:
         u, v = cx.simplices[sid]
-        path = _shortest_path(adj, u, v)
+        w = _edge_weight(cx, sid, euclidean, points)
+        bound = math.inf if best is None else best[0][0]
+        path = _shortest_path(adj, u, v, offset=w, bound=bound)
         if path is None:
             continue
         dist, edges, verts = path
-        total = dist + _edge_weight(cx, sid, euclidean, points)
+        total = dist + w
         loop_edges = edges + [sid]
         key = (total, tuple(sorted(loop_edges)))
         if best is None or key < best[0]:
@@ -228,8 +238,15 @@ def _edge_weight(cx, sid, euclidean, points):
     return float(np.linalg.norm(np.asarray(points[u], float) - np.asarray(points[v], float)))
 
 
-def _shortest_path(adj, src, dst):
-    """Dijkstra with deterministic tie-breaking by vertex id."""
+def _shortest_path(adj, src, dst, offset=0.0, bound=math.inf):
+    """Dijkstra with deterministic tie-breaking by vertex id.
+
+    Returns (distance, edge ids, vertex ids) of the path from src to dst, or
+    None if dst cannot be reached within the bound: the search gives up once
+    a popped distance d has d + offset > bound. Popped distances never
+    decrease, so every later path is as long. The test is strict, so a path
+    whose d + offset equals the bound is still found.
+    """
     dist = {src: 0.0}
     prev = {}
     heap = [(0.0, src)]
@@ -238,6 +255,8 @@ def _shortest_path(adj, src, dst):
         d, u = heapq.heappop(heap)
         if u in seen:
             continue
+        if d + offset > bound:
+            return None
         seen.add(u)
         if u == dst:
             break

@@ -136,20 +136,18 @@ def _parse_window(spec: str, exact_tol: float = 1e-9):
     return x - exact_tol, x + exact_tol
 
 
-def _sorted_diagram_pairs(order, degree):
-    pairs = pers.reduce(order)
-    diag = pers.diagram(pairs, order, degree)
-    return sorted(diag.pairs, key=lambda p: (p.birth_time, p.death_time, p.birth_rank))
-
-
-def _select_pair(order, args):
+def _select_pair(pairs, args):
+    """The pair that --pair-index or --birth/--death names among the
+    degree-`args.degree` diagram of `pairs`, sorted by (birth, death, birth
+    rank)."""
     has_index = args.pair_index is not None
     has_window = args.birth is not None or args.death is not None
     if has_index == has_window:
         raise PairSelectionError(
             "exactly one pair selector required: --pair-index or --birth/--death"
         )
-    cands = _sorted_diagram_pairs(order, args.degree)
+    diag = pers.diagram(pairs, None, args.degree)
+    cands = sorted(diag.pairs, key=lambda p: (p.birth_time, p.death_time, p.birth_rank))
     if has_index:
         if not 0 <= args.pair_index < len(cands):
             raise PairSelectionError(
@@ -240,7 +238,7 @@ def _tree_for(order):
 
 def cmd_vol(args) -> int:
     order, points = _load_input(args.input)
-    pair = _select_pair(order, args)
+    pair = _select_pair(pers.reduce(order), args)
     if pair.essential:
         raise StarPairError("selected pair is essential")
     codim1 = pair.degree == order.cx.dim - 1
@@ -286,7 +284,7 @@ def _parse_grid(spec: str):
 
 def cmd_sweep(args) -> int:
     order, _ = _load_input(args.input)
-    pair = _select_pair(order, args)
+    pair = _select_pair(pers.reduce(order), args)
     grid = _parse_grid(args.epsilon_grid)
     if pair.degree != order.cx.dim - 1:
         raise PairSelectionError("sweep needs a codimension-1 pair (tree method)")
@@ -296,14 +294,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_stat(args) -> int:
+    try:
+        noise = NoiseModel(args.noise, seed=args.seed)
+    except ValueError as e:
+        raise ValueError(f"--noise: {e}") from None
     order, points = _load_input(args.input)
     if points is None:
         raise ValueError("stat needs a pointcloud input")
     from .alpha import PointCloud
 
     pc = PointCloud(points.shape[1], points)
-    pair = _select_pair(order, args)
-    fm = statistical_frequencies(pc, pair, NoiseModel(args.noise, seed=args.seed), args.trials)
+    pair = _select_pair(pers.reduce(order), args)
+    fm = statistical_frequencies(pc, pair, noise, args.trials)
     obj = {
         "trials": fm.trials,
         "matched": fm.matched,
@@ -321,7 +323,10 @@ def cmd_rsc(args) -> int:
     args_degree = getattr(args, "degree", 1)
     if args_degree != 1:
         raise PairSelectionError("reconstructed shortest cycles need degree 1")
-    pair = _select_pair(order, args)
+    pairs, cocycles = pers.cohomology_reduce(order)
+    pair = _select_pair(pairs, args)
+    if pair.essential:
+        raise StarPairError("essential pairs have no death index")
     k = args.k_index
     if k is None and args.bandwidth is not None:
         cap = pair.birth_time + args.bandwidth
@@ -330,7 +335,8 @@ def cmd_rsc(args) -> int:
             if order.level_at_rank(pos) <= cap:
                 k = pos
     res = reconstructed_shortest_cycle(
-        order, pair, k_rank=k, euclidean=args.euclidean, points=points
+        order, pair, k_rank=k, euclidean=args.euclidean, points=points,
+        cocycle=cocycles[(pair.birth_rank, pair.death_rank)],
     )
     loop = res.loop
     obj = {
@@ -367,6 +373,11 @@ def main(argv=None) -> int:
         "rsc": cmd_rsc,
         "gen": cmd_gen,
     }
+    for opt in ("epsilon", "threshold", "bandwidth"):
+        value = getattr(args, opt, None)
+        if value is not None and not math.isfinite(value):
+            print(f"error: --{opt} must be finite, got {value}", file=sys.stderr)
+            return EXIT_PARSE
     try:
         return handlers[args.command](args)
     except DegenerateInputError as e:

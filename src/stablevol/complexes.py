@@ -371,24 +371,8 @@ def _levels_as_list(cx: SimplicialComplex, level) -> list:
     return lv
 
 
-def sublevel_complex(o: OrderWithLevel, t: float) -> SimplicialComplex:
-    """Subcomplex of simplices with level strictly below t."""
-    return SimplicialComplex(
-        [s for i, s in enumerate(o.cx.simplices) if o.level[i] < t]
-    )
-
-
 # ---------------------------------------------------------------------------
 # JSON complex format
-
-
-def complex_to_json(o: OrderWithLevel) -> dict:
-    return {
-        "vertices": o.cx.vertex_count,
-        "simplices": [
-            {"v": list(s), "level": o.level[i]} for i, s in enumerate(o.cx.simplices)
-        ],
-    }
 
 
 def complex_from_json(obj) -> OrderWithLevel:

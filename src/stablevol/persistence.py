@@ -1,6 +1,13 @@
-"""Persistence pairs and diagrams by Z/2 boundary-matrix reduction,
-representative cocycles via the anti-transposed reduction, and exact
-bottleneck distance.
+"""Persistence pairs and diagrams by Z/2 boundary-matrix reduction, and
+degree-1 representative cocycles by the anti-transposed reduction.
+
+`reduce` pairs every degree: it builds the boundary matrix per dimension
+from the complex's face arrays and reduces it with clearing, in descending
+dimension. `cohomology_reduce` serves reconstructed shortest cycles: it
+reduces only the edge columns of the anti-transposed (coboundary) matrix,
+with the degree-0 death edges cleared first (the clearing of de Silva,
+Morozov & Vejdemo-Johansson, "Dualities in persistent (co)homology", as
+Ripser uses it).
 """
 
 from __future__ import annotations
@@ -8,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from . import kernels
 from .complexes import OrderWithLevel
@@ -51,9 +60,20 @@ class Diagram:
 
 
 def boundary_matrix(o: OrderWithLevel) -> list:
-    """Column j = ranks of the codim-1 faces of the rank-j simplex."""
-    rank = o.rank
-    return [sorted(rank[f] for f in o.cx.faces[sid]) for sid in o.order]
+    """Column j = ranks of the codim-1 faces of the rank-j simplex, ascending.
+
+    Built per dimension from `face_array(k)` and the rank array. The columns
+    hold the int objects of `o.rank`, not new ones, which keeps the peak
+    memory of a reduction down.
+    """
+    cx, rank = o.cx, np.array(o.rank)
+    rank_objs = np.array(o.rank, dtype=object)
+    cols = [[] for _ in cx.ids_of_dim(0)]  # one column per simplex id
+    for k in range(1, cx.dim + 1):
+        faces = cx.face_array(k)
+        faces = np.take_along_axis(faces, rank[faces].argsort(axis=1), axis=1)
+        cols.extend(rank_objs[faces].tolist())
+    return list(map(cols.__getitem__, o.order))
 
 
 def reduce(o: OrderWithLevel, clearing: bool = True) -> list:
@@ -65,11 +85,14 @@ def reduce(o: OrderWithLevel, clearing: bool = True) -> list:
     not assumed.
     """
     cols = boundary_matrix(o)
-    n = len(cols)
     if clearing:
-        proc = sorted(range(n), key=lambda j: (-len(o.cx.simplices[o.order[j]]), j))
+        # each dimension's ranks, sorted; the ids of a dimension are contiguous
+        proc = []
+        for k in range(o.cx.dim, -1, -1):
+            ids = o.cx.ids_of_dim(k)
+            proc.extend(sorted(o.rank[ids.start : ids.stop]))
     else:
-        proc = range(n)
+        proc = range(len(cols))
     raw_pairs, raw_essentials, _ = kernels.reduce_columns(cols, proc, clearing=clearing)
     return _build_pairs(o, raw_pairs, raw_essentials)
 
@@ -114,105 +137,78 @@ def diagram(pairs, o: OrderWithLevel, k: int) -> Diagram:
     return Diagram(k, kept)
 
 
-def cohomology_reduce(o: OrderWithLevel):
-    """Pairs via the anti-transposed reduction, plus representative cocycles.
+def degree0_deaths(o: OrderWithLevel) -> np.ndarray:
+    """Ids of the degree-0 death edges, in filtration order.
 
-    The pairing is identical to reduce(). For each non-essential pair the
-    returned dict maps the pair's (birth_rank, death_rank) to the support of
-    its representative cocycle as a set of simplex ids: simplices of the
-    birth dimension whose duals sum to a persistent cocycle, i.e. the cut
-    whose removal kills every representative cycle of the pair.
+    One union-find pass over the edges in filtration order: an edge that
+    joins two components is a death edge. Which vertex it kills (the elder
+    rule) does not matter for this set.
     """
-    n = len(o)
-    rank = o.rank
-    cols = []
-    for c in range(n):
-        sid = o.order[n - 1 - c]
-        cols.append(sorted(n - 1 - rank[cf] for cf in o.cx.cofaces[sid]))
-    raw_pairs, raw_essentials, v = kernels.reduce_columns(
-        cols, range(n), clearing=False, track_v=True
-    )
+    cx = o.cx
+    edges = cx.ids_of_dim(1)
+    if not edges:
+        return np.empty(0, dtype=np.int64)
+    by_rank = np.argsort(o.rank[edges.start : edges.stop])
+    parent = list(range(cx.vertex_count))
+    deaths = []
+    for e, (a, b) in zip(by_rank.tolist(), cx.face_array(1)[by_rank].tolist()):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            deaths.append(e)
+    return np.array(deaths, dtype=np.int64) + edges.start
+
+
+def cohomology_reduce(o: OrderWithLevel):
+    """Degree-1 pairs via the anti-transposed reduction, plus representative
+    cocycles.
+
+    Only the edge columns of the anti-transposed coboundary matrix are
+    reduced, in descending rank. Each column's rows are the edge's coface
+    triangles, numbered by descending rank. The degree-0 death edges
+    (`degree0_deaths`) are cleared: their columns would reduce to zero. An
+    edge column has only triangle rows, so no column of another dimension is
+    ever added into it; the pairs and cocycles are those of the reduction of
+    every column. A column that reduces to zero is an essential class.
+
+    Returns (pairs, cocycles). `pairs` are the degree-1 pairs, finite and
+    essential, sorted by birth rank, as `reduce` gives them. `cocycles` maps
+    each finite pair's (birth_rank, death_rank) to the support of its
+    representative cocycle as a set of edge ids: edges whose duals sum to a
+    persistent cocycle, i.e. the cut whose removal kills every
+    representative cycle of the pair.
+    """
+    cx, rank = o.cx, np.array(o.rank)
+    edges, tris = cx.ids_of_dim(1), cx.ids_of_dim(2)
+    if not edges:
+        return [], {}
+    alive = np.ones(len(edges), dtype=bool)
+    alive[degree0_deaths(o) - edges.start] = False
+    live = np.flatnonzero(alive)
+    col_edges = live[np.argsort(-rank[edges.start : edges.stop][live])]
+    row_tris = np.argsort(-rank[tris.start : tris.stop])
+    row_of = np.empty(len(tris), dtype=np.int64)
+    row_of[row_tris] = np.arange(len(tris))
+    ptr, idx = cx.coface_csr(1)
+    rows = row_of[idx - tris.start]
+    owner = np.repeat(np.arange(len(edges)), np.diff(ptr))
+    srt = np.lexsort((rows, owner))
+    flat, bounds = rows[srt].tolist(), ptr.tolist()
+    cols = [flat[bounds[e] : bounds[e + 1]] for e in col_edges.tolist()]
+    raw_pairs, _, v = kernels.reduce_columns(cols, range(len(cols)), clearing=False, track_v=True)
+
+    edge_of = (col_edges + edges.start).tolist()
+    tri_of = (row_tris + tris.start).tolist()
     rank_pairs = []
     cocycles = {}
+    paired = set()
     for u, c in raw_pairs:
-        i, j = n - 1 - c, n - 1 - u
+        i, j = o.rank[edge_of[c]], o.rank[tri_of[u]]
         rank_pairs.append((i, j))
-        cocycles[(i, j)] = {o.order[n - 1 - cc] for cc in v[c]}
-    pairs = _build_pairs(o, rank_pairs, [n - 1 - c for c in raw_essentials])
-    return pairs, cocycles
-
-
-# ---------------------------------------------------------------------------
-# bottleneck distance
-
-
-def bottleneck(d1: Diagram, d2: Diagram) -> float:
-    """Exact bottleneck distance with diagonal augmentation.
-
-    Essential pairs match only essential pairs; mismatched counts give inf.
-    Exactness comes from binary search over the finite candidate set of all
-    pairwise l-inf distances and distances to the diagonal.
-    """
-    e1 = sorted(p.birth_time for p in d1.essential())
-    e2 = sorted(p.birth_time for p in d2.essential())
-    if len(e1) != len(e2):
-        return math.inf
-    p1 = [p.coords() for p in d1.finite()]
-    p2 = [p.coords() for p in d2.finite()]
-    cands = {0.0}
-    cands.update(abs(a - b) for a, b in zip(e1, e2))
-    for a in p1:
-        cands.add((a[1] - a[0]) / 2.0)
-        for b in p2:
-            cands.add(max(abs(a[0] - b[0]), abs(a[1] - b[1])))
-    for b in p2:
-        cands.add((b[1] - b[0]) / 2.0)
-    ordered = sorted(cands)
-    lo, hi = 0, len(ordered) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _feasible(p1, p2, e1, e2, ordered[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return ordered[lo]
-
-
-def _feasible(p1, p2, e1, e2, lam) -> bool:
-    if any(abs(a - b) > lam for a, b in zip(e1, e2)):
-        return False
-    n1, n2 = len(p1), len(p2)
-    size = n1 + n2
-    if size == 0:
-        return True
-    # left: p1 then diagonal clones of p2; right: p2 then diagonal clones of p1
-    adj = [[] for _ in range(size)]
-    for i, a in enumerate(p1):
-        for j, b in enumerate(p2):
-            if max(abs(a[0] - b[0]), abs(a[1] - b[1])) <= lam:
-                adj[i].append(j)
-        if (a[1] - a[0]) / 2.0 <= lam:
-            adj[i].append(n2 + i)
-    # diagonal clones take their own point or any opposite clone
-    for j, b in enumerate(p2):
-        if (b[1] - b[0]) / 2.0 <= lam:
-            adj[n1 + j].append(j)
-        adj[n1 + j].extend(range(n2, n2 + n1))
-    match_r = [-1] * size
-
-    def try_augment(u, seen):
-        for v in adj[u]:
-            if seen[v]:
-                continue
-            seen[v] = True
-            if match_r[v] == -1 or try_augment(match_r[v], seen):
-                match_r[v] = u
-                return True
-        return False
-
-    matched = 0
-    for u in range(size):
-        seen = [False] * size
-        if try_augment(u, seen):
-            matched += 1
-    return matched == size
+        cocycles[(i, j)] = {edge_of[cc] for cc in v[c]}
+        paired.add(c)
+    essentials = [o.rank[edge_of[c]] for c in range(len(cols)) if c not in paired]
+    return _build_pairs(o, rank_pairs, essentials), cocycles

@@ -1,6 +1,6 @@
 """Volume extraction as mathematical optimization: optimal volumes, stable
-volumes by optimization (any degree), stable sub-volumes, the l1 linear
-program they relax to, and an exhaustive l0 oracle for desk-scale validation.
+volumes by optimization (any degree), stable sub-volumes, and the l1 linear
+program they relax to.
 
 The l1 relaxation swaps the coefficient field to the reals and the support
 count for a sum of absolute values; every accepted solution is re-verified
@@ -10,7 +10,6 @@ never corrupt an output.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -18,10 +17,6 @@ import numpy as np
 
 from .complexes import OrderWithLevel
 from .persistence import PersistencePair, StarPairError
-
-
-class TooLargeError(ValueError):
-    """Candidate set too large for exhaustive enumeration."""
 
 
 class LPError(RuntimeError):
@@ -313,21 +308,27 @@ def pin_sign_hint(prog: L1Program) -> int:
     """The pin sign that the equality rows imply; +1 if they cannot tell.
 
     Over a field, the equality rows fix the birth-simplex coefficient of the
-    boundary for every feasible real chain. One least-squares solution of
-    the rows (LSMR) therefore gives that coefficient; its sign is taken when
-    the value lies within 0.5 of +1 or -1. A program without a pin, without
-    candidates or without rows gets +1.
+    boundary for every feasible real chain. When no candidate touches the
+    pinned row, that coefficient is the row's constant. Otherwise one
+    least-squares solution of the rows (LSMR) gives it. Its sign is taken
+    when the value lies within 0.5 of +1 or -1. A program without a pin, or
+    with a touched pin but no rows, gets +1.
     """
-    if prog.pinned is None or not prog.candidates or not prog.rows:
+    if prog.pinned is None:
         return 1
-    from scipy.sparse.linalg import lsmr
-
-    col = {w: i for i, w in enumerate(prog.candidates)}
-    A = _row_matrix(prog.rows, col, len(col)).tocsr()
-    b = np.array([-float(const) for _, _, const in prog.rows])
-    x = lsmr(A, b)[0]
     _, coeffs, const, _ = prog.pinned
-    value = const + sum(c * x[col[w]] for w, c in coeffs.items())
+    if not coeffs:
+        value = const
+    elif not prog.rows:
+        return 1
+    else:
+        from scipy.sparse.linalg import lsmr
+
+        col = {w: i for i, w in enumerate(prog.candidates)}
+        A = _row_matrix(prog.rows, col, len(col)).tocsr()
+        b = np.array([-float(const) for _, _, const in prog.rows])
+        x = lsmr(A, b)[0]
+        value = const + sum(c * x[col[w]] for w, c in coeffs.items())
     return -1 if abs(value + 1) < 0.5 else 1
 
 
@@ -360,55 +361,3 @@ def solve_volume(
     except InfeasibleError:
         raw = solve_lp(_pinned_to(prog, -sign))
     return round_support(p, raw, threshold)
-
-
-# ---------------------------------------------------------------------------
-# exhaustive l0 oracle
-
-
-def brute_force_volume(p: VolumeProblem, count_ties: bool = False):
-    """Exact l0 minimizer over Z/2 by subset enumeration.
-
-    Subsets are visited in increasing cardinality, ties broken by the
-    lexicographically least candidate-id tuple; returns the support including
-    the death cell (and the number of same-size optima when asked).
-    """
-    if len(p.candidates) > 20:
-        raise TooLargeError(f"{len(p.candidates)} candidates exceed the oracle limit")
-    cx = p.order.cx
-    cands = sorted(p.candidates)
-    conpos = {tau: i for i, tau in enumerate(p.constraints)}
-    pin_bit = len(p.constraints)
-    want_pin = p.mode == "optimal"
-    tau0 = p.pair.birth_simplex
-
-    def mask_of(om):
-        msk = 0
-        for tau in cx.faces[om]:
-            i = conpos.get(tau)
-            if i is not None:
-                msk |= 1 << i
-            if want_pin and tau == tau0:
-                msk |= 1 << pin_bit
-        return msk
-
-    base = mask_of(p.pair.death_simplex)
-    masks = [mask_of(w) for w in cands]
-    target_low = 0  # all constraint bits must cancel
-    for size in range(len(cands) + 1):
-        hits = []
-        for combo in itertools.combinations(range(len(cands)), size):
-            acc = base
-            for i in combo:
-                acc ^= masks[i]
-            ok = (acc & ((1 << pin_bit) - 1)) == target_low
-            if ok and want_pin:
-                ok = bool(acc >> pin_bit & 1)
-            if ok:
-                hits.append(combo)
-                if not count_ties:
-                    break
-        if hits:
-            chain = {p.pair.death_simplex} | {cands[i] for i in hits[0]}
-            return (chain, len(hits)) if count_ties else chain
-    raise InfeasibleError("no Z/2-feasible chain exists for this problem")

@@ -1,5 +1,5 @@
-"""Shared test utilities: perturbation samplers, brute-force oracles and
-geometry test inputs."""
+"""Shared test utilities: perturbation samplers, brute-force oracles,
+reference implementations and geometry test inputs."""
 
 import itertools
 import math
@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from stablevol import kernels
 from stablevol.alpha import _circum_batch, _is_gabriel
 from stablevol.complexes import (
     Chain,
     MonotonicityError,
+    SimplicialComplex,
     _levels_as_list,
     build_order,
     faces_of,
@@ -18,6 +20,8 @@ from stablevol.complexes import (
     validate_complex,
 )
 from stablevol.fixtures import GENERATORS, generate
+from stablevol.persistence import _build_pairs
+from stablevol.volopt import InfeasibleError
 
 
 def monotone_repair(cx, levels):
@@ -188,6 +192,22 @@ def geometry_cases():
     return cases
 
 
+def torus_complex(nu=6, nv=5, seed=0):
+    """Triangulated torus on an nu x nv grid (each square cut along one
+    diagonal), with seeded random vertex levels and lower-star levels."""
+    def vid(i, j):
+        return (i % nu) * nv + j % nv
+
+    tris = []
+    for i in range(nu):
+        for j in range(nv):
+            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+            tris += [(a, b, c), (a, c, d)]
+    cx = SimplicialComplex(tris, closure=True)
+    vl = np.random.default_rng(seed).random(nu * nv)
+    return build_order(cx, [float(max(vl[v] for v in s)) for s in cx.simplices])
+
+
 def chain_rational(coeffs, cx):
     """Chain with exact rational coefficients; zero coefficients are dropped."""
     cleaned = {int(i): Fraction(c) for i, c in coeffs.items() if Fraction(c) != 0}
@@ -315,3 +335,168 @@ def alpha_levels_full_scan(cx, points):
                 if levels[sid] > cap:
                     levels[sid] = cap
     return levels
+
+
+def sublevel_complex(o, t):
+    """Subcomplex of simplices with level strictly below t."""
+    return SimplicialComplex(
+        [s for i, s in enumerate(o.cx.simplices) if o.level[i] < t]
+    )
+
+
+def complex_to_json(o):
+    """The JSON complex format of an order, as `complex_from_json` reads it."""
+    return {
+        "vertices": o.cx.vertex_count,
+        "simplices": [
+            {"v": list(s), "level": o.level[i]} for i, s in enumerate(o.cx.simplices)
+        ],
+    }
+
+
+def cohomology_reduce_all_columns(o):
+    """Reference cohomology: the anti-transposed reduction of every column,
+    all degrees, V tracked everywhere. Returns (pairs, cocycles) with pairs of
+    every degree and a cocycle per finite pair, keyed by (birth_rank,
+    death_rank), as a set of simplex ids."""
+    n = len(o)
+    rank = o.rank
+    cols = []
+    for c in range(n):
+        sid = o.order[n - 1 - c]
+        cols.append(sorted(n - 1 - rank[cf] for cf in o.cx.cofaces[sid]))
+    raw_pairs, raw_essentials, v = kernels.reduce_columns(
+        cols, range(n), clearing=False, track_v=True
+    )
+    rank_pairs = []
+    cocycles = {}
+    for u, c in raw_pairs:
+        i, j = n - 1 - c, n - 1 - u
+        rank_pairs.append((i, j))
+        cocycles[(i, j)] = {o.order[n - 1 - cc] for cc in v[c]}
+    pairs = _build_pairs(o, rank_pairs, [n - 1 - c for c in raw_essentials])
+    return pairs, cocycles
+
+
+def bottleneck(d1, d2):
+    """Exact bottleneck distance with diagonal augmentation.
+
+    Essential pairs match only essential pairs; mismatched counts give inf.
+    Exactness comes from binary search over the finite candidate set of all
+    pairwise l-inf distances and distances to the diagonal.
+    """
+    e1 = sorted(p.birth_time for p in d1.essential())
+    e2 = sorted(p.birth_time for p in d2.essential())
+    if len(e1) != len(e2):
+        return math.inf
+    p1 = [p.coords() for p in d1.finite()]
+    p2 = [p.coords() for p in d2.finite()]
+    cands = {0.0}
+    cands.update(abs(a - b) for a, b in zip(e1, e2))
+    for a in p1:
+        cands.add((a[1] - a[0]) / 2.0)
+        for b in p2:
+            cands.add(max(abs(a[0] - b[0]), abs(a[1] - b[1])))
+    for b in p2:
+        cands.add((b[1] - b[0]) / 2.0)
+    ordered = sorted(cands)
+    lo, hi = 0, len(ordered) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _feasible(p1, p2, e1, e2, ordered[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return ordered[lo]
+
+
+def _feasible(p1, p2, e1, e2, lam):
+    if any(abs(a - b) > lam for a, b in zip(e1, e2)):
+        return False
+    n1, n2 = len(p1), len(p2)
+    size = n1 + n2
+    if size == 0:
+        return True
+    # left: p1 then diagonal clones of p2; right: p2 then diagonal clones of p1
+    adj = [[] for _ in range(size)]
+    for i, a in enumerate(p1):
+        for j, b in enumerate(p2):
+            if max(abs(a[0] - b[0]), abs(a[1] - b[1])) <= lam:
+                adj[i].append(j)
+        if (a[1] - a[0]) / 2.0 <= lam:
+            adj[i].append(n2 + i)
+    # diagonal clones take their own point or any opposite clone
+    for j, b in enumerate(p2):
+        if (b[1] - b[0]) / 2.0 <= lam:
+            adj[n1 + j].append(j)
+        adj[n1 + j].extend(range(n2, n2 + n1))
+    match_r = [-1] * size
+
+    def try_augment(u, seen):
+        for v in adj[u]:
+            if seen[v]:
+                continue
+            seen[v] = True
+            if match_r[v] == -1 or try_augment(match_r[v], seen):
+                match_r[v] = u
+                return True
+        return False
+
+    matched = 0
+    for u in range(size):
+        seen = [False] * size
+        if try_augment(u, seen):
+            matched += 1
+    return matched == size
+
+
+class TooLargeError(ValueError):
+    """Candidate set too large for exhaustive enumeration."""
+
+
+def brute_force_volume(p, count_ties=False):
+    """Exact l0 minimizer over Z/2 by subset enumeration.
+
+    Subsets are visited in increasing cardinality, ties broken by the
+    lexicographically least candidate-id tuple; returns the support including
+    the death cell (and the number of same-size optima when asked).
+    """
+    if len(p.candidates) > 20:
+        raise TooLargeError(f"{len(p.candidates)} candidates exceed the oracle limit")
+    cx = p.order.cx
+    cands = sorted(p.candidates)
+    conpos = {tau: i for i, tau in enumerate(p.constraints)}
+    pin_bit = len(p.constraints)
+    want_pin = p.mode == "optimal"
+    tau0 = p.pair.birth_simplex
+
+    def mask_of(om):
+        msk = 0
+        for tau in cx.faces[om]:
+            i = conpos.get(tau)
+            if i is not None:
+                msk |= 1 << i
+            if want_pin and tau == tau0:
+                msk |= 1 << pin_bit
+        return msk
+
+    base = mask_of(p.pair.death_simplex)
+    masks = [mask_of(w) for w in cands]
+    target_low = 0  # all constraint bits must cancel
+    for size in range(len(cands) + 1):
+        hits = []
+        for combo in itertools.combinations(range(len(cands)), size):
+            acc = base
+            for i in combo:
+                acc ^= masks[i]
+            ok = (acc & ((1 << pin_bit) - 1)) == target_low
+            if ok and want_pin:
+                ok = bool(acc >> pin_bit & 1)
+            if ok:
+                hits.append(combo)
+                if not count_ties:
+                    break
+        if hits:
+            chain = {p.pair.death_simplex} | {cands[i] for i in hits[0]}
+            return (chain, len(hits)) if count_ties else chain
+    raise InfeasibleError("no Z/2-feasible chain exists for this problem")

@@ -14,7 +14,9 @@ import pytest
 
 from helpers import (
     admissible_order,
+    bottleneck,
     bottleneck_bruteforce,
+    brute_force_volume,
     perturbed_order,
     shortest_nontrivial_loop,
 )
@@ -148,7 +150,7 @@ def test_criterion_4_l0_oracle_agreement():
             prob = V.make_problem(f.order, p, "stable", eps)
             if len(prob.candidates) > 18:
                 continue
-            oracle = V.brute_force_volume(prob)
+            oracle = brute_force_volume(prob)
             bucket = deg1_3d if use_3d else codim1
             bucket["n"] += 1
             total += 1
@@ -196,7 +198,7 @@ def test_criterion_5_stability_fuzz():
             for k in range(order.cx.dim + 1):
                 d1 = pers.diagram(base, order, k)
                 d2 = pers.diagram(qpairs, oq, k)
-                d = pers.bottleneck(d1, d2)
+                d = bottleneck(d1, d2)
                 assert d <= dist + 1e-12, (k, d, dist)
                 checked += 1
                 if len(d1) + len(d2) <= 7:

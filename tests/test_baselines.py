@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from helpers import shortest_nontrivial_loop
+from helpers import geometry_cases, shortest_nontrivial_loop
+from stablevol import baselines
 from stablevol.alpha import PointCloud, alpha_filtration
 from stablevol.baselines import (
     NoiseModel,
@@ -26,6 +27,9 @@ def square_pair(order):
 def test_noise_model_validation():
     with pytest.raises(ValueError):
         NoiseModel(0.0, seed=1)
+    for bad in (math.nan, math.inf, -math.inf, 1e308):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseModel(bad, seed=1)
     with pytest.raises(ValueError):
         NoiseModel(0.1, seed=1, kind="gaussian")
 
@@ -198,3 +202,122 @@ def test_unmatched_trials_reported_with_warning():
     assert fm.matched == 0
     assert fm.status.startswith("warning")
     assert not fm.frequencies.any()
+
+
+# ---------------------------------------------------------------------------
+# bounded loop search
+
+
+def rsc_steps(o, most=12):
+    """(pair, step, cocycle) for three steps of each of the `most` most
+    persistent finite degree-1 pairs."""
+    pairs, cocycles = pers.cohomology_reduce(o)
+    finite = [p for p in pairs if not p.essential and p.birth_time != p.death_time]
+    finite.sort(key=lambda p: (p.birth_time - p.death_time, p.birth_rank))
+    for p in finite[:most]:
+        for k in sorted({p.birth_rank, (p.birth_rank + p.death_rank) // 2, p.death_rank - 1}):
+            yield p, k, cocycles[(p.birth_rank, p.death_rank)]
+
+
+def loop_proposals(o, k, cocycle):
+    """(hop count, sorted edge tuple) of every crossing edge's loop at step
+    k, in crossing order, each from an unbounded search."""
+    cx = o.cx
+    present = [sid for sid in o.order[: k + 1] if cx.dim_of(sid) == 1]
+    adj = {}
+    for sid in present:
+        if sid not in cocycle:
+            u, v = cx.simplices[sid]
+            adj.setdefault(u, []).append((v, 1.0, sid))
+            adj.setdefault(v, []).append((u, 1.0, sid))
+    for lst in adj.values():
+        lst.sort()
+    out = []
+    for sid in present:
+        if sid in cocycle:
+            path = baselines._shortest_path(adj, *cx.simplices[sid])
+            if path is not None:
+                out.append((path[0] + 1.0, tuple(sorted(path[1] + [sid]))))
+    return out
+
+
+SEARCH = baselines._shortest_path
+
+
+def unbounded_search(monkeypatch):
+    monkeypatch.setattr(
+        baselines, "_shortest_path",
+        lambda adj, src, dst, offset=0.0, bound=math.inf: SEARCH(adj, src, dst),
+    )
+
+
+def rsc_inputs(name):
+    if name == "appendix":
+        return appendix_filtration(), None
+    pts = geometry_cases()[name]
+    return alpha_filtration(pts).order, pts
+
+
+@pytest.mark.parametrize(
+    "name, euclidean",
+    [
+        ("appendix", False),
+        ("gen-annulus", False),
+        ("gen-annulus", True),
+        ("gen-lattice-2d-defects", False),
+        ("gen-lattice-2d-defects", True),
+        ("cloud2d-400", False),
+        ("cloud2d-400", True),
+        ("gen-lattice-3x3x3", False),
+        ("gen-lattice-3x3x3", True),
+    ],
+)
+def test_bounded_search_gives_the_unbounded_loop(monkeypatch, name, euclidean):
+    o, pts = rsc_inputs(name)
+    steps = list(rsc_steps(o))
+    assert steps
+    pruned = []
+
+    def spy(adj, src, dst, offset=0.0, bound=math.inf):
+        path = SEARCH(adj, src, dst, offset=offset, bound=bound)
+        if path is None and SEARCH(adj, src, dst) is not None:
+            pruned.append(dst)
+        return path
+
+    monkeypatch.setattr(baselines, "_shortest_path", spy)
+    kw = {"euclidean": euclidean, "points": pts}
+    bounded = [reconstructed_shortest_cycle(o, p, k_rank=k, cocycle=c, **kw)
+               for p, k, c in steps]
+    # the bound cut some searches short (the appendix loop is too small)
+    assert pruned or name == "appendix"
+    unbounded_search(monkeypatch)
+    for (p, k, c), got in zip(steps, bounded):
+        assert got == reconstructed_shortest_cycle(o, p, k_rank=k, cocycle=c, **kw)
+
+
+def test_bounded_search_keeps_tied_loops(monkeypatch):
+    """On the annulus, hop-count loops tie, and at some steps the winning
+    loop (least sorted edge tuple among the lightest) is proposed after
+    another loop of the same weight: a search that stopped on a tie would
+    miss it."""
+    o, _ = rsc_inputs("gen-annulus")
+    late = []
+    for p, k, c in rsc_steps(o, most=None):
+        props = loop_proposals(o, k, c)
+        best = min(props)
+        first_tied = next(q for q in props if q[0] == best[0])
+        if first_tied != best:
+            late.append((p, k, c))
+    assert late
+    bounded = [reconstructed_shortest_cycle(o, p, k_rank=k, cocycle=c) for p, k, c in late]
+    unbounded_search(monkeypatch)
+    for (p, k, c), got in zip(late, bounded):
+        assert got == reconstructed_shortest_cycle(o, p, k_rank=k, cocycle=c)
+
+
+def test_shortest_path_bound_is_strict():
+    # path 0-1-2 of two unit hops, plus an offset of 1: total 3
+    adj = {0: [(1, 1.0, 10)], 1: [(0, 1.0, 10), (2, 1.0, 11)], 2: [(1, 1.0, 11)]}
+    assert baselines._shortest_path(adj, 0, 2) == (2.0, [10, 11], [0, 1, 2])
+    assert baselines._shortest_path(adj, 0, 2, offset=1.0, bound=3.0) == (2.0, [10, 11], [0, 1, 2])
+    assert baselines._shortest_path(adj, 0, 2, offset=1.0, bound=2.5) is None

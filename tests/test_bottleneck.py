@@ -1,8 +1,8 @@
 import math
 import random
 
-from helpers import bottleneck_bruteforce
-from stablevol.persistence import Diagram, PersistencePair, bottleneck
+from helpers import bottleneck, bottleneck_bruteforce
+from stablevol.persistence import Diagram, PersistencePair
 
 
 def diag_of(finite=(), essential=()):

@@ -11,8 +11,8 @@ import pytest
 
 import stablevol
 from stablevol import schemas, volopt
+from helpers import complex_to_json
 from stablevol.cli import main
-from stablevol.complexes import complex_to_json
 from stablevol.fixtures import appendix_filtration
 
 
@@ -331,6 +331,59 @@ def test_rsc_two_bandwidths(tmp_path, capsys):
         jsonschema.validate(obj, schemas.VOLUME_SCHEMA)
         weights[bw] = obj["weight"]
     assert weights["3.5"] < weights["1.5"]
+
+
+@pytest.mark.parametrize("missing_input", [False, True], ids=["fig1", "missing-input"])
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["stat", "--noise", "nan", "--seed", "1"], "--noise"),
+        (["stat", "--noise", "inf", "--seed", "1"], "--noise"),
+        (["stat", "--noise", "1e308", "--seed", "1"], "--noise"),
+        (["vol", "--method", "stable-lp", "--epsilon", "nan"], "--epsilon"),
+        (["vol", "--method", "sub", "--epsilon", "inf"], "--epsilon"),
+        (["vol", "--method", "stable-lp", "--epsilon", "0.05", "--threshold", "nan"],
+         "--threshold"),
+        (["rsc", "--bandwidth", "nan"], "--bandwidth"),
+        (["rsc", "--bandwidth=-inf"], "--bandwidth"),
+    ],
+    ids=["noise-nan", "noise-inf", "noise-1e308", "epsilon-nan", "epsilon-inf",
+         "threshold-nan", "bandwidth-nan", "bandwidth-neg-inf"],
+)
+def test_non_finite_option_exit_2(fig1_file, tmp_path, capsys, argv, option, missing_input):
+    # the option is checked before the input is read
+    path = str(tmp_path / "missing.txt") if missing_input else fig1_file
+    code, out, err = run([argv[0], path, "--pair-index", "1", *argv[1:]], capsys)
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and option in lines[0]
+
+
+def test_rsc_reduces_once(fig1_file, capsys, monkeypatch):
+    from stablevol import persistence as pers
+
+    calls = {"reduce": 0, "cohomology_reduce": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(pers, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(pers, name, counted)
+    code, out, _ = run(["rsc", fig1_file, "--pair-index", "1", "--bandwidth", "0.05"], capsys)
+    assert code == 0 and json.loads(out)["status"] == "ok"
+    assert calls == {"reduce": 0, "cohomology_reduce": 1}
+
+
+@pytest.mark.parametrize("bandwidth", [[], ["--bandwidth", "0.5"]], ids=["plain", "bandwidth"])
+def test_rsc_essential_pair_exit_5(tmp_path, capsys, bandwidth):
+    path = tmp_path / "hollow.json"
+    path.write_text(json.dumps({"simplices": [
+        {"v": [0], "level": 0}, {"v": [1], "level": 0}, {"v": [2], "level": 0},
+        {"v": [0, 1], "level": 1}, {"v": [1, 2], "level": 1}, {"v": [0, 2], "level": 2},
+    ]}))
+    code, out, err = run(["rsc", str(path), "--pair-index", "0", *bandwidth], capsys)
+    assert code == 5 and out == ""
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_outputs_are_byte_identical_across_runs(fig1_file, capsys):

@@ -9,8 +9,10 @@ from helpers import (
     TupleComplex,
     build_order_by_key,
     chain_rational,
+    complex_to_json,
     geometry_cases,
     monotone_repair,
+    sublevel_complex,
 )
 from stablevol.complexes import (
     Chain,
@@ -21,9 +23,7 @@ from stablevol.complexes import (
     build_order,
     chain_z2,
     complex_from_json,
-    complex_to_json,
     simplex,
-    sublevel_complex,
     validate_complex,
 )
 from stablevol.delaunay import delaunay

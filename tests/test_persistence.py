@@ -2,11 +2,19 @@ import math
 import random
 
 import numpy as np
+import pytest
 
-from helpers import betti_bruteforce, perturbed_order
+from helpers import (
+    betti_bruteforce,
+    bottleneck,
+    cohomology_reduce_all_columns,
+    geometry_cases,
+    perturbed_order,
+    torus_complex,
+)
 from stablevol.alpha import alpha_filtration
 from stablevol.complexes import SimplicialComplex, build_order
-from stablevol.fixtures import fig1_five_points
+from stablevol.fixtures import appendix_filtration, fig1_five_points
 from stablevol import persistence as pers
 
 
@@ -88,8 +96,67 @@ def test_cohomology_pairs_equal_homology_pairs():
     for _ in range(10):
         pts = [(random.random(), random.random()) for _ in range(12)]
         o = alpha_filtration(pts).order
-        hp, _ = pers.cohomology_reduce(o)
-        assert pairset(hp) == pairset(pers.reduce(o))
+        pairs = pers.reduce(o)
+        all_degrees, _ = cohomology_reduce_all_columns(o)
+        assert pairset(all_degrees) == pairset(pairs)
+        degree1, _ = pers.cohomology_reduce(o)
+        assert degree1 == [p for p in pairs if p.degree == 1]
+
+
+@pytest.fixture(scope="module")
+def cohomology_orders():
+    """Orders for the degree-1 cohomology tests: every geometry case (the
+    `gen` fixtures among them), the appendix filtration, two small tori, a
+    hollow triangle and a lone vertex."""
+    cases = {name: alpha_filtration(pts).order for name, pts in geometry_cases().items()}
+    cases["appendix"] = appendix_filtration()
+    cases["torus-6x5"] = torus_complex(6, 5, seed=0)
+    cases["torus-4x7"] = torus_complex(4, 7, seed=1)
+    hollow = SimplicialComplex([(0, 1), (1, 2), (0, 2)], closure=True)
+    cases["hollow-triangle"] = build_order(hollow, [0.0, 0.0, 0.0, 1.0, 2.0, 1.0])
+    cases["vertex"] = build_order(SimplicialComplex([(0,)]), [0.0])
+    return cases
+
+
+COHOMOLOGY_CASES = sorted(
+    [*geometry_cases(), "appendix", "torus-6x5", "torus-4x7", "hollow-triangle", "vertex"]
+)
+
+
+@pytest.mark.parametrize("name", COHOMOLOGY_CASES)
+def test_degree1_cohomology_matches_all_columns_oracle(cohomology_orders, name):
+    o = cohomology_orders[name]
+    pairs, cocycles = pers.cohomology_reduce(o)
+    ref_pairs, ref_cocycles = cohomology_reduce_all_columns(o)
+    assert pairs == [p for p in ref_pairs if p.degree == 1]
+    assert cocycles == {
+        (p.birth_rank, p.death_rank): ref_cocycles[(p.birth_rank, p.death_rank)]
+        for p in ref_pairs
+        if p.degree == 1 and not p.essential
+    }
+    assert pairs == [p for p in pers.reduce(o) if p.degree == 1]
+
+
+@pytest.mark.parametrize("name", COHOMOLOGY_CASES)
+def test_union_find_deaths_equal_reduce(cohomology_orders, name):
+    o = cohomology_orders[name]
+    deaths = pers.degree0_deaths(o).tolist()
+    expected = [p.death_simplex for p in pers.reduce(o) if p.degree == 0 and not p.essential]
+    assert sorted(deaths) == sorted(expected)
+    assert [o.rank[e] for e in deaths] == sorted(o.rank[e] for e in deaths)
+
+
+@pytest.mark.parametrize("name", COHOMOLOGY_CASES)
+def test_boundary_matrix_matches_face_lists(cohomology_orders, name):
+    o = cohomology_orders[name]
+    expected = [sorted(o.rank[f] for f in o.cx.faces[sid]) for sid in o.order]
+    assert pers.boundary_matrix(o) == expected
+
+
+def test_torus_has_two_essential_degree1_classes():
+    pairs, cocycles = pers.cohomology_reduce(torus_complex(6, 5, seed=0))
+    assert len([p for p in pairs if p.essential]) == 2
+    assert len(cocycles) == len(pairs) - 2
 
 
 def test_cocycle_is_alive_cut():
@@ -153,7 +220,7 @@ def test_stability_random_perturbations():
         oq, dist = perturbed_order(f.order, mag, rng)
         qpairs = pers.reduce(oq)
         for k in (0, 1):
-            d = pers.bottleneck(
+            d = bottleneck(
                 pers.diagram(base, f.order, k), pers.diagram(qpairs, oq, k)
             )
             assert d <= dist + 1e-12

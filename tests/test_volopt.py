@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from helpers import TooLargeError, brute_force_volume
 from stablevol.alpha import alpha_filtration
 from stablevol.dualtree import build_dual_graph, compute_tree, optimal_volume_tree, stable_volume_tree
 from stablevol.fixtures import fig1_five_points, lattice_3x3x3
@@ -129,7 +130,7 @@ def test_lp_equals_tree_on_fig1_and_oracle():
             assert V.solve_volume(f.order, p, "stable", eps).cells == sv
             assert V.solve_volume(f.order, p, "sub", eps, ov_cells=ov).cells == sv
             prob = V.make_problem(f.order, p, "stable", eps)
-            assert V.brute_force_volume(prob) == sv
+            assert brute_force_volume(prob) == sv
 
 
 def test_volume_cycle_laws():
@@ -158,15 +159,15 @@ def test_brute_force_too_large():
     p = tree.pairs()[0]
     prob = V.make_problem(f.order, p, "stable", 0.0)
     prob.candidates = list(range(25))
-    with pytest.raises(V.TooLargeError):
-        V.brute_force_volume(prob)
+    with pytest.raises(TooLargeError):
+        brute_force_volume(prob)
 
 
 def test_brute_force_tie_count():
     f, tree = fig1_tree()
     square = max(tree.pairs(), key=lambda p: p.death_time)
     prob = V.make_problem(f.order, square, "stable", 0.05)
-    chain, ties = V.brute_force_volume(prob, count_ties=True)
+    chain, ties = brute_force_volume(prob, count_ties=True)
     assert ties >= 1
 
 
@@ -180,7 +181,7 @@ def test_lp_objective_never_beats_oracle_unrounded():
             prob = V.make_problem(f.order, p, "stable", 0.02)
             if len(prob.candidates) > 16:
                 continue
-            oracle = V.brute_force_volume(prob)
+            oracle = brute_force_volume(prob)
             raw = V.solve_lp(V.to_lp(prob))
             assert raw.objective <= len(oracle) - 1 + 1e-8
             sol = V.round_support(prob, raw)
@@ -219,9 +220,10 @@ def test_lp_equals_tree_in_3d_codim1():
                 assert V.solve_volume(f.order, p, "stable", eps).cells == sv_tree
 
 
-def lattice_optimal_problems():
+def lattice_optimal_problems(keep=lambda prog: prog.candidates and prog.rows):
     """Optimal-mode problems of the degree-1 pairs of lattice_3x3x3 seeds
-    0-4 whose l1 program has candidates and equality rows."""
+    0-4 whose l1 program passes `keep` (default: it has candidates and
+    equality rows)."""
     out = []
     for seed in range(5):
         f = alpha_filtration(lattice_3x3x3(seed).points)
@@ -230,7 +232,7 @@ def lattice_optimal_problems():
                 continue
             prob = V.make_problem(f.order, p, "optimal")
             prog = V.to_lp(prob)
-            if prog.candidates and prog.rows:
+            if keep(prog):
                 out.append((f.order, p, prob, prog))
     return out
 
@@ -286,14 +288,43 @@ def test_wrong_pin_sign_hint_retries_to_the_same_cells(monkeypatch):
         assert second == V.to_lp(prob, pin_sign=-first.pinned[3])
 
 
+def test_untouched_pin_hint_is_the_feasible_sign(monkeypatch):
+    problems = lattice_optimal_problems(keep=lambda prog: not prog.pinned[1])
+    assert len(problems) > 10
+    signs = set()
+    calls = count_linprog(monkeypatch)
+    for order, p, prob, prog in problems:
+        hint = V.pin_sign_hint(prog)
+        signs.add(hint)
+        V.solve_lp(V.to_lp(prob, pin_sign=hint))
+        with pytest.raises(V.InfeasibleError):
+            V.solve_lp(V.to_lp(prob, pin_sign=-hint))
+        del calls[:]
+        V.solve_volume(order, p, "optimal")
+        assert len(calls) <= 1
+    assert -1 in signs
+
+
 @pytest.mark.parametrize(
     "prog",
     [
-        V.L1Program([], [(3, {}, 0)], (0, {}, -1, 1)),  # no candidates
         V.L1Program([5, 6], [], (0, {5: 1}, 0, 1)),  # no rows
-        V.L1Program([5], [], (0, {}, -1, 1)),
     ],
-    ids=["no-candidates", "no-rows", "no-rows-untouched-pin"],
+    ids=["no-rows"],
 )
 def test_pin_sign_hint_keeps_plus_one_without_candidates_or_rows(prog):
     assert V.pin_sign_hint(prog) == 1
+
+
+@pytest.mark.parametrize(
+    "prog, sign",
+    [
+        (V.L1Program([], [(3, {}, 0)], (0, {}, -1, 1)), -1),  # no candidates
+        (V.L1Program([5], [], (0, {}, -1, 1)), -1),  # no rows
+        (V.L1Program([5], [(3, {5: 1}, 1)], (0, {}, 1, -1)), 1),
+        (V.L1Program([], [], (0, {}, 0, 1)), 1),  # no sign to take
+    ],
+    ids=["no-candidates", "no-rows", "rows", "zero-constant"],
+)
+def test_untouched_pin_hint_is_the_constant_sign(prog, sign):
+    assert V.pin_sign_hint(prog) == sign
