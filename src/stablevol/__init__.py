@@ -28,6 +28,7 @@ from .dualtree import (
 )
 from .persistence import (
     Diagram,
+    Pairs,
     PersistencePair,
     StarPairError,
     cohomology_reduce,

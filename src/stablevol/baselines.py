@@ -64,16 +64,25 @@ class FrequencyMap:
         return self.counts / float(self.matched)
 
 
-def _match_pair(diag: pers.Diagram, target: PersistencePair, radius: float):
-    best = None
-    best_d = math.inf
-    for p in diag.finite():
-        d = max(abs(p.birth_time - target.birth_time), abs(p.death_time - target.death_time))
-        if d < best_d:
-            best, best_d = p, d
-    if best is None or best_d > radius:
+def _match_pair(pairs: pers.Pairs, target: PersistencePair, radius: float):
+    """The finite diagram pair of the target's degree nearest the target in
+    the l-inf metric (the first in table order on a tie), or None beyond
+    `radius`."""
+    rows = np.flatnonzero(
+        (pairs.degree == target.degree)
+        & (pairs.death_rank >= 0)
+        & (pairs.birth_time != pairs.death_time)
+    )
+    if not len(rows):
         return None
-    return best
+    dist = np.maximum(
+        np.abs(pairs.birth_time[rows] - target.birth_time),
+        np.abs(pairs.death_time[rows] - target.death_time),
+    )
+    best = int(np.argmin(dist))
+    if dist[best] == math.inf or dist[best] > radius:
+        return None
+    return pairs[rows[best]]
 
 
 def _boundary_vertices(order: OrderWithLevel, cells) -> set:
@@ -91,10 +100,9 @@ def optimal_volume_cells(order: OrderWithLevel, pair: PersistencePair) -> set:
     by the l1 program otherwise."""
     if pair.degree == order.cx.dim - 1:
         tree = compute_tree(build_dual_graph(order), order)
-        for q in tree.pairs():
-            if q.death_simplex == pair.death_simplex:
-                return optimal_volume_tree(tree, q)
-        raise ValueError("pair not found in the persistence tree")
+        if pair.death_simplex not in tree.parent:
+            raise ValueError("pair not found in the persistence tree")
+        return optimal_volume_tree(tree, tree.pair_of(pair.death_simplex))
     return volopt.solve_volume(order, pair, "optimal").cells
 
 
@@ -122,9 +130,7 @@ def statistical_frequencies(
     def one_trial(t: int):
         pts = noise.perturb(pc.points, t)
         filt = alpha_filtration(pts)
-        pairs = pers.reduce(filt.order)
-        diag = pers.diagram(pairs, filt.order, target.degree)
-        hit = _match_pair(diag, target, radius)
+        hit = _match_pair(pers.reduce(filt.order), target, radius)
         if hit is None:
             return None
         cells = optimal_volume_cells(filt.order, hit)

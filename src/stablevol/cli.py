@@ -11,6 +11,7 @@ pair not uniquely resolvable, 5 essential pair.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -138,33 +139,34 @@ def _parse_window(spec: str, exact_tol: float = 1e-9):
 
 def _select_pair(pairs, args):
     """The pair that --pair-index or --birth/--death names among the
-    degree-`args.degree` diagram of `pairs`, sorted by (birth, death, birth
-    rank)."""
+    degree-`args.degree` diagram of the `Pairs` table `pairs`, sorted by
+    (birth, death, birth rank)."""
     has_index = args.pair_index is not None
     has_window = args.birth is not None or args.death is not None
     if has_index == has_window:
         raise PairSelectionError(
             "exactly one pair selector required: --pair-index or --birth/--death"
         )
-    diag = pers.diagram(pairs, None, args.degree)
-    cands = sorted(diag.pairs, key=lambda p: (p.birth_time, p.death_time, p.birth_rank))
+    cands = pairs.diagram_index(args.degree)
     if has_index:
         if not 0 <= args.pair_index < len(cands):
             raise PairSelectionError(
                 f"pair index {args.pair_index} out of range ({len(cands)} pairs)"
             )
-        return cands[args.pair_index]
+        return pairs[cands[args.pair_index]]
     if args.birth is not None:
         lo, hi = _parse_window(args.birth)
-        cands = [p for p in cands if lo <= p.birth_time <= hi]
+        b = pairs.birth_time[cands]
+        cands = cands[(lo <= b) & (b <= hi)]
     if args.death is not None:
         lo, hi = _parse_window(args.death)
-        cands = [p for p in cands if not p.essential and lo <= p.death_time <= hi]
+        d = pairs.death_time[cands]
+        cands = cands[(pairs.death_rank[cands] >= 0) & (lo <= d) & (d <= hi)]
     if len(cands) != 1:
         raise PairSelectionError(
             f"selector matched {len(cands)} pairs; need exactly one"
         )
-    return cands[0]
+    return pairs[cands[0]]
 
 
 def _emit(text: str, out_path):
@@ -179,15 +181,45 @@ def _dump_json(obj, out_path):
     _emit(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", out_path)
 
 
-def _pair_json(p, squared=False):
-    tr = (lambda x: x * x) if squared else (lambda x: x)
+def _pair_json(p):
     return {
         "degree": p.degree,
-        "birth": tr(p.birth_time),
-        "death": None if p.essential else tr(p.death_time),
+        "birth": p.birth_time,
+        "death": None if p.essential else p.death_time,
         "birth_simplex": p.birth_simplex,
         "death_simplex": p.death_simplex,
     }
+
+
+# One pd pair as json.dumps(indent=2, sort_keys=True) lays it out, at the
+# depth of a pair inside {"diagrams": [{"pairs": [...]}]}.
+_PD_PAIR = (
+    "        {\n"
+    '          "birth": %s,\n'
+    '          "birth_simplex": %s,\n'
+    '          "death": %s,\n'
+    '          "death_simplex": %s,\n'
+    '          "degree": %s\n'
+    "        }"
+)
+
+
+def _pd_diagram_json(k, births, deaths, birth_simplices, death_simplices, essential) -> str:
+    """The degree-k diagram object of pd's output, from the listed pairs'
+    column arrays, exactly as json.dumps(indent=2, sort_keys=True,
+    allow_nan=False) writes it. An essential pair's death and death simplex
+    are null."""
+    if not (np.isfinite(births).all() and np.isfinite(deaths[~essential]).all()):
+        raise ValueError("Out of range float values are not JSON compliant")
+    deaths = list(map(float.__repr__, deaths.tolist()))
+    death_simplices = death_simplices.tolist()
+    for r in np.flatnonzero(essential).tolist():
+        deaths[r] = death_simplices[r] = "null"
+    rows = zip(map(float.__repr__, births.tolist()), birth_simplices.tolist(), deaths,
+               death_simplices, itertools.repeat(k))
+    pairs = ",\n".join(map(_PD_PAIR.__mod__, rows))
+    pairs = f"[\n{pairs}\n      ]" if pairs else "[]"
+    return f'    {{\n      "degree": {k!r},\n      "pairs": {pairs}\n    }}'
 
 
 def _volume_json(order, points, pair, cells, method, epsilon, extra=None):
@@ -214,21 +246,31 @@ def cmd_pd(args) -> int:
     order, _ = _load_input(args.input)
     pairs = pers.reduce(order)
     degrees = args.degree if args.degree else list(range(order.cx.dim + 1))
-    out = {"diagrams": [], "squared": bool(args.squared)}
-    rows = []
+    diagrams, rows = [], []
     for k in degrees:
-        diag = pers.diagram(pairs, order, k)
-        listed = sorted(diag.pairs, key=lambda p: (p.birth_time, p.death_time, p.birth_rank))
-        out["diagrams"].append(
-            {"degree": k, "pairs": [_pair_json(p, args.squared) for p in listed]}
-        )
-        for p in listed:
-            b = p.birth_time ** 2 if args.squared else p.birth_time
-            d = p.death_time ** 2 if args.squared else p.death_time
-            rows.append(f"{k}\t{b!r}\t{'inf' if math.isinf(d) else repr(d)}")
+        idx = pairs.diagram_index(k)
+        b, d = pairs.birth_time[idx], pairs.death_time[idx]
+        essential = pairs.death_rank[idx] < 0
+        births, deaths = b, d
+        if args.squared:
+            with np.errstate(over="ignore"):
+                births, deaths = b * b, d * d
+            if not (np.isfinite(births).all() and np.isfinite(deaths[~essential]).all()):
+                raise ValueError("--squared: a level overflows when squared")
+        if args.scatter:
+            for x, y in zip(b.tolist(), d.tolist()):
+                if args.squared:
+                    x, y = x ** 2, y ** 2
+                rows.append(f"{k}\t{x!r}\t{'inf' if math.isinf(y) else repr(y)}")
+        diagrams.append(_pd_diagram_json(
+            k, births, deaths, pairs.birth_simplex[idx], pairs.death_simplex[idx], essential
+        ))
     if args.scatter:
         _emit("degree\tbirth\tdeath\n" + "".join(r + "\n" for r in rows), args.scatter)
-    _dump_json(out, args.output)
+    listed = ",\n".join(diagrams)
+    listed = f"[\n{listed}\n  ]" if listed else "[]"
+    squared = "true" if args.squared else "false"
+    _emit(f'{{\n  "diagrams": {listed},\n  "squared": {squared}\n}}\n', args.output)
     return 0
 
 
@@ -271,21 +313,34 @@ def cmd_vol(args) -> int:
     return 0
 
 
+_MAX_GRID_POINTS = 1_000_000
+
+
 def _parse_grid(spec: str):
+    """The bandwidths A, A + STEP, ... up to B of an A:B:STEP grid."""
     try:
         a, b, step = (float(x) for x in spec.split(":"))
     except ValueError:
-        raise ValueError(f"bad grid {spec!r}, expected A:B:STEP")
+        raise ValueError(f"--epsilon-grid: bad grid {spec!r}, expected A:B:STEP")
+    if not all(map(math.isfinite, (a, b, step))):
+        raise ValueError(f"--epsilon-grid: bad grid {spec!r}, A, B and STEP must be finite")
+    if a < 0:
+        raise ValueError(f"--epsilon-grid: bad grid {spec!r}, bandwidths must be >= 0")
     if step <= 0 or b < a:
-        raise ValueError(f"bad grid {spec!r}")
-    n = int(round((b - a) / step))
+        raise ValueError(f"--epsilon-grid: bad grid {spec!r}, need STEP > 0 and B >= A")
+    count = (b - a) / step
+    if not math.isfinite(count) or round(count) + 1 > _MAX_GRID_POINTS:
+        raise ValueError(
+            f"--epsilon-grid: bad grid {spec!r}, more than {_MAX_GRID_POINTS} points"
+        )
+    n = int(round(count))
     return [a + i * step for i in range(n + 1) if a + i * step <= b + 1e-12]
 
 
 def cmd_sweep(args) -> int:
+    grid = _parse_grid(args.epsilon_grid)
     order, _ = _load_input(args.input)
     pair = _select_pair(pers.reduce(order), args)
-    grid = _parse_grid(args.epsilon_grid)
     if pair.degree != order.cx.dim - 1:
         raise PairSelectionError("sweep needs a codimension-1 pair (tree method)")
     rows = sweep_sizes(_tree_for(order), pair, grid)

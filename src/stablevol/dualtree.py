@@ -79,25 +79,23 @@ class PersistenceTree:
             self.children.setdefault(p, []).append(c)
         self._sizes = {}
 
+    def pair_of(self, cell: int) -> PersistencePair:
+        """The degree-(n-1) pair of the tree edge above `cell`."""
+        o = self.order
+        tau = self.parent[cell][1]
+        return PersistencePair(
+            degree=o.cx.dim - 1,
+            birth_simplex=tau,
+            death_simplex=cell,
+            birth_time=o.level[tau],
+            death_time=o.level[cell],
+            birth_rank=o.rank[tau],
+            death_rank=o.rank[cell],
+        )
+
     def pairs(self) -> list:
         """Degree-(n-1) persistence pairs read off the tree edges."""
-        o = self.order
-        n = o.cx.dim
-        out = []
-        for cell, (par, tau) in self.parent.items():
-            out.append(
-                PersistencePair(
-                    degree=n - 1,
-                    birth_simplex=tau,
-                    death_simplex=cell,
-                    birth_time=o.level[tau],
-                    death_time=o.level[cell],
-                    birth_rank=o.rank[tau],
-                    death_rank=o.rank[cell],
-                )
-            )
-        out.sort(key=lambda p: p.birth_rank)
-        return out
+        return sorted(map(self.pair_of, self.parent), key=lambda p: p.birth_rank)
 
     def descendants(self, cell: int) -> set:
         """All descendants of the cell, the cell included."""

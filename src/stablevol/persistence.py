@@ -8,10 +8,16 @@ reduces only the edge columns of the anti-transposed (coboundary) matrix,
 with the degree-0 death edges cleared first (the clearing of de Silva,
 Morozov & Vejdemo-Johansson, "Dualities in persistent (co)homology", as
 Ripser uses it).
+
+Both return a `Pairs` table: int64 birth-rank and death-rank arrays, with
+degree, simplex and time columns derived from them by numpy. Commands read
+the arrays; a `PersistencePair` is built only for a row that is indexed or
+iterated, such as the one pair a command selects.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -59,6 +65,75 @@ class Diagram:
         return len(self.pairs)
 
 
+class Pairs:
+    """Persistence pairs as a table of int64 rank arrays.
+
+    Row r pairs the simplices at positions `birth_rank[r]` and
+    `death_rank[r]` of the order; `death_rank` is -1 for an essential pair.
+    Rows are sorted by (degree, birth rank). The columns `degree`,
+    `birth_simplex`, `death_simplex` (-1 when essential), `birth_time` and
+    `death_time` (inf when essential) derive from the ranks. `len()`,
+    indexing and iteration give `PersistencePair`s, built on demand.
+    """
+
+    def __init__(self, o: OrderWithLevel, birth_rank, death_rank):
+        birth_rank = np.asarray(birth_rank, dtype=np.int64)
+        death_rank = np.asarray(death_rank, dtype=np.int64)
+        order = np.array(o.order, dtype=np.int64)
+        level = np.array(o.level)
+        birth_simplex = order[birth_rank]
+        # the ids of a dimension are contiguous: degree = dimensions started
+        starts = [o.cx.ids_of_dim(k).start for k in range(1, o.cx.dim + 1)]
+        degree = np.searchsorted(starts, birth_simplex, side="right")
+        rows = np.lexsort((birth_rank, degree))
+        self.birth_rank = birth_rank[rows]
+        self.death_rank = death_rank[rows]
+        self.degree = degree[rows]
+        self.birth_simplex = birth_simplex[rows]
+        essential = self.death_rank < 0
+        self.death_simplex = np.where(essential, -1, order[self.death_rank])
+        self.birth_time = level[self.birth_simplex]
+        self.death_time = np.where(essential, math.inf, level[self.death_simplex])
+
+    def __len__(self):
+        return len(self.birth_rank)
+
+    def __getitem__(self, i) -> PersistencePair:
+        return self.rows([i])[0]
+
+    def __iter__(self):
+        return iter(self.rows(slice(None)))
+
+    def rows(self, index) -> list:
+        """The `PersistencePair`s of the rows that `index` selects."""
+        cols = (
+            self.degree[index].tolist(),
+            self.birth_simplex[index].tolist(),
+            self.death_simplex[index].tolist(),
+            self.birth_time[index].tolist(),
+            self.death_time[index].tolist(),
+            self.birth_rank[index].tolist(),
+            self.death_rank[index].tolist(),
+        )
+        return [
+            PersistencePair(k, bs, None if dr < 0 else ds, bt, dt, br, None if dr < 0 else dr)
+            for k, bs, ds, bt, dt, br, dr in zip(*cols)
+        ]
+
+    def diagram_index(self, k: int) -> np.ndarray:
+        """Rows of the degree-k diagram (zero-persistence pairs dropped),
+        sorted by (birth time, death time, birth rank)."""
+        idx = np.flatnonzero((self.degree == k) & (self.birth_time != self.death_time))
+        return idx[np.lexsort((self.birth_rank[idx], self.death_time[idx], self.birth_time[idx]))]
+
+
+def diagram(pairs: Pairs, o: OrderWithLevel, k: int) -> Diagram:
+    """Degree-k persistence diagram of a `Pairs` table: zero-persistence
+    pairs are excluded, the rest keep the table's (birth rank) order."""
+    keep = (pairs.degree == k) & (pairs.birth_time != pairs.death_time)
+    return Diagram(k, pairs.rows(np.flatnonzero(keep)))
+
+
 def boundary_matrix(o: OrderWithLevel) -> list:
     """Column j = ranks of the codim-1 faces of the rank-j simplex, ascending.
 
@@ -76,8 +151,9 @@ def boundary_matrix(o: OrderWithLevel) -> list:
     return list(map(cols.__getitem__, o.order))
 
 
-def reduce(o: OrderWithLevel, clearing: bool = True) -> list:
-    """All persistence pairs of the filtration, every degree, stars included.
+def reduce(o: OrderWithLevel, clearing: bool = True) -> Pairs:
+    """All persistence pairs of the filtration, every degree, stars included,
+    as a `Pairs` table.
 
     With `clearing`, columns are processed in descending dimension and
     known-positive columns are skipped; the pairing is identical either way
@@ -94,47 +170,19 @@ def reduce(o: OrderWithLevel, clearing: bool = True) -> list:
     else:
         proc = range(len(cols))
     raw_pairs, raw_essentials, _ = kernels.reduce_columns(cols, proc, clearing=clearing)
-    return _build_pairs(o, raw_pairs, raw_essentials)
+    births, deaths = _pair_arrays(raw_pairs)
+    essentials = np.array(raw_essentials, dtype=np.int64)
+    return Pairs(
+        o,
+        np.concatenate([births, essentials]),
+        np.concatenate([deaths, np.full(len(essentials), -1)]),
+    )
 
 
-def _build_pairs(o: OrderWithLevel, rank_pairs, essential_ranks) -> list:
-    """PersistencePairs from (birth rank, death rank) pairs and essential
-    birth ranks, sorted by (degree, birth rank)."""
-    pairs = []
-    for i, j in rank_pairs:
-        bi, dj = o.order[i], o.order[j]
-        pairs.append(
-            PersistencePair(
-                degree=o.cx.dim_of(bi),
-                birth_simplex=bi,
-                death_simplex=dj,
-                birth_time=o.level[bi],
-                death_time=o.level[dj],
-                birth_rank=i,
-                death_rank=j,
-            )
-        )
-    for i in essential_ranks:
-        bi = o.order[i]
-        pairs.append(
-            PersistencePair(
-                degree=o.cx.dim_of(bi),
-                birth_simplex=bi,
-                death_simplex=None,
-                birth_time=o.level[bi],
-                death_time=math.inf,
-                birth_rank=i,
-                death_rank=None,
-            )
-        )
-    pairs.sort(key=lambda p: (p.degree, p.birth_rank))
-    return pairs
-
-
-def diagram(pairs, o: OrderWithLevel, k: int) -> Diagram:
-    """Degree-k persistence diagram: zero-persistence pairs are excluded."""
-    kept = [p for p in pairs if p.degree == k and p.birth_time != p.death_time]
-    return Diagram(k, kept)
+def _pair_arrays(raw_pairs):
+    """The kernel's (low, column) pairs as two int64 arrays."""
+    flat = np.fromiter(itertools.chain.from_iterable(raw_pairs), np.int64, 2 * len(raw_pairs))
+    return flat[0::2], flat[1::2]
 
 
 def degree0_deaths(o: OrderWithLevel) -> np.ndarray:
@@ -174,17 +222,17 @@ def cohomology_reduce(o: OrderWithLevel):
     ever added into it; the pairs and cocycles are those of the reduction of
     every column. A column that reduces to zero is an essential class.
 
-    Returns (pairs, cocycles). `pairs` are the degree-1 pairs, finite and
-    essential, sorted by birth rank, as `reduce` gives them. `cocycles` maps
-    each finite pair's (birth_rank, death_rank) to the support of its
-    representative cocycle as a set of edge ids: edges whose duals sum to a
-    persistent cocycle, i.e. the cut whose removal kills every
-    representative cycle of the pair.
+    Returns (pairs, cocycles). `pairs` is the `Pairs` table of the degree-1
+    pairs, finite and essential: the degree-1 rows of `reduce`'s table.
+    `cocycles` maps each finite pair's (birth_rank, death_rank) to the
+    support of its representative cocycle as a set of edge ids: edges whose
+    duals sum to a persistent cocycle, i.e. the cut whose removal kills
+    every representative cycle of the pair.
     """
     cx, rank = o.cx, np.array(o.rank)
     edges, tris = cx.ids_of_dim(1), cx.ids_of_dim(2)
     if not edges:
-        return [], {}
+        return Pairs(o, [], []), {}
     alive = np.ones(len(edges), dtype=bool)
     alive[degree0_deaths(o) - edges.start] = False
     live = np.flatnonzero(alive)
@@ -200,15 +248,13 @@ def cohomology_reduce(o: OrderWithLevel):
     cols = [flat[bounds[e] : bounds[e + 1]] for e in col_edges.tolist()]
     raw_pairs, _, v = kernels.reduce_columns(cols, range(len(cols)), clearing=False, track_v=True)
 
-    edge_of = (col_edges + edges.start).tolist()
-    tri_of = (row_tris + tris.start).tolist()
-    rank_pairs = []
-    cocycles = {}
-    paired = set()
-    for u, c in raw_pairs:
-        i, j = o.rank[edge_of[c]], o.rank[tri_of[u]]
-        rank_pairs.append((i, j))
-        cocycles[(i, j)] = {edge_of[cc] for cc in v[c]}
-        paired.add(c)
-    essentials = [o.rank[edge_of[c]] for c in range(len(cols)) if c not in paired]
-    return _build_pairs(o, rank_pairs, essentials), cocycles
+    edge_ids = col_edges + edges.start
+    lows, cs = _pair_arrays(raw_pairs)
+    births, deaths = rank[edge_ids], np.full(len(cols), -1, dtype=np.int64)
+    deaths[cs] = rank[row_tris[lows] + tris.start]
+    edge_of = edge_ids.tolist()
+    cocycles = {
+        (i, j): {edge_of[cc] for cc in v[c]}
+        for c, i, j in zip(cs.tolist(), births[cs].tolist(), deaths[cs].tolist())
+    }
+    return Pairs(o, births, deaths), cocycles

@@ -2,6 +2,7 @@
 reference implementations and geometry test inputs."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from stablevol.complexes import (
     validate_complex,
 )
 from stablevol.fixtures import GENERATORS, generate
-from stablevol.persistence import _build_pairs
+from stablevol.persistence import PersistencePair
 from stablevol.volopt import InfeasibleError
 
 
@@ -208,6 +209,22 @@ def torus_complex(nu=6, nv=5, seed=0):
     return build_order(cx, [float(max(vl[v] for v in s)) for s in cx.simplices])
 
 
+def complex_cases():
+    """Named filtered complexes beside the pointclouds of `geometry_cases`:
+    the appendix filtration, two grid tori (two essential degree-1 classes
+    each), a hollow triangle and a lone vertex."""
+    from stablevol.fixtures import appendix_filtration
+
+    hollow = SimplicialComplex([(0, 1), (1, 2), (0, 2)], closure=True)
+    return {
+        "appendix": appendix_filtration(),
+        "torus-6x5": torus_complex(6, 5, seed=0),
+        "torus-4x7": torus_complex(4, 7, seed=1),
+        "hollow-triangle": build_order(hollow, [0.0, 0.0, 0.0, 1.0, 2.0, 1.0]),
+        "vertex": build_order(SimplicialComplex([(0,)]), [0.0]),
+    }
+
+
 def chain_rational(coeffs, cx):
     """Chain with exact rational coefficients; zero coefficients are dropped."""
     cleaned = {int(i): Fraction(c) for i, c in coeffs.items() if Fraction(c) != 0}
@@ -352,6 +369,77 @@ def complex_to_json(o):
             {"v": list(s), "level": o.level[i]} for i, s in enumerate(o.cx.simplices)
         ],
     }
+
+
+def _build_pairs(o, rank_pairs, essential_ranks):
+    """Reference pair list: a PersistencePair per (birth rank, death rank)
+    pair and per essential birth rank, sorted by (degree, birth rank)."""
+    pairs = []
+    for i, j in rank_pairs:
+        bi, dj = o.order[i], o.order[j]
+        pairs.append(
+            PersistencePair(
+                degree=o.cx.dim_of(bi),
+                birth_simplex=bi,
+                death_simplex=dj,
+                birth_time=o.level[bi],
+                death_time=o.level[dj],
+                birth_rank=i,
+                death_rank=j,
+            )
+        )
+    for i in essential_ranks:
+        bi = o.order[i]
+        pairs.append(
+            PersistencePair(
+                degree=o.cx.dim_of(bi),
+                birth_simplex=bi,
+                death_simplex=None,
+                birth_time=o.level[bi],
+                death_time=math.inf,
+                birth_rank=i,
+                death_rank=None,
+            )
+        )
+    pairs.sort(key=lambda p: (p.degree, p.birth_rank))
+    return pairs
+
+
+def reduce_oracle(o, clearing=True):
+    """`persistence.reduce`'s pairs as a reference list, built pair by pair
+    from the kernel's output."""
+    from stablevol.persistence import boundary_matrix
+
+    cols = boundary_matrix(o)
+    if clearing:
+        proc = sorted(range(len(cols)), key=lambda r: (-o.cx.dim_of(o.order[r]), r))
+    else:
+        proc = range(len(cols))
+    raw_pairs, raw_essentials, _ = kernels.reduce_columns(cols, proc, clearing=clearing)
+    return _build_pairs(o, raw_pairs, raw_essentials)
+
+
+def pd_json_oracle(pairs, degrees, squared=False):
+    """`pd`'s stdout for a list of pairs, built as dicts and written by
+    json.dumps."""
+    tr = (lambda x: x * x) if squared else (lambda x: x)
+    out = {"diagrams": [], "squared": bool(squared)}
+    for k in degrees:
+        listed = sorted(
+            (p for p in pairs if p.degree == k and p.birth_time != p.death_time),
+            key=lambda p: (p.birth_time, p.death_time, p.birth_rank),
+        )
+        out["diagrams"].append({"degree": k, "pairs": [
+            {
+                "degree": p.degree,
+                "birth": tr(p.birth_time),
+                "death": None if p.essential else tr(p.death_time),
+                "birth_simplex": p.birth_simplex,
+                "death_simplex": p.death_simplex,
+            }
+            for p in listed
+        ]})
+    return json.dumps(out, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def cohomology_reduce_all_columns(o):

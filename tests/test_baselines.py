@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -14,7 +15,7 @@ from stablevol.baselines import (
     statistical_frequencies,
 )
 from stablevol.complexes import boundary, chain_z2
-from stablevol.dualtree import build_dual_graph, compute_tree
+from stablevol.dualtree import build_dual_graph, compute_tree, optimal_volume_tree
 from stablevol.fixtures import appendix_filtration, fig1_five_points, hexagon, lattice_2d_defects
 from stablevol import persistence as pers
 
@@ -321,3 +322,62 @@ def test_shortest_path_bound_is_strict():
     assert baselines._shortest_path(adj, 0, 2) == (2.0, [10, 11], [0, 1, 2])
     assert baselines._shortest_path(adj, 0, 2, offset=1.0, bound=3.0) == (2.0, [10, 11], [0, 1, 2])
     assert baselines._shortest_path(adj, 0, 2, offset=1.0, bound=2.5) is None
+
+
+def match_pair_oracle(pairs, target, radius):
+    """The stat trial's pair matching, pair by pair over the finite degree-k
+    diagram pairs in table order: the first strict minimum of the l-inf
+    distance wins."""
+    best, best_d = None, math.inf
+    for p in pairs:
+        if p.degree != target.degree or p.essential or p.birth_time == p.death_time:
+            continue
+        d = max(abs(p.birth_time - target.birth_time), abs(p.death_time - target.death_time))
+        if d < best_d:
+            best, best_d = p, d
+    return None if best is None or best_d > radius else best
+
+
+@pytest.mark.parametrize("name", ["gen-fig1-five-points", "gen-lattice-2d-defects", "grid-20x20",
+                                  "cloud3d-800"])
+def test_match_pair_matches_loop_oracle(name):
+    pts = geometry_cases()[name]
+    base = pers.reduce(alpha_filtration(pts).order)
+    noise = NoiseModel(0.02, seed=3)
+    tables = [pers.reduce(alpha_filtration(noise.perturb(pts, t)).order) for t in range(2)]
+    finite = [p for p in base if not p.essential and p.birth_time != p.death_time]
+    targets = finite[:: max(1, len(finite) // 20)] + [p for p in base if p.essential]
+    hits = 0
+    for table in [base, *tables]:
+        pairs = list(table)
+        for target in targets:
+            for radius in (0.0, 0.01, math.inf):
+                got = baselines._match_pair(table, target, radius)
+                assert got == match_pair_oracle(pairs, target, radius)
+                hits += got is not None
+    assert hits
+
+
+def test_match_pair_takes_the_first_of_tied_pairs():
+    # the grid's degree-1 pairs all sit at one (birth, death) point
+    table = pers.reduce(alpha_filtration(geometry_cases()["grid-20x20"]).order)
+    d1 = table.diagram_index(1)
+    assert len(set(zip(table.birth_time[d1].tolist(), table.death_time[d1].tolist()))) < len(d1)
+    target = table[d1[0]]
+    first = min(d1[(table.birth_time[d1] == target.birth_time)
+                   & (table.death_time[d1] == target.death_time)])
+    assert baselines._match_pair(table, target, 1.0) == table[first]
+
+
+def test_optimal_volume_cells_looks_the_pair_up_in_the_tree():
+    o = alpha_filtration(lattice_2d_defects(seed=1, size=8, noise=0.03).points).order
+    tree = compute_tree(build_dual_graph(o), o)
+    finite = [p for p in pers.reduce(o) if p.degree == 1 and not p.essential]
+    for p in finite:
+        assert optimal_volume_cells(o, p) == optimal_volume_tree(tree, p)
+    for bad in (
+        dataclasses.replace(finite[0], death_simplex=None, death_rank=None),
+        dataclasses.replace(finite[0], death_simplex=finite[0].birth_simplex),
+    ):
+        with pytest.raises(ValueError, match="not found in the persistence tree"):
+            optimal_volume_cells(o, bad)

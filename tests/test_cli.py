@@ -4,15 +4,17 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
 import pytest
 
 import stablevol
-from stablevol import schemas, volopt
-from helpers import complex_to_json
-from stablevol.cli import main
+from stablevol import cli, schemas, volopt
+from stablevol import persistence as pers
+from helpers import complex_cases, complex_to_json, geometry_cases, pd_json_oracle, reduce_oracle
+from stablevol.cli import PairSelectionError, _load_input, _select_pair, main
 from stablevol.fixtures import appendix_filtration
 
 
@@ -421,3 +423,193 @@ def test_vol_sub_vs_stable_divergence_3d(tmp_path, capsys):
     assert not sv <= ov
     assert sb <= ov
     assert len(sb) > len(sv)
+
+
+# ---------------------------------------------------------------------------
+# pd's writer and pair selection against the pair-list oracles
+
+PD_CASES = sorted([*geometry_cases(), *complex_cases()])
+
+
+@pytest.fixture(scope="module")
+def pd_inputs(tmp_path_factory):
+    """An input file per case: a pointcloud text file (repr floats) or a
+    complex JSON file."""
+    root = tmp_path_factory.mktemp("pd-inputs")
+    paths = {}
+    for name, pts in geometry_cases().items():
+        paths[name] = root / f"{name}.txt"
+        paths[name].write_text("".join(" ".join(map(repr, p)) + "\n" for p in pts.tolist()))
+    for name, o in complex_cases().items():
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps(complex_to_json(o)))
+    return {name: str(p) for name, p in paths.items()}
+
+
+def scatter_oracle(pairs, degrees, squared=False):
+    rows = ["degree\tbirth\tdeath\n"]
+    for k in degrees:
+        listed = sorted(
+            (p for p in pairs if p.degree == k and p.birth_time != p.death_time),
+            key=lambda p: (p.birth_time, p.death_time, p.birth_rank),
+        )
+        for p in listed:
+            b, d = p.birth_time, p.death_time
+            if squared:
+                b, d = b ** 2, d ** 2
+            rows.append(f"{k}\t{b!r}\t{'inf' if math.isinf(d) else repr(d)}\n")
+    return "".join(rows)
+
+
+@pytest.mark.parametrize("name", PD_CASES)
+def test_pd_stdout_equals_json_dumps_oracle(pd_inputs, tmp_path, capsys, monkeypatch, name):
+    loaded = _load_input(pd_inputs[name])
+    order = loaded[0]
+    # the four runs share one load: the writer is under test, not the input
+    monkeypatch.setattr(cli, "_load_input", lambda path: loaded)
+    expected = reduce_oracle(order)
+    every = list(range(order.cx.dim + 1))
+    for extra, degrees, squared in [
+        ([], every, False),
+        (["--squared"], every, True),
+        (["--degree", "1", "--degree", "1", "--degree", "0"], [1, 1, 0], False),
+        (["--degree", "7", "--squared"], [7], True),
+    ]:
+        tsv = tmp_path / "scatter.tsv"
+        code, out, err = run(["pd", pd_inputs[name], *extra, "--scatter", str(tsv)], capsys)
+        assert code == 0 and err == ""
+        assert out == pd_json_oracle(expected, degrees, squared)
+        assert tsv.read_text() == scatter_oracle(expected, degrees, squared)
+
+
+def test_pd_empty_diagram_is_an_empty_list(fig1_file, capsys):
+    code, out, _ = run(["pd", fig1_file, "--degree", "7"], capsys)
+    assert code == 0
+    assert '"pairs": []' in out
+    assert json.loads(out) == {"diagrams": [{"degree": 7, "pairs": []}], "squared": False}
+
+
+@pytest.mark.parametrize("scatter", [False, True], ids=["stdout", "scatter"])
+def test_pd_squared_overflow_exit_2(tmp_path, capsys, scatter):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"simplices": [
+        {"v": [0], "level": 0}, {"v": [1], "level": 0}, {"v": [0, 1], "level": 1e200},
+    ]}))
+    tsv = tmp_path / "scatter.tsv"
+    extra = ["--scatter", str(tsv)] if scatter else []
+    code, out, err = run(["pd", str(path), "--squared", *extra], capsys)
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "--squared" in lines[0]
+    assert not tsv.exists()
+    code, out, _ = run(["pd", str(path), *extra], capsys)
+    assert code == 0 and json.loads(out)["diagrams"][0]["pairs"][0]["death"] == 1e200
+
+
+def test_pd_writer_refuses_non_finite_values():
+    from stablevol.cli import _pd_diagram_json
+
+    ints = np.array([0])
+    for births, deaths in [([math.inf], [1.0]), ([0.0], [math.nan])]:
+        with pytest.raises(ValueError):
+            _pd_diagram_json(0, np.array(births), np.array(deaths), ints, ints,
+                             np.array([False]))
+    # an essential pair's infinite death is written as null
+    text = _pd_diagram_json(0, np.array([0.5]), np.array([math.inf]), ints, np.array([-1]),
+                            np.array([True]))
+    assert json.loads(text) == {"degree": 0, "pairs": [
+        {"birth": 0.5, "birth_simplex": 0, "death": None, "death_simplex": None, "degree": 0}
+    ]}
+
+
+def select_pair_oracle(pairs, args):
+    """The pair selection rule on a list of PersistencePairs."""
+    if (args.pair_index is not None) == (args.birth is not None or args.death is not None):
+        raise PairSelectionError("selectors")
+    cands = sorted(
+        (p for p in pairs if p.degree == args.degree and p.birth_time != p.death_time),
+        key=lambda p: (p.birth_time, p.death_time, p.birth_rank),
+    )
+    if args.pair_index is not None:
+        if not 0 <= args.pair_index < len(cands):
+            raise PairSelectionError("range")
+        return cands[args.pair_index]
+    for spec, which in ((args.birth, "birth"), (args.death, "death")):
+        if spec is None:
+            continue
+        if ":" in spec:
+            lo, hi = map(float, spec.split(":", 1))
+        else:
+            lo, hi = float(spec) - 1e-9, float(spec) + 1e-9
+        cands = [
+            p for p in cands
+            if (which == "birth" or not p.essential) and lo <= getattr(p, f"{which}_time") <= hi
+        ]
+    if len(cands) != 1:
+        raise PairSelectionError("count")
+    return cands[0]
+
+
+def selector_args(name, table):
+    """Selectors for every pair index and every listed birth and death value,
+    as exact values and as windows, in the degrees the table holds."""
+    out = []
+    for k in sorted(set(table.degree.tolist())) + [9]:
+        n = len(table.diagram_index(k))
+        out += [SimpleNamespace(degree=k, pair_index=i, birth=None, death=None)
+                for i in range(-1, n + 1)]
+        for p in table.rows(table.diagram_index(k))[:40]:
+            b, d = repr(p.birth_time), repr(p.death_time)
+            out += [
+                SimpleNamespace(degree=k, pair_index=None, birth=b, death=None),
+                SimpleNamespace(degree=k, pair_index=None, birth=None, death=d),
+                SimpleNamespace(degree=k, pair_index=None, birth=b, death=d),
+                SimpleNamespace(degree=k, pair_index=None, birth=f"{b}:{b}", death=None),
+                SimpleNamespace(degree=k, pair_index=None, birth=None, death=f"0:{d}"),
+                SimpleNamespace(degree=k, pair_index=None, birth=f"{b}:inf", death=f"{d}:inf"),
+            ]
+    out.append(SimpleNamespace(degree=1, pair_index=0, birth="0", death=None))
+    out.append(SimpleNamespace(degree=1, pair_index=None, birth=None, death=None))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name", ["gen-fig1-five-points", "gen-annulus", "grid-20x20", "appendix", "torus-6x5",
+             "hollow-triangle"]
+)
+def test_select_pair_matches_sorted_list_oracle(name):
+    o = complex_cases()[name] if name in complex_cases() else None
+    if o is None:
+        from stablevol.alpha import alpha_filtration
+
+        o = alpha_filtration(geometry_cases()[name]).order
+    for table in (pers.reduce(o), pers.cohomology_reduce(o)[0]):
+        pairs = list(table)
+        for args in selector_args(name, table):
+            try:
+                expected = select_pair_oracle(pairs, args)
+            except PairSelectionError:
+                with pytest.raises(PairSelectionError):
+                    _select_pair(table, args)
+            else:
+                assert _select_pair(table, args) == expected
+
+
+@pytest.mark.parametrize(
+    "grid", ["0:inf:0.1", "0:nan:0.1", "-1:0:0.5", "0:1:1e-300", "0:1:0", "1:0:0.1", "0:1"],
+)
+def test_bad_epsilon_grid_exit_2(fig1_file, capsys, grid):
+    code, out, err = run(
+        ["sweep", fig1_file, "--pair-index", "1", f"--epsilon-grid={grid}"], capsys
+    )
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "--epsilon-grid" in lines[0]
+
+
+def test_epsilon_grid_point_limit():
+    from stablevol.cli import _parse_grid
+
+    assert len(_parse_grid("0:999999:1")) == 1_000_000
+    with pytest.raises(ValueError, match="more than"):
+        _parse_grid("0:1000000:1")

@@ -8,13 +8,15 @@ from helpers import (
     betti_bruteforce,
     bottleneck,
     cohomology_reduce_all_columns,
+    complex_cases,
     geometry_cases,
     perturbed_order,
+    reduce_oracle,
     torus_complex,
 )
 from stablevol.alpha import alpha_filtration
 from stablevol.complexes import SimplicialComplex, build_order
-from stablevol.fixtures import appendix_filtration, fig1_five_points
+from stablevol.fixtures import fig1_five_points
 from stablevol import persistence as pers
 
 
@@ -100,27 +102,66 @@ def test_cohomology_pairs_equal_homology_pairs():
         all_degrees, _ = cohomology_reduce_all_columns(o)
         assert pairset(all_degrees) == pairset(pairs)
         degree1, _ = pers.cohomology_reduce(o)
-        assert degree1 == [p for p in pairs if p.degree == 1]
+        assert list(degree1) == [p for p in pairs if p.degree == 1]
 
 
 @pytest.fixture(scope="module")
 def cohomology_orders():
-    """Orders for the degree-1 cohomology tests: every geometry case (the
-    `gen` fixtures among them), the appendix filtration, two small tori, a
-    hollow triangle and a lone vertex."""
+    """Orders for the pair-table and degree-1 cohomology tests: every
+    geometry case (the `gen` fixtures among them), the appendix filtration,
+    two small tori, a hollow triangle and a lone vertex."""
     cases = {name: alpha_filtration(pts).order for name, pts in geometry_cases().items()}
-    cases["appendix"] = appendix_filtration()
-    cases["torus-6x5"] = torus_complex(6, 5, seed=0)
-    cases["torus-4x7"] = torus_complex(4, 7, seed=1)
-    hollow = SimplicialComplex([(0, 1), (1, 2), (0, 2)], closure=True)
-    cases["hollow-triangle"] = build_order(hollow, [0.0, 0.0, 0.0, 1.0, 2.0, 1.0])
-    cases["vertex"] = build_order(SimplicialComplex([(0,)]), [0.0])
+    cases.update(complex_cases())
     return cases
 
 
-COHOMOLOGY_CASES = sorted(
-    [*geometry_cases(), "appendix", "torus-6x5", "torus-4x7", "hollow-triangle", "vertex"]
-)
+COHOMOLOGY_CASES = sorted([*geometry_cases(), *complex_cases()])
+
+
+def assert_table_equals(table, expected):
+    """The table's rows, by iteration, by index and column by column, are the
+    reference PersistencePairs."""
+    assert len(table) == len(expected)
+    assert list(table) == expected
+    assert [table[i] for i in range(len(table))] == expected
+    if expected:
+        assert table[-1] == expected[-1]
+    for name in ("degree", "birth_simplex", "birth_time", "birth_rank"):
+        assert getattr(table, name).tolist() == [getattr(p, name) for p in expected]
+    assert table.death_simplex.tolist() == [
+        -1 if p.essential else p.death_simplex for p in expected
+    ]
+    assert table.death_rank.tolist() == [-1 if p.essential else p.death_rank for p in expected]
+    assert table.death_time.tolist() == [p.death_time for p in expected]
+    assert all(math.isinf(p.death_time) for p in expected if p.essential)
+    for p in list(table):
+        assert type(p.birth_simplex) is int and type(p.birth_time) is float
+
+
+@pytest.mark.parametrize("clearing", [True, False], ids=["clearing", "plain"])
+@pytest.mark.parametrize("name", COHOMOLOGY_CASES)
+def test_pair_table_matches_oracle(cohomology_orders, name, clearing):
+    o = cohomology_orders[name]
+    table = pers.reduce(o, clearing=clearing)
+    expected = reduce_oracle(o, clearing=clearing)
+    assert_table_equals(table, expected)
+    for k in range(-1, o.cx.dim + 2):
+        listed = sorted(
+            (p for p in expected if p.degree == k and p.birth_time != p.death_time),
+            key=lambda p: (p.birth_time, p.death_time, p.birth_rank),
+        )
+        assert table.rows(table.diagram_index(k)) == listed
+        assert pers.diagram(table, o, k).pairs == [
+            p for p in expected if p.degree == k and p.birth_time != p.death_time
+        ]
+
+
+@pytest.mark.parametrize("name", COHOMOLOGY_CASES)
+def test_cohomology_pair_table_matches_oracle(cohomology_orders, name):
+    o = cohomology_orders[name]
+    table, _ = pers.cohomology_reduce(o)
+    ref_pairs, _ = cohomology_reduce_all_columns(o)
+    assert_table_equals(table, [p for p in ref_pairs if p.degree == 1])
 
 
 @pytest.mark.parametrize("name", COHOMOLOGY_CASES)
@@ -128,13 +169,13 @@ def test_degree1_cohomology_matches_all_columns_oracle(cohomology_orders, name):
     o = cohomology_orders[name]
     pairs, cocycles = pers.cohomology_reduce(o)
     ref_pairs, ref_cocycles = cohomology_reduce_all_columns(o)
-    assert pairs == [p for p in ref_pairs if p.degree == 1]
+    assert list(pairs) == [p for p in ref_pairs if p.degree == 1]
     assert cocycles == {
         (p.birth_rank, p.death_rank): ref_cocycles[(p.birth_rank, p.death_rank)]
         for p in ref_pairs
         if p.degree == 1 and not p.essential
     }
-    assert pairs == [p for p in pers.reduce(o) if p.degree == 1]
+    assert list(pairs) == [p for p in pers.reduce(o) if p.degree == 1]
 
 
 @pytest.mark.parametrize("name", COHOMOLOGY_CASES)
