@@ -262,7 +262,7 @@ def _is_gabriel(cx, pts, sid, center, r2, candidates=None) -> bool:
     include every point within `_candidate_radius(r2)` of the center.
     Without it every point is tested.
     """
-    verts = cx.simplices[sid]
+    verts = cx.vertices(sid)
     idx = np.arange(len(pts)) if candidates is None else np.asarray(candidates, dtype=np.intp)
     for v in verts:
         idx = idx[idx != v]

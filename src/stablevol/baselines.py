@@ -20,7 +20,7 @@ import numpy as np
 from . import persistence as pers
 from . import volopt
 from .alpha import PointCloud, alpha_filtration
-from .complexes import OrderWithLevel
+from .complexes import OrderWithLevel, SimplicialComplex
 from .dualtree import build_dual_graph, compute_tree, optimal_volume_tree
 from .parallel import parallel_map
 from .persistence import PersistencePair
@@ -85,14 +85,13 @@ def _match_pair(pairs: pers.Pairs, target: PersistencePair, radius: float):
     return pairs[rows[best]]
 
 
-def _boundary_vertices(order: OrderWithLevel, cells) -> set:
-    from .complexes import boundary, chain_z2
-
-    bnd = boundary(order.cx, chain_z2(cells, order.cx))
-    verts = set()
-    for sid in bnd.support():
-        verts.update(order.cx.simplices[sid])
-    return verts
+def _boundary_vertices(cx: SimplicialComplex, k: int, cells) -> np.ndarray:
+    """Sorted vertex ids of the Z/2 boundary of a set of k-simplices: the
+    vertices of the facets that an odd number of the cells share."""
+    ids, facets = cx.ids_of_dim(k), cx.ids_of_dim(k - 1)
+    local = np.fromiter(cells, np.int64, len(cells)) - ids.start
+    count = np.bincount(cx.face_array(k)[local].ravel() - facets.start, minlength=len(facets))
+    return np.unique(cx.vertex_array(k - 1)[np.flatnonzero(count & 1)])
 
 
 def optimal_volume_cells(order: OrderWithLevel, pair: PersistencePair) -> set:
@@ -119,9 +118,12 @@ def statistical_frequencies(
     Each trial perturbs the cloud, recomputes the alpha filtration and its
     diagram, matches the target pair to the nearest pair in the l-inf metric
     (accepted within max(2 * half_width, 1e-6)), and marks the vertices of
-    the matched pair's optimal volume boundary. Unmatched trials are excluded
-    from the denominator and reported; a majority of unmatched trials flags
-    the result with a warning status.
+    the matched pair's optimal volume boundary. For a pair of codimension 1
+    the trial builds one persistence tree, which gives both its pairs and
+    the optimal volume, and runs no reduction; other degrees reduce, then
+    solve the l1 program. Unmatched trials are excluded from the
+    denominator and reported; a majority of unmatched trials flags the
+    result with a warning status.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -129,12 +131,19 @@ def statistical_frequencies(
 
     def one_trial(t: int):
         pts = noise.perturb(pc.points, t)
-        filt = alpha_filtration(pts)
-        hit = _match_pair(pers.reduce(filt.order), target, radius)
-        if hit is None:
-            return None
-        cells = optimal_volume_cells(filt.order, hit)
-        return _boundary_vertices(filt.order, cells)
+        o = alpha_filtration(pts).order
+        if target.degree == o.cx.dim - 1:
+            tree = compute_tree(build_dual_graph(o), o)
+            hit = _match_pair(tree.pairs_table(), target, radius)
+            if hit is None:
+                return None
+            cells = optimal_volume_tree(tree, hit)
+        else:
+            hit = _match_pair(pers.reduce(o), target, radius)
+            if hit is None:
+                return None
+            cells = optimal_volume_cells(o, hit)
+        return _boundary_vertices(o.cx, hit.degree + 1, cells)
 
     results = parallel_map(one_trial, range(trials), threads)
     counts = np.zeros(len(pc), dtype=int)
@@ -143,8 +152,7 @@ def statistical_frequencies(
         if verts is None:
             continue
         matched += 1
-        for v in verts:
-            counts[v] += 1
+        counts[verts] += 1
     status = "ok"
     if trials - matched > trials / 2:
         status = f"warning: {trials - matched} of {trials} trials unmatched"

@@ -129,12 +129,17 @@ def _load_input(path):
     return filt.order, pc.points
 
 
-def _parse_window(spec: str, exact_tol: float = 1e-9):
-    if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        return float(lo), float(hi)
-    x = float(spec)
-    return x - exact_tol, x + exact_tol
+def _parse_window(spec: str, option: str, exact_tol: float = 1e-9):
+    """The closed window LO:HI, or X +- exact_tol, that `option` gives."""
+    try:
+        bounds = [float(x) for x in spec.split(":", 1)]
+    except ValueError:
+        raise ValueError(f"{option}: bad value {spec!r}, expected X or LO:HI") from None
+    if any(map(math.isnan, bounds)):
+        raise ValueError(f"{option}: bad value {spec!r}, NaN is not a level")
+    if len(bounds) == 2:
+        return bounds[0], bounds[1]
+    return bounds[0] - exact_tol, bounds[0] + exact_tol
 
 
 def _select_pair(pairs, args):
@@ -155,11 +160,11 @@ def _select_pair(pairs, args):
             )
         return pairs[cands[args.pair_index]]
     if args.birth is not None:
-        lo, hi = _parse_window(args.birth)
+        lo, hi = _parse_window(args.birth, "--birth")
         b = pairs.birth_time[cands]
         cands = cands[(lo <= b) & (b <= hi)]
     if args.death is not None:
-        lo, hi = _parse_window(args.death)
+        lo, hi = _parse_window(args.death, "--death")
         d = pairs.death_time[cands]
         cands = cands[(pairs.death_rank[cands] >= 0) & (lo <= d) & (d <= hi)]
     if len(cands) != 1:

@@ -8,10 +8,12 @@ to vertex tuples, so incidence lookups are O(1).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -62,11 +64,17 @@ class SimplicialComplex:
     The build runs one dimension at a time on integer arrays, from the top
     dimension down: it finds the unique rows, lists each simplex's faces in
     vertex-removal order and locates them among the simplices one dimension
-    lower. `faces[i]` lists the ids of the faces of simplex i in
-    vertex-removal order, `cofaces[i]` the ids of its cofaces in ascending
-    order, and `_missing` the (simplex id, face tuple) pairs of faces not in
-    the complex. `vertex_array`, `face_array` and `coface_csr` give the same
-    incidences per dimension as arrays.
+    lower. `vertex_array`, `face_array` and `coface_csr` give the
+    incidences per dimension as arrays, and `_missing` the (simplex id, face
+    tuple) pairs of faces not in the complex.
+
+    The Python views are built from the arrays on first use, and cached:
+    `simplices[i]` is the vertex tuple of simplex i, `index` maps a vertex
+    tuple to its id, `faces[i]` lists the ids of the faces of simplex i in
+    vertex-removal order, and `cofaces[i]` the ids of its cofaces in
+    ascending order. Building them costs more than the arrays, so the
+    pipeline from points to persistence pairs, and the `stat` trials, read
+    only the arrays.
     """
 
     def __init__(self, simplices, closure: bool = False):
@@ -110,37 +118,70 @@ class SimplicialComplex:
         for a in (*self._verts, *self._faces, *(x for csr in self._cofaces for x in csr)):
             a.flags.writeable = False
 
-        # the lists below share one Python int per vertex id and per simplex id
-        flat = np.concatenate([r.ravel() for r in rows]) if top else np.empty(0, np.int64)
-        values, inverse = np.unique(flat, return_inverse=True)
-        vertex_ints = values.astype(object)[inverse]
-        id_ints = np.arange(self._offsets[-1]).astype(object)
-        self.simplices: list = []
-        start = 0
-        for r in rows:
-            block = vertex_ints[start : start + r.size].reshape(r.shape)
-            self.simplices.extend(zip(*block.T.tolist()))
-            start += r.size
-        self.index: dict = dict(zip(self.simplices, id_ints.tolist()))
-        self.faces: list = []
         self._missing: list = []  # (simplex id, missing face tuple)
         for k, f in enumerate(self._faces):
-            lists = id_ints[f].tolist()
             for r, c in zip(*np.nonzero(f < 0)):
-                i = self._offsets[k] + int(r)
-                self._missing.append((i, faces_of(self.simplices[i])[c]))
+                verts = tuple(self._verts[k][r].tolist())
+                self._missing.append((self._offsets[k] + int(r), faces_of(verts)[c]))
+
+    # The views below share one Python int per vertex id and per simplex id.
+
+    @cached_property
+    def simplices(self) -> list:
+        """Vertex tuple of each simplex, in id order."""
+        rows = self._verts
+        flat = np.concatenate([r.ravel() for r in rows]) if rows else np.empty(0, np.int64)
+        values, inverse = np.unique(flat, return_inverse=True)
+        vertex_ints = values.astype(object)[inverse]
+        out, start = [], 0
+        for r in rows:
+            block = vertex_ints[start : start + r.size].reshape(r.shape)
+            out.extend(zip(*block.T.tolist()))
+            start += r.size
+        return out
+
+    @cached_property
+    def index(self) -> dict:
+        """Simplex id of each vertex tuple."""
+        return dict(zip(self.simplices, self._id_ints.tolist()))
+
+    @cached_property
+    def faces(self) -> list:
+        """Ids of the faces of each simplex, in vertex-removal order, missing
+        faces left out."""
+        id_ints, out = self._id_ints, []
+        for f in self._faces:
+            lists = id_ints[f].tolist()
+            for r in np.unique(np.nonzero(f < 0)[0]):
                 lists[r] = id_ints[f[r][f[r] >= 0]].tolist()
-            self.faces.extend(lists)
-        self.cofaces: list = []
+            out.extend(lists)
+        return out
+
+    @cached_property
+    def cofaces(self) -> list:
+        """Ids of the cofaces of each simplex, ascending."""
+        out = []
         for ptr, idx in self._cofaces:
-            ids, bounds = id_ints[idx].tolist(), ptr.tolist()
-            self.cofaces.extend([ids[a:b] for a, b in zip(bounds, bounds[1:])])
+            ids, bounds = self._id_ints[idx].tolist(), ptr.tolist()
+            out.extend([ids[a:b] for a, b in zip(bounds, bounds[1:])])
+        return out
+
+    @cached_property
+    def _id_ints(self) -> np.ndarray:
+        return np.arange(len(self)).astype(object)
 
     def __len__(self):
-        return len(self.simplices)
+        return self._offsets[-1]
 
     def dim_of(self, i: int) -> int:
-        return len(self.simplices[i]) - 1
+        if not 0 <= i < self._offsets[-1]:
+            raise IndexError(f"simplex id {i} out of range")
+        return bisect.bisect_right(self._offsets, i) - 1
+
+    def vertices(self, i: int) -> tuple:
+        """Vertex tuple of simplex i, read from the arrays."""
+        k = self.dim_of(i)
+        return tuple(self._verts[k][i - self._offsets[k]].tolist())
 
     def ids_of_dim(self, k: int) -> range:
         if not 0 <= k <= self.dim:

@@ -4,9 +4,14 @@ stable volumes, and epsilon sweeps of stable-volume sizes.
 
 The dual graph has the n-cells plus one compactification cell at infinity as
 vertices and the (n-1)-simplices as edges. Running the merge-tree algorithm
-over simplices in descending filtration order yields a rooted tree whose
-edges are exactly the degree-(n-1) persistence pairs and whose subtrees are
-the optimal volumes.
+over the (n-1)-simplices in descending filtration order yields a rooted tree
+whose edges are exactly the degree-(n-1) persistence pairs and whose
+subtrees are the optimal volumes (Obayashi 2018, "Volume-optimal cycle").
+
+The graph and the tree are built from the complex's face and coface arrays,
+never from its Python views. `PersistenceTree.pairs_table` gives the tree's
+pairs as the `Pairs` table rows that `reduce` gives for degree n-1, so a
+codimension-1 pair can be matched and its volume found with no reduction.
 """
 
 from __future__ import annotations
@@ -14,8 +19,10 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
+import numpy as np
+
 from .complexes import Chain, OrderWithLevel, boundary, chain_z2
-from .persistence import PersistencePair, StarPairError
+from .persistence import Pairs, PersistencePair, StarPairError
 
 OMEGA_INF = -1
 
@@ -31,38 +38,57 @@ class DegreeError(ValueError):
 
 @dataclass
 class DualGraph:
+    """Edge j joins the cells a[j] and b[j] (OMEGA_INF for the outside cell)
+    and is labelled by the (n-1)-simplex tau[j]; edges are in id order."""
+
     n: int
-    cells: list  # n-simplex ids
-    edges: list  # (tau_id, cell_a, cell_b) with OMEGA_INF for the outside cell
+    cells: range  # n-simplex ids
+    tau: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+    @property
+    def edges(self) -> list:
+        """(tau, a, b) per edge."""
+        return list(zip(self.tau.tolist(), self.a.tolist(), self.b.tolist()))
 
 
 def build_dual_graph(o: OrderWithLevel) -> DualGraph:
-    """Dual graph of the complex; checks the embeddability condition."""
+    """Dual graph of the complex; checks the embeddability condition.
+
+    Every simplex must be a face of a top cell: the top cells are marked,
+    and the marks pushed down through the face arrays one dimension at a
+    time. Each (n-1)-simplex must have at most two cofaces.
+    """
     cx = o.cx
     n = cx.dim
-    covered = set()
-    for t in cx.ids_of_dim(n):
-        stack = [t]
-        while stack:
-            s = stack.pop()
-            if s in covered:
-                continue
-            covered.add(s)
-            stack.extend(cx.faces[s])
-    orphans = [cx.simplices[i] for i in range(len(cx)) if i not in covered]
-    if orphans:
-        raise ConditionError(f"simplices with no top-cell coface: {orphans[:10]}")
-    edges = []
-    for tau in cx.ids_of_dim(n - 1):
-        cofs = cx.cofaces[tau]
-        if len(cofs) > 2:
-            raise ConditionError(
-                f"(n-1)-simplex {cx.simplices[tau]} has {len(cofs)} cofaces"
-            )
-        a = cofs[0]
-        b = cofs[1] if len(cofs) == 2 else OMEGA_INF
-        edges.append((tau, a, b))
-    return DualGraph(n, list(cx.ids_of_dim(n)), edges)
+    covered = np.zeros(len(cx), dtype=bool)
+    top = cx.ids_of_dim(n)
+    covered[top.start : top.stop] = True
+    for k in range(n, 0, -1):
+        ids = cx.ids_of_dim(k)
+        faces = cx.face_array(k)[covered[ids.start : ids.stop]]
+        covered[faces[faces >= 0]] = True
+    if not covered.all():
+        orphans = [cx.vertices(i) for i in np.flatnonzero(~covered)[:10].tolist()]
+        raise ConditionError(f"simplices with no top-cell coface: {orphans}")
+    ids = cx.ids_of_dim(n - 1)
+    tau = np.arange(ids.start, ids.stop)
+    if n < 1:  # no (n-1)-simplices, so no edges
+        return DualGraph(n, top, tau, tau, tau)
+    ptr, idx = cx.coface_csr(n - 1)
+    count = np.diff(ptr)
+    over = np.flatnonzero(count > 2)
+    if len(over):
+        t = int(over[0])
+        raise ConditionError(
+            f"(n-1)-simplex {cx.vertices(ids.start + t)} has {int(count[t])} cofaces"
+        )
+    a = idx[ptr[:-1]]  # cofaces ascend, so a < b where both are cells
+    b = np.full(len(tau), OMEGA_INF, dtype=np.int64)
+    two = count == 2
+    b[two] = idx[ptr[:-1][two] + 1]
+    return DualGraph(n, top, tau, a, b)
 
 
 class PersistenceTree:
@@ -97,6 +123,15 @@ class PersistenceTree:
         """Degree-(n-1) persistence pairs read off the tree edges."""
         return sorted(map(self.pair_of, self.parent), key=lambda p: p.birth_rank)
 
+    def pairs_table(self) -> Pairs:
+        """The tree edges as a `Pairs` table, one row per edge, in birth-rank
+        order: the rows of `reduce`'s degree-(n-1) pairs."""
+        rank = np.asarray(self.order.rank)
+        m = len(self.parent)
+        cells = np.fromiter(self.parent, np.int64, m)
+        taus = np.fromiter((tau for _, tau in self.parent.values()), np.int64, m)
+        return Pairs(self.order, rank[taus], rank[cells])
+
     def descendants(self, cell: int) -> set:
         """All descendants of the cell, the cell included."""
         out = set()
@@ -128,46 +163,33 @@ class PersistenceTree:
 
 
 def compute_tree(g: DualGraph, o: OrderWithLevel) -> PersistenceTree:
-    """Merge-tree pass over simplices in descending order.
+    """Merge-tree pass over the (n-1)-simplices in descending order.
 
-    Union-find roots carry the set structure; the explicit parent map records
-    the tree edges. The cell at infinity is the maximum element, so every
-    root comparison treats it as largest.
+    Both cofaces of an (n-1)-simplex come later in the order, so every cell
+    is a singleton before its first edge is reached. The union-find runs
+    over local cell ids with the cell at infinity last; each root is the
+    latest cell of its set (infinity counting as the latest), and the
+    explicit parent map records the tree edges.
     """
-    uf = {OMEGA_INF: OMEGA_INF}
+    cells, m = g.cells, len(g.cells)
+    rank = np.asarray(o.rank)
+    later = [*rank[cells.start : cells.stop].tolist(), len(rank)]
+    uf = list(range(m + 1))
+    by_rank = np.argsort(-rank[g.tau])
+    a, b = g.a[by_rank] - cells.start, g.b[by_rank]
+    b = np.where(b == OMEGA_INF, m, b - cells.start)
+    cell_id = [*cells, OMEGA_INF]
     parent = {}
-    edge_of = {tau: (a, b) for tau, a, b in g.edges}
-    n = g.n
-    rank = o.rank
-
-    def root(w):
-        r = w
-        while uf[r] != r:
-            r = uf[r]
-        while uf[w] != r:
-            uf[w], w = r, uf[w]
-        return r
-
-    def later(a, b):
-        # order position, infinity maximal
-        if a == OMEGA_INF:
-            return True
-        if b == OMEGA_INF:
-            return False
-        return rank[a] > rank[b]
-
-    for sid in reversed(o.order):
-        d = o.cx.dim_of(sid)
-        if d == n:
-            uf[sid] = sid
-        elif d == n - 1:
-            a, b = edge_of[sid]
-            ra, rb = root(a), root(b)
-            if ra == rb:
-                continue
-            child, par = (rb, ra) if later(ra, rb) else (ra, rb)
-            parent[child] = (par, sid)
-            uf[child] = par
+    for tau, x, y in zip(g.tau[by_rank].tolist(), a.tolist(), b.tolist()):
+        while uf[x] != x:
+            uf[x] = x = uf[uf[x]]
+        while uf[y] != y:
+            uf[y] = y = uf[uf[y]]
+        if x == y:
+            continue
+        child, par = (y, x) if later[x] > later[y] else (x, y)
+        parent[cell_id[child]] = (cell_id[par], tau)
+        uf[child] = par
     return PersistenceTree(o, parent)
 
 

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -15,11 +16,14 @@ from stablevol.complexes import (
     MonotonicityError,
     SimplicialComplex,
     _levels_as_list,
+    boundary,
     build_order,
+    chain_z2,
     faces_of,
     simplex,
     validate_complex,
 )
+from stablevol.dualtree import OMEGA_INF, ConditionError, PersistenceTree
 from stablevol.fixtures import GENERATORS, generate
 from stablevol.persistence import PersistencePair
 from stablevol.volopt import InfeasibleError
@@ -369,6 +373,127 @@ def complex_to_json(o):
             {"v": list(s), "level": o.level[i]} for i, s in enumerate(o.cx.simplices)
         ],
     }
+
+
+# the Python views that `SimplicialComplex` builds on first use
+VIEWS = ("simplices", "index", "faces", "cofaces")
+
+
+def views_from_arrays(cx):
+    """Reference `simplices`, `index`, `faces` and `cofaces` of a complex,
+    read element by element from its per-dimension arrays."""
+    simplices, faces, cofaces = [], [], []
+    for k in range(cx.dim + 1):
+        simplices += [tuple(int(v) for v in row) for row in cx.vertex_array(k)]
+        faces += [[int(f) for f in row if f >= 0] for row in cx.face_array(k)]
+        ptr, idx = cx.coface_csr(k)
+        cofaces += [[int(c) for c in idx[ptr[j] : ptr[j + 1]]] for j in range(len(ptr) - 1)]
+    return simplices, {s: i for i, s in enumerate(simplices)}, faces, cofaces
+
+
+def build_dual_graph_oracle(o):
+    """Reference dual graph from the Python views: a depth-first walk down
+    the faces from every top cell, then the cofaces of each (n-1)-simplex.
+    Returns `n`, `cells` as a list and `edges` as (tau, a, b) tuples; raises
+    `ConditionError` with the messages `build_dual_graph` gives."""
+    cx = o.cx
+    n = cx.dim
+    covered = set()
+    for t in cx.ids_of_dim(n):
+        stack = [t]
+        while stack:
+            s = stack.pop()
+            if s in covered:
+                continue
+            covered.add(s)
+            stack.extend(cx.faces[s])
+    orphans = [cx.simplices[i] for i in range(len(cx)) if i not in covered]
+    if orphans:
+        raise ConditionError(f"simplices with no top-cell coface: {orphans[:10]}")
+    edges = []
+    for tau in cx.ids_of_dim(n - 1):
+        cofs = cx.cofaces[tau]
+        if len(cofs) > 2:
+            raise ConditionError(
+                f"(n-1)-simplex {cx.simplices[tau]} has {len(cofs)} cofaces"
+            )
+        a = cofs[0]
+        b = cofs[1] if len(cofs) == 2 else OMEGA_INF
+        edges.append((tau, a, b))
+    return SimpleNamespace(n=n, cells=list(cx.ids_of_dim(n)), edges=edges)
+
+
+def compute_tree_oracle(g, o):
+    """Reference merge tree: a pass over every simplex in descending order,
+    cells becoming singletons as they are reached, with a dict union-find."""
+    uf = {OMEGA_INF: OMEGA_INF}
+    parent = {}
+    edge_of = {tau: (a, b) for tau, a, b in g.edges}
+    n = g.n
+    rank = o.rank
+
+    def root(w):
+        r = w
+        while uf[r] != r:
+            r = uf[r]
+        while uf[w] != r:
+            uf[w], w = r, uf[w]
+        return r
+
+    def later(a, b):
+        if a == OMEGA_INF:
+            return True
+        if b == OMEGA_INF:
+            return False
+        return rank[a] > rank[b]
+
+    for sid in reversed(o.order):
+        d = o.cx.dim_of(sid)
+        if d == n:
+            uf[sid] = sid
+        elif d == n - 1:
+            a, b = edge_of[sid]
+            ra, rb = root(a), root(b)
+            if ra == rb:
+                continue
+            child, par = (rb, ra) if later(ra, rb) else (ra, rb)
+            parent[child] = (par, sid)
+            uf[child] = par
+    return PersistenceTree(o, parent)
+
+
+def boundary_vertices_oracle(o, cells):
+    """Vertices of the Z/2 boundary of a set of cells, by `boundary()`."""
+    bnd = boundary(o.cx, chain_z2(cells, o.cx))
+    return {v for sid in bnd.support() for v in o.cx.simplices[sid]}
+
+
+def statistical_frequencies_oracle(pc, target, noise, trials):
+    """Per-point counts and the matched-trial count of the trial loop that
+    reduces every trial: `reduce`, the nearest pair, the reference dual
+    graph and tree (codimension 1) or the l1 program (other degrees), and
+    `boundary()`."""
+    from stablevol import persistence, volopt
+    from stablevol.alpha import alpha_filtration
+    from stablevol.baselines import _match_pair
+
+    radius = max(2.0 * noise.half_width, 1e-6)
+    counts = np.zeros(len(pc), dtype=int)
+    matched = 0
+    for t in range(trials):
+        o = alpha_filtration(noise.perturb(pc.points, t)).order
+        hit = _match_pair(persistence.reduce(o), target, radius)
+        if hit is None:
+            continue
+        if hit.degree == o.cx.dim - 1:
+            tree = compute_tree_oracle(build_dual_graph_oracle(o), o)
+            cells = tree.descendants(hit.death_simplex)
+        else:
+            cells = volopt.solve_volume(o, hit, "optimal").cells
+        matched += 1
+        for v in boundary_vertices_oracle(o, cells):
+            counts[v] += 1
+    return counts, matched
 
 
 def _build_pairs(o, rank_pairs, essential_ranks):

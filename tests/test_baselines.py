@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import geometry_cases, shortest_nontrivial_loop
+from helpers import VIEWS, geometry_cases, shortest_nontrivial_loop, statistical_frequencies_oracle
 from stablevol import baselines
 from stablevol.alpha import PointCloud, alpha_filtration
 from stablevol.baselines import (
@@ -16,7 +16,13 @@ from stablevol.baselines import (
 )
 from stablevol.complexes import boundary, chain_z2
 from stablevol.dualtree import build_dual_graph, compute_tree, optimal_volume_tree
-from stablevol.fixtures import appendix_filtration, fig1_five_points, hexagon, lattice_2d_defects
+from stablevol.fixtures import (
+    appendix_filtration,
+    fig1_five_points,
+    generate,
+    hexagon,
+    lattice_2d_defects,
+)
 from stablevol import persistence as pers
 
 
@@ -381,3 +387,63 @@ def test_optimal_volume_cells_looks_the_pair_up_in_the_tree():
     ):
         with pytest.raises(ValueError, match="not found in the persistence tree"):
             optimal_volume_cells(o, bad)
+
+
+def most_persistent(pts, k):
+    table = pers.reduce(alpha_filtration(pts).order)
+    idx = table.diagram_index(k)
+    idx = idx[table.death_rank[idx] >= 0]
+    return table[idx[np.argmax(table.death_time[idx] - table.birth_time[idx])]]
+
+
+@pytest.mark.parametrize(
+    "case, degree, half_width, trials",
+    [("defects", 1, 0.05, 8), ("cloud3d-150", 2, 0.002, 4), ("cloud3d-60", 1, 0.002, 4)],
+)
+def test_statistical_frequencies_matches_trial_loop_oracle(case, degree, half_width, trials):
+    # 2D degree 1 and 3D degree 2 take the tree path, 3D degree 1 reduces
+    if case == "defects":
+        pts = generate("lattice-2d-defects", 7).points
+    else:
+        pts = np.random.default_rng(11).random((int(case.split("-")[1]), 3))
+    pc = PointCloud(pts.shape[1], pts)
+    target = most_persistent(pts, degree)
+    noise = NoiseModel(half_width, seed=3)
+    fm = statistical_frequencies(pc, target, noise, trials)
+    counts, matched = statistical_frequencies_oracle(pc, target, noise, trials)
+    assert fm.matched == matched > 0
+    assert np.array_equal(fm.counts, counts) and counts.any()
+
+
+def test_pipeline_and_trials_build_no_views(monkeypatch):
+    """The pipeline from points to pairs, the tree, and a codimension-1
+    `stat` trial read only the complex's arrays; the four Python views stay
+    unbuilt. (Other degrees solve the l1 program, which reads them.) The
+    trial runs no reduction."""
+    from stablevol.alpha import alpha_levels
+    from stablevol.complexes import build_order
+    from stablevol.delaunay import delaunay
+
+    pts = geometry_cases()["grid-20x20"]  # exact ties: borderline Gabriel tests
+    cx = delaunay(pts)
+    o = build_order(cx, alpha_levels(cx, pts))
+    pers.reduce(o)
+    tree = compute_tree(build_dual_graph(o), o)
+    hit = baselines._match_pair(tree.pairs_table(), tree.pairs()[0], math.inf)
+    baselines._boundary_vertices(cx, 2, optimal_volume_tree(tree, hit))
+    assert not set(VIEWS) & set(vars(cx))
+
+    built = []
+    filtration = baselines.alpha_filtration
+
+    def recording_filtration(points):
+        built.append(filtration(points))
+        return built[-1]
+
+    monkeypatch.setattr(baselines, "alpha_filtration", recording_filtration)
+    pts = generate("lattice-2d-defects", 7).points
+    target = most_persistent(pts, 1)
+    monkeypatch.setattr(pers, "reduce", lambda o: pytest.fail("a codimension-1 trial reduced"))
+    fm = statistical_frequencies(PointCloud(2, pts), target, NoiseModel(0.05, seed=1), trials=1)
+    assert fm.matched == len(built) == 1
+    assert not set(VIEWS) & set(vars(built[0].cx))

@@ -13,7 +13,14 @@ import pytest
 import stablevol
 from stablevol import cli, schemas, volopt
 from stablevol import persistence as pers
-from helpers import complex_cases, complex_to_json, geometry_cases, pd_json_oracle, reduce_oracle
+from helpers import (
+    VIEWS,
+    complex_cases,
+    complex_to_json,
+    geometry_cases,
+    pd_json_oracle,
+    reduce_oracle,
+)
 from stablevol.cli import PairSelectionError, _load_input, _select_pair, main
 from stablevol.fixtures import appendix_filtration
 
@@ -613,3 +620,37 @@ def test_epsilon_grid_point_limit():
     assert len(_parse_grid("0:999999:1")) == 1_000_000
     with pytest.raises(ValueError, match="more than"):
         _parse_grid("0:1000000:1")
+
+
+@pytest.mark.parametrize(
+    "selector",
+    [["--birth", "nan"], ["--death", "nan:1"], ["--birth", "0.5:nan"], ["--death", "NaN"],
+     ["--birth", "abc"], ["--death", "0:1:2"]],
+)
+def test_bad_window_exit_2(fig1_file, capsys, selector):
+    code, out, err = run(["vol", fig1_file, *selector], capsys)
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and selector[0] in lines[0]
+
+
+def test_pd_and_stat_build_no_views(tmp_path, capsys, monkeypatch):
+    from stablevol.complexes import SimplicialComplex
+
+    built = []
+    init = SimplicialComplex.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", recording_init)
+    path = tmp_path / "defects.txt"
+    assert main(["gen", "lattice-2d-defects", "--seed", "7", "-o", str(path)]) == 0
+    assert main(["pd", str(path)]) == 0
+    assert main(["stat", str(path), "--pair-index", "0", "--noise", "0.05", "--trials", "2",
+                 "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert len(built) == 4
+    for cx in built:
+        assert not set(VIEWS) & set(vars(cx))

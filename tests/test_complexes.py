@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    VIEWS,
     TupleComplex,
     build_order_by_key,
     chain_rational,
@@ -13,6 +14,8 @@ from helpers import (
     geometry_cases,
     monotone_repair,
     sublevel_complex,
+    torus_complex,
+    views_from_arrays,
 )
 from stablevol.complexes import (
     Chain,
@@ -300,3 +303,23 @@ def test_order_with_tied_levels_matches_reference(seed):
     # the raw draw violates monotonicity many times; the first pair is named
     assert_same_order(cx, ref, raw)
     assert_same_order(cx, ref, {s: raw[i] for i, s in enumerate(cx.simplices)})
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRY) + ["complex-json"])
+def test_views_are_lazy_and_equal_array_oracle(name):
+    if name == "complex-json":
+        o = complex_from_json(json.dumps(complex_to_json(torus_complex(6, 5, seed=0))))
+        cx = o.cx  # loading the JSON reads `index`
+    else:
+        cx = delaunay(GEOMETRY[name])
+        assert not set(VIEWS) & set(vars(cx))
+    ref = views_from_arrays(cx)
+    assert (cx.simplices, cx.index, cx.faces, cx.cofaces) == ref
+    assert set(VIEWS) <= set(vars(cx))
+    # lengths and dimensions come from the id offsets
+    assert len(cx) == len(ref[0])
+    assert [cx.dim_of(i) for i in range(len(cx))] == [len(t) - 1 for t in ref[0]]
+    assert [cx.vertices(i) for i in range(len(cx))] == ref[0]
+    for bad in (-1, len(cx)):
+        with pytest.raises(IndexError):
+            cx.dim_of(bad)

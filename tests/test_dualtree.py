@@ -1,11 +1,19 @@
+import functools
 import math
 import random
 
 import numpy as np
 import pytest
 
-from helpers import admissible_order
+from helpers import (
+    admissible_order,
+    boundary_vertices_oracle,
+    build_dual_graph_oracle,
+    compute_tree_oracle,
+    geometry_cases,
+)
 from stablevol.alpha import alpha_filtration
+from stablevol.baselines import NoiseModel, _boundary_vertices
 from stablevol.complexes import SimplicialComplex, boundary, build_order, chain_z2
 from stablevol.dualtree import (
     OMEGA_INF,
@@ -17,7 +25,7 @@ from stablevol.dualtree import (
     stable_volume_tree,
     sweep_sizes,
 )
-from stablevol.fixtures import annulus, fig1_five_points
+from stablevol.fixtures import annulus, fig1_five_points, generate
 from stablevol.persistence import StarPairError, reduce
 
 
@@ -197,3 +205,96 @@ def test_theorem_sampled_inclusion():
                 p for p in qtree.pairs() if p.death_simplex == pair.death_simplex
             )
             assert sv <= optimal_volume_tree(qtree, qpair)
+
+
+# ---------------------------------------------------------------------------
+# the array dual graph and tree against the per-simplex reference
+
+
+def tree_clouds():
+    """`geometry_cases()`, seeded random 2D and 3D clouds, and five trial
+    clouds of the `stat` benchmark: the defects lattice under box noise."""
+    cases = dict(geometry_cases())
+    rng = np.random.default_rng(8)
+    for i in range(3):
+        cases[f"random2d-{i}"] = rng.random((300, 2)) * 10.0
+    for i in range(2):
+        cases[f"random3d-{i}"] = rng.random((200, 3)) * 10.0
+    defects = generate("lattice-2d-defects", 7).points
+    for t in range(5):
+        cases[f"defects-trial-{t}"] = NoiseModel(0.05, seed=7).perturb(defects, t)
+    return cases
+
+
+TREE_CLOUDS = tree_clouds()
+
+
+@functools.lru_cache(maxsize=None)
+def tree_order(name):
+    return alpha_filtration(TREE_CLOUDS[name]).order
+
+
+@pytest.mark.parametrize("name", sorted(TREE_CLOUDS))
+def test_pairs_table_equals_reduce_rows(name):
+    o = tree_order(name)
+    table = compute_tree(build_dual_graph(o), o).pairs_table()
+    full = reduce(o)
+    rows = full.degree == o.cx.dim - 1
+    assert len(table) == rows.sum() > 0
+    for col in ("degree", "birth_rank", "death_rank", "birth_simplex", "death_simplex",
+                "birth_time", "death_time"):
+        assert np.array_equal(getattr(table, col), getattr(full, col)[rows]), col
+    assert list(table) == [p for p in full if p.degree == o.cx.dim - 1]
+
+
+@pytest.mark.parametrize("name", sorted(TREE_CLOUDS))
+def test_dual_graph_and_tree_match_oracle(name):
+    o = tree_order(name)
+    g, ref = build_dual_graph(o), build_dual_graph_oracle(o)
+    assert g.n == ref.n and list(g.cells) == ref.cells
+    assert g.edges == ref.edges
+    tree, ref_tree = compute_tree(g, o), compute_tree_oracle(ref, o)
+    assert list(tree.parent.items()) == list(ref_tree.parent.items())
+    n = o.cx.dim
+    # boundary vertices of up to 30 optimal volumes, largest persistence first
+    pairs = sorted(tree.pairs(), key=lambda p: p.birth_time - p.death_time)[:30]
+    for p in pairs:
+        cells = optimal_volume_tree(tree, p)
+        got = _boundary_vertices(o.cx, n, cells)
+        assert got.tolist() == sorted(boundary_vertices_oracle(o, cells))
+
+
+def dim_levels(cx):
+    return [float(len(s) - 1) for s in cx.simplices]
+
+
+@pytest.mark.parametrize(
+    "tops",
+    [
+        [(0, 1, 2), (2, 3)],  # a dangling edge
+        [(0, 1, 2), (5,)],  # a lone vertex
+        [(0, 1, 2)] + [(2, v) for v in range(3, 15)],  # more than ten orphans
+        [(0, 1, 2), (0, 1, 3), (0, 1, 4)],  # an edge with three cofaces
+        [(0, 1, 2), (1, 2, 3), (2, 3, 4), (5, 6, 7), (5, 6, 8), (5, 6, 9), (5, 6, 10)],
+        [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5), (0, 3, 4)],  # 3D, orphans first
+        [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5)],  # a triangle with three cofaces
+        [(0, 1, 2, 3), (0, 1, 2, 4)],  # valid
+        [(0,)],  # a lone vertex, nothing to pair
+    ],
+    ids=["dangling-edge", "lone-vertex", "many-orphans", "three-cofaces", "four-cofaces",
+         "3d-orphans", "3d-three-cofaces", "3d-valid", "vertex"],
+)
+def test_condition_errors_match_oracle(tops):
+    cx = SimplicialComplex(tops, closure=True)
+    o = build_order(cx, dim_levels(cx))
+    try:
+        ref = build_dual_graph_oracle(o)
+    except ConditionError as exc:
+        with pytest.raises(ConditionError) as got:
+            build_dual_graph(o)
+        assert str(got.value) == str(exc)
+        return
+    g = build_dual_graph(o)
+    assert (g.n, list(g.cells), g.edges) == (ref.n, ref.cells, ref.edges)
+    tree = compute_tree(g, o)
+    assert tree.parent == compute_tree_oracle(ref, o).parent
