@@ -20,7 +20,7 @@ import numpy as np
 from . import persistence as pers
 from . import volopt
 from .alpha import PointCloud, alpha_filtration
-from .complexes import OrderWithLevel, SimplicialComplex
+from .complexes import OrderWithLevel, SimplicialComplex, z2_boundary
 from .dualtree import build_dual_graph, compute_tree, optimal_volume_tree
 from .parallel import parallel_map
 from .persistence import PersistencePair
@@ -86,12 +86,9 @@ def _match_pair(pairs: pers.Pairs, target: PersistencePair, radius: float):
 
 
 def _boundary_vertices(cx: SimplicialComplex, k: int, cells) -> np.ndarray:
-    """Sorted vertex ids of the Z/2 boundary of a set of k-simplices: the
-    vertices of the facets that an odd number of the cells share."""
-    ids, facets = cx.ids_of_dim(k), cx.ids_of_dim(k - 1)
-    local = np.fromiter(cells, np.int64, len(cells)) - ids.start
-    count = np.bincount(cx.face_array(k)[local].ravel() - facets.start, minlength=len(facets))
-    return np.unique(cx.vertex_array(k - 1)[np.flatnonzero(count & 1)])
+    """Sorted vertex ids of the Z/2 boundary of a set of k-simplices."""
+    facets = z2_boundary(cx, k, cells) - cx.ids_of_dim(k - 1).start
+    return np.unique(cx.vertex_array(k - 1)[facets])
 
 
 def optimal_volume_cells(order: OrderWithLevel, pair: PersistencePair) -> set:
@@ -212,31 +209,24 @@ def reconstructed_shortest_cycle(
         raise ValueError(
             f"k must lie in [{pair.birth_rank}, {pair.death_rank}), got {k_rank}"
         )
-    cx = o.cx
-    present = [sid for sid in o.order[: k_rank + 1] if cx.dim_of(sid) == 1]
-    cut = {sid for sid in cocycle}
-    adj = {}
-    for sid in present:
-        if sid in cut:
-            continue
-        u, v = cx.simplices[sid]
-        w = _edge_weight(cx, sid, euclidean, points)
-        adj.setdefault(u, []).append((v, w, sid))
-        adj.setdefault(v, []).append((u, w, sid))
-    for lst in adj.values():
-        lst.sort()
+    # the edges present at step k, in rank order, split by the cut
+    edges = o.cx.ids_of_dim(1)
+    present = o.order_array[: k_rank + 1]
+    present = present[(present >= edges.start) & (present < edges.stop)]
+    cut = np.isin(present, np.fromiter(cocycle, np.int64, len(cocycle)))
+    ends = o.cx.vertex_array(1)[present - edges.start]
+    adj = _adjacency(ends[~cut], present[~cut], euclidean, points)
     best = None
-    crossings = [sid for sid in present if sid in cut]
-    for sid in crossings:
-        u, v = cx.simplices[sid]
-        w = _edge_weight(cx, sid, euclidean, points)
+    crossings = present[cut].tolist()
+    for sid, (u, v) in zip(crossings, ends[cut].tolist()):
+        w = _edge_weight(u, v, euclidean, points)
         bound = math.inf if best is None else best[0][0]
         path = _shortest_path(adj, u, v, offset=w, bound=bound)
         if path is None:
             continue
-        dist, edges, verts = path
+        dist, path_edges, verts = path
         total = dist + w
-        loop_edges = edges + [sid]
+        loop_edges = path_edges + [sid]
         key = (total, tuple(sorted(loop_edges)))
         if best is None or key < best[0]:
             best = (key, CycleLoop(loop_edges, verts, total, k_rank))
@@ -245,11 +235,31 @@ def reconstructed_shortest_cycle(
     return RscResult(best[1], "ok", len(crossings))
 
 
-def _edge_weight(cx, sid, euclidean, points):
+def _edge_weight(u, v, euclidean, points):
     if not euclidean:
         return 1.0
-    u, v = cx.simplices[sid]
     return float(np.linalg.norm(np.asarray(points[u], float) - np.asarray(points[v], float)))
+
+
+def _adjacency(ends: np.ndarray, sids: np.ndarray, euclidean, points) -> dict:
+    """Vertex -> [(neighbour, weight, edge id)], sorted, over the edges with
+    ids `sids` and endpoint rows `ends`."""
+    if euclidean:
+        weights = np.array([_edge_weight(u, v, True, points) for u, v in ends.tolist()])
+    else:
+        weights = np.ones(len(sids))
+    src = np.concatenate([ends[:, 0], ends[:, 1]])
+    dst = np.concatenate([ends[:, 1], ends[:, 0]])
+    # a vertex pair has one edge, so the neighbour alone orders a list
+    srt = np.lexsort((dst, src))
+    src = src[srt]
+    triples = list(zip(dst[srt].tolist(), np.concatenate([weights, weights])[srt].tolist(),
+                       np.concatenate([sids, sids])[srt].tolist()))
+    new = np.ones(len(src), dtype=bool)
+    new[1:] = src[1:] != src[:-1]
+    starts = np.flatnonzero(new).tolist()
+    bounds = zip(starts, starts[1:] + [len(src)])
+    return {u: triples[a:b] for u, (a, b) in zip(src[starts].tolist(), bounds)}
 
 
 def _shortest_path(adj, src, dst, offset=0.0, bound=math.inf):

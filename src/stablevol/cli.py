@@ -22,7 +22,7 @@ from . import persistence as pers
 from . import volopt
 from .alpha import alpha_filtration, format_pointcloud, parse_pointcloud
 from .baselines import NoiseModel, reconstructed_shortest_cycle, statistical_frequencies
-from .complexes import boundary, chain_z2, complex_from_json
+from .complexes import complex_from_json, z2_boundary
 from .delaunay import DegenerateInputError
 from .dualtree import (
     build_dual_graph,
@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="optimal")
     p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--threshold", type=float, default=1e-6,
-                   help="LP support rounding threshold")
+                   help="LP support rounding threshold, in (0, 1)")
 
     p = sub.add_parser("sweep", help="epsilon vs stable-volume size (TSV)")
     add_common(p)
@@ -228,14 +228,19 @@ def _pd_diagram_json(k, births, deaths, birth_simplices, death_simplices, essent
 
 
 def _volume_json(order, points, pair, cells, method, epsilon, extra=None):
-    bnd = boundary(order.cx, chain_z2(cells, order.cx))
-    bverts = sorted({v for sid in bnd.support() for v in order.cx.simplices[sid]})
+    """The output object of a volume: the cells of dimension degree + 1,
+    their Z/2 boundary and its vertices' points, from the face arrays."""
+    cx, k = order.cx, pair.degree + 1
+    bnd = z2_boundary(cx, k, cells)
     obj = {
         "pair": _pair_json(pair),
         "epsilon": epsilon,
         "cells": sorted(cells),
-        "boundary": sorted(bnd.support()),
-        "points": [] if points is None else [list(map(float, points[v])) for v in bverts],
+        "boundary": bnd.tolist(),
+        "points": [] if points is None else [
+            list(map(float, points[v]))
+            for v in np.unique(cx.vertex_array(k - 1)[bnd - cx.ids_of_dim(k - 1).start]).tolist()
+        ],
         "method": method,
     }
     if extra:
@@ -389,11 +394,10 @@ def cmd_rsc(args) -> int:
         raise StarPairError("essential pairs have no death index")
     k = args.k_index
     if k is None and args.bandwidth is not None:
-        cap = pair.birth_time + args.bandwidth
-        k = pair.birth_rank
-        for pos in range(pair.birth_rank, pair.death_rank):
-            if order.level_at_rank(pos) <= cap:
-                k = pos
+        # the last step of the pair's window at or below birth + bandwidth
+        window = order.level_array[order.order_array[pair.birth_rank : pair.death_rank]]
+        below = np.flatnonzero(window <= pair.birth_time + args.bandwidth)
+        k = pair.birth_rank + (int(below[-1]) if len(below) else 0)
     res = reconstructed_shortest_cycle(
         order, pair, k_rank=k, euclidean=args.euclidean, points=points,
         cocycle=cocycles[(pair.birth_rank, pair.death_rank)],
@@ -433,10 +437,21 @@ def main(argv=None) -> int:
         "rsc": cmd_rsc,
         "gen": cmd_gen,
     }
-    for opt in ("epsilon", "threshold", "bandwidth"):
+    # checked before the input is read; rounding at a threshold of 1 or more
+    # would drop every +-1 coefficient
+    for opt, ok, rule in (
+        ("epsilon", lambda x: x >= 0, ">= 0"),
+        ("threshold", lambda x: 0 < x < 1, "in (0, 1)"),
+        ("bandwidth", lambda x: x >= 0, ">= 0"),
+    ):
         value = getattr(args, opt, None)
-        if value is not None and not math.isfinite(value):
+        if value is None:
+            continue
+        if not math.isfinite(value):
             print(f"error: --{opt} must be finite, got {value}", file=sys.stderr)
+            return EXIT_PARSE
+        if not ok(value):
+            print(f"error: --{opt} must be {rule}, got {value}", file=sys.stderr)
             return EXIT_PARSE
     try:
         return handlers[args.command](args)

@@ -12,6 +12,7 @@ import bisect
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -57,9 +58,10 @@ class SimplicialComplex:
     complex built from the same simplex set is always indexed identically,
     and the ids of one dimension are contiguous.
 
-    `simplices` may be an iterable of vertex iterables, or an (m, k+1)
-    integer array of m k-simplices. Repeated simplices are kept once; with
-    `closure`, every face of a given simplex is added.
+    `simplices` may be an iterable of vertex iterables, an (m, k+1) integer
+    array of m k-simplices, or a mapping from a width k+1 to such an array.
+    Repeated simplices are kept once; with `closure`, every face of a given
+    simplex is added.
 
     The build runs one dimension at a time on integer arrays, from the top
     dimension down: it finds the unique rows, lists each simplex's faces in
@@ -209,9 +211,14 @@ class SimplicialComplex:
 def _rows_by_width(simplices) -> dict:
     """Canonical (sorted) vertex rows of the given simplices, by width.
 
+    `simplices` may also be a mapping from a width w to an (m, w) integer
+    array of rows, which is taken as it is, one array per width.
     Raises what `simplex` raises for the first simplex it rejects.
     """
-    if isinstance(simplices, np.ndarray):
+    if isinstance(simplices, Mapping):
+        groups = simplices
+        simplices = (r for g in groups.values() for r in np.asarray(g).tolist())
+    elif isinstance(simplices, np.ndarray):
         if simplices.ndim != 2:
             raise ValueError("a simplex array must have shape (m, k+1)")
         groups = {simplices.shape[1]: simplices} if len(simplices) else {}
@@ -222,16 +229,22 @@ def _rows_by_width(simplices) -> dict:
             groups.setdefault(len(s), []).append(s)
     rows = {}
     for w, g in groups.items():
-        try:
-            a = np.array(g, dtype=np.int64).reshape(len(g), w)
-        except OverflowError:
-            raise ValueError("vertex ids must fit in a signed 64-bit integer") from None
-        a.sort(axis=1)
-        if w == 0 or (a[:, 1:] == a[:, :-1]).any():
+        rows[w] = a = _sorted_rows(g, w)
+        if a is None:
             for s in simplices:
                 simplex(s)
-        rows[w] = a
     return rows
+
+
+def _sorted_rows(g, w: int):
+    """The rows `g` as an (m, w) int64 array, each row sorted, or None if a
+    row is empty or repeats a vertex."""
+    try:
+        a = np.array(g, dtype=np.int64).reshape(len(g), w)
+    except OverflowError:
+        raise ValueError("vertex ids must fit in a signed 64-bit integer") from None
+    a.sort(axis=1)
+    return None if w == 0 or (a[:, 1:] == a[:, :-1]).any() else a
 
 
 def _lex_rank(rows: np.ndarray) -> np.ndarray:
@@ -339,6 +352,16 @@ def boundary(cx: SimplicialComplex, ch: Chain) -> Chain:
     return Chain(ch.field, ch.dim - 1, coeffs)
 
 
+def z2_boundary(cx: SimplicialComplex, k: int, cells) -> np.ndarray:
+    """Ids of the Z/2 boundary of a set of k-simplices, ascending: the
+    (k-1)-simplices that an odd number of the cells have as a face, counted
+    over `face_array(k)`."""
+    ids, facets = cx.ids_of_dim(k), cx.ids_of_dim(k - 1)
+    local = np.fromiter(cells, np.int64, len(cells)) - ids.start
+    count = np.bincount(cx.face_array(k)[local].ravel() - facets.start, minlength=len(facets))
+    return np.flatnonzero(count & 1) + facets.start
+
+
 # ---------------------------------------------------------------------------
 # orders with level
 
@@ -348,16 +371,21 @@ class OrderWithLevel:
 
     rank[i] is the 0-based position of simplex id i; order[p] is the simplex
     id at position p. Prefixes of `order` are subcomplexes, and sublevel sets
-    of `level` are subcomplexes.
+    of `level` are subcomplexes. `level_array`, `order_array` and
+    `rank_array` hold the same as read-only numpy arrays.
     """
 
     def __init__(self, cx: SimplicialComplex, level: Sequence[float], order: Sequence[int]):
         self.cx = cx
-        self.level = list(map(float, level))
-        self.order = list(order)
-        rank = np.zeros(len(cx), dtype=np.int64)
-        rank[self.order] = np.arange(len(self.order))
-        self.rank = rank.tolist()
+        self.level_array = np.array(level, dtype=float)
+        self.order_array = np.array(order, dtype=np.int64)
+        self.rank_array = np.zeros(len(cx), dtype=np.int64)
+        self.rank_array[self.order_array] = np.arange(len(self.order_array))
+        for a in (self.level_array, self.order_array, self.rank_array):
+            a.flags.writeable = False
+        self.level = self.level_array.tolist()
+        self.order = self.order_array.tolist()
+        self.rank = self.rank_array.tolist()
 
     def __len__(self):
         return len(self.order)
@@ -374,15 +402,19 @@ def build_order(cx: SimplicialComplex, level) -> OrderWithLevel:
 
     Raises MonotonicityError naming the first face/coface pair whose levels
     are out of order (by coface id, then face in vertex-removal order). The
-    level argument may be a sequence indexed by simplex id or a mapping from
-    vertex tuples (or ids) to levels.
+    level argument may be a sequence or array indexed by simplex id, or a
+    mapping from vertex tuples (or ids) to levels.
     """
     # SimplicialComplex derives faces and cofaces from one face array, so they
     # agree; only a missing face (possible without closure) is checked
     if cx._missing:
         raise ValueError("invalid complex: " + "; ".join(validate_complex(cx)))
-    lv = _levels_as_list(cx, level)
-    arr = np.array(lv, dtype=float)
+    if isinstance(level, np.ndarray):
+        if len(level) != len(cx):
+            raise ValueError(f"expected {len(cx)} levels, got {len(level)}")
+        arr = level.astype(float)
+    else:
+        arr = np.array(_levels_as_list(cx, level), dtype=float)
     for k in range(1, cx.dim + 1):
         ids = cx.ids_of_dim(k)
         faces = cx.face_array(k)
@@ -390,9 +422,11 @@ def build_order(cx: SimplicialComplex, level) -> OrderWithLevel:
         if over.any():
             r, c = divmod(int(over.argmax()), k + 1)
             i, fi = ids[r], int(faces[r, c])
-            raise MonotonicityError(cx.simplices[fi], cx.simplices[i], lv[fi], lv[i])
+            raise MonotonicityError(
+                cx.simplices[fi], cx.simplices[i], float(arr[fi]), float(arr[i])
+            )
     # ids ascend in (dim, lex verts) order, so a stable sort breaks the ties
-    return OrderWithLevel(cx, lv, np.argsort(arr, kind="stable").tolist())
+    return OrderWithLevel(cx, arr, np.argsort(arr, kind="stable"))
 
 
 def _levels_as_list(cx: SimplicialComplex, level) -> list:
@@ -417,50 +451,129 @@ def _levels_as_list(cx: SimplicialComplex, level) -> list:
 
 
 def complex_from_json(obj) -> OrderWithLevel:
-    """Load the JSON complex format, validate closure, and build the order.
+    """Load the JSON complex format, validate it, and build the order.
 
-    Input that does not have the format's shape raises a one-line ValueError.
+    The entries are read in bulk: one type check over all vertex ids and one
+    over all levels, one sorted (m, w) int64 array of vertex rows per entry
+    width, and one lexsort per width, which maps each entry to its simplex
+    id (the ids of a dimension are dense and lexicographic). The complex is
+    built from the per-width arrays and the levels from one float array, so
+    no Python view of the complex is built.
+
+    Input that does not have the format's shape raises a one-line ValueError
+    naming the first bad entry, a duplicate (the first entry that repeats an
+    earlier one), a missing face, a non-finite level (the first in entry
+    order) or a bad "vertices" value. Where a bulk check fails, a scan of
+    the entries words the error. Integral floats such as 1.0 are valid ids.
     """
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
     if not isinstance(obj, dict) or not isinstance(obj.get("simplices"), list):
         raise ValueError('complex JSON must be an object with a "simplices" list')
     entries = obj["simplices"]
-    for k, e in enumerate(entries):
-        if not isinstance(e, dict) or not isinstance(e.get("v"), list):
-            raise ValueError(f'simplex entry {k} must be an object with a "v" list')
-        if not all(map(_is_json_int, e["v"])):
-            raise ValueError(f"simplex entry {k} has a non-integer vertex id: {e['v']!r}")
-        lv = e.get("level")
-        if isinstance(lv, bool) or not isinstance(lv, (int, float)):
-            raise ValueError(f"simplex entry {k} needs a numeric level, got {lv!r}")
-    keys = [tuple(sorted(map(int, e["v"]))) for e in entries]
-    cx = SimplicialComplex(keys)
-    if len(cx) < len(keys):
-        first = {}
-        for k, s in enumerate(keys):
-            if s in first:
-                raise ValueError(
-                    f"simplex {list(s)} is listed twice, in entries {first[s]} and {k}"
-                )
-            first[s] = k
+    bulk = _read_entries(entries)
+    if bulk is None:
+        for k, e in enumerate(entries):
+            _check_entry(k, e)
+    vs, flat, levels = bulk
+    widths = np.fromiter(map(len, vs), np.int64, len(vs))
+    try:
+        ids = np.array(flat, dtype=np.int64)
+    except OverflowError:  # each width's rows are converted on their own, in order
+        ids = None
+    starts = np.cumsum(widths) - widths
+    seen, first = np.unique(widths, return_index=True)
+    groups = {}  # width -> (entry indices, sorted vertex rows in lex order)
+    for w in seen[np.argsort(first)].tolist():  # widths in order of first entry
+        idx = np.flatnonzero(widths == w)
+        if ids is None:
+            rows = _sorted_rows([vs[i] for i in idx.tolist()], w)
+        else:
+            rows = _sorted_rows(ids[starts[idx, None] + np.arange(w)], w)
+        if rows is None:
+            for v in vs:
+                simplex(v)
+        lex = np.lexsort(rows.T[::-1])
+        groups[w] = (idx[lex], rows[lex])
+    if any(len(r) > 1 and (r[1:] == r[:-1]).all(axis=1).any() for _, r in groups.values()):
+        _raise_first_duplicate(vs)
+    cx = SimplicialComplex({w: rows for w, (_, rows) in groups.items()})
     if cx._missing:
         raise ValueError("invalid complex: " + "; ".join(validate_complex(cx)))
-    level = [0.0] * len(cx)
-    for s, e in zip(keys, entries):
-        try:
-            lv = float(e["level"])
-        except OverflowError:  # an integer literal beyond the float range
-            lv = math.inf
-        if not math.isfinite(lv):
-            raise ValueError(f"non-finite level {lv} for simplex {list(e['v'])}")
-        level[cx.index[s]] = lv
+    try:
+        levels = np.array(levels, dtype=float)
+    except OverflowError:  # an integer literal beyond the float range
+        levels = None
+    if levels is None or not np.isfinite(levels).all():
+        for e in entries:
+            _check_level(e)
+    level = np.empty(len(cx))
+    for w, (idx, _) in groups.items():
+        start = cx.ids_of_dim(w - 1).start
+        level[start : start + len(idx)] = levels[idx]
     vertices = obj.get("vertices", cx.vertex_count)
     if not _is_json_int(vertices):
         raise ValueError(f'"vertices" must be an integer, got {vertices!r}')
     if int(vertices) != cx.vertex_count:
         raise ValueError("vertex count does not match simplex list")
     return build_order(cx, level)
+
+
+def _read_entries(entries):
+    """The entries' vertex lists, all their vertex ids in one flat list and
+    their levels, or None if an entry fails `_check_entry`. Checks the set
+    of types of the entries, the vertex lists, the vertex ids and the
+    levels; an integral float id stays a float until the int64 conversion."""
+    try:
+        vs = list(map(operator.itemgetter("v"), entries))
+        levels = list(map(operator.itemgetter("level"), entries))
+    except (KeyError, TypeError):
+        return None
+    if not all(issubclass(t, dict) for t in set(map(type, entries))):
+        return None
+    if not all(issubclass(t, list) for t in set(map(type, vs))):
+        return None
+    if not all(_is_int_type(t) or issubclass(t, float) for t in set(map(type, levels))):
+        return None
+    flat = list(itertools.chain.from_iterable(vs))
+    ids = set(map(type, flat))
+    if not all(_is_int_type(t) or issubclass(t, float) for t in ids):
+        return None
+    if any(issubclass(t, float) for t in ids) and not all(map(_is_json_int, flat)):
+        return None
+    return vs, flat, levels
+
+
+def _check_entry(k: int, e) -> None:
+    if not isinstance(e, dict) or not isinstance(e.get("v"), list):
+        raise ValueError(f'simplex entry {k} must be an object with a "v" list')
+    if not all(map(_is_json_int, e["v"])):
+        raise ValueError(f"simplex entry {k} has a non-integer vertex id: {e['v']!r}")
+    lv = e.get("level")
+    if isinstance(lv, bool) or not isinstance(lv, (int, float)):
+        raise ValueError(f"simplex entry {k} needs a numeric level, got {lv!r}")
+
+
+def _raise_first_duplicate(vs) -> None:
+    first = {}
+    for k, v in enumerate(vs):
+        s = tuple(sorted(map(int, v)))
+        if s in first:
+            raise ValueError(f"simplex {list(s)} is listed twice, in entries {first[s]} and {k}")
+        first[s] = k
+
+
+def _check_level(e) -> None:
+    try:
+        lv = float(e["level"])
+    except OverflowError:  # an integer literal beyond the float range
+        lv = math.inf
+    if not math.isfinite(lv):
+        raise ValueError(f"non-finite level {lv} for simplex {list(e['v'])}")
+
+
+def _is_int_type(t) -> bool:
+    return issubclass(t, int) and not issubclass(t, bool)
 
 
 def _is_json_int(x) -> bool:

@@ -17,11 +17,12 @@ codimension-1 pair can be matched and its volume found with no reduction.
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Chain, OrderWithLevel, boundary, chain_z2
+from .complexes import Chain, OrderWithLevel, z2_boundary
 from .persistence import Pairs, PersistencePair, StarPairError
 
 OMEGA_INF = -1
@@ -93,17 +94,35 @@ def build_dual_graph(o: OrderWithLevel) -> DualGraph:
 
 class PersistenceTree:
     """Rooted tree on n-cells (root = the cell at infinity) with (n-1)-simplex
-    edge labels. parent[cell] = (parent cell, labelling simplex id)."""
+    edge labels. parent[cell] = (parent cell, labelling simplex id).
+
+    The children are stored as CSR lists over node slots (a cell's slot is
+    its id minus the first n-cell id, the cell at infinity has the last),
+    built with one stable argsort of the parent column, so each node's
+    children keep the parent map's order. `children(cell)` reads them;
+    `descendants`, `subtree_size` and `stable_volume_tree` walk only the
+    subtree they need.
+    """
 
     def __init__(self, order: OrderWithLevel, parent: dict):
         self.order = order
         self.parent = parent
-        self.children = {OMEGA_INF: []}
-        for c in parent:
-            self.children.setdefault(c, [])
-        for c, (p, tau) in parent.items():
-            self.children.setdefault(p, []).append(c)
+        cells = order.cx.ids_of_dim(order.cx.dim)
+        self._first, self._inf = cells.start, len(cells)
+        m = len(parent)
+        child = np.fromiter(parent, np.int64, m)
+        up = np.fromiter(itertools.chain.from_iterable(parent.values()), np.int64, 2 * m)[::2]
+        slot = np.where(up == OMEGA_INF, self._inf, up - cells.start)
+        ptr = np.zeros(self._inf + 2, dtype=np.int64)
+        np.cumsum(np.bincount(slot, minlength=self._inf + 1), out=ptr[1:])
+        self._ptr = ptr.tolist()
+        self._kids = child[np.argsort(slot, kind="stable")].tolist()
         self._sizes = {}
+
+    def children(self, cell: int) -> list:
+        """The children of a cell (or of OMEGA_INF), in parent-map order."""
+        s = self._inf if cell == OMEGA_INF else cell - self._first
+        return self._kids[self._ptr[s] : self._ptr[s + 1]]
 
     def pair_of(self, cell: int) -> PersistencePair:
         """The degree-(n-1) pair of the tree edge above `cell`."""
@@ -126,7 +145,7 @@ class PersistenceTree:
     def pairs_table(self) -> Pairs:
         """The tree edges as a `Pairs` table, one row per edge, in birth-rank
         order: the rows of `reduce`'s degree-(n-1) pairs."""
-        rank = np.asarray(self.order.rank)
+        rank = self.order.rank_array
         m = len(self.parent)
         cells = np.fromiter(self.parent, np.int64, m)
         taus = np.fromiter((tau for _, tau in self.parent.values()), np.int64, m)
@@ -139,7 +158,7 @@ class PersistenceTree:
         while stack:
             c = stack.pop()
             out.add(c)
-            stack.extend(self.children.get(c, ()))
+            stack.extend(self.children(c))
         return out
 
     def subtree_size(self, cell: int) -> int:
@@ -153,12 +172,10 @@ class PersistenceTree:
             if node in self._sizes:
                 continue
             if expanded:
-                self._sizes[node] = 1 + sum(
-                    self._sizes[c] for c in self.children.get(node, ())
-                )
+                self._sizes[node] = 1 + sum(self._sizes[c] for c in self.children(node))
             else:
                 stack.append((node, True))
-                stack.extend((c, False) for c in self.children.get(node, ()))
+                stack.extend((c, False) for c in self.children(node))
         return self._sizes[cell]
 
 
@@ -172,7 +189,7 @@ def compute_tree(g: DualGraph, o: OrderWithLevel) -> PersistenceTree:
     explicit parent map records the tree edges.
     """
     cells, m = g.cells, len(g.cells)
-    rank = np.asarray(o.rank)
+    rank = o.rank_array
     later = [*rank[cells.start : cells.stop].tolist(), len(rank)]
     uf = list(range(m + 1))
     by_rank = np.argsort(-rank[g.tau])
@@ -234,11 +251,12 @@ def stable_volume_tree(
     o = tree.order
     threshold = o.level[pair.birth_simplex] + epsilon
     cells = {pair.death_simplex}
-    for child in tree.children.get(pair.death_simplex, ()):
+    for child in tree.children(pair.death_simplex):
         tau = tree.parent[child][1]
         if o.level[tau] >= threshold:
             cells |= tree.descendants(child)
-    bnd = boundary(o.cx, chain_z2(cells, o.cx))
+    n = o.cx.dim
+    bnd = Chain("z2", n - 1, dict.fromkeys(z2_boundary(o.cx, n, cells).tolist(), 1))
     return StableVolumeResult(pair, float(epsilon), cells, bnd)
 
 
@@ -256,7 +274,7 @@ def sweep_sizes(tree: PersistenceTree, pair: PersistencePair, eps_grid) -> list:
     b = o.level[pair.birth_simplex]
     gaps = sorted(
         (o.level[tree.parent[c][1]] - b, tree.subtree_size(c))
-        for c in tree.children.get(pair.death_simplex, ())
+        for c in tree.children(pair.death_simplex)
     )
     # suffix sums over children sorted by label gap
     suffix = [0] * (len(gaps) + 1)

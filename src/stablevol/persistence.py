@@ -79,8 +79,7 @@ class Pairs:
     def __init__(self, o: OrderWithLevel, birth_rank, death_rank):
         birth_rank = np.asarray(birth_rank, dtype=np.int64)
         death_rank = np.asarray(death_rank, dtype=np.int64)
-        order = np.array(o.order, dtype=np.int64)
-        level = np.array(o.level)
+        order, level = o.order_array, o.level_array
         birth_simplex = order[birth_rank]
         # the ids of a dimension are contiguous: degree = dimensions started
         starts = [o.cx.ids_of_dim(k).start for k in range(1, o.cx.dim + 1)]
@@ -141,7 +140,7 @@ def boundary_matrix(o: OrderWithLevel) -> list:
     hold the int objects of `o.rank`, not new ones, which keeps the peak
     memory of a reduction down.
     """
-    cx, rank = o.cx, np.array(o.rank)
+    cx, rank = o.cx, o.rank_array
     rank_objs = np.array(o.rank, dtype=object)
     cols = [[] for _ in cx.ids_of_dim(0)]  # one column per simplex id
     for k in range(1, cx.dim + 1):
@@ -196,7 +195,7 @@ def degree0_deaths(o: OrderWithLevel) -> np.ndarray:
     edges = cx.ids_of_dim(1)
     if not edges:
         return np.empty(0, dtype=np.int64)
-    by_rank = np.argsort(o.rank[edges.start : edges.stop])
+    by_rank = np.argsort(o.rank_array[edges.start : edges.stop])
     parent = list(range(cx.vertex_count))
     deaths = []
     for e, (a, b) in zip(by_rank.tolist(), cx.face_array(1)[by_rank].tolist()):
@@ -229,7 +228,7 @@ def cohomology_reduce(o: OrderWithLevel):
     duals sum to a persistent cocycle, i.e. the cut whose removal kills
     every representative cycle of the pair.
     """
-    cx, rank = o.cx, np.array(o.rank)
+    cx, rank = o.cx, o.rank_array
     edges, tris = cx.ids_of_dim(1), cx.ids_of_dim(2)
     if not edges:
         return Pairs(o, [], []), {}

@@ -50,8 +50,8 @@ class VolumeProblem:
     pair: PersistencePair
     mode: str
     epsilon: float
-    candidates: list  # (k+1)-simplex ids, ascending rank, death cell excluded
-    constraints: list  # k-simplex ids whose boundary coefficient must vanish
+    candidates: np.ndarray  # (k+1)-simplex ids, ascending rank, death cell excluded
+    constraints: np.ndarray  # k-simplex ids whose boundary coefficient must vanish
 
     @property
     def degree(self) -> int:
@@ -65,7 +65,7 @@ def make_problem(
     epsilon: float = 0.0,
     ov_cells: Optional[set] = None,
 ) -> VolumeProblem:
-    """Candidate and constraint sets for one pair.
+    """Candidate and constraint sets for one pair, as id arrays.
 
     optimal: candidates/constraints are the simplices strictly between birth
     and death in the order. stable: level at least birth + epsilon, strictly
@@ -74,6 +74,9 @@ def make_problem(
     problem degrade continuously to the optimal-volume window instead of
     constraining the birth simplex itself). sub: stable candidates restricted
     to a known optimal volume (pass ov_cells), constraints unchanged.
+
+    The window is a slice of the order array; the ids of a dimension are
+    contiguous, so each id's dimension is a range test.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -85,30 +88,14 @@ def make_problem(
         raise ValueError("noise bandwidth must be >= 0")
     cx = o.cx
     k = pair.degree
-    b_rank, d_rank = pair.birth_rank, pair.death_rank
-    cands = []
-    cons = []
-    if mode == "optimal":
-        for pos in range(b_rank + 1, d_rank):
-            sid = o.order[pos]
-            d = cx.dim_of(sid)
-            if d == k + 1:
-                cands.append(sid)
-            elif d == k:
-                cons.append(sid)
-    else:
-        threshold = pair.birth_time + epsilon
-        for pos in range(b_rank + 1, d_rank):
-            sid = o.order[pos]
-            if o.level[sid] < threshold:
-                continue
-            d = cx.dim_of(sid)
-            if d == k + 1:
-                cands.append(sid)
-            elif d == k:
-                cons.append(sid)
-        if mode == "sub":
-            cands = [c for c in cands if c in ov_cells]
+    window = o.order_array[pair.birth_rank + 1 : pair.death_rank]
+    if mode != "optimal":
+        window = window[o.level_array[window] >= pair.birth_time + epsilon]
+    cells, facets = cx.ids_of_dim(k + 1), cx.ids_of_dim(k)
+    cands = window[(window >= cells.start) & (window < cells.stop)]
+    cons = window[(window >= facets.start) & (window < facets.stop)]
+    if mode == "sub":
+        cands = cands[np.isin(cands, np.fromiter(ov_cells, np.int64, len(ov_cells)))]
     return VolumeProblem(o, pair, mode, float(epsilon), cands, cons)
 
 
@@ -116,21 +103,32 @@ def make_problem(
 # l1 linear program (real coefficients)
 
 
-@dataclass
+@dataclass(eq=False)
 class L1Program:
-    """The l1 relaxation in its literal form.
+    """The l1 relaxation in its literal form, as arrays.
 
     Variables are alpha (free) and alpha_bar (its absolute-value majorant),
     one of each per candidate. Constraints: alpha_bar - alpha >= 0 and
-    alpha_bar + alpha >= 0 per candidate, plus one equality row per
-    constraint simplex tau: const(tau) + sum_w coeff(w, tau) alpha_w = 0,
-    with all coefficients in {-1, 0, +1}. An optional pinned row forces the
-    birth-simplex coefficient of the boundary to a nonzero value.
+    alpha_bar + alpha >= 0 per candidate, plus one equality row per simplex
+    tau of `taus`: const(tau) + sum_w coeff(w, tau) alpha_w = 0, with all
+    coefficients in {-1, 0, +1}; const(tau) is the death cell's boundary
+    coefficient at tau. With a `pin_sign`, the last row is the birth
+    simplex's, and its left side must equal the pin sign instead of 0: the
+    birth-simplex coefficient of the boundary is pinned to a nonzero value.
+
+    The coefficients are stored by candidate column: the rows of column i
+    are `row[indptr[i]:indptr[i+1]]`, ascending, with coefficients `coef`.
+    `rows` and `pinned` give the program as (tau, {candidate id: +-1},
+    const) tuples, built on demand.
     """
 
-    candidates: list
-    rows: list  # (tau_id, {candidate id: +-1}, const)
-    pinned: Optional[tuple] = None  # (tau0_id, {cand: +-1}, const, target)
+    candidates: np.ndarray  # (m,) candidate ids, one column each, ascending rank
+    taus: np.ndarray  # simplex id of each equality row, the pinned row last
+    const: np.ndarray  # per row, in {-1, 0, 1}
+    indptr: np.ndarray  # (m + 1,)
+    row: np.ndarray
+    coef: np.ndarray  # +-1
+    pin_sign: Optional[int] = None
 
     @property
     def n_variables(self) -> int:
@@ -138,45 +136,96 @@ class L1Program:
 
     @property
     def n_constraints(self) -> int:
-        return 2 * len(self.candidates) + len(self.rows) + (1 if self.pinned else 0)
+        return 2 * len(self.candidates) + len(self.taus)
 
+    @property
+    def n_rows(self) -> int:
+        """The number of equality rows, the pinned row not counted."""
+        return len(self.taus) - (self.pin_sign is not None)
 
-def _boundary_coeff(cx, omega: int, tau: int) -> int:
-    """tau*(boundary omega) with alternating signs on the sorted vertices."""
-    verts = cx.simplices[omega]
-    fv = cx.simplices[tau]
-    for i in range(len(verts)):
-        if verts[:i] + verts[i + 1 :] == fv:
-            return 1 if i % 2 == 0 else -1
-    return 0
+    def _row_dicts(self) -> list:
+        """{candidate id: +-1} per row, the pinned row included, ids ascending."""
+        out = [{} for _ in self.taus]
+        ids = np.repeat(self.candidates, np.diff(self.indptr))
+        srt = np.lexsort((ids, self.row))
+        for r, w, c in zip(self.row[srt].tolist(), ids[srt].tolist(), self.coef[srt].tolist()):
+            out[r][w] = c
+        return out
+
+    @property
+    def rows(self) -> list:
+        """(tau_id, {candidate id: +-1}, const) per equality row, the pin excluded."""
+        n = self.n_rows
+        return list(zip(self.taus[:n].tolist(), self._row_dicts()[:n], self.const[:n].tolist()))
+
+    @property
+    def pinned(self) -> Optional[tuple]:
+        """(tau0_id, {candidate id: +-1}, const, target), or None."""
+        if self.pin_sign is None:
+            return None
+        return (int(self.taus[-1]), self._row_dicts()[-1], int(self.const[-1]), self.pin_sign)
+
+    def __eq__(self, other):
+        if not isinstance(other, L1Program) or self.pin_sign != other.pin_sign:
+            return False
+        fields = ("candidates", "taus", "const", "indptr", "row", "coef")
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in fields)
+
+    def rhs(self) -> np.ndarray:
+        """Per equality row, the value the candidate sum must take: -const,
+        and pin sign - const on the pinned row."""
+        b = -self.const.astype(float)
+        if self.pin_sign is not None:
+            b[-1] = -float(self.const[-1] - self.pin_sign)
+        return b
+
+    def matrix(self, n_rows: int, n_cols: int):
+        """The coefficients of the first `n_rows` rows as a CSC matrix with
+        `n_cols` columns; columns past the candidates are empty."""
+        from scipy import sparse
+
+        col = np.repeat(np.arange(len(self.candidates)), np.diff(self.indptr))
+        keep = self.row < n_rows
+        indptr = np.zeros(n_cols + 1, dtype=np.int64)
+        np.cumsum(np.bincount(col[keep], minlength=n_cols), out=indptr[1:])
+        return sparse.csc_matrix(
+            (self.coef[keep].astype(float), self.row[keep], indptr), shape=(n_rows, n_cols)
+        )
 
 
 def to_lp(p: VolumeProblem, pin_sign: int = 1) -> L1Program:
-    """Translate a volume problem into the l1 program.
+    """Translate a volume problem into the l1 program, on arrays.
 
-    In optimal mode the side constraint "birth coefficient nonzero" is not
-    expressible in an LP; it is pinned to +-pin_sign instead (the caller may
+    Each candidate's faces come from `face_array(k+1)`, face j with
+    coefficient (-1)^j; a `rowpos` array maps each constraint simplex to its
+    row. The constants are the death cell's face rows. In optimal mode the
+    side constraint "birth coefficient nonzero" is not expressible in an LP;
+    the birth simplex gets the last row, pinned to pin_sign (the caller may
     retry with the opposite sign).
     """
     cx = p.order.cx
-    w0 = p.pair.death_simplex
-    cand_set = set(p.candidates)
-    rows = []
-    for tau in p.constraints:
-        coeffs = {}
-        for om in cx.cofaces[tau]:
-            if om in cand_set:
-                coeffs[om] = _boundary_coeff(cx, om, tau)
-        rows.append((tau, coeffs, _boundary_coeff(cx, w0, tau)))
-    pinned = None
-    if p.mode == "optimal":
-        tau0 = p.pair.birth_simplex
-        coeffs = {}
-        for om in cx.cofaces[tau0]:
-            if om in cand_set:
-                coeffs[om] = _boundary_coeff(cx, om, tau0)
-        pinned = (tau0, coeffs, _boundary_coeff(cx, w0, tau0), int(pin_sign))
-    return L1Program(list(p.candidates), rows, pinned)
+    k = p.pair.degree
+    cells, facets = cx.ids_of_dim(k + 1), cx.ids_of_dim(k)
+    faces = cx.face_array(k + 1)
+    sign = 1 - 2 * (np.arange(k + 2) & 1)  # face j, vertex j removed: (-1)^j
+    cands = np.asarray(p.candidates, dtype=np.int64)
+    taus = np.asarray(p.constraints, dtype=np.int64)
+    pinned = p.mode == "optimal"
+    if pinned:
+        taus = np.append(taus, p.pair.birth_simplex)
+    rowpos = np.full(len(facets), -1, dtype=np.int64)
+    rowpos[taus - facets.start] = np.arange(len(taus))
+    const = np.zeros(len(taus), dtype=np.int64)
+    death_rows = rowpos[faces[p.pair.death_simplex - cells.start] - facets.start]
+    const[death_rows[death_rows >= 0]] = sign[death_rows >= 0]
+    rows = rowpos[faces[cands - cells.start] - facets.start]
+    col, j = np.nonzero(rows >= 0)
+    row = rows[col, j]
+    srt = np.lexsort((row, col))
+    indptr = np.zeros(len(cands) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(col, minlength=len(cands)), out=indptr[1:])
+    return L1Program(cands, taus, const, indptr, row[srt], sign[j[srt]],
+                     int(pin_sign) if pinned else None)
 
 
 @dataclass
@@ -195,49 +244,36 @@ def linprog(*args, **kwargs):
     return linprog(*args, **kwargs)
 
 
-def _row_matrix(rows, col: dict, n_cols: int):
-    """Coefficients of (tau, {candidate id: +-1}, const) rows as a sparse
-    matrix, one row each, columns numbered by `col`."""
-    from scipy import sparse
-
-    data, ri, ci = [], [], []
-    for r, (tau, coeffs, const) in enumerate(rows):
-        for w, c in coeffs.items():
-            data.append(float(c))
-            ri.append(r)
-            ci.append(col[w])
-    return sparse.coo_matrix((data, (ri, ci)), shape=(len(rows), n_cols))
-
-
 def solve_lp(prog: L1Program) -> RawSolution:
     """Solve the l1 program with a deterministic simplex backend (HiGHS).
 
     The program is fed literally: free alphas, majorant alpha_bars, the two
-    coupling inequalities per candidate, and the equality rows.
+    coupling inequalities per candidate, and the equality rows, as CSC
+    matrices built from the program's arrays. The residual is the largest
+    violation of an equality row by the returned alphas.
     """
     from scipy import sparse
 
     m = len(prog.candidates)
-    col = {w: i for i, w in enumerate(prog.candidates)}
-    eq_rows = list(prog.rows)
-    if prog.pinned is not None:
-        tau0, coeffs, const, target = prog.pinned
-        eq_rows = eq_rows + [(tau0, coeffs, const - target)]
+    b_eq = prog.rhs()
     if m == 0:
-        bad = [t for t, _, c0 in eq_rows if c0 != 0]
+        bad = prog.taus[b_eq != 0].tolist()
         if bad:
             raise InfeasibleError(f"no candidates and nonzero constants at {bad}")
         return RawSolution(np.zeros(0), 0.0, "optimal", 0.0)
     cost = np.concatenate([np.zeros(m), np.ones(m)])
-    A_eq = _row_matrix(eq_rows, col, 2 * m).tocsc()
-    b_eq = np.array([-float(const) for _, _, const in eq_rows])
-    # alpha - alpha_bar <= 0 and -alpha - alpha_bar <= 0
-    ud, uri, uci = [], [], []
-    for i in range(m):
-        ud += [1.0, -1.0, -1.0, -1.0]
-        uri += [i, i, m + i, m + i]
-        uci += [i, m + i, i, m + i]
-    A_ub = sparse.coo_matrix((ud, (uri, uci)), shape=(2 * m, 2 * m)).tocsc()
+    A_eq = prog.matrix(len(prog.taus), 2 * m)
+    # alpha - alpha_bar <= 0 and -alpha - alpha_bar <= 0: column i has rows
+    # i and m + i, with +1, -1 for an alpha and -1, -1 for an alpha_bar
+    i = np.arange(m)
+    A_ub = sparse.csc_matrix(
+        (
+            np.concatenate([np.tile([1.0, -1.0], m), np.full(2 * m, -1.0)]),
+            np.tile(np.stack([i, m + i], axis=1).ravel(), 2),
+            np.arange(0, 4 * m + 1, 2),
+        ),
+        shape=(2 * m, 2 * m),
+    )
     res = linprog(
         cost,
         A_ub=A_ub,
@@ -254,10 +290,9 @@ def solve_lp(prog: L1Program) -> RawSolution:
     if not res.success:
         raise LPError(f"LP solver failed: {res.message}")
     alphas = res.x[:m]
-    resid = 0.0
-    for (tau, coeffs, const) in eq_rows:
-        acc = float(const) + sum(c * alphas[col[w]] for w, c in coeffs.items())
-        resid = max(resid, abs(acc))
+    col = np.repeat(i, np.diff(prog.indptr))
+    lhs = np.bincount(prog.row, weights=prog.coef * alphas[col], minlength=len(b_eq))
+    resid = float(np.max(np.abs(lhs - b_eq), initial=0.0))
     return RawSolution(alphas, float(res.fun), "optimal", resid)
 
 
@@ -278,10 +313,8 @@ def round_support(
     the rounded support is not Z/2-feasible; a mismatch is never returned as
     if it were a volume.
     """
-    support = {p.pair.death_simplex}
-    for w, a in zip(p.candidates, raw.alphas):
-        if abs(a) > threshold:
-            support.add(w)
+    kept = np.asarray(p.candidates)[np.abs(raw.alphas) > threshold]
+    support = {p.pair.death_simplex, *kept.tolist()}
     bad = z2_violations(p, support)
     if bad:
         raise ApproximationMismatch(bad)
@@ -289,18 +322,22 @@ def round_support(
 
 
 def z2_violations(p: VolumeProblem, support: set) -> list:
-    """Constraint simplices whose Z/2 boundary coefficient is wrong."""
+    """Constraint simplices whose Z/2 boundary coefficient is wrong.
+
+    The parity of each k-simplex is the count, by `np.bincount`, of its
+    occurrences among the faces of the support's (k+1)-simplices.
+    """
     cx = p.order.cx
-    bad = []
-    for tau in p.constraints:
-        parity = sum(1 for om in cx.cofaces[tau] if om in support) & 1
-        if parity:
-            bad.append(tau)
-    if p.mode == "optimal":
-        tau0 = p.pair.birth_simplex
-        parity = sum(1 for om in cx.cofaces[tau0] if om in support) & 1
-        if not parity:
-            bad.append(tau0)
+    k = p.pair.degree
+    cells, facets = cx.ids_of_dim(k + 1), cx.ids_of_dim(k)
+    ids = np.fromiter(support, np.int64, len(support))
+    ids = ids[(ids >= cells.start) & (ids < cells.stop)]
+    faces = cx.face_array(k + 1)[ids - cells.start].ravel() - facets.start
+    odd = np.bincount(faces, minlength=len(facets)) & 1
+    cons = np.asarray(p.constraints, dtype=np.int64)
+    bad = cons[odd[cons - facets.start] == 1].tolist()
+    if p.mode == "optimal" and not odd[p.pair.birth_simplex - facets.start]:
+        bad.append(p.pair.birth_simplex)
     return bad
 
 
@@ -310,31 +347,34 @@ def pin_sign_hint(prog: L1Program) -> int:
     Over a field, the equality rows fix the birth-simplex coefficient of the
     boundary for every feasible real chain. When no candidate touches the
     pinned row, that coefficient is the row's constant. Otherwise one
-    least-squares solution of the rows (LSMR) gives it. Its sign is taken
-    when the value lies within 0.5 of +1 or -1. A program without a pin, or
-    with a touched pin but no rows, gets +1.
+    least-squares solution of the rows (LSMR, on the CSR form of the rows'
+    matrix) gives it. Its sign is taken when the value lies within 0.5 of +1
+    or -1. A program without a pin, or with a touched pin but no rows, gets
+    +1.
     """
-    if prog.pinned is None:
+    if prog.pin_sign is None:
         return 1
-    _, coeffs, const, _ = prog.pinned
-    if not coeffs:
+    n, m = prog.n_rows, len(prog.candidates)
+    const = int(prog.const[-1])
+    on_pin = np.flatnonzero(prog.row == n)
+    if not len(on_pin):
         value = const
-    elif not prog.rows:
+    elif not n:
         return 1
     else:
         from scipy.sparse.linalg import lsmr
 
-        col = {w: i for i, w in enumerate(prog.candidates)}
-        A = _row_matrix(prog.rows, col, len(col)).tocsr()
-        b = np.array([-float(const) for _, _, const in prog.rows])
-        x = lsmr(A, b)[0]
-        value = const + sum(c * x[col[w]] for w, c in coeffs.items())
+        x = lsmr(prog.matrix(n, m).tocsr(), -prog.const[:n].astype(float))[0]
+        # the pinned row's terms in candidate id order
+        col = np.repeat(np.arange(m), np.diff(prog.indptr))[on_pin]
+        srt = np.argsort(prog.candidates[col])
+        value = const + sum(c * x[i] for i, c in zip(col[srt].tolist(), prog.coef[on_pin][srt].tolist()))
     return -1 if abs(value + 1) < 0.5 else 1
 
 
 def _pinned_to(prog: L1Program, sign: int) -> L1Program:
     """The program with its pin set to `sign`: `to_lp(p, pin_sign=sign)`."""
-    return replace(prog, pinned=prog.pinned[:3] + (sign,))
+    return replace(prog, pin_sign=sign)
 
 
 def solve_volume(
@@ -353,7 +393,7 @@ def solve_volume(
     """
     p = make_problem(o, pair, mode, epsilon, ov_cells)
     prog = to_lp(p)
-    if prog.pinned is None:
+    if prog.pin_sign is None:
         return round_support(p, solve_lp(prog), threshold)
     sign = pin_sign_hint(prog)
     try:

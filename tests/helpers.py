@@ -713,3 +713,297 @@ def brute_force_volume(p, count_ties=False):
             chain = {p.pair.death_simplex} | {cands[i] for i in hits[0]}
             return (chain, len(hits)) if count_ties else chain
     raise InfeasibleError("no Z/2-feasible chain exists for this problem")
+
+
+# ---------------------------------------------------------------------------
+# the per-simplex complex JSON loader and l1 program assembly, as oracles
+
+
+def complex_from_json_oracle(obj):
+    """Reference loader of the JSON complex format: checks each entry in
+    turn, builds the complex from vertex tuples and places each level
+    through the `index` view. Raises the errors `complex_from_json` raises."""
+    from stablevol.complexes import _is_json_int
+
+    if isinstance(obj, (str, bytes)):
+        obj = json.loads(obj)
+    if not isinstance(obj, dict) or not isinstance(obj.get("simplices"), list):
+        raise ValueError('complex JSON must be an object with a "simplices" list')
+    entries = obj["simplices"]
+    for k, e in enumerate(entries):
+        if not isinstance(e, dict) or not isinstance(e.get("v"), list):
+            raise ValueError(f'simplex entry {k} must be an object with a "v" list')
+        if not all(map(_is_json_int, e["v"])):
+            raise ValueError(f"simplex entry {k} has a non-integer vertex id: {e['v']!r}")
+        lv = e.get("level")
+        if isinstance(lv, bool) or not isinstance(lv, (int, float)):
+            raise ValueError(f"simplex entry {k} needs a numeric level, got {lv!r}")
+    keys = [tuple(sorted(map(int, e["v"]))) for e in entries]
+    cx = SimplicialComplex(keys)
+    if len(cx) < len(keys):
+        first = {}
+        for k, s in enumerate(keys):
+            if s in first:
+                raise ValueError(
+                    f"simplex {list(s)} is listed twice, in entries {first[s]} and {k}"
+                )
+            first[s] = k
+    if cx._missing:
+        raise ValueError("invalid complex: " + "; ".join(validate_complex(cx)))
+    level = [0.0] * len(cx)
+    for s, e in zip(keys, entries):
+        try:
+            lv = float(e["level"])
+        except OverflowError:  # an integer literal beyond the float range
+            lv = math.inf
+        if not math.isfinite(lv):
+            raise ValueError(f"non-finite level {lv} for simplex {list(e['v'])}")
+        level[cx.index[s]] = lv
+    vertices = obj.get("vertices", cx.vertex_count)
+    if not _is_json_int(vertices):
+        raise ValueError(f'"vertices" must be an integer, got {vertices!r}')
+    if int(vertices) != cx.vertex_count:
+        raise ValueError("vertex count does not match simplex list")
+    return build_order(cx, level)
+
+
+def make_problem_oracle(o, pair, mode, epsilon=0.0, ov_cells=None):
+    """Reference candidate and constraint lists, by a walk over the order
+    window with `dim_of` and the level list."""
+    k = pair.degree
+    cands, cons = [], []
+    for pos in range(pair.birth_rank + 1, pair.death_rank):
+        sid = o.order[pos]
+        if mode != "optimal" and o.level[sid] < pair.birth_time + epsilon:
+            continue
+        d = o.cx.dim_of(sid)
+        if d == k + 1:
+            cands.append(sid)
+        elif d == k:
+            cons.append(sid)
+    if mode == "sub":
+        cands = [c for c in cands if c in ov_cells]
+    return SimpleNamespace(order=o, pair=pair, mode=mode, candidates=cands, constraints=cons)
+
+
+def boundary_coeff_oracle(cx, omega, tau):
+    """tau*(boundary omega) with alternating signs on the sorted vertices."""
+    verts = cx.simplices[omega]
+    fv = cx.simplices[tau]
+    for i in range(len(verts)):
+        if verts[:i] + verts[i + 1 :] == fv:
+            return 1 if i % 2 == 0 else -1
+    return 0
+
+
+def to_lp_oracle(p, pin_sign=1):
+    """Reference l1 program of a problem from the `cofaces` view:
+    `candidates`, `rows` as (tau, {candidate id: +-1}, const) tuples and
+    `pinned` as (tau0, {candidate id: +-1}, const, target) or None."""
+    cx = p.order.cx
+    w0 = p.pair.death_simplex
+    cand_set = set(p.candidates)
+
+    def row(tau):
+        coeffs = {om: boundary_coeff_oracle(cx, om, tau) for om in cx.cofaces[tau] if om in cand_set}
+        return tau, coeffs, boundary_coeff_oracle(cx, w0, tau)
+
+    rows = [row(tau) for tau in p.constraints]
+    pinned = row(p.pair.birth_simplex) + (int(pin_sign),) if p.mode == "optimal" else None
+    return SimpleNamespace(candidates=list(p.candidates), rows=rows, pinned=pinned)
+
+
+def row_matrix_oracle(rows, col, n_cols):
+    """Coefficients of (tau, {candidate id: +-1}, const) rows as a sparse
+    COO matrix, one row each, columns numbered by `col`."""
+    from scipy import sparse
+
+    data, ri, ci = [], [], []
+    for r, (tau, coeffs, const) in enumerate(rows):
+        for w, c in coeffs.items():
+            data.append(float(c))
+            ri.append(r)
+            ci.append(col[w])
+    return sparse.coo_matrix((data, (ri, ci)), shape=(len(rows), n_cols))
+
+
+def lp_arguments_oracle(prog):
+    """The arguments of the HiGHS call for a reference program (from
+    `to_lp_oracle`), assembled row by row: cost, A_ub, b_ub, A_eq, b_eq and
+    bounds."""
+    from scipy import sparse
+
+    m = len(prog.candidates)
+    col = {w: i for i, w in enumerate(prog.candidates)}
+    eq_rows = list(prog.rows)
+    if prog.pinned is not None:
+        tau0, coeffs, const, target = prog.pinned
+        eq_rows.append((tau0, coeffs, const - target))
+    ud, uri, uci = [], [], []
+    for i in range(m):
+        ud += [1.0, -1.0, -1.0, -1.0]
+        uri += [i, i, m + i, m + i]
+        uci += [i, m + i, i, m + i]
+    return {
+        "cost": np.concatenate([np.zeros(m), np.ones(m)]),
+        "A_ub": sparse.coo_matrix((ud, (uri, uci)), shape=(2 * m, 2 * m)).tocsc(),
+        "b_ub": np.zeros(2 * m),
+        "A_eq": row_matrix_oracle(eq_rows, col, 2 * m).tocsc(),
+        "b_eq": np.array([-float(const) for _, _, const in eq_rows]),
+        "bounds": [(None, None)] * m + [(0, None)] * m,
+    }
+
+
+def pin_sign_hint_oracle(prog):
+    """Reference pin sign of a program from `to_lp_oracle`: the constant
+    when no candidate touches the pin, else one LSMR solution of the rows."""
+    from scipy.sparse.linalg import lsmr
+
+    if prog.pinned is None:
+        return 1
+    _, coeffs, const, _ = prog.pinned
+    if not coeffs:
+        value = const
+    elif not prog.rows:
+        return 1
+    else:
+        col = {w: i for i, w in enumerate(prog.candidates)}
+        A = row_matrix_oracle(prog.rows, col, len(col)).tocsr()
+        b = np.array([-float(const) for _, _, const in prog.rows])
+        x = lsmr(A, b)[0]
+        value = const + sum(c * x[col[w]] for w, c in coeffs.items())
+    return -1 if abs(value + 1) < 0.5 else 1
+
+
+def z2_violations_oracle(p, support):
+    """Reference constraint simplices whose Z/2 boundary coefficient is
+    wrong, by counting each one's cofaces in the support."""
+    cx = p.order.cx
+    bad = [tau for tau in p.constraints if sum(1 for om in cx.cofaces[tau] if om in support) & 1]
+    if p.mode == "optimal":
+        tau0 = p.pair.birth_simplex
+        if not sum(1 for om in cx.cofaces[tau0] if om in support) & 1:
+            bad.append(tau0)
+    return bad
+
+
+def l1_program(candidates, rows, pinned=None):
+    """The `L1Program` of a program written as candidate ids, (tau,
+    {candidate id: +-1}, const) rows and an optional (tau0, {candidate id:
+    +-1}, const, target) pin."""
+    from stablevol.volopt import L1Program
+
+    entries = list(rows) + ([pinned[:3]] if pinned else [])
+    col = {w: i for i, w in enumerate(candidates)}
+    triples = sorted(
+        (col[w], r, c) for r, (_, coeffs, _) in enumerate(entries) for w, c in coeffs.items()
+    )
+    counts = np.bincount([i for i, _, _ in triples], minlength=len(candidates))
+    return L1Program(
+        np.array(candidates, dtype=np.int64),
+        np.array([tau for tau, _, _ in entries], dtype=np.int64),
+        np.array([const for _, _, const in entries], dtype=np.int64),
+        np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
+        np.array([r for _, r, _ in triples], dtype=np.int64),
+        np.array([c for _, _, c in triples], dtype=np.int64),
+        None if pinned is None else pinned[3],
+    )
+
+
+def complex_json_text(o, shuffle_seed=None):
+    """The JSON complex format of an order as text. With `shuffle_seed`,
+    the entries and the vertices within each entry are shuffled, and every
+    other entry writes its vertex ids as integral floats such as 3.0."""
+    obj = complex_to_json(o)
+    if shuffle_seed is not None:
+        rng = np.random.default_rng(shuffle_seed)
+        entries = [obj["simplices"][i] for i in rng.permutation(len(obj["simplices"]))]
+        for k, e in enumerate(entries):
+            v = [e["v"][i] for i in rng.permutation(len(e["v"]))]
+            e["v"] = [float(x) for x in v] if k % 2 else v
+        obj["simplices"] = entries
+    return json.dumps(obj)
+
+
+def torus3d_order(nu=18, nv=8, seed=0):
+    """A 3D complex like the benchmark's torus inputs: the Delaunay complex
+    of a noisy sample of a torus (radii 2 and 0.6) in R^3, with levels half
+    the longest edge of each simplex (Delaunay-Rips)."""
+    from stablevol.delaunay import delaunay
+
+    rng = np.random.default_rng(seed)
+    i, j = np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij")
+    u = (i.ravel() + rng.random(nu * nv)) * (2 * math.pi / nu)
+    v = (j.ravel() + rng.random(nu * nv)) * (2 * math.pi / nv)
+    ring = 2.0 + 0.6 * np.cos(v)
+    pts = np.stack([ring * np.cos(u), ring * np.sin(u), 0.6 * np.sin(v)], axis=1)
+    pts += rng.uniform(-0.05, 0.05, pts.shape)
+    cx = delaunay(pts)
+    level = []
+    for k in range(cx.dim + 1):
+        rows = cx.vertex_array(k)
+        longest = np.zeros(len(rows))
+        for a, b in itertools.combinations(range(k + 1), 2):
+            longest = np.maximum(longest, np.linalg.norm(pts[rows[:, a]] - pts[rows[:, b]], axis=1))
+        level += (longest / 2.0).tolist()
+    return build_order(cx, level)
+
+
+def solve_volume_oracle(o, pair, mode, epsilon=0.0, ov_cells=None, threshold=1e-6):
+    """Reference volume from the reference problem, program, pin sign and
+    HiGHS arguments; the other pin sign is tried when the first is
+    infeasible. Returns the rounded support, death cell included."""
+    from scipy.optimize import linprog
+
+    p = make_problem_oracle(o, pair, mode, epsilon, ov_cells)
+    sign = pin_sign_hint_oracle(to_lp_oracle(p))
+    for s in (sign, -sign):
+        prog = to_lp_oracle(p, s)
+        args = lp_arguments_oracle(prog)
+        m = len(prog.candidates)
+        if m:
+            res = linprog(args.pop("cost"), method="highs", **args)
+            feasible = res.status != 2
+            alphas = res.x[:m] if res.status == 0 else None
+        else:
+            feasible, alphas = not args["b_eq"].any(), np.zeros(0)
+        if feasible or prog.pinned is None:
+            break
+    assert feasible and alphas is not None
+    support = {pair.death_simplex} | {
+        w for w, a in zip(prog.candidates, alphas) if abs(a) > threshold
+    }
+    assert not z2_violations_oracle(p, support)
+    return support
+
+
+class DictChildrenTree:
+    """Reference children of a persistence tree's parent map as a dict of
+    lists over every cell, with the walks over it: descendants, subtree
+    sizes and stable volumes."""
+
+    def __init__(self, tree):
+        self.tree = tree
+        self.children = {OMEGA_INF: []}
+        for c in tree.parent:
+            self.children.setdefault(c, [])
+        for c, (p, tau) in tree.parent.items():
+            self.children.setdefault(p, []).append(c)
+
+    def descendants(self, cell):
+        out = set()
+        stack = [cell]
+        while stack:
+            c = stack.pop()
+            out.add(c)
+            stack.extend(self.children.get(c, ()))
+        return out
+
+    def stable_volume(self, pair, epsilon):
+        o = self.tree.order
+        threshold = o.level[pair.birth_simplex] + epsilon
+        cells = {pair.death_simplex}
+        for child in self.children.get(pair.death_simplex, ()):
+            if o.level[self.tree.parent[child][1]] >= threshold:
+                cells |= self.descendants(child)
+        return cells

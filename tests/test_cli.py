@@ -16,6 +16,8 @@ from stablevol import persistence as pers
 from helpers import (
     VIEWS,
     complex_cases,
+    complex_from_json_oracle,
+    complex_json_text,
     complex_to_json,
     geometry_cases,
     pd_json_oracle,
@@ -110,45 +112,67 @@ def test_overflowing_coordinates_exit_2(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1 and "extent" in err
 
 
-@pytest.mark.parametrize(
-    "token", ["NaN", "Infinity", "-Infinity", pytest.param("1" + "0" * 400, id="1e400")]
-)
-def test_non_finite_level_exit_2(tmp_path, capsys, token):
-    p = tmp_path / "cx.json"
-    p.write_text(
+NON_FINITE_TOKENS = ["NaN", "Infinity", "-Infinity", pytest.param("1" + "0" * 400, id="1e400")]
+
+
+def non_finite_level_json(token):
+    return (
         '{"vertices": 2, "simplices": [{"v": [0], "level": 0}, '
         '{"v": [1], "level": 0}, {"v": [0, 1], "level": %s}]}' % token
     )
+
+
+@pytest.mark.parametrize("token", NON_FINITE_TOKENS)
+def test_non_finite_level_exit_2(tmp_path, capsys, token):
+    p = tmp_path / "cx.json"
+    p.write_text(non_finite_level_json(token))
     code, out, err = run(["pd", str(p)], capsys)
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and "non-finite level" in err
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "{}",
-        '{"simplices": 5}',
-        '{"simplices": [7]}',
-        '{"simplices": [{"v": [0]}]}',
-        '{"simplices": [{"v": 5, "level": 0}]}',
-        '{"simplices": [{"v": [0], "level": null}]}',
-        '{"vertices": null, "simplices": [{"v": [0], "level": 0}]}',
-        '{"simplices": [{"v": [0.5], "level": 0}]}',
-        '{"simplices": [{"v": [0], "level": 0}, {"v": [0], "level": 5}]}',
-        '{"simplices": [{"v": [0], "level": 0}, {"v": [1], "level": 0}, '
-        '{"v": [1, 0], "level": 1}, {"v": [0, 1], "level": 1}]}',
-    ],
-    ids=["no-simplices", "simplices-number", "entry-number", "no-level", "v-number",
-         "level-null", "vertices-null", "v-fraction", "duplicate-vertex-entry",
-         "duplicate-reordered-edge"],
-)
+MALFORMED_COMPLEX_JSON = [
+    "{}",
+    '{"simplices": 5}',
+    '{"simplices": [7]}',
+    '{"simplices": [{"v": [0]}]}',
+    '{"simplices": [{"v": 5, "level": 0}]}',
+    '{"simplices": [{"v": [0], "level": null}]}',
+    '{"vertices": null, "simplices": [{"v": [0], "level": 0}]}',
+    '{"simplices": [{"v": [0.5], "level": 0}]}',
+    '{"simplices": [{"v": [0], "level": 0}, {"v": [0], "level": 5}]}',
+    '{"simplices": [{"v": [0], "level": 0}, {"v": [1], "level": 0}, '
+    '{"v": [1, 0], "level": 1}, {"v": [0, 1], "level": 1}]}',
+]
+MALFORMED_COMPLEX_JSON_IDS = [
+    "no-simplices", "simplices-number", "entry-number", "no-level", "v-number", "level-null",
+    "vertices-null", "v-fraction", "duplicate-vertex-entry", "duplicate-reordered-edge",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_COMPLEX_JSON, ids=MALFORMED_COMPLEX_JSON_IDS)
 def test_malformed_complex_json_exit_2(tmp_path, capsys, text):
     p = tmp_path / "cx.json"
     p.write_text(text)
     code, out, err = run(["pd", str(p)], capsys)
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    MALFORMED_COMPLEX_JSON + [non_finite_level_json(t) for t in ("NaN", "Infinity", "-Infinity",
+                                                                 "1" + "0" * 400)],
+    ids=MALFORMED_COMPLEX_JSON_IDS + ["NaN", "Infinity", "-Infinity", "1e400"],
+)
+def test_complex_json_error_message_matches_oracle(tmp_path, capsys, text):
+    """The loader words each rejection as the per-entry oracle loader does."""
+    with pytest.raises(ValueError) as want:
+        complex_from_json_oracle(text)
+    p = tmp_path / "cx.json"
+    p.write_text(text)
+    code, out, err = run(["pd", str(p)], capsys)
+    assert (code, out, err) == (2, "", f"error: {want.value}\n")
 
 
 def test_pd_rejects_threads(fig1_file, capsys):
@@ -654,3 +678,70 @@ def test_pd_and_stat_build_no_views(tmp_path, capsys, monkeypatch):
     assert len(built) == 4
     for cx in built:
         assert not set(VIEWS) & set(vars(cx))
+
+
+def test_vol_sub_and_rsc_on_complex_json_build_no_views(tmp_path, capsys, monkeypatch):
+    from helpers import torus3d_order
+    from stablevol.complexes import SimplicialComplex
+
+    o = torus3d_order()
+    path = tmp_path / "torus.json"
+    path.write_text(complex_json_text(o))
+    table = pers.reduce(o)
+    idx = table.diagram_index(1)
+    index = str(int(np.argmax(table.death_time[idx] - table.birth_time[idx])))
+    built = []
+    init = SimplicialComplex.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", recording_init)
+    for argv in (["vol", str(path), "--pair-index", index, "--method", "sub", "--epsilon", "0.1"],
+                 ["rsc", str(path), "--pair-index", index],
+                 ["rsc", str(path), "--pair-index", index, "--bandwidth", "0.2"]):
+        code, out, err = run(argv, capsys)
+        assert code == 0 and json.loads(out)["boundary"]
+    assert len(built) == 3
+    for cx in built:
+        assert not set(VIEWS) & set(vars(cx))
+
+
+BAD_OPTIONS = [
+    (["vol", "--method", "stable-lp", "--threshold", "-1"], "--threshold"),
+    (["vol", "--threshold", "0"], "--threshold"),
+    (["vol", "--method", "sub", "--threshold", "1"], "--threshold"),
+    (["vol", "--threshold", "1.5"], "--threshold"),
+    (["vol", "--epsilon", "-1"], "--epsilon"),
+    (["vol", "--method", "stable-tree", "--epsilon", "-0.5"], "--epsilon"),
+    (["rsc", "--bandwidth", "-1"], "--bandwidth"),
+]
+
+
+@pytest.mark.parametrize("real_input", [True, False], ids=["real-input", "missing-input"])
+@pytest.mark.parametrize(
+    "argv, option", BAD_OPTIONS,
+    ids=["threshold-negative", "threshold-zero", "threshold-one", "threshold-above-one",
+         "epsilon-negative", "epsilon-negative-tree", "bandwidth-negative"],
+)
+def test_bad_threshold_epsilon_bandwidth_exit_2(tmp_path, capsys, argv, option, real_input):
+    path = tmp_path / "defects.txt"
+    if real_input:
+        assert main(["gen", "lattice-2d-defects", "--seed", "7", "-o", str(path)]) == 0
+        capsys.readouterr()
+    code, out, err = run([argv[0], str(path), "--pair-index", "0", *argv[1:]], capsys)
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {option} must be")
+
+
+def test_threshold_epsilon_bandwidth_bounds_accepted(tmp_path, capsys):
+    path = tmp_path / "defects.txt"
+    assert main(["gen", "lattice-2d-defects", "--seed", "7", "-o", str(path)]) == 0
+    capsys.readouterr()
+    base = [str(path), "--pair-index", "0"]
+    for argv in (["vol", *base, "--method", "stable-lp", "--threshold", "0.5", "--epsilon", "0"],
+                 ["rsc", *base, "--bandwidth", "0"]):
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and json.loads(out)

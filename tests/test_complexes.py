@@ -10,10 +10,13 @@ from helpers import (
     TupleComplex,
     build_order_by_key,
     chain_rational,
+    complex_from_json_oracle,
+    complex_json_text,
     complex_to_json,
     geometry_cases,
     monotone_repair,
     sublevel_complex,
+    torus3d_order,
     torus_complex,
     views_from_arrays,
 )
@@ -323,3 +326,86 @@ def test_views_are_lazy_and_equal_array_oracle(name):
     for bad in (-1, len(cx)):
         with pytest.raises(IndexError):
             cx.dim_of(bad)
+
+
+# ---------------------------------------------------------------------------
+# the array loader of complex JSON against the per-entry oracle
+
+
+def assert_same_loaded(o, ref):
+    assert (o.order, o.level, o.rank) == (ref.order, ref.level, ref.rank)
+    assert (o.cx.dim, len(o.cx)) == (ref.cx.dim, len(ref.cx))
+    for k in range(ref.cx.dim + 1):
+        for got, want in [
+            (o.cx.vertex_array(k), ref.cx.vertex_array(k)),
+            (o.cx.face_array(k), ref.cx.face_array(k)),
+            *zip(o.cx.coface_csr(k), ref.cx.coface_csr(k)),
+        ]:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert not set(VIEWS) & set(vars(o.cx))
+
+
+def loader_cases():
+    cases = {"torus-6x5": torus_complex(6, 5, seed=0), "torus3d": torus3d_order()}
+    for name, pts in GEOMETRY.items():
+        cases[f"alpha-{name}"] = alpha_filtration(pts).order
+    return cases
+
+
+LOADER_CASES = loader_cases()
+
+
+@pytest.mark.parametrize("shuffle", [None, 3], ids=["listed", "shuffled-float-ids"])
+@pytest.mark.parametrize("name", sorted(LOADER_CASES))
+def test_complex_json_loader_matches_oracle(name, shuffle):
+    text = complex_json_text(LOADER_CASES[name], shuffle_seed=shuffle)
+    assert_same_loaded(complex_from_json(text), complex_from_json_oracle(text))
+
+
+MALFORMED_EXTRA = [
+    '{"simplices": [{"v": [0], "level": 0}, {"v": [%d], "level": 0}]}' % 2**63,
+    '{"simplices": [{"v": [0, 1], "level": 0}, {"v": [%d], "level": 0}]}' % 2**64,
+    '{"simplices": [{"v": [%d], "level": 0}, {"v": [0, 0], "level": 0}]}' % 2**64,
+    '{"simplices": [{"v": [0], "level": 0}, {"v": [], "level": 0}, {"v": [1, 1], "level": 0}]}',
+    '{"simplices": [{"v": [0, 2, 2], "level": 0}, {"v": [1, 1], "level": 0}]}',
+    '{"simplices": [{"v": [1, 1], "level": 0}, {"v": [0, 2, 2], "level": 0}]}',
+    '{"simplices": [{"v": [0], "level": 0}, {"v": [true], "level": 0}]}',
+    '{"simplices": [{"v": [0], "level": true}]}',
+    '{"simplices": [{"v": [0], "level": "1"}]}',
+    '{"simplices": [{"v": [0], "level": 0}, {"v": "ab", "level": 0}]}',
+    '{"simplices": [{"v": [0], "level": 0}, ["v", "level"]]}',
+    '{"simplices": [{"v": [0], "level": 0}, {"v": [1.5], "lev": 0}]}',
+    '{"simplices": [{"v": [0], "level": 0}, {"v": [1], "level": 1}, {"v": [0, 1], "level": 1},'
+    ' {"v": [1.0], "level": 3}, {"v": [0, 1.0], "level": 2}]}',
+    '{"simplices": [{"v": [0, 1], "level": 1}, {"v": [0], "level": 0}]}',
+    '{"simplices": [{"v": [0], "level": 0}, {"v": [1], "level": NaN}, {"v": [0, 1], "level": 1e999}]}',
+    '{"vertices": 3, "simplices": [{"v": [0], "level": 0}]}',
+    '{"vertices": 1.5, "simplices": [{"v": [0], "level": 0}]}',
+    '{"vertices": true, "simplices": [{"v": [0], "level": 0}]}',
+    '[]',
+]
+MALFORMED_EXTRA_IDS = [
+    "id-beyond-int64", "overflow-after-valid-group", "overflow-before-duplicate-vertex",
+    "empty-before-duplicate-vertex", "duplicate-vertex-entry-order",
+    "duplicate-vertex-entry-order-reversed", "bool-id", "bool-level", "string-level",
+    "string-v", "list-entry", "fraction-id-before-missing-level", "float-id-duplicate",
+    "missing-face", "non-finite-entry-order", "vertex-count-mismatch", "vertices-fraction",
+    "vertices-bool", "top-level-list",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_EXTRA, ids=MALFORMED_EXTRA_IDS)
+def test_complex_json_errors_match_oracle(text):
+    with pytest.raises(ValueError) as want:
+        complex_from_json_oracle(text)
+    with pytest.raises(ValueError) as got:
+        complex_from_json(text)
+    assert str(got.value) == str(want.value)
+
+
+def test_complex_json_accepts_integral_float_ids():
+    text = '{"vertices": 2.0, "simplices": [{"v": [0.0], "level": 0}, {"v": [1], "level": 0.5},' \
+        ' {"v": [1.0, 0], "level": 2}]}'
+    o = complex_from_json(text)
+    assert o.cx.vertex_array(1).tolist() == [[0, 1]] and o.level == [0.0, 0.5, 2.0]
+    assert_same_loaded(o, complex_from_json_oracle(text))

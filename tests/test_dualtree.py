@@ -298,3 +298,30 @@ def test_condition_errors_match_oracle(tops):
     assert (g.n, list(g.cells), g.edges) == (ref.n, ref.cells, ref.edges)
     tree = compute_tree(g, o)
     assert tree.parent == compute_tree_oracle(ref, o).parent
+
+
+@pytest.mark.parametrize("name", sorted(TREE_CLOUDS))
+def test_children_csr_matches_dict_oracle(name):
+    from helpers import DictChildrenTree
+
+    o = tree_order(name)
+    tree = compute_tree(build_dual_graph(o), o)
+    ref = DictChildrenTree(tree)
+    for c in [OMEGA_INF, *o.cx.ids_of_dim(o.cx.dim)]:
+        assert tree.children(c) == ref.children.get(c, [])
+    grid = [0.0, 0.01, 0.05, 0.2, 1.0]
+    # the 100 most persistent pairs, whose subtrees are the largest, and every
+    # tenth of the others
+    pairs = sorted(tree.pairs(), key=lambda p: p.birth_time - p.death_time)
+    for p in pairs[:100] + pairs[100::10]:
+        cells = ref.descendants(p.death_simplex)
+        assert tree.descendants(p.death_simplex) == optimal_volume_tree(tree, p) == cells
+        assert tree.subtree_size(p.death_simplex) == len(cells)
+        sizes = []
+        for eps in grid:
+            got, want = stable_volume_tree(tree, p, eps), ref.stable_volume(p, eps)
+            assert got.cells == want
+            if eps == 0.05:
+                assert got.boundary == boundary(o.cx, chain_z2(want, o.cx))
+            sizes.append((eps, len(want)))
+        assert sweep_sizes(tree, p, grid) == sizes

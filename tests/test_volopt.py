@@ -1,10 +1,11 @@
+import functools
 import math
 import random
 
 import numpy as np
 import pytest
 
-from helpers import TooLargeError, brute_force_volume
+from helpers import TooLargeError, brute_force_volume, l1_program
 from stablevol.alpha import alpha_filtration
 from stablevol.dualtree import build_dual_graph, compute_tree, optimal_volume_tree, stable_volume_tree
 from stablevol.fixtures import fig1_five_points, lattice_3x3x3
@@ -53,7 +54,7 @@ def test_huge_epsilon_problem_trivial():
     f, tree = fig1_tree()
     p = max(tree.pairs(), key=lambda q: q.death_time)
     prob = V.make_problem(f.order, p, "stable", 10.0)
-    assert prob.candidates == [] and prob.constraints == []
+    assert len(prob.candidates) == 0 and len(prob.constraints) == 0
     sol = V.solve_volume(f.order, p, "stable", 10.0)
     assert sol.cells == {p.death_simplex}
 
@@ -220,7 +221,7 @@ def test_lp_equals_tree_in_3d_codim1():
                 assert V.solve_volume(f.order, p, "stable", eps).cells == sv_tree
 
 
-def lattice_optimal_problems(keep=lambda prog: prog.candidates and prog.rows):
+def lattice_optimal_problems(keep=lambda prog: len(prog.candidates) and prog.rows):
     """Optimal-mode problems of the degree-1 pairs of lattice_3x3x3 seeds
     0-4 whose l1 program passes `keep` (default: it has candidates and
     equality rows)."""
@@ -308,7 +309,7 @@ def test_untouched_pin_hint_is_the_feasible_sign(monkeypatch):
 @pytest.mark.parametrize(
     "prog",
     [
-        V.L1Program([5, 6], [], (0, {5: 1}, 0, 1)),  # no rows
+        l1_program([5, 6], [], (0, {5: 1}, 0, 1)),  # no rows
     ],
     ids=["no-rows"],
 )
@@ -319,12 +320,123 @@ def test_pin_sign_hint_keeps_plus_one_without_candidates_or_rows(prog):
 @pytest.mark.parametrize(
     "prog, sign",
     [
-        (V.L1Program([], [(3, {}, 0)], (0, {}, -1, 1)), -1),  # no candidates
-        (V.L1Program([5], [], (0, {}, -1, 1)), -1),  # no rows
-        (V.L1Program([5], [(3, {5: 1}, 1)], (0, {}, 1, -1)), 1),
-        (V.L1Program([], [], (0, {}, 0, 1)), 1),  # no sign to take
+        (l1_program([], [(3, {}, 0)], (0, {}, -1, 1)), -1),  # no candidates
+        (l1_program([5], [], (0, {}, -1, 1)), -1),  # no rows
+        (l1_program([5], [(3, {5: 1}, 1)], (0, {}, 1, -1)), 1),
+        (l1_program([], [], (0, {}, 0, 1)), 1),  # no sign to take
     ],
     ids=["no-candidates", "no-rows", "rows", "zero-constant"],
 )
 def test_untouched_pin_hint_is_the_constant_sign(prog, sign):
     assert V.pin_sign_hint(prog) == sign
+
+
+# ---------------------------------------------------------------------------
+# the array problem and program against the per-simplex oracle assembly
+
+
+def capture_linprog(monkeypatch):
+    calls = []
+    linprog = V.linprog
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(V, "linprog", recording)
+    return calls
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # bit for bit, so -0.0 too
+
+
+def assert_same_highs_arguments(args, kwargs, want):
+    (cost,) = args
+    assert_same_array(cost, want["cost"])
+    assert set(kwargs) == {"A_ub", "b_ub", "A_eq", "b_eq", "bounds", "method"}
+    assert kwargs["method"] == "highs" and kwargs["bounds"] == want["bounds"]
+    for name in ("A_ub", "A_eq"):
+        got, ref = kwargs[name], want[name]
+        assert got.format == "csc" and got.shape == ref.shape
+        for attr in ("indptr", "indices", "data"):
+            assert_same_array(getattr(got, attr), getattr(ref, attr))
+    for name in ("b_ub", "b_eq"):
+        assert_same_array(kwargs[name], want[name])
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_problems():
+    """(name, order, pair, mode, epsilon, ov_cells) for every finite degree-1
+    pair of lattice_3x3x3 seeds 0-4 in modes optimal, stable (epsilon 0 and
+    0.05) and sub (epsilon 0.05, inside the oracle's optimal volume), and
+    the most persistent degree-1 pair of a 3D torus complex."""
+    from helpers import solve_volume_oracle, torus3d_order
+
+    sources = [(f"lattice-{seed}", alpha_filtration(lattice_3x3x3(seed).points).order, None)
+               for seed in range(5)]
+    sources.append(("torus3d", torus3d_order(), "most-persistent"))
+    out = []
+    for name, o, pick in sources:
+        pairs = [p for p in diagram(reduce(o), o, 1).pairs if not p.essential]
+        if pick:
+            pairs = [max(pairs, key=lambda p: p.death_time - p.birth_time)]
+        for p in pairs:
+            ov = solve_volume_oracle(o, p, "optimal")
+            for mode, eps, cells in [("optimal", 0.0, None), ("stable", 0.0, None),
+                                     ("stable", 0.05, None), ("sub", 0.05, ov)]:
+                out.append((name, o, p, mode, eps, cells))
+    return out
+
+
+def test_program_and_highs_arguments_match_oracle(monkeypatch):
+    from helpers import (
+        lp_arguments_oracle,
+        make_problem_oracle,
+        pin_sign_hint_oracle,
+        to_lp_oracle,
+    )
+
+    problems = oracle_problems()
+    assert len(problems) > 1000
+    calls = capture_linprog(monkeypatch)
+    pinned = 0
+    for name, o, p, mode, eps, ov in problems:
+        prob = V.make_problem(o, p, mode, eps, ov)
+        ref = make_problem_oracle(o, p, mode, eps, ov)
+        assert prob.candidates.tolist() == ref.candidates
+        assert prob.constraints.tolist() == ref.constraints
+        for sign in (1, -1) if mode == "optimal" else (1,):
+            prog, ref_prog = V.to_lp(prob, pin_sign=sign), to_lp_oracle(ref, sign)
+            assert prog.candidates.tolist() == ref_prog.candidates
+            assert (prog.rows, prog.pinned) == (ref_prog.rows, ref_prog.pinned)
+            assert V.pin_sign_hint(prog) == pin_sign_hint_oracle(ref_prog)
+            pinned += prog.pinned is not None
+            del calls[:]
+            try:
+                V.solve_lp(prog)
+            except V.InfeasibleError:
+                pass
+            if len(prog.candidates):
+                (args, kwargs), = calls
+                assert_same_highs_arguments(args, kwargs, lp_arguments_oracle(ref_prog))
+            else:
+                assert not calls
+    assert pinned > 400
+
+
+def test_volumes_and_z2_violations_match_oracle():
+    from helpers import make_problem_oracle, solve_volume_oracle, z2_violations_oracle
+
+    rng = np.random.default_rng(11)
+    problems = [q for i, q in enumerate(oracle_problems()) if i % 3 == 0 or q[0] == "torus3d"]
+    for name, o, p, mode, eps, ov in problems:
+        cells = V.solve_volume(o, p, mode, eps, ov).cells
+        assert cells == solve_volume_oracle(o, p, mode, eps, ov)
+        prob = V.make_problem(o, p, mode, eps, ov)
+        ref = make_problem_oracle(o, p, mode, eps, ov)
+        pool = sorted(cells | set(prob.candidates.tolist()))
+        for _ in range(4):
+            support = set(rng.choice(pool, size=rng.integers(0, len(pool) + 1), replace=False).tolist())
+            assert V.z2_violations(prob, support) == z2_violations_oracle(ref, support)
