@@ -372,7 +372,8 @@ class OrderWithLevel:
     rank[i] is the 0-based position of simplex id i; order[p] is the simplex
     id at position p. Prefixes of `order` are subcomplexes, and sublevel sets
     of `level` are subcomplexes. `level_array`, `order_array` and
-    `rank_array` hold the same as read-only numpy arrays.
+    `rank_array` hold the same as read-only numpy arrays; the lists are
+    built from them on first use.
     """
 
     def __init__(self, cx: SimplicialComplex, level: Sequence[float], order: Sequence[int]):
@@ -383,12 +384,21 @@ class OrderWithLevel:
         self.rank_array[self.order_array] = np.arange(len(self.order_array))
         for a in (self.level_array, self.order_array, self.rank_array):
             a.flags.writeable = False
-        self.level = self.level_array.tolist()
-        self.order = self.order_array.tolist()
-        self.rank = self.rank_array.tolist()
+
+    @cached_property
+    def level(self) -> list:
+        return self.level_array.tolist()
+
+    @cached_property
+    def order(self) -> list:
+        return self.order_array.tolist()
+
+    @cached_property
+    def rank(self) -> list:
+        return self.rank_array.tolist()
 
     def __len__(self):
-        return len(self.order)
+        return len(self.order_array)
 
     def level_at_rank(self, pos: int) -> float:
         return self.level[self.order[pos]]

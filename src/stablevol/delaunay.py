@@ -23,8 +23,14 @@ so the cells triangulate the convex hull. Being locally Delaunay with strict
 signs everywhere, that triangulation is the unique Delaunay triangulation of
 the jittered points, hence the one the incremental construction below
 builds. The checks run as numpy float filters (`predicates.orient_batch`,
-`predicates.circumsphere_side_batch`), and only the rows the filter cannot
-decide reach the scalar predicates.
+`predicates.circumsphere_side_batch`, and `predicates.orient_filter` on
+hull facets broadcast against all points), and only the rows the filter
+cannot decide reach the scalar predicates.
+
+`delaunay` works on arrays up to the triangulation: one conversion and one
+finiteness check of the input, the jitter in one numpy pass. Python tuples
+of the points are built only for the Bowyer-Watson fallback, or to word a
+rejected input row.
 
 If Qhull fails or any check fails, `_bowyer_watson` builds the
 triangulation: an incremental Bowyer-Watson construction with ghost cells
@@ -36,6 +42,8 @@ raises DegenerateInputError.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .complexes import SimplicialComplex
@@ -45,6 +53,7 @@ from .predicates import (
     jittered_points,
     orient,
     orient_batch,
+    orient_filter,
 )
 
 INFINITE = -1
@@ -279,46 +288,86 @@ def _certified_qhull(P):
     # convex hull: every other point is on the inner side of each hull facet
     interior = np.zeros(m * width, dtype=bool)
     interior[first] = interior[second] = True
-    hull = np.flatnonzero(~interior)
-    step = max(1, _HULL_CHUNK_ROWS // n)
-    pid = np.arange(n)
-    for lo in range(0, len(hull), step):
-        fc, fk = np.divmod(hull[lo : lo + step], width)
-        rows = np.repeat(cells[fc][:, None, :], n, axis=1)
-        rows[np.arange(len(fc))[:, None], pid, fk[:, None]] = pid
-        own = np.zeros((len(fc), n), dtype=bool)
-        own[np.arange(len(fc))[:, None], cells[fc]] = True
-        if np.any(orient_batch(P, rows[~own]) <= 0):
-            return None
+    hull_cell, hull_k = np.divmod(np.flatnonzero(~interior), width)
+    if not _hull_is_convex(P, cells, hull_cell, hull_k):
+        return None
     return cells
+
+
+def _hull_is_convex(P, cells, hull_cell, hull_k):
+    """Whether every point other than a hull facet's own vertices lies
+    strictly on the inner side of it.
+
+    Hull facet r is cell hull_cell[r] without its vertex hull_k[r]; the cells
+    are positively oriented, so a point p is strictly inside exactly when
+    the cell with p in place of that vertex is. For each position j, the
+    facets' other vertex columns, shape (h, 1), broadcast against the point
+    columns, shape (1, n), through `orient_filter`; only the rows it leaves
+    undecided reach the scalar `orient`.
+    """
+    n, dim = P.shape
+    step = max(1, _HULL_CHUNK_ROWS // n)
+    points = [P[None, :, a] for a in range(dim)]
+    for j in range(dim + 1):
+        facets = cells[hull_cell[hull_k == j]]
+        for lo in range(0, len(facets), step):
+            c = facets[lo : lo + step]
+            columns = [
+                points if i == j else [P[c[:, i], a][:, None] for a in range(dim)]
+                for i in range(dim + 1)
+            ]
+            s = orient_filter(columns)
+            s[np.arange(len(c))[:, None], c] = 1  # a facet's own vertices
+            if np.any(s < 0):
+                return False
+            for r, p in zip(*np.nonzero(s == 0)):
+                row = c[r].copy()
+                row[j] = p
+                if orient(P[row].tolist()) <= 0:
+                    return False
+    return True
 
 
 def delaunay(points, dim=None) -> SimplicialComplex:
     """Delaunay complex of a 2D/3D pointcloud as a SimplicialComplex.
 
-    Vertex ids are input point indices.
+    Vertex ids are input point indices. `points` is an (n, d) array or a
+    sequence of rows; dim defaults to the width of the first row. Raises
+    ValueError for a dimension other than 2 or 3, a row of another width or
+    with a non-finite coordinate ("bad coordinates"), or a squared
+    bounding-box extent that overflows; DegenerateInputError for fewer than
+    dim + 1 points, or a degeneracy the jitter does not resolve.
     """
-    pts = [tuple(map(float, p)) for p in points]
+    try:
+        P = np.asarray(points, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        P = None  # ragged rows, or an entry float() rejects
+    if P is None or P.ndim != 2 or len(P) == 0 or not np.isfinite(P).all():
+        # the checks below word the error; float() raises on what it rejects
+        P = [tuple(map(float, p)) for p in points]
     if dim is None:
-        dim = len(pts[0])
+        dim = len(P[0])
     if dim not in (2, 3):
         raise ValueError(f"only 2D and 3D pointclouds are supported, got dim {dim}")
-    if len(pts) < dim + 1:
+    if len(P) < dim + 1:
         raise DegenerateInputError(
             f"need at least {dim + 1} points for a {dim}D triangulation"
         )
-    for p in pts:
-        if len(p) != dim or any(x != x or x in (float("inf"), float("-inf")) for x in p):
-            raise ValueError(f"bad coordinates {p}")
-    jit = jittered_points(pts)
-    arr = np.asarray(jit, dtype=float)
-    with np.errstate(over="ignore"):
-        sq_extent = ((arr.max(axis=0) - arr.min(axis=0)) ** 2).sum()
+    if isinstance(P, list) or P.shape[1] != dim:
+        for p in P if isinstance(P, list) else map(tuple, P.tolist()):
+            if len(p) != dim or not all(map(math.isfinite, p)):
+                raise ValueError(f"bad coordinates {p}")
+        P = np.array(P, dtype=float)
+    jit = jittered_points(P)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq_extent = ((jit.max(axis=0) - jit.min(axis=0)) ** 2).sum()
     if not np.isfinite(sq_extent):
         raise ValueError(
             "coordinate range too large: the squared bounding-box extent overflows"
         )
-    cells = _certified_qhull(arr)
+    cells = _certified_qhull(jit)
     if cells is None:
-        return _bowyer_watson(pts, jit, dim)
+        return _bowyer_watson(
+            list(map(tuple, P.tolist())), list(map(tuple, jit.tolist())), dim
+        )
     return SimplicialComplex(cells, closure=True)

@@ -11,6 +11,11 @@ or elementwise on numpy arrays. `orient_batch` and `circumsphere_side_batch`
 use it to evaluate many rows at once with the same operations and guards,
 and pass only the rows the filter cannot decide to the scalar predicates,
 so every batch sign equals the scalar predicate's sign for that row.
+`orient_filter` exposes orient's float stage on coordinate arrays of any
+shapes that broadcast together.
+
+`jittered_points` gives the deterministic symbolic jitter that the
+Delaunay construction runs its predicates on, in one numpy pass.
 """
 
 from __future__ import annotations
@@ -180,6 +185,20 @@ def _undecided(det, mag, guard) -> np.ndarray:
     return ~(np.abs(det) > guard * mag)
 
 
+def orient_filter(columns) -> np.ndarray:
+    """Signs of orient's float stage, 0 where the filter cannot decide.
+
+    `columns[j][a]` is an array of coordinate a of the j-th of the d+1
+    points; the arrays may have any shapes that broadcast together, and the
+    result has the broadcast shape. Each entry is the float stage of orient()
+    on its points, with the same operations and guard, so a nonzero entry is
+    orient()'s sign.
+    """
+    stage = _orient2d_float if len(columns) == 3 else _orient3d_float
+    det, mag, _ = stage(*columns)
+    return np.where(_undecided(det, mag, _ORIENT_GUARD), 0, np.sign(det)).astype(np.int64)
+
+
 def orient_batch(P, idx) -> np.ndarray:
     """orient() of the points P[idx[r]] for every row r of an index array.
 
@@ -187,10 +206,8 @@ def orient_batch(P, idx) -> np.ndarray:
     """
     P = np.asarray(P, dtype=float)
     idx = np.asarray(idx, dtype=np.intp)
-    stage = _orient2d_float if P.shape[1] == 2 else _orient3d_float
-    det, mag, _ = stage(*_columns(P, idx))
-    out = np.sign(det).astype(np.int64)
-    for r in np.flatnonzero(_undecided(det, mag, _ORIENT_GUARD)):
+    out = orient_filter(_columns(P, idx))
+    for r in np.flatnonzero(out == 0):
         out[r] = orient(P[idx[r]].tolist())
     return out
 
@@ -218,36 +235,33 @@ def circumsphere_side_batch(P, idx, q) -> np.ndarray:
 # symbolic jitter
 
 
-_M64 = (1 << 64) - 1
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """Splitmix64 of each entry of a uint64 array, wrapping modulo 2**64."""
+    with np.errstate(over="ignore"):
+        x = x + np.uint64(0x9E3779B97F4A7C15)
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
 
-def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _M64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
-    return x ^ (x >> 31)
-
-
-def jittered_points(points, magnitude: float = 1e-9):
+def jittered_points(P, magnitude: float = 1e-9) -> np.ndarray:
     """Deterministic symbolic jitter derived from the point index.
 
-    Each coordinate is offset by a hash-derived value in
-    [-magnitude, magnitude] times the bounding-box extent of that axis.
-    Used only inside predicate evaluation; level computations keep the
-    original coordinates.
+    P is an (n, d) float array with n >= 1. Coordinate a of point i is offset
+    by u * magnitude * extent[a], where u in [-1, 1) is splitmix64 of the key
+    i*7 + a + 1 scaled by 2**-63, less 1, and extent[a] is the bounding-box
+    extent of axis a (1.0 on an axis where every coordinate is equal). Used
+    only inside predicate evaluation; level computations keep the original
+    coordinates. An extent that overflows gives non-finite coordinates,
+    without a warning; the caller checks for them.
     """
-    pts = [tuple(map(float, p)) for p in points]
-    if not pts:
-        return []
-    dim = len(pts[0])
-    lo = [min(p[a] for p in pts) for a in range(dim)]
-    hi = [max(p[a] for p in pts) for a in range(dim)]
-    extent = [h - l if h > l else 1.0 for l, h in zip(lo, hi)]
-    out = []
-    for i, p in enumerate(pts):
-        q = []
-        for a in range(dim):
-            u = _splitmix64(i * 7 + a + 1) / float(1 << 63) - 1.0  # in [-1, 1)
-            q.append(p[a] + u * magnitude * extent[a])
-        out.append(tuple(q))
-    return out
+    P = np.asarray(P, dtype=float)
+    n, dim = P.shape
+    keys = np.arange(n, dtype=np.uint64)[:, None] * np.uint64(7) + np.arange(
+        1, dim + 1, dtype=np.uint64
+    )
+    u = _splitmix64(keys).astype(float) / float(1 << 63) - 1.0
+    lo, hi = P.min(axis=0), P.max(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        extent = np.where(hi > lo, hi - lo, 1.0)
+        return P + u * magnitude * extent

@@ -26,6 +26,7 @@ from stablevol.complexes import (
 from stablevol.dualtree import OMEGA_INF, ConditionError, PersistenceTree
 from stablevol.fixtures import GENERATORS, generate
 from stablevol.persistence import PersistencePair
+from stablevol.predicates import orient_batch
 from stablevol.volopt import InfeasibleError
 
 
@@ -1007,3 +1008,49 @@ class DictChildrenTree:
             if o.level[self.tree.parent[child][1]] >= threshold:
                 cells |= self.descendants(child)
         return cells
+
+
+_M64 = (1 << 64) - 1
+
+
+def _splitmix64(x: int) -> int:
+    x = (x + 0x9E3779B97F4A7C15) & _M64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
+    return x ^ (x >> 31)
+
+
+def jittered_points_oracle(points, magnitude=1e-9):
+    """`predicates.jittered_points` one coordinate at a time, on Python ints
+    and floats: a list of tuples."""
+    pts = [tuple(map(float, p)) for p in points]
+    dim = len(pts[0])
+    lo = [min(p[a] for p in pts) for a in range(dim)]
+    hi = [max(p[a] for p in pts) for a in range(dim)]
+    extent = [h - l if h > l else 1.0 for l, h in zip(lo, hi)]
+    out = []
+    for i, p in enumerate(pts):
+        q = []
+        for a in range(dim):
+            u = _splitmix64(i * 7 + a + 1) / float(1 << 63) - 1.0  # in [-1, 1)
+            q.append(p[a] + u * magnitude * extent[a])
+        out.append(tuple(q))
+    return out
+
+
+def hull_is_convex_gather(P, cells, hull_cell, hull_k, chunk_rows=1 << 16):
+    """`delaunay._hull_is_convex` by gathering an (h, n, d+1) index array of
+    every (hull facet, point) row and passing the rows that are not a
+    facet's own vertices to `orient_batch`."""
+    n = len(P)
+    step = max(1, chunk_rows // n)
+    pid = np.arange(n)
+    for lo in range(0, len(hull_cell), step):
+        fc, fk = hull_cell[lo : lo + step], hull_k[lo : lo + step]
+        rows = np.repeat(cells[fc][:, None, :], n, axis=1)
+        rows[np.arange(len(fc))[:, None], pid, fk[:, None]] = pid
+        own = np.zeros((len(fc), n), dtype=bool)
+        own[np.arange(len(fc))[:, None], cells[fc]] = True
+        if np.any(orient_batch(P, rows[~own]) <= 0):
+            return False
+    return True

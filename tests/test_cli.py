@@ -112,6 +112,23 @@ def test_overflowing_coordinates_exit_2(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1 and "extent" in err
 
 
+def test_overflowing_coordinates_one_stderr_line_in_a_fresh_process(tmp_path):
+    # numpy's RuntimeWarnings go to stderr in a real process; pytest's
+    # warning capture would hide them from capsys
+    p = tmp_path / "huge.txt"
+    p.write_text("1e308 0\n-1e308 1\n0 1e308\n5 5\n")
+    src = str(Path(stablevol.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "stablevol.cli", "pd", str(p)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: coordinate range too large: the squared bounding-box extent overflows"
+    ]
+
+
 NON_FINITE_TOKENS = ["NaN", "Infinity", "-Infinity", pytest.param("1" + "0" * 400, id="1e400")]
 
 

@@ -1,22 +1,26 @@
 import importlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from helpers import geometry_cases
+from helpers import geometry_cases, hull_is_convex_gather, jittered_points_oracle
+from stablevol import predicates
 from stablevol.complexes import validate_complex
 from stablevol.delaunay import DegenerateInputError, delaunay
+from stablevol.fixtures import GENERATORS, generate
 from stablevol.predicates import circumsphere_side, jittered_points
 
 # the package re-exports the function `delaunay` under the module's name
 dl = importlib.import_module("stablevol.delaunay")
 CASES = geometry_cases()
+HULL_CHECK = dl._hull_is_convex
 
 
 def bowyer_watson(points):
     pts = [tuple(map(float, p)) for p in points]
-    return dl._bowyer_watson(pts, jittered_points(pts), len(pts[0]))
+    return dl._bowyer_watson(pts, jittered_points_oracle(pts), len(pts[0]))
 
 
 def count_fallbacks(monkeypatch):
@@ -181,8 +185,135 @@ def test_certificate_checks_qhull_output(monkeypatch, pts, cells, accepted):
         coplanar = np.empty((0, 3), dtype=int)
 
     monkeypatch.setattr(dl, "Delaunay", lambda P: QhullResult)
-    jit = jittered_points([tuple(map(float, p)) for p in pts])
-    result = dl._certified_qhull(np.array(jit))
+    result, _ = same_certificate(monkeypatch, jittered_points(np.array(pts, dtype=float)))
     assert (result is not None) == accepted
     if accepted:
         assert sorted(map(sorted, result.tolist())) == sorted(map(sorted, cells))
+
+
+def certify(monkeypatch, P, hull_check):
+    """_certified_qhull(P) with `hull_check` as its hull check, and the
+    number of scalar orient2d/orient3d calls made inside the hull check."""
+    calls = []
+    inside = []
+
+    def check(*args):
+        before = len(calls)
+        result = hull_check(*args)
+        inside.append(len(calls) - before)
+        return result
+
+    with monkeypatch.context() as m:
+        for name in ("orient2d", "orient3d"):
+            scalar = getattr(predicates, name)
+            m.setattr(predicates, name, lambda *a, f=scalar: calls.append(1) or f(*a))
+        m.setattr(dl, "_hull_is_convex", check)
+        cells = dl._certified_qhull(P)
+    return cells, sum(inside)
+
+
+def same_certificate(monkeypatch, P):
+    """The certificate with the broadcast hull check, after checking that
+    the gather-based oracle gives the same result, and on acceptance the
+    same number of scalar orient calls; returns (cells, calls)."""
+    cells, calls = certify(monkeypatch, P, HULL_CHECK)
+    want, want_calls = certify(monkeypatch, P, hull_is_convex_gather)
+    assert (cells is None) == (want is None)
+    if cells is not None:
+        assert np.array_equal(cells, want)
+        assert calls == want_calls
+    return cells, calls
+
+
+def facets(cells, hull_only):
+    """(cell, k) arrays of the facets of the cells, or only of those in one
+    cell (the hull facets)."""
+    width = cells.shape[1]
+    keys = [tuple(sorted(c[:k] + c[k + 1 :])) for c in cells.tolist() for k in range(width)]
+    count = Counter(keys)
+    flat = [i for i, key in enumerate(keys) if not hull_only or count[key] == 1]
+    return np.divmod(np.array(flat, dtype=np.intp), width)
+
+
+SEEDED = {
+    f"cloud{d}d-{n}-seed{seed}": np.random.default_rng([seed, d]).random((n, d))
+    for d, n in ((2, 400), (3, 800))
+    for seed in range(3)
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(SEEDED))
+def test_hull_check_matches_gather_oracle(name, monkeypatch):
+    P = jittered_points(CASES[name] if name in CASES else SEEDED[name])
+    cells, _ = same_certificate(monkeypatch, P)
+    assert cells is not None
+    # rejections: interior facets included, and every cell negatively oriented
+    every = facets(cells, hull_only=False)
+    assert not HULL_CHECK(P, cells, *every)
+    assert not hull_is_convex_gather(P, cells, *every)
+    swapped = cells[:, [1, 0, *range(2, cells.shape[1])]]
+    hull = facets(swapped, hull_only=True)
+    assert not HULL_CHECK(P, swapped, *hull)
+    assert not hull_is_convex_gather(P, swapped, *hull)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_hull_check_on_a_nearly_straight_hull(n, monkeypatch):
+    # a convex hull chain from (0.5, 0.5) towards (0.625, 0.625) that bends
+    # by a few units of 2**-53: coordinate differences are exact, but the
+    # float filter cannot decide the hull rows of points along the chain
+    u = 2.0 ** -53
+    step = 2**50 // n
+    chain = [(0.5 + k * step * u, 0.5 + (k * step - k * (n - k)) * u) for k in range(n + 1)]
+    P = np.array(chain + [(0.5, 0.625), (0.52, 0.6), (0.55, 0.58)])
+    cells, calls = same_certificate(monkeypatch, P)
+    assert cells is not None and calls > 0
+
+
+# every `gen` fixture at two more seeds, and the seeded clouds
+CERTIFIED = {
+    f"gen-{name}-seed{seed}": generate(name, seed).points
+    for name in sorted(GENERATORS)
+    for seed in (1, 7)
+} | SEEDED
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_qhull_is_certified_without_fallback(name, monkeypatch):
+    # a certificate that rejected Qhull would give the same complex through
+    # the fallback, only far slower
+    calls = count_fallbacks(monkeypatch)
+    delaunay(CERTIFIED[name])
+    assert calls == []
+
+
+def test_fallback_receives_raw_and_jittered_tuples(monkeypatch):
+    seen = []
+    monkeypatch.setattr(dl, "_bowyer_watson", lambda *args: seen.append(args))
+    raw = [(0.5, 0.5)] * 5  # Qhull sets duplicates aside
+    delaunay(np.array(raw))
+    assert seen == [(raw, jittered_points_oracle(raw), 2)]
+    assert all(type(x) is float for p in seen[0][1] for x in p)
+
+
+@pytest.mark.parametrize(
+    "points, dim, error, message",
+    [
+        ([], None, IndexError, "list index out of range"),
+        ([(0, 0, 0, 0)] * 5, None, ValueError, "only 2D and 3D pointclouds are supported, got dim 4"),
+        ([(0, 0), (1, 1)], None, DegenerateInputError, "need at least 3 points for a 2D triangulation"),
+        ([(0, 0), (1, 0), (0, 1, 2)], None, ValueError, "bad coordinates (0.0, 1.0, 2.0)"),
+        ([[0, 0], [1, 0], [2]], None, ValueError, "bad coordinates (2.0,)"),
+        (np.array([[0, 0], [1, np.inf], [0, 1]]), None, ValueError, "bad coordinates (1.0, inf)"),
+        ([(0, 0), (1, float("nan")), (0, 1)], None, ValueError, "bad coordinates (1.0, nan)"),
+        ([(0, 0), (1, 0), (0, float("-inf"))], None, ValueError, "bad coordinates (0.0, -inf)"),
+        ([(0, 0), (1, 0), (0, 1), (1, 1)], 3, ValueError, "bad coordinates (0.0, 0.0)"),
+        ([(0, 0), (1, 0), (0, "x")], None, ValueError, "could not convert string to float: 'x'"),
+        ([(0, 0), (1, 0), (0, None)], None, TypeError, "float() argument must be"),
+        ([(0, 0), (1, 0), (0, 10**400)], None, OverflowError, "int too large to convert to float"),
+    ],
+)
+def test_rejections_keep_type_and_message(points, dim, error, message):
+    with pytest.raises(error) as info:
+        delaunay(points, dim)
+    assert type(info.value) is error and str(info.value).startswith(message)

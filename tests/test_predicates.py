@@ -1,6 +1,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from helpers import jittered_points_oracle
 from stablevol.predicates import (
     _det_exact,
     circumsphere_side,
@@ -82,10 +87,35 @@ def test_circumsphere_exact_via_rational_center():
 
 
 def test_jitter_deterministic_and_small():
-    pts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+    pts = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
     a = jittered_points(pts)
     b = jittered_points(pts)
-    assert a == b
-    for (x, y), (jx, jy) in zip(pts, a):
-        assert abs(jx - x) <= 1e-9 and abs(jy - y) <= 1e-9
-        assert (jx, jy) != (x, y)
+    assert np.array_equal(a, b)
+    assert np.all(np.abs(a - pts) <= 1e-9) and np.all(np.any(a != pts, axis=1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 20_000),
+    dim=st.sampled_from([2, 3]),
+    span_exp=st.integers(-300, 300),
+    centre=st.sampled_from([0.0, 0.5, -3.0, 1e6]),
+    constant=st.lists(st.booleans(), min_size=3, max_size=3),
+    zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=20_000, dim=3, span_exp=0, centre=0.5, constant=[False] * 3, zeros=True, seed=1)
+@example(n=50, dim=2, span_exp=-300, centre=0.0, constant=[False, True, False], zeros=False, seed=2)
+@example(n=50, dim=3, span_exp=300, centre=0.0, constant=[False] * 3, zeros=True, seed=3)
+@example(n=50, dim=2, span_exp=-200, centre=1e6, constant=[True] * 3, zeros=False, seed=4)
+def test_jitter_matches_scalar_oracle_bit_for_bit(n, dim, span_exp, centre, constant, zeros, seed):
+    rng = np.random.default_rng(seed)
+    P = centre * 10.0**span_exp + rng.standard_normal((n, dim)) * 10.0**span_exp
+    if zeros:
+        P[::3] = 0.0  # the offset itself, with every bit of its rounding, is the result
+    for a in range(dim):
+        if constant[a]:
+            P[:, a] = P[0, a]  # extent 0, jittered on the scale 1.0
+    got = jittered_points(P)
+    want = np.array(jittered_points_oracle(P), dtype=float)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
