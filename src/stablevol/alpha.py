@@ -168,8 +168,9 @@ def _circum_exact(verts_pts):
     return center, r2
 
 
-def alpha_levels(cx: SimplicialComplex, points) -> list:
-    """Alpha level per simplex id for a Delaunay complex of the points.
+def alpha_levels(cx: SimplicialComplex, points) -> np.ndarray:
+    """Alpha level per simplex id for a Delaunay complex of the points, as a
+    float array.
 
     A simplex of lower than top dimension with no coface (possible only in
     a complex that is not pure) enters at its own circumradius.
@@ -201,7 +202,7 @@ def alpha_levels(cx: SimplicialComplex, points) -> list:
         cap, _ = _coface_min(cx, k, levels)
         lv = levels[ids.start : ids.stop]
         levels[ids.start : ids.stop] = np.where(lv > cap, cap, lv)
-    return levels.tolist()
+    return levels
 
 
 def _gabriel_mask(cx, pts, tree, ids, verts, cs, r2):

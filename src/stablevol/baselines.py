@@ -20,7 +20,7 @@ import numpy as np
 from . import persistence as pers
 from . import volopt
 from .alpha import PointCloud, alpha_filtration
-from .complexes import OrderWithLevel, SimplicialComplex, z2_boundary
+from .complexes import OrderWithLevel, vertices_of, z2_boundary
 from .dualtree import build_dual_graph, compute_tree, optimal_volume_tree
 from .parallel import parallel_map
 from .persistence import PersistencePair
@@ -85,12 +85,6 @@ def _match_pair(pairs: pers.Pairs, target: PersistencePair, radius: float):
     return pairs[rows[best]]
 
 
-def _boundary_vertices(cx: SimplicialComplex, k: int, cells) -> np.ndarray:
-    """Sorted vertex ids of the Z/2 boundary of a set of k-simplices."""
-    facets = z2_boundary(cx, k, cells) - cx.ids_of_dim(k - 1).start
-    return np.unique(cx.vertex_array(k - 1)[facets])
-
-
 def optimal_volume_cells(order: OrderWithLevel, pair: PersistencePair) -> set:
     """Optimal volume by the persistence tree when the pair has codimension 1,
     by the l1 program otherwise."""
@@ -107,7 +101,6 @@ def statistical_frequencies(
     target: PersistencePair,
     noise: NoiseModel,
     trials: int,
-    threads: int = 1,
 ) -> FrequencyMap:
     """Per-point frequency of lying on the optimal volume-boundary across
     noise-perturbed recomputations.
@@ -140,9 +133,9 @@ def statistical_frequencies(
             if hit is None:
                 return None
             cells = optimal_volume_cells(o, hit)
-        return _boundary_vertices(o.cx, hit.degree + 1, cells)
+        return vertices_of(o.cx, hit.degree, z2_boundary(o.cx, hit.degree + 1, cells))
 
-    results = parallel_map(one_trial, range(trials), threads)
+    results = parallel_map(one_trial, range(trials))
     counts = np.zeros(len(pc), dtype=int)
     matched = 0
     for verts in results:

@@ -22,7 +22,7 @@ from . import persistence as pers
 from . import volopt
 from .alpha import alpha_filtration, format_pointcloud, parse_pointcloud
 from .baselines import NoiseModel, reconstructed_shortest_cycle, statistical_frequencies
-from .complexes import complex_from_json, z2_boundary
+from .complexes import complex_from_json, vertices_of, z2_boundary
 from .delaunay import DegenerateInputError
 from .dualtree import (
     build_dual_graph,
@@ -238,8 +238,7 @@ def _volume_json(order, points, pair, cells, method, epsilon, extra=None):
         "cells": sorted(cells),
         "boundary": bnd.tolist(),
         "points": [] if points is None else [
-            list(map(float, points[v]))
-            for v in np.unique(cx.vertex_array(k - 1)[bnd - cx.ids_of_dim(k - 1).start]).tolist()
+            list(map(float, points[v])) for v in vertices_of(cx, k - 1, bnd).tolist()
         ],
         "method": method,
     }
@@ -338,13 +337,14 @@ def _parse_grid(spec: str):
         raise ValueError(f"--epsilon-grid: bad grid {spec!r}, bandwidths must be >= 0")
     if step <= 0 or b < a:
         raise ValueError(f"--epsilon-grid: bad grid {spec!r}, need STEP > 0 and B >= A")
-    count = (b - a) / step
-    if not math.isfinite(count) or round(count) + 1 > _MAX_GRID_POINTS:
+    # point i is kept when i <= (B - A) / STEP + 1e-9; the slack is in steps,
+    # as one added to B would fall below an ulp of B once B is large
+    count = (b - a) / step + 1e-9
+    if not math.isfinite(count) or math.floor(count) + 1 > _MAX_GRID_POINTS:
         raise ValueError(
             f"--epsilon-grid: bad grid {spec!r}, more than {_MAX_GRID_POINTS} points"
         )
-    n = int(round(count))
-    return [a + i * step for i in range(n + 1) if a + i * step <= b + 1e-12]
+    return [a + i * step for i in range(math.floor(count) + 1)]
 
 
 def cmd_sweep(args) -> int:

@@ -70,13 +70,10 @@ class SimplicialComplex:
     incidences per dimension as arrays, and `_missing` the (simplex id, face
     tuple) pairs of faces not in the complex.
 
-    The Python views are built from the arrays on first use, and cached:
-    `simplices[i]` is the vertex tuple of simplex i, `index` maps a vertex
-    tuple to its id, `faces[i]` lists the ids of the faces of simplex i in
-    vertex-removal order, and `cofaces[i]` the ids of its cofaces in
-    ascending order. Building them costs more than the arrays, so the
-    pipeline from points to persistence pairs, and the `stat` trials, read
-    only the arrays.
+    `simplices[i]`, the vertex tuple of simplex i, is the one Python view;
+    it is built from the arrays on first use and cached. Building it costs
+    more than the arrays, so the pipeline from points to persistence pairs,
+    and the `stat` trials, read only the arrays.
     """
 
     def __init__(self, simplices, closure: bool = False):
@@ -126,11 +123,10 @@ class SimplicialComplex:
                 verts = tuple(self._verts[k][r].tolist())
                 self._missing.append((self._offsets[k] + int(r), faces_of(verts)[c]))
 
-    # The views below share one Python int per vertex id and per simplex id.
-
     @cached_property
     def simplices(self) -> list:
-        """Vertex tuple of each simplex, in id order."""
+        """Vertex tuple of each simplex, in id order; one Python int is shared
+        per vertex id."""
         rows = self._verts
         flat = np.concatenate([r.ravel() for r in rows]) if rows else np.empty(0, np.int64)
         values, inverse = np.unique(flat, return_inverse=True)
@@ -141,36 +137,6 @@ class SimplicialComplex:
             out.extend(zip(*block.T.tolist()))
             start += r.size
         return out
-
-    @cached_property
-    def index(self) -> dict:
-        """Simplex id of each vertex tuple."""
-        return dict(zip(self.simplices, self._id_ints.tolist()))
-
-    @cached_property
-    def faces(self) -> list:
-        """Ids of the faces of each simplex, in vertex-removal order, missing
-        faces left out."""
-        id_ints, out = self._id_ints, []
-        for f in self._faces:
-            lists = id_ints[f].tolist()
-            for r in np.unique(np.nonzero(f < 0)[0]):
-                lists[r] = id_ints[f[r][f[r] >= 0]].tolist()
-            out.extend(lists)
-        return out
-
-    @cached_property
-    def cofaces(self) -> list:
-        """Ids of the cofaces of each simplex, ascending."""
-        out = []
-        for ptr, idx in self._cofaces:
-            ids, bounds = self._id_ints[idx].tolist(), ptr.tolist()
-            out.extend([ids[a:b] for a, b in zip(bounds, bounds[1:])])
-        return out
-
-    @cached_property
-    def _id_ints(self) -> np.ndarray:
-        return np.arange(len(self)).astype(object)
 
     def __len__(self):
         return self._offsets[-1]
@@ -273,26 +239,14 @@ def _coface_csr(local_faces, m: int, offset: int):
 
 
 def validate_complex(cx: SimplicialComplex, max_violations: int = 10) -> list:
-    """Check closure under faces and face/coface consistency.
+    """Check closure under faces.
 
-    Returns a list of violation strings, empty iff the complex is valid.
-    Only the first `max_violations` missing faces are reported.
+    Returns a list of violation strings, empty iff every face of every
+    simplex is in the complex; only the first `max_violations` missing faces
+    are reported. Faces and cofaces need no check: both are derived from
+    one face array.
     """
-    violations = []
-    for i, f in cx._missing[:max_violations]:
-        violations.append(f"missing face {f} of {cx.simplices[i]}")
-    if violations:
-        return violations
-    # incidence maps must be mutual transposes with the right cardinalities
-    for i, s in enumerate(cx.simplices):
-        if len(cx.faces[i]) != (0 if len(s) == 1 else len(s)):
-            violations.append(f"face count mismatch at {s}")
-        for fi in cx.faces[i]:
-            if i not in cx.cofaces[fi]:
-                violations.append(f"coface map misses {s} at {cx.simplices[fi]}")
-        if len(violations) >= max_violations:
-            break
-    return violations
+    return [f"missing face {f} of {cx.vertices(i)}" for i, f in cx._missing[:max_violations]]
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +288,13 @@ def boundary(cx: SimplicialComplex, ch: Chain) -> Chain:
     """Boundary with alternating signs on the sorted vertex list (Z/2 drops signs)."""
     if ch.dim < 1:
         raise DimensionError("boundary of a 0-chain is undefined")
+    facets = cx.ids_of_dim(ch.dim - 1)
+    index = dict(zip(cx.simplices[facets.start : facets.stop], facets))
     out: dict = {}
     for sid, coef in ch.coeffs.items():
         verts = cx.simplices[sid]
         for i, f in enumerate(faces_of(verts)):
-            fi = cx.index.get(f)
+            fi = index.get(f)
             if fi is None:
                 raise ValueError(f"complex not closed: missing face {f}")
             if ch.field == "z2":
@@ -362,18 +318,23 @@ def z2_boundary(cx: SimplicialComplex, k: int, cells) -> np.ndarray:
     return np.flatnonzero(count & 1) + facets.start
 
 
+def vertices_of(cx: SimplicialComplex, k: int, ids) -> np.ndarray:
+    """Sorted distinct vertex ids of the k-simplices `ids`."""
+    return np.unique(cx.vertex_array(k)[np.asarray(ids, dtype=np.int64) - cx.ids_of_dim(k).start])
+
+
 # ---------------------------------------------------------------------------
 # orders with level
 
 
 class OrderWithLevel:
-    """A level map plus a total order refining (level, dimension, lex verts).
+    """A level map plus a total order refining (level, dimension, lex verts),
+    as read-only numpy arrays.
 
-    rank[i] is the 0-based position of simplex id i; order[p] is the simplex
-    id at position p. Prefixes of `order` are subcomplexes, and sublevel sets
-    of `level` are subcomplexes. `level_array`, `order_array` and
-    `rank_array` hold the same as read-only numpy arrays; the lists are
-    built from them on first use.
+    `level_array[i]` is the level of simplex id i, `order_array[p]` the
+    simplex id at position p and `rank_array[i]` the 0-based position of
+    simplex id i. Prefixes of the order are subcomplexes, and sublevel sets
+    of the level map are subcomplexes.
     """
 
     def __init__(self, cx: SimplicialComplex, level: Sequence[float], order: Sequence[int]):
@@ -385,26 +346,8 @@ class OrderWithLevel:
         for a in (self.level_array, self.order_array, self.rank_array):
             a.flags.writeable = False
 
-    @cached_property
-    def level(self) -> list:
-        return self.level_array.tolist()
-
-    @cached_property
-    def order(self) -> list:
-        return self.order_array.tolist()
-
-    @cached_property
-    def rank(self) -> list:
-        return self.rank_array.tolist()
-
     def __len__(self):
         return len(self.order_array)
-
-    def level_at_rank(self, pos: int) -> float:
-        return self.level[self.order[pos]]
-
-    def prefix_ids(self, count: int) -> list:
-        return self.order[:count]
 
 
 def build_order(cx: SimplicialComplex, level) -> OrderWithLevel:
@@ -432,9 +375,7 @@ def build_order(cx: SimplicialComplex, level) -> OrderWithLevel:
         if over.any():
             r, c = divmod(int(over.argmax()), k + 1)
             i, fi = ids[r], int(faces[r, c])
-            raise MonotonicityError(
-                cx.simplices[fi], cx.simplices[i], float(arr[fi]), float(arr[i])
-            )
+            raise MonotonicityError(cx.vertices(fi), cx.vertices(i), float(arr[fi]), float(arr[i]))
     # ids ascend in (dim, lex verts) order, so a stable sort breaks the ties
     return OrderWithLevel(cx, arr, np.argsort(arr, kind="stable"))
 

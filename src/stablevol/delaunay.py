@@ -335,8 +335,8 @@ def delaunay(points, dim=None) -> SimplicialComplex:
     sequence of rows; dim defaults to the width of the first row. Raises
     ValueError for a dimension other than 2 or 3, a row of another width or
     with a non-finite coordinate ("bad coordinates"), or a squared
-    bounding-box extent that overflows; DegenerateInputError for fewer than
-    dim + 1 points, or a degeneracy the jitter does not resolve.
+    bounding-box extent that overflows; DegenerateInputError for no points,
+    fewer than dim + 1 points, or a degeneracy the jitter does not resolve.
     """
     try:
         P = np.asarray(points, dtype=float)
@@ -346,6 +346,8 @@ def delaunay(points, dim=None) -> SimplicialComplex:
         # the checks below word the error; float() raises on what it rejects
         P = [tuple(map(float, p)) for p in points]
     if dim is None:
+        if not len(P):
+            raise DegenerateInputError("no points to triangulate")
         dim = len(P[0])
     if dim not in (2, 3):
         raise ValueError(f"only 2D and 3D pointclouds are supported, got dim {dim}")

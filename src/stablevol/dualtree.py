@@ -9,7 +9,7 @@ whose edges are exactly the degree-(n-1) persistence pairs and whose
 subtrees are the optimal volumes (Obayashi 2018, "Volume-optimal cycle").
 
 The graph and the tree are built from the complex's face and coface arrays,
-never from its Python views. `PersistenceTree.pairs_table` gives the tree's
+never from its vertex tuples. `PersistenceTree.pairs_table` gives the tree's
 pairs as the `Pairs` table rows that `reduce` gives for degree n-1, so a
 codimension-1 pair can be matched and its volume found with no reduction.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Chain, OrderWithLevel, z2_boundary
+from .complexes import OrderWithLevel
 from .persistence import Pairs, PersistencePair, StarPairError
 
 OMEGA_INF = -1
@@ -47,11 +47,6 @@ class DualGraph:
     tau: np.ndarray
     a: np.ndarray
     b: np.ndarray
-
-    @property
-    def edges(self) -> list:
-        """(tau, a, b) per edge."""
-        return list(zip(self.tau.tolist(), self.a.tolist(), self.b.tolist()))
 
 
 def build_dual_graph(o: OrderWithLevel) -> DualGraph:
@@ -128,19 +123,16 @@ class PersistenceTree:
         """The degree-(n-1) pair of the tree edge above `cell`."""
         o = self.order
         tau = self.parent[cell][1]
+        level, rank = o.level_array, o.rank_array
         return PersistencePair(
             degree=o.cx.dim - 1,
             birth_simplex=tau,
             death_simplex=cell,
-            birth_time=o.level[tau],
-            death_time=o.level[cell],
-            birth_rank=o.rank[tau],
-            death_rank=o.rank[cell],
+            birth_time=float(level[tau]),
+            death_time=float(level[cell]),
+            birth_rank=int(rank[tau]),
+            death_rank=int(rank[cell]),
         )
-
-    def pairs(self) -> list:
-        """Degree-(n-1) persistence pairs read off the tree edges."""
-        return sorted(map(self.pair_of, self.parent), key=lambda p: p.birth_rank)
 
     def pairs_table(self) -> Pairs:
         """The tree edges as a `Pairs` table, one row per edge, in birth-rank
@@ -233,7 +225,6 @@ class StableVolumeResult:
     pair: PersistencePair
     epsilon: float
     cells: set
-    boundary: Chain
 
     @property
     def size(self) -> int:
@@ -248,16 +239,14 @@ def stable_volume_tree(
     _check_tree_pair(tree, pair)
     if epsilon < 0:
         raise ValueError("noise bandwidth must be >= 0")
-    o = tree.order
-    threshold = o.level[pair.birth_simplex] + epsilon
+    level = tree.order.level_array
+    threshold = level[pair.birth_simplex] + epsilon
     cells = {pair.death_simplex}
     for child in tree.children(pair.death_simplex):
         tau = tree.parent[child][1]
-        if o.level[tau] >= threshold:
+        if level[tau] >= threshold:
             cells |= tree.descendants(child)
-    n = o.cx.dim
-    bnd = Chain("z2", n - 1, dict.fromkeys(z2_boundary(o.cx, n, cells).tolist(), 1))
-    return StableVolumeResult(pair, float(epsilon), cells, bnd)
+    return StableVolumeResult(pair, float(epsilon), cells)
 
 
 def sweep_sizes(tree: PersistenceTree, pair: PersistencePair, eps_grid) -> list:
@@ -270,10 +259,10 @@ def sweep_sizes(tree: PersistenceTree, pair: PersistencePair, eps_grid) -> list:
     grid = [float(e) for e in eps_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("epsilon grid must be strictly increasing")
-    o = tree.order
-    b = o.level[pair.birth_simplex]
+    level = tree.order.level_array
+    b = level[pair.birth_simplex]
     gaps = sorted(
-        (o.level[tree.parent[c][1]] - b, tree.subtree_size(c))
+        (level[tree.parent[c][1]] - b, tree.subtree_size(c))
         for c in tree.children(pair.death_simplex)
     )
     # suffix sums over children sorted by label gap

@@ -137,38 +137,35 @@ def boundary_matrix(o: OrderWithLevel) -> list:
     """Column j = ranks of the codim-1 faces of the rank-j simplex, ascending.
 
     Built per dimension from `face_array(k)` and the rank array. The columns
-    hold the int objects of `o.rank`, not new ones, which keeps the peak
-    memory of a reduction down.
+    share one int object per rank, from `rank_array.astype(object)`, which
+    keeps the peak memory of a reduction down.
     """
     cx, rank = o.cx, o.rank_array
-    rank_objs = np.array(o.rank, dtype=object)
+    rank_objs = rank.astype(object)
     cols = [[] for _ in cx.ids_of_dim(0)]  # one column per simplex id
     for k in range(1, cx.dim + 1):
         faces = cx.face_array(k)
         faces = np.take_along_axis(faces, rank[faces].argsort(axis=1), axis=1)
         cols.extend(rank_objs[faces].tolist())
-    return list(map(cols.__getitem__, o.order))
+    return list(map(cols.__getitem__, o.order_array.tolist()))
 
 
-def reduce(o: OrderWithLevel, clearing: bool = True) -> Pairs:
+def reduce(o: OrderWithLevel) -> Pairs:
     """All persistence pairs of the filtration, every degree, stars included,
     as a `Pairs` table.
 
-    With `clearing`, columns are processed in descending dimension and
-    known-positive columns are skipped; the pairing is identical either way
-    (uniqueness of the interval decomposition) and the equivalence is tested,
-    not assumed.
+    Columns are processed in descending dimension with clearing: a column
+    already known to be a birth is skipped. The pairing is that of the plain
+    left-to-right reduction (uniqueness of the interval decomposition); the
+    tests compare the two.
     """
     cols = boundary_matrix(o)
-    if clearing:
-        # each dimension's ranks, sorted; the ids of a dimension are contiguous
-        proc = []
-        for k in range(o.cx.dim, -1, -1):
-            ids = o.cx.ids_of_dim(k)
-            proc.extend(sorted(o.rank[ids.start : ids.stop]))
-    else:
-        proc = range(len(cols))
-    raw_pairs, raw_essentials, _ = kernels.reduce_columns(cols, proc, clearing=clearing)
+    # each dimension's ranks, sorted; the ids of a dimension are contiguous
+    proc = []
+    for k in range(o.cx.dim, -1, -1):
+        ids = o.cx.ids_of_dim(k)
+        proc.extend(np.sort(o.rank_array[ids.start : ids.stop]).tolist())
+    raw_pairs, raw_essentials, _ = kernels.reduce_columns(cols, proc)
     births, deaths = _pair_arrays(raw_pairs)
     essentials = np.array(raw_essentials, dtype=np.int64)
     return Pairs(

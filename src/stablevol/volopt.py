@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .complexes import OrderWithLevel
+from .complexes import OrderWithLevel, z2_boundary
 from .persistence import PersistencePair, StarPairError
 
 
@@ -322,21 +322,17 @@ def round_support(
 
 
 def z2_violations(p: VolumeProblem, support: set) -> list:
-    """Constraint simplices whose Z/2 boundary coefficient is wrong.
-
-    The parity of each k-simplex is the count, by `np.bincount`, of its
-    occurrences among the faces of the support's (k+1)-simplices.
-    """
+    """Constraint simplices whose Z/2 boundary coefficient is wrong: those
+    in `complexes.z2_boundary` of the support's (k+1)-simplices, and in
+    optimal mode the birth simplex if it is not."""
     cx = p.order.cx
     k = p.pair.degree
-    cells, facets = cx.ids_of_dim(k + 1), cx.ids_of_dim(k)
+    cells = cx.ids_of_dim(k + 1)
     ids = np.fromiter(support, np.int64, len(support))
-    ids = ids[(ids >= cells.start) & (ids < cells.stop)]
-    faces = cx.face_array(k + 1)[ids - cells.start].ravel() - facets.start
-    odd = np.bincount(faces, minlength=len(facets)) & 1
+    bnd = z2_boundary(cx, k + 1, ids[(ids >= cells.start) & (ids < cells.stop)])
     cons = np.asarray(p.constraints, dtype=np.int64)
-    bad = cons[odd[cons - facets.start] == 1].tolist()
-    if p.mode == "optimal" and not odd[p.pair.birth_simplex - facets.start]:
+    bad = cons[np.isin(cons, bnd)].tolist()
+    if p.mode == "optimal" and p.pair.birth_simplex not in bnd:
         bad.append(p.pair.birth_simplex)
     return bad
 

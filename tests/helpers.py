@@ -33,8 +33,9 @@ from stablevol.volopt import InfeasibleError
 def monotone_repair(cx, levels):
     """Raise each simplex to its faces' maximum so the map is a level map."""
     out = list(levels)
-    for i in sorted(range(len(cx)), key=lambda i: len(cx.simplices[i])):
-        for fi in cx.faces[i]:
+    simplices, _, faces, _ = views(cx)
+    for i in sorted(range(len(cx)), key=lambda i: len(simplices[i])):
+        for fi in faces[i]:
             if out[fi] > out[i]:
                 out[i] = out[fi]
     return out
@@ -42,9 +43,10 @@ def monotone_repair(cx, levels):
 
 def perturbed_order(order, magnitude, rng):
     """A nearby order with levels; returns (new order, achieved sup distance)."""
-    raw = [l + rng.uniform(-magnitude, magnitude) for l in order.level]
+    level = order.level_array.tolist()
+    raw = [l + rng.uniform(-magnitude, magnitude) for l in level]
     q = monotone_repair(order.cx, raw)
-    dist = max(abs(a - b) for a, b in zip(q, order.level))
+    dist = max(abs(a - b) for a, b in zip(q, level))
     return build_order(order.cx, q), dist
 
 
@@ -52,14 +54,14 @@ def admissible_order(order, pair, eps, rng):
     """Sample a level perturbation within eps/2 that keeps everything ranked
     before the pair's death cell ranked before it (the death-cell order
     condition of the stable-volume theorem)."""
-    r = order.level
+    r = order.level_array.tolist()
     delta = 0.499 * eps
     raw = [r[i] + rng.uniform(-delta, delta) for i in range(len(r))]
     w0 = pair.death_simplex
     q_w0 = r[w0] + 0.9 * delta
     cap = q_w0 - 0.05 * delta
     d_rank = pair.death_rank
-    q = [min(raw[i], cap) if order.rank[i] < d_rank else raw[i] for i in range(len(r))]
+    q = [min(raw[i], cap) if order.rank_array[i] < d_rank else raw[i] for i in range(len(r))]
     q[w0] = q_w0
     q = monotone_repair(order.cx, q)
     assert max(abs(a - b) for a, b in zip(q, r)) < eps / 2
@@ -84,7 +86,8 @@ def z2_rank(vectors):
 def betti_bruteforce(order, t, k):
     """Rank of H_k of the sublevel complex at t by Gaussian elimination."""
     cx = order.cx
-    ids = [i for i in range(len(cx)) if order.level[i] < t]
+    faces = views_from_arrays(cx)[2]
+    ids = [i for i in range(len(cx)) if order.level_array[i] < t]
     kses = [i for i in ids if cx.dim_of(i) == k]
     pos = {s: b for b, s in enumerate(kses)}
     km1 = [i for i in ids if cx.dim_of(i) == k - 1]
@@ -94,14 +97,14 @@ def betti_bruteforce(order, t, k):
         cols = []
         for s in kses:
             v = 0
-            for fc in cx.faces[s]:
+            for fc in faces[s]:
                 v |= 1 << posm[fc]
             cols.append(v)
         rank_dk = z2_rank(cols)
     cols1 = []
     for s in (i for i in ids if cx.dim_of(i) == k + 1):
         v = 0
-        for fc in cx.faces[s]:
+        for fc in faces[s]:
             v |= 1 << pos[fc]
         cols1.append(v)
     return len(kses) - rank_dk - z2_rank(cols1)
@@ -110,14 +113,15 @@ def betti_bruteforce(order, t, k):
 def is_z2_boundary(order, edge_ids, max_rank):
     """Is the given 1-chain a boundary of triangles with rank < max_rank?"""
     cx = order.cx
+    faces = views_from_arrays(cx)[2]
     target = 0
     for e in edge_ids:
         target ^= 1 << e
     cols = []
     for i in range(len(cx)):
-        if cx.dim_of(i) == 2 and order.rank[i] < max_rank:
+        if cx.dim_of(i) == 2 and order.rank_array[i] < max_rank:
             v = 0
-            for fc in cx.faces[i]:
+            for fc in faces[i]:
                 v ^= 1 << fc
             cols.append(v)
     basis = {}
@@ -145,7 +149,7 @@ def simple_cycles(order, k_rank):
     larger than the last, so each cycle appears once. Desk-scale graphs only.
     """
     cx = order.cx
-    edges = [sid for sid in order.order[: k_rank + 1] if cx.dim_of(sid) == 1]
+    edges = [sid for sid in order.order_array[: k_rank + 1].tolist() if cx.dim_of(sid) == 1]
     adj = {}
     for e in edges:
         u, v = cx.simplices[e]
@@ -276,8 +280,10 @@ def bottleneck_bruteforce(d1, d2):
 
 
 class TupleComplex:
-    """Per-simplex reference builder: the same attributes as
-    `SimplicialComplex`, built from Python tuples, sets and dicts."""
+    """Per-simplex reference builder, from Python tuples, sets and dicts:
+    the `simplices`, `dim`, `_missing`, ids and vertices of a
+    `SimplicialComplex`, and the `index`, `faces` and `cofaces` that
+    `views_from_arrays` reads off its arrays."""
 
     def __init__(self, simplices, closure=False):
         canon = {simplex(s) for s in simplices}
@@ -315,6 +321,9 @@ class TupleComplex:
     def ids_of_dim(self, k):
         return [i for i, s in enumerate(self.simplices) if len(s) - 1 == k]
 
+    def vertices(self, i):
+        return self.simplices[i]
+
 
 def build_order_by_key(cx, level):
     """Reference order: (levels, order) with ties broken by sorting on the
@@ -323,8 +332,9 @@ def build_order_by_key(cx, level):
     if bad:
         raise ValueError("invalid complex: " + "; ".join(bad))
     lv = _levels_as_list(cx, level)
+    faces = views(cx)[2]
     for i in range(len(cx)):
-        for fi in cx.faces[i]:
+        for fi in faces[i]:
             if lv[fi] > lv[i]:
                 raise MonotonicityError(cx.simplices[fi], cx.simplices[i], lv[fi], lv[i])
     order = sorted(range(len(cx)), key=lambda i: (lv[i], len(cx.simplices[i]), cx.simplices[i]))
@@ -338,6 +348,7 @@ def alpha_levels_full_scan(cx, points):
     spread = float(((pts.max(axis=0) - pts.min(axis=0)) ** 2).sum())
     huge_r2 = 1e12 * (spread + 1.0)
     n = cx.dim
+    cofaces = views_from_arrays(cx)[3]
     levels = [0.0] * len(cx)
     for k in range(n, 0, -1):
         ids = list(cx.ids_of_dim(k))
@@ -349,11 +360,11 @@ def alpha_levels_full_scan(cx, points):
             if k == n or _is_gabriel(cx, pts, sid, cs[j], r2[j]):
                 levels[sid] = math.sqrt(max(r2[j], 0.0))
             else:
-                levels[sid] = min(levels[c] for c in cx.cofaces[sid])
+                levels[sid] = min(levels[c] for c in cofaces[sid])
     for k in range(n - 1, -1, -1):
         for sid in cx.ids_of_dim(k):
-            if cx.cofaces[sid]:
-                cap = min(levels[c] for c in cx.cofaces[sid])
+            if cofaces[sid]:
+                cap = min(levels[c] for c in cofaces[sid])
                 if levels[sid] > cap:
                     levels[sid] = cap
     return levels
@@ -362,7 +373,7 @@ def alpha_levels_full_scan(cx, points):
 def sublevel_complex(o, t):
     """Subcomplex of simplices with level strictly below t."""
     return SimplicialComplex(
-        [s for i, s in enumerate(o.cx.simplices) if o.level[i] < t]
+        [s for i, s in enumerate(o.cx.simplices) if o.level_array[i] < t]
     )
 
 
@@ -371,25 +382,43 @@ def complex_to_json(o):
     return {
         "vertices": o.cx.vertex_count,
         "simplices": [
-            {"v": list(s), "level": o.level[i]} for i, s in enumerate(o.cx.simplices)
+            {"v": list(s), "level": level}
+            for s, level in zip(o.cx.simplices, o.level_array.tolist())
         ],
     }
 
 
-# the Python views that `SimplicialComplex` builds on first use
-VIEWS = ("simplices", "index", "faces", "cofaces")
+# the Python view that `SimplicialComplex` builds on first use
+VIEWS = ("simplices",)
 
 
 def views_from_arrays(cx):
     """Reference `simplices`, `index`, `faces` and `cofaces` of a complex,
-    read element by element from its per-dimension arrays."""
+    read row by row from its per-dimension arrays: the vertex tuple of each
+    simplex, the id of each vertex tuple, the ids of each simplex's faces in
+    vertex-removal order (missing faces left out) and of its cofaces,
+    ascending."""
     simplices, faces, cofaces = [], [], []
     for k in range(cx.dim + 1):
-        simplices += [tuple(int(v) for v in row) for row in cx.vertex_array(k)]
-        faces += [[int(f) for f in row if f >= 0] for row in cx.face_array(k)]
+        simplices += map(tuple, cx.vertex_array(k).tolist())
+        faces += [[f for f in row if f >= 0] for row in cx.face_array(k).tolist()]
         ptr, idx = cx.coface_csr(k)
-        cofaces += [[int(c) for c in idx[ptr[j] : ptr[j + 1]]] for j in range(len(ptr) - 1)]
+        idx, ptr = idx.tolist(), ptr.tolist()
+        cofaces += [idx[a:b] for a, b in zip(ptr, ptr[1:])]
     return simplices, {s: i for i, s in enumerate(simplices)}, faces, cofaces
+
+
+def views(cx):
+    """(simplices, index, faces, cofaces) of a `TupleComplex`, or of a
+    `SimplicialComplex` by `views_from_arrays`."""
+    if isinstance(cx, TupleComplex):
+        return cx.simplices, cx.index, cx.faces, cx.cofaces
+    return views_from_arrays(cx)
+
+
+def dual_edges(g):
+    """(tau, a, b) per edge of a `DualGraph`, in id order."""
+    return list(zip(g.tau.tolist(), g.a.tolist(), g.b.tolist()))
 
 
 def build_dual_graph_oracle(o):
@@ -399,6 +428,7 @@ def build_dual_graph_oracle(o):
     `ConditionError` with the messages `build_dual_graph` gives."""
     cx = o.cx
     n = cx.dim
+    simplices, _, faces, cofaces = views_from_arrays(cx)
     covered = set()
     for t in cx.ids_of_dim(n):
         stack = [t]
@@ -407,16 +437,16 @@ def build_dual_graph_oracle(o):
             if s in covered:
                 continue
             covered.add(s)
-            stack.extend(cx.faces[s])
-    orphans = [cx.simplices[i] for i in range(len(cx)) if i not in covered]
+            stack.extend(faces[s])
+    orphans = [simplices[i] for i in range(len(cx)) if i not in covered]
     if orphans:
         raise ConditionError(f"simplices with no top-cell coface: {orphans[:10]}")
     edges = []
     for tau in cx.ids_of_dim(n - 1):
-        cofs = cx.cofaces[tau]
+        cofs = cofaces[tau]
         if len(cofs) > 2:
             raise ConditionError(
-                f"(n-1)-simplex {cx.simplices[tau]} has {len(cofs)} cofaces"
+                f"(n-1)-simplex {simplices[tau]} has {len(cofs)} cofaces"
             )
         a = cofs[0]
         b = cofs[1] if len(cofs) == 2 else OMEGA_INF
@@ -431,7 +461,7 @@ def compute_tree_oracle(g, o):
     parent = {}
     edge_of = {tau: (a, b) for tau, a, b in g.edges}
     n = g.n
-    rank = o.rank
+    rank = o.rank_array.tolist()
 
     def root(w):
         r = w
@@ -448,7 +478,7 @@ def compute_tree_oracle(g, o):
             return False
         return rank[a] > rank[b]
 
-    for sid in reversed(o.order):
+    for sid in reversed(o.order_array.tolist()):
         d = o.cx.dim_of(sid)
         if d == n:
             uf[sid] = sid
@@ -500,28 +530,29 @@ def statistical_frequencies_oracle(pc, target, noise, trials):
 def _build_pairs(o, rank_pairs, essential_ranks):
     """Reference pair list: a PersistencePair per (birth rank, death rank)
     pair and per essential birth rank, sorted by (degree, birth rank)."""
+    order, level = o.order_array.tolist(), o.level_array.tolist()
     pairs = []
     for i, j in rank_pairs:
-        bi, dj = o.order[i], o.order[j]
+        bi, dj = order[i], order[j]
         pairs.append(
             PersistencePair(
                 degree=o.cx.dim_of(bi),
                 birth_simplex=bi,
                 death_simplex=dj,
-                birth_time=o.level[bi],
-                death_time=o.level[dj],
+                birth_time=level[bi],
+                death_time=level[dj],
                 birth_rank=i,
                 death_rank=j,
             )
         )
     for i in essential_ranks:
-        bi = o.order[i]
+        bi = order[i]
         pairs.append(
             PersistencePair(
                 degree=o.cx.dim_of(bi),
                 birth_simplex=bi,
                 death_simplex=None,
-                birth_time=o.level[bi],
+                birth_time=level[bi],
                 death_time=math.inf,
                 birth_rank=i,
                 death_rank=None,
@@ -538,7 +569,8 @@ def reduce_oracle(o, clearing=True):
 
     cols = boundary_matrix(o)
     if clearing:
-        proc = sorted(range(len(cols)), key=lambda r: (-o.cx.dim_of(o.order[r]), r))
+        order = o.order_array.tolist()
+        proc = sorted(range(len(cols)), key=lambda r: (-o.cx.dim_of(order[r]), r))
     else:
         proc = range(len(cols))
     raw_pairs, raw_essentials, _ = kernels.reduce_columns(cols, proc, clearing=clearing)
@@ -574,11 +606,12 @@ def cohomology_reduce_all_columns(o):
     every degree and a cocycle per finite pair, keyed by (birth_rank,
     death_rank), as a set of simplex ids."""
     n = len(o)
-    rank = o.rank
+    order, rank = o.order_array.tolist(), o.rank_array.tolist()
+    cofaces = views_from_arrays(o.cx)[3]
     cols = []
     for c in range(n):
-        sid = o.order[n - 1 - c]
-        cols.append(sorted(n - 1 - rank[cf] for cf in o.cx.cofaces[sid]))
+        sid = order[n - 1 - c]
+        cols.append(sorted(n - 1 - rank[cf] for cf in cofaces[sid]))
     raw_pairs, raw_essentials, v = kernels.reduce_columns(
         cols, range(n), clearing=False, track_v=True
     )
@@ -587,7 +620,7 @@ def cohomology_reduce_all_columns(o):
     for u, c in raw_pairs:
         i, j = n - 1 - c, n - 1 - u
         rank_pairs.append((i, j))
-        cocycles[(i, j)] = {o.order[n - 1 - cc] for cc in v[c]}
+        cocycles[(i, j)] = {order[n - 1 - cc] for cc in v[c]}
     pairs = _build_pairs(o, rank_pairs, [n - 1 - c for c in raw_essentials])
     return pairs, cocycles
 
@@ -677,7 +710,7 @@ def brute_force_volume(p, count_ties=False):
     """
     if len(p.candidates) > 20:
         raise TooLargeError(f"{len(p.candidates)} candidates exceed the oracle limit")
-    cx = p.order.cx
+    faces = views_from_arrays(p.order.cx)[2]
     cands = sorted(p.candidates)
     conpos = {tau: i for i, tau in enumerate(p.constraints)}
     pin_bit = len(p.constraints)
@@ -686,7 +719,7 @@ def brute_force_volume(p, count_ties=False):
 
     def mask_of(om):
         msk = 0
-        for tau in cx.faces[om]:
+        for tau in faces[om]:
             i = conpos.get(tau)
             if i is not None:
                 msk |= 1 << i
@@ -752,6 +785,7 @@ def complex_from_json_oracle(obj):
     if cx._missing:
         raise ValueError("invalid complex: " + "; ".join(validate_complex(cx)))
     level = [0.0] * len(cx)
+    index = views_from_arrays(cx)[1]
     for s, e in zip(keys, entries):
         try:
             lv = float(e["level"])
@@ -759,7 +793,7 @@ def complex_from_json_oracle(obj):
             lv = math.inf
         if not math.isfinite(lv):
             raise ValueError(f"non-finite level {lv} for simplex {list(e['v'])}")
-        level[cx.index[s]] = lv
+        level[index[s]] = lv
     vertices = obj.get("vertices", cx.vertex_count)
     if not _is_json_int(vertices):
         raise ValueError(f'"vertices" must be an integer, got {vertices!r}')
@@ -772,10 +806,11 @@ def make_problem_oracle(o, pair, mode, epsilon=0.0, ov_cells=None):
     """Reference candidate and constraint lists, by a walk over the order
     window with `dim_of` and the level list."""
     k = pair.degree
+    order, level = o.order_array.tolist(), o.level_array.tolist()
     cands, cons = [], []
     for pos in range(pair.birth_rank + 1, pair.death_rank):
-        sid = o.order[pos]
-        if mode != "optimal" and o.level[sid] < pair.birth_time + epsilon:
+        sid = order[pos]
+        if mode != "optimal" and level[sid] < pair.birth_time + epsilon:
             continue
         d = o.cx.dim_of(sid)
         if d == k + 1:
@@ -802,11 +837,12 @@ def to_lp_oracle(p, pin_sign=1):
     `candidates`, `rows` as (tau, {candidate id: +-1}, const) tuples and
     `pinned` as (tau0, {candidate id: +-1}, const, target) or None."""
     cx = p.order.cx
+    cofaces = views_from_arrays(cx)[3]
     w0 = p.pair.death_simplex
     cand_set = set(p.candidates)
 
     def row(tau):
-        coeffs = {om: boundary_coeff_oracle(cx, om, tau) for om in cx.cofaces[tau] if om in cand_set}
+        coeffs = {om: boundary_coeff_oracle(cx, om, tau) for om in cofaces[tau] if om in cand_set}
         return tau, coeffs, boundary_coeff_oracle(cx, w0, tau)
 
     rows = [row(tau) for tau in p.constraints]
@@ -879,11 +915,11 @@ def pin_sign_hint_oracle(prog):
 def z2_violations_oracle(p, support):
     """Reference constraint simplices whose Z/2 boundary coefficient is
     wrong, by counting each one's cofaces in the support."""
-    cx = p.order.cx
-    bad = [tau for tau in p.constraints if sum(1 for om in cx.cofaces[tau] if om in support) & 1]
+    cofaces = views_from_arrays(p.order.cx)[3]
+    bad = [tau for tau in p.constraints if sum(1 for om in cofaces[tau] if om in support) & 1]
     if p.mode == "optimal":
         tau0 = p.pair.birth_simplex
-        if not sum(1 for om in cx.cofaces[tau0] if om in support) & 1:
+        if not sum(1 for om in cofaces[tau0] if om in support) & 1:
             bad.append(tau0)
     return bad
 
@@ -1001,11 +1037,11 @@ class DictChildrenTree:
         return out
 
     def stable_volume(self, pair, epsilon):
-        o = self.tree.order
-        threshold = o.level[pair.birth_simplex] + epsilon
+        level = self.tree.order.level_array.tolist()
+        threshold = level[pair.birth_simplex] + epsilon
         cells = {pair.death_simplex}
         for child in self.children.get(pair.death_simplex, ()):
-            if o.level[self.tree.parent[child][1]] >= threshold:
+            if level[self.tree.parent[child][1]] >= threshold:
                 cells |= self.descendants(child)
         return cells
 

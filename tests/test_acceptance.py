@@ -119,7 +119,7 @@ def test_criterion_3_tree_lp_equivalence():
         pts = rng.random((n, 2)) * 3.0
         f = alpha_filtration(pts)
         tree = tree_of(f.order)
-        for pair in tree.pairs():
+        for pair in tree.pairs_table():
             for eps in (0.0, 0.05, 0.1, 0.2):
                 sv_tree = stable_volume_tree(tree, pair, eps).cells
                 sv_lp = V.solve_volume(f.order, pair, "stable", eps).cells
@@ -226,7 +226,7 @@ def test_criterion_6_nesting_laws():
     grid = [0.0, 0.02, 0.05, 0.1, 0.2, 0.4]
     for order in fixtures:
         tree = tree_of(order)
-        pairs = tree.pairs()
+        pairs = list(tree.pairs_table())
         n = order.cx.dim
         red = {
             (p.birth_simplex, p.death_simplex)
@@ -261,13 +261,13 @@ def test_criterion_7_sampled_inclusion():
         alpha_filtration(annulus(seed=3).points).order,
     ):
         tree = tree_of(order)
-        for pair in tree.pairs():
+        for pair in tree.pairs_table():
             sv = stable_volume_tree(tree, pair, eps).cells
             for _ in range(50):
                 oq = admissible_order(order, pair, eps, rng)
                 qtree = tree_of(oq)
                 qpair = next(
-                    p for p in qtree.pairs() if p.death_simplex == pair.death_simplex
+                    p for p in qtree.pairs_table() if p.death_simplex == pair.death_simplex
                 )
                 samples += 1
                 if not sv <= optimal_volume_tree(qtree, qpair):
@@ -287,7 +287,7 @@ def test_criterion_8_plateau_reproduction():
     for seed in range(20):
         f = alpha_filtration(lattice_2d_defects(seed).points)
         tree = tree_of(f.order)
-        finite = [p for p in tree.pairs() if p.death_time > p.birth_time]
+        finite = [p for p in tree.pairs_table() if p.death_time > p.birth_time]
         target = max(finite, key=lambda p: p.death_time - p.birth_time)
         rows = sweep_sizes(tree, target, [i * 0.01 for i in range(41)])
         sizes = [s for _, s in rows]
@@ -322,7 +322,7 @@ def test_criterion_9_reconstructed_cycles():
     monotone = ws == sorted(ws, reverse=True)
 
     def analogue(level):
-        return max(k for k in weights if o.level[o.order[k]] <= level)
+        return max(k for k in weights if o.level_array[o.order_array[k]] <= level)
 
     w4, w5 = weights[analogue(4.0)], weights[analogue(5.0)]
 
@@ -333,7 +333,7 @@ def test_criterion_9_reconstructed_cycles():
     k_hex = max(
         pos
         for pos in range(hpair.birth_rank, hpair.death_rank)
-        if f.order.level_at_rank(pos) <= cap
+        if f.order.level_array[f.order.order_array[pos]] <= cap
     )
     res_hex = reconstructed_shortest_cycle(f.order, hpair, k_rank=k_hex)
     want = shortest_nontrivial_loop(f.order, k_hex)

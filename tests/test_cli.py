@@ -1,3 +1,5 @@
+import importlib.util
+import inspect
 import json
 import math
 import os
@@ -192,6 +194,38 @@ def test_complex_json_error_message_matches_oracle(tmp_path, capsys, text):
     assert (code, out, err) == (2, "", f"error: {want.value}\n")
 
 
+def test_benchmark_tracer_attaches_and_detaches(fig1_file, capsys, monkeypatch):
+    """perfbench/tracing.py wraps stablevol functions by name; every name it
+    resolves must exist, and uninstalling must restore the originals."""
+    from stablevol import kernels, parallel
+    from stablevol.complexes import SimplicialComplex
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclass looks itself up
+    spec.loader.exec_module(tracing)
+    modules = {n: m for n, m in sys.modules.items() if n.startswith("stablevol") and m}
+    before = {(n, k): v for n, m in modules.items() for k, v in vars(m).items()}
+    names = [*tracing.SPANS.values(), *(t for ts in tracing.COUNTERS.values() for t in ts)]
+    targets = {tracing._resolve(mod, attr) for mod, attr in names}
+    tracer = tracing.Tracer()
+    tracer.install(counters=True)
+    try:
+        patched = list(tracer._patches)
+        assert all(getattr(owner, attr) is not orig for owner, attr, orig in patched)
+        assert targets == {orig for _, _, orig in patched}
+        assert run(["pd", fig1_file], capsys)[0] == 0
+        assert tracer.job_metrics(0)["complexes.simplices"] > 0
+    finally:
+        tracer.uninstall()
+    assert all(getattr(owner, attr) is orig for owner, attr, orig in patched)
+    assert {(n, k): v for n, m in modules.items() for k, v in vars(m).items()} == before
+    assert isinstance(kernels.active_backend(), str)
+    assert SimplicialComplex([(0, 1, 2)], closure=True).simplices[-1] == (0, 1, 2)
+    assert list(inspect.signature(parallel.parallel_map).parameters) == ["fn", "items", "threads"]
+
+
 def test_pd_rejects_threads(fig1_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pd", fig1_file, "--threads", "2"])
@@ -353,6 +387,17 @@ def test_sweep_rows(fig1_file, tmp_path, capsys):
         capsys,
     )
     assert len(single.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "grid, rows, last", [("0:16426.6:714.2", 24, 16426.6), ("0:0.4:0.01", 41, 0.4)]
+)
+def test_sweep_keeps_the_end_of_an_inclusive_grid(fig1_file, capsys, grid, rows, last):
+    # 23 * 714.2 rounds above 16426.6 by more than a fixed slack of 1e-12
+    code, out, _ = run(["sweep", fig1_file, "--pair-index", "1", "--epsilon-grid", grid], capsys)
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == rows
+    assert float(lines[-1].split("\t")[0]) == pytest.approx(last)
 
 
 def test_stat_deterministic_across_threads(fig1_file, capsys):

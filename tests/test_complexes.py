@@ -68,12 +68,12 @@ def test_build_order_levels_then_dim_then_lex():
     for s in cx.simplices:
         level[s] = {1: 0.0, 2: 1.0, 3: 2.0}[len(s)]
     o = build_order(cx, level)
-    dims = [len(cx.simplices[i]) for i in o.order]
+    dims = [len(cx.simplices[i]) for i in o.order_array.tolist()]
     assert dims == sorted(dims)
     # equal-level edges tie-break lexicographically
     level2 = {s: 0.0 if len(s) == 1 else 1.0 for s in cx.simplices}
     o2 = build_order(cx, level2)
-    edge_order = [cx.simplices[i] for i in o2.order if len(cx.simplices[i]) == 2]
+    edge_order = [cx.simplices[i] for i in o2.order_array.tolist() if len(cx.simplices[i]) == 2]
     assert edge_order == [(0, 1), (0, 2), (1, 2)]
 
 
@@ -92,13 +92,13 @@ def test_order_invariants_on_random_filtration():
     pts = [(random.random() * 2, random.random() * 2) for _ in range(15)]
     o = alpha_filtration(pts).order
     cx = o.cx
-    for i in range(len(cx)):
-        for fi in cx.faces[i]:
-            assert o.rank[fi] < o.rank[i]
-            assert o.level[fi] <= o.level[i]
+    for i, faces in enumerate(views_from_arrays(cx)[2]):
+        for fi in faces:
+            assert o.rank_array[fi] < o.rank_array[i]
+            assert o.level_array[fi] <= o.level_array[i]
     # every rank prefix is a closed complex
     for cut in (1, len(cx) // 3, len(cx) // 2, len(cx)):
-        sub = SimplicialComplex([cx.simplices[i] for i in o.prefix_ids(cut)])
+        sub = SimplicialComplex([cx.simplices[i] for i in o.order_array[:cut].tolist()])
         assert validate_complex(sub) == []
 
 
@@ -106,13 +106,13 @@ def test_every_prefix_is_closed_small():
     f = alpha_filtration(fig1_five_points().points)
     o = f.order
     for cut in range(len(o) + 1):
-        sub = SimplicialComplex([o.cx.simplices[i] for i in o.prefix_ids(cut)])
+        sub = SimplicialComplex([o.cx.simplices[i] for i in o.order_array[:cut].tolist()])
         assert validate_complex(sub) == []
 
 
 def test_boundary_of_triangle_z2():
     cx = SimplicialComplex([(0, 1, 2)], closure=True)
-    ch = chain_z2([cx.index[(0, 1, 2)]], cx)
+    ch = chain_z2([cx.simplices.index((0, 1, 2))], cx)
     b = boundary(cx, ch)
     assert {cx.simplices[i] for i in b.support()} == {(0, 1), (0, 2), (1, 2)}
 
@@ -149,7 +149,8 @@ def test_boundary_of_annulus_strip():
     total = chain_z2(cx.ids_of_dim(2), cx)
     rim = boundary(cx, total)
     # brute-force coefficient count: each edge's triangle cofaces mod 2
-    expect = {e for e in cx.ids_of_dim(1) if len(cx.cofaces[e]) % 2 == 1}
+    cofaces = views_from_arrays(cx)[3]
+    expect = {e for e in cx.ids_of_dim(1) if len(cofaces[e]) % 2 == 1}
     assert rim.support() == expect
     # exactly the two boundary n-gons
     assert len(expect) == 2 * n
@@ -159,7 +160,7 @@ def test_sublevel_complex():
     f = alpha_filtration(fig1_five_points().points)
     o = f.order
     assert len(sublevel_complex(o, -math.inf)) == 0
-    assert len(sublevel_complex(o, max(o.level) + 1)) == len(o.cx)
+    assert len(sublevel_complex(o, o.level_array.max() + 1)) == len(o.cx)
     # Fig 1 at t = 0.6: both loops' edges present, square triangles absent
     sub = sublevel_complex(o, 0.6)
     assert validate_complex(sub) == []
@@ -174,10 +175,10 @@ def test_complex_json_roundtrip():
     f = alpha_filtration(fig1_five_points().points)
     obj = complex_to_json(f.order)
     o2 = complex_from_json(json.dumps(obj))
-    assert [o2.cx.simplices[i] for i in o2.order] == [
-        f.order.cx.simplices[i] for i in f.order.order
+    assert [o2.cx.simplices[i] for i in o2.order_array.tolist()] == [
+        f.order.cx.simplices[i] for i in f.order.order_array.tolist()
     ]
-    assert o2.level == f.order.level
+    assert o2.level_array.tolist() == f.order.level_array.tolist()
 
 
 def test_complex_json_rejects_unclosed():
@@ -201,10 +202,8 @@ def test_complex_json_rejects_duplicate_simplex():
 
 def assert_same_complex(cx, ref):
     assert cx.simplices == ref.simplices
-    assert cx.index == ref.index
+    assert views_from_arrays(cx) == (ref.simplices, ref.index, ref.faces, ref.cofaces)
     assert cx.dim == ref.dim
-    assert cx.faces == ref.faces
-    assert cx.cofaces == ref.cofaces
     assert cx._missing == ref._missing
     assert validate_complex(cx) == validate_complex(ref)
     assert cx.vertex_count == len(ref.ids_of_dim(0))
@@ -213,14 +212,14 @@ def assert_same_complex(cx, ref):
         assert isinstance(ids, range) and list(ids) == ref.ids_of_dim(k)
         if not 0 <= k <= cx.dim:
             continue
-        # the per-dimension arrays say the same as the lists
-        assert [tuple(r) for r in cx.vertex_array(k).tolist()] == [cx.simplices[i] for i in ids]
+        # the per-dimension arrays say the same as the reference lists
+        assert [tuple(r) for r in cx.vertex_array(k).tolist()] == [ref.simplices[i] for i in ids]
         assert [[f for f in row if f >= 0] for row in cx.face_array(k).tolist()] == [
-            cx.faces[i] for i in ids
+            ref.faces[i] for i in ids
         ]
         ptr, idx = cx.coface_csr(k)
         assert [idx[a:b].tolist() for a, b in zip(ptr[:-1], ptr[1:])] == [
-            cx.cofaces[i] for i in ids
+            ref.cofaces[i] for i in ids
         ]
 
 
@@ -234,8 +233,8 @@ def assert_same_order(cx, ref, level):
             exc.face, exc.coface, str(exc))
         return
     o = build_order(cx, level)
-    assert (o.level, o.order) == expect
-    assert all(o.rank[sid] == pos for pos, sid in enumerate(o.order))
+    assert (o.level_array.tolist(), o.order_array.tolist()) == expect
+    assert all(o.rank_array[sid] == pos for pos, sid in enumerate(o.order_array))
 
 
 GEOMETRY = geometry_cases()
@@ -311,13 +310,12 @@ def test_order_with_tied_levels_matches_reference(seed):
 @pytest.mark.parametrize("name", sorted(GEOMETRY) + ["complex-json"])
 def test_views_are_lazy_and_equal_array_oracle(name):
     if name == "complex-json":
-        o = complex_from_json(json.dumps(complex_to_json(torus_complex(6, 5, seed=0))))
-        cx = o.cx  # loading the JSON reads `index`
+        cx = complex_from_json(json.dumps(complex_to_json(torus_complex(6, 5, seed=0)))).cx
     else:
         cx = delaunay(GEOMETRY[name])
-        assert not set(VIEWS) & set(vars(cx))
+    assert not set(VIEWS) & set(vars(cx))
     ref = views_from_arrays(cx)
-    assert (cx.simplices, cx.index, cx.faces, cx.cofaces) == ref
+    assert cx.simplices == ref[0]
     assert set(VIEWS) <= set(vars(cx))
     # lengths and dimensions come from the id offsets
     assert len(cx) == len(ref[0])
@@ -333,7 +331,9 @@ def test_views_are_lazy_and_equal_array_oracle(name):
 
 
 def assert_same_loaded(o, ref):
-    assert (o.order, o.level, o.rank) == (ref.order, ref.level, ref.rank)
+    for a in ("order_array", "level_array", "rank_array"):
+        got, want = getattr(o, a), getattr(ref, a)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
     assert (o.cx.dim, len(o.cx)) == (ref.cx.dim, len(ref.cx))
     for k in range(ref.cx.dim + 1):
         for got, want in [
@@ -407,5 +407,5 @@ def test_complex_json_accepts_integral_float_ids():
     text = '{"vertices": 2.0, "simplices": [{"v": [0.0], "level": 0}, {"v": [1], "level": 0.5},' \
         ' {"v": [1.0, 0], "level": 2}]}'
     o = complex_from_json(text)
-    assert o.cx.vertex_array(1).tolist() == [[0, 1]] and o.level == [0.0, 0.5, 2.0]
+    assert o.cx.vertex_array(1).tolist() == [[0, 1]] and o.level_array.tolist() == [0.0, 0.5, 2.0]
     assert_same_loaded(o, complex_from_json_oracle(text))

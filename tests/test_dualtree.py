@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import random
 
@@ -10,11 +11,19 @@ from helpers import (
     boundary_vertices_oracle,
     build_dual_graph_oracle,
     compute_tree_oracle,
+    dual_edges,
     geometry_cases,
 )
 from stablevol.alpha import alpha_filtration
-from stablevol.baselines import NoiseModel, _boundary_vertices
-from stablevol.complexes import SimplicialComplex, boundary, build_order, chain_z2
+from stablevol.baselines import NoiseModel
+from stablevol.complexes import (
+    SimplicialComplex,
+    boundary,
+    build_order,
+    chain_z2,
+    vertices_of,
+    z2_boundary,
+)
 from stablevol.dualtree import (
     OMEGA_INF,
     ConditionError,
@@ -42,8 +51,8 @@ def test_single_triangle_dual_graph():
                                SimplicialComplex([(0, 1, 2)], closure=True).simplices})
     g = build_dual_graph(o)
     assert len(g.cells) == 1
-    assert len(g.edges) == 3
-    for tau, a, b in g.edges:
+    assert len(dual_edges(g)) == 3
+    for tau, a, b in dual_edges(g):
         assert b == OMEGA_INF
 
 
@@ -52,7 +61,7 @@ def test_two_triangle_square_dual_graph():
     o = build_order(cx, {s: float(len(s) - 1) for s in cx.simplices})
     g = build_dual_graph(o)
     assert len(g.cells) == 2
-    inner = [e for e in g.edges if OMEGA_INF not in e[1:]]
+    inner = [e for e in dual_edges(g) if OMEGA_INF not in e[1:]]
     assert len(inner) == 1
     assert cx.simplices[inner[0][0]] == (0, 2)
 
@@ -69,18 +78,16 @@ def test_dual_graph_handshake_on_random_cloud():
     pts = [(random.random(), random.random()) for _ in range(50)]
     f = alpha_filtration(pts)
     g = build_dual_graph(f.order)
-    assert len(g.edges) == len(f.cx.ids_of_dim(1))
+    assert len(dual_edges(g)) == len(f.cx.ids_of_dim(1))
     degree = {c: 0 for c in g.cells}
     degree[OMEGA_INF] = 0
-    for tau, a, b in g.edges:
+    for tau, a, b in dual_edges(g):
         degree[a] += 1
         degree[b] += 1
     # every 2-cell has exactly 3 incident dual edges
     for c in g.cells:
         assert degree[c] == 3
-    assert degree[OMEGA_INF] == sum(
-        1 for e in f.cx.ids_of_dim(1) if len(f.cx.cofaces[e]) == 1
-    )
+    assert degree[OMEGA_INF] == np.count_nonzero(np.diff(f.cx.coface_csr(1)[0]) == 1)
 
 
 def test_merge_order_single_merge():
@@ -91,10 +98,10 @@ def test_merge_order_single_merge():
     lv[(0, 2, 3)] = 2.0
     o = build_order(cx, lv)
     tree = compute_tree(build_dual_graph(o), o)
-    t1 = cx.index[(0, 1, 2)]
-    t2 = cx.index[(0, 2, 3)]
+    t1 = cx.simplices.index((0, 1, 2))
+    t2 = cx.simplices.index((0, 2, 3))
     # lower-ranked triangle is the child, via the diagonal
-    assert tree.parent[t1] == (t2, cx.index[(0, 2)])
+    assert tree.parent[t1] == (t2, cx.simplices.index((0, 2)))
 
 
 def test_tree_pairs_equal_reduction_pairs_many_clouds():
@@ -104,7 +111,7 @@ def test_tree_pairs_equal_reduction_pairs_many_clouds():
         f = alpha_filtration(pts)
         tree = compute_tree(build_dual_graph(f.order), f.order)
         hp = [p for p in reduce(f.order) if p.degree == 1 and not p.essential]
-        assert pairset(tree.pairs()) == pairset(hp)
+        assert pairset(tree.pairs_table()) == pairset(hp)
         assert not [p for p in reduce(f.order) if p.degree == 1 and p.essential]
 
 
@@ -114,13 +121,13 @@ def test_tree_pairs_match_in_3d_degree2():
     f = alpha_filtration(pts)
     tree = compute_tree(build_dual_graph(f.order), f.order)
     hp = [p for p in reduce(f.order) if p.degree == 2 and not p.essential]
-    assert pairset(tree.pairs()) == pairset(hp)
+    assert pairset(tree.pairs_table()) == pairset(hp)
 
 
 def test_optimal_volume_single_square():
     f = alpha_filtration([(0, 0), (1, 0), (1, 1), (0, 1)])
     tree = compute_tree(build_dual_graph(f.order), f.order)
-    main = [p for p in tree.pairs() if p.death_time > p.birth_time]
+    main = [p for p in tree.pairs_table() if p.death_time > p.birth_time]
     assert len(main) == 1
     assert optimal_volume_tree(tree, main[0]) == set(f.cx.ids_of_dim(2))
 
@@ -128,7 +135,7 @@ def test_optimal_volume_single_square():
 def test_volume_errors():
     f = alpha_filtration(fig1_five_points().points)
     tree = compute_tree(build_dual_graph(f.order), f.order)
-    pair = tree.pairs()[0]
+    pair = tree.pairs_table()[0]
     h0 = [p for p in reduce(f.order) if p.degree == 0 and not p.essential][0]
     with pytest.raises(DegreeError):
         optimal_volume_tree(tree, h0)
@@ -142,7 +149,7 @@ def test_volume_errors():
 def test_stable_volume_limits():
     f = alpha_filtration(fig1_five_points().points)
     tree = compute_tree(build_dual_graph(f.order), f.order)
-    for p in tree.pairs():
+    for p in tree.pairs_table():
         ov = optimal_volume_tree(tree, p)
         assert stable_volume_tree(tree, p, 0.0).cells == ov
         eps_big = (p.death_time - p.birth_time) * 1.001 + 1e-9
@@ -152,7 +159,7 @@ def test_stable_volume_limits():
 def test_nesting_and_disjoint_or_nested():
     f = alpha_filtration(annulus(seed=2).points)
     tree = compute_tree(build_dual_graph(f.order), f.order)
-    pairs = tree.pairs()
+    pairs = list(tree.pairs_table())
     for p in pairs:
         prev = None
         for eps in (0.0, 0.02, 0.05, 0.1, 0.2, 0.5):
@@ -170,17 +177,20 @@ def test_nesting_and_disjoint_or_nested():
 def test_boundary_cycle_of_volume_closes():
     f = alpha_filtration(annulus(seed=5).points)
     tree = compute_tree(build_dual_graph(f.order), f.order)
-    p = max(tree.pairs(), key=lambda q: q.death_time - q.birth_time)
+    p = max(tree.pairs_table(), key=lambda q: q.death_time - q.birth_time)
     res = stable_volume_tree(tree, p, 0.05)
-    assert res.boundary
-    assert not boundary(f.order.cx, res.boundary)  # d(d(volume)) = 0
+    cx = f.order.cx
+    bnd = boundary(cx, chain_z2(res.cells, cx))
+    assert sorted(bnd.support()) == z2_boundary(cx, 2, res.cells).tolist()
+    assert bnd
+    assert not boundary(cx, bnd)  # d(d(volume)) = 0
 
 
 def test_sweep_matches_direct_recount():
     f = alpha_filtration(annulus(seed=7).points)
     tree = compute_tree(build_dual_graph(f.order), f.order)
     grid = [i * 0.01 for i in range(31)]
-    for p in tree.pairs():
+    for p in tree.pairs_table():
         rows = sweep_sizes(tree, p, grid)
         assert [e for e, _ in rows] == grid
         sizes = [s for _, s in rows]
@@ -188,7 +198,7 @@ def test_sweep_matches_direct_recount():
         for eps, size in rows[::5]:
             assert size == len(stable_volume_tree(tree, p, eps).cells)
     with pytest.raises(ValueError):
-        sweep_sizes(tree, tree.pairs()[0], [0.2, 0.1])
+        sweep_sizes(tree, tree.pairs_table()[0], [0.2, 0.1])
 
 
 def test_theorem_sampled_inclusion():
@@ -196,13 +206,13 @@ def test_theorem_sampled_inclusion():
     f = alpha_filtration(fig1_five_points().points)
     tree = compute_tree(build_dual_graph(f.order), f.order)
     eps = 0.05
-    for pair in tree.pairs():
+    for pair in tree.pairs_table():
         sv = stable_volume_tree(tree, pair, eps).cells
         for _ in range(50):
             oq = admissible_order(f.order, pair, eps, rng)
             qtree = compute_tree(build_dual_graph(oq), oq)
             qpair = next(
-                p for p in qtree.pairs() if p.death_simplex == pair.death_simplex
+                p for p in qtree.pairs_table() if p.death_simplex == pair.death_simplex
             )
             assert sv <= optimal_volume_tree(qtree, qpair)
 
@@ -247,20 +257,38 @@ def test_pairs_table_equals_reduce_rows(name):
     assert list(table) == [p for p in full if p.degree == o.cx.dim - 1]
 
 
+@pytest.mark.parametrize("name", ["fig1-five-points", "lattice-2d-defects", "annulus"])
+def test_pairs_have_plain_python_fields(name):
+    # json.dumps rejects numpy scalars, so every way to get a pair gives
+    # Python ints, floats and None
+    o = alpha_filtration(generate(name, 0).points).order
+    tree = compute_tree(build_dual_graph(o), o)
+    table = tree.pairs_table()
+    pairs = [*table, *reduce(o), *map(tree.pair_of, tree.parent)]
+    assert list(table) == sorted(map(tree.pair_of, tree.parent), key=lambda p: p.birth_rank)
+    for p in pairs:
+        types = [type(getattr(p, f)) for f in ("degree", "birth_simplex", "birth_rank")]
+        types += [type(p.birth_time), type(p.death_time)]
+        types += [type(getattr(p, f)) for f in ("death_simplex", "death_rank")]
+        want = [int] * 3 + [float] * 2 + ([type(None)] * 2 if p.essential else [int] * 2)
+        assert types == want
+    json.dumps([vars(p) for p in pairs])
+
+
 @pytest.mark.parametrize("name", sorted(TREE_CLOUDS))
 def test_dual_graph_and_tree_match_oracle(name):
     o = tree_order(name)
     g, ref = build_dual_graph(o), build_dual_graph_oracle(o)
     assert g.n == ref.n and list(g.cells) == ref.cells
-    assert g.edges == ref.edges
+    assert dual_edges(g) == ref.edges
     tree, ref_tree = compute_tree(g, o), compute_tree_oracle(ref, o)
     assert list(tree.parent.items()) == list(ref_tree.parent.items())
     n = o.cx.dim
     # boundary vertices of up to 30 optimal volumes, largest persistence first
-    pairs = sorted(tree.pairs(), key=lambda p: p.birth_time - p.death_time)[:30]
+    pairs = sorted(tree.pairs_table(), key=lambda p: p.birth_time - p.death_time)[:30]
     for p in pairs:
         cells = optimal_volume_tree(tree, p)
-        got = _boundary_vertices(o.cx, n, cells)
+        got = vertices_of(o.cx, n - 1, z2_boundary(o.cx, n, cells))
         assert got.tolist() == sorted(boundary_vertices_oracle(o, cells))
 
 
@@ -295,7 +323,7 @@ def test_condition_errors_match_oracle(tops):
         assert str(got.value) == str(exc)
         return
     g = build_dual_graph(o)
-    assert (g.n, list(g.cells), g.edges) == (ref.n, ref.cells, ref.edges)
+    assert (g.n, list(g.cells), dual_edges(g)) == (ref.n, ref.cells, ref.edges)
     tree = compute_tree(g, o)
     assert tree.parent == compute_tree_oracle(ref, o).parent
 
@@ -312,7 +340,7 @@ def test_children_csr_matches_dict_oracle(name):
     grid = [0.0, 0.01, 0.05, 0.2, 1.0]
     # the 100 most persistent pairs, whose subtrees are the largest, and every
     # tenth of the others
-    pairs = sorted(tree.pairs(), key=lambda p: p.birth_time - p.death_time)
+    pairs = sorted(tree.pairs_table(), key=lambda p: p.birth_time - p.death_time)
     for p in pairs[:100] + pairs[100::10]:
         cells = ref.descendants(p.death_simplex)
         assert tree.descendants(p.death_simplex) == optimal_volume_tree(tree, p) == cells
@@ -322,6 +350,7 @@ def test_children_csr_matches_dict_oracle(name):
             got, want = stable_volume_tree(tree, p, eps), ref.stable_volume(p, eps)
             assert got.cells == want
             if eps == 0.05:
-                assert got.boundary == boundary(o.cx, chain_z2(want, o.cx))
+                bnd = boundary(o.cx, chain_z2(want, o.cx))
+                assert z2_boundary(o.cx, o.cx.dim, got.cells).tolist() == sorted(bnd.support())
             sizes.append((eps, len(want)))
         assert sweep_sizes(tree, p, grid) == sizes

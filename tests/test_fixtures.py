@@ -57,6 +57,7 @@ def test_hexagon_unit_sides():
 
 def test_appendix_filtration_valid():
     o = appendix_filtration()
-    for i in range(len(o.cx)):
-        for fi in o.cx.faces[i]:
-            assert o.level[fi] <= o.level[i]
+    level = o.level_array
+    for k in range(1, o.cx.dim + 1):
+        ids = o.cx.ids_of_dim(k)
+        assert (level[o.cx.face_array(k)] <= level[ids.start : ids.stop, None]).all()

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import TooLargeError, brute_force_volume, l1_program
+from helpers import TooLargeError, brute_force_volume, l1_program, views_from_arrays
 from stablevol.alpha import alpha_filtration
 from stablevol.dualtree import build_dual_graph, compute_tree, optimal_volume_tree, stable_volume_tree
 from stablevol.fixtures import fig1_five_points, lattice_3x3x3
@@ -20,22 +20,22 @@ def fig1_tree():
 
 def test_make_problem_windows():
     f, tree = fig1_tree()
-    square = max(tree.pairs(), key=lambda p: p.death_time)
+    square = max(tree.pairs_table(), key=lambda p: p.death_time)
     prob = V.make_problem(f.order, square, "optimal")
     for c in prob.candidates:
-        assert square.birth_rank < f.order.rank[c] < square.death_rank
+        assert square.birth_rank < f.order.rank_array[c] < square.death_rank
         assert f.cx.dim_of(c) == 2
     for t in prob.constraints:
-        assert square.birth_rank < f.order.rank[t] < square.death_rank
+        assert square.birth_rank < f.order.rank_array[t] < square.death_rank
         assert f.cx.dim_of(t) == 1
     eps = 0.05
     sprob = V.make_problem(f.order, square, "stable", eps)
     for t in sprob.constraints:
-        assert f.order.level[t] >= square.birth_time + eps
-        assert f.order.rank[t] < square.death_rank
+        assert f.order.level_array[t] >= square.birth_time + eps
+        assert f.order.rank_array[t] < square.death_rank
     # candidate levels sit in [birth + eps, death)
     for c in sprob.candidates:
-        assert square.birth_time + eps <= f.order.level[c]
+        assert square.birth_time + eps <= f.order.level_array[c]
 
 
 def test_make_problem_star_and_mode_errors():
@@ -43,7 +43,7 @@ def test_make_problem_star_and_mode_errors():
     star = [p for p in reduce(f.order) if p.essential][0]
     with pytest.raises(StarPairError):
         V.make_problem(f.order, star, "optimal")
-    pair = tree.pairs()[0]
+    pair = tree.pairs_table()[0]
     with pytest.raises(ValueError):
         V.make_problem(f.order, pair, "bogus")
     with pytest.raises(ValueError):
@@ -52,7 +52,7 @@ def test_make_problem_star_and_mode_errors():
 
 def test_huge_epsilon_problem_trivial():
     f, tree = fig1_tree()
-    p = max(tree.pairs(), key=lambda q: q.death_time)
+    p = max(tree.pairs_table(), key=lambda q: q.death_time)
     prob = V.make_problem(f.order, p, "stable", 10.0)
     assert len(prob.candidates) == 0 and len(prob.constraints) == 0
     sol = V.solve_volume(f.order, p, "stable", 10.0)
@@ -61,7 +61,7 @@ def test_huge_epsilon_problem_trivial():
 
 def test_to_lp_counts_and_entries():
     f, tree = fig1_tree()
-    square = max(tree.pairs(), key=lambda p: p.death_time)
+    square = max(tree.pairs_table(), key=lambda p: p.death_time)
     prog = V.to_lp(V.make_problem(f.order, square, "optimal"))
     assert prog.n_variables == 2 * len(prog.candidates)
     assert prog.n_constraints == 2 * len(prog.candidates) + len(prog.rows) + 1
@@ -69,18 +69,19 @@ def test_to_lp_counts_and_entries():
         assert const in (-1, 0, 1)
         for w, c in coeffs.items():
             assert c in (-1, 1)
-            assert tau in f.cx.faces[w]
+            assert tau in f.cx.face_array(2)[w - f.cx.ids_of_dim(2).start]
     # every equality row's support equals the coface incidence inside the candidates
     cand = set(prog.candidates)
+    cofaces = views_from_arrays(f.cx)[3]
     for tau, coeffs, const in prog.rows:
-        assert set(coeffs) == {om for om in f.cx.cofaces[tau] if om in cand}
-        assert (const != 0) == (square.death_simplex in f.cx.cofaces[tau])
+        assert set(coeffs) == {om for om in cofaces[tau] if om in cand}
+        assert (const != 0) == (square.death_simplex in cofaces[tau])
 
 
 def test_single_candidate_program_counts():
     # one candidate, one constraint -> 2 variables, 3 constraints
     f, tree = fig1_tree()
-    square = max(tree.pairs(), key=lambda p: p.death_time)
+    square = max(tree.pairs_table(), key=lambda p: p.death_time)
     prob = V.make_problem(f.order, square, "stable", 0.05)
     prob.candidates = prob.candidates[:1]
     prob.constraints = prob.constraints[:1]
@@ -92,7 +93,7 @@ def test_single_candidate_program_counts():
 def test_solve_single_square():
     f = alpha_filtration([(0, 0), (1, 0), (1, 1), (0, 1)])
     tree = compute_tree(build_dual_graph(f.order), f.order)
-    p = max(tree.pairs(), key=lambda q: q.death_time - q.birth_time)
+    p = max(tree.pairs_table(), key=lambda q: q.death_time - q.birth_time)
     sol = V.solve_volume(f.order, p, "optimal")
     assert sol.cells == set(f.cx.ids_of_dim(2))
     assert abs(sol.objective - 1.0) < 1e-8
@@ -101,7 +102,7 @@ def test_solve_single_square():
 
 def test_round_support_threshold():
     f, tree = fig1_tree()
-    square = max(tree.pairs(), key=lambda p: p.death_time)
+    square = max(tree.pairs_table(), key=lambda p: p.death_time)
     prob = V.make_problem(f.order, square, "stable", 0.0)
     raw = V.solve_lp(V.to_lp(prob))
     raw.alphas = raw.alphas.copy()
@@ -112,7 +113,7 @@ def test_round_support_threshold():
 
 def test_round_support_mismatch_surfaces():
     f, tree = fig1_tree()
-    square = max(tree.pairs(), key=lambda p: p.death_time)
+    square = max(tree.pairs_table(), key=lambda p: p.death_time)
     prob = V.make_problem(f.order, square, "stable", 0.0)
     raw = V.solve_lp(V.to_lp(prob))
     raw.alphas = np.zeros_like(raw.alphas)  # force an infeasible support
@@ -123,7 +124,7 @@ def test_round_support_mismatch_surfaces():
 
 def test_lp_equals_tree_on_fig1_and_oracle():
     f, tree = fig1_tree()
-    for p in tree.pairs():
+    for p in tree.pairs_table():
         ov = optimal_volume_tree(tree, p)
         assert V.solve_volume(f.order, p, "optimal").cells == ov
         for eps in (0.0, 0.05, 0.1, 0.3):
@@ -145,19 +146,19 @@ def test_volume_cycle_laws():
         pts = [(random.random() * 2, random.random() * 2) for _ in range(12)]
         f = alpha_filtration(pts)
         tree = compute_tree(build_dual_graph(f.order), f.order)
-        for p in tree.pairs():
+        for p in tree.pairs_table():
             z = V.solve_volume(f.order, p, "optimal").cells
             bz = boundary(f.cx, chain_z2(z, f.cx))
             assert p.birth_simplex in bz.support()
             for e in bz.support():
-                assert f.order.rank[e] <= p.birth_rank
+                assert f.order.rank_array[e] <= p.birth_rank
             assert is_z2_boundary(f.order, bz.support(), p.death_rank + 1)
             assert not is_z2_boundary(f.order, bz.support(), p.death_rank)
 
 
 def test_brute_force_too_large():
     f, tree = fig1_tree()
-    p = tree.pairs()[0]
+    p = tree.pairs_table()[0]
     prob = V.make_problem(f.order, p, "stable", 0.0)
     prob.candidates = list(range(25))
     with pytest.raises(TooLargeError):
@@ -166,7 +167,7 @@ def test_brute_force_too_large():
 
 def test_brute_force_tie_count():
     f, tree = fig1_tree()
-    square = max(tree.pairs(), key=lambda p: p.death_time)
+    square = max(tree.pairs_table(), key=lambda p: p.death_time)
     prob = V.make_problem(f.order, square, "stable", 0.05)
     chain, ties = brute_force_volume(prob, count_ties=True)
     assert ties >= 1
@@ -178,7 +179,7 @@ def test_lp_objective_never_beats_oracle_unrounded():
         pts = [(random.random() * 2, random.random() * 2) for _ in range(10)]
         f = alpha_filtration(pts)
         tree = compute_tree(build_dual_graph(f.order), f.order)
-        for p in tree.pairs()[:2]:
+        for p in list(tree.pairs_table())[:2]:
             prob = V.make_problem(f.order, p, "stable", 0.02)
             if len(prob.candidates) > 16:
                 continue
@@ -215,7 +216,7 @@ def test_lp_equals_tree_in_3d_codim1():
         pts = rng.random((int(rng.integers(12, 22)), 3)) * 2
         f = alpha_filtration(pts)
         tree = compute_tree(build_dual_graph(f.order), f.order)
-        for p in tree.pairs():
+        for p in tree.pairs_table():
             for eps in (0.0, 0.03, 0.1):
                 sv_tree = stable_volume_tree(tree, p, eps).cells
                 assert V.solve_volume(f.order, p, "stable", eps).cells == sv_tree
