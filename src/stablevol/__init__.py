@@ -33,6 +33,7 @@ from .persistence import (
     StarPairError,
     cohomology_reduce,
     diagram,
+    pairs,
     reduce,
 )
 from .volopt import (

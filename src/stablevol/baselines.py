@@ -110,10 +110,10 @@ def statistical_frequencies(
     (accepted within max(2 * half_width, 1e-6)), and marks the vertices of
     the matched pair's optimal volume boundary. For a pair of codimension 1
     the trial builds one persistence tree, which gives both its pairs and
-    the optimal volume, and runs no reduction; other degrees reduce, then
-    solve the l1 program. Unmatched trials are excluded from the
-    denominator and reported; a majority of unmatched trials flags the
-    result with a warning status.
+    the optimal volume, and runs no reduction; other degrees take their
+    pairs from `persistence.pairs`, then solve the l1 program. Unmatched
+    trials are excluded from the denominator and reported; a majority of
+    unmatched trials flags the result with a warning status.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -129,7 +129,7 @@ def statistical_frequencies(
                 return None
             cells = optimal_volume_tree(tree, hit)
         else:
-            hit = _match_pair(pers.reduce(o), target, radius)
+            hit = _match_pair(pers.pairs(o, [target.degree]), target, radius)
             if hit is None:
                 return None
             cells = optimal_volume_cells(o, hit)

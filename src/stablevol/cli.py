@@ -253,7 +253,7 @@ def _volume_json(order, points, pair, cells, method, epsilon, extra=None):
 
 def cmd_pd(args) -> int:
     order, _ = _load_input(args.input)
-    pairs = pers.reduce(order)
+    pairs = pers.pairs(order, args.degree)
     degrees = args.degree if args.degree else list(range(order.cx.dim + 1))
     diagrams, rows = [], []
     for k in degrees:
@@ -283,27 +283,31 @@ def cmd_pd(args) -> int:
     return 0
 
 
-def _tree_for(order):
+def _tree_for(order, pairs):
+    """The merge tree that `pairs` came from, or a new one."""
+    if pairs.tree is not None:
+        return pairs.tree
     return compute_tree(build_dual_graph(order), order)
 
 
 def cmd_vol(args) -> int:
     order, points = _load_input(args.input)
-    pair = _select_pair(pers.reduce(order), args)
+    pairs = pers.pairs(order, [args.degree])
+    pair = _select_pair(pairs, args)
     if pair.essential:
         raise StarPairError("selected pair is essential")
     codim1 = pair.degree == order.cx.dim - 1
     eps = args.epsilon
     if args.method == "optimal":
         if codim1:
-            cells = optimal_volume_tree(_tree_for(order), pair)
+            cells = optimal_volume_tree(_tree_for(order, pairs), pair)
             obj = _volume_json(order, points, pair, cells, "tree-optimal", None)
         else:
             sol = volopt.solve_volume(order, pair, "optimal", threshold=args.threshold)
             obj = _volume_json(order, points, pair, sol.cells, "lp-optimal", None,
                                {"objective": sol.objective, "status": sol.status})
     elif args.method == "stable-tree":
-        res = stable_volume_tree(_tree_for(order), pair, eps)
+        res = stable_volume_tree(_tree_for(order, pairs), pair, eps)
         obj = _volume_json(order, points, pair, res.cells, "tree-stable", eps)
     elif args.method == "stable-lp":
         sol = volopt.solve_volume(order, pair, "stable", eps, threshold=args.threshold)
@@ -311,7 +315,7 @@ def cmd_vol(args) -> int:
                            {"objective": sol.objective, "status": sol.status})
     else:  # sub
         if codim1:
-            ov = optimal_volume_tree(_tree_for(order), pair)
+            ov = optimal_volume_tree(_tree_for(order, pairs), pair)
         else:
             ov = volopt.solve_volume(order, pair, "optimal", threshold=args.threshold).cells
         sol = volopt.solve_volume(order, pair, "sub", eps, ov_cells=ov,
@@ -350,10 +354,11 @@ def _parse_grid(spec: str):
 def cmd_sweep(args) -> int:
     grid = _parse_grid(args.epsilon_grid)
     order, _ = _load_input(args.input)
-    pair = _select_pair(pers.reduce(order), args)
+    pairs = pers.pairs(order, [args.degree])
+    pair = _select_pair(pairs, args)
     if pair.degree != order.cx.dim - 1:
         raise PairSelectionError("sweep needs a codimension-1 pair (tree method)")
-    rows = sweep_sizes(_tree_for(order), pair, grid)
+    rows = sweep_sizes(_tree_for(order, pairs), pair, grid)
     _emit("".join(f"{e!r}\t{s}\n" for e, s in rows), args.output)
     return 0
 
@@ -369,7 +374,7 @@ def cmd_stat(args) -> int:
     from .alpha import PointCloud
 
     pc = PointCloud(points.shape[1], points)
-    pair = _select_pair(pers.reduce(order), args)
+    pair = _select_pair(pers.pairs(order, [args.degree]), args)
     fm = statistical_frequencies(pc, pair, noise, args.trials)
     obj = {
         "trials": fm.trials,
@@ -437,8 +442,15 @@ def main(argv=None) -> int:
         "rsc": cmd_rsc,
         "gen": cmd_gen,
     }
-    # checked before the input is read; rounding at a threshold of 1 or more
-    # would drop every +-1 coefficient
+    # checked before the input is read; a degree above the dimension only
+    # has an empty diagram, but no degree is negative
+    degree = getattr(args, "degree", None)
+    if isinstance(degree, list):  # pd's repeatable --degree
+        degree = min(degree)
+    if degree is not None and degree < 0:
+        print("error: --degree must be >= 0", file=sys.stderr)
+        return EXIT_PARSE
+    # rounding at a threshold of 1 or more would drop every +-1 coefficient
     for opt, ok, rule in (
         ("epsilon", lambda x: x >= 0, ">= 0"),
         ("threshold", lambda x: 0 < x < 1, "in (0, 1)"),

@@ -106,7 +106,9 @@ class PersistenceTree:
         self._first, self._inf = cells.start, len(cells)
         m = len(parent)
         child = np.fromiter(parent, np.int64, m)
-        up = np.fromiter(itertools.chain.from_iterable(parent.values()), np.int64, 2 * m)[::2]
+        flat = np.fromiter(itertools.chain.from_iterable(parent.values()), np.int64, 2 * m)
+        up = flat[::2]
+        self._edges = (flat[1::2], child)
         slot = np.where(up == OMEGA_INF, self._inf, up - cells.start)
         ptr = np.zeros(self._inf + 2, dtype=np.int64)
         np.cumsum(np.bincount(slot, minlength=self._inf + 1), out=ptr[1:])
@@ -134,13 +136,16 @@ class PersistenceTree:
             death_rank=int(rank[cell]),
         )
 
+    def edge_arrays(self):
+        """(labelling (n-1)-simplex ids, child cell ids) of the tree edges, as
+        int64 arrays in parent-map order."""
+        return self._edges
+
     def pairs_table(self) -> Pairs:
         """The tree edges as a `Pairs` table, one row per edge, in birth-rank
         order: the rows of `reduce`'s degree-(n-1) pairs."""
         rank = self.order.rank_array
-        m = len(self.parent)
-        cells = np.fromiter(self.parent, np.int64, m)
-        taus = np.fromiter((tau for _, tau in self.parent.values()), np.int64, m)
+        taus, cells = self._edges
         return Pairs(self.order, rank[taus], rank[cells])
 
     def descendants(self, cell: int) -> set:

@@ -1,18 +1,28 @@
-"""Persistence pairs and diagrams by Z/2 boundary-matrix reduction, and
+"""Persistence pairs and diagrams, read from the structure of the complex
+where that is exact and by Z/2 boundary-matrix reduction elsewhere, and
 degree-1 representative cocycles by the anti-transposed reduction.
+
+`pd`, `vol`, `sweep` and `stat` call `pairs`. Degree 0 comes from one
+elder-rule union-find pass over the edges (`degree0_deaths`). On a
+2-dimensional complex that passes the dual-graph condition, degrees 1 and 2
+come from the merge tree over the dual graph (`dualtree.compute_tree`), so
+such a complex needs no matrix reduction. Every other case (a degree above
+0 of a complex of another dimension, or of one that fails the condition)
+falls back to `reduce`.
 
 `reduce` pairs every degree: it builds the boundary matrix per dimension
 from the complex's face arrays and reduces it with clearing, in descending
-dimension. `cohomology_reduce` serves reconstructed shortest cycles: it
-reduces only the edge columns of the anti-transposed (coboundary) matrix,
-with the degree-0 death edges cleared first (the clearing of de Silva,
-Morozov & Vejdemo-Johansson, "Dualities in persistent (co)homology", as
-Ripser uses it).
+dimension. It is the fallback of `pairs` and the tests' oracle for it.
+`cohomology_reduce` serves reconstructed shortest cycles: it reduces only
+the edge columns of the anti-transposed (coboundary) matrix, with the
+degree-0 death edges cleared first (the clearing of de Silva, Morozov &
+Vejdemo-Johansson, "Dualities in persistent (co)homology", as Ripser uses
+it).
 
-Both return a `Pairs` table: int64 birth-rank and death-rank arrays, with
-degree, simplex and time columns derived from them by numpy. Commands read
-the arrays; a `PersistencePair` is built only for a row that is indexed or
-iterated, such as the one pair a command selects.
+All three return a `Pairs` table: int64 birth-rank and death-rank arrays,
+with degree, simplex and time columns derived from them by numpy. Commands
+read the arrays; a `PersistencePair` is built only for a row that is
+indexed or iterated, such as the one pair a command selects.
 """
 
 from __future__ import annotations
@@ -74,7 +84,10 @@ class Pairs:
     `birth_simplex`, `death_simplex` (-1 when essential), `birth_time` and
     `death_time` (inf when essential) derive from the ranks. `len()`,
     indexing and iteration give `PersistencePair`s, built on demand.
+    `tree` is the merge tree that `pairs` read the rows from, if any.
     """
+
+    tree = None
 
     def __init__(self, o: OrderWithLevel, birth_rank, death_rank):
         birth_rank = np.asarray(birth_rank, dtype=np.int64)
@@ -181,29 +194,99 @@ def _pair_arrays(raw_pairs):
     return flat[0::2], flat[1::2]
 
 
-def degree0_deaths(o: OrderWithLevel) -> np.ndarray:
-    """Ids of the degree-0 death edges, in filtration order.
+def pairs(o: OrderWithLevel, degrees=None) -> Pairs:
+    """The rows of `reduce(o)` of the given degrees (default: every degree),
+    read from the structure of the complex where that is exact.
 
-    One union-find pass over the edges in filtration order: an edge that
-    joins two components is a death edge. Which vertex it kills (the elder
-    rule) does not matter for this set.
+    Degree 0 comes from the elder-rule union-find (`degree0_deaths`). On a
+    2-dimensional complex that passes `build_dual_graph`'s condition, the
+    finite degree-1 pairs are the edges of the merge tree (`compute_tree`),
+    whose construction is the anti-transposed reduction of the edge
+    columns. An edge that is neither a degree-0 death nor a tree birth is an
+    essential degree-1 class, and a triangle that is no tree death an
+    essential degree-2 class. Any other degree, and a complex that fails
+    the condition, is paired by `reduce`; the returned table then holds
+    its rows of the wanted degrees. `tree` is set on the table when the
+    merge tree was built.
     """
+    from . import dualtree  # dualtree imports this module
+
     cx = o.cx
-    edges = cx.ids_of_dim(1)
-    if not edges:
-        return np.empty(0, dtype=np.int64)
-    by_rank = np.argsort(o.rank_array[edges.start : edges.stop])
-    parent = list(range(cx.vertex_count))
-    deaths = []
-    for e, (a, b) in zip(by_rank.tolist(), cx.face_array(1)[by_rank].tolist()):
+    wanted = set(range(cx.dim + 1) if degrees is None else degrees)
+    tree = None
+    if not wanted.isdisjoint(range(1, cx.dim + 1)):
+        if cx.dim == 2:
+            try:
+                tree = dualtree.compute_tree(dualtree.build_dual_graph(o), o)
+            except dualtree.ConditionError:
+                pass
+        if tree is None:
+            table = reduce(o)
+            keep = np.isin(table.degree, list(wanted))
+            return Pairs(o, table.birth_rank[keep], table.death_rank[keep])
+    elif 0 not in wanted:
+        return Pairs(o, [], [])
+    births, deaths = degree0_deaths(o)
+    parts = [(births, deaths)] if 0 in wanted else []
+    if tree is not None:
+        rank = o.rank_array
+        taus, cells = tree.edge_arrays()
+        if 1 in wanted:
+            edges = cx.ids_of_dim(1)
+            essential = np.ones(len(edges), dtype=bool)
+            essential[o.order_array[deaths[deaths >= 0]] - edges.start] = False
+            essential[taus - edges.start] = False
+            ess = rank[np.flatnonzero(essential) + edges.start]
+            parts.append((rank[taus], rank[cells]))
+            parts.append((ess, np.full(len(ess), -1, dtype=np.int64)))
+        if 2 in wanted:
+            tris = cx.ids_of_dim(2)
+            essential = np.ones(len(tris), dtype=bool)
+            essential[cells - tris.start] = False
+            ess = rank[np.flatnonzero(essential) + tris.start]
+            parts.append((ess, np.full(len(ess), -1, dtype=np.int64)))
+    table = Pairs(o, *(np.concatenate(c) for c in zip(*parts)))
+    table.tree = tree
+    return table
+
+
+def degree0_deaths(o: OrderWithLevel):
+    """The degree-0 pairs by the elder rule, as (birth ranks, death ranks):
+    one row per vertex, death rank -1 for a component that never dies.
+
+    One union-find pass over the edges in rank order. A vertex is labelled
+    by its position among the vertices in rank order, and each set's root
+    is its least label: its oldest vertex. An edge that joins two sets
+    kills the younger root, which the elder root adopts (Edelsbrunner,
+    Letscher & Zomorodian, "Topological persistence and simplification").
+    """
+    cx, order, rank = o.cx, o.order_array, o.rank_array
+    n_vertices, edges = cx.vertex_count, cx.ids_of_dim(1)
+    vertex_ranks = np.flatnonzero(order < n_vertices)  # ranks of the vertices, ascending
+    edge_ranks = np.flatnonzero((order >= edges.start) & (order < edges.stop))
+    label = np.empty(n_vertices, dtype=np.int64)
+    label[order[vertex_ranks]] = np.arange(n_vertices)
+    ends = np.empty((0, 2), dtype=np.int64)
+    if edges:
+        ends = label[cx.face_array(1)[order[edge_ranks] - edges.start]]
+    parent = list(range(n_vertices))
+    killed, killers = [], []
+    for e, a, b in zip(range(len(ends)), ends[:, 0].tolist(), ends[:, 1].tolist()):
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
             parent[b] = b = parent[parent[b]]
         if a != b:
-            parent[a] = b
-            deaths.append(e)
-    return np.array(deaths, dtype=np.int64) + edges.start
+            if a > b:
+                a, b = b, a
+            parent[b] = a
+            killed.append(b)
+            killers.append(e)
+    roots = np.flatnonzero(np.array(parent, dtype=np.int64) == np.arange(n_vertices))
+    births = vertex_ranks[np.concatenate([np.array(killed, dtype=np.int64), roots])]
+    deaths = np.concatenate([edge_ranks[np.array(killers, dtype=np.int64)],
+                             np.full(len(roots), -1, dtype=np.int64)])
+    return births, deaths
 
 
 def cohomology_reduce(o: OrderWithLevel):
@@ -229,8 +312,9 @@ def cohomology_reduce(o: OrderWithLevel):
     edges, tris = cx.ids_of_dim(1), cx.ids_of_dim(2)
     if not edges:
         return Pairs(o, [], []), {}
+    _, deaths = degree0_deaths(o)
     alive = np.ones(len(edges), dtype=bool)
-    alive[degree0_deaths(o) - edges.start] = False
+    alive[o.order_array[deaths[deaths >= 0]] - edges.start] = False
     live = np.flatnonzero(alive)
     col_edges = live[np.argsort(-rank[edges.start : edges.stop][live])]
     row_tris = np.argsort(-rank[tris.start : tris.stop])

@@ -118,8 +118,6 @@ class L1Program:
 
     The coefficients are stored by candidate column: the rows of column i
     are `row[indptr[i]:indptr[i+1]]`, ascending, with coefficients `coef`.
-    `rows` and `pinned` give the program as (tau, {candidate id: +-1},
-    const) tuples, built on demand.
     """
 
     candidates: np.ndarray  # (m,) candidate ids, one column each, ascending rank
@@ -142,28 +140,6 @@ class L1Program:
     def n_rows(self) -> int:
         """The number of equality rows, the pinned row not counted."""
         return len(self.taus) - (self.pin_sign is not None)
-
-    def _row_dicts(self) -> list:
-        """{candidate id: +-1} per row, the pinned row included, ids ascending."""
-        out = [{} for _ in self.taus]
-        ids = np.repeat(self.candidates, np.diff(self.indptr))
-        srt = np.lexsort((ids, self.row))
-        for r, w, c in zip(self.row[srt].tolist(), ids[srt].tolist(), self.coef[srt].tolist()):
-            out[r][w] = c
-        return out
-
-    @property
-    def rows(self) -> list:
-        """(tau_id, {candidate id: +-1}, const) per equality row, the pin excluded."""
-        n = self.n_rows
-        return list(zip(self.taus[:n].tolist(), self._row_dicts()[:n], self.const[:n].tolist()))
-
-    @property
-    def pinned(self) -> Optional[tuple]:
-        """(tau0_id, {candidate id: +-1}, const, target), or None."""
-        if self.pin_sign is None:
-            return None
-        return (int(self.taus[-1]), self._row_dicts()[-1], int(self.const[-1]), self.pin_sign)
 
     def __eq__(self, other):
         if not isinstance(other, L1Program) or self.pin_sign != other.pin_sign:

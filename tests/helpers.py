@@ -947,6 +947,23 @@ def l1_program(candidates, rows, pinned=None):
     )
 
 
+def program_rows(prog):
+    """An `L1Program`'s equality rows and pin as Python values: the list of
+    (tau, {candidate id: +-1}, const) rows, the pin excluded, and the
+    (tau0, {candidate id: +-1}, const, target) pin or None; each dict's ids
+    ascend."""
+    coeffs = [{} for _ in prog.taus]
+    ids = np.repeat(prog.candidates, np.diff(prog.indptr))
+    srt = np.lexsort((ids, prog.row))
+    for r, w, c in zip(prog.row[srt].tolist(), ids[srt].tolist(), prog.coef[srt].tolist()):
+        coeffs[r][w] = c
+    n = prog.n_rows
+    rows = list(zip(prog.taus[:n].tolist(), coeffs[:n], prog.const[:n].tolist()))
+    if prog.pin_sign is None:
+        return rows, None
+    return rows, (int(prog.taus[-1]), coeffs[-1], int(prog.const[-1]), prog.pin_sign)
+
+
 def complex_json_text(o, shuffle_seed=None):
     """The JSON complex format of an order as text. With `shuffle_seed`,
     the entries and the vertices within each entry are shuffled, and every

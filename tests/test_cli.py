@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import inspect
 import json
@@ -467,6 +468,66 @@ def test_rsc_reduces_once(fig1_file, capsys, monkeypatch):
     code, out, _ = run(["rsc", fig1_file, "--pair-index", "1", "--bandwidth", "0.05"], capsys)
     assert code == 0 and json.loads(out)["status"] == "ok"
     assert calls == {"reduce": 0, "cohomology_reduce": 1}
+
+
+def test_commands_on_a_2d_cloud_reduce_never_and_build_one_tree(fig1_file, capsys, monkeypatch):
+    # pairs come from the union-find and the merge tree; vol and sweep
+    # reuse the tree that selected the pair
+    from stablevol import baselines, dualtree
+
+    calls = {"reduce": 0, "compute_tree": 0}
+
+    def counted(*args, _name, _fn, **kwargs):
+        calls[_name] += 1
+        return _fn(*args, **kwargs)
+
+    originals = {"reduce": pers.reduce, "compute_tree": dualtree.compute_tree}
+    for module, name in ((pers, "reduce"), (dualtree, "compute_tree"), (cli, "compute_tree"),
+                         (baselines, "compute_tree")):
+        wrapper = functools.partial(counted, _name=name, _fn=originals[name])
+        monkeypatch.setattr(module, name, wrapper)
+    pair = ["--pair-index", "1"]
+    expected = [
+        (["pd", fig1_file], 1),
+        (["vol", fig1_file, *pair], 1),
+        (["vol", fig1_file, *pair, "--method", "stable-tree", "--epsilon", "0.05"], 1),
+        (["vol", fig1_file, *pair, "--method", "sub", "--epsilon", "0.05"], 1),
+        (["vol", fig1_file, "--degree", "0", "--pair-index", "0"], 0),
+        (["sweep", fig1_file, *pair, "--epsilon-grid", "0:0.2:0.1"], 1),
+        (["stat", fig1_file, *pair, "--noise", "0.05", "--trials", "2", "--seed", "1"], 3),
+    ]
+    for argv, trees in expected:
+        calls.update(reduce=0, compute_tree=0)
+        code, out, err = run(argv, capsys)
+        assert code == 0, err
+        assert calls == {"reduce": 0, "compute_tree": trees}, argv
+
+
+NEGATIVE_DEGREE = [
+    ["pd", "--degree", "-1"],
+    ["pd", "--degree", "1", "--degree", "-2"],
+    ["vol", "--degree", "-1", "--pair-index", "0"],
+    ["sweep", "--degree", "-1", "--pair-index", "0", "--epsilon-grid", "0:0.1:0.05"],
+    ["stat", "--degree", "-1", "--pair-index", "0", "--noise", "0.05", "--seed", "1"],
+    ["rsc", "--degree", "-1", "--pair-index", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_DEGREE,
+                         ids=["pd", "pd-repeated", "vol", "sweep", "stat", "rsc"])
+def test_negative_degree_exit_2_in_a_fresh_process(fig1_file, argv):
+    src = str(Path(stablevol.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "stablevol.cli", argv[0], fig1_file, *argv[1:]],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: --degree must be >= 0"]
+
+
+def test_degree_above_the_dimension_selects_from_an_empty_diagram(fig1_file, capsys):
+    code, out, err = run(["vol", fig1_file, "--degree", "3", "--pair-index", "0"], capsys)
+    assert code == 4 and out == "" and "0 pairs" in err
 
 
 @pytest.mark.parametrize("bandwidth", [[], ["--bandwidth", "0.5"]], ids=["plain", "bandwidth"])

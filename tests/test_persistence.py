@@ -3,12 +3,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     betti_bruteforce,
     bottleneck,
     cohomology_reduce_all_columns,
     complex_cases,
+    complex_json_text,
     geometry_cases,
     perturbed_order,
     reduce_oracle,
@@ -16,8 +19,9 @@ from helpers import (
     views_from_arrays,
 )
 from stablevol.alpha import alpha_filtration
-from stablevol.complexes import SimplicialComplex, build_order
-from stablevol.fixtures import fig1_five_points
+from stablevol.complexes import SimplicialComplex, build_order, complex_from_json
+from stablevol.delaunay import DegenerateInputError
+from stablevol.fixtures import GENERATORS, fig1_five_points, generate
 from stablevol import persistence as pers
 
 
@@ -180,11 +184,17 @@ def test_degree1_cohomology_matches_all_columns_oracle(cohomology_orders, name):
 @pytest.mark.parametrize("name", COHOMOLOGY_CASES)
 def test_union_find_deaths_equal_reduce(cohomology_orders, name):
     o = cohomology_orders[name]
-    deaths = pers.degree0_deaths(o).tolist()
+    births, death_ranks = pers.degree0_deaths(o)
+    deaths = o.order_array[death_ranks[death_ranks >= 0]].tolist()
     expected = [p.death_simplex for p in pers.reduce(o) if p.degree == 0 and not p.essential]
     assert sorted(deaths) == sorted(expected)
     ranks = o.rank_array[deaths].tolist()
     assert ranks == sorted(ranks)
+    # the elder rule kills the younger vertex: reduce's degree-0 rows
+    assert sorted(zip(births.tolist(), death_ranks.tolist())) == sorted(
+        (p.birth_rank, -1 if p.essential else p.death_rank)
+        for p in pers.reduce(o) if p.degree == 0
+    )
 
 
 @pytest.mark.parametrize("name", COHOMOLOGY_CASES)
@@ -267,3 +277,125 @@ def test_stability_random_perturbations():
                 pers.diagram(base, f.order, k), pers.diagram(qpairs, oq, k)
             )
             assert d <= dist + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# pairs by structure
+
+PAIR_COLUMNS = ("degree", "birth_rank", "death_rank", "birth_simplex", "death_simplex",
+                "birth_time", "death_time")
+
+
+def count_reduce_calls(monkeypatch):
+    calls = []
+    reduce = pers.reduce
+
+    def counted(o):
+        calls.append(1)
+        return reduce(o)
+
+    monkeypatch.setattr(pers, "reduce", counted)
+    return calls
+
+
+def assert_pairs_equal_reduce(o, monkeypatch=None):
+    """`pairs` gives `reduce`'s rows, column for column, for all degrees at
+    once and for each degree alone. Returns the `pairs` tables by requested
+    degree (None for all), and, with `monkeypatch`, the `reduce` calls each
+    one made."""
+    full = pers.reduce(o)
+    calls = count_reduce_calls(monkeypatch) if monkeypatch else []
+    tables, made = {}, {}
+    for degrees in (None, *([k] for k in range(-1, o.cx.dim + 3))):
+        before = len(calls)
+        table = pers.pairs(o, degrees)
+        key = None if degrees is None else degrees[0]
+        tables[key], made[key] = table, len(calls) - before
+        rows = np.isin(full.degree, range(o.cx.dim + 1) if degrees is None else degrees)
+        for col in PAIR_COLUMNS:
+            assert np.array_equal(getattr(table, col), getattr(full, col)[rows]), (degrees, col)
+        assert list(table) == [p for p, keep in zip(full, rows.tolist()) if keep]
+    return tables, made
+
+
+def pair_clouds():
+    """`geometry_cases()` plus every `gen` fixture at seeds 1 and 7."""
+    cases = dict(geometry_cases())
+    for name in sorted(GENERATORS):
+        for seed in (1, 7):
+            cases[f"gen-{name}-seed{seed}"] = generate(name, seed).points
+    return cases
+
+
+PAIR_CLOUDS = pair_clouds()
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_CLOUDS))
+def test_pairs_equal_reduce_rows(name, monkeypatch):
+    o = alpha_filtration(PAIR_CLOUDS[name]).order
+    tables, made = assert_pairs_equal_reduce(o, monkeypatch)
+    if o.cx.dim == 2:
+        # degree 0 by union-find, degrees 1 and 2 from the merge tree
+        assert not any(made.values())
+        assert tables[1].tree is not None and tables[0].tree is None
+    else:
+        # a 3D complex falls back for every degree but 0
+        assert made == {None: 1, -1: 0, 0: 0, 1: 1, 2: 1, 3: 1, 4: 0, 5: 0}
+
+
+@pytest.mark.parametrize("name", sorted(complex_cases()))
+def test_pairs_equal_reduce_rows_on_complexes(name):
+    # the grid tori are closed surfaces: an essential class in degree 2
+    assert_pairs_equal_reduce(complex_cases()[name])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    n=st.integers(min_value=3, max_value=60),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    decimals=st.sampled_from([0, 1, 3, None]),
+)
+def test_pairs_equal_reduce_on_random_2d_clouds(n, seed, decimals):
+    # rounded coordinates give ties, cocircular points and collinear runs
+    pts = np.random.default_rng(seed).uniform(-5.0, 5.0, (n, 2))
+    if decimals is not None:
+        pts = np.unique(np.round(pts, decimals), axis=0)
+    try:
+        o = alpha_filtration(pts).order
+    except DegenerateInputError:
+        assume(False)
+    assert_pairs_equal_reduce(o)
+
+
+ANNULUS = [(0, 1, 4), (1, 4, 5), (1, 2, 5), (2, 5, 6), (2, 3, 6), (3, 6, 7), (3, 0, 7), (0, 4, 7)]
+
+
+def complex_json_order(simplices, seed):
+    """The order that `complex_from_json` loads from a shuffled complex JSON
+    of the simplices and their faces, with lower-star levels of seeded
+    random vertex levels."""
+    cx = SimplicialComplex(simplices, closure=True)
+    vl = np.random.default_rng(seed).random(cx.vertex_count)
+    o = build_order(cx, [float(max(vl[v] for v in s)) for s in cx.simplices])
+    return complex_from_json(complex_json_text(o, shuffle_seed=seed))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pairs_of_a_complex_with_components_and_a_hole(seed, monkeypatch):
+    # a triangulated annulus and two separate triangles: three essential
+    # degree-0 classes and one essential degree-1 class, and no reduction
+    o = complex_json_order([*ANNULUS, (8, 9, 10), (11, 12, 13)], seed)
+    tables, made = assert_pairs_equal_reduce(o, monkeypatch)
+    assert not any(made.values())
+    table = tables[None]
+    assert sorted(table.degree[table.death_rank < 0].tolist()) == [0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pairs_of_a_complex_with_a_dangling_edge_fall_back(seed, monkeypatch):
+    # vertex 8 and edge (0, 8) have no triangle coface: the dual-graph
+    # condition fails, and degree 1 comes from one reduce()
+    o = complex_json_order([*ANNULUS, (0, 8)], seed)
+    tables, made = assert_pairs_equal_reduce(o, monkeypatch)
+    assert made == {None: 1, -1: 0, 0: 0, 1: 1, 2: 1, 3: 0, 4: 0}
+    assert tables[1].tree is None

@@ -5,7 +5,13 @@ import random
 import numpy as np
 import pytest
 
-from helpers import TooLargeError, brute_force_volume, l1_program, views_from_arrays
+from helpers import (
+    TooLargeError,
+    brute_force_volume,
+    l1_program,
+    program_rows,
+    views_from_arrays,
+)
 from stablevol.alpha import alpha_filtration
 from stablevol.dualtree import build_dual_graph, compute_tree, optimal_volume_tree, stable_volume_tree
 from stablevol.fixtures import fig1_five_points, lattice_3x3x3
@@ -63,9 +69,10 @@ def test_to_lp_counts_and_entries():
     f, tree = fig1_tree()
     square = max(tree.pairs_table(), key=lambda p: p.death_time)
     prog = V.to_lp(V.make_problem(f.order, square, "optimal"))
+    rows, _ = program_rows(prog)
     assert prog.n_variables == 2 * len(prog.candidates)
-    assert prog.n_constraints == 2 * len(prog.candidates) + len(prog.rows) + 1
-    for tau, coeffs, const in prog.rows:
+    assert prog.n_constraints == 2 * len(prog.candidates) + len(rows) + 1
+    for tau, coeffs, const in rows:
         assert const in (-1, 0, 1)
         for w, c in coeffs.items():
             assert c in (-1, 1)
@@ -73,7 +80,7 @@ def test_to_lp_counts_and_entries():
     # every equality row's support equals the coface incidence inside the candidates
     cand = set(prog.candidates)
     cofaces = views_from_arrays(f.cx)[3]
-    for tau, coeffs, const in prog.rows:
+    for tau, coeffs, const in rows:
         assert set(coeffs) == {om for om in cofaces[tau] if om in cand}
         assert (const != 0) == (square.death_simplex in cofaces[tau])
 
@@ -222,7 +229,7 @@ def test_lp_equals_tree_in_3d_codim1():
                 assert V.solve_volume(f.order, p, "stable", eps).cells == sv_tree
 
 
-def lattice_optimal_problems(keep=lambda prog: len(prog.candidates) and prog.rows):
+def lattice_optimal_problems(keep=lambda prog: len(prog.candidates) and program_rows(prog)[0]):
     """Optimal-mode problems of the degree-1 pairs of lattice_3x3x3 seeds
     0-4 whose l1 program passes `keep` (default: it has candidates and
     equality rows)."""
@@ -286,12 +293,12 @@ def test_wrong_pin_sign_hint_retries_to_the_same_cells(monkeypatch):
         assert V.solve_volume(order, p, "optimal").cells == cells
         # the retry solves to_lp's program for the opposite sign
         first, second = solved
-        assert first == V.to_lp(prob, pin_sign=first.pinned[3])
-        assert second == V.to_lp(prob, pin_sign=-first.pinned[3])
+        assert first == V.to_lp(prob, pin_sign=program_rows(first)[1][3])
+        assert second == V.to_lp(prob, pin_sign=-program_rows(first)[1][3])
 
 
 def test_untouched_pin_hint_is_the_feasible_sign(monkeypatch):
-    problems = lattice_optimal_problems(keep=lambda prog: not prog.pinned[1])
+    problems = lattice_optimal_problems(keep=lambda prog: not program_rows(prog)[1][1])
     assert len(problems) > 10
     signs = set()
     calls = count_linprog(monkeypatch)
@@ -411,9 +418,9 @@ def test_program_and_highs_arguments_match_oracle(monkeypatch):
         for sign in (1, -1) if mode == "optimal" else (1,):
             prog, ref_prog = V.to_lp(prob, pin_sign=sign), to_lp_oracle(ref, sign)
             assert prog.candidates.tolist() == ref_prog.candidates
-            assert (prog.rows, prog.pinned) == (ref_prog.rows, ref_prog.pinned)
+            assert program_rows(prog) == (ref_prog.rows, ref_prog.pinned)
             assert V.pin_sign_hint(prog) == pin_sign_hint_oracle(ref_prog)
-            pinned += prog.pinned is not None
+            pinned += program_rows(prog)[1] is not None
             del calls[:]
             try:
                 V.solve_lp(prog)
