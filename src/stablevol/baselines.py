@@ -5,7 +5,9 @@ The statistical method re-runs the whole pipeline on noise-perturbed copies
 of the pointcloud and counts, per input point, how often it lies on the
 boundary cycle of the matched pair's optimal volume. Reconstructed shortest
 cycles cut the 1-skeleton along a representative cocycle and search the
-shortest loop that re-crosses the cut.
+shortest loop that re-crosses the cut: by one lockstep breadth-first search
+over all cut edges for hop weights, by one bounded Dijkstra run per cut
+edge for euclidean weights.
 """
 
 from __future__ import annotations
@@ -181,11 +183,14 @@ def reconstructed_shortest_cycle(
     With C the representative cocycle of the pair, each edge of C present at
     step k proposes the loop (shortest path between its endpoints avoiding C)
     + (the edge itself); the lightest proposal wins, ties going to the least
-    sorted edge tuple. Each search is bounded by the best loop so far: it
-    stops once its paths plus the proposing edge are strictly heavier.
-    Weights are hop counts unless euclidean=True (needs points). A fully
-    separating cut is reported via status="disconnected", not raised.
-    Without `cocycle`, the pair's cocycle comes from `cohomology_reduce`.
+    sorted edge tuple. Weights are hop counts unless euclidean=True (needs
+    points). Hop-count loops come from one lockstep breadth-first search
+    over all crossing edges (`_lockstep_loop`). Euclidean loops come from
+    one Dijkstra run per crossing edge (`_shortest_path`), each bounded by
+    the best loop so far: it stops once its paths plus the proposing edge
+    are strictly heavier. A fully separating cut is reported via
+    status="disconnected", not raised. Without `cocycle`, the pair's
+    cocycle comes from `cohomology_reduce`.
     """
     if pair.degree != 1:
         raise ValueError("reconstructed shortest cycles apply to degree-1 pairs only")
@@ -209,28 +214,79 @@ def reconstructed_shortest_cycle(
     cut = np.isin(present, np.fromiter(cocycle, np.int64, len(cocycle)))
     ends = o.cx.vertex_array(1)[present - edges.start]
     adj = _adjacency(ends[~cut], present[~cut], euclidean, points)
-    best = None
     crossings = present[cut].tolist()
-    for sid, (u, v) in zip(crossings, ends[cut].tolist()):
-        w = _edge_weight(u, v, euclidean, points)
-        bound = math.inf if best is None else best[0][0]
-        path = _shortest_path(adj, u, v, offset=w, bound=bound)
-        if path is None:
-            continue
-        dist, path_edges, verts = path
-        total = dist + w
-        loop_edges = path_edges + [sid]
-        key = (total, tuple(sorted(loop_edges)))
-        if best is None or key < best[0]:
-            best = (key, CycleLoop(loop_edges, verts, total, k_rank))
+    crossing_ends = ends[cut].tolist()
+    if not euclidean:
+        best = _lockstep_loop(adj, crossings, crossing_ends)
+    else:
+        best = None
+        for sid, (u, v) in zip(crossings, crossing_ends):
+            w = _edge_weight(u, v, points)
+            bound = math.inf if best is None else best[0]
+            path = _shortest_path(adj, u, v, offset=w, bound=bound)
+            if path is None:
+                continue
+            dist, path_edges, verts = path
+            loop_edges = path_edges + [sid]
+            key = (dist + w, tuple(sorted(loop_edges)))
+            if best is None or key < best[:2]:
+                best = (*key, loop_edges, verts)
     if best is None:
         return RscResult(None, "disconnected", len(crossings))
-    return RscResult(best[1], "ok", len(crossings))
+    total, _, loop_edges, verts = best
+    return RscResult(CycleLoop(loop_edges, verts, total, k_rank), "ok", len(crossings))
 
 
-def _edge_weight(u, v, euclidean, points):
-    if not euclidean:
-        return 1.0
+def _lockstep_loop(adj, crossings, ends):
+    """The lightest hop-count loop through one crossing edge, as (weight,
+    sorted edge tuple, edges, vertices), or None when no crossing edge's
+    endpoints are joined in `adj`.
+
+    Crossing edge (u, v) starts a breadth-first search at u, and all
+    searches advance one hop per round. A search expands its frontier in
+    ascending vertex id and keeps the first parent it finds for a vertex,
+    which is the parent that Dijkstra with (distance, vertex) heap order
+    keeps; so each loop is `_shortest_path`'s. A search stops when it finds
+    v, or drops out when its frontier empties. The first round in which
+    some search finds its v holds the lightest loops, and the least sorted
+    edge tuple among them wins.
+    """
+    searches = [(sid, u, v, {u: None}, [u]) for sid, (u, v) in zip(crossings, ends)]
+    hops = 0
+    while searches:
+        hops += 1
+        loops, alive = [], []
+        for sid, u, v, parent, frontier in searches:
+            nxt = _expand(adj, parent, frontier, v)
+            if nxt is None:
+                edges, verts = _path(parent, u, v)
+                edges.append(sid)
+                loops.append((hops + 1.0, tuple(sorted(edges)), edges, verts))
+            elif nxt:
+                nxt.sort()
+                alive.append((sid, u, v, parent, nxt))
+        if loops:
+            return min(loops)
+        searches = alive
+    return None
+
+
+def _expand(adj, parent, frontier, dst):
+    """One breadth-first round: the vertices first reached from `frontier`,
+    unsorted, or None once `dst` is reached (its parent then recorded)."""
+    nxt = []
+    for a in frontier:
+        for b, _, sid in adj.get(a, ()):
+            if b not in parent:
+                parent[b] = (a, sid)
+                if b == dst:
+                    return None
+                nxt.append(b)
+    return nxt
+
+
+def _edge_weight(u, v, points):
+    """Length of the edge (u, v)."""
     return float(np.linalg.norm(np.asarray(points[u], float) - np.asarray(points[v], float)))
 
 
@@ -238,7 +294,7 @@ def _adjacency(ends: np.ndarray, sids: np.ndarray, euclidean, points) -> dict:
     """Vertex -> [(neighbour, weight, edge id)], sorted, over the edges with
     ids `sids` and endpoint rows `ends`."""
     if euclidean:
-        weights = np.array([_edge_weight(u, v, True, points) for u, v in ends.tolist()])
+        weights = np.array([_edge_weight(u, v, points) for u, v in ends.tolist()])
     else:
         weights = np.ones(len(sids))
     src = np.concatenate([ends[:, 0], ends[:, 1]])
@@ -285,6 +341,12 @@ def _shortest_path(adj, src, dst, offset=0.0, bound=math.inf):
                 heapq.heappush(heap, (nd, v))
     if dst not in seen:
         return None
+    return (dist[dst], *_path(prev, src, dst))
+
+
+def _path(prev, src, dst):
+    """(edge ids, vertex ids) of the path from src to dst that `prev`, a map
+    from each reached vertex to its (parent, edge id), records."""
     edges = []
     verts = []
     v = dst
@@ -296,4 +358,4 @@ def _shortest_path(adj, src, dst, offset=0.0, bound=math.inf):
     verts.append(src)
     edges.reverse()
     verts.reverse()
-    return dist[dst], edges, verts
+    return edges, verts

@@ -390,6 +390,8 @@ def cmd_stat(args) -> int:
 
 def cmd_rsc(args) -> int:
     order, points = _load_input(args.input)
+    if args.euclidean and points is None:
+        raise ValueError("euclidean weights need point coordinates")
     args_degree = getattr(args, "degree", 1)
     if args_degree != 1:
         raise PairSelectionError("reconstructed shortest cycles need degree 1")

@@ -6,18 +6,18 @@ degree-1 representative cocycles by the anti-transposed reduction.
 elder-rule union-find pass over the edges (`degree0_deaths`). On a
 2-dimensional complex that passes the dual-graph condition, degrees 1 and 2
 come from the merge tree over the dual graph (`dualtree.compute_tree`), so
-such a complex needs no matrix reduction. Every other case (a degree above
-0 of a complex of another dimension, or of one that fails the condition)
-falls back to `reduce`.
+such a complex needs no matrix reduction. On any other complex, degree 1
+comes from the reduction of the edge columns of the anti-transposed
+(coboundary) matrix, with the degree-0 death edges cleared first (the
+clearing of de Silva, Morozov & Vejdemo-Johansson, "Dualities in persistent
+(co)homology", as Ripser uses it); only degrees 2 and above of such a
+complex fall back to `reduce`.
 
 `reduce` pairs every degree: it builds the boundary matrix per dimension
 from the complex's face arrays and reduces it with clearing, in descending
 dimension. It is the fallback of `pairs` and the tests' oracle for it.
-`cohomology_reduce` serves reconstructed shortest cycles: it reduces only
-the edge columns of the anti-transposed (coboundary) matrix, with the
-degree-0 death edges cleared first (the clearing of de Silva, Morozov &
-Vejdemo-Johansson, "Dualities in persistent (co)homology", as Ripser uses
-it).
+`cohomology_reduce` serves reconstructed shortest cycles: the same edge
+column reduction as `pairs`, with the representative cocycles tracked.
 
 All three return a `Pairs` table: int64 birth-rank and death-rank arrays,
 with degree, simplex and time columns derived from them by numpy. Commands
@@ -204,10 +204,12 @@ def pairs(o: OrderWithLevel, degrees=None) -> Pairs:
     whose construction is the anti-transposed reduction of the edge
     columns. An edge that is neither a degree-0 death nor a tree birth is an
     essential degree-1 class, and a triangle that is no tree death an
-    essential degree-2 class. Any other degree, and a complex that fails
-    the condition, is paired by `reduce`; the returned table then holds
-    its rows of the wanted degrees. `tree` is set on the table when the
-    merge tree was built.
+    essential degree-2 class. Without the merge tree, degree 1 comes from
+    the reduction of the edge columns (`_reduce_edge_columns`, as in
+    `cohomology_reduce` but without V). Any degree above 1 of a complex
+    without the merge tree is paired by `reduce`; the returned table then
+    holds its rows of the wanted degrees. `tree` is set on the table when
+    the merge tree was built.
     """
     from . import dualtree  # dualtree imports this module
 
@@ -220,7 +222,7 @@ def pairs(o: OrderWithLevel, degrees=None) -> Pairs:
                 tree = dualtree.compute_tree(dualtree.build_dual_graph(o), o)
             except dualtree.ConditionError:
                 pass
-        if tree is None:
+        if tree is None and not wanted.isdisjoint(range(2, cx.dim + 1)):
             table = reduce(o)
             keep = np.isin(table.degree, list(wanted))
             return Pairs(o, table.birth_rank[keep], table.death_rank[keep])
@@ -245,6 +247,8 @@ def pairs(o: OrderWithLevel, degrees=None) -> Pairs:
             essential[cells - tris.start] = False
             ess = rank[np.flatnonzero(essential) + tris.start]
             parts.append((ess, np.full(len(ess), -1, dtype=np.int64)))
+    elif 1 in wanted and cx.dim >= 1:
+        parts.append(_reduce_edge_columns(o, deaths)[:2])
     table = Pairs(o, *(np.concatenate(c) for c in zip(*parts)))
     table.tree = tree
     return table
@@ -293,13 +297,10 @@ def cohomology_reduce(o: OrderWithLevel):
     """Degree-1 pairs via the anti-transposed reduction, plus representative
     cocycles.
 
-    Only the edge columns of the anti-transposed coboundary matrix are
-    reduced, in descending rank. Each column's rows are the edge's coface
-    triangles, numbered by descending rank. The degree-0 death edges
-    (`degree0_deaths`) are cleared: their columns would reduce to zero. An
-    edge column has only triangle rows, so no column of another dimension is
-    ever added into it; the pairs and cocycles are those of the reduction of
-    every column. A column that reduces to zero is an essential class.
+    Reduces the edge columns (`_reduce_edge_columns`) with V tracked. An edge
+    column has only triangle rows, so no column of another dimension is
+    ever added into it; the pairs and cocycles are those of the reduction
+    of every column. A column that reduces to zero is an essential class.
 
     Returns (pairs, cocycles). `pairs` is the `Pairs` table of the degree-1
     pairs, finite and essential: the degree-1 rows of `reduce`'s table.
@@ -308,13 +309,32 @@ def cohomology_reduce(o: OrderWithLevel):
     duals sum to a persistent cocycle, i.e. the cut whose removal kills
     every representative cycle of the pair.
     """
-    cx, rank = o.cx, o.rank_array
-    edges, tris = cx.ids_of_dim(1), cx.ids_of_dim(2)
-    if not edges:
+    if not o.cx.ids_of_dim(1):
         return Pairs(o, [], []), {}
     _, deaths = degree0_deaths(o)
+    births, deaths, edge_ids, v = _reduce_edge_columns(o, deaths, track_v=True)
+    edge_of, birth_of, death_of = edge_ids.tolist(), births.tolist(), deaths.tolist()
+    cocycles = {(birth_of[c], death_of[c]): {edge_of[cc] for cc in vc} for c, vc in v.items()}
+    return Pairs(o, births, deaths), cocycles
+
+
+def _reduce_edge_columns(o: OrderWithLevel, d0_deaths, track_v=False):
+    """The degree-1 pairs from the edge columns of the anti-transposed
+    coboundary matrix, with the degree-0 death edges (death ranks `d0_deaths`,
+    as `degree0_deaths` gives them) cleared: their columns would reduce to
+    zero.
+
+    Columns are reduced in descending edge rank; each column's rows are the
+    edge's coface triangles, numbered by descending rank. Returns (birth
+    ranks, death ranks, edge ids, v), one entry per column, death rank -1
+    for an essential class. With `track_v`, v maps each death column to the
+    columns summed into it, as `kernels.reduce_columns` gives it; otherwise
+    v is None.
+    """
+    cx, rank = o.cx, o.rank_array
+    edges, tris = cx.ids_of_dim(1), cx.ids_of_dim(2)
     alive = np.ones(len(edges), dtype=bool)
-    alive[o.order_array[deaths[deaths >= 0]] - edges.start] = False
+    alive[o.order_array[d0_deaths[d0_deaths >= 0]] - edges.start] = False
     live = np.flatnonzero(alive)
     col_edges = live[np.argsort(-rank[edges.start : edges.stop][live])]
     row_tris = np.argsort(-rank[tris.start : tris.stop])
@@ -326,15 +346,10 @@ def cohomology_reduce(o: OrderWithLevel):
     srt = np.lexsort((rows, owner))
     flat, bounds = rows[srt].tolist(), ptr.tolist()
     cols = [flat[bounds[e] : bounds[e + 1]] for e in col_edges.tolist()]
-    raw_pairs, _, v = kernels.reduce_columns(cols, range(len(cols)), clearing=False, track_v=True)
-
+    raw_pairs, _, v = kernels.reduce_columns(cols, range(len(cols)), clearing=False,
+                                             track_v=track_v)
     edge_ids = col_edges + edges.start
     lows, cs = _pair_arrays(raw_pairs)
     births, deaths = rank[edge_ids], np.full(len(cols), -1, dtype=np.int64)
     deaths[cs] = rank[row_tris[lows] + tris.start]
-    edge_of = edge_ids.tolist()
-    cocycles = {
-        (i, j): {edge_of[cc] for cc in v[c]}
-        for c, i, j in zip(cs.tolist(), births[cs].tolist(), deaths[cs].tolist())
-    }
-    return Pairs(o, births, deaths), cocycles
+    return births, deaths, edge_ids, v

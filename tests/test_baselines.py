@@ -4,8 +4,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import VIEWS, geometry_cases, shortest_nontrivial_loop, statistical_frequencies_oracle
+from helpers import (
+    VIEWS,
+    geometry_cases,
+    shortest_nontrivial_loop,
+    statistical_frequencies_oracle,
+    torus3d_order,
+)
 from stablevol import baselines
 from stablevol.alpha import PointCloud, alpha_filtration
 from stablevol.baselines import (
@@ -15,6 +23,7 @@ from stablevol.baselines import (
     statistical_frequencies,
 )
 from stablevol.complexes import boundary, chain_z2
+from stablevol.delaunay import DegenerateInputError
 from stablevol.dualtree import build_dual_graph, compute_tree, optimal_volume_tree
 from stablevol.fixtures import (
     appendix_filtration,
@@ -214,7 +223,9 @@ def test_unmatched_trials_reported_with_warning():
 
 
 # ---------------------------------------------------------------------------
-# bounded loop search
+# loop search: lockstep breadth-first search (hop weights), bounded
+# Dijkstra (euclidean weights), both against one unbounded Dijkstra run per
+# crossing edge
 
 
 def rsc_steps(o, most=12):
@@ -228,36 +239,49 @@ def rsc_steps(o, most=12):
             yield p, k, cocycles[(p.birth_rank, p.death_rank)]
 
 
-def loop_proposals(o, k, cocycle):
-    """(hop count, sorted edge tuple) of every crossing edge's loop at step
-    k, in crossing order, each from an unbounded search."""
+SEARCH = baselines._shortest_path
+
+
+def crossing_searches(o, k, cocycle, points=None):
+    """(weight, sorted edge tuple, edges, vertices) of every crossing edge's
+    loop at step k, in crossing order, from one unbounded `_shortest_path`
+    run each (None where the endpoints are not joined). Weights are hop
+    counts, or edge lengths given `points`."""
     cx = o.cx
     present = [sid for sid in o.order_array[: k + 1].tolist() if cx.dim_of(sid) == 1]
+
+    def weight(u, v):
+        return 1.0 if points is None else baselines._edge_weight(u, v, points)
+
     adj = {}
     for sid in present:
         if sid not in cocycle:
             u, v = cx.simplices[sid]
-            adj.setdefault(u, []).append((v, 1.0, sid))
-            adj.setdefault(v, []).append((u, 1.0, sid))
+            adj.setdefault(u, []).append((v, weight(u, v), sid))
+            adj.setdefault(v, []).append((u, weight(u, v), sid))
     for lst in adj.values():
         lst.sort()
     out = []
     for sid in present:
         if sid in cocycle:
-            path = baselines._shortest_path(adj, *cx.simplices[sid])
-            if path is not None:
-                out.append((path[0] + 1.0, tuple(sorted(path[1] + [sid]))))
+            u, v = cx.simplices[sid]
+            path = SEARCH(adj, u, v)
+            if path is None:
+                out.append(None)
+            else:
+                edges = path[1] + [sid]
+                out.append((path[0] + weight(u, v), tuple(sorted(edges)), edges, path[2]))
     return out
 
 
-SEARCH = baselines._shortest_path
-
-
-def unbounded_search(monkeypatch):
-    monkeypatch.setattr(
-        baselines, "_shortest_path",
-        lambda adj, src, dst, offset=0.0, bound=math.inf: SEARCH(adj, src, dst),
-    )
+def per_edge_search(o, k, cocycle, points=None):
+    """The `RscResult` that the lightest of `crossing_searches` gives."""
+    loops = crossing_searches(o, k, cocycle, points)
+    found = [q for q in loops if q is not None]
+    if not found:
+        return baselines.RscResult(None, "disconnected", len(loops))
+    weight, _, edges, verts = min(found)
+    return baselines.RscResult(baselines.CycleLoop(edges, verts, weight, k), "ok", len(loops))
 
 
 def rsc_inputs(name):
@@ -265,6 +289,22 @@ def rsc_inputs(name):
         return appendix_filtration(), None
     pts = geometry_cases()[name]
     return alpha_filtration(pts).order, pts
+
+
+def spy_on_dijkstra(monkeypatch):
+    """Records the target of every `_shortest_path` call, and in `pruned`
+    those that the bound gave up on though the target is reachable."""
+    searched, pruned = [], []
+
+    def spy(adj, src, dst, offset=0.0, bound=math.inf):
+        searched.append(dst)
+        path = SEARCH(adj, src, dst, offset=offset, bound=bound)
+        if path is None and SEARCH(adj, src, dst) is not None:
+            pruned.append(dst)
+        return path
+
+    monkeypatch.setattr(baselines, "_shortest_path", spy)
+    return searched, pruned
 
 
 @pytest.mark.parametrize(
@@ -285,43 +325,86 @@ def test_bounded_search_gives_the_unbounded_loop(monkeypatch, name, euclidean):
     o, pts = rsc_inputs(name)
     steps = list(rsc_steps(o))
     assert steps
-    pruned = []
-
-    def spy(adj, src, dst, offset=0.0, bound=math.inf):
-        path = SEARCH(adj, src, dst, offset=offset, bound=bound)
-        if path is None and SEARCH(adj, src, dst) is not None:
-            pruned.append(dst)
-        return path
-
-    monkeypatch.setattr(baselines, "_shortest_path", spy)
+    searched, pruned = spy_on_dijkstra(monkeypatch)
     kw = {"euclidean": euclidean, "points": pts}
-    bounded = [reconstructed_shortest_cycle(o, p, k_rank=k, cocycle=c, **kw)
-               for p, k, c in steps]
-    # the bound cut some searches short (the appendix loop is too small)
-    assert pruned or name == "appendix"
-    unbounded_search(monkeypatch)
-    for (p, k, c), got in zip(steps, bounded):
-        assert got == reconstructed_shortest_cycle(o, p, k_rank=k, cocycle=c, **kw)
+    got = [reconstructed_shortest_cycle(o, p, k_rank=k, cocycle=c, **kw) for p, k, c in steps]
+    if euclidean:
+        # the bound cut some Dijkstra runs short
+        assert pruned
+    else:
+        # hop weights take the lockstep search, which runs no Dijkstra
+        assert not searched
+    for (p, k, c), res in zip(steps, got):
+        assert res == per_edge_search(o, k, c, pts if euclidean else None)
 
 
 def test_bounded_search_keeps_tied_loops(monkeypatch):
     """On the annulus, hop-count loops tie, and at some steps the winning
     loop (least sorted edge tuple among the lightest) is proposed after
-    another loop of the same weight: a search that stopped on a tie would
-    miss it."""
+    another loop of the same weight: a search that stopped at the first
+    loop of the lightest weight would miss it."""
     o, _ = rsc_inputs("gen-annulus")
     late = []
     for p, k, c in rsc_steps(o, most=None):
-        props = loop_proposals(o, k, c)
+        props = [q[:2] for q in crossing_searches(o, k, c) if q is not None]
         best = min(props)
         first_tied = next(q for q in props if q[0] == best[0])
         if first_tied != best:
             late.append((p, k, c))
     assert late
-    bounded = [reconstructed_shortest_cycle(o, p, k_rank=k, cocycle=c) for p, k, c in late]
-    unbounded_search(monkeypatch)
-    for (p, k, c), got in zip(late, bounded):
-        assert got == reconstructed_shortest_cycle(o, p, k_rank=k, cocycle=c)
+    searched, _ = spy_on_dijkstra(monkeypatch)
+    for p, k, c in late:
+        assert reconstructed_shortest_cycle(o, p, k_rank=k, cocycle=c) == per_edge_search(o, k, c)
+    assert not searched
+
+
+def test_lockstep_search_on_a_3d_torus():
+    o = torus3d_order()
+    steps = list(rsc_steps(o))
+    assert len(steps) >= 30
+    for p, k, c in steps:
+        assert reconstructed_shortest_cycle(o, p, k_rank=k, cocycle=c) == per_edge_search(o, k, c)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(
+    n=st.integers(min_value=4, max_value=80),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    decimals=st.sampled_from([0, 1, None]),
+)
+def test_lockstep_search_on_random_2d_clouds(n, seed, decimals):
+    # rounded coordinates give tied levels and tied loops
+    pts = np.random.default_rng(seed).uniform(-5.0, 5.0, (n, 2))
+    if decimals is not None:
+        pts = np.unique(np.round(pts, decimals), axis=0)
+    try:
+        o = alpha_filtration(pts).order
+    except DegenerateInputError:
+        assume(False)
+    for p, k, c in rsc_steps(o, most=4):
+        assert reconstructed_shortest_cycle(o, p, k_rank=k, cocycle=c) == per_edge_search(o, k, c)
+
+
+@pytest.mark.parametrize("cut", ["separating", "isolated-vertex"])
+def test_lockstep_search_with_a_disconnecting_cocycle(cut):
+    """A cut that splits the graph makes every search drop out; one that
+    only isolates a vertex ends the searches from it, and the others still
+    find the loop."""
+    o, pts = rsc_inputs("gen-annulus")
+    *_, (p, k, cocycle) = rsc_steps(o, most=1)  # the step before death
+    cx = o.cx
+    edges = [sid for sid in o.order_array[: k + 1].tolist() if cx.dim_of(sid) == 1]
+    if cut == "separating":
+        # every present edge between the halves x < 0 and x >= 0
+        side = [x < 0 for x in pts[:, 0].tolist()]
+        fake = {sid for sid in edges if side[cx.simplices[sid][0]] != side[cx.simplices[sid][1]]}
+    else:
+        u = cx.simplices[min(set(edges) & cocycle)][0]
+        fake = cocycle | {sid for sid in edges if u in cx.simplices[sid]}
+    res = reconstructed_shortest_cycle(o, p, k_rank=k, cocycle=fake)
+    assert res == per_edge_search(o, k, fake)
+    assert res.status == ("disconnected" if cut == "separating" else "ok")
+    assert res.candidates == len(fake & set(edges))
 
 
 def test_shortest_path_bound_is_strict():

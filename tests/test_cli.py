@@ -470,6 +470,36 @@ def test_rsc_reduces_once(fig1_file, capsys, monkeypatch):
     assert calls == {"reduce": 0, "cohomology_reduce": 1}
 
 
+def appendix_json_file(tmp_path):
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps(complex_to_json(appendix_filtration())))
+    return str(path)
+
+
+def test_rsc_euclidean_on_a_complex_exit_2_before_the_reduction(tmp_path, capsys, monkeypatch):
+    from stablevol import persistence as pers
+
+    calls = []
+    reduce = pers.cohomology_reduce
+    monkeypatch.setattr(pers, "cohomology_reduce", lambda o: calls.append(1) or reduce(o))
+    code, out, err = run(["rsc", appendix_json_file(tmp_path), "--pair-index", "0",
+                          "--euclidean"], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: euclidean weights need point coordinates"]
+    assert calls == []
+
+
+def test_rsc_euclidean_on_a_complex_exit_2_in_a_fresh_process(tmp_path):
+    src = str(Path(stablevol.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "stablevol.cli", "rsc", appendix_json_file(tmp_path),
+         "--pair-index", "0", "--euclidean"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: euclidean weights need point coordinates"]
+
+
 def test_commands_on_a_2d_cloud_reduce_never_and_build_one_tree(fig1_file, capsys, monkeypatch):
     # pairs come from the union-find and the merge tree; vol and sweep
     # reuse the tree that selected the pair
