@@ -10,21 +10,31 @@ fallback).
 The Gabriel test classes each other point as inside, outside or borderline
 with a float filter of relative band width `_GABRIEL_BAND`, and decides
 borderline points in exact rational arithmetic, so cocircular
-configurations such as unit squares get exact levels. Only the points a
-KD-tree finds within slightly more than the circumradius of the center are
-tested (`_candidate_radius`); that ball contains every point the float band
-can class as inside or borderline, so the pruned test decides exactly as a
-scan of all points does, on any input.
+configurations such as unit squares get exact levels.
 
-`alpha_levels` works one dimension at a time, top down, on arrays: it runs
-the float band once over all (simplex, candidate point) pairs of the
-dimension. A simplex with an inside point is not Gabriel, one with neither
-an inside nor a borderline point is, and only the remaining ones reach
-`_is_gabriel`, which repeats the band for that simplex and decides its
-borderline points exactly. Minima over cofaces are per-dimension reductions
-over the complex's CSR coface arrays. `_is_gabriel` without candidates
-scans every point; the tests compare `alpha_levels` with a per-simplex loop
-over that full scan.
+`alpha_levels` works one dimension at a time, top down, on arrays.
+`_gabriel_mask` decides the simplices of a dimension in three stages, each
+of which decides a simplex only as a scan of all points would:
+
+1. the coface witnesses: the vertex opposite the simplex in each of its
+   cofaces, read off the complex's face and vertex arrays. In a Delaunay
+   complex almost every simplex that is not Gabriel has one inside the
+   float band.
+2. one KD-tree query of the k+2 points nearest to each remaining
+   circumcenter. Within `_candidate_radius`, slightly more than the
+   circumradius, lies every point the float band can class as inside or
+   borderline; if the simplex's own vertices are the only points found
+   there, it is Gabriel. k+2 points suffice: a k-simplex has k+1
+   vertices, and no point beyond the k+2 found is nearer than they are.
+3. `_gabriel_by_ball` for the rest: the KD-tree lists the points within
+   the candidate radius, the float band runs over all (simplex, point)
+   pairs at once, and only a simplex with a borderline point and none
+   inside reaches `_is_gabriel`, which repeats the band for that simplex
+   and decides its borderline points exactly.
+
+Minima over cofaces are per-dimension reductions over the complex's CSR
+coface arrays. `_is_gabriel` without candidates scans every point; the
+tests compare `alpha_levels` with a per-simplex loop over that full scan.
 """
 
 from __future__ import annotations
@@ -193,7 +203,7 @@ def alpha_levels(cx: SimplicialComplex, points) -> np.ndarray:
         if k == n:
             levels[ids.start : ids.stop] = own
             continue
-        gabriel = _gabriel_mask(cx, pts, tree, ids, verts, cs, r2)
+        gabriel = _gabriel_mask(cx, pts, tree, k, cs, r2)
         cap, has = _coface_min(cx, k, levels)
         levels[ids.start : ids.stop] = np.where(gabriel | ~has, own, cap)
     # clamp float noise so level(face) <= level(coface) holds exactly
@@ -205,8 +215,30 @@ def alpha_levels(cx: SimplicialComplex, points) -> np.ndarray:
     return levels
 
 
-def _gabriel_mask(cx, pts, tree, ids, verts, cs, r2):
-    """Gabriel flag of each simplex of one dimension (ids, vertex rows,
+def _gabriel_mask(cx, pts, tree, k, cs, r2):
+    """Gabriel flag of each k-simplex, 0 < k < cx.dim, from the
+    circumcenters and squared radii of the k-simplices, by the three stages
+    of the module docstring."""
+    ids, verts = cx.ids_of_dim(k), cx.vertex_array(k)
+    sim = cx.face_array(k + 1).ravel() - ids.start
+    inside, _ = _band(pts, cs, r2, sim, cx.vertex_array(k + 1).ravel())
+    gabriel = np.ones(len(verts), dtype=bool)
+    gabriel[sim[inside]] = False
+    rest = np.flatnonzero(gabriel)
+    if len(rest):
+        radius = _candidate_radius(r2[rest])
+        dist, near = tree.query(cs[rest], k=k + 2, distance_upper_bound=radius.max())
+        own = (near[:, :, None] == verts[rest][:, None, :]).any(axis=2)
+        rest = rest[((dist <= radius[:, None]) & ~own).any(axis=1)]
+    if len(rest):
+        gabriel[rest] = _gabriel_by_ball(
+            cx, pts, tree, ids.start + rest, verts[rest], cs[rest], r2[rest]
+        )
+    return gabriel
+
+
+def _gabriel_by_ball(cx, pts, tree, sids, verts, cs, r2):
+    """Gabriel flag of each of the simplices `sids` (vertex rows,
     circumcenters, squared radii).
 
     The KD-tree candidates of all simplices go through the float band of
@@ -220,17 +252,25 @@ def _gabriel_mask(cx, pts, tree, ids, verts, cs, r2):
     pt = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp, count=int(counts.sum()))
     other = (pt[:, None] != verts[sim]).all(axis=1)
     sim, pt = sim[other], pt[other]
+    in_pair, border_pair = _band(pts, cs, r2, sim, pt)
+    inside = np.zeros(len(near), dtype=bool)
+    inside[sim[in_pair]] = True
+    border = np.zeros(len(near), dtype=bool)
+    border[sim[border_pair]] = True
+    gabriel = ~(inside | border)
+    for j in np.flatnonzero(border & ~inside):
+        gabriel[j] = _is_gabriel(cx, pts, sids[j], cs[j], r2[j], near[j])
+    return gabriel
+
+
+def _band(pts, cs, r2, sim, pt):
+    """The float band of `_is_gabriel` on (simplex, point) pairs: whether
+    point pt[i] is inside the circumsphere of simplex sim[i], and whether
+    it is borderline."""
     d2 = ((pts[pt] - cs[sim]) ** 2).sum(axis=1)
     r2s = r2[sim]
     band = _GABRIEL_BAND * (d2 + r2s + 1e-300)
-    inside = np.zeros(len(near), dtype=bool)
-    inside[sim[d2 < r2s - band]] = True
-    border = np.zeros(len(near), dtype=bool)
-    border[sim[np.abs(d2 - r2s) <= band]] = True
-    gabriel = ~(inside | border)
-    for j in np.flatnonzero(border & ~inside):
-        gabriel[j] = _is_gabriel(cx, pts, ids[j], cs[j], r2[j], near[j])
-    return gabriel
+    return d2 < r2s - band, np.abs(d2 - r2s) <= band
 
 
 def _coface_min(cx, k, levels):

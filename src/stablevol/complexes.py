@@ -64,11 +64,14 @@ class SimplicialComplex:
     simplex is added.
 
     The build runs one dimension at a time on integer arrays, from the top
-    dimension down: it finds the unique rows, lists each simplex's faces in
-    vertex-removal order and locates them among the simplices one dimension
+    dimension down, with each vertex id replaced by its dense rank: one
+    sort of prefix-packed int64 keys (`_lex_rank`) ranks the given rows
+    together with the faces of the dimension above, listed in
+    vertex-removal order. It gives the unique rows and, read off the
+    ranks, the position of each face among the simplices one dimension
     lower. `vertex_array`, `face_array` and `coface_csr` give the
-    incidences per dimension as arrays, and `_missing` the (simplex id, face
-    tuple) pairs of faces not in the complex.
+    incidences per dimension as arrays, and `_missing` the (simplex id,
+    face tuple) pairs of faces not in the complex.
 
     `simplices[i]`, the vertex tuple of simplex i, is the one Python view;
     it is built from the arrays on first use and cached. Building it costs
@@ -79,6 +82,8 @@ class SimplicialComplex:
     def __init__(self, simplices, closure: bool = False):
         given = _rows_by_width(simplices)
         top = max(given, default=0)
+        values, given = _vertex_ranks(given)
+        base = max(len(values), 1)
         rows = [None] * top  # dimension k -> (m, k+1) sorted unique vertex rows
         # dimension k -> (m, k+1) face indices among the (k-1)-simplices, -1 if missing
         local_faces = [None] * top
@@ -88,19 +93,24 @@ class SimplicialComplex:
             n_given = len(cand)
             if below is not None:
                 cand = np.concatenate([cand, below])
-            rank = _lex_rank(cand)
-            uniq, first = np.unique(rank if closure else rank[:n_given], return_index=True)
-            rows[k] = cand[first]
-            if below is not None:
+            rank, first = _lex_rank(cand, base)
+            if closure or below is None:
+                rows[k] = cand[first]
+                if below is not None:
+                    local_faces[k + 1] = rank[n_given:].reshape(-1, k + 2)
+            else:
+                kept = np.zeros(len(first), dtype=bool)
+                kept[rank[:n_given]] = True
+                position = np.cumsum(kept) - 1
+                rows[k] = cand[first[kept]]
                 q = rank[n_given:]
-                pos = np.searchsorted(uniq, q)
-                hit = pos < len(uniq)
-                hit[hit] = uniq[pos[hit]] == q[hit]
-                local_faces[k + 1] = np.where(hit, pos, -1).reshape(-1, k + 2)
-            if k > 0:
-                below = np.stack(
-                    [np.delete(rows[k], j, axis=1) for j in range(k + 1)], axis=1
-                ).reshape(-1, k)
+                local_faces[k + 1] = np.where(kept[q], position[q], -1).reshape(-1, k + 2)
+            if k > 0:  # each row's faces in vertex-removal order: drop column j
+                drop = [[i for i in range(k + 1) if i != j] for j in range(k + 1)]
+                below = rows[k][:, drop].reshape(-1, k)
+        if len(values) and (values[0] != 0 or values[-1] != len(values) - 1):
+            # the ids are not 0..V-1, so their ranks differ from them
+            rows = [values[r] for r in rows]
         sizes = [len(r) for r in rows]
         self._offsets = [0, *itertools.accumulate(sizes)]
         self.dim = top - 1
@@ -213,29 +223,66 @@ def _sorted_rows(g, w: int):
     return None if w == 0 or (a[:, 1:] == a[:, :-1]).any() else a
 
 
-def _lex_rank(rows: np.ndarray) -> np.ndarray:
-    """Dense rank of each row of an (m, w) integer array in lexicographic
-    order; equal rows share a rank."""
-    order = np.lexsort(rows.T[::-1])
-    s = rows[order]
+def _vertex_ranks(given: dict):
+    """The sorted distinct vertex ids of the rows `given` (width -> (m, w)
+    array), and the rows with each id replaced by its dense rank among
+    them; the rows as they are when their ids are 0..V-1."""
+    flat = np.concatenate([g.ravel() for g in given.values()]) if given else np.empty(0, np.int64)
+    if len(flat) and flat.min() == 0 and flat.max() < len(flat) and np.bincount(flat).all():
+        return np.arange(flat.max() + 1), given  # the ids are 0..V-1, their own ranks
+    rank, first = _dense_rank(flat)
+    values = flat[first]
+    out, start = {}, 0
+    for w, g in given.items():
+        out[w] = rank[start : start + g.size].reshape(g.shape)
+        start += g.size
+    return values, out
+
+
+def _lex_rank(rows: np.ndarray, base: int):
+    """Dense rank of each row of an (m, w) array of vertex ranks in
+    [0, base) in lexicographic order (equal rows share a rank), and the
+    index of one row of each rank, by rank.
+
+    The rows are packed column by column into int64 keys, key * base + v;
+    a key that could overflow at the next column is first replaced by its
+    dense rank, which keeps the order. A rank is below m, so m * base must
+    fit in int64; it does for the dense ranks of any int64 ids the build
+    can hold in memory.
+    """
+    key = rows[:, 0]
+    limit = (np.iinfo(np.int64).max - base + 1) // base
+    for j in range(1, rows.shape[1]):
+        if len(key) and key.max() > limit:
+            key = _dense_rank(key)[0]
+        key = key * base + rows[:, j]
+    return _dense_rank(key)
+
+
+def _dense_rank(key: np.ndarray):
+    """Dense rank of each entry of an int64 array (equal entries share a
+    rank), and the index of one entry of each rank, by rank; one sort."""
+    order = np.argsort(key)
+    s = key[order]
     new = np.ones(len(s), dtype=bool)
-    new[1:] = (s[1:] != s[:-1]).any(axis=1)
+    new[1:] = s[1:] != s[:-1]
     rank = np.empty(len(s), dtype=np.int64)
     rank[order] = np.cumsum(new) - 1
-    return rank
+    return rank, order[new]
 
 
 def _coface_csr(local_faces, m: int, offset: int):
     """CSR coface lists of m simplices from the (c, k+2) local face ids of
     their c cofaces, whose ids start at `offset`; ascending within a row."""
-    width = local_faces.shape[1]
+    c, width = local_faces.shape
     face = local_faces.ravel()
-    coface = np.repeat(np.arange(offset, offset + len(local_faces)), width)
+    coface = np.repeat(np.arange(c), width)
     keep = face >= 0
     face, coface = face[keep], coface[keep]
     ptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.bincount(face, minlength=m), out=ptr[1:])
-    return ptr, coface[np.argsort(face, kind="stable")]
+    # the keys are distinct, so an unstable sort orders them exactly
+    return ptr, coface[np.argsort(face * c + coface)] + offset
 
 
 def validate_complex(cx: SimplicialComplex, max_violations: int = 10) -> list:

@@ -5,14 +5,20 @@ exact signs, so the combinatorics are those of a genuinely general-position
 pointcloud, whose Delaunay triangulation is unique.
 
 The triangulation comes from Qhull (`scipy.spatial.Delaunay`) run on the
-jittered coordinates, and is accepted only if it passes a certificate
-evaluated with the exact-sign predicates:
+jittered coordinates scaled by 2**-k, with 2**k the smallest power of two
+above their largest magnitude (`_rescaled`; unscaled if the scaling would
+round a coordinate). An exact power-of-two scaling changes no Delaunay
+cell and no predicate sign, and it keeps Qhull's own arithmetic in range
+at any input scale. Qhull's cells become a `SimplicialComplex`, built
+once, and are accepted only if its arrays pass a certificate evaluated
+with the exact-sign predicates:
 
 - every point is a vertex, and Qhull set no point aside as coplanar;
 - every cell has nonzero orientation (negative cells are re-oriented);
-- no facet lies in more than two cells; the two cells of an interior facet
-  lie on opposite sides of it, and the vertex of one opposite the facet is
-  strictly outside the circumsphere of the other;
+- no facet lies in more than two cells (`coface_csr` counts); the two
+  cells of an interior facet lie on opposite sides of it, and the vertex
+  of one opposite the facet (its removal position read from `face_array`)
+  is strictly outside the circumsphere of the other;
 - every point other than a hull facet's own vertices lies strictly on the
   inner side of that facet: the hull is convex, so in particular locally
   convex.
@@ -239,8 +245,9 @@ def Delaunay(P):
 
 
 def _certified_qhull(P):
-    """Qhull's Delaunay cells of the jittered points P, an (n, d) array, if
-    they pass the certificate in the module docstring, else None."""
+    """The Delaunay complex of the jittered points P, an (n, d) array, built
+    from Qhull's cells if they pass the certificate in the module
+    docstring, else None."""
     from scipy.spatial import QhullError
 
     n, dim = P.shape
@@ -248,49 +255,57 @@ def _certified_qhull(P):
         tri = Delaunay(P)
     except QhullError:
         return None
-    cells = np.array(tri.simplices, dtype=np.intp)
-    coplanar = len(tri.coplanar)
+    if len(tri.coplanar):
+        return None
+    cx = SimplicialComplex(tri.simplices, closure=True)
+    top = cx.vertex_array(dim)
+    if len(top) != len(tri.simplices) or cx.vertex_count != n:
+        return None
     del tri  # release Qhull's arrays before the checks allocate theirs
-    if coplanar or len(np.unique(cells)) != n:
+
+    cells = _oriented(P, top)
+    if cells is None:
+        return None
+    ptr, idx = cx.coface_csr(dim - 1)
+    count = ptr[1:] - ptr[:-1]
+    if np.any(count > 2):
+        return None  # a facet in three or more cells
+    faces = cx.face_array(dim) - cx.ids_of_dim(dim - 1).start  # (m, d+1) facet ids
+
+    # the two cells of an interior facet lie on opposite sides of it, and the
+    # far vertex of the second is strictly outside the circumsphere of the first
+    shared = np.flatnonzero(count == 2)
+    start = cx.ids_of_dim(dim).start
+    first, second = idx[ptr[shared]] - start, idx[ptr[shared] + 1] - start
+    near = top[first, np.argmax(faces[first] == shared[:, None], axis=1)]
+    far = top[second, np.argmax(faces[second] == shared[:, None], axis=1)]
+    flipped = np.where(cells[first] == near[:, None], far[:, None], cells[first])
+    if np.any(orient_batch(P, flipped) >= 0):
+        return None
+    if np.any(circumsphere_side_batch(P, cells[first], far) >= 0):
         return None
 
-    o = orient_batch(P, cells)
+    # convex hull: every other point is on the inner side of each hull facet
+    hull_cell, k = np.nonzero(count[faces] == 1)
+    hull_k = np.argmax(cells[hull_cell] == top[hull_cell, k][:, None], axis=1)
+    if not _hull_is_convex(P, cells, hull_cell, hull_k):
+        return None
+    return cx
+
+
+def _oriented(P, rows):
+    """The (m, d+1) cells `rows` with each negatively oriented one's vertices
+    a and b swapped, so that every cell is positive, or None if a cell has
+    zero orientation."""
+    o = orient_batch(P, rows)
     if np.any(o == 0):
         return None
     # swapping these two arguments negates orient2d / orient3d exactly, in
     # the float and in the exact stage, so the swapped cells are positive
-    a, b = (0, 1) if dim == 2 else (2, 3)
+    a, b = (0, 1) if rows.shape[1] == 3 else (2, 3)
+    cells = rows.copy()
     neg = o < 0
-    cells[neg, a], cells[neg, b] = cells[neg, b], cells[neg, a]
-
-    # facet k of a cell omits its vertex k; flat facet id = cell * (dim+1) + k
-    m, width = cells.shape
-    keys = np.sort(
-        np.stack([np.delete(cells, k, axis=1) for k in range(width)], axis=1), axis=2
-    ).reshape(m * width, dim)
-    order = np.lexsort(keys.T[::-1])
-    same = np.all(keys[order[1:]] == keys[order[:-1]], axis=1)
-    if np.any(same[1:] & same[:-1]):
-        return None  # a facet in three or more cells
-    first, second = order[:-1][same], order[1:][same]
-
-    # the two cells of an interior facet lie on opposite sides of it, and the
-    # far vertex of the second is strictly outside the circumsphere of the first
-    far = cells.reshape(-1)[second]
-    near_cell, near_k = np.divmod(first, width)
-    flipped = cells[near_cell]
-    flipped[np.arange(len(far)), near_k] = far
-    if np.any(orient_batch(P, flipped) >= 0):
-        return None
-    if np.any(circumsphere_side_batch(P, cells[near_cell], far) >= 0):
-        return None
-
-    # convex hull: every other point is on the inner side of each hull facet
-    interior = np.zeros(m * width, dtype=bool)
-    interior[first] = interior[second] = True
-    hull_cell, hull_k = np.divmod(np.flatnonzero(~interior), width)
-    if not _hull_is_convex(P, cells, hull_cell, hull_k):
-        return None
+    cells[neg, a], cells[neg, b] = rows[neg, b], rows[neg, a]
     return cells
 
 
@@ -367,9 +382,22 @@ def delaunay(points, dim=None) -> SimplicialComplex:
         raise ValueError(
             "coordinate range too large: the squared bounding-box extent overflows"
         )
-    cells = _certified_qhull(jit)
-    if cells is None:
+    cx = _certified_qhull(_rescaled(jit))
+    if cx is None:
         return _bowyer_watson(
             list(map(tuple, P.tolist())), list(map(tuple, jit.tolist())), dim
         )
-    return SimplicialComplex(cells, closure=True)
+    return cx
+
+
+def _rescaled(jit):
+    """jit * 2**-k, with 2**k the smallest power of two above max |jit|, if
+    that scaling is exact (scaling back gives jit), else jit itself.
+
+    Delaunay cells and the sign of every orient and insphere determinant
+    are invariant under an exact scaling, so Qhull and the certificate see
+    coordinates of magnitude below 1 at any input scale.
+    """
+    _, k = math.frexp(float(np.abs(jit).max()))
+    scaled = np.ldexp(jit, -k)
+    return scaled if np.array_equal(np.ldexp(scaled, k), jit) else jit

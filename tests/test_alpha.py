@@ -1,13 +1,17 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import alpha_levels_full_scan, geometry_cases
+from stablevol import alpha as alpha_module
 from stablevol.alpha import _circum_exact, alpha_filtration, alpha_levels, parse_pointcloud
-from stablevol.delaunay import delaunay
+from stablevol.delaunay import DegenerateInputError, delaunay
 from stablevol.fixtures import fig1_five_points, lattice_3x3x3
 from stablevol import persistence as pers
 
@@ -179,3 +183,84 @@ def test_degree1_diagram_invariant_under_permutation(seed):
     a, b = d1(pts), d1(pts[perm])
     assert len(a) == len(b) > 0
     assert np.allclose(a, b, rtol=1e-12, atol=0.0)
+
+
+def count_ball_list(m):
+    """Patch `alpha._gabriel_by_ball` through the MonkeyPatch m to count the
+    simplices it receives; returns the one-element list of the count."""
+    seen = [0]
+    ball = alpha_module._gabriel_by_ball
+
+    def counted(cx, pts, tree, sids, *rest):
+        seen[0] += len(sids)
+        return ball(cx, pts, tree, sids, *rest)
+
+    m.setattr(alpha_module, "_gabriel_by_ball", counted)
+    return seen
+
+
+def assert_levels_equal_full_scan(pts):
+    """alpha_levels equals the full scan bit for bit, or raises the same
+    DegenerateInputError (an exactly degenerate simplex with a point on
+    its float circumsphere, as three equal points next to a fourth give)."""
+    cx = delaunay(pts)
+    try:
+        want = np.array(alpha_levels_full_scan(cx, pts), dtype=float)
+    except DegenerateInputError as exc:
+        with pytest.raises(DegenerateInputError, match=str(exc)):
+            alpha_levels(cx, pts)
+        return
+    got = alpha_levels(cx, pts)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", ["cloud2d-400", "cloud2d-3200", "cloud3d-800", "cloud3d-300"])
+def test_witnesses_and_neighbours_decide_seeded_clouds(name, monkeypatch):
+    # on clouds in general position the coface witnesses and the k+2 nearest
+    # neighbours decide every simplex; the ball lists are never built
+    seen = count_ball_list(monkeypatch)
+    pts = CASES[name]
+    alpha_levels(delaunay(pts), pts)
+    assert seen == [0]
+
+
+def test_ball_list_path_decides_cocircular_grid_squares(monkeypatch):
+    # a unit square's diagonal has the other two corners on its ball, so
+    # neither the witnesses nor the nearest neighbours decide it
+    seen = count_ball_list(monkeypatch)
+    assert_levels_equal_full_scan(CASES["grid-20x20"][:100])
+    assert seen[0] > 0
+
+
+@st.composite
+def near_degenerate_clouds(draw):
+    """Grids, cocircular (in 3D also cospherical) rings and clouds of
+    repeated points, scaled, shifted and moved by offsets of at most 2e-10
+    of their extent, below the 1e-9 jitter of the predicates."""
+    dim = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["grid", "ring", "duplicates"]))
+    if kind == "grid":
+        sides = draw(st.lists(st.integers(2, 4), min_size=dim, max_size=dim))
+        pts = np.array(list(itertools.product(*map(range, sides))), dtype=float)
+    elif kind == "ring":
+        m = draw(st.integers(3, 12))
+        t = 2 * math.pi * np.arange(m) / m
+        ring = np.column_stack([np.cos(t), np.sin(t), np.zeros(m)][:dim])
+        extra = [[0.0] * dim] + ([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]] if dim == 3 else [])
+        pts = np.vstack([ring, extra])
+    else:
+        corner = st.tuples(*[st.integers(0, 2)] * dim)
+        base = draw(st.lists(corner, min_size=dim + 1, max_size=8))
+        repeats = draw(st.lists(st.integers(1, 3), min_size=len(base), max_size=len(base)))
+        pts = np.repeat(np.array(base, dtype=float), repeats, axis=0)
+    eps = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-10]))
+    steps = draw(st.lists(st.integers(-2, 2), min_size=pts.size, max_size=pts.size))
+    scale = draw(st.sampled_from([1.0, 0.1, 37.5]))
+    shift = draw(st.sampled_from([0.0, 0.5, 1e3]))
+    return (pts + eps * np.array(steps, dtype=float).reshape(pts.shape)) * scale + shift
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(pts=near_degenerate_clouds())
+def test_gabriel_cascade_matches_full_scan_on_near_degenerate_clouds(pts):
+    assert_levels_equal_full_scan(pts)

@@ -132,6 +132,30 @@ def test_overflowing_coordinates_one_stderr_line_in_a_fresh_process(tmp_path):
     ]
 
 
+def test_pd_on_a_3d_cloud_at_2_to_the_400_is_the_scaled_diagram(tmp_path, capsys):
+    # Qhull once crashed the process (SIGSEGV) on this input; it now gets a
+    # copy scaled by an exact power of two, so the run goes in a subprocess
+    pts = np.random.default_rng(400).random((300, 3)) * 40
+    one, big = tmp_path / "one.txt", tmp_path / "big.txt"
+    for path, p in ((one, pts), (big, np.ldexp(pts, 400))):
+        path.write_text("".join(" ".join(map(repr, row)) + "\n" for row in p.tolist()))
+    code, out, _ = run(["pd", str(one)], capsys)
+    assert code == 0
+    want = json.loads(out)
+    for d in want["diagrams"]:
+        for pair in d["pairs"]:
+            for key in ("birth", "death"):
+                if pair[key] is not None:
+                    pair[key] = math.ldexp(pair[key], 400)
+    src = str(Path(stablevol.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "stablevol.cli", "pd", str(big)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout) == want
+
+
 NON_FINITE_TOKENS = ["NaN", "Infinity", "-Infinity", pytest.param("1" + "0" * 400, id="1e400")]
 
 

@@ -21,6 +21,7 @@ from helpers import (
     views_from_arrays,
 )
 from stablevol.complexes import (
+    _lex_rank,
     Chain,
     DimensionError,
     MonotonicityError,
@@ -283,6 +284,43 @@ def test_builder_matches_reference(simplices, closure):
             build_order(cx, [0.0] * len(cx))
 
 
+BIG = 2**63 - 1
+# widths 1-4, ids at both ends of int64, rows repeated in another vertex order
+EXTREME = [
+    (-BIG,), (BIG,), (0,), (-BIG,), (BIG, -BIG), (-BIG, BIG), (0, BIG, -BIG),
+    (BIG, -1, 0, -BIG), (-BIG, 0, -1, BIG), (7, BIG, -BIG), (7, -BIG, BIG), (3, 7),
+]
+
+
+@pytest.mark.parametrize("closure", [False, True])
+def test_builder_matches_reference_at_extreme_ids(closure):
+    ref = TupleComplex(EXTREME, closure=closure)
+    assert_same_complex(SimplicialComplex(EXTREME, closure=closure), ref)
+    by_width = {}
+    for s in EXTREME:
+        by_width.setdefault(len(s), []).append(s)
+    arrays = {w: np.array(rows, dtype=np.int64) for w, rows in by_width.items()}
+    assert_same_complex(SimplicialComplex(arrays, closure=closure), ref)
+
+
+@pytest.mark.parametrize("base", [2, 1000, 2**31 + 11, 2**40 + 11, 2**54])
+def test_lex_rank_matches_lexsort(base):
+    # keys that would overflow int64 at the next column are re-ranked first;
+    # 300 * base fits in int64, as it does for the dense ranks of the build
+    rng = np.random.default_rng(base % 1000)
+    for width in (1, 2, 3, 4):
+        rows = rng.integers(0, base, size=(300, width), dtype=np.int64)
+        rows[150:] = rows[rng.integers(0, 150, 150)]  # repeated rows
+        rank, first = _lex_rank(rows, base)
+        order = np.lexsort(rows.T[::-1])
+        s = rows[order]
+        new = np.r_[True, (s[1:] != s[:-1]).any(axis=1)]
+        want = np.empty(len(rows), dtype=np.int64)
+        want[order] = np.cumsum(new) - 1
+        assert np.array_equal(rank, want)
+        assert np.array_equal(rows[first], s[new])
+
+
 def test_builder_rejects_what_simplex_rejects():
     with pytest.raises(ValueError, match=r"duplicate vertices in simplex \(1, 1\)"):
         SimplicialComplex([(0, 1), (1, 1)])
@@ -383,6 +421,9 @@ MALFORMED_EXTRA = [
     '{"vertices": 1.5, "simplices": [{"v": [0], "level": 0}]}',
     '{"vertices": true, "simplices": [{"v": [0], "level": 0}]}',
     '[]',
+    '{"simplices": [{"v": [%d], "level": 0}, {"v": [%d], "level": 0}, {"v": [0], "level": 0},'
+    ' {"v": [%d, %d], "level": 1}, {"v": [%d, 0, %d], "level": 2}]}'
+    % (-BIG, BIG, BIG, -BIG, BIG, -BIG),
 ]
 MALFORMED_EXTRA_IDS = [
     "id-beyond-int64", "overflow-after-valid-group", "overflow-before-duplicate-vertex",
@@ -390,7 +431,7 @@ MALFORMED_EXTRA_IDS = [
     "duplicate-vertex-entry-order-reversed", "bool-id", "bool-level", "string-level",
     "string-v", "list-entry", "fraction-id-before-missing-level", "float-id-duplicate",
     "missing-face", "non-finite-entry-order", "vertex-count-mismatch", "vertices-fraction",
-    "vertices-bool", "top-level-list",
+    "vertices-bool", "top-level-list", "missing-face-extreme-ids",
 ]
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import geometry_cases, hull_is_convex_gather, jittered_points_oracle
 from stablevol import predicates
-from stablevol.complexes import validate_complex
+from stablevol.complexes import SimplicialComplex, validate_complex
 from stablevol.delaunay import DegenerateInputError, delaunay
 from stablevol.fixtures import GENERATORS, generate
 from stablevol.predicates import circumsphere_side, jittered_points
@@ -186,12 +186,13 @@ def test_certificate_checks_qhull_output(monkeypatch, pts, cells, accepted):
     result, _ = same_certificate(monkeypatch, jittered_points(np.array(pts, dtype=float)))
     assert (result is not None) == accepted
     if accepted:
-        assert sorted(map(sorted, result.tolist())) == sorted(map(sorted, cells))
+        assert result.vertex_array(2).tolist() == sorted(map(sorted, cells))
 
 
 def certify(monkeypatch, P, hull_check):
-    """_certified_qhull(P) with `hull_check` as its hull check, and the
-    number of scalar orient2d/orient3d calls made inside the hull check."""
+    """_certified_qhull(P) with `hull_check` as its hull check (the complex
+    or None), and the number of scalar orient2d/orient3d calls made inside
+    the hull check."""
     calls = []
     inside = []
 
@@ -206,21 +207,21 @@ def certify(monkeypatch, P, hull_check):
             scalar = getattr(predicates, name)
             m.setattr(predicates, name, lambda *a, f=scalar: calls.append(1) or f(*a))
         m.setattr(dl, "_hull_is_convex", check)
-        cells = dl._certified_qhull(P)
-    return cells, sum(inside)
+        cx = dl._certified_qhull(P)
+    return cx, sum(inside)
 
 
 def same_certificate(monkeypatch, P):
     """The certificate with the broadcast hull check, after checking that
     the gather-based oracle gives the same result, and on acceptance the
-    same number of scalar orient calls; returns (cells, calls)."""
-    cells, calls = certify(monkeypatch, P, HULL_CHECK)
+    same number of scalar orient calls; returns (complex, calls)."""
+    cx, calls = certify(monkeypatch, P, HULL_CHECK)
     want, want_calls = certify(monkeypatch, P, hull_is_convex_gather)
-    assert (cells is None) == (want is None)
-    if cells is not None:
-        assert np.array_equal(cells, want)
+    assert (cx is None) == (want is None)
+    if cx is not None:
+        assert np.array_equal(cx.vertex_array(cx.dim), want.vertex_array(want.dim))
         assert calls == want_calls
-    return cells, calls
+    return cx, calls
 
 
 def facets(cells, hull_only):
@@ -243,8 +244,9 @@ SEEDED = {
 @pytest.mark.parametrize("name", sorted(CASES) + sorted(SEEDED))
 def test_hull_check_matches_gather_oracle(name, monkeypatch):
     P = jittered_points(CASES[name] if name in CASES else SEEDED[name])
-    cells, _ = same_certificate(monkeypatch, P)
-    assert cells is not None
+    cx, _ = same_certificate(monkeypatch, P)
+    assert cx is not None
+    cells = dl._oriented(P, cx.vertex_array(cx.dim))
     # rejections: interior facets included, and every cell negatively oriented
     every = facets(cells, hull_only=False)
     assert not HULL_CHECK(P, cells, *every)
@@ -264,8 +266,8 @@ def test_hull_check_on_a_nearly_straight_hull(n, monkeypatch):
     step = 2**50 // n
     chain = [(0.5 + k * step * u, 0.5 + (k * step - k * (n - k)) * u) for k in range(n + 1)]
     P = np.array(chain + [(0.5, 0.625), (0.52, 0.6), (0.55, 0.58)])
-    cells, calls = same_certificate(monkeypatch, P)
-    assert cells is not None and calls > 0
+    cx, calls = same_certificate(monkeypatch, P)
+    assert cx is not None and calls > 0
 
 
 # every `gen` fixture at two more seeds, and the seeded clouds
@@ -317,3 +319,46 @@ def test_rejections_keep_type_and_message(points, dim, error, message):
     with pytest.raises(error) as info:
         delaunay(points, dim)
     assert type(info.value) is error and str(info.value).startswith(message)
+
+
+# seeded clouds that, without the power-of-two rescale in front of Qhull,
+# fell back to Bowyer-Watson at 2**300 and 2**500, and in 3D spent seconds
+# in the exact stage at 2**-500 (Qhull crashed the process on 3D at 2**400)
+SCALED = {d: np.random.default_rng([d, n]).random((n, d)) * 40 for d, n in ((2, 400), (3, 300))}
+
+
+@pytest.mark.parametrize("k", [-500, -300, 300, 500])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_extreme_scales_are_certified_without_fallback(dim, k, monkeypatch):
+    base = delaunay(SCALED[dim])
+    calls = count_fallbacks(monkeypatch)
+    cx = delaunay(np.ldexp(SCALED[dim], k))
+    assert calls == []
+    for j in range(dim + 1):
+        assert np.array_equal(cx.vertex_array(j), base.vertex_array(j))
+
+
+def test_rescale_is_exact_or_skipped():
+    P = jittered_points(SCALED[3])
+    for k in (-500, 0, 6, 500):
+        scaled = dl._rescaled(np.ldexp(P, k))
+        assert np.abs(scaled).max() < 1 <= 2 * np.abs(scaled).max()
+        assert np.array_equal(np.ldexp(scaled, 6), P)  # max |P| is below 2**6
+    # scaling down by 2**1024 would round 1e-300 to a subnormal: no rescale
+    wide = np.array([[1e300, 1e-300], [0.0, 1.0], [1.0, 0.0]])
+    assert dl._rescaled(wide) is wide
+
+
+@pytest.mark.parametrize("name", ["cloud2d-400", "cloud3d-800", "grid-6x6x6", "ring-12"])
+def test_certified_delaunay_builds_one_complex(name, monkeypatch):
+    built = []
+    init = SimplicialComplex.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", counted)
+    calls = count_fallbacks(monkeypatch)
+    delaunay(CASES[name])
+    assert calls == [] and built == [1]
