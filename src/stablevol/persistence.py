@@ -1,23 +1,20 @@
-"""Persistence pairs and diagrams, read from the structure of the complex
-where that is exact and by Z/2 boundary-matrix reduction elsewhere, and
-degree-1 representative cocycles by the anti-transposed reduction.
+"""Persistence pairs and diagrams, read from the structure of the complex,
+and degree-1 representative cocycles.
 
-`pd`, `vol`, `sweep` and `stat` call `pairs`. Degree 0 comes from one
-elder-rule union-find pass over the edges (`degree0_deaths`). On a
-2-dimensional complex that passes the dual-graph condition, degrees 1 and 2
-come from the merge tree over the dual graph (`dualtree.compute_tree`), so
-such a complex needs no matrix reduction. On any other complex, degree 1
-comes from the reduction of the edge columns of the anti-transposed
-(coboundary) matrix, with the degree-0 death edges cleared first (the
-clearing of de Silva, Morozov & Vejdemo-Johansson, "Dualities in persistent
-(co)homology", as Ripser uses it); only degrees 2 and above of such a
-complex fall back to `reduce`.
+`pd`, `vol`, `sweep` and `stat` call `pairs`, which follows one rule per
+degree of an n-dimensional complex: degree 0 from an elder-rule union-find
+pass over the edges; degree k, 1 <= k <= n-1, from the reduction of the
+k-simplex columns of the anti-transposed (coboundary) matrix after the
+degree-(k-1) death simplices are cleared (the clearing of de Silva, Morozov &
+Vejdemo-Johansson, "Dualities in persistent (co)homology", as Ripser uses
+it); degree n-1 instead from the merge tree over the dual graph when the
+complex passes the dual-graph condition; degree n from the n-simplices that
+kill no degree-(n-1) class, all essential.
 
-`reduce` pairs every degree: it builds the boundary matrix per dimension
-from the complex's face arrays and reduces it with clearing, in descending
-dimension. It is the fallback of `pairs` and the tests' oracle for it.
-`cohomology_reduce` serves reconstructed shortest cycles: the same edge
-column reduction as `pairs`, with the representative cocycles tracked.
+`cohomology_reduce` serves reconstructed shortest cycles: the degree-1
+cochain columns with the representative cocycles tracked. `reduce` pairs
+every degree by the Z/2 reduction of the boundary matrix; no command calls
+it, and it is the tests' oracle for `pairs`.
 
 All three return a `Pairs` table: int64 birth-rank and death-rank arrays,
 with degree, simplex and time columns derived from them by numpy. Commands
@@ -170,7 +167,8 @@ def reduce(o: OrderWithLevel) -> Pairs:
     Columns are processed in descending dimension with clearing: a column
     already known to be a birth is skipped. The pairing is that of the plain
     left-to-right reduction (uniqueness of the interval decomposition); the
-    tests compare the two.
+    tests compare the two. No command calls it: it is the tests' oracle
+    for `pairs`.
     """
     cols = boundary_matrix(o)
     # each dimension's ranks, sorted; the ids of a dimension are contiguous
@@ -196,62 +194,62 @@ def _pair_arrays(raw_pairs):
 
 def pairs(o: OrderWithLevel, degrees=None) -> Pairs:
     """The rows of `reduce(o)` of the given degrees (default: every degree),
-    read from the structure of the complex where that is exact.
+    with no boundary-matrix reduction. On an n-dimensional complex:
 
-    Degree 0 comes from the elder-rule union-find (`degree0_deaths`). On a
-    2-dimensional complex that passes `build_dual_graph`'s condition, the
-    finite degree-1 pairs are the edges of the merge tree (`compute_tree`),
-    whose construction is the anti-transposed reduction of the edge
-    columns. An edge that is neither a degree-0 death nor a tree birth is an
-    essential degree-1 class, and a triangle that is no tree death an
-    essential degree-2 class. Without the merge tree, degree 1 comes from
-    the reduction of the edge columns (`_reduce_edge_columns`, as in
-    `cohomology_reduce` but without V). Any degree above 1 of a complex
-    without the merge tree is paired by `reduce`; the returned table then
-    holds its rows of the wanted degrees. `tree` is set on the table when
-    the merge tree was built.
+    - degree 0 comes from the elder-rule union-find (`degree0_deaths`);
+    - degree k, 1 <= k <= n-1, from the k-simplex cochain columns with
+      degree k-1's death simplices cleared (`_reduce_cochain_columns`);
+    - degree n-1 instead from the merge tree (`compute_tree`) when n >= 2,
+      degree n-1 or n is wanted and `build_dual_graph`'s condition holds:
+      the tree edges are the finite pairs, and an (n-1)-simplex that is
+      neither a degree-(n-2) death nor a tree label is an essential class;
+    - degree n has one essential class per n-simplex that is no
+      degree-(n-1) death.
+
+    Each degree needs the deaths of the one below, so degrees 1 up to the
+    highest wanted one (n-1 when n is wanted) are computed. `tree` is set on
+    the table when the merge tree was built.
     """
     from . import dualtree  # dualtree imports this module
 
-    cx = o.cx
-    wanted = set(range(cx.dim + 1) if degrees is None else degrees)
-    tree = None
-    if not wanted.isdisjoint(range(1, cx.dim + 1)):
-        if cx.dim == 2:
-            try:
-                tree = dualtree.compute_tree(dualtree.build_dual_graph(o), o)
-            except dualtree.ConditionError:
-                pass
-        if tree is None and not wanted.isdisjoint(range(2, cx.dim + 1)):
-            table = reduce(o)
-            keep = np.isin(table.degree, list(wanted))
-            return Pairs(o, table.birth_rank[keep], table.death_rank[keep])
-    elif 0 not in wanted:
+    n, rank = o.cx.dim, o.rank_array
+    wanted = set(range(n + 1)).intersection(range(n + 1) if degrees is None else degrees)
+    if not wanted:
         return Pairs(o, [], [])
+    top, tree = max(wanted), None
+    if n >= 2 and top >= n - 1:
+        try:
+            tree = dualtree.compute_tree(dualtree.build_dual_graph(o), o)
+        except dualtree.ConditionError:
+            pass
     births, deaths = degree0_deaths(o)
     parts = [(births, deaths)] if 0 in wanted else []
-    if tree is not None:
-        rank = o.rank_array
-        taus, cells = tree.edge_arrays()
-        if 1 in wanted:
-            edges = cx.ids_of_dim(1)
-            essential = np.ones(len(edges), dtype=bool)
-            essential[o.order_array[deaths[deaths >= 0]] - edges.start] = False
-            essential[taus - edges.start] = False
-            ess = rank[np.flatnonzero(essential) + edges.start]
-            parts.append((rank[taus], rank[cells]))
-            parts.append((ess, np.full(len(ess), -1, dtype=np.int64)))
-        if 2 in wanted:
-            tris = cx.ids_of_dim(2)
-            essential = np.ones(len(tris), dtype=bool)
-            essential[cells - tris.start] = False
-            ess = rank[np.flatnonzero(essential) + tris.start]
-            parts.append((ess, np.full(len(ess), -1, dtype=np.int64)))
-    elif 1 in wanted and cx.dim >= 1:
-        parts.append(_reduce_edge_columns(o, deaths)[:2])
+    for k in range(1, min(top, n - 1) + 1):
+        if k == n - 1 and tree is not None:
+            taus, cells = (rank[ids] for ids in tree.edge_arrays())
+            ess = rank[_unkilled(o, k, deaths, taus)]
+            births = np.concatenate([taus, ess])
+            deaths = np.concatenate([cells, np.full_like(ess, -1)])
+        else:
+            births, deaths = _reduce_cochain_columns(o, k, deaths)[:2]
+        if k in wanted:
+            parts.append((births, deaths))
+    if n in wanted and n >= 1:
+        ess = rank[_unkilled(o, n, deaths)]
+        parts.append((ess, np.full_like(ess, -1)))
     table = Pairs(o, *(np.concatenate(c) for c in zip(*parts)))
     table.tree = tree
     return table
+
+
+def _unkilled(o: OrderWithLevel, k: int, *rank_arrays) -> np.ndarray:
+    """The ids, ascending, of the k-simplices whose ranks are none of the
+    non-negative entries of `rank_arrays`."""
+    ids, order = o.cx.ids_of_dim(k), o.order_array
+    alive = np.ones(len(ids), dtype=bool)
+    for ranks in rank_arrays:
+        alive[order[ranks[ranks >= 0]] - ids.start] = False
+    return np.flatnonzero(alive) + ids.start
 
 
 def degree0_deaths(o: OrderWithLevel):
@@ -297,10 +295,11 @@ def cohomology_reduce(o: OrderWithLevel):
     """Degree-1 pairs via the anti-transposed reduction, plus representative
     cocycles.
 
-    Reduces the edge columns (`_reduce_edge_columns`) with V tracked. An edge
-    column has only triangle rows, so no column of another dimension is
-    ever added into it; the pairs and cocycles are those of the reduction
-    of every column. A column that reduces to zero is an essential class.
+    Reduces the edge columns (`_reduce_cochain_columns` at k = 1) with V
+    tracked. An edge column has only triangle rows, so no column of another
+    dimension is ever added into it; the pairs and cocycles are those of the
+    reduction of every column. A column that reduces to zero is an essential
+    class.
 
     Returns (pairs, cocycles). `pairs` is the `Pairs` table of the degree-1
     pairs, finite and essential: the degree-1 rows of `reduce`'s table.
@@ -312,44 +311,41 @@ def cohomology_reduce(o: OrderWithLevel):
     if not o.cx.ids_of_dim(1):
         return Pairs(o, [], []), {}
     _, deaths = degree0_deaths(o)
-    births, deaths, edge_ids, v = _reduce_edge_columns(o, deaths, track_v=True)
+    births, deaths, edge_ids, v = _reduce_cochain_columns(o, 1, deaths, track_v=True)
     edge_of, birth_of, death_of = edge_ids.tolist(), births.tolist(), deaths.tolist()
     cocycles = {(birth_of[c], death_of[c]): {edge_of[cc] for cc in vc} for c, vc in v.items()}
     return Pairs(o, births, deaths), cocycles
 
 
-def _reduce_edge_columns(o: OrderWithLevel, d0_deaths, track_v=False):
-    """The degree-1 pairs from the edge columns of the anti-transposed
-    coboundary matrix, with the degree-0 death edges (death ranks `d0_deaths`,
-    as `degree0_deaths` gives them) cleared: their columns would reduce to
-    zero.
+def _reduce_cochain_columns(o: OrderWithLevel, k: int, prev_deaths, track_v=False):
+    """The degree-k pairs from the k-simplex columns of the anti-transposed
+    coboundary matrix, with the degree-(k-1) death simplices (death ranks
+    `prev_deaths`, -1 entries ignored) cleared: their columns would reduce
+    to zero, so every other column that does is an essential class.
 
-    Columns are reduced in descending edge rank; each column's rows are the
-    edge's coface triangles, numbered by descending rank. Returns (birth
-    ranks, death ranks, edge ids, v), one entry per column, death rank -1
+    Columns are reduced in descending rank; each column's rows are the
+    simplex's (k+1)-cofaces, numbered by descending rank. Returns (birth
+    ranks, death ranks, simplex ids, v), one entry per column, death rank -1
     for an essential class. With `track_v`, v maps each death column to the
     columns summed into it, as `kernels.reduce_columns` gives it; otherwise
     v is None.
     """
     cx, rank = o.cx, o.rank_array
-    edges, tris = cx.ids_of_dim(1), cx.ids_of_dim(2)
-    alive = np.ones(len(edges), dtype=bool)
-    alive[o.order_array[d0_deaths[d0_deaths >= 0]] - edges.start] = False
-    live = np.flatnonzero(alive)
-    col_edges = live[np.argsort(-rank[edges.start : edges.stop][live])]
-    row_tris = np.argsort(-rank[tris.start : tris.stop])
-    row_of = np.empty(len(tris), dtype=np.int64)
-    row_of[row_tris] = np.arange(len(tris))
-    ptr, idx = cx.coface_csr(1)
-    rows = row_of[idx - tris.start]
-    owner = np.repeat(np.arange(len(edges)), np.diff(ptr))
+    simplices, cofaces = cx.ids_of_dim(k), cx.ids_of_dim(k + 1)
+    col_ids = _unkilled(o, k, prev_deaths)
+    col_ids = col_ids[np.argsort(-rank[col_ids])]
+    row_cofaces = np.argsort(-rank[cofaces.start : cofaces.stop])
+    row_of = np.empty(len(cofaces), dtype=np.int64)
+    row_of[row_cofaces] = np.arange(len(cofaces))
+    ptr, idx = cx.coface_csr(k)
+    rows = row_of[idx - cofaces.start]
+    owner = np.repeat(np.arange(len(simplices)), np.diff(ptr))
     srt = np.lexsort((rows, owner))
     flat, bounds = rows[srt].tolist(), ptr.tolist()
-    cols = [flat[bounds[e] : bounds[e + 1]] for e in col_edges.tolist()]
+    cols = [flat[bounds[c] : bounds[c + 1]] for c in (col_ids - simplices.start).tolist()]
     raw_pairs, _, v = kernels.reduce_columns(cols, range(len(cols)), clearing=False,
                                              track_v=track_v)
-    edge_ids = col_edges + edges.start
     lows, cs = _pair_arrays(raw_pairs)
-    births, deaths = rank[edge_ids], np.full(len(cols), -1, dtype=np.int64)
-    deaths[cs] = rank[row_tris[lows] + tris.start]
-    return births, deaths, edge_ids, v
+    births, deaths = rank[col_ids], np.full(len(cols), -1, dtype=np.int64)
+    deaths[cs] = rank[row_cofaces[lows] + cofaces.start]
+    return births, deaths, col_ids, v

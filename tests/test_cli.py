@@ -524,9 +524,9 @@ def test_rsc_euclidean_on_a_complex_exit_2_in_a_fresh_process(tmp_path):
     assert proc.stderr.splitlines() == ["error: euclidean weights need point coordinates"]
 
 
-def test_commands_on_a_2d_cloud_reduce_never_and_build_one_tree(fig1_file, capsys, monkeypatch):
-    # pairs come from the union-find and the merge tree; vol and sweep
-    # reuse the tree that selected the pair
+def count_pairing_calls(monkeypatch):
+    """Counts of `reduce` and `compute_tree` calls, under every name the
+    commands reach them by."""
     from stablevol import baselines, dualtree
 
     calls = {"reduce": 0, "compute_tree": 0}
@@ -540,6 +540,13 @@ def test_commands_on_a_2d_cloud_reduce_never_and_build_one_tree(fig1_file, capsy
                          (baselines, "compute_tree")):
         wrapper = functools.partial(counted, _name=name, _fn=originals[name])
         monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_commands_on_a_2d_cloud_reduce_never_and_build_one_tree(fig1_file, capsys, monkeypatch):
+    # pairs come from the union-find and the merge tree; vol and sweep
+    # reuse the tree that selected the pair
+    calls = count_pairing_calls(monkeypatch)
     pair = ["--pair-index", "1"]
     expected = [
         (["pd", fig1_file], 1),
@@ -549,6 +556,25 @@ def test_commands_on_a_2d_cloud_reduce_never_and_build_one_tree(fig1_file, capsy
         (["vol", fig1_file, "--degree", "0", "--pair-index", "0"], 0),
         (["sweep", fig1_file, *pair, "--epsilon-grid", "0:0.2:0.1"], 1),
         (["stat", fig1_file, *pair, "--noise", "0.05", "--trials", "2", "--seed", "1"], 3),
+    ]
+    for argv, trees in expected:
+        calls.update(reduce=0, compute_tree=0)
+        code, out, err = run(argv, capsys)
+        assert code == 0, err
+        assert calls == {"reduce": 0, "compute_tree": trees}, argv
+
+
+def test_commands_on_a_3d_cloud_reduce_never_and_build_one_tree(tmp_path, capsys, monkeypatch):
+    # degree 2 of a 3D alpha complex comes from the merge tree, which vol
+    # and sweep reuse; pd takes degree 1 from the edge columns
+    path = str(tmp_path / "lattice.txt")
+    assert main(["gen", "lattice-3x3x3", "--seed", "7", "-o", path]) == 0
+    calls = count_pairing_calls(monkeypatch)
+    pair = ["--degree", "2", "--pair-index", "0"]
+    expected = [
+        (["pd", path], 1),
+        (["sweep", path, *pair, "--epsilon-grid", "0:0.2:0.1"], 1),
+        (["vol", path, *pair, "--method", "stable-tree", "--epsilon", "0.05"], 1),
     ]
     for argv, trees in expected:
         calls.update(reduce=0, compute_tree=0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -334,14 +335,12 @@ PAIR_CLOUDS = pair_clouds()
 def test_pairs_equal_reduce_rows(name, monkeypatch):
     o = alpha_filtration(PAIR_CLOUDS[name]).order
     tables, made = assert_pairs_equal_reduce(o, monkeypatch)
-    if o.cx.dim == 2:
-        # degree 0 by union-find, degrees 1 and 2 from the merge tree
-        assert not any(made.values())
-        assert tables[1].tree is not None and tables[0].tree is None
-    else:
-        # a 3D complex takes degree 1 from the edge columns and falls back
-        # to reduce() for degrees 2 and 3
-        assert made == {None: 1, -1: 0, 0: 0, 1: 0, 2: 1, 3: 1, 4: 0, 5: 0}
+    # degree 0 by union-find, degree n-1 from the merge tree, a 3D complex's
+    # degree 1 from the edge columns: no degree set reduces
+    assert not any(made.values())
+    n = o.cx.dim
+    assert tables[n - 1].tree is not None and tables[n].tree is not None
+    assert tables[n - 2].tree is None
 
 
 @pytest.mark.parametrize("name", sorted(complex_cases()))
@@ -372,6 +371,27 @@ def test_pairs_equal_reduce_on_random_2d_clouds(n, seed, decimals):
     assert_pairs_equal_reduce(o)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    n=st.integers(min_value=4, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    decimals=st.sampled_from([0, 1, 3, None]),
+)
+def test_pairs_equal_reduce_on_random_3d_clouds(n, seed, decimals):
+    # degree 1 from the edge columns, degree 2 from the merge tree and
+    # degree 3 from the tetrahedra that are no degree-2 death, on ties,
+    # cospherical points and coplanar runs
+    pts = np.random.default_rng(seed).uniform(-5.0, 5.0, (n, 3))
+    if decimals is not None:
+        pts = np.unique(np.round(pts, decimals), axis=0)
+    try:
+        o = alpha_filtration(pts).order
+    except DegenerateInputError:
+        assume(False)
+    assume(o.cx.dim == 3)
+    assert_pairs_equal_reduce(o)
+
+
 ANNULUS = [(0, 1, 4), (1, 4, 5), (1, 2, 5), (2, 5, 6), (2, 3, 6), (3, 6, 7), (3, 0, 7), (0, 4, 7)]
 
 
@@ -397,11 +417,44 @@ def test_pairs_of_a_complex_with_components_and_a_hole(seed, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_pairs_of_a_complex_with_a_dangling_edge_fall_back(seed, monkeypatch):
+def test_pairs_of_a_complex_with_a_dangling_edge(seed, monkeypatch):
     # vertex 8 and edge (0, 8) have no triangle coface: the dual-graph
     # condition fails, degree 1 comes from the edge columns and degree 2
-    # from one reduce()
+    # from the triangles that are no degree-1 death, with no reduce()
     o = complex_json_order([*ANNULUS, (0, 8)], seed)
     tables, made = assert_pairs_equal_reduce(o, monkeypatch)
-    assert made == {None: 1, -1: 0, 0: 0, 1: 0, 2: 1, 3: 0, 4: 0}
-    assert tables[1].tree is None
+    assert not any(made.values())
+    assert tables[1].tree is None and tables[2].tree is None
+
+
+def boundary_faces(vertices):
+    """The facets of the simplex on `vertices`: a sphere of one dimension
+    less."""
+    return list(itertools.combinations(vertices, len(vertices) - 1))
+
+
+HIGHER_COMPLEXES = {
+    # the 4-sphere: degree 3 from the merge tree, degrees 1 and 2 from the
+    # cochain columns
+    "sphere4": (boundary_faces(range(6)), True, [0, 4]),
+    # and a 3-sphere of tetrahedra with no 4-coface: the condition fails,
+    # so degrees 1 to 3 come from the cochain columns
+    "sphere4-and-sphere3": ([*boundary_faces(range(6)), *boundary_faces(range(6, 11))],
+                            False, [0, 0, 3, 4]),
+    # the 3-sphere and a tetrahedron on its triangle (0, 1, 2), which then
+    # has three cofaces: degree 2 from the cochain columns
+    "sphere3-and-fin": ([*boundary_faces(range(5)), (0, 1, 2, 5)], False, [0, 3]),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", sorted(HIGHER_COMPLEXES))
+def test_pairs_of_higher_and_failed_condition_complexes(name, seed, monkeypatch):
+    simplices, has_tree, essential_degrees = HIGHER_COMPLEXES[name]
+    o = complex_json_order(simplices, seed)
+    tables, made = assert_pairs_equal_reduce(o, monkeypatch)
+    assert not any(made.values())
+    n = o.cx.dim
+    assert (tables[n - 1].tree is not None) == has_tree and tables[n - 2].tree is None
+    table = tables[None]
+    assert sorted(table.degree[table.death_rank < 0].tolist()) == essential_degrees
