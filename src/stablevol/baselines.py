@@ -199,8 +199,7 @@ def reconstructed_shortest_cycle(
     if euclidean and points is None:
         raise ValueError("euclidean weights need point coordinates")
     if cocycle is None:
-        _, cocycles = pers.cohomology_reduce(o)
-        cocycle = cocycles[(pair.birth_rank, pair.death_rank)]
+        cocycle = pers.cohomology_reduce(o)[1](pair.birth_rank, pair.death_rank)
     if k_rank is None:
         k_rank = pair.death_rank - 1
     if not pair.birth_rank <= k_rank < pair.death_rank:

@@ -26,6 +26,7 @@ from .complexes import complex_from_json, vertices_of, z2_boundary
 from .delaunay import DegenerateInputError
 from .dualtree import (
     build_dual_graph,
+    check_tree_degree,
     compute_tree,
     optimal_volume_tree,
     stable_volume_tree,
@@ -283,8 +284,10 @@ def cmd_pd(args) -> int:
     return 0
 
 
-def _tree_for(order, pairs):
-    """The merge tree that `pairs` came from, or a new one."""
+def _tree_for(order, pairs, pair):
+    """The merge tree that `pairs` came from, or a new one. A pair that is
+    not of codimension 1 raises `DegreeError` before any tree is built."""
+    check_tree_degree(order.cx.dim, pair)
     if pairs.tree is not None:
         return pairs.tree
     return compute_tree(build_dual_graph(order), order)
@@ -300,14 +303,14 @@ def cmd_vol(args) -> int:
     eps = args.epsilon
     if args.method == "optimal":
         if codim1:
-            cells = optimal_volume_tree(_tree_for(order, pairs), pair)
+            cells = optimal_volume_tree(_tree_for(order, pairs, pair), pair)
             obj = _volume_json(order, points, pair, cells, "tree-optimal", None)
         else:
             sol = volopt.solve_volume(order, pair, "optimal", threshold=args.threshold)
             obj = _volume_json(order, points, pair, sol.cells, "lp-optimal", None,
                                {"objective": sol.objective, "status": sol.status})
     elif args.method == "stable-tree":
-        res = stable_volume_tree(_tree_for(order, pairs), pair, eps)
+        res = stable_volume_tree(_tree_for(order, pairs, pair), pair, eps)
         obj = _volume_json(order, points, pair, res.cells, "tree-stable", eps)
     elif args.method == "stable-lp":
         sol = volopt.solve_volume(order, pair, "stable", eps, threshold=args.threshold)
@@ -315,7 +318,7 @@ def cmd_vol(args) -> int:
                            {"objective": sol.objective, "status": sol.status})
     else:  # sub
         if codim1:
-            ov = optimal_volume_tree(_tree_for(order, pairs), pair)
+            ov = optimal_volume_tree(_tree_for(order, pairs, pair), pair)
         else:
             ov = volopt.solve_volume(order, pair, "optimal", threshold=args.threshold).cells
         sol = volopt.solve_volume(order, pair, "sub", eps, ov_cells=ov,
@@ -358,7 +361,7 @@ def cmd_sweep(args) -> int:
     pair = _select_pair(pairs, args)
     if pair.degree != order.cx.dim - 1:
         raise PairSelectionError("sweep needs a codimension-1 pair (tree method)")
-    rows = sweep_sizes(_tree_for(order, pairs), pair, grid)
+    rows = sweep_sizes(_tree_for(order, pairs, pair), pair, grid)
     _emit("".join(f"{e!r}\t{s}\n" for e, s in rows), args.output)
     return 0
 
@@ -395,7 +398,7 @@ def cmd_rsc(args) -> int:
     args_degree = getattr(args, "degree", 1)
     if args_degree != 1:
         raise PairSelectionError("reconstructed shortest cycles need degree 1")
-    pairs, cocycles = pers.cohomology_reduce(order)
+    pairs, cocycle = pers.cohomology_reduce(order)
     pair = _select_pair(pairs, args)
     if pair.essential:
         raise StarPairError("essential pairs have no death index")
@@ -407,7 +410,7 @@ def cmd_rsc(args) -> int:
         k = pair.birth_rank + (int(below[-1]) if len(below) else 0)
     res = reconstructed_shortest_cycle(
         order, pair, k_rank=k, euclidean=args.euclidean, points=points,
-        cocycle=cocycles[(pair.birth_rank, pair.death_rank)],
+        cocycle=cocycle(pair.birth_rank, pair.death_rank),
     )
     loop = res.loop
     obj = {

@@ -207,12 +207,16 @@ def compute_tree(g: DualGraph, o: OrderWithLevel) -> PersistenceTree:
     return PersistenceTree(o, parent)
 
 
-def _check_tree_pair(tree: PersistenceTree, pair: PersistencePair):
-    n = tree.order.cx.dim
+def check_tree_degree(n: int, pair: PersistencePair):
+    """Raises `DegreeError` unless the pair has codimension 1 (dimension n)."""
     if pair.degree != n - 1:
         raise DegreeError(
             f"tree volumes need degree {n - 1} pairs, got degree {pair.degree}"
         )
+
+
+def _check_tree_pair(tree: PersistenceTree, pair: PersistencePair):
+    check_tree_degree(tree.order.cx.dim, pair)
     if pair.essential:
         raise StarPairError("essential pairs have no volume")
     if tree.parent.get(pair.death_simplex, (None, None))[1] != pair.birth_simplex:

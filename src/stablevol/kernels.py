@@ -1,7 +1,7 @@
 """Pure-Python Z/2 column reduction kernel.
 
-Columns are big-integer bitsets; the XOR loop is the hot path of every
-persistence computation.
+Columns are big-integer bitsets; the XOR loop is the hot path of the
+cochain reductions behind `persistence.pairs` and `cohomology_reduce`.
 """
 
 from __future__ import annotations
@@ -13,61 +13,31 @@ def active_backend() -> str:
     return "python"
 
 
-def reduce_columns(columns, order, clearing=True, track_v=False):
-    """Left-to-right reduction of a Z/2 matrix given as sorted row-index lists.
+def reduce_columns(columns, track_v=False):
+    """Left-to-right reduction of a Z/2 matrix given as a list of columns,
+    each a list of row indices, in list order.
 
-    `order` is the sequence of column indices to process. With `clearing`,
-    a column already recorded as a birth is skipped (valid when the caller
-    processes columns in descending dimension). With `track_v`, the returned
-    dict maps each death column to the sorted list of columns that were
-    accumulated into it (the combination witness).
-
-    Returns (pairs, essentials, v): pairs is a list of (low, column) = (birth,
-    death) index pairs in processing order; essentials is the sorted list of
-    columns that reduced to zero and never became a birth.
+    Returns (pairs, v). `pairs` lists (low, j) for each column j that does
+    not reduce to zero, in column order: low is the pivot row of the reduced
+    column. With `track_v`, v maps each such j to the bitmask of the input
+    columns summed into it (bit j set); otherwise v is None.
     """
-    reduced = {}
-    vmask = {} if track_v else None
-    owner = {}
-    births = set()
-    pairs = []
-    zeros = []
-    for j in order:
-        if clearing and j in births:
-            continue
+    reduced, vmask, pairs = {}, {}, []  # reduced column and V mask by low
+    for j, rows in enumerate(columns):
         col = 0
-        for r in columns[j]:
+        for r in rows:
             col |= 1 << r
-        v = 1 << j
+        v = 1 << j if track_v else 0
         while col:
             low = col.bit_length() - 1
-            k = owner.get(low)
-            if k is None:
+            pivot = reduced.get(low)
+            if pivot is None:
+                reduced[low] = col
+                if track_v:
+                    vmask[low] = v
+                pairs.append((low, j))
                 break
-            col ^= reduced[k]
+            col ^= pivot
             if track_v:
-                v ^= vmask[k]
-        if col:
-            low = col.bit_length() - 1
-            owner[low] = j
-            reduced[j] = col
-            births.add(low)
-            pairs.append((low, j))
-            if track_v:
-                vmask[j] = v
-        else:
-            zeros.append(j)
-    essentials = sorted(set(zeros) - births)
-    v_out = None
-    if track_v:
-        v_out = {j: _bits(vmask[j]) for _, j in pairs}
-    return pairs, essentials, v_out
-
-
-def _bits(mask: int) -> list:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+                v ^= vmask[low]
+    return pairs, ({j: vmask[low] for low, j in pairs} if track_v else None)

@@ -9,12 +9,15 @@ degree-(k-1) death simplices are cleared (the clearing of de Silva, Morozov &
 Vejdemo-Johansson, "Dualities in persistent (co)homology", as Ripser uses
 it); degree n-1 instead from the merge tree over the dual graph when the
 complex passes the dual-graph condition; degree n from the n-simplices that
-kill no degree-(n-1) class, all essential.
+kill no degree-(n-1) class, all essential. Only the degrees that a wanted
+degree needs are computed. The cochain columns are the one caller of the
+bitset kernel `kernels.reduce_columns`.
 
 `cohomology_reduce` serves reconstructed shortest cycles: the degree-1
-cochain columns with the representative cocycles tracked. `reduce` pairs
-every degree by the Z/2 reduction of the boundary matrix; no command calls
-it, and it is the tests' oracle for `pairs`.
+cochain columns with V tracked, and the cocycle of the one pair asked for.
+`reduce` pairs every degree by a set-arithmetic reduction of the boundary
+matrix, with clearing, that shares no code with the kernel; no command
+calls it, and it is the tests' oracle for `pairs`.
 
 All three return a `Pairs` table: int64 birth-rank and death-rank arrays,
 with degree, simplex and time columns derived from them by numpy. Commands
@@ -162,34 +165,33 @@ def boundary_matrix(o: OrderWithLevel) -> list:
 
 def reduce(o: OrderWithLevel) -> Pairs:
     """All persistence pairs of the filtration, every degree, stars included,
-    as a `Pairs` table.
+    as a `Pairs` table: the tests' oracle for `pairs`, which no command calls.
 
-    Columns are processed in descending dimension with clearing: a column
-    already known to be a birth is skipped. The pairing is that of the plain
-    left-to-right reduction (uniqueness of the interval decomposition); the
-    tests compare the two. No command calls it: it is the tests' oracle
-    for `pairs`.
+    Reduces `boundary_matrix(o)` with set arithmetic, not the kernel: a
+    column is a set of ranks, its low is its largest rank, and the reduced
+    column that owns a low is added by symmetric difference. Dimensions run
+    from the top down, each in ascending rank, and a column that the
+    dimension above made a birth is skipped (clearing). A simplex that is
+    neither a birth nor a death is an essential class.
     """
     cols = boundary_matrix(o)
-    # each dimension's ranks, sorted; the ids of a dimension are contiguous
-    proc = []
+    reduced, births, deaths = {}, [], []  # reduced column by low
     for k in range(o.cx.dim, -1, -1):
         ids = o.cx.ids_of_dim(k)
-        proc.extend(np.sort(o.rank_array[ids.start : ids.stop]).tolist())
-    raw_pairs, raw_essentials, _ = kernels.reduce_columns(cols, proc)
-    births, deaths = _pair_arrays(raw_pairs)
-    essentials = np.array(raw_essentials, dtype=np.int64)
-    return Pairs(
-        o,
-        np.concatenate([births, essentials]),
-        np.concatenate([deaths, np.full(len(essentials), -1)]),
-    )
-
-
-def _pair_arrays(raw_pairs):
-    """The kernel's (low, column) pairs as two int64 arrays."""
-    flat = np.fromiter(itertools.chain.from_iterable(raw_pairs), np.int64, 2 * len(raw_pairs))
-    return flat[0::2], flat[1::2]
+        for j in np.sort(o.rank_array[ids.start : ids.stop]).tolist():
+            if j in reduced:
+                continue
+            col = set(cols[j])
+            while col:
+                low = max(col)
+                if low not in reduced:
+                    reduced[low] = col
+                    births.append(low)
+                    deaths.append(j)
+                    break
+                col ^= reduced[low]
+    essentials = np.setdiff1d(np.arange(len(cols)), births + deaths)
+    return Pairs(o, births + essentials.tolist(), deaths + [-1] * len(essentials))
 
 
 def pairs(o: OrderWithLevel, degrees=None) -> Pairs:
@@ -206,9 +208,10 @@ def pairs(o: OrderWithLevel, degrees=None) -> Pairs:
     - degree n has one essential class per n-simplex that is no
       degree-(n-1) death.
 
-    Each degree needs the deaths of the one below, so degrees 1 up to the
-    highest wanted one (n-1 when n is wanted) are computed. `tree` is set on
-    the table when the merge tree was built.
+    A degree is computed only when a wanted degree needs it. With the merge
+    tree, degree n reads only the tree's death cells, and degree n-1 the
+    tree and degree n-2's deaths; without it, degrees n-1 and n need degrees
+    1 to n-1. `tree` is set on the table when the merge tree was built.
     """
     from . import dualtree  # dualtree imports this module
 
@@ -216,24 +219,31 @@ def pairs(o: OrderWithLevel, degrees=None) -> Pairs:
     wanted = set(range(n + 1)).intersection(range(n + 1) if degrees is None else degrees)
     if not wanted:
         return Pairs(o, [], [])
-    top, tree = max(wanted), None
-    if n >= 2 and top >= n - 1:
+    tree = None
+    if n >= 2 and max(wanted) >= n - 1:
         try:
             tree = dualtree.compute_tree(dualtree.build_dual_graph(o), o)
         except dualtree.ConditionError:
             pass
-    births, deaths = degree0_deaths(o)
-    parts = [(births, deaths)] if 0 in wanted else []
-    for k in range(1, min(top, n - 1) + 1):
-        if k == n - 1 and tree is not None:
-            taus, cells = (rank[ids] for ids in tree.edge_arrays())
-            ess = rank[_unkilled(o, k, deaths, taus)]
-            births = np.concatenate([taus, ess])
-            deaths = np.concatenate([cells, np.full_like(ess, -1)])
+    # union-find and the cochain columns compute degrees 0 to `last`
+    last = max((k for k in wanted if k == 0 or k < n - 1), default=-1)
+    if n - 1 in wanted or (tree is None and n in wanted):
+        last = max(last, n - 1 if tree is None else n - 2)
+    parts = []
+    for k in range(last + 1):
+        if k == 0:
+            births, deaths = degree0_deaths(o)
         else:
             births, deaths = _reduce_cochain_columns(o, k, deaths)[:2]
         if k in wanted:
             parts.append((births, deaths))
+    if tree is not None:
+        taus, cells = (rank[ids] for ids in tree.edge_arrays())
+        if n - 1 in wanted:
+            ess = rank[_unkilled(o, n - 1, deaths, taus)]
+            parts.append((np.concatenate([taus, ess]),
+                          np.concatenate([cells, np.full_like(ess, -1)])))
+        deaths = cells
     if n in wanted and n >= 1:
         ess = rank[_unkilled(o, n, deaths)]
         parts.append((ess, np.full_like(ess, -1)))
@@ -293,7 +303,7 @@ def degree0_deaths(o: OrderWithLevel):
 
 def cohomology_reduce(o: OrderWithLevel):
     """Degree-1 pairs via the anti-transposed reduction, plus representative
-    cocycles.
+    cocycles on demand.
 
     Reduces the edge columns (`_reduce_cochain_columns` at k = 1) with V
     tracked. An edge column has only triangle rows, so no column of another
@@ -301,20 +311,31 @@ def cohomology_reduce(o: OrderWithLevel):
     reduction of every column. A column that reduces to zero is an essential
     class.
 
-    Returns (pairs, cocycles). `pairs` is the `Pairs` table of the degree-1
+    Returns (pairs, cocycle). `pairs` is the `Pairs` table of the degree-1
     pairs, finite and essential: the degree-1 rows of `reduce`'s table.
-    `cocycles` maps each finite pair's (birth_rank, death_rank) to the
-    support of its representative cocycle as a set of edge ids: edges whose
-    duals sum to a persistent cocycle, i.e. the cut whose removal kills
-    every representative cycle of the pair.
+    `cocycle(birth_rank, death_rank)` gives the support of a finite pair's
+    representative cocycle as a set of edge ids: edges whose duals sum to a
+    persistent cocycle, i.e. the cut whose removal kills every
+    representative cycle of the pair. Only that pair's V mask is read; any
+    other pair of ranks raises `KeyError`.
     """
-    if not o.cx.ids_of_dim(1):
-        return Pairs(o, [], []), {}
-    _, deaths = degree0_deaths(o)
-    births, deaths, edge_ids, v = _reduce_cochain_columns(o, 1, deaths, track_v=True)
-    edge_of, birth_of, death_of = edge_ids.tolist(), births.tolist(), deaths.tolist()
-    cocycles = {(birth_of[c], death_of[c]): {edge_of[cc] for cc in vc} for c, vc in v.items()}
-    return Pairs(o, births, deaths), cocycles
+    if o.cx.ids_of_dim(1):
+        _, deaths = degree0_deaths(o)
+        births, deaths, edge_ids, v = _reduce_cochain_columns(o, 1, deaths, track_v=True)
+    else:
+        births = deaths = edge_ids = np.empty(0, dtype=np.int64)
+        v = {}
+
+    def cocycle(birth_rank, death_rank):
+        # the columns run in descending birth rank
+        c = int(np.searchsorted(-births, -birth_rank))
+        if death_rank < 0 or c == len(births) or (births[c], deaths[c]) != (birth_rank, death_rank):
+            raise KeyError((birth_rank, death_rank))
+        mask = v[c]
+        bits = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), np.uint8)
+        return set(edge_ids[np.flatnonzero(np.unpackbits(bits, bitorder="little"))].tolist())
+
+    return Pairs(o, births, deaths), cocycle
 
 
 def _reduce_cochain_columns(o: OrderWithLevel, k: int, prev_deaths, track_v=False):
@@ -327,8 +348,8 @@ def _reduce_cochain_columns(o: OrderWithLevel, k: int, prev_deaths, track_v=Fals
     simplex's (k+1)-cofaces, numbered by descending rank. Returns (birth
     ranks, death ranks, simplex ids, v), one entry per column, death rank -1
     for an essential class. With `track_v`, v maps each death column to the
-    columns summed into it, as `kernels.reduce_columns` gives it; otherwise
-    v is None.
+    bitmask of the columns summed into it, as `kernels.reduce_columns`
+    gives it; otherwise v is None.
     """
     cx, rank = o.cx, o.rank_array
     simplices, cofaces = cx.ids_of_dim(k), cx.ids_of_dim(k + 1)
@@ -343,9 +364,8 @@ def _reduce_cochain_columns(o: OrderWithLevel, k: int, prev_deaths, track_v=Fals
     srt = np.lexsort((rows, owner))
     flat, bounds = rows[srt].tolist(), ptr.tolist()
     cols = [flat[bounds[c] : bounds[c + 1]] for c in (col_ids - simplices.start).tolist()]
-    raw_pairs, _, v = kernels.reduce_columns(cols, range(len(cols)), clearing=False,
-                                             track_v=track_v)
-    lows, cs = _pair_arrays(raw_pairs)
+    raw_pairs, v = kernels.reduce_columns(cols, track_v)
+    flat_pairs = np.fromiter(itertools.chain.from_iterable(raw_pairs), np.int64, 2 * len(raw_pairs))
     births, deaths = rank[col_ids], np.full(len(cols), -1, dtype=np.int64)
-    deaths[cs] = rank[row_cofaces[lows] + cofaces.start]
+    deaths[flat_pairs[1::2]] = rank[row_cofaces[flat_pairs[0::2]] + cofaces.start]
     return births, deaths, col_ids, v

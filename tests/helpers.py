@@ -1,15 +1,17 @@
 """Shared test utilities: perturbation samplers, brute-force oracles,
 reference implementations and geometry test inputs."""
 
+import importlib.util
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from stablevol import kernels
 from stablevol.alpha import _circum_batch, _is_gabriel
 from stablevol.complexes import (
     Chain,
@@ -562,9 +564,38 @@ def _build_pairs(o, rank_pairs, essential_ranks):
     return pairs
 
 
+def reduce_sets(columns, proc, clearing=False, track_v=False):
+    """Z/2 column reduction with Python sets, sharing no code with the
+    bitset kernel. Columns (collections of row indices) are reduced in the
+    order `proc`; a column's low is its largest row, and the reduced column
+    that owns a low is added by symmetric difference. With `clearing`, a
+    column whose index is already a low is skipped (for an order that takes
+    the dimensions from the top). Returns (pairs, essentials, v): the
+    (low, column) pairs in processing order, the sorted columns that reduced
+    to zero and are no low, and, with `track_v`, each death column's V as
+    the set of columns summed into it."""
+    reduced, vsets, pairs, zeros = {}, {}, [], []
+    for j in proc:
+        if clearing and j in reduced:
+            continue
+        col, v = set(columns[j]), {j}
+        while col and (low := max(col)) in reduced:
+            col ^= reduced[low]
+            if track_v:
+                v ^= vsets[low]
+        if col:
+            reduced[low], vsets[low] = col, v
+            pairs.append((low, j))
+        else:
+            zeros.append(j)
+    essentials = sorted(set(zeros) - set(reduced))
+    return pairs, essentials, ({j: vsets[low] for low, j in pairs} if track_v else None)
+
+
 def reduce_oracle(o, clearing=True):
     """`persistence.reduce`'s pairs as a reference list, built pair by pair
-    from the kernel's output."""
+    from `reduce_sets` on the boundary matrix: dimensions from the top with
+    clearing, or every column left to right."""
     from stablevol.persistence import boundary_matrix
 
     cols = boundary_matrix(o)
@@ -573,7 +604,7 @@ def reduce_oracle(o, clearing=True):
         proc = sorted(range(len(cols)), key=lambda r: (-o.cx.dim_of(order[r]), r))
     else:
         proc = range(len(cols))
-    raw_pairs, raw_essentials, _ = kernels.reduce_columns(cols, proc, clearing=clearing)
+    raw_pairs, raw_essentials, _ = reduce_sets(cols, proc, clearing=clearing)
     return _build_pairs(o, raw_pairs, raw_essentials)
 
 
@@ -612,9 +643,7 @@ def cohomology_reduce_all_columns(o):
     for c in range(n):
         sid = order[n - 1 - c]
         cols.append(sorted(n - 1 - rank[cf] for cf in cofaces[sid]))
-    raw_pairs, raw_essentials, v = kernels.reduce_columns(
-        cols, range(n), clearing=False, track_v=True
-    )
+    raw_pairs, raw_essentials, v = reduce_sets(cols, range(n), track_v=True)
     rank_pairs = []
     cocycles = {}
     for u, c in raw_pairs:
@@ -1107,3 +1136,15 @@ def hull_is_convex_gather(P, cells, hull_cell, hull_k, chunk_rows=1 << 16):
         if np.any(orient_batch(P, rows[~own]) <= 0):
             return False
     return True
+
+
+def load_tracing(monkeypatch):
+    """`perfbench/tracing.py` as a module, loaded by its path; no bytecode
+    is written next to it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks itself up
+    spec.loader.exec_module(module)
+    return module

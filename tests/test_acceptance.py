@@ -311,9 +311,9 @@ def test_criterion_8_plateau_reproduction():
 def test_criterion_9_reconstructed_cycles():
     t0 = time.perf_counter()
     o = appendix_filtration()
-    pairs, cocys = pers.cohomology_reduce(o)
+    pairs, cocycle = pers.cohomology_reduce(o)
     pair = next(p for p in pairs if p.degree == 1 and p.death_time - p.birth_time > 1)
-    cut = cocys[(pair.birth_rank, pair.death_rank)]
+    cut = cocycle(pair.birth_rank, pair.death_rank)
     weights = {}
     for k in range(pair.birth_rank, pair.death_rank):
         res = reconstructed_shortest_cycle(o, pair, k_rank=k, cocycle=cut)

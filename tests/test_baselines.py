@@ -110,9 +110,9 @@ def test_bitwise_reproducible_and_thread_invariant():
 
 def appendix_pair_and_cut():
     o = appendix_filtration()
-    pairs, cocys = pers.cohomology_reduce(o)
+    pairs, cocycle = pers.cohomology_reduce(o)
     p = next(q for q in pairs if q.degree == 1 and q.death_time - q.birth_time > 1)
-    return o, p, cocys[(p.birth_rank, p.death_rank)]
+    return o, p, cocycle(p.birth_rank, p.death_rank)
 
 
 def test_appendix_cocycle_has_three_edges():
@@ -231,12 +231,12 @@ def test_unmatched_trials_reported_with_warning():
 def rsc_steps(o, most=12):
     """(pair, step, cocycle) for three steps of each of the `most` most
     persistent finite degree-1 pairs."""
-    pairs, cocycles = pers.cohomology_reduce(o)
+    pairs, cocycle = pers.cohomology_reduce(o)
     finite = [p for p in pairs if not p.essential and p.birth_time != p.death_time]
     finite.sort(key=lambda p: (p.birth_time - p.death_time, p.birth_rank))
     for p in finite[:most]:
         for k in sorted({p.birth_rank, (p.birth_rank + p.death_rank) // 2, p.death_rank - 1}):
-            yield p, k, cocycles[(p.birth_rank, p.death_rank)]
+            yield p, k, cocycle(p.birth_rank, p.death_rank)
 
 
 SEARCH = baselines._shortest_path

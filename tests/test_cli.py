@@ -1,5 +1,4 @@
 import functools
-import importlib.util
 import inspect
 import json
 import math
@@ -23,6 +22,7 @@ from helpers import (
     complex_json_text,
     complex_to_json,
     geometry_cases,
+    load_tracing,
     pd_json_oracle,
     reduce_oracle,
 )
@@ -225,11 +225,7 @@ def test_benchmark_tracer_attaches_and_detaches(fig1_file, capsys, monkeypatch):
     from stablevol import kernels, parallel
     from stablevol.complexes import SimplicialComplex
 
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclass looks itself up
-    spec.loader.exec_module(tracing)
+    tracing = load_tracing(monkeypatch)
     modules = {n: m for n, m in sys.modules.items() if n.startswith("stablevol") and m}
     before = {(n, k): v for n, m in modules.items() for k, v in vars(m).items()}
     names = [*tracing.SPANS.values(), *(t for ts in tracing.COUNTERS.values() for t in ts)]
@@ -581,6 +577,17 @@ def test_commands_on_a_3d_cloud_reduce_never_and_build_one_tree(tmp_path, capsys
         code, out, err = run(argv, capsys)
         assert code == 0, err
         assert calls == {"reduce": 0, "compute_tree": trees}, argv
+
+
+def test_stable_tree_on_a_degree_1_pair_exit_2_before_any_tree(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "lattice.txt")
+    assert main(["gen", "lattice-3x3x3", "--seed", "7", "-o", path]) == 0
+    calls = count_pairing_calls(monkeypatch)
+    code, out, err = run(["vol", path, "--degree", "1", "--pair-index", "0",
+                          "--method", "stable-tree", "--epsilon", "0.05"], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: tree volumes need degree 2 pairs, got degree 1"]
+    assert calls == {"reduce": 0, "compute_tree": 0}
 
 
 NEGATIVE_DEGREE = [

@@ -23,7 +23,7 @@ from stablevol.alpha import alpha_filtration
 from stablevol.complexes import SimplicialComplex, build_order, complex_from_json
 from stablevol.delaunay import DegenerateInputError
 from stablevol.fixtures import GENERATORS, fig1_five_points, generate
-from stablevol import persistence as pers
+from stablevol import kernels, persistence as pers
 
 
 def pairset(pairs):
@@ -171,10 +171,11 @@ def test_cohomology_pair_table_matches_oracle(cohomology_orders, name):
 @pytest.mark.parametrize("name", COHOMOLOGY_CASES)
 def test_degree1_cohomology_matches_all_columns_oracle(cohomology_orders, name):
     o = cohomology_orders[name]
-    pairs, cocycles = pers.cohomology_reduce(o)
+    pairs, cocycle = pers.cohomology_reduce(o)
     ref_pairs, ref_cocycles = cohomology_reduce_all_columns(o)
     assert list(pairs) == [p for p in ref_pairs if p.degree == 1]
-    assert cocycles == {
+    finite = [(p.birth_rank, p.death_rank) for p in pairs if not p.essential]
+    assert {key: cocycle(*key) for key in finite} == {
         (p.birth_rank, p.death_rank): ref_cocycles[(p.birth_rank, p.death_rank)]
         for p in ref_pairs
         if p.degree == 1 and not p.essential
@@ -207,9 +208,16 @@ def test_boundary_matrix_matches_face_lists(cohomology_orders, name):
 
 
 def test_torus_has_two_essential_degree1_classes():
-    pairs, cocycles = pers.cohomology_reduce(torus_complex(6, 5, seed=0))
+    pairs, cocycle = pers.cohomology_reduce(torus_complex(6, 5, seed=0))
     assert len([p for p in pairs if p.essential]) == 2
-    assert len(cocycles) == len(pairs) - 2
+    for p in pairs:
+        if p.essential:
+            with pytest.raises(KeyError):
+                cocycle(p.birth_rank, -1)
+        else:
+            assert cocycle(p.birth_rank, p.death_rank)
+            with pytest.raises(KeyError):
+                cocycle(p.birth_rank, p.death_rank + 1)
 
 
 def test_cocycle_is_alive_cut():
@@ -220,11 +228,11 @@ def test_cocycle_is_alive_cut():
     f = alpha_filtration(fig1_five_points().points)
     o = f.order
     faces = views_from_arrays(o.cx)[2]
-    pairs, cocys = pers.cohomology_reduce(o)
+    pairs, cocycle = pers.cohomology_reduce(o)
     for p in pairs:
         if p.degree != 1 or p.essential or p.birth_time == p.death_time:
             continue
-        cut = cocys[(p.birth_rank, p.death_rank)]
+        cut = cocycle(p.birth_rank, p.death_rank)
         for k in (p.birth_rank, (p.birth_rank + p.death_rank) // 2, p.death_rank - 1):
             ids = set(o.order_array[: k + 1].tolist())
             edges = sorted(i for i in ids if o.cx.dim_of(i) == 1)
@@ -261,7 +269,7 @@ def test_filled_triangle_has_no_degree1_cocycles():
     # triangle filled from birth: every simplex at level 0
     cx = SimplicialComplex([(0, 1, 2)], closure=True)
     o = build_order(cx, {s: 0.0 for s in cx.simplices})
-    pairs, cocys = pers.cohomology_reduce(o)
+    pairs, _ = pers.cohomology_reduce(o)
     assert not [p for p in pairs if p.degree == 1 and p.birth_time != p.death_time]
 
 
@@ -341,6 +349,37 @@ def test_pairs_equal_reduce_rows(name, monkeypatch):
     n = o.cx.dim
     assert tables[n - 1].tree is not None and tables[n].tree is not None
     assert tables[n - 2].tree is None
+
+
+def count_kernel_calls(monkeypatch):
+    calls = []
+    reduce_columns = kernels.reduce_columns
+    monkeypatch.setattr(kernels, "reduce_columns",
+                        lambda *args, **kwargs: calls.append(1) or reduce_columns(*args, **kwargs))
+    return calls
+
+
+# kernel calls of `pairs(o, degrees)` on a 3D complex with the merge tree:
+# degree 1 runs the edge columns; degree 3 reads only the tree's death
+# cells, and degree 2 only the tree and degree 1's deaths
+KERNEL_CALLS_3D = [([3], 0), ([2], 1), ([1], 1), ([0], 0), ([0, 3], 0), ([2, 3], 1), (None, 1)]
+
+
+@pytest.mark.parametrize("name", ["lattice-3x3x3", "cloud3d-300"])
+def test_pairs_compute_only_the_degrees_a_wanted_degree_needs(name, monkeypatch):
+    if name == "cloud3d-300":
+        o = alpha_filtration(np.random.default_rng(7).uniform(0.0, 40.0, (300, 3))).order
+    else:
+        o = alpha_filtration(generate(name, 7).points).order
+    full = pers.reduce(o)
+    calls = count_kernel_calls(monkeypatch)
+    for degrees, expected in KERNEL_CALLS_3D:
+        before = len(calls)
+        table = pers.pairs(o, degrees)
+        assert len(calls) - before == expected, degrees
+        rows = np.isin(full.degree, range(4) if degrees is None else degrees)
+        for col in PAIR_COLUMNS:
+            assert np.array_equal(getattr(table, col), getattr(full, col)[rows]), (degrees, col)
 
 
 @pytest.mark.parametrize("name", sorted(complex_cases()))
@@ -456,5 +495,12 @@ def test_pairs_of_higher_and_failed_condition_complexes(name, seed, monkeypatch)
     assert not any(made.values())
     n = o.cx.dim
     assert (tables[n - 1].tree is not None) == has_tree and tables[n - 2].tree is None
+    # with the tree, degree n reads only its death cells and degree n-1
+    # the cochain columns of degrees 1 to n-2; without it, both need 1 to n-1
+    calls = count_kernel_calls(monkeypatch)
+    for k, expected in ((n, 0 if has_tree else n - 1), (n - 1, n - 2 if has_tree else n - 1)):
+        before = len(calls)
+        pers.pairs(o, [k])
+        assert len(calls) - before == expected, k
     table = tables[None]
     assert sorted(table.degree[table.death_rank < 0].tolist()) == essential_degrees
