@@ -3,7 +3,9 @@ shortest cycles from persistent cohomology.
 
 The statistical method re-runs the whole pipeline on noise-perturbed copies
 of the pointcloud and counts, per input point, how often it lies on the
-boundary cycle of the matched pair's optimal volume. Reconstructed shortest
+boundary cycle of the matched pair's optimal volume: a subtree of the
+trial's merge tree for a codimension-1 pair, the l1 program's volume
+(`optimal_volume_cells`) for any other degree. Reconstructed shortest
 cycles cut the 1-skeleton along a representative cocycle and search the
 shortest loop that re-crosses the cut: by one lockstep breadth-first search
 over all cut edges for hop weights, by one bounded Dijkstra run per cut
@@ -88,13 +90,7 @@ def _match_pair(pairs: pers.Pairs, target: PersistencePair, radius: float):
 
 
 def optimal_volume_cells(order: OrderWithLevel, pair: PersistencePair) -> set:
-    """Optimal volume by the persistence tree when the pair has codimension 1,
-    by the l1 program otherwise."""
-    if pair.degree == order.cx.dim - 1:
-        tree = compute_tree(build_dual_graph(order), order)
-        if pair.death_simplex not in tree.parent:
-            raise ValueError("pair not found in the persistence tree")
-        return optimal_volume_tree(tree, tree.pair_of(pair.death_simplex))
+    """Optimal volume of a pair of any degree, by the l1 program."""
     return volopt.solve_volume(order, pair, "optimal").cells
 
 

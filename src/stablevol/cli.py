@@ -25,6 +25,7 @@ from .baselines import NoiseModel, reconstructed_shortest_cycle, statistical_fre
 from .complexes import complex_from_json, vertices_of, z2_boundary
 from .delaunay import DegenerateInputError
 from .dualtree import (
+    ConditionError,
     build_dual_graph,
     check_tree_degree,
     compute_tree,
@@ -113,7 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_input(path):
-    """Returns (order, points_or_None). Pointclouds get an alpha filtration."""
+    """Returns (order, pointcloud or None). Pointclouds get an alpha
+    filtration."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -123,11 +125,9 @@ def _load_input(path):
     if not stripped:
         raise ValueError(f"{path} is empty")
     if stripped[0] == "{":
-        order = complex_from_json(text)
-        return order, None
+        return complex_from_json(text), None
     pc = parse_pointcloud(text)
-    filt = alpha_filtration(pc)
-    return filt.order, pc.points
+    return alpha_filtration(pc).order, pc
 
 
 def _parse_window(spec: str, option: str, exact_tol: float = 1e-9):
@@ -228,9 +228,10 @@ def _pd_diagram_json(k, births, deaths, birth_simplices, death_simplices, essent
     return f'    {{\n      "degree": {k!r},\n      "pairs": {pairs}\n    }}'
 
 
-def _volume_json(order, points, pair, cells, method, epsilon, extra=None):
+def _volume_json(order, pc, pair, cells, method, epsilon, extra=None):
     """The output object of a volume: the cells of dimension degree + 1,
-    their Z/2 boundary and its vertices' points, from the face arrays."""
+    their Z/2 boundary and its vertices' points (none without a point
+    cloud `pc`), from the face arrays."""
     cx, k = order.cx, pair.degree + 1
     bnd = z2_boundary(cx, k, cells)
     obj = {
@@ -238,8 +239,8 @@ def _volume_json(order, points, pair, cells, method, epsilon, extra=None):
         "epsilon": epsilon,
         "cells": sorted(cells),
         "boundary": bnd.tolist(),
-        "points": [] if points is None else [
-            list(map(float, points[v])) for v in vertices_of(cx, k - 1, bnd).tolist()
+        "points": [] if pc is None else [
+            list(map(float, pc.points[v])) for v in vertices_of(cx, k - 1, bnd).tolist()
         ],
         "method": method,
     }
@@ -286,7 +287,8 @@ def cmd_pd(args) -> int:
 
 def _tree_for(order, pairs, pair):
     """The merge tree that `pairs` came from, or a new one. A pair that is
-    not of codimension 1 raises `DegreeError` before any tree is built."""
+    not of codimension 1 raises `DegreeError`, and a complex that fails the
+    dual-graph condition `ConditionError`, before any tree is built."""
     check_tree_degree(order.cx.dim, pair)
     if pairs.tree is not None:
         return pairs.tree
@@ -294,36 +296,40 @@ def _tree_for(order, pairs, pair):
 
 
 def cmd_vol(args) -> int:
-    order, points = _load_input(args.input)
+    order, pc = _load_input(args.input)
     pairs = pers.pairs(order, [args.degree])
     pair = _select_pair(pairs, args)
     if pair.essential:
         raise StarPairError("selected pair is essential")
-    codim1 = pair.degree == order.cx.dim - 1
-    eps = args.epsilon
+    tree, eps = None, args.epsilon
+    if args.method in ("optimal", "sub") and pair.degree == order.cx.dim - 1:
+        try:
+            tree = _tree_for(order, pairs, pair)
+        except ConditionError:  # no merge tree: the l1 program solves the pair
+            pass
     if args.method == "optimal":
-        if codim1:
-            cells = optimal_volume_tree(_tree_for(order, pairs, pair), pair)
-            obj = _volume_json(order, points, pair, cells, "tree-optimal", None)
+        if tree is not None:
+            cells = optimal_volume_tree(tree, pair)
+            obj = _volume_json(order, pc, pair, cells, "tree-optimal", None)
         else:
             sol = volopt.solve_volume(order, pair, "optimal", threshold=args.threshold)
-            obj = _volume_json(order, points, pair, sol.cells, "lp-optimal", None,
+            obj = _volume_json(order, pc, pair, sol.cells, "lp-optimal", None,
                                {"objective": sol.objective, "status": sol.status})
     elif args.method == "stable-tree":
         res = stable_volume_tree(_tree_for(order, pairs, pair), pair, eps)
-        obj = _volume_json(order, points, pair, res.cells, "tree-stable", eps)
+        obj = _volume_json(order, pc, pair, res.cells, "tree-stable", eps)
     elif args.method == "stable-lp":
         sol = volopt.solve_volume(order, pair, "stable", eps, threshold=args.threshold)
-        obj = _volume_json(order, points, pair, sol.cells, "lp-stable", eps,
+        obj = _volume_json(order, pc, pair, sol.cells, "lp-stable", eps,
                            {"objective": sol.objective, "status": sol.status})
     else:  # sub
-        if codim1:
-            ov = optimal_volume_tree(_tree_for(order, pairs, pair), pair)
+        if tree is not None:
+            ov = optimal_volume_tree(tree, pair)
         else:
             ov = volopt.solve_volume(order, pair, "optimal", threshold=args.threshold).cells
         sol = volopt.solve_volume(order, pair, "sub", eps, ov_cells=ov,
                                   threshold=args.threshold)
-        obj = _volume_json(order, points, pair, sol.cells, "lp-sub", eps,
+        obj = _volume_json(order, pc, pair, sol.cells, "lp-sub", eps,
                            {"objective": sol.objective, "status": sol.status})
     _dump_json(obj, args.output)
     return 0
@@ -371,12 +377,9 @@ def cmd_stat(args) -> int:
         noise = NoiseModel(args.noise, seed=args.seed)
     except ValueError as e:
         raise ValueError(f"--noise: {e}") from None
-    order, points = _load_input(args.input)
-    if points is None:
+    order, pc = _load_input(args.input)
+    if pc is None:
         raise ValueError("stat needs a pointcloud input")
-    from .alpha import PointCloud
-
-    pc = PointCloud(points.shape[1], points)
     pair = _select_pair(pers.pairs(order, [args.degree]), args)
     fm = statistical_frequencies(pc, pair, noise, args.trials)
     obj = {
@@ -392,11 +395,11 @@ def cmd_stat(args) -> int:
 
 
 def cmd_rsc(args) -> int:
-    order, points = _load_input(args.input)
+    order, pc = _load_input(args.input)
+    points = None if pc is None else pc.points
     if args.euclidean and points is None:
         raise ValueError("euclidean weights need point coordinates")
-    args_degree = getattr(args, "degree", 1)
-    if args_degree != 1:
+    if args.degree != 1:
         raise PairSelectionError("reconstructed shortest cycles need degree 1")
     pairs, cocycle = pers.cohomology_reduce(order)
     pair = _select_pair(pairs, args)

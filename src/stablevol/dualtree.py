@@ -7,6 +7,8 @@ vertices and the (n-1)-simplices as edges. Running the merge-tree algorithm
 over the (n-1)-simplices in descending filtration order yields a rooted tree
 whose edges are exactly the degree-(n-1) persistence pairs and whose
 subtrees are the optimal volumes (Obayashi 2018, "Volume-optimal cycle").
+The merge is the elder-rule union-find of degree 0, `merge_forest`, with the
+later cell as the elder, and the tree is held as its merge arrays.
 
 The graph and the tree are built from the complex's face and coface arrays,
 never from its vertex tuples. `PersistenceTree.pairs_table` gives the tree's
@@ -17,13 +19,12 @@ codimension-1 pair can be matched and its volume found with no reduction.
 from __future__ import annotations
 
 import bisect
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .complexes import OrderWithLevel
-from .persistence import Pairs, PersistencePair, StarPairError
+from .persistence import Pairs, PersistencePair, StarPairError, merge_forest
 
 OMEGA_INF = -1
 
@@ -88,65 +89,50 @@ def build_dual_graph(o: OrderWithLevel) -> DualGraph:
 
 
 class PersistenceTree:
-    """Rooted tree on n-cells (root = the cell at infinity) with (n-1)-simplex
-    edge labels. parent[cell] = (parent cell, labelling simplex id).
+    """Rooted tree on the n-cells (root = the cell at infinity, OMEGA_INF)
+    with (n-1)-simplex edge labels, held as the int64 arrays `edges` =
+    (child cells, parent cells, labelling simplex ids), one entry per tree
+    edge in merge order.
 
     The children are stored as CSR lists over node slots (a cell's slot is
     its id minus the first n-cell id, the cell at infinity has the last),
     built with one stable argsort of the parent column, so each node's
-    children keep the parent map's order. `children(cell)` reads them;
-    `descendants`, `subtree_size` and `stable_volume_tree` walk only the
-    subtree they need.
+    children keep merge order. `children(cell)` reads them and `label(cell)`
+    the label above a cell; `descendants` and `stable_volume_tree` walk only
+    the subtree they need.
     """
 
-    def __init__(self, order: OrderWithLevel, parent: dict):
+    def __init__(self, order: OrderWithLevel, child, parent, label):
         self.order = order
-        self.parent = parent
+        self.edges = (child, parent, label)
         cells = order.cx.ids_of_dim(order.cx.dim)
         self._first, self._inf = cells.start, len(cells)
-        m = len(parent)
-        child = np.fromiter(parent, np.int64, m)
-        flat = np.fromiter(itertools.chain.from_iterable(parent.values()), np.int64, 2 * m)
-        up = flat[::2]
-        self._edges = (flat[1::2], child)
-        slot = np.where(up == OMEGA_INF, self._inf, up - cells.start)
+        slot = np.where(parent == OMEGA_INF, self._inf, parent - cells.start)
         ptr = np.zeros(self._inf + 2, dtype=np.int64)
         np.cumsum(np.bincount(slot, minlength=self._inf + 1), out=ptr[1:])
         self._ptr = ptr.tolist()
         self._kids = child[np.argsort(slot, kind="stable")].tolist()
-        self._sizes = {}
+        labels = np.full(self._inf, None)  # by slot; None for a root
+        labels[child - cells.start] = label.tolist()
+        self._labels = labels.tolist()
 
     def children(self, cell: int) -> list:
-        """The children of a cell (or of OMEGA_INF), in parent-map order."""
+        """The children of a cell (or of OMEGA_INF), in merge order."""
         s = self._inf if cell == OMEGA_INF else cell - self._first
         return self._kids[self._ptr[s] : self._ptr[s + 1]]
 
-    def pair_of(self, cell: int) -> PersistencePair:
-        """The degree-(n-1) pair of the tree edge above `cell`."""
-        o = self.order
-        tau = self.parent[cell][1]
-        level, rank = o.level_array, o.rank_array
-        return PersistencePair(
-            degree=o.cx.dim - 1,
-            birth_simplex=tau,
-            death_simplex=cell,
-            birth_time=float(level[tau]),
-            death_time=float(level[cell]),
-            birth_rank=int(rank[tau]),
-            death_rank=int(rank[cell]),
-        )
-
-    def edge_arrays(self):
-        """(labelling (n-1)-simplex ids, child cell ids) of the tree edges, as
-        int64 arrays in parent-map order."""
-        return self._edges
+    def label(self, cell: int):
+        """The (n-1)-simplex id on the tree edge above `cell`, or None for a
+        root or a simplex that is no n-cell."""
+        s = cell - self._first
+        return self._labels[s] if 0 <= s < self._inf else None
 
     def pairs_table(self) -> Pairs:
         """The tree edges as a `Pairs` table, one row per edge, in birth-rank
         order: the rows of `reduce`'s degree-(n-1) pairs."""
         rank = self.order.rank_array
-        taus, cells = self._edges
-        return Pairs(self.order, rank[taus], rank[cells])
+        child, _, label = self.edges
+        return Pairs(self.order, rank[label], rank[child])
 
     def descendants(self, cell: int) -> set:
         """All descendants of the cell, the cell included."""
@@ -158,53 +144,30 @@ class PersistenceTree:
             stack.extend(self.children(c))
         return out
 
-    def subtree_size(self, cell: int) -> int:
-        cached = self._sizes.get(cell)
-        if cached is not None:
-            return cached
-        # iterative post-order; trees from large filtrations can be deep
-        stack = [(cell, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if node in self._sizes:
-                continue
-            if expanded:
-                self._sizes[node] = 1 + sum(self._sizes[c] for c in self.children(node))
-            else:
-                stack.append((node, True))
-                stack.extend((c, False) for c in self.children(node))
-        return self._sizes[cell]
-
 
 def compute_tree(g: DualGraph, o: OrderWithLevel) -> PersistenceTree:
-    """Merge-tree pass over the (n-1)-simplices in descending order.
+    """Merge tree over the (n-1)-simplices in descending order.
 
     Both cofaces of an (n-1)-simplex come later in the order, so every cell
-    is a singleton before its first edge is reached. The union-find runs
-    over local cell ids with the cell at infinity last; each root is the
-    latest cell of its set (infinity counting as the latest), and the
-    explicit parent map records the tree edges.
+    is a singleton before its first edge is reached. `merge_forest` runs
+    with the cell at infinity as node 0 and the cells after it in
+    descending rank: each root is the latest cell of its set (infinity
+    counting as the latest), and each merge is a tree edge from the killed
+    root up to the root that adopts it, labelled by the merging simplex.
     """
     cells, m = g.cells, len(g.cells)
     rank = o.rank_array
-    later = [*rank[cells.start : cells.stop].tolist(), len(rank)]
-    uf = list(range(m + 1))
+    latest = np.argsort(-rank[cells.start : cells.stop])  # slots, latest cell first
+    cell_of = np.concatenate([[OMEGA_INF], latest + cells.start])
+    node = np.empty(m + 1, dtype=np.int64)  # by slot, the cell at infinity last
+    node[latest] = np.arange(1, m + 1)
+    node[m] = 0
     by_rank = np.argsort(-rank[g.tau])
-    a, b = g.a[by_rank] - cells.start, g.b[by_rank]
-    b = np.where(b == OMEGA_INF, m, b - cells.start)
-    cell_id = [*cells, OMEGA_INF]
-    parent = {}
-    for tau, x, y in zip(g.tau[by_rank].tolist(), a.tolist(), b.tolist()):
-        while uf[x] != x:
-            uf[x] = x = uf[uf[x]]
-        while uf[y] != y:
-            uf[y] = y = uf[uf[y]]
-        if x == y:
-            continue
-        child, par = (y, x) if later[x] > later[y] else (x, y)
-        parent[cell_id[child]] = (cell_id[par], tau)
-        uf[child] = par
-    return PersistenceTree(o, parent)
+    b = g.b[by_rank]
+    ends = np.stack([node[g.a[by_rank] - cells.start],
+                     node[np.where(b == OMEGA_INF, m, b - cells.start)]], axis=1)
+    killed, survivor, merged, _ = merge_forest(m + 1, ends)
+    return PersistenceTree(o, cell_of[killed], cell_of[survivor], g.tau[by_rank[merged]])
 
 
 def check_tree_degree(n: int, pair: PersistencePair):
@@ -219,7 +182,7 @@ def _check_tree_pair(tree: PersistenceTree, pair: PersistencePair):
     check_tree_degree(tree.order.cx.dim, pair)
     if pair.essential:
         raise StarPairError("essential pairs have no volume")
-    if tree.parent.get(pair.death_simplex, (None, None))[1] != pair.birth_simplex:
+    if tree.label(pair.death_simplex) != pair.birth_simplex:
         raise ValueError("pair does not belong to this persistence tree")
 
 
@@ -252,17 +215,17 @@ def stable_volume_tree(
     threshold = level[pair.birth_simplex] + epsilon
     cells = {pair.death_simplex}
     for child in tree.children(pair.death_simplex):
-        tau = tree.parent[child][1]
-        if level[tau] >= threshold:
+        if level[tree.label(child)] >= threshold:
             cells |= tree.descendants(child)
     return StableVolumeResult(pair, float(epsilon), cells)
 
 
 def sweep_sizes(tree: PersistenceTree, pair: PersistencePair, eps_grid) -> list:
-    """Stable-volume size per epsilon, from precomputed subtree sizes.
+    """Stable-volume size per epsilon, from the sizes of the death cell's
+    child subtrees.
 
-    Costs O(children + grid) after the subtree-size pass; no volume is
-    re-extracted. Sizes are non-increasing in epsilon.
+    One walk counts the death cell's subtree; no volume is re-extracted per
+    epsilon. Sizes are non-increasing in epsilon.
     """
     _check_tree_pair(tree, pair)
     grid = [float(e) for e in eps_grid]
@@ -271,7 +234,7 @@ def sweep_sizes(tree: PersistenceTree, pair: PersistencePair, eps_grid) -> list:
     level = tree.order.level_array
     b = level[pair.birth_simplex]
     gaps = sorted(
-        (level[tree.parent[c][1]] - b, tree.subtree_size(c))
+        (level[tree.label(c)] - b, len(tree.descendants(c)))
         for c in tree.children(pair.death_simplex)
     )
     # suffix sums over children sorted by label gap

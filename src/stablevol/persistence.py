@@ -10,8 +10,9 @@ Vejdemo-Johansson, "Dualities in persistent (co)homology", as Ripser uses
 it); degree n-1 instead from the merge tree over the dual graph when the
 complex passes the dual-graph condition; degree n from the n-simplices that
 kill no degree-(n-1) class, all essential. Only the degrees that a wanted
-degree needs are computed. The cochain columns are the one caller of the
-bitset kernel `kernels.reduce_columns`.
+degree needs are computed. `merge_forest` is the one union-find: degree 0
+and the merge tree (`dualtree.compute_tree`) both run it. The cochain
+columns are the one caller of the bitset kernel `kernels.reduce_columns`.
 
 `cohomology_reduce` serves reconstructed shortest cycles: the degree-1
 cochain columns with V tracked, and the cocycle of the one pair asked for.
@@ -238,7 +239,8 @@ def pairs(o: OrderWithLevel, degrees=None) -> Pairs:
         if k in wanted:
             parts.append((births, deaths))
     if tree is not None:
-        taus, cells = (rank[ids] for ids in tree.edge_arrays())
+        cells, _, taus = tree.edges
+        taus, cells = rank[taus], rank[cells]
         if n - 1 in wanted:
             ess = rank[_unkilled(o, n - 1, deaths, taus)]
             parts.append((np.concatenate([taus, ess]),
@@ -262,27 +264,18 @@ def _unkilled(o: OrderWithLevel, k: int, *rank_arrays) -> np.ndarray:
     return np.flatnonzero(alive) + ids.start
 
 
-def degree0_deaths(o: OrderWithLevel):
-    """The degree-0 pairs by the elder rule, as (birth ranks, death ranks):
-    one row per vertex, death rank -1 for a component that never dies.
-
-    One union-find pass over the edges in rank order. A vertex is labelled
-    by its position among the vertices in rank order, and each set's root
-    is its least label: its oldest vertex. An edge that joins two sets
-    kills the younger root, which the elder root adopts (Edelsbrunner,
-    Letscher & Zomorodian, "Topological persistence and simplification").
+def merge_forest(n_nodes: int, ends):
+    """The elder-rule union-find over the nodes 0..n_nodes-1, a smaller node
+    being older (Edelsbrunner, Letscher & Zomorodian, "Topological
+    persistence and simplification"). The edges are the rows of the (m, 2)
+    int array `ends`, in row order; each set's root is its oldest node, and
+    an edge that joins two sets kills the younger root, which the elder
+    root adopts. Returns int64 arrays (killed, survivor, edge, roots): per
+    merge, in merge order, the killed root, the root that adopts it and the
+    edge's row; then the nodes left as roots, ascending.
     """
-    cx, order, rank = o.cx, o.order_array, o.rank_array
-    n_vertices, edges = cx.vertex_count, cx.ids_of_dim(1)
-    vertex_ranks = np.flatnonzero(order < n_vertices)  # ranks of the vertices, ascending
-    edge_ranks = np.flatnonzero((order >= edges.start) & (order < edges.stop))
-    label = np.empty(n_vertices, dtype=np.int64)
-    label[order[vertex_ranks]] = np.arange(n_vertices)
-    ends = np.empty((0, 2), dtype=np.int64)
-    if edges:
-        ends = label[cx.face_array(1)[order[edge_ranks] - edges.start]]
-    parent = list(range(n_vertices))
-    killed, killers = [], []
+    parent = list(range(n_nodes))
+    killed, survivor, edge = [], [], []
     for e, a, b in zip(range(len(ends)), ends[:, 0].tolist(), ends[:, 1].tolist()):
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
@@ -293,11 +286,29 @@ def degree0_deaths(o: OrderWithLevel):
                 a, b = b, a
             parent[b] = a
             killed.append(b)
-            killers.append(e)
-    roots = np.flatnonzero(np.array(parent, dtype=np.int64) == np.arange(n_vertices))
-    births = vertex_ranks[np.concatenate([np.array(killed, dtype=np.int64), roots])]
-    deaths = np.concatenate([edge_ranks[np.array(killers, dtype=np.int64)],
-                             np.full(len(roots), -1, dtype=np.int64)])
+            survivor.append(a)
+            edge.append(e)
+    roots = np.flatnonzero(np.array(parent, dtype=np.int64) == np.arange(n_nodes))
+    return (*(np.array(x, dtype=np.int64) for x in (killed, survivor, edge)), roots)
+
+
+def degree0_deaths(o: OrderWithLevel):
+    """The degree-0 pairs by the elder rule, as (birth ranks, death ranks):
+    one row per vertex, death rank -1 for a component that never dies:
+    `merge_forest` over the edges in rank order, each vertex the node of its
+    position among the vertices in rank order."""
+    cx, order = o.cx, o.order_array
+    n_vertices, edges = cx.vertex_count, cx.ids_of_dim(1)
+    vertex_ranks = np.flatnonzero(order < n_vertices)  # ranks of the vertices, ascending
+    edge_ranks = np.flatnonzero((order >= edges.start) & (order < edges.stop))
+    node = np.empty(n_vertices, dtype=np.int64)
+    node[order[vertex_ranks]] = np.arange(n_vertices)
+    ends = np.empty((0, 2), dtype=np.int64)
+    if edges:
+        ends = node[cx.face_array(1)[order[edge_ranks] - edges.start]]
+    killed, _, edge, roots = merge_forest(n_vertices, ends)
+    births = vertex_ranks[np.concatenate([killed, roots])]
+    deaths = np.concatenate([edge_ranks[edge], np.full(len(roots), -1, dtype=np.int64)])
     return births, deaths
 
 

@@ -492,7 +492,35 @@ def compute_tree_oracle(g, o):
             child, par = (rb, ra) if later(ra, rb) else (ra, rb)
             parent[child] = (par, sid)
             uf[child] = par
-    return PersistenceTree(o, parent)
+    up, label = (np.array([v[i] for v in parent.values()], dtype=np.int64) for i in (0, 1))
+    return PersistenceTree(o, np.fromiter(parent, np.int64, len(parent)), up, label)
+
+
+def parent_map(tree):
+    """A persistence tree's edges as a dict child -> (parent, label), in
+    merge order."""
+    child, parent, label = (a.tolist() for a in tree.edges)
+    return {c: (p, tau) for c, p, tau in zip(child, parent, label)}
+
+
+def merge_forest_oracle(n_nodes, ends):
+    """`persistence.merge_forest` with no union-find: a list of components
+    as sets, searched by membership. An edge between two components keeps
+    the one whose least node is smaller and merges the other into it."""
+    comps = [{v} for v in range(n_nodes)]
+    killed, survivor, edge = [], [], []
+    for e, (a, b) in enumerate(ends):
+        ca = next(c for c in comps if a in c)
+        cb = next(c for c in comps if b in c)
+        if ca is cb:
+            continue
+        old, young = sorted((ca, cb), key=min)
+        killed.append(min(young))
+        survivor.append(min(old))
+        edge.append(e)
+        old |= young
+        comps.remove(young)
+    return killed, survivor, edge, sorted(min(c) for c in comps)
 
 
 def boundary_vertices_oracle(o, cells):
@@ -1066,11 +1094,12 @@ class DictChildrenTree:
     sizes and stable volumes."""
 
     def __init__(self, tree):
-        self.tree = tree
+        self.parent = parent_map(tree)
+        self.level = tree.order.level_array
         self.children = {OMEGA_INF: []}
-        for c in tree.parent:
+        for c in self.parent:
             self.children.setdefault(c, [])
-        for c, (p, tau) in tree.parent.items():
+        for c, (p, tau) in self.parent.items():
             self.children.setdefault(p, []).append(c)
 
     def descendants(self, cell):
@@ -1083,11 +1112,11 @@ class DictChildrenTree:
         return out
 
     def stable_volume(self, pair, epsilon):
-        level = self.tree.order.level_array.tolist()
+        level = self.level.tolist()
         threshold = level[pair.birth_simplex] + epsilon
         cells = {pair.death_simplex}
         for child in self.children.get(pair.death_simplex, ()):
-            if level[self.tree.parent[child][1]] >= threshold:
+            if level[self.parent[child][1]] >= threshold:
                 cells |= self.descendants(child)
         return cells
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -458,20 +457,6 @@ def test_match_pair_takes_the_first_of_tied_pairs():
     first = min(d1[(table.birth_time[d1] == target.birth_time)
                    & (table.death_time[d1] == target.death_time)])
     assert baselines._match_pair(table, target, 1.0) == table[first]
-
-
-def test_optimal_volume_cells_looks_the_pair_up_in_the_tree():
-    o = alpha_filtration(lattice_2d_defects(seed=1, size=8, noise=0.03).points).order
-    tree = compute_tree(build_dual_graph(o), o)
-    finite = [p for p in pers.reduce(o) if p.degree == 1 and not p.essential]
-    for p in finite:
-        assert optimal_volume_cells(o, p) == optimal_volume_tree(tree, p)
-    for bad in (
-        dataclasses.replace(finite[0], death_simplex=None, death_rank=None),
-        dataclasses.replace(finite[0], death_simplex=finite[0].birth_simplex),
-    ):
-        with pytest.raises(ValueError, match="not found in the persistence tree"):
-            optimal_volume_cells(o, bad)
 
 
 def most_persistent(pts, k):

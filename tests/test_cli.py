@@ -17,16 +17,20 @@ from stablevol import cli, schemas, volopt
 from stablevol import persistence as pers
 from helpers import (
     VIEWS,
+    DictChildrenTree,
+    build_dual_graph_oracle,
     complex_cases,
     complex_from_json_oracle,
     complex_json_text,
     complex_to_json,
+    compute_tree_oracle,
     geometry_cases,
     load_tracing,
     pd_json_oracle,
     reduce_oracle,
 )
 from stablevol.cli import PairSelectionError, _load_input, _select_pair, main
+from stablevol.complexes import SimplicialComplex, build_order
 from stablevol.fixtures import appendix_filtration
 
 
@@ -389,6 +393,79 @@ def test_vol_optimal_epsilon_zero_identity(fig1_file, capsys):
         capsys,
     )
     assert json.loads(opt)["cells"] == json.loads(sv0)["cells"]
+
+
+def three_triangles_file(tmp_path):
+    """Triangles (0, 1, 2), (0, 1, 3) and (0, 1, 4), ids 12 to 14, at levels
+    2, 3 and 4: edge (0, 1) has three cofaces, so no merge tree exists."""
+    cx = SimplicialComplex([(0, 1, 2), (0, 1, 3), (0, 1, 4)], closure=True)
+    path = tmp_path / "three.json"
+    levels = [min(len(s) - 1, 1) for s in cx.simplices]
+    levels[12:] = [2, 3, 4]
+    path.write_text(json.dumps(complex_to_json(build_order(cx, levels))))
+    return str(path)
+
+
+@pytest.mark.parametrize("method", ["optimal", "sub"])
+def test_vol_optimal_and_sub_solve_by_l1_without_a_merge_tree(tmp_path, capsys, method):
+    path = three_triangles_file(tmp_path)
+    code, out, _ = run(["pd", path, "--degree", "1"], capsys)
+    assert code == 0 and len(json.loads(out)["diagrams"][0]["pairs"]) == 3
+    for i in range(3):
+        code, out, err = run(["vol", path, "--pair-index", str(i), "--method", method], capsys)
+        assert code == 0 and err == ""
+        obj = json.loads(out)
+        jsonschema.validate(obj, schemas.VOLUME_SCHEMA)
+        assert obj["method"] == f"lp-{method}" and obj["status"] == "optimal"
+        assert obj["cells"] == [12 + i] and obj["pair"]["death_simplex"] == 12 + i
+
+
+@pytest.mark.parametrize("argv", [["vol", "--method", "stable-tree"],
+                                  ["sweep", "--epsilon-grid", "0:1:0.5"]],
+                         ids=["stable-tree", "sweep"])
+def test_tree_only_commands_exit_2_without_a_merge_tree(tmp_path, capsys, argv):
+    path = three_triangles_file(tmp_path)
+    code, out, err = run([argv[0], path, "--pair-index", "0", *argv[1:]], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: (n-1)-simplex (0, 1) has 3 cofaces\n"
+
+
+def one_dim_order(cycle, seed):
+    """A path or a cycle on eight vertices with seeded levels."""
+    rng = np.random.default_rng(seed)
+    edges = [(i, i + 1) for i in range(7)] + ([(0, 7)] if cycle else [])
+    cx = SimplicialComplex(edges, closure=True)
+    vertex_level = rng.random(8)
+    levels = [vertex_level[s[0]] if len(s) == 1 else max(vertex_level[list(s)]) + rng.random()
+              for s in cx.simplices]
+    return build_order(cx, levels)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("cycle", [False, True], ids=["path", "cycle"])
+def test_pd_and_vol_on_one_dimensional_complexes_match_reduce(tmp_path, capsys, cycle, seed):
+    # degree 0 is codimension 1 here, so vol builds a merge tree for it
+    o = one_dim_order(cycle, seed)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(complex_to_json(o)))
+    table = pers.reduce(o)
+    code, out, _ = run(["pd", str(path)], capsys)
+    assert code == 0 and out == pd_json_oracle(list(table), [0, 1])
+    ref = DictChildrenTree(compute_tree_oracle(build_dual_graph_oracle(o), o))
+    rows = table.diagram_index(0)
+    assert len(rows) == 8
+    for i, row in enumerate(rows.tolist()):
+        pair = table[row]
+        code, out, err = run(["vol", str(path), "--degree", "0", "--pair-index", str(i)], capsys)
+        if pair.essential:
+            assert code == 5
+            continue
+        assert code == 0 and err == ""
+        obj = json.loads(out)
+        assert obj["method"] == "tree-optimal"
+        assert (obj["pair"]["birth_simplex"], obj["pair"]["death_simplex"]) == (
+            pair.birth_simplex, pair.death_simplex)
+        assert obj["cells"] == sorted(ref.descendants(pair.death_simplex))
 
 
 def test_sweep_rows(fig1_file, tmp_path, capsys):

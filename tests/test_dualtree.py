@@ -13,6 +13,7 @@ from helpers import (
     compute_tree_oracle,
     dual_edges,
     geometry_cases,
+    parent_map,
 )
 from stablevol.alpha import alpha_filtration
 from stablevol.baselines import NoiseModel
@@ -101,7 +102,9 @@ def test_merge_order_single_merge():
     t1 = cx.simplices.index((0, 1, 2))
     t2 = cx.simplices.index((0, 2, 3))
     # lower-ranked triangle is the child, via the diagonal
-    assert tree.parent[t1] == (t2, cx.simplices.index((0, 2)))
+    assert parent_map(tree)[t1] == (t2, cx.simplices.index((0, 2)))
+    assert tree.label(t1) == cx.simplices.index((0, 2))
+    assert tree.label(cx.simplices.index((0, 2))) is None  # not a cell
 
 
 def test_tree_pairs_equal_reduction_pairs_many_clouds():
@@ -264,8 +267,10 @@ def test_pairs_have_plain_python_fields(name):
     o = alpha_filtration(generate(name, 0).points).order
     tree = compute_tree(build_dual_graph(o), o)
     table = tree.pairs_table()
-    pairs = [*table, *reduce(o), *map(tree.pair_of, tree.parent)]
-    assert list(table) == sorted(map(tree.pair_of, tree.parent), key=lambda p: p.birth_rank)
+    pairs = [*table, *reduce(o)]
+    child, _, label = tree.edges
+    assert [(p.birth_simplex, p.death_simplex) for p in table] == sorted(
+        zip(label.tolist(), child.tolist()), key=lambda e: o.rank_array[e[0]])
     for p in pairs:
         types = [type(getattr(p, f)) for f in ("degree", "birth_simplex", "birth_rank")]
         types += [type(p.birth_time), type(p.death_time)]
@@ -282,7 +287,7 @@ def test_dual_graph_and_tree_match_oracle(name):
     assert g.n == ref.n and list(g.cells) == ref.cells
     assert dual_edges(g) == ref.edges
     tree, ref_tree = compute_tree(g, o), compute_tree_oracle(ref, o)
-    assert list(tree.parent.items()) == list(ref_tree.parent.items())
+    assert list(parent_map(tree).items()) == list(parent_map(ref_tree).items())
     n = o.cx.dim
     # boundary vertices of up to 30 optimal volumes, largest persistence first
     pairs = sorted(tree.pairs_table(), key=lambda p: p.birth_time - p.death_time)[:30]
@@ -325,7 +330,7 @@ def test_condition_errors_match_oracle(tops):
     g = build_dual_graph(o)
     assert (g.n, list(g.cells), dual_edges(g)) == (ref.n, ref.cells, ref.edges)
     tree = compute_tree(g, o)
-    assert tree.parent == compute_tree_oracle(ref, o).parent
+    assert parent_map(tree) == parent_map(compute_tree_oracle(ref, o))
 
 
 @pytest.mark.parametrize("name", sorted(TREE_CLOUDS))
@@ -344,7 +349,6 @@ def test_children_csr_matches_dict_oracle(name):
     for p in pairs[:100] + pairs[100::10]:
         cells = ref.descendants(p.death_simplex)
         assert tree.descendants(p.death_simplex) == optimal_volume_tree(tree, p) == cells
-        assert tree.subtree_size(p.death_simplex) == len(cells)
         sizes = []
         for eps in grid:
             got, want = stable_volume_tree(tree, p, eps), ref.stable_volume(p, eps)

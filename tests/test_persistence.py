@@ -14,6 +14,7 @@ from helpers import (
     complex_cases,
     complex_json_text,
     geometry_cases,
+    merge_forest_oracle,
     perturbed_order,
     reduce_oracle,
     torus_complex,
@@ -197,6 +198,39 @@ def test_union_find_deaths_equal_reduce(cohomology_orders, name):
         (p.birth_rank, -1 if p.essential else p.death_rank)
         for p in pers.reduce(o) if p.degree == 0
     )
+
+
+def random_multigraph(seed):
+    """Seeded edge rows over up to 30 nodes, some never on an edge, with
+    self-loops and repeated edges; the empty graph and edgeless graphs too."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 31))
+    m = int(rng.integers(0, 3 * n + 1)) if n else 0
+    ends = rng.integers(0, max(n // 2 + 1, 1), (m, 2)) if n else np.empty((0, 2), np.int64)
+    loops = rng.random(m) < 0.1
+    ends[loops, 1] = ends[loops, 0]
+    repeats = rng.integers(0, m, m // 4) if m else np.empty(0, np.int64)
+    return n, np.concatenate([ends, ends[repeats]]).astype(np.int64)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_merge_forest_matches_component_list_oracle(seed):
+    n, ends = random_multigraph(seed)
+    got = pers.merge_forest(n, ends)
+    assert all(a.dtype == np.int64 for a in got)
+    assert [a.tolist() for a in got] == list(merge_forest_oracle(n, ends.tolist()))
+
+
+@pytest.mark.parametrize(
+    "n, ends",
+    [(0, []), (1, []), (4, []), (1, [(0, 0)]), (3, [(2, 2), (1, 2), (2, 1), (0, 2)]),
+     (5, [(4, 3), (3, 4), (1, 0), (4, 0), (2, 2)])],
+    ids=["empty", "one-node", "no-edges", "self-loop", "loops-and-repeats", "isolated"],
+)
+def test_merge_forest_edge_cases_match_oracle(n, ends):
+    rows = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    got = pers.merge_forest(n, rows)
+    assert [a.tolist() for a in got] == list(merge_forest_oracle(n, ends))
 
 
 @pytest.mark.parametrize("name", COHOMOLOGY_CASES)
