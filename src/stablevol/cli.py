@@ -6,6 +6,13 @@ Subcommands: pd (diagrams), vol (volumes), sweep (epsilon vs size), stat
 codes: 0 ok, 2 parse error, 3 degenerate input or a failed LP (infeasible,
 unbounded, solver failure, or a rounded support that is not Z/2-feasible), 4
 pair not uniquely resolvable, 5 essential pair.
+
+The CLI runs OpenBLAS single-threaded unless OPENBLAS_NUM_THREADS is set:
+its dense linear algebra is a few batched 2x2 and 3x3 solves and LSMR's
+vector operations, and the thread pools that numpy's and scipy's OpenBLAS
+would otherwise start at load time cost more start-up than they save. The
+default is set here, before numpy loads, so that importing the library
+alone leaves the environment as it is.
 """
 
 from __future__ import annotations
@@ -14,7 +21,10 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -288,10 +298,13 @@ def cmd_pd(args) -> int:
 def _tree_for(order, pairs, pair):
     """The merge tree that `pairs` came from, or a new one. A pair that is
     not of codimension 1 raises `DegreeError`, and a complex that fails the
-    dual-graph condition `ConditionError`, before any tree is built."""
+    dual-graph condition `ConditionError` (the one `pairs` met, if it tried),
+    before any tree is built."""
     check_tree_degree(order.cx.dim, pair)
     if pairs.tree is not None:
         return pairs.tree
+    if pairs.tree_error is not None:
+        raise pairs.tree_error
     return compute_tree(build_dual_graph(order), order)
 
 
@@ -457,6 +470,9 @@ def main(argv=None) -> int:
         degree = min(degree)
     if degree is not None and degree < 0:
         print("error: --degree must be >= 0", file=sys.stderr)
+        return EXIT_PARSE
+    if getattr(args, "seed", 0) < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
         return EXIT_PARSE
     # rounding at a threshold of 1 or more would drop every +-1 coefficient
     for opt, ok, rule in (

@@ -85,10 +85,12 @@ class Pairs:
     `birth_simplex`, `death_simplex` (-1 when essential), `birth_time` and
     `death_time` (inf when essential) derive from the ranks. `len()`,
     indexing and iteration give `PersistencePair`s, built on demand.
-    `tree` is the merge tree that `pairs` read the rows from, if any.
+    `tree` is the merge tree that `pairs` read the rows from, if any, and
+    `tree_error` the `ConditionError` that kept `pairs` from building it.
     """
 
     tree = None
+    tree_error = None
 
     def __init__(self, o: OrderWithLevel, birth_rank, death_rank):
         birth_rank = np.asarray(birth_rank, dtype=np.int64)
@@ -212,7 +214,8 @@ def pairs(o: OrderWithLevel, degrees=None) -> Pairs:
     A degree is computed only when a wanted degree needs it. With the merge
     tree, degree n reads only the tree's death cells, and degree n-1 the
     tree and degree n-2's deaths; without it, degrees n-1 and n need degrees
-    1 to n-1. `tree` is set on the table when the merge tree was built.
+    1 to n-1. `tree` is set on the table when the merge tree was built, and
+    `tree_error` when the condition failed.
     """
     from . import dualtree  # dualtree imports this module
 
@@ -220,12 +223,12 @@ def pairs(o: OrderWithLevel, degrees=None) -> Pairs:
     wanted = set(range(n + 1)).intersection(range(n + 1) if degrees is None else degrees)
     if not wanted:
         return Pairs(o, [], [])
-    tree = None
+    tree = tree_error = None
     if n >= 2 and max(wanted) >= n - 1:
         try:
             tree = dualtree.compute_tree(dualtree.build_dual_graph(o), o)
-        except dualtree.ConditionError:
-            pass
+        except dualtree.ConditionError as e:
+            tree_error = e.with_traceback(None)  # holds no frame of this call
     # union-find and the cochain columns compute degrees 0 to `last`
     last = max((k for k in wanted if k == 0 or k < n - 1), default=-1)
     if n - 1 in wanted or (tree is None and n in wanted):
@@ -250,7 +253,7 @@ def pairs(o: OrderWithLevel, degrees=None) -> Pairs:
         ess = rank[_unkilled(o, n, deaths)]
         parts.append((ess, np.full_like(ess, -1)))
     table = Pairs(o, *(np.concatenate(c) for c in zip(*parts)))
-    table.tree = tree
+    table.tree, table.tree_error = tree, tree_error
     return table
 
 

@@ -430,6 +430,32 @@ def test_tree_only_commands_exit_2_without_a_merge_tree(tmp_path, capsys, argv):
     assert err == "error: (n-1)-simplex (0, 1) has 3 cofaces\n"
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["vol", "--method", "optimal"], 0),
+    (["vol", "--method", "sub"], 0),
+    (["vol", "--method", "stable-tree"], 2),
+    (["sweep", "--epsilon-grid", "0:1:0.5"], 2),
+], ids=["optimal", "sub", "stable-tree", "sweep"])
+def test_a_failed_dual_graph_condition_is_met_once(tmp_path, capsys, monkeypatch, argv, code):
+    # pairs() keeps the ConditionError on the table; the commands re-raise it
+    from stablevol import dualtree
+
+    path = three_triangles_file(tmp_path)
+    calls = []
+    build = dualtree.build_dual_graph
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(dualtree, "build_dual_graph", counted)
+    monkeypatch.setattr(cli, "build_dual_graph", counted)
+    got, out, err = run([argv[0], path, "--pair-index", "0", *argv[1:]], capsys)
+    assert got == code and len(calls) == 1
+    if code:
+        assert out == "" and err == "error: (n-1)-simplex (0, 1) has 3 cofaces\n"
+
+
 def one_dim_order(cycle, seed):
     """A path or a cycle on eight vertices with seeded levels."""
     rng = np.random.default_rng(seed)
@@ -687,6 +713,32 @@ def test_negative_degree_exit_2_in_a_fresh_process(fig1_file, argv):
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines() == ["error: --degree must be >= 0"]
+
+
+def test_negative_stat_seed_exit_2_before_the_input_is_read(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "defects.txt"
+    assert main(["gen", "lattice-2d-defects", "--seed", "7", "-o", str(path)]) == 0
+    capsys.readouterr()
+
+    def no_read(path):
+        raise AssertionError("input read")
+
+    monkeypatch.setattr(cli, "_load_input", no_read)
+    code, out, err = run(["stat", str(path), "--pair-index", "0", "--noise", "0.05",
+                          "--seed", "-3"], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: --seed must be >= 0"]
+
+
+@pytest.mark.parametrize("fixture", ["lattice-2d-defects", "fig1-five-points", "hexagon"])
+def test_negative_gen_seed_exit_2(tmp_path, capsys, fixture):
+    # the fixtures that ignore their seed reject a negative one too
+    path = tmp_path / "out.txt"
+    code, out, err = run(["gen", fixture, "--seed", "-1", "-o", str(path)], capsys)
+    assert code == 2 and out == "" and not path.exists()
+    assert err.splitlines() == ["error: --seed must be >= 0"]
+    code, out, err = run(["gen", fixture, "--seed", "0"], capsys)
+    assert code == 0 and out and err == ""
 
 
 def test_degree_above_the_dimension_selects_from_an_empty_diagram(fig1_file, capsys):

@@ -1,0 +1,118 @@
+"""The start-up contract, each case in a fresh interpreter.
+
+`import stablevol` loads no numpy and changes no environment variable; the
+package's exports resolve lazily. `import stablevol.cli` sets
+OPENBLAS_NUM_THREADS to 1 before numpy loads, unless the user has set it,
+and the CLI's stdout does not depend on the BLAS thread count.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import stablevol
+from helpers import complex_json_text, torus3d_order
+from stablevol import persistence as pers
+from stablevol.alpha import PointCloud, format_pointcloud
+
+SRC = str(Path(stablevol.__file__).resolve().parents[1])
+
+# the package's exports before they became lazy, by defining module;
+# `delaunay` (the function) is left out: `stablevol.delaunay` is the module
+OLD_EXPORTS = {
+    "alpha": ["AlphaFiltration", "PointCloud", "alpha_filtration", "alpha_levels",
+              "parse_pointcloud"],
+    "complexes": ["Chain", "MonotonicityError", "OrderWithLevel", "SimplicialComplex",
+                  "boundary", "build_order", "chain_z2", "complex_from_json",
+                  "validate_complex"],
+    "delaunay": ["DegenerateInputError"],
+    "dualtree": ["ConditionError", "DegreeError", "DualGraph", "PersistenceTree",
+                 "StableVolumeResult", "build_dual_graph", "compute_tree",
+                 "optimal_volume_tree", "stable_volume_tree", "sweep_sizes"],
+    "persistence": ["Diagram", "Pairs", "PersistencePair", "StarPairError",
+                    "cohomology_reduce", "diagram", "pairs", "reduce"],
+    "volopt": ["ApproximationMismatch", "L1Program", "VolumeProblem", "make_problem",
+               "round_support", "solve_lp", "solve_volume", "to_lp"],
+}
+
+
+def python(args, blas_threads=None):
+    """The stdout bytes of `python args`, run with stablevol on the path and
+    OPENBLAS_NUM_THREADS set to `blas_threads`, or unset when None."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = SRC
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run([sys.executable, *args], capture_output=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+def test_import_stablevol_loads_no_numpy_and_keeps_the_environment():
+    out = python(["-c", "import os, sys, stablevol; "
+                        "print(stablevol.__version__, 'numpy' in sys.modules, "
+                        "os.environ.get('OPENBLAS_NUM_THREADS'))"])
+    assert out.split() == [b"0.1.0", b"False", b"None"]
+
+
+@pytest.mark.parametrize("user, expected", [(None, "1"), ("3", "3")], ids=["unset", "user-3"])
+def test_import_cli_sets_single_threaded_blas_unless_set(user, expected):
+    out = python(["-c", "import os, stablevol.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+                 blas_threads=user)
+    assert out.decode().strip() == expected
+
+
+def test_old_exports_resolve_lazily_and_delaunay_is_the_submodule():
+    script = f"""
+import importlib, sys
+import stablevol
+assert "numpy" not in sys.modules
+assert stablevol.delaunay is importlib.import_module("stablevol.delaunay")
+for mod, names in {OLD_EXPORTS!r}.items():
+    module = importlib.import_module("stablevol." + mod)
+    for name in names:
+        assert getattr(stablevol, name) is getattr(module, name), name
+assert stablevol.delaunay is importlib.import_module("stablevol.delaunay")
+assert "delaunay" not in stablevol.__all__
+assert set(stablevol.__all__) == {{"__version__", *(n for ns in {OLD_EXPORTS!r}.values() for n in ns)}}
+print("ok")
+"""
+    assert python(["-c", script]).strip() == b"ok"
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """(name, argv) of three commands: pd on a seeded 2D cloud, vol --method
+    sub on a 3D torus complex JSON and stat on the defects lattice."""
+    tmp = tmp_path_factory.mktemp("startup")
+    cloud = tmp / "cloud.txt"
+    rng = np.random.default_rng(7)
+    cloud.write_text(format_pointcloud(PointCloud(2, rng.random((400, 2)))))
+    o = torus3d_order()
+    torus = tmp / "torus.json"
+    torus.write_text(complex_json_text(o))
+    table = pers.pairs(o, [1])
+    idx = table.diagram_index(1)
+    index = str(int(np.argmax(table.death_time[idx] - table.birth_time[idx])))
+    defects = tmp / "defects.txt"
+    python(["-m", "stablevol.cli", "gen", "lattice-2d-defects", "--seed", "7",
+            "-o", str(defects)])
+    return [
+        ("pd", ["pd", str(cloud)]),
+        ("vol-sub", ["vol", str(torus), "--pair-index", index, "--method", "sub",
+                     "--epsilon", "0.1"]),
+        ("stat", ["stat", str(defects), "--pair-index", "0", "--noise", "0.05",
+                  "--trials", "8", "--seed", "3"]),
+    ]
+
+
+def test_stdout_does_not_depend_on_the_blas_thread_count(cli_inputs):
+    for name, argv in cli_inputs:
+        outs = {threads: python(["-m", "stablevol.cli", *argv], blas_threads=threads)
+                for threads in (None, "1", "2")}
+        assert outs[None], name
+        assert outs[None] == outs["1"] == outs["2"], name
