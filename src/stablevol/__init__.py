@@ -15,8 +15,7 @@ _EXPORTS = {
     "alpha": ("AlphaFiltration", "PointCloud", "alpha_filtration", "alpha_levels",
               "parse_pointcloud"),
     "complexes": ("Chain", "MonotonicityError", "OrderWithLevel", "SimplicialComplex",
-                  "boundary", "build_order", "chain_z2", "complex_from_json",
-                  "validate_complex"),
+                  "boundary", "build_order", "chain_z2", "complex_from_json"),
     "delaunay": ("DegenerateInputError",),
     "dualtree": ("ConditionError", "DegreeError", "DualGraph", "PersistenceTree",
                  "StableVolumeResult", "build_dual_graph", "compute_tree",

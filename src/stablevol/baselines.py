@@ -39,15 +39,12 @@ class NoiseModel:
 
     half_width: float
     seed: int
-    kind: str = "uniform-box"
 
     def __post_init__(self):
         if not math.isfinite(2.0 * self.half_width):
             raise ValueError(f"noise half width must be finite, got {self.half_width}")
         if self.half_width <= 0:
             raise ValueError("noise half_width must be positive")
-        if self.kind != "uniform-box":
-            raise ValueError(f"unsupported noise kind {self.kind}")
 
     def perturb(self, points: np.ndarray, trial: int) -> np.ndarray:
         rng = np.random.default_rng([self.seed, trial])

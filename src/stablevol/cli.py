@@ -378,8 +378,6 @@ def cmd_sweep(args) -> int:
     order, _ = _load_input(args.input)
     pairs = pers.pairs(order, [args.degree])
     pair = _select_pair(pairs, args)
-    if pair.degree != order.cx.dim - 1:
-        raise PairSelectionError("sweep needs a codimension-1 pair (tree method)")
     rows = sweep_sizes(_tree_for(order, pairs, pair), pair, grid)
     _emit("".join(f"{e!r}\t{s}\n" for e, s in rows), args.output)
     return 0

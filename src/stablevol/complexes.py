@@ -60,8 +60,8 @@ class SimplicialComplex:
 
     `simplices` may be an iterable of vertex iterables, an (m, k+1) integer
     array of m k-simplices, or a mapping from a width k+1 to such an array.
-    Repeated simplices are kept once; with `closure`, every face of a given
-    simplex is added.
+    Repeated simplices are kept once, and every face of a given simplex is
+    added: a complex is closed under faces by construction.
 
     The build runs one dimension at a time on integer arrays, from the top
     dimension down, with each vertex id replaced by its dense rank: one
@@ -70,8 +70,7 @@ class SimplicialComplex:
     vertex-removal order. It gives the unique rows and, read off the
     ranks, the position of each face among the simplices one dimension
     lower. `vertex_array`, `face_array` and `coface_csr` give the
-    incidences per dimension as arrays, and `_missing` the (simplex id,
-    face tuple) pairs of faces not in the complex.
+    incidences per dimension as arrays.
 
     `simplices[i]`, the vertex tuple of simplex i, is the one Python view;
     it is built from the arrays on first use and cached. Building it costs
@@ -79,13 +78,13 @@ class SimplicialComplex:
     and the `stat` trials, read only the arrays.
     """
 
-    def __init__(self, simplices, closure: bool = False):
+    def __init__(self, simplices):
         given = _rows_by_width(simplices)
         top = max(given, default=0)
         values, given = _vertex_ranks(given)
         base = max(len(values), 1)
         rows = [None] * top  # dimension k -> (m, k+1) sorted unique vertex rows
-        # dimension k -> (m, k+1) face indices among the (k-1)-simplices, -1 if missing
+        # dimension k -> (m, k+1) face indices among the (k-1)-simplices
         local_faces = [None] * top
         below = None  # faces of the dimension above, one row per face
         for k in range(top - 1, -1, -1):
@@ -94,17 +93,9 @@ class SimplicialComplex:
             if below is not None:
                 cand = np.concatenate([cand, below])
             rank, first = _lex_rank(cand, base)
-            if closure or below is None:
-                rows[k] = cand[first]
-                if below is not None:
-                    local_faces[k + 1] = rank[n_given:].reshape(-1, k + 2)
-            else:
-                kept = np.zeros(len(first), dtype=bool)
-                kept[rank[:n_given]] = True
-                position = np.cumsum(kept) - 1
-                rows[k] = cand[first[kept]]
-                q = rank[n_given:]
-                local_faces[k + 1] = np.where(kept[q], position[q], -1).reshape(-1, k + 2)
+            rows[k] = cand[first]
+            if below is not None:
+                local_faces[k + 1] = rank[n_given:].reshape(-1, k + 2)
             if k > 0:  # each row's faces in vertex-removal order: drop column j
                 drop = [[i for i in range(k + 1) if i != j] for j in range(k + 1)]
                 below = rows[k][:, drop].reshape(-1, k)
@@ -116,9 +107,7 @@ class SimplicialComplex:
         self.dim = top - 1
         self._verts = rows
         self._faces = [np.empty((sizes[0], 0), dtype=np.int64)] if top else []
-        for k in range(1, top):
-            f = local_faces[k]
-            self._faces.append(np.where(f >= 0, f + self._offsets[k - 1], -1))
+        self._faces += [local_faces[k] + self._offsets[k - 1] for k in range(1, top)]
         self._cofaces = [_coface_csr(local_faces[k + 1], sizes[k], self._offsets[k + 1])
                          for k in range(top - 1)]
         if top:
@@ -126,12 +115,6 @@ class SimplicialComplex:
                                   np.empty(0, dtype=np.int64)))
         for a in (*self._verts, *self._faces, *(x for csr in self._cofaces for x in csr)):
             a.flags.writeable = False
-
-        self._missing: list = []  # (simplex id, missing face tuple)
-        for k, f in enumerate(self._faces):
-            for r, c in zip(*np.nonzero(f < 0)):
-                verts = tuple(self._verts[k][r].tolist())
-                self._missing.append((self._offsets[k] + int(r), faces_of(verts)[c]))
 
     @cached_property
     def simplices(self) -> list:
@@ -172,7 +155,7 @@ class SimplicialComplex:
 
     def face_array(self, k: int) -> np.ndarray:
         """(m, k+1) ids of the faces of the k-simplices in vertex-removal
-        order, -1 where a face is missing; (m, 0) for vertices."""
+        order; (m, 0) for vertices."""
         return self._faces[k]
 
     def coface_csr(self, k: int):
@@ -277,23 +260,10 @@ def _coface_csr(local_faces, m: int, offset: int):
     c, width = local_faces.shape
     face = local_faces.ravel()
     coface = np.repeat(np.arange(c), width)
-    keep = face >= 0
-    face, coface = face[keep], coface[keep]
     ptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.bincount(face, minlength=m), out=ptr[1:])
     # the keys are distinct, so an unstable sort orders them exactly
     return ptr, coface[np.argsort(face * c + coface)] + offset
-
-
-def validate_complex(cx: SimplicialComplex, max_violations: int = 10) -> list:
-    """Check closure under faces.
-
-    Returns a list of violation strings, empty iff every face of every
-    simplex is in the complex; only the first `max_violations` missing faces
-    are reported. Faces and cofaces need no check: both are derived from
-    one face array.
-    """
-    return [f"missing face {f} of {cx.vertices(i)}" for i, f in cx._missing[:max_violations]]
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +311,7 @@ def boundary(cx: SimplicialComplex, ch: Chain) -> Chain:
     for sid, coef in ch.coeffs.items():
         verts = cx.simplices[sid]
         for i, f in enumerate(faces_of(verts)):
-            fi = index.get(f)
-            if fi is None:
-                raise ValueError(f"complex not closed: missing face {f}")
+            fi = index[f]
             if ch.field == "z2":
                 out[fi] = out.get(fi, 0) ^ 1
             else:
@@ -405,10 +373,6 @@ def build_order(cx: SimplicialComplex, level) -> OrderWithLevel:
     level argument may be a sequence or array indexed by simplex id, or a
     mapping from vertex tuples (or ids) to levels.
     """
-    # SimplicialComplex derives faces and cofaces from one face array, so they
-    # agree; only a missing face (possible without closure) is checked
-    if cx._missing:
-        raise ValueError("invalid complex: " + "; ".join(validate_complex(cx)))
     if isinstance(level, np.ndarray):
         if len(level) != len(cx):
             raise ValueError(f"expected {len(cx)} levels, got {len(level)}")
@@ -460,9 +424,10 @@ def complex_from_json(obj) -> OrderWithLevel:
 
     Input that does not have the format's shape raises a one-line ValueError
     naming the first bad entry, a duplicate (the first entry that repeats an
-    earlier one), a missing face, a non-finite level (the first in entry
-    order) or a bad "vertices" value. Where a bulk check fails, a scan of
-    the entries words the error. Integral floats such as 1.0 are valid ids.
+    earlier one), up to 10 missing faces (in simplex order, not entry
+    order), a non-finite level (the first in entry order) or a bad
+    "vertices" value. Where a bulk check fails, a scan of the entries words
+    the error. Integral floats such as 1.0 are valid ids.
     """
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
@@ -496,8 +461,8 @@ def complex_from_json(obj) -> OrderWithLevel:
     if any(len(r) > 1 and (r[1:] == r[:-1]).all(axis=1).any() for _, r in groups.values()):
         _raise_first_duplicate(vs)
     cx = SimplicialComplex({w: rows for w, (_, rows) in groups.items()})
-    if cx._missing:
-        raise ValueError("invalid complex: " + "; ".join(validate_complex(cx)))
+    if len(cx) != len(entries):  # no duplicates, so the build added faces
+        raise ValueError("invalid complex: " + "; ".join(_absent_faces(groups)))
     try:
         levels = np.array(levels, dtype=float)
     except OverflowError:  # an integer literal beyond the float range
@@ -559,6 +524,19 @@ def _raise_first_duplicate(vs) -> None:
         if s in first:
             raise ValueError(f"simplex {list(s)} is listed twice, in entries {first[s]} and {k}")
         first[s] = k
+
+
+def _absent_faces(groups, limit: int = 10) -> list:
+    """"missing face F of S" for the first `limit` faces that the given rows
+    lack, by dimension, then lexicographic order, then vertex-removal order;
+    `groups` maps a width to (entry indices, vertex rows)."""
+    given = {w: set(map(tuple, rows.tolist())) for w, (_, rows) in groups.items()}
+    out = []
+    for w in sorted(given.keys() - {1}):
+        below = given.get(w - 1, set())
+        out += [f"missing face {f} of {s}" for s in sorted(given[w])
+                for f in faces_of(s) if f not in below]
+    return out[:limit]
 
 
 def _check_level(e) -> None:

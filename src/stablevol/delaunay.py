@@ -229,7 +229,7 @@ def _bowyer_watson(pts, jit, dim) -> SimplicialComplex:
     top = [
         tuple(sorted(v)) for v in tri.verts.values() if INFINITE not in v
     ]
-    return SimplicialComplex(top, closure=True)
+    return SimplicialComplex(top)
 
 
 # rows of one batched hull check; bounds the temporaries to a few MiB
@@ -257,7 +257,7 @@ def _certified_qhull(P):
         return None
     if len(tri.coplanar):
         return None
-    cx = SimplicialComplex(tri.simplices, closure=True)
+    cx = SimplicialComplex(tri.simplices)
     top = cx.vertex_array(dim)
     if len(top) != len(tri.simplices) or cx.vertex_count != n:
         return None

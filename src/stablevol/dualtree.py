@@ -65,7 +65,7 @@ def build_dual_graph(o: OrderWithLevel) -> DualGraph:
     for k in range(n, 0, -1):
         ids = cx.ids_of_dim(k)
         faces = cx.face_array(k)[covered[ids.start : ids.stop]]
-        covered[faces[faces >= 0]] = True
+        covered[faces] = True
     if not covered.all():
         orphans = [cx.vertices(i) for i in np.flatnonzero(~covered)[:10].tolist()]
         raise ConditionError(f"simplices with no top-cell coface: {orphans}")

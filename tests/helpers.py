@@ -23,7 +23,6 @@ from stablevol.complexes import (
     chain_z2,
     faces_of,
     simplex,
-    validate_complex,
 )
 from stablevol.dualtree import OMEGA_INF, ConditionError, PersistenceTree
 from stablevol.fixtures import GENERATORS, generate
@@ -215,7 +214,7 @@ def torus_complex(nu=6, nv=5, seed=0):
         for j in range(nv):
             a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
             tris += [(a, b, c), (a, c, d)]
-    cx = SimplicialComplex(tris, closure=True)
+    cx = SimplicialComplex(tris)
     vl = np.random.default_rng(seed).random(nu * nv)
     return build_order(cx, [float(max(vl[v] for v in s)) for s in cx.simplices])
 
@@ -226,7 +225,7 @@ def complex_cases():
     each), a hollow triangle and a lone vertex."""
     from stablevol.fixtures import appendix_filtration
 
-    hollow = SimplicialComplex([(0, 1), (1, 2), (0, 2)], closure=True)
+    hollow = SimplicialComplex([(0, 1), (1, 2), (0, 2)])
     return {
         "appendix": appendix_filtration(),
         "torus-6x5": torus_complex(6, 5, seed=0),
@@ -283,39 +282,34 @@ def bottleneck_bruteforce(d1, d2):
 
 class TupleComplex:
     """Per-simplex reference builder, from Python tuples, sets and dicts:
-    the `simplices`, `dim`, `_missing`, ids and vertices of a
-    `SimplicialComplex`, and the `index`, `faces` and `cofaces` that
-    `views_from_arrays` reads off its arrays."""
+    the `simplices`, `dim`, ids and vertices of a `SimplicialComplex`, which
+    holds every face of every given simplex, and the `index`, `faces` and
+    `cofaces` that `views_from_arrays` reads off its arrays."""
 
-    def __init__(self, simplices, closure=False):
+    def __init__(self, simplices):
         canon = {simplex(s) for s in simplices}
-        if closure:
-            stack = list(canon)
-            while stack:
-                s = stack.pop()
-                if len(s) == 1:
-                    continue
-                for f in faces_of(s):
-                    if f not in canon:
-                        canon.add(f)
-                        stack.append(f)
+        stack = list(canon)
+        while stack:
+            s = stack.pop()
+            if len(s) == 1:
+                continue
+            for f in faces_of(s):
+                if f not in canon:
+                    canon.add(f)
+                    stack.append(f)
         self.simplices = sorted(canon, key=lambda s: (len(s), s))
         self.index = {s: i for i, s in enumerate(self.simplices)}
         self.dim = max((len(s) - 1 for s in self.simplices), default=-1)
         n = len(self.simplices)
         self.faces = [[] for _ in range(n)]
         self.cofaces = [[] for _ in range(n)]
-        self._missing = []
         for i, s in enumerate(self.simplices):
             if len(s) == 1:
                 continue
             for f in faces_of(s):
-                fi = self.index.get(f)
-                if fi is None:
-                    self._missing.append((i, f))
-                else:
-                    self.faces[i].append(fi)
-                    self.cofaces[fi].append(i)
+                fi = self.index[f]
+                self.faces[i].append(fi)
+                self.cofaces[fi].append(i)
 
     def __len__(self):
         return len(self.simplices)
@@ -327,12 +321,32 @@ class TupleComplex:
         return self.simplices[i]
 
 
+def missing_faces(simplices, limit=10):
+    """"missing face F of S" for the first `limit` faces that the simplices
+    (vertex tuples) lack, from tuple sets: by dimension, then lexicographic
+    order, then vertex-removal order."""
+    given = {simplex(s) for s in simplices}
+    out = []
+    for s in sorted(given, key=lambda s: (len(s), s)):
+        if len(s) > 1:
+            out += [f"missing face {f} of {s}" for f in faces_of(s) if f not in given]
+    return out[:limit]
+
+
+def assert_closed(cx):
+    """Every face of every simplex of `cx` is in it: each face id names a
+    simplex one dimension lower, and tuple sets find no missing face."""
+    for k in range(1, cx.dim + 1):
+        faces = cx.face_array(k)
+        assert faces.min() >= 0 and faces.max() < cx.ids_of_dim(k - 1).stop
+    assert missing_faces(cx.simplices) == []
+
+
 def build_order_by_key(cx, level):
     """Reference order: (levels, order) with ties broken by sorting on the
-    (level, dim, lex verts) key; raises as `build_order` does."""
-    bad = validate_complex(cx)
-    if bad:
-        raise ValueError("invalid complex: " + "; ".join(bad))
+    (level, dim, lex verts) key; raises as `build_order` does, and checks
+    with tuple sets that the complex holds every face."""
+    assert missing_faces(cx.simplices) == []
     lv = _levels_as_list(cx, level)
     faces = views(cx)[2]
     for i in range(len(cx)):
@@ -398,12 +412,11 @@ def views_from_arrays(cx):
     """Reference `simplices`, `index`, `faces` and `cofaces` of a complex,
     read row by row from its per-dimension arrays: the vertex tuple of each
     simplex, the id of each vertex tuple, the ids of each simplex's faces in
-    vertex-removal order (missing faces left out) and of its cofaces,
-    ascending."""
+    vertex-removal order and of its cofaces, ascending."""
     simplices, faces, cofaces = [], [], []
     for k in range(cx.dim + 1):
         simplices += map(tuple, cx.vertex_array(k).tolist())
-        faces += [[f for f in row if f >= 0] for row in cx.face_array(k).tolist()]
+        faces += cx.face_array(k).tolist()
         ptr, idx = cx.coface_csr(k)
         idx, ptr = idx.tolist(), ptr.tolist()
         cofaces += [idx[a:b] for a, b in zip(ptr, ptr[1:])]
@@ -831,16 +844,16 @@ def complex_from_json_oracle(obj):
             raise ValueError(f"simplex entry {k} needs a numeric level, got {lv!r}")
     keys = [tuple(sorted(map(int, e["v"]))) for e in entries]
     cx = SimplicialComplex(keys)
-    if len(cx) < len(keys):
-        first = {}
-        for k, s in enumerate(keys):
-            if s in first:
-                raise ValueError(
-                    f"simplex {list(s)} is listed twice, in entries {first[s]} and {k}"
-                )
-            first[s] = k
-    if cx._missing:
-        raise ValueError("invalid complex: " + "; ".join(validate_complex(cx)))
+    first = {}
+    for k, s in enumerate(keys):
+        if s in first:
+            raise ValueError(
+                f"simplex {list(s)} is listed twice, in entries {first[s]} and {k}"
+            )
+        first[s] = k
+    bad = missing_faces(keys)
+    if bad:
+        raise ValueError("invalid complex: " + "; ".join(bad))
     level = [0.0] * len(cx)
     index = views_from_arrays(cx)[1]
     for s, e in zip(keys, entries):
@@ -1019,6 +1032,39 @@ def program_rows(prog):
     if prog.pin_sign is None:
         return rows, None
     return rows, (int(prog.taus[-1]), coeffs[-1], int(prog.const[-1]), prog.pin_sign)
+
+
+def _entries(*rows):
+    return json.dumps({"simplices": [{"v": list(v), "level": len(v) - 1} for v in rows]})
+
+
+_LO, _HI = -(2**63), 2**63 - 1
+# complex JSON texts with missing faces, and the loader's error for each:
+# up to 10 faces, by simplex dimension, then lexicographic order, then
+# vertex-removal order, whatever the order of the entries in the file
+MISSING_FACE_CASES = {
+    "edges-listed-out-of-order": (
+        _entries((0,), (5,), (6, 5), (0, 2)),
+        "invalid complex: missing face (2,) of (0, 2); missing face (6,) of (5, 6)",
+    ),
+    "no-edges-listed": (
+        _entries((2, 1, 0), (0,), (1,), (2,)),
+        "invalid complex: missing face (1, 2) of (0, 1, 2); missing face (0, 2) of (0, 1, 2);"
+        " missing face (0, 1) of (0, 1, 2)",
+    ),
+    "twelve-cut-to-ten": (
+        _entries((2, 3), (1, 3), (1, 2), (0, 3), (0, 2), (0, 1)),
+        "invalid complex: " + "; ".join(
+            f"missing face ({f},) of {e}" for e in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
+            for f in e[::-1]),
+    ),
+    "negative-and-int64-extreme-ids": (
+        _entries((_HI,), (_HI, -3), (-3, _LO, _HI)),
+        f"invalid complex: missing face (-3,) of (-3, {_HI})"
+        f"; missing face ({_LO}, {_HI}) of ({_LO}, -3, {_HI})"
+        f"; missing face ({_LO}, -3) of ({_LO}, -3, {_HI})",
+    ),
+}
 
 
 def complex_json_text(o, shuffle_seed=None):

@@ -45,8 +45,6 @@ def test_noise_model_validation():
     for bad in (math.nan, math.inf, -math.inf, 1e308):
         with pytest.raises(ValueError, match="finite"):
             NoiseModel(bad, seed=1)
-    with pytest.raises(ValueError):
-        NoiseModel(0.1, seed=1, kind="gaussian")
 
 
 def test_zero_noise_limit_marks_unperturbed_boundary():

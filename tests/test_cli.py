@@ -16,6 +16,7 @@ import stablevol
 from stablevol import cli, schemas, volopt
 from stablevol import persistence as pers
 from helpers import (
+    MISSING_FACE_CASES,
     VIEWS,
     DictChildrenTree,
     build_dual_graph_oracle,
@@ -223,6 +224,14 @@ def test_complex_json_error_message_matches_oracle(tmp_path, capsys, text):
     assert (code, out, err) == (2, "", f"error: {want.value}\n")
 
 
+@pytest.mark.parametrize("name", sorted(MISSING_FACE_CASES))
+def test_complex_json_missing_face_exit_2(tmp_path, capsys, name):
+    text, message = MISSING_FACE_CASES[name]
+    p = tmp_path / "cx.json"
+    p.write_text(text)
+    assert run(["pd", str(p)], capsys) == (2, "", f"error: {message}\n")
+
+
 def test_benchmark_tracer_attaches_and_detaches(fig1_file, capsys, monkeypatch):
     """perfbench/tracing.py wraps stablevol functions by name; every name it
     resolves must exist, and uninstalling must restore the originals."""
@@ -247,7 +256,7 @@ def test_benchmark_tracer_attaches_and_detaches(fig1_file, capsys, monkeypatch):
     assert all(getattr(owner, attr) is orig for owner, attr, orig in patched)
     assert {(n, k): v for n, m in modules.items() for k, v in vars(m).items()} == before
     assert isinstance(kernels.active_backend(), str)
-    assert SimplicialComplex([(0, 1, 2)], closure=True).simplices[-1] == (0, 1, 2)
+    assert SimplicialComplex([(0, 1, 2)]).simplices[-1] == (0, 1, 2)
     assert list(inspect.signature(parallel.parallel_map).parameters) == ["fn", "items", "threads"]
 
 
@@ -398,7 +407,7 @@ def test_vol_optimal_epsilon_zero_identity(fig1_file, capsys):
 def three_triangles_file(tmp_path):
     """Triangles (0, 1, 2), (0, 1, 3) and (0, 1, 4), ids 12 to 14, at levels
     2, 3 and 4: edge (0, 1) has three cofaces, so no merge tree exists."""
-    cx = SimplicialComplex([(0, 1, 2), (0, 1, 3), (0, 1, 4)], closure=True)
+    cx = SimplicialComplex([(0, 1, 2), (0, 1, 3), (0, 1, 4)])
     path = tmp_path / "three.json"
     levels = [min(len(s) - 1, 1) for s in cx.simplices]
     levels[12:] = [2, 3, 4]
@@ -460,7 +469,7 @@ def one_dim_order(cycle, seed):
     """A path or a cycle on eight vertices with seeded levels."""
     rng = np.random.default_rng(seed)
     edges = [(i, i + 1) for i in range(7)] + ([(0, 7)] if cycle else [])
-    cx = SimplicialComplex(edges, closure=True)
+    cx = SimplicialComplex(edges)
     vertex_level = rng.random(8)
     levels = [vertex_level[s[0]] if len(s) == 1 else max(vertex_level[list(s)]) + rng.random()
               for s in cx.simplices]
@@ -522,6 +531,19 @@ def test_sweep_keeps_the_end_of_an_inclusive_grid(fig1_file, capsys, grid, rows,
     lines = out.splitlines()
     assert code == 0 and len(lines) == rows
     assert float(lines[-1].split("\t")[0]) == pytest.approx(last)
+
+
+@pytest.mark.parametrize("fixture, degree, n", [("lattice-3x3x3", 1, 3),
+                                                ("fig1-five-points", 0, 2)])
+def test_sweep_exit_2_on_a_pair_not_of_codimension_1(tmp_path, capsys, fixture, degree, n):
+    # as vol --method stable-tree: the tree's degree check, not pair selection
+    path = tmp_path / "in.txt"
+    assert main(["gen", fixture, "--seed", "7", "-o", str(path)]) == 0
+    capsys.readouterr()
+    argv = ["--degree", str(degree), "--pair-index", "0"]
+    want = f"error: tree volumes need degree {n - 1} pairs, got degree {degree}\n"
+    for cmd in (["sweep", "--epsilon-grid", "0:0.1:0.05"], ["vol", "--method", "stable-tree"]):
+        assert run([cmd[0], str(path), *argv, *cmd[1:]], capsys) == (2, "", want)
 
 
 def test_stat_deterministic_across_threads(fig1_file, capsys):

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from helpers import (
+    MISSING_FACE_CASES,
     VIEWS,
     TupleComplex,
+    assert_closed,
     build_order_by_key,
     chain_rational,
     complex_from_json_oracle,
     complex_json_text,
     complex_to_json,
     geometry_cases,
+    missing_faces,
     monotone_repair,
     sublevel_complex,
     torus3d_order,
@@ -31,7 +34,6 @@ from stablevol.complexes import (
     chain_z2,
     complex_from_json,
     simplex,
-    validate_complex,
 )
 from stablevol.delaunay import delaunay
 from stablevol.alpha import alpha_filtration, alpha_levels
@@ -48,23 +50,18 @@ def test_simplex_canonical():
 
 def test_validate_full_triangle():
     cx = SimplicialComplex([(0, 1, 2), (0, 1), (0, 2), (1, 2), (0,), (1,), (2,)])
-    assert validate_complex(cx) == []
-
-
-def test_validate_missing_face():
-    cx = SimplicialComplex([(0, 1), (0,)])
-    bad = validate_complex(cx)
-    assert len(bad) == 1 and "(1,)" in bad[0]
+    assert len(cx) == 7
+    assert_closed(cx)
 
 
 def test_validate_random_delaunay_closed():
     random.seed(4)
     pts = [(random.random(), random.random()) for _ in range(20)]
-    assert validate_complex(delaunay(pts)) == []
+    assert_closed(delaunay(pts))
 
 
 def test_build_order_levels_then_dim_then_lex():
-    cx = SimplicialComplex([(0, 1, 2)], closure=True)
+    cx = SimplicialComplex([(0, 1, 2)])
     level = {}
     for s in cx.simplices:
         level[s] = {1: 0.0, 2: 1.0, 3: 2.0}[len(s)]
@@ -79,7 +76,7 @@ def test_build_order_levels_then_dim_then_lex():
 
 
 def test_build_order_monotonicity_error():
-    cx = SimplicialComplex([(0, 1, 2)], closure=True)
+    cx = SimplicialComplex([(0, 1, 2)])
     level = {s: 0.0 for s in cx.simplices}
     level[(0, 1)] = 3.0
     level[(0, 1, 2)] = 2.0
@@ -97,22 +94,24 @@ def test_order_invariants_on_random_filtration():
         for fi in faces:
             assert o.rank_array[fi] < o.rank_array[i]
             assert o.level_array[fi] <= o.level_array[i]
-    # every rank prefix is a closed complex
+    # every rank prefix is a closed complex: it lacks no face, so building it adds none
     for cut in (1, len(cx) // 3, len(cx) // 2, len(cx)):
-        sub = SimplicialComplex([cx.simplices[i] for i in o.order_array[:cut].tolist()])
-        assert validate_complex(sub) == []
+        rows = [cx.simplices[i] for i in o.order_array[:cut].tolist()]
+        assert missing_faces(rows) == []
+        assert len(SimplicialComplex(rows)) == len(rows)
 
 
 def test_every_prefix_is_closed_small():
     f = alpha_filtration(fig1_five_points().points)
     o = f.order
     for cut in range(len(o) + 1):
-        sub = SimplicialComplex([o.cx.simplices[i] for i in o.order_array[:cut].tolist()])
-        assert validate_complex(sub) == []
+        rows = [o.cx.simplices[i] for i in o.order_array[:cut].tolist()]
+        assert missing_faces(rows) == []
+        assert len(SimplicialComplex(rows)) == len(rows)
 
 
 def test_boundary_of_triangle_z2():
-    cx = SimplicialComplex([(0, 1, 2)], closure=True)
+    cx = SimplicialComplex([(0, 1, 2)])
     ch = chain_z2([cx.simplices.index((0, 1, 2))], cx)
     b = boundary(cx, ch)
     assert {cx.simplices[i] for i in b.support()} == {(0, 1), (0, 2), (1, 2)}
@@ -132,7 +131,7 @@ def test_boundary_squared_is_zero_both_fields():
 
 
 def test_boundary_dimension_error():
-    cx = SimplicialComplex([(0, 1)], closure=True)
+    cx = SimplicialComplex([(0, 1)])
     with pytest.raises(DimensionError):
         boundary(cx, chain_z2([0], cx))
 
@@ -146,7 +145,7 @@ def test_boundary_of_annulus_strip():
         ia, ib = n + a, n + b
         tris.append(tuple(sorted((a, b, ia))))
         tris.append(tuple(sorted((b, ia, ib))))
-    cx = SimplicialComplex(tris, closure=True)
+    cx = SimplicialComplex(tris)
     total = chain_z2(cx.ids_of_dim(2), cx)
     rim = boundary(cx, total)
     # brute-force coefficient count: each edge's triangle cofaces mod 2
@@ -164,7 +163,9 @@ def test_sublevel_complex():
     assert len(sublevel_complex(o, o.level_array.max() + 1)) == len(o.cx)
     # Fig 1 at t = 0.6: both loops' edges present, square triangles absent
     sub = sublevel_complex(o, 0.6)
-    assert validate_complex(sub) == []
+    rows = [s for i, s in enumerate(o.cx.simplices) if o.level_array[i] < 0.6]
+    assert missing_faces(rows) == []
+    assert len(sub) == len(rows)
     names = set(sub.simplices)
     assert (0, 1) in names and (0, 3) in names and (0, 4) in names
     assert (0, 1, 2) not in names and (0, 2, 3) not in names
@@ -188,13 +189,48 @@ def test_complex_json_rejects_unclosed():
         complex_from_json(json.dumps(bad))
 
 
+@pytest.mark.parametrize("name", sorted(MISSING_FACE_CASES))
+def test_complex_json_missing_face_text(name):
+    text, message = MISSING_FACE_CASES[name]
+    with pytest.raises(ValueError) as got:
+        complex_from_json(text)
+    assert str(got.value) == message
+    with pytest.raises(ValueError) as want:
+        complex_from_json_oracle(text)
+    assert str(want.value) == message
+
+
+def test_complex_json_missing_faces_match_oracle_on_random_entries():
+    # random simplex sets in shuffled entry order, most of them not closed
+    rng = random.Random(11)
+    pool = [-(2**63), 2**63 - 1, -5, -1, 0, 1, 2, 3, 7, 9, 40, 10**12]
+    rejected = 0
+    for _ in range(150):
+        ids = rng.sample(pool, rng.randint(1, 9))
+        rows = {tuple(rng.sample(ids, rng.randint(1, min(4, len(ids)))))
+                for _ in range(rng.randint(1, 14))}
+        entries = [{"v": list(v), "level": len(v) - 1} for v in rows]
+        rng.shuffle(entries)
+        text = json.dumps({"simplices": entries})
+        try:
+            want = complex_from_json_oracle(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                complex_from_json(text)
+            assert str(got.value) == str(exc)
+            rejected += "missing face" in str(exc)
+            continue
+        assert_same_loaded(complex_from_json(text), want)
+    assert rejected > 50
+
+
 def test_complex_json_rejects_duplicate_simplex():
     obj = {"simplices": [{"v": [0], "level": 0}, {"v": [1], "level": 0},
                          {"v": [1, 0], "level": 1}, {"v": [0, 1], "level": 2}]}
     with pytest.raises(ValueError, match=r"simplex \[0, 1\] is listed twice, in entries 2 and 3"):
         complex_from_json(json.dumps(obj))
     # the Python API keeps de-duplicating
-    assert SimplicialComplex([(1, 0), (0, 1)], closure=True).simplices == [(0,), (1,), (0, 1)]
+    assert SimplicialComplex([(1, 0), (0, 1)]).simplices == [(0,), (1,), (0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +238,10 @@ def test_complex_json_rejects_duplicate_simplex():
 
 
 def assert_same_complex(cx, ref):
+    assert_closed(cx)
     assert cx.simplices == ref.simplices
     assert views_from_arrays(cx) == (ref.simplices, ref.index, ref.faces, ref.cofaces)
     assert cx.dim == ref.dim
-    assert cx._missing == ref._missing
-    assert validate_complex(cx) == validate_complex(ref)
     assert cx.vertex_count == len(ref.ids_of_dim(0))
     for k in range(-1, cx.dim + 2):
         ids = cx.ids_of_dim(k)
@@ -215,9 +250,7 @@ def assert_same_complex(cx, ref):
             continue
         # the per-dimension arrays say the same as the reference lists
         assert [tuple(r) for r in cx.vertex_array(k).tolist()] == [ref.simplices[i] for i in ids]
-        assert [[f for f in row if f >= 0] for row in cx.face_array(k).tolist()] == [
-            ref.faces[i] for i in ids
-        ]
+        assert cx.face_array(k).tolist() == [ref.faces[i] for i in ids]
         ptr, idx = cx.coface_csr(k)
         assert [idx[a:b].tolist() for a, b in zip(ptr[:-1], ptr[1:])] == [
             ref.cofaces[i] for i in ids
@@ -246,20 +279,19 @@ def test_builder_matches_reference_on_delaunay(name):
     pts = GEOMETRY[name]
     cx = delaunay(pts)
     top = [cx.simplices[i] for i in cx.ids_of_dim(cx.dim)]
-    ref = TupleComplex(top, closure=True)
+    ref = TupleComplex(top)
     assert_same_complex(cx, ref)
     # rows in any order, vertices in any order within a row, as array or tuples
     rng = np.random.default_rng(5)
     cells = rng.permuted(np.array(top)[rng.permutation(len(top))], axis=1)
-    assert_same_complex(SimplicialComplex(cells, closure=True), ref)
-    assert_same_complex(SimplicialComplex(map(tuple, cells.tolist()), closure=True), ref)
+    assert_same_complex(SimplicialComplex(cells), ref)
+    assert_same_complex(SimplicialComplex(map(tuple, cells.tolist())), ref)
     assert_same_order(cx, ref, alpha_levels(cx, pts))
 
 
 UNCLOSED = [(0, 1, 2), (1, 2, 3), (0, 1), (2,), (5, 7), (3,), (2, 5, 6, 9)]
 
 
-@pytest.mark.parametrize("closure", [False, True])
 @pytest.mark.parametrize(
     "simplices",
     [
@@ -272,16 +304,13 @@ UNCLOSED = [(0, 1, 2), (1, 2, 3), (0, 1), (2,), (5, 7), (3,), (2, 5, 6, 9)]
     ],
     ids=["unclosed", "many-missing", "negative-and-large-ids", "repeats", "one-vertex", "empty"],
 )
-def test_builder_matches_reference(simplices, closure):
-    cx = SimplicialComplex(simplices, closure=closure)
-    ref = TupleComplex(simplices, closure=closure)
+def test_builder_matches_reference(simplices):
+    cx = SimplicialComplex(simplices)
+    ref = TupleComplex(simplices)
     assert_same_complex(cx, ref)
-    if not ref._missing and len(ref):
+    if len(ref):
         level = [float(len(s)) for s in ref.simplices]
         assert_same_order(cx, ref, level)
-    elif ref._missing:
-        with pytest.raises(ValueError, match="invalid complex: missing face"):
-            build_order(cx, [0.0] * len(cx))
 
 
 BIG = 2**63 - 1
@@ -292,15 +321,14 @@ EXTREME = [
 ]
 
 
-@pytest.mark.parametrize("closure", [False, True])
-def test_builder_matches_reference_at_extreme_ids(closure):
-    ref = TupleComplex(EXTREME, closure=closure)
-    assert_same_complex(SimplicialComplex(EXTREME, closure=closure), ref)
+def test_builder_matches_reference_at_extreme_ids():
+    ref = TupleComplex(EXTREME)
+    assert_same_complex(SimplicialComplex(EXTREME), ref)
     by_width = {}
     for s in EXTREME:
         by_width.setdefault(len(s), []).append(s)
     arrays = {w: np.array(rows, dtype=np.int64) for w, rows in by_width.items()}
-    assert_same_complex(SimplicialComplex(arrays, closure=closure), ref)
+    assert_same_complex(SimplicialComplex(arrays), ref)
 
 
 @pytest.mark.parametrize("base", [2, 1000, 2**31 + 11, 2**40 + 11, 2**54])
@@ -336,7 +364,7 @@ def test_builder_rejects_what_simplex_rejects():
 def test_order_with_tied_levels_matches_reference(seed):
     # 3D grid cells with levels drawn from three values: ties everywhere
     cx = delaunay(GEOMETRY["grid-6x6x6"][:80])
-    ref = TupleComplex([cx.simplices[i] for i in cx.ids_of_dim(cx.dim)], closure=True)
+    ref = TupleComplex([cx.simplices[i] for i in cx.ids_of_dim(cx.dim)])
     rng = random.Random(seed)
     raw = [float(rng.randint(0, 2)) for _ in range(len(cx))]
     assert_same_order(cx, ref, monotone_repair(ref, raw))

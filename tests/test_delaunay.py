@@ -5,9 +5,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import geometry_cases, hull_is_convex_gather, jittered_points_oracle
+from helpers import assert_closed, geometry_cases, hull_is_convex_gather, jittered_points_oracle
 from stablevol import predicates
-from stablevol.complexes import SimplicialComplex, validate_complex
+from stablevol.complexes import SimplicialComplex
 from stablevol.delaunay import DegenerateInputError, delaunay
 from stablevol.fixtures import GENERATORS, generate
 from stablevol.predicates import circumsphere_side, jittered_points
@@ -59,7 +59,7 @@ def test_random_2d_euler_characteristic_and_empty_circles():
     for _ in range(8):
         pts = [(random.random(), random.random()) for _ in range(100)]
         cx = delaunay(pts)
-        assert validate_complex(cx) == []
+        assert_closed(cx)
         v = len(cx.ids_of_dim(0))
         e = len(cx.ids_of_dim(1))
         f = len(cx.ids_of_dim(2))
@@ -79,7 +79,7 @@ def test_random_3d_structure():
     random.seed(8)
     pts = [tuple(random.random() for _ in range(3)) for _ in range(30)]
     cx = delaunay(pts)
-    assert validate_complex(cx) == []
+    assert_closed(cx)
     jit = jittered_points(pts)
     for t in cx.ids_of_dim(3):
         tv = cx.simplices[t]
@@ -93,7 +93,7 @@ def test_random_3d_structure():
 def test_degenerate_integer_lattice_resolved_by_jitter():
     pts = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
     cx = delaunay(pts)
-    assert validate_complex(cx) == []
+    assert_closed(cx)
     assert set(np.diff(cx.coface_csr(2)[0]).tolist()) <= {1, 2}
 
 
@@ -101,7 +101,7 @@ def test_identical_points_resolved_by_jitter():
     # duplicate points become distinct under the symbolic jitter; the
     # triangulation is tiny but valid
     cx = delaunay([(0.5, 0.5)] * 5)
-    assert validate_complex(cx) == []
+    assert_closed(cx)
     assert len(cx.ids_of_dim(0)) == 5
 
 
@@ -116,7 +116,7 @@ def test_cocircular_ring():
     pts = [(math.cos(2 * math.pi * k / 12), math.sin(2 * math.pi * k / 12))
            for k in range(12)]
     cx = delaunay(pts)
-    assert validate_complex(cx) == []
+    assert_closed(cx)
     v, e, f = (len(cx.ids_of_dim(d)) for d in (0, 1, 2))
     assert v == 12 and v - e + f == 1
 
@@ -124,7 +124,7 @@ def test_cocircular_ring():
 def test_exact_grid_2d():
     pts = [(x, y) for x in range(5) for y in range(5)]
     cx = delaunay(pts)
-    assert validate_complex(cx) == []
+    assert_closed(cx)
     v, e, f = (len(cx.ids_of_dim(d)) for d in (0, 1, 2))
     assert v == 25 and v - e + f == 1
     # at least the 32 square-halves; jitter may add flat slivers along the
@@ -139,7 +139,7 @@ def test_two_far_clusters():
     pts = [(random.random(), random.random()) for _ in range(10)]
     pts += [(random.random() + 1e4, random.random()) for _ in range(10)]
     cx = delaunay(pts)
-    assert validate_complex(cx) == []
+    assert_closed(cx)
     assert len(cx.ids_of_dim(0)) == 20
 
 

@@ -44,12 +44,12 @@ def pairset(pairs):
 
 
 def order_of(simplices, levels):
-    return build_order(SimplicialComplex(simplices, closure=True), levels)
+    return build_order(SimplicialComplex(simplices), levels)
 
 
 def test_single_triangle_dual_graph():
     o = order_of([(0, 1, 2)], {s: float(len(s) - 1) for s in
-                               SimplicialComplex([(0, 1, 2)], closure=True).simplices})
+                               SimplicialComplex([(0, 1, 2)]).simplices})
     g = build_dual_graph(o)
     assert len(g.cells) == 1
     assert len(dual_edges(g)) == 3
@@ -58,7 +58,7 @@ def test_single_triangle_dual_graph():
 
 
 def test_two_triangle_square_dual_graph():
-    cx = SimplicialComplex([(0, 1, 2), (0, 2, 3)], closure=True)
+    cx = SimplicialComplex([(0, 1, 2), (0, 2, 3)])
     o = build_order(cx, {s: float(len(s) - 1) for s in cx.simplices})
     g = build_dual_graph(o)
     assert len(g.cells) == 2
@@ -68,7 +68,7 @@ def test_two_triangle_square_dual_graph():
 
 
 def test_condition_error_on_dangling_edge():
-    cx = SimplicialComplex([(0, 1, 2), (2, 3)], closure=True)
+    cx = SimplicialComplex([(0, 1, 2), (2, 3)])
     o = build_order(cx, {s: float(len(s) - 1) for s in cx.simplices})
     with pytest.raises(ConditionError):
         build_dual_graph(o)
@@ -92,7 +92,7 @@ def test_dual_graph_handshake_on_random_cloud():
 
 
 def test_merge_order_single_merge():
-    cx = SimplicialComplex([(0, 1, 2), (0, 2, 3)], closure=True)
+    cx = SimplicialComplex([(0, 1, 2), (0, 2, 3)])
     lv = {s: 0.0 if len(s) == 1 else 1.0 for s in cx.simplices}
     lv[(0, 2)] = 2.0  # diagonal enters last among edges
     lv[(0, 1, 2)] = 2.0
@@ -318,7 +318,7 @@ def dim_levels(cx):
          "3d-orphans", "3d-three-cofaces", "3d-valid", "vertex"],
 )
 def test_condition_errors_match_oracle(tops):
-    cx = SimplicialComplex(tops, closure=True)
+    cx = SimplicialComplex(tops)
     o = build_order(cx, dim_levels(cx))
     try:
         ref = build_dual_graph_oracle(o)

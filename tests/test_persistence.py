@@ -32,7 +32,7 @@ def pairset(pairs):
 
 
 def test_two_vertices_one_edge():
-    cx = SimplicialComplex([(0, 1)], closure=True)
+    cx = SimplicialComplex([(0, 1)])
     o = build_order(cx, {(0,): 0.0, (1,): 1.0, (0, 1): 2.0})
     pairs = pers.reduce(o)
     deg0 = [p for p in pairs if p.degree == 0]
@@ -301,7 +301,7 @@ def test_cocycle_is_alive_cut():
 
 def test_filled_triangle_has_no_degree1_cocycles():
     # triangle filled from birth: every simplex at level 0
-    cx = SimplicialComplex([(0, 1, 2)], closure=True)
+    cx = SimplicialComplex([(0, 1, 2)])
     o = build_order(cx, {s: 0.0 for s in cx.simplices})
     pairs, _ = pers.cohomology_reduce(o)
     assert not [p for p in pairs if p.degree == 1 and p.birth_time != p.death_time]
@@ -472,7 +472,7 @@ def complex_json_order(simplices, seed):
     """The order that `complex_from_json` loads from a shuffled complex JSON
     of the simplices and their faces, with lower-star levels of seeded
     random vertex levels."""
-    cx = SimplicialComplex(simplices, closure=True)
+    cx = SimplicialComplex(simplices)
     vl = np.random.default_rng(seed).random(cx.vertex_count)
     o = build_order(cx, [float(max(vl[v] for v in s)) for s in cx.simplices])
     return complex_from_json(complex_json_text(o, shuffle_seed=seed))

@@ -22,13 +22,13 @@ from stablevol.alpha import PointCloud, format_pointcloud
 SRC = str(Path(stablevol.__file__).resolve().parents[1])
 
 # the package's exports before they became lazy, by defining module;
-# `delaunay` (the function) is left out: `stablevol.delaunay` is the module
+# `delaunay` (the function) is left out: `stablevol.delaunay` is the module,
+# and `validate_complex` is gone: every complex holds all its faces
 OLD_EXPORTS = {
     "alpha": ["AlphaFiltration", "PointCloud", "alpha_filtration", "alpha_levels",
               "parse_pointcloud"],
     "complexes": ["Chain", "MonotonicityError", "OrderWithLevel", "SimplicialComplex",
-                  "boundary", "build_order", "chain_z2", "complex_from_json",
-                  "validate_complex"],
+                  "boundary", "build_order", "chain_z2", "complex_from_json"],
     "delaunay": ["DegenerateInputError"],
     "dualtree": ["ConditionError", "DegreeError", "DualGraph", "PersistenceTree",
                  "StableVolumeResult", "build_dual_graph", "compute_tree",
