@@ -204,14 +204,10 @@ def alpha_levels(cx: SimplicialComplex, points) -> np.ndarray:
             levels[ids.start : ids.stop] = own
             continue
         gabriel = _gabriel_mask(cx, pts, tree, k, cs, r2)
+        # the cofaces' levels are final, so capping a Gabriel level at them
+        # (float noise can put it above) keeps level(face) <= level(coface)
         cap, has = _coface_min(cx, k, levels)
-        levels[ids.start : ids.stop] = np.where(gabriel | ~has, own, cap)
-    # clamp float noise so level(face) <= level(coface) holds exactly
-    for k in range(n - 1, -1, -1):
-        ids = cx.ids_of_dim(k)
-        cap, _ = _coface_min(cx, k, levels)
-        lv = levels[ids.start : ids.stop]
-        levels[ids.start : ids.stop] = np.where(lv > cap, cap, lv)
+        levels[ids.start : ids.stop] = np.where(gabriel | ~has, np.minimum(own, cap), cap)
     return levels
 
 

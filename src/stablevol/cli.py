@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -127,7 +128,7 @@ def _load_input(path):
     """Returns (order, pointcloud or None). Pointclouds get an alpha
     filtration."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as e:
         raise ValueError(f"cannot read {path}: {e}")
@@ -185,16 +186,15 @@ def _select_pair(pairs, args):
     return pairs[cands[0]]
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(chunks, out_path):
+    """Writes the strings `chunks` in turn to out_path, or to stdout."""
+    with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as fh:
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def _dump_json(obj, out_path):
-    _emit(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", out_path)
+    _emit([json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"], out_path)
 
 
 def _pair_json(p):
@@ -220,22 +220,60 @@ _PD_PAIR = (
 )
 
 
-def _pd_diagram_json(k, births, deaths, birth_simplices, death_simplices, essential) -> str:
+# pd formats at most this many pairs into one chunk of text; each chunk is
+# written before the next is formatted, so the output is never held whole
+_PD_CHUNK = 256
+
+
+def _pd_diagram_json(k, births, deaths, birth_simplices, death_simplices, essential):
     """The degree-k diagram object of pd's output, from the listed pairs'
-    column arrays, exactly as json.dumps(indent=2, sort_keys=True,
-    allow_nan=False) writes it. An essential pair's death and death simplex
-    are null."""
+    column arrays, as text chunks that join to what json.dumps(indent=2,
+    sort_keys=True, allow_nan=False) writes. An essential pair's death and
+    death simplex are null. The levels are checked at once, so a non-finite
+    one raises ValueError before any chunk; the chunks are formatted as
+    they are iterated."""
     if not (np.isfinite(births).all() and np.isfinite(deaths[~essential]).all()):
         raise ValueError("Out of range float values are not JSON compliant")
-    deaths = list(map(float.__repr__, deaths.tolist()))
-    death_simplices = death_simplices.tolist()
-    for r in np.flatnonzero(essential).tolist():
-        deaths[r] = death_simplices[r] = "null"
-    rows = zip(map(float.__repr__, births.tolist()), birth_simplices.tolist(), deaths,
-               death_simplices, itertools.repeat(k))
-    pairs = ",\n".join(map(_PD_PAIR.__mod__, rows))
-    pairs = f"[\n{pairs}\n      ]" if pairs else "[]"
-    return f'    {{\n      "degree": {k!r},\n      "pairs": {pairs}\n    }}'
+
+    def chunks():
+        yield f'    {{\n      "degree": {k!r},\n      "pairs": ['
+        for start in range(0, len(births), _PD_CHUNK):
+            part = slice(start, start + _PD_CHUNK)
+            dts = list(map(float.__repr__, deaths[part].tolist()))
+            dss = death_simplices[part].tolist()
+            for r in np.flatnonzero(essential[part]).tolist():
+                dts[r] = dss[r] = "null"
+            rows = zip(map(float.__repr__, births[part].tolist()),
+                       birth_simplices[part].tolist(), dts, dss, itertools.repeat(k))
+            yield (",\n" if start else "\n") + ",\n".join(map(_PD_PAIR.__mod__, rows))
+        yield "\n      ]\n    }" if len(births) else "]\n    }"
+
+    return chunks()
+
+
+def _pd_json(diagrams, squared):
+    """pd's whole document, as text chunks, around the chunks of each of
+    the `diagrams` (from `_pd_diagram_json`)."""
+    yield '{\n  "diagrams": ['
+    for i, diagram in enumerate(diagrams):
+        yield ",\n" if i else "\n"
+        yield from diagram
+    listed = "\n  ]" if diagrams else "]"
+    yield f'{listed},\n  "squared": {"true" if squared else "false"}\n}}\n'
+
+
+def _pd_scatter_tsv(listed, squared):
+    """pd's --scatter table, as text chunks, from (degree, births, deaths)
+    arrays of unsquared levels."""
+    yield "degree\tbirth\tdeath\n"
+    for k, births, deaths in listed:
+        for start in range(0, len(births), _PD_CHUNK):
+            part = slice(start, start + _PD_CHUNK)
+            rows = zip(births[part].tolist(), deaths[part].tolist())
+            if squared:
+                rows = ((x ** 2, y ** 2) for x, y in rows)
+            yield "".join(f"{k}\t{x!r}\t{'inf' if math.isinf(y) else repr(y)}\n"
+                          for x, y in rows)
 
 
 def _volume_json(order, pc, pair, cells, method, epsilon, extra=None):
@@ -267,7 +305,7 @@ def cmd_pd(args) -> int:
     order, _ = _load_input(args.input)
     pairs = pers.pairs(order, args.degree)
     degrees = args.degree if args.degree else list(range(order.cx.dim + 1))
-    diagrams, rows = [], []
+    listed, diagrams = [], []
     for k in degrees:
         idx = pairs.diagram_index(k)
         b, d = pairs.birth_time[idx], pairs.death_time[idx]
@@ -278,20 +316,15 @@ def cmd_pd(args) -> int:
                 births, deaths = b * b, d * d
             if not (np.isfinite(births).all() and np.isfinite(deaths[~essential]).all()):
                 raise ValueError("--squared: a level overflows when squared")
-        if args.scatter:
-            for x, y in zip(b.tolist(), d.tolist()):
-                if args.squared:
-                    x, y = x ** 2, y ** 2
-                rows.append(f"{k}\t{x!r}\t{'inf' if math.isinf(y) else repr(y)}")
+        listed.append((k, b, d))
         diagrams.append(_pd_diagram_json(
             k, births, deaths, pairs.birth_simplex[idx], pairs.death_simplex[idx], essential
         ))
+    # every level is checked by now: the outputs are opened only after that,
+    # and written chunk by chunk as they are formatted
     if args.scatter:
-        _emit("degree\tbirth\tdeath\n" + "".join(r + "\n" for r in rows), args.scatter)
-    listed = ",\n".join(diagrams)
-    listed = f"[\n{listed}\n  ]" if listed else "[]"
-    squared = "true" if args.squared else "false"
-    _emit(f'{{\n  "diagrams": {listed},\n  "squared": {squared}\n}}\n', args.output)
+        _emit(_pd_scatter_tsv(listed, args.squared), args.scatter)
+    _emit(_pd_json(diagrams, args.squared), args.output)
     return 0
 
 
@@ -379,7 +412,7 @@ def cmd_sweep(args) -> int:
     pairs = pers.pairs(order, [args.degree])
     pair = _select_pair(pairs, args)
     rows = sweep_sizes(_tree_for(order, pairs, pair), pair, grid)
-    _emit("".join(f"{e!r}\t{s}\n" for e, s in rows), args.output)
+    _emit(["".join(f"{e!r}\t{s}\n" for e, s in rows)], args.output)
     return 0
 
 
@@ -446,7 +479,7 @@ def cmd_rsc(args) -> int:
 
 def cmd_gen(args) -> int:
     pc = generate(args.fixture, args.seed)
-    _emit(format_pointcloud(pc), args.output)
+    _emit([format_pointcloud(pc)], args.output)
     return 0
 
 

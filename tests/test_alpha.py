@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import alpha_levels_full_scan, geometry_cases
@@ -262,5 +262,9 @@ def near_degenerate_clouds(draw):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(pts=near_degenerate_clouds())
+@example(pts=np.array(list(itertools.product(range(2), repeat=3)), dtype=float))
+# point 2 lies strictly inside the diametral circle of edge (0, 1), but not
+# in that edge's link in the complex certified for the jittered points
+@example(pts=np.array([[1e-15, 1e-15], [0.0, 1.0], [0.0, 2e-15], [0.0, 0.0]]))
 def test_gabriel_cascade_matches_full_scan_on_near_degenerate_clouds(pts):
     assert_levels_equal_full_scan(pts)

@@ -904,14 +904,72 @@ def test_pd_writer_refuses_non_finite_values():
     ints = np.array([0])
     for births, deaths in [([math.inf], [1.0]), ([0.0], [math.nan])]:
         with pytest.raises(ValueError):
-            _pd_diagram_json(0, np.array(births), np.array(deaths), ints, ints,
-                             np.array([False]))
+            next(_pd_diagram_json(0, np.array(births), np.array(deaths), ints, ints,
+                                  np.array([False])))
     # an essential pair's infinite death is written as null
-    text = _pd_diagram_json(0, np.array([0.5]), np.array([math.inf]), ints, np.array([-1]),
-                            np.array([True]))
+    text = "".join(_pd_diagram_json(0, np.array([0.5]), np.array([math.inf]), ints,
+                                    np.array([-1]), np.array([True])))
     assert json.loads(text) == {"degree": 0, "pairs": [
         {"birth": 0.5, "birth_simplex": 0, "death": None, "death_simplex": None, "degree": 0}
     ]}
+
+
+class RecordingStdout:
+    """A stdout that keeps every string written to it, one entry a write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_pd_writes_its_output_in_bounded_chunks(tmp_path, monkeypatch):
+    # a seeded 1600-point cloud: about 550 KB of pd output, which pd must
+    # never hold whole, so no single write may come near it
+    pts = np.random.default_rng(7).uniform(0.0, 40.0, (1600, 2))
+    path = tmp_path / "cloud.txt"
+    path.write_text("".join(f"{x!r} {y!r}\n" for x, y in pts.tolist()))
+    rec = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", rec)
+    assert main(["pd", str(path)]) == 0
+    out = "".join(rec.writes)
+    assert len(out) > 8 * 64 * 1024
+    assert max(map(len, rec.writes)) <= 64 * 1024
+    assert out == pd_json_oracle(reduce_oracle(_load_input(str(path))[0]), [0, 1, 2])
+    # -o writes the same bytes to the file, and nothing to stdout
+    rec.writes.clear()
+    target = tmp_path / "pd.json"
+    assert main(["pd", str(path), "-o", str(target)]) == 0
+    assert rec.writes == [] and target.read_bytes() == out.encode()
+    # a level that overflows when squared is found before any output opens
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"simplices": [
+        {"v": [0], "level": 0}, {"v": [1], "level": 0}, {"v": [0, 1], "level": 1e200},
+    ]}))
+    target, tsv = tmp_path / "squared.json", tmp_path / "squared.tsv"
+    for extra in [[], ["-o", str(target)], ["--scatter", str(tsv)]]:
+        assert main(["pd", str(big), "--squared", *extra]) == 2
+    assert "".join(rec.writes) == ""
+    assert not target.exists() and not tsv.exists()
+
+
+@pytest.mark.parametrize("name", ["fig1", "complex"])
+def test_input_with_a_byte_order_mark_reads_as_without(fig1_file, tmp_path, capsys, name):
+    if name == "fig1":
+        plain = Path(fig1_file)
+    else:
+        plain = tmp_path / "complex.json"
+        plain.write_text(json.dumps(complex_to_json(_load_input(fig1_file)[0])))
+    marked = tmp_path / f"bom-{plain.name}"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    code, want, _ = run(["pd", str(plain)], capsys)
+    assert code == 0
+    assert run(["pd", str(marked)], capsys) == (0, want, "")
 
 
 def select_pair_oracle(pairs, args):
