@@ -13,8 +13,9 @@ borderline points in exact rational arithmetic, so cocircular
 configurations such as unit squares get exact levels.
 
 `alpha_levels` works one dimension at a time, top down, on arrays.
-`_gabriel_mask` decides the simplices of a dimension in three stages, each
-of which decides a simplex only as a scan of all points would:
+`_gabriel_mask` decides the simplices of a dimension in two array stages,
+each of which decides a simplex only as a scan of all points would, and
+hands the rest to `_is_gabriel`:
 
 1. the coface witnesses: the vertex opposite the simplex in each of its
    cofaces, read off the complex's face and vertex arrays. In a Delaunay
@@ -26,11 +27,11 @@ of which decides a simplex only as a scan of all points would:
    borderline; if the simplex's own vertices are the only points found
    there, it is Gabriel. k+2 points suffice: a k-simplex has k+1
    vertices, and no point beyond the k+2 found is nearer than they are.
-3. `_gabriel_by_ball` for the rest: the KD-tree lists the points within
-   the candidate radius, the float band runs over all (simplex, point)
-   pairs at once, and only a simplex with a borderline point and none
-   inside reaches `_is_gabriel`, which repeats the band for that simplex
-   and decides its borderline points exactly.
+
+A simplex still open (on clouds in general position there is none; on
+grids, the diagonals of squares) gets the points within the candidate
+radius from one batched KD-tree ball query, and `_is_gabriel` runs the
+float band on them and decides its borderline points exactly.
 
 Minima over cofaces are per-dimension reductions over the complex's CSR
 coface arrays. `_is_gabriel` without candidates scans every point; the
@@ -39,7 +40,6 @@ tests compare `alpha_levels` with a per-simplex loop over that full scan.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -113,13 +113,14 @@ def _circum_one(pts_row):
     return V[0] + cvec, float(cvec @ cvec)
 
 
-def _circum_batch(pts: np.ndarray, vert_lists: np.ndarray, huge_r2=None):
+def _circum_batch(pts: np.ndarray, vert_lists: np.ndarray):
     """Circumcenters and squared circumradii of same-dimension simplices.
 
     Exactly degenerate simplices (affinely dependent vertices, possible in a
     jitter-resolved triangulation of degenerate inputs) get a sentinel radius
-    far beyond the data scale: they can never be Gabriel, so they inherit
-    their coface levels downstream, which is the correct limit behaviour.
+    far beyond the data scale of `pts`: they can never be Gabriel, so they
+    inherit their coface levels downstream, which is the correct limit
+    behaviour.
     """
     V = pts[vert_lists]  # (m, k+1, d)
     A = V[:, 1:, :] - V[:, :1, :]  # (m, k, d)
@@ -128,18 +129,15 @@ def _circum_batch(pts: np.ndarray, vert_lists: np.ndarray, huge_r2=None):
     try:
         lam = np.linalg.solve(G, g[..., None])[..., 0]
     except np.linalg.LinAlgError:
+        spread = float(((pts.max(axis=0) - pts.min(axis=0)) ** 2).sum())
         centers = np.empty((len(vert_lists), pts.shape[1]))
         r2 = np.empty(len(vert_lists))
         for j, verts in enumerate(vert_lists):
             try:
                 centers[j], r2[j] = _circum_one(pts[verts])
             except np.linalg.LinAlgError:
-                if huge_r2 is None:
-                    raise DegenerateInputError(
-                        "affinely dependent simplex vertices; circumsphere undefined"
-                    )
                 centers[j] = pts[verts].mean(axis=0)
-                r2[j] = huge_r2
+                r2[j] = 1e12 * (spread + 1.0)
         return centers, r2
     cvec = np.einsum("mk,mkd->md", lam, A)
     centers = V[:, 0, :] + cvec
@@ -188,8 +186,6 @@ def alpha_levels(cx: SimplicialComplex, points) -> np.ndarray:
     from scipy.spatial import cKDTree
 
     pts = np.asarray(points, dtype=float)
-    spread = float(((pts.max(axis=0) - pts.min(axis=0)) ** 2).sum())
-    huge_r2 = 1e12 * (spread + 1.0)
     n = cx.dim
     levels = np.zeros(len(cx))
     tree = cKDTree(pts)
@@ -198,7 +194,7 @@ def alpha_levels(cx: SimplicialComplex, points) -> np.ndarray:
         if not ids:
             continue
         verts = cx.vertex_array(k)
-        cs, r2 = _circum_batch(pts, verts, huge_r2=huge_r2)
+        cs, r2 = _circum_batch(pts, verts)
         own = np.sqrt(np.maximum(r2, 0.0))
         if k == n:
             levels[ids.start : ids.stop] = own
@@ -213,11 +209,11 @@ def alpha_levels(cx: SimplicialComplex, points) -> np.ndarray:
 
 def _gabriel_mask(cx, pts, tree, k, cs, r2):
     """Gabriel flag of each k-simplex, 0 < k < cx.dim, from the
-    circumcenters and squared radii of the k-simplices, by the three stages
-    of the module docstring."""
+    circumcenters and squared radii of the k-simplices, by the stages of
+    the module docstring."""
     ids, verts = cx.ids_of_dim(k), cx.vertex_array(k)
     sim = cx.face_array(k + 1).ravel() - ids.start
-    inside, _ = _band(pts, cs, r2, sim, cx.vertex_array(k + 1).ravel())
+    inside, _ = _band(pts[cx.vertex_array(k + 1).ravel()], cs[sim], r2[sim])
     gabriel = np.ones(len(verts), dtype=bool)
     gabriel[sim[inside]] = False
     rest = np.flatnonzero(gabriel)
@@ -227,46 +223,19 @@ def _gabriel_mask(cx, pts, tree, k, cs, r2):
         own = (near[:, :, None] == verts[rest][:, None, :]).any(axis=2)
         rest = rest[((dist <= radius[:, None]) & ~own).any(axis=1)]
     if len(rest):
-        gabriel[rest] = _gabriel_by_ball(
-            cx, pts, tree, ids.start + rest, verts[rest], cs[rest], r2[rest]
-        )
+        near = tree.query_ball_point(cs[rest], _candidate_radius(r2[rest]))
+        for j, cands in zip(rest.tolist(), near):
+            gabriel[j] = _is_gabriel(cx, pts, ids.start + j, cs[j], r2[j], cands)
     return gabriel
 
 
-def _gabriel_by_ball(cx, pts, tree, sids, verts, cs, r2):
-    """Gabriel flag of each of the simplices `sids` (vertex rows,
-    circumcenters, squared radii).
-
-    The KD-tree candidates of all simplices go through the float band of
-    `_is_gabriel` at once, as (simplex, point) pairs. A simplex with a point
-    inside is not Gabriel, one with neither an inside nor a borderline point
-    is; `_is_gabriel` decides the rest.
-    """
-    near = tree.query_ball_point(cs, _candidate_radius(r2))
-    counts = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
-    sim = np.repeat(np.arange(len(near)), counts)
-    pt = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp, count=int(counts.sum()))
-    other = (pt[:, None] != verts[sim]).all(axis=1)
-    sim, pt = sim[other], pt[other]
-    in_pair, border_pair = _band(pts, cs, r2, sim, pt)
-    inside = np.zeros(len(near), dtype=bool)
-    inside[sim[in_pair]] = True
-    border = np.zeros(len(near), dtype=bool)
-    border[sim[border_pair]] = True
-    gabriel = ~(inside | border)
-    for j in np.flatnonzero(border & ~inside):
-        gabriel[j] = _is_gabriel(cx, pts, sids[j], cs[j], r2[j], near[j])
-    return gabriel
-
-
-def _band(pts, cs, r2, sim, pt):
-    """The float band of `_is_gabriel` on (simplex, point) pairs: whether
-    point pt[i] is inside the circumsphere of simplex sim[i], and whether
-    it is borderline."""
-    d2 = ((pts[pt] - cs[sim]) ** 2).sum(axis=1)
-    r2s = r2[sim]
-    band = _GABRIEL_BAND * (d2 + r2s + 1e-300)
-    return d2 < r2s - band, np.abs(d2 - r2s) <= band
+def _band(p, c, r2):
+    """The float band of the Gabriel test: whether each point p lies
+    inside the sphere of center c and squared radius r2 (rows broadcast
+    against each other), and whether it is borderline."""
+    d2 = ((p - c) ** 2).sum(axis=1)
+    band = _GABRIEL_BAND * (d2 + r2 + 1e-300)
+    return d2 < r2 - band, np.abs(d2 - r2) <= band
 
 
 def _coface_min(cx, k, levels):
@@ -285,8 +254,8 @@ def _coface_min(cx, k, levels):
 def _candidate_radius(r2):
     """Search radius that covers every point the float band can flag.
 
-    The band flags a point at squared distance d2 only if
-    d2 <= r2 + 1e-9 * (d2 + r2 + 1e-300), that is, only within
+    `_band` flags a point only if its squared distance from the center
+    exceeds r2 by at most the band, that is, only within
     (1 + 1.1e-9) * sqrt(r2 + 1e-300) of the center.
     """
     return np.sqrt(np.maximum(r2, 0.0) + 1e-300) * (1.0 + _CANDIDATE_SLACK)
@@ -303,15 +272,13 @@ def _is_gabriel(cx, pts, sid, center, r2, candidates=None) -> bool:
     idx = np.arange(len(pts)) if candidates is None else np.asarray(candidates, dtype=np.intp)
     for v in verts:
         idx = idx[idx != v]
-    d2 = ((pts[idx] - center) ** 2).sum(axis=1)
-    band = _GABRIEL_BAND * (d2 + r2 + 1e-300)
-    if (d2 < r2 - band).any():
+    inside, border = _band(pts[idx], center, r2)
+    if inside.any():
         return False
-    border = idx[np.abs(d2 - r2) <= band]
-    if len(border) == 0:
+    if not border.any():
         return True
     ec, er2 = _circum_exact([pts[v] for v in verts])
-    for i in border:
+    for i in idx[border]:
         dd = sum((Fraction(x) - c) ** 2 for x, c in zip(pts[i], ec))
         if dd < er2:
             return False

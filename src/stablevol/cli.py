@@ -186,9 +186,14 @@ def _select_pair(pairs, args):
     return pairs[cands[0]]
 
 
+def _output(out_path):
+    """out_path opened for writing, or stdout, as a context manager."""
+    return open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout)
+
+
 def _emit(chunks, out_path):
     """Writes the strings `chunks` in turn to out_path, or to stdout."""
-    with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as fh:
+    with _output(out_path) as fh:
         for chunk in chunks:
             fh.write(chunk)
 
@@ -220,9 +225,10 @@ _PD_PAIR = (
 )
 
 
-# pd formats at most this many pairs into one chunk of text; each chunk is
-# written before the next is formatted, so the output is never held whole
-_PD_CHUNK = 256
+# pd and sweep format at most this many rows into one chunk of text; each
+# chunk is written before the next is formatted, so the output is never
+# held whole
+_CHUNK = 256
 
 
 def _pd_diagram_json(k, births, deaths, birth_simplices, death_simplices, essential):
@@ -237,8 +243,8 @@ def _pd_diagram_json(k, births, deaths, birth_simplices, death_simplices, essent
 
     def chunks():
         yield f'    {{\n      "degree": {k!r},\n      "pairs": ['
-        for start in range(0, len(births), _PD_CHUNK):
-            part = slice(start, start + _PD_CHUNK)
+        for start in range(0, len(births), _CHUNK):
+            part = slice(start, start + _CHUNK)
             dts = list(map(float.__repr__, deaths[part].tolist()))
             dss = death_simplices[part].tolist()
             for r in np.flatnonzero(essential[part]).tolist():
@@ -267,8 +273,8 @@ def _pd_scatter_tsv(listed, squared):
     arrays of unsquared levels."""
     yield "degree\tbirth\tdeath\n"
     for k, births, deaths in listed:
-        for start in range(0, len(births), _PD_CHUNK):
-            part = slice(start, start + _PD_CHUNK)
+        for start in range(0, len(births), _CHUNK):
+            part = slice(start, start + _CHUNK)
             rows = zip(births[part].tolist(), deaths[part].tolist())
             if squared:
                 rows = ((x ** 2, y ** 2) for x, y in rows)
@@ -321,10 +327,13 @@ def cmd_pd(args) -> int:
             k, births, deaths, pairs.birth_simplex[idx], pairs.death_simplex[idx], essential
         ))
     # every level is checked by now: the outputs are opened only after that,
+    # -o first, so that an -o that cannot be opened leaves no scatter file,
     # and written chunk by chunk as they are formatted
-    if args.scatter:
-        _emit(_pd_scatter_tsv(listed, args.squared), args.scatter)
-    _emit(_pd_json(diagrams, args.squared), args.output)
+    with _output(args.output) as out:
+        if args.scatter:
+            _emit(_pd_scatter_tsv(listed, args.squared), args.scatter)
+        for chunk in _pd_json(diagrams, args.squared):
+            out.write(chunk)
     return 0
 
 
@@ -412,7 +421,8 @@ def cmd_sweep(args) -> int:
     pairs = pers.pairs(order, [args.degree])
     pair = _select_pair(pairs, args)
     rows = sweep_sizes(_tree_for(order, pairs, pair), pair, grid)
-    _emit(["".join(f"{e!r}\t{s}\n" for e, s in rows)], args.output)
+    _emit(("".join(f"{e!r}\t{s}\n" for e, s in rows[i : i + _CHUNK])
+           for i in range(0, len(rows), _CHUNK)), args.output)
     return 0
 
 

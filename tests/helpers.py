@@ -361,8 +361,6 @@ def alpha_levels_full_scan(cx, points):
     """Reference alpha levels: one Gabriel test per simplex against every
     point (`_is_gabriel` without candidates), minima over cofaces in Python."""
     pts = np.asarray(points, dtype=float)
-    spread = float(((pts.max(axis=0) - pts.min(axis=0)) ** 2).sum())
-    huge_r2 = 1e12 * (spread + 1.0)
     n = cx.dim
     cofaces = views_from_arrays(cx)[3]
     levels = [0.0] * len(cx)
@@ -371,7 +369,7 @@ def alpha_levels_full_scan(cx, points):
         if not ids:
             continue
         vl = np.array([cx.simplices[i] for i in ids], dtype=int)
-        cs, r2 = _circum_batch(pts, vl, huge_r2=huge_r2)
+        cs, r2 = _circum_batch(pts, vl)
         for j, sid in enumerate(ids):
             if k == n or _is_gabriel(cx, pts, sid, cs[j], r2[j]):
                 levels[sid] = math.sqrt(max(r2[j], 0.0))

@@ -145,6 +145,11 @@ CASES["cloud3d-300"] = np.random.default_rng(2024).random((300, 3))
 # the minimum over its cofaces, the last segment of its dimension
 CASES["last-nongabriel-2d"] = np.array([(2.0, 0.5), (0.0, 0.0), (4.0, 0.0)])
 CASES["last-nongabriel-3d"] = np.random.default_rng(1).random((12, 3))
+# 303 distinct points on a 0.1 lattice: collinear and cocircular subsets
+# leave simplices open after the witnesses and the nearest neighbours
+CASES["rounded2d-300"] = np.unique(
+    np.round(np.random.default_rng(0).random((320, 2)) * 6.0, 1), axis=0
+)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -185,17 +190,18 @@ def test_degree1_diagram_invariant_under_permutation(seed):
     assert np.allclose(a, b, rtol=1e-12, atol=0.0)
 
 
-def count_ball_list(m):
-    """Patch `alpha._gabriel_by_ball` through the MonkeyPatch m to count the
-    simplices it receives; returns the one-element list of the count."""
+def count_gabriel_tests(m):
+    """Patch `alpha._is_gabriel` through the MonkeyPatch m to count its
+    calls from `alpha_levels`; returns the one-element list of the count.
+    The full scan of `helpers` keeps the unpatched function."""
     seen = [0]
-    ball = alpha_module._gabriel_by_ball
+    test = alpha_module._is_gabriel
 
-    def counted(cx, pts, tree, sids, *rest):
-        seen[0] += len(sids)
-        return ball(cx, pts, tree, sids, *rest)
+    def counted(*args):
+        seen[0] += 1
+        return test(*args)
 
-    m.setattr(alpha_module, "_gabriel_by_ball", counted)
+    m.setattr(alpha_module, "_is_gabriel", counted)
     return seen
 
 
@@ -217,8 +223,9 @@ def assert_levels_equal_full_scan(pts):
 @pytest.mark.parametrize("name", ["cloud2d-400", "cloud2d-3200", "cloud3d-800", "cloud3d-300"])
 def test_witnesses_and_neighbours_decide_seeded_clouds(name, monkeypatch):
     # on clouds in general position the coface witnesses and the k+2 nearest
-    # neighbours decide every simplex; the ball lists are never built
-    seen = count_ball_list(monkeypatch)
+    # neighbours decide every simplex; no ball list is built and no
+    # per-simplex Gabriel test runs
+    seen = count_gabriel_tests(monkeypatch)
     pts = CASES[name]
     alpha_levels(delaunay(pts), pts)
     assert seen == [0]
@@ -227,8 +234,16 @@ def test_witnesses_and_neighbours_decide_seeded_clouds(name, monkeypatch):
 def test_ball_list_path_decides_cocircular_grid_squares(monkeypatch):
     # a unit square's diagonal has the other two corners on its ball, so
     # neither the witnesses nor the nearest neighbours decide it
-    seen = count_ball_list(monkeypatch)
+    seen = count_gabriel_tests(monkeypatch)
     assert_levels_equal_full_scan(CASES["grid-20x20"][:100])
+    assert seen[0] > 0
+
+
+def test_ball_list_path_decides_rounded_cloud_simplices(monkeypatch):
+    # points on a lattice without being a grid: the simplices left open
+    # after the nearest neighbours go to _is_gabriel with their ball lists
+    seen = count_gabriel_tests(monkeypatch)
+    assert_levels_equal_full_scan(CASES["rounded2d-300"])
     assert seen[0] > 0
 
 

@@ -98,6 +98,27 @@ def test_pd_scatter(fig1_file, tmp_path, capsys):
     assert len(lines) > 3
 
 
+def test_pd_opens_o_before_it_writes_the_scatter_file(fig1_file, tmp_path, capsys):
+    tsv = tmp_path / "sc.tsv"
+    missing = tmp_path / "missing-dir" / "out.json"
+    code, out, err = run(["pd", fig1_file, "--scatter", str(tsv), "-o", str(missing)], capsys)
+    assert (code, out) == (2, "") and "No such file or directory" in err
+    assert not tsv.exists()
+    # the same outputs once -o can be opened: scatter and -o as written alone
+    target = tmp_path / "out.json"
+    assert run(["pd", fig1_file, "--scatter", str(tsv), "-o", str(target)], capsys)[:2] == (0, "")
+    code, want, _ = run(["pd", fig1_file], capsys)
+    assert code == 0 and target.read_text() == want
+    scatter = tsv.read_text()
+    tsv.unlink()
+    assert run(["pd", fig1_file, "--scatter", str(tsv)], capsys)[:2] == (0, want)
+    assert tsv.read_text() == scatter
+    # one file for both: the JSON, written last and never shorter than the
+    # table, overwrites it whole, as when the table was written first
+    assert run(["pd", fig1_file, "--scatter", str(tsv), "-o", str(tsv)], capsys)[:2] == (0, "")
+    assert tsv.read_text() == want
+
+
 def test_empty_input_exit_2(tmp_path, capsys):
     p = tmp_path / "empty.txt"
     p.write_text("")
@@ -520,6 +541,31 @@ def test_sweep_rows(fig1_file, tmp_path, capsys):
         capsys,
     )
     assert len(single.strip().splitlines()) == 1
+
+
+def test_sweep_writes_its_rows_in_bounded_chunks(fig1_file, tmp_path, monkeypatch):
+    # 40,001 rows: the table is written chunk by chunk, never joined whole,
+    # and the chunks join to one line per row of sweep_sizes
+    from stablevol.cli import _tree_for
+    from stablevol.dualtree import sweep_sizes
+
+    rec = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", rec)
+    argv = ["sweep", fig1_file, "--pair-index", "1", "--epsilon-grid", "0:0.4:0.00001"]
+    assert main(argv) == 0
+    order = _load_input(fig1_file)[0]
+    pairs = pers.pairs(order, [1])
+    pair = _select_pair(pairs, SimpleNamespace(pair_index=1, degree=1, birth=None, death=None))
+    grid = cli._parse_grid("0:0.4:0.00001")
+    rows = sweep_sizes(_tree_for(order, pairs, pair), pair, grid)
+    want = "".join(f"{e!r}\t{s}\n" for e, s in rows)
+    assert len(rows) == 40_001 and "".join(rec.writes) == want
+    assert len(rec.writes) > 100 and max(map(len, rec.writes)) <= 64 * 1024
+    # -o gets the same bytes
+    target = tmp_path / "sweep.tsv"
+    rec.writes.clear()
+    assert main([*argv, "-o", str(target)]) == 0
+    assert rec.writes == [] and target.read_text() == want
 
 
 @pytest.mark.parametrize(
