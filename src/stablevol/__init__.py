@@ -20,8 +20,8 @@ _EXPORTS = {
     "dualtree": ("ConditionError", "DegreeError", "DualGraph", "PersistenceTree",
                  "StableVolumeResult", "build_dual_graph", "compute_tree",
                  "optimal_volume_tree", "stable_volume_tree", "sweep_sizes"),
-    "persistence": ("Diagram", "Pairs", "PersistencePair", "StarPairError",
-                    "cohomology_reduce", "diagram", "pairs", "reduce"),
+    "persistence": ("Pairs", "PersistencePair", "StarPairError", "cohomology_reduce",
+                    "pairs", "reduce"),
     "volopt": ("ApproximationMismatch", "L1Program", "VolumeProblem", "make_problem",
                "round_support", "solve_lp", "solve_volume", "to_lp"),
 }

@@ -34,8 +34,8 @@ radius from one batched KD-tree ball query, and `_is_gabriel` runs the
 float band on them and decides its borderline points exactly.
 
 Minima over cofaces are per-dimension reductions over the complex's CSR
-coface arrays. `_is_gabriel` without candidates scans every point; the
-tests compare `alpha_levels` with a per-simplex loop over that full scan.
+coface arrays. The tests compare `alpha_levels` with a per-simplex loop
+that hands `_is_gabriel` every point as a candidate.
 """
 
 from __future__ import annotations
@@ -261,15 +261,14 @@ def _candidate_radius(r2):
     return np.sqrt(np.maximum(r2, 0.0) + 1e-300) * (1.0 + _CANDIDATE_SLACK)
 
 
-def _is_gabriel(cx, pts, sid, center, r2, candidates=None) -> bool:
+def _is_gabriel(cx, pts, sid, center, r2, candidates) -> bool:
     """True iff no other input point lies strictly inside the circumball.
 
-    `candidates`, if given, are the indices of the points to test; it must
-    include every point within `_candidate_radius(r2)` of the center.
-    Without it every point is tested.
+    `candidates` are the indices of the points to test; they must include
+    every point within `_candidate_radius(r2)` of the center.
     """
     verts = cx.vertices(sid)
-    idx = np.arange(len(pts)) if candidates is None else np.asarray(candidates, dtype=np.intp)
+    idx = np.asarray(candidates, dtype=np.intp)
     for v in verts:
         idx = idx[idx != v]
     inside, border = _band(pts[idx], center, r2)
@@ -292,7 +291,7 @@ def alpha_filtration(points) -> AlphaFiltration:
     else:
         arr = np.asarray(points, dtype=float)
         pc = PointCloud(arr.shape[1], arr)
-    cx = delaunay(pc.points, pc.dim)
+    cx = delaunay(pc.points)
     levels = alpha_levels(cx, pc.points)
     order = build_order(cx, levels)
     return AlphaFiltration(pc, cx, order)

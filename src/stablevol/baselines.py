@@ -166,24 +166,25 @@ class RscResult:
 def reconstructed_shortest_cycle(
     o: OrderWithLevel,
     pair: PersistencePair,
+    cocycle: set,
     k_rank: Optional[int] = None,
     euclidean: bool = False,
     points=None,
-    cocycle: Optional[set] = None,
 ) -> RscResult:
     """Tightest 1-cycle for a degree-1 pair at filtration step k.
 
-    With C the representative cocycle of the pair, each edge of C present at
-    step k proposes the loop (shortest path between its endpoints avoiding C)
-    + (the edge itself); the lightest proposal wins, ties going to the least
-    sorted edge tuple. Weights are hop counts unless euclidean=True (needs
-    points). Hop-count loops come from one lockstep breadth-first search
-    over all crossing edges (`_lockstep_loop`). Euclidean loops come from
-    one Dijkstra run per crossing edge (`_shortest_path`), each bounded by
-    the best loop so far: it stops once its paths plus the proposing edge
-    are strictly heavier. A fully separating cut is reported via
-    status="disconnected", not raised. Without `cocycle`, the pair's
-    cocycle comes from `cohomology_reduce`.
+    With C the representative cocycle of the pair (edge ids, as the
+    `cocycle` function of `cohomology_reduce` gives them), each edge of C
+    present at step k proposes the loop (shortest path between its
+    endpoints avoiding C) + (the edge itself); the lightest proposal wins,
+    ties going to the least sorted edge tuple. Weights are hop counts
+    unless euclidean=True (needs points). Hop-count loops come from one
+    lockstep breadth-first search over all crossing edges
+    (`_lockstep_loop`). Euclidean loops come from one Dijkstra run per
+    crossing edge (`_shortest_path`), each bounded by the best loop so far:
+    it stops once its paths plus the proposing edge are strictly heavier.
+    A fully separating cut is reported via status="disconnected", not
+    raised.
     """
     if pair.degree != 1:
         raise ValueError("reconstructed shortest cycles apply to degree-1 pairs only")
@@ -191,8 +192,6 @@ def reconstructed_shortest_cycle(
         raise pers.StarPairError("essential pairs have no death index")
     if euclidean and points is None:
         raise ValueError("euclidean weights need point coordinates")
-    if cocycle is None:
-        cocycle = pers.cohomology_reduce(o)[1](pair.birth_rank, pair.death_rank)
     if k_rank is None:
         k_rank = pair.death_rank - 1
     if not pair.birth_rank <= k_rank < pair.death_rank:

@@ -141,8 +141,12 @@ def _load_input(path):
     return alpha_filtration(pc).order, pc
 
 
-def _parse_window(spec: str, option: str, exact_tol: float = 1e-9):
-    """The closed window LO:HI, or X +- exact_tol, that `option` gives."""
+# half width of the window that a single value X of --birth or --death gives
+_EXACT_TOL = 1e-9
+
+
+def _parse_window(spec: str, option: str):
+    """The closed window LO:HI, or X +- _EXACT_TOL, that `option` gives."""
     try:
         bounds = [float(x) for x in spec.split(":", 1)]
     except ValueError:
@@ -151,7 +155,7 @@ def _parse_window(spec: str, option: str, exact_tol: float = 1e-9):
         raise ValueError(f"{option}: bad value {spec!r}, NaN is not a level")
     if len(bounds) == 2:
         return bounds[0], bounds[1]
-    return bounds[0] - exact_tol, bounds[0] + exact_tol
+    return bounds[0] - _EXACT_TOL, bounds[0] + _EXACT_TOL
 
 
 def _select_pair(pairs, args):
@@ -268,16 +272,14 @@ def _pd_json(diagrams, squared):
     yield f'{listed},\n  "squared": {"true" if squared else "false"}\n}}\n'
 
 
-def _pd_scatter_tsv(listed, squared):
+def _pd_scatter_tsv(listed):
     """pd's --scatter table, as text chunks, from (degree, births, deaths)
-    arrays of unsquared levels."""
+    arrays of the levels that the JSON lists."""
     yield "degree\tbirth\tdeath\n"
     for k, births, deaths in listed:
         for start in range(0, len(births), _CHUNK):
             part = slice(start, start + _CHUNK)
             rows = zip(births[part].tolist(), deaths[part].tolist())
-            if squared:
-                rows = ((x ** 2, y ** 2) for x, y in rows)
             yield "".join(f"{k}\t{x!r}\t{'inf' if math.isinf(y) else repr(y)}\n"
                           for x, y in rows)
 
@@ -314,15 +316,14 @@ def cmd_pd(args) -> int:
     listed, diagrams = [], []
     for k in degrees:
         idx = pairs.diagram_index(k)
-        b, d = pairs.birth_time[idx], pairs.death_time[idx]
+        births, deaths = pairs.birth_time[idx], pairs.death_time[idx]
         essential = pairs.death_rank[idx] < 0
-        births, deaths = b, d
         if args.squared:
             with np.errstate(over="ignore"):
-                births, deaths = b * b, d * d
+                births, deaths = births * births, deaths * deaths
             if not (np.isfinite(births).all() and np.isfinite(deaths[~essential]).all()):
                 raise ValueError("--squared: a level overflows when squared")
-        listed.append((k, b, d))
+        listed.append((k, births, deaths))
         diagrams.append(_pd_diagram_json(
             k, births, deaths, pairs.birth_simplex[idx], pairs.death_simplex[idx], essential
         ))
@@ -331,7 +332,7 @@ def cmd_pd(args) -> int:
     # and written chunk by chunk as they are formatted
     with _output(args.output) as out:
         if args.scatter:
-            _emit(_pd_scatter_tsv(listed, args.squared), args.scatter)
+            _emit(_pd_scatter_tsv(listed), args.scatter)
         for chunk in _pd_json(diagrams, args.squared):
             out.write(chunk)
     return 0
@@ -394,7 +395,8 @@ _MAX_GRID_POINTS = 1_000_000
 
 
 def _parse_grid(spec: str):
-    """The bandwidths A, A + STEP, ... up to B of an A:B:STEP grid."""
+    """The bandwidths A, A + STEP, ... up to B of an A:B:STEP grid, as a
+    float array."""
     try:
         a, b, step = (float(x) for x in spec.split(":"))
     except ValueError:
@@ -412,7 +414,7 @@ def _parse_grid(spec: str):
         raise ValueError(
             f"--epsilon-grid: bad grid {spec!r}, more than {_MAX_GRID_POINTS} points"
         )
-    return [a + i * step for i in range(math.floor(count) + 1)]
+    return a + np.arange(math.floor(count) + 1) * step
 
 
 def cmd_sweep(args) -> int:
@@ -420,9 +422,10 @@ def cmd_sweep(args) -> int:
     order, _ = _load_input(args.input)
     pairs = pers.pairs(order, [args.degree])
     pair = _select_pair(pairs, args)
-    rows = sweep_sizes(_tree_for(order, pairs, pair), pair, grid)
-    _emit(("".join(f"{e!r}\t{s}\n" for e, s in rows[i : i + _CHUNK])
-           for i in range(0, len(rows), _CHUNK)), args.output)
+    sizes = sweep_sizes(_tree_for(order, pairs, pair), pair, grid)
+    _emit(("".join(map("%r\t%d\n".__mod__, zip(grid[i : i + _CHUNK].tolist(),
+                                                 sizes[i : i + _CHUNK].tolist())))
+           for i in range(0, len(grid), _CHUNK)), args.output)
     return 0
 
 
@@ -466,8 +469,8 @@ def cmd_rsc(args) -> int:
         below = np.flatnonzero(window <= pair.birth_time + args.bandwidth)
         k = pair.birth_rank + (int(below[-1]) if len(below) else 0)
     res = reconstructed_shortest_cycle(
-        order, pair, k_rank=k, euclidean=args.euclidean, points=points,
-        cocycle=cocycle(pair.birth_rank, pair.death_rank),
+        order, pair, cocycle(pair.birth_rank, pair.death_rank), k_rank=k,
+        euclidean=args.euclidean, points=points,
     )
     loop = res.loop
     obj = {

@@ -368,17 +368,13 @@ class OrderWithLevel:
 def build_order(cx: SimplicialComplex, level) -> OrderWithLevel:
     """Total order refining the level map; ties break by (dim, lex verts).
 
-    Raises MonotonicityError naming the first face/coface pair whose levels
-    are out of order (by coface id, then face in vertex-removal order). The
-    level argument may be a sequence or array indexed by simplex id, or a
-    mapping from vertex tuples (or ids) to levels.
+    `level` is an array-like of floats indexed by simplex id. Raises
+    MonotonicityError naming the first face/coface pair whose levels are
+    out of order (by coface id, then face in vertex-removal order).
     """
-    if isinstance(level, np.ndarray):
-        if len(level) != len(cx):
-            raise ValueError(f"expected {len(cx)} levels, got {len(level)}")
-        arr = level.astype(float)
-    else:
-        arr = np.array(_levels_as_list(cx, level), dtype=float)
+    arr = np.array(level, dtype=float)
+    if arr.ndim != 1 or len(arr) != len(cx):
+        raise ValueError(f"expected {len(cx)} levels, got {arr.size}")
     for k in range(1, cx.dim + 1):
         ids = cx.ids_of_dim(k)
         faces = cx.face_array(k)
@@ -389,23 +385,6 @@ def build_order(cx: SimplicialComplex, level) -> OrderWithLevel:
             raise MonotonicityError(cx.vertices(fi), cx.vertices(i), float(arr[fi]), float(arr[i]))
     # ids ascend in (dim, lex verts) order, so a stable sort breaks the ties
     return OrderWithLevel(cx, arr, np.argsort(arr, kind="stable"))
-
-
-def _levels_as_list(cx: SimplicialComplex, level) -> list:
-    if isinstance(level, Mapping):
-        out = []
-        for i, s in enumerate(cx.simplices):
-            if s in level:
-                out.append(float(level[s]))
-            elif i in level:
-                out.append(float(level[i]))
-            else:
-                raise KeyError(f"no level for simplex {s}")
-        return out
-    lv = [float(x) for x in level]
-    if len(lv) != len(cx):
-        raise ValueError(f"expected {len(cx)} levels, got {len(lv)}")
-    return lv
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +406,14 @@ def complex_from_json(obj) -> OrderWithLevel:
     earlier one), up to 10 missing faces (in simplex order, not entry
     order), a non-finite level (the first in entry order) or a bad
     "vertices" value. Where a bulk check fails, a scan of the entries words
-    the error. Integral floats such as 1.0 are valid ids.
+    the error. Integral floats such as 1.0 are valid ids. Text nested too
+    deeply for `json.loads` raises a one-line ValueError too.
     """
     if isinstance(obj, (str, bytes)):
-        obj = json.loads(obj)
+        try:
+            obj = json.loads(obj)
+        except RecursionError:
+            raise ValueError("complex JSON is nested too deeply to parse") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("simplices"), list):
         raise ValueError('complex JSON must be an object with a "simplices" list')
     entries = obj["simplices"]
@@ -526,8 +509,8 @@ def _raise_first_duplicate(vs) -> None:
         first[s] = k
 
 
-def _absent_faces(groups, limit: int = 10) -> list:
-    """"missing face F of S" for the first `limit` faces that the given rows
+def _absent_faces(groups) -> list:
+    """"missing face F of S" for the first 10 faces that the given rows
     lack, by dimension, then lexicographic order, then vertex-removal order;
     `groups` maps a width to (entry indices, vertex rows)."""
     given = {w: set(map(tuple, rows.tolist())) for w, (_, rows) in groups.items()}
@@ -536,7 +519,7 @@ def _absent_faces(groups, limit: int = 10) -> list:
         below = given.get(w - 1, set())
         out += [f"missing face {f} of {s}" for s in sorted(given[w])
                 for f in faces_of(s) if f not in below]
-    return out[:limit]
+    return out[:10]
 
 
 def _check_level(e) -> None:

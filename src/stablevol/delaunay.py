@@ -343,11 +343,11 @@ def _hull_is_convex(P, cells, hull_cell, hull_k):
     return True
 
 
-def delaunay(points, dim=None) -> SimplicialComplex:
+def delaunay(points) -> SimplicialComplex:
     """Delaunay complex of a 2D/3D pointcloud as a SimplicialComplex.
 
     Vertex ids are input point indices. `points` is an (n, d) array or a
-    sequence of rows; dim defaults to the width of the first row. Raises
+    sequence of rows; the dimension is the width of the first row. Raises
     ValueError for a dimension other than 2 or 3, a row of another width or
     with a non-finite coordinate ("bad coordinates"), or a squared
     bounding-box extent that overflows; DegenerateInputError for no points,
@@ -360,18 +360,17 @@ def delaunay(points, dim=None) -> SimplicialComplex:
     if P is None or P.ndim != 2 or len(P) == 0 or not np.isfinite(P).all():
         # the checks below word the error; float() raises on what it rejects
         P = [tuple(map(float, p)) for p in points]
-    if dim is None:
-        if not len(P):
-            raise DegenerateInputError("no points to triangulate")
-        dim = len(P[0])
+    if not len(P):
+        raise DegenerateInputError("no points to triangulate")
+    dim = len(P[0])
     if dim not in (2, 3):
         raise ValueError(f"only 2D and 3D pointclouds are supported, got dim {dim}")
     if len(P) < dim + 1:
         raise DegenerateInputError(
             f"need at least {dim + 1} points for a {dim}D triangulation"
         )
-    if isinstance(P, list) or P.shape[1] != dim:
-        for p in P if isinstance(P, list) else map(tuple, P.tolist()):
+    if isinstance(P, list):
+        for p in P:
             if len(p) != dim or not all(map(math.isfinite, p)):
                 raise ValueError(f"bad coordinates {p}")
         P = np.array(P, dtype=float)

@@ -18,7 +18,6 @@ codimension-1 pair can be matched and its volume found with no reduction.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,10 +197,6 @@ class StableVolumeResult:
     epsilon: float
     cells: set
 
-    @property
-    def size(self) -> int:
-        return len(self.cells)
-
 
 def stable_volume_tree(
     tree: PersistenceTree, pair: PersistencePair, epsilon: float
@@ -220,30 +215,25 @@ def stable_volume_tree(
     return StableVolumeResult(pair, float(epsilon), cells)
 
 
-def sweep_sizes(tree: PersistenceTree, pair: PersistencePair, eps_grid) -> list:
-    """Stable-volume size per epsilon, from the sizes of the death cell's
-    child subtrees.
+def sweep_sizes(tree: PersistenceTree, pair: PersistencePair, eps_grid) -> np.ndarray:
+    """Stable-volume size per epsilon of a strictly increasing grid, as an
+    int64 array, from the sizes of the death cell's child subtrees.
 
-    One walk counts the death cell's subtree; no volume is re-extracted per
-    epsilon. Sizes are non-increasing in epsilon.
+    One walk counts each child's subtree; no volume is re-extracted per
+    epsilon. A child counts at epsilon when its label's gap above the birth
+    level is at least epsilon: one `searchsorted` (side "left") over the
+    sorted gaps indexes suffix sums of the subtree sizes. Sizes are
+    non-increasing in epsilon.
     """
     _check_tree_pair(tree, pair)
-    grid = [float(e) for e in eps_grid]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    grid = np.asarray(eps_grid, dtype=float)
+    if (np.diff(grid) <= 0).any():
         raise ValueError("epsilon grid must be strictly increasing")
     level = tree.order.level_array
-    b = level[pair.birth_simplex]
-    gaps = sorted(
-        (level[tree.label(c)] - b, len(tree.descendants(c)))
-        for c in tree.children(pair.death_simplex)
-    )
-    # suffix sums over children sorted by label gap
-    suffix = [0] * (len(gaps) + 1)
-    for i in range(len(gaps) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + gaps[i][1]
-    out = []
-    keys = [g for g, _ in gaps]
-    for eps in grid:
-        i = bisect.bisect_left(keys, eps)
-        out.append((eps, 1 + suffix[i]))
-    return out
+    kids = tree.children(pair.death_simplex)
+    gaps = level[[tree.label(c) for c in kids]] - level[pair.birth_simplex]
+    sizes = np.array([len(tree.descendants(c)) for c in kids], dtype=np.int64)
+    srt = np.argsort(gaps, kind="stable")
+    suffix = np.zeros(len(kids) + 1, dtype=np.int64)
+    suffix[:-1] = np.cumsum(sizes[srt][::-1])[::-1]
+    return 1 + suffix[np.searchsorted(gaps[srt], grid, side="left")]

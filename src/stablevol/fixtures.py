@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from .alpha import PointCloud
-from .complexes import SimplicialComplex, build_order
 
 
 def fig1_five_points(a: float = 1.0) -> PointCloud:
@@ -98,31 +97,3 @@ def generate(name: str, seed: int = 0) -> PointCloud:
         ) from None
     return gen(seed)
 
-
-def appendix_filtration():
-    """Hand-encoded 8-vertex loop-thickening filtration (integer levels are
-    the stage indices).
-
-    The loop closes at level 2 and is short-cut twice (levels 3-4 and 5)
-    before dying at level 7, so the degree-1 pair is (2, 7), the
-    representative cocycle has exactly three edges (the closing edge plus the
-    two detour chords), and reconstructed loops tighten as the step index
-    grows.
-    """
-    stages = {
-        0: [(v,) for v in range(8)],
-        1: [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)],
-        2: [(0, 7)],
-        3: [(0, 2), (2, 7)],
-        4: [(0, 1, 2), (0, 2, 7)],
-        5: [(2, 4), (4, 7), (2, 3, 4), (2, 4, 7)],
-        7: [(4, 6), (4, 5, 6), (4, 6, 7)],
-    }
-    simplices = []
-    levels = {}
-    for lvl, batch in stages.items():
-        for s in batch:
-            simplices.append(s)
-            levels[tuple(s)] = float(lvl)
-    cx = SimplicialComplex(simplices)
-    return build_order(cx, levels)

@@ -57,24 +57,6 @@ class PersistencePair:
     def essential(self) -> bool:
         return self.death_simplex is None
 
-    def coords(self):
-        return (self.birth_time, self.death_time)
-
-
-@dataclass
-class Diagram:
-    degree: int
-    pairs: list  # PersistencePair, zero-persistence pairs already dropped
-
-    def finite(self):
-        return [p for p in self.pairs if not p.essential]
-
-    def essential(self):
-        return [p for p in self.pairs if p.essential]
-
-    def __len__(self):
-        return len(self.pairs)
-
 
 class Pairs:
     """Persistence pairs as a table of int64 rank arrays.
@@ -140,13 +122,6 @@ class Pairs:
         sorted by (birth time, death time, birth rank)."""
         idx = np.flatnonzero((self.degree == k) & (self.birth_time != self.death_time))
         return idx[np.lexsort((self.birth_rank[idx], self.death_time[idx], self.birth_time[idx]))]
-
-
-def diagram(pairs: Pairs, o: OrderWithLevel, k: int) -> Diagram:
-    """Degree-k persistence diagram of a `Pairs` table: zero-persistence
-    pairs are excluded, the rest keep the table's (birth rank) order."""
-    keep = (pairs.degree == k) & (pairs.birth_time != pairs.death_time)
-    return Diagram(k, pairs.rows(np.flatnonzero(keep)))
 
 
 def boundary_matrix(o: OrderWithLevel) -> list:

@@ -28,6 +28,7 @@ _EPS = 2.0 ** -52
 # generous safety factors; too large only costs a rational re-evaluation
 _ORIENT_GUARD = 32.0 * _EPS
 _SPHERE_GUARD = 512.0 * _EPS
+_JITTER = 1e-9  # jitter offset, relative to the bounding-box extent of an axis
 
 
 def _sign(x) -> int:
@@ -244,11 +245,11 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def jittered_points(P, magnitude: float = 1e-9) -> np.ndarray:
+def jittered_points(P) -> np.ndarray:
     """Deterministic symbolic jitter derived from the point index.
 
     P is an (n, d) float array with n >= 1. Coordinate a of point i is offset
-    by u * magnitude * extent[a], where u in [-1, 1) is splitmix64 of the key
+    by u * _JITTER * extent[a], where u in [-1, 1) is splitmix64 of the key
     i*7 + a + 1 scaled by 2**-63, less 1, and extent[a] is the bounding-box
     extent of axis a (1.0 on an axis where every coordinate is equal). Used
     only inside predicate evaluation; level computations keep the original
@@ -264,4 +265,4 @@ def jittered_points(P, magnitude: float = 1e-9) -> np.ndarray:
     lo, hi = P.min(axis=0), P.max(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         extent = np.where(hi > lo, hi - lo, 1.0)
-        return P + u * magnitude * extent
+        return P + u * _JITTER * extent

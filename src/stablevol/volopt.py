@@ -129,23 +129,9 @@ class L1Program:
     pin_sign: Optional[int] = None
 
     @property
-    def n_variables(self) -> int:
-        return 2 * len(self.candidates)
-
-    @property
-    def n_constraints(self) -> int:
-        return 2 * len(self.candidates) + len(self.taus)
-
-    @property
     def n_rows(self) -> int:
         """The number of equality rows, the pinned row not counted."""
         return len(self.taus) - (self.pin_sign is not None)
-
-    def __eq__(self, other):
-        if not isinstance(other, L1Program) or self.pin_sign != other.pin_sign:
-            return False
-        fields = ("candidates", "taus", "const", "indptr", "row", "coef")
-        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in fields)
 
     def rhs(self) -> np.ndarray:
         """Per equality row, the value the candidate sum must take: -const,
@@ -169,15 +155,15 @@ class L1Program:
         )
 
 
-def to_lp(p: VolumeProblem, pin_sign: int = 1) -> L1Program:
+def to_lp(p: VolumeProblem) -> L1Program:
     """Translate a volume problem into the l1 program, on arrays.
 
     Each candidate's faces come from `face_array(k+1)`, face j with
     coefficient (-1)^j; a `rowpos` array maps each constraint simplex to its
     row. The constants are the death cell's face rows. In optimal mode the
     side constraint "birth coefficient nonzero" is not expressible in an LP;
-    the birth simplex gets the last row, pinned to pin_sign (the caller may
-    retry with the opposite sign).
+    the birth simplex gets the last row, pinned to +1 (`_pinned_to` gives
+    the program with another pin sign).
     """
     cx = p.order.cx
     k = p.pair.degree
@@ -200,8 +186,7 @@ def to_lp(p: VolumeProblem, pin_sign: int = 1) -> L1Program:
     srt = np.lexsort((row, col))
     indptr = np.zeros(len(cands) + 1, dtype=np.int64)
     np.cumsum(np.bincount(col, minlength=len(cands)), out=indptr[1:])
-    return L1Program(cands, taus, const, indptr, row[srt], sign[j[srt]],
-                     int(pin_sign) if pinned else None)
+    return L1Program(cands, taus, const, indptr, row[srt], sign[j[srt]], 1 if pinned else None)
 
 
 @dataclass
@@ -345,7 +330,7 @@ def pin_sign_hint(prog: L1Program) -> int:
 
 
 def _pinned_to(prog: L1Program, sign: int) -> L1Program:
-    """The program with its pin set to `sign`: `to_lp(p, pin_sign=sign)`."""
+    """The program with its pin set to `sign`."""
     return replace(prog, pin_sign=sign)
 
 

@@ -12,12 +12,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from stablevol import persistence as pers
 from stablevol.alpha import _circum_batch, _is_gabriel
 from stablevol.complexes import (
     Chain,
     MonotonicityError,
     SimplicialComplex,
-    _levels_as_list,
     boundary,
     build_order,
     chain_z2,
@@ -219,12 +219,51 @@ def torus_complex(nu=6, nv=5, seed=0):
     return build_order(cx, [float(max(vl[v] for v in s)) for s in cx.simplices])
 
 
+def appendix_filtration():
+    """Hand-encoded 8-vertex loop-thickening filtration (integer levels are
+    the stage indices).
+
+    The loop closes at level 2 and is short-cut twice (levels 3-4 and 5)
+    before dying at level 7, so the degree-1 pair is (2, 7), the
+    representative cocycle has exactly three edges (the closing edge plus the
+    two detour chords), and reconstructed loops tighten as the step index
+    grows.
+    """
+    stages = {
+        0: [(v,) for v in range(8)],
+        1: [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)],
+        2: [(0, 7)],
+        3: [(0, 2), (2, 7)],
+        4: [(0, 1, 2), (0, 2, 7)],
+        5: [(2, 4), (4, 7), (2, 3, 4), (2, 4, 7)],
+        7: [(4, 6), (4, 5, 6), (4, 6, 7)],
+    }
+    levels = {s: float(lvl) for lvl, batch in stages.items() for s in batch}
+    cx = SimplicialComplex(list(levels))
+    return build_order(cx, [levels[s] for s in cx.simplices])
+
+
+def diagram(table, k):
+    """The degree-k diagram of a `Pairs` table as `PersistencePair`s, in
+    the order of `Pairs.diagram_index`, which `pd` and `--pair-index` use."""
+    return table.rows(table.diagram_index(k))
+
+
+def cocycle_of(o, pair):
+    """The representative cocycle of a finite degree-1 pair, as
+    `cohomology_reduce` gives it to `rsc`."""
+    return pers.cohomology_reduce(o)[1](pair.birth_rank, pair.death_rank)
+
+
+def finite(pairs):
+    """The pairs of a list that have a finite death."""
+    return [p for p in pairs if not p.essential]
+
+
 def complex_cases():
     """Named filtered complexes beside the pointclouds of `geometry_cases`:
     the appendix filtration, two grid tori (two essential degree-1 classes
     each), a hollow triangle and a lone vertex."""
-    from stablevol.fixtures import appendix_filtration
-
     hollow = SimplicialComplex([(0, 1), (1, 2), (0, 2)])
     return {
         "appendix": appendix_filtration(),
@@ -246,14 +285,15 @@ def chain_rational(coeffs, cx):
 
 
 def bottleneck_bruteforce(d1, d2):
-    """Factorial-enumeration oracle for the bottleneck distance of small diagrams."""
-    e1 = sorted(p.birth_time for p in d1.essential())
-    e2 = sorted(p.birth_time for p in d2.essential())
+    """Factorial-enumeration oracle for the bottleneck distance of small
+    diagrams (lists of `PersistencePair`s)."""
+    e1 = sorted(p.birth_time for p in d1 if p.essential)
+    e2 = sorted(p.birth_time for p in d2 if p.essential)
     if len(e1) != len(e2):
         return math.inf
     ess = max((abs(a - b) for a, b in zip(e1, e2)), default=0.0)
-    p1 = [p.coords() for p in d1.finite()]
-    p2 = [p.coords() for p in d2.finite()]
+    p1 = [(p.birth_time, p.death_time) for p in finite(d1)]
+    p2 = [(p.birth_time, p.death_time) for p in finite(d2)]
     n1, n2 = len(p1), len(p2)
     m = n1 + n2
     if m == 0:
@@ -347,7 +387,9 @@ def build_order_by_key(cx, level):
     (level, dim, lex verts) key; raises as `build_order` does, and checks
     with tuple sets that the complex holds every face."""
     assert missing_faces(cx.simplices) == []
-    lv = _levels_as_list(cx, level)
+    lv = [float(x) for x in level]
+    if len(lv) != len(cx):
+        raise ValueError(f"expected {len(cx)} levels, got {len(lv)}")
     faces = views(cx)[2]
     for i in range(len(cx)):
         for fi in faces[i]:
@@ -359,7 +401,8 @@ def build_order_by_key(cx, level):
 
 def alpha_levels_full_scan(cx, points):
     """Reference alpha levels: one Gabriel test per simplex against every
-    point (`_is_gabriel` without candidates), minima over cofaces in Python."""
+    point (`_is_gabriel` with every point a candidate), minima over cofaces
+    in Python."""
     pts = np.asarray(points, dtype=float)
     n = cx.dim
     cofaces = views_from_arrays(cx)[3]
@@ -371,7 +414,7 @@ def alpha_levels_full_scan(cx, points):
         vl = np.array([cx.simplices[i] for i in ids], dtype=int)
         cs, r2 = _circum_batch(pts, vl)
         for j, sid in enumerate(ids):
-            if k == n or _is_gabriel(cx, pts, sid, cs[j], r2[j]):
+            if k == n or _is_gabriel(cx, pts, sid, cs[j], r2[j], range(len(pts))):
                 levels[sid] = math.sqrt(max(r2[j], 0.0))
             else:
                 levels[sid] = min(levels[c] for c in cofaces[sid])
@@ -694,18 +737,19 @@ def cohomology_reduce_all_columns(o):
 
 
 def bottleneck(d1, d2):
-    """Exact bottleneck distance with diagonal augmentation.
+    """Exact bottleneck distance of two diagrams (lists of
+    `PersistencePair`s) with diagonal augmentation.
 
     Essential pairs match only essential pairs; mismatched counts give inf.
     Exactness comes from binary search over the finite candidate set of all
     pairwise l-inf distances and distances to the diagonal.
     """
-    e1 = sorted(p.birth_time for p in d1.essential())
-    e2 = sorted(p.birth_time for p in d2.essential())
+    e1 = sorted(p.birth_time for p in d1 if p.essential)
+    e2 = sorted(p.birth_time for p in d2 if p.essential)
     if len(e1) != len(e2):
         return math.inf
-    p1 = [p.coords() for p in d1.finite()]
-    p2 = [p.coords() for p in d2.finite()]
+    p1 = [(p.birth_time, p.death_time) for p in finite(d1)]
+    p2 = [(p.birth_time, p.death_time) for p in finite(d2)]
     cands = {0.0}
     cands.update(abs(a - b) for a, b in zip(e1, e2))
     for a in p1:

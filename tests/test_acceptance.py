@@ -14,9 +14,13 @@ import pytest
 
 from helpers import (
     admissible_order,
+    appendix_filtration,
     bottleneck,
     bottleneck_bruteforce,
     brute_force_volume,
+    cocycle_of,
+    diagram,
+    finite,
     perturbed_order,
     shortest_nontrivial_loop,
 )
@@ -35,7 +39,6 @@ from stablevol.dualtree import (
 )
 from stablevol.fixtures import (
     annulus,
-    appendix_filtration,
     fig1_five_points,
     hexagon,
     lattice_2d_defects,
@@ -83,8 +86,8 @@ def test_criterion_2_lattice_statistics():
     seeds = range(20)
     for seed in seeds:
         f = alpha_filtration(lattice_3x3x3(seed).points)
-        d1 = pers.diagram(pers.reduce(f.order), f.order, 1)
-        window = [p for p in d1.finite() if 0.4 <= p.birth_time <= 0.6]
+        d1 = diagram(pers.reduce(f.order), 1)
+        window = [p for p in finite(d1) if 0.4 <= p.birth_time <= 0.6]
         good = len(window) == 28
         any_big = False
         for p in window:
@@ -196,8 +199,8 @@ def test_criterion_5_stability_fuzz():
             oq, dist = perturbed_order(order, mag, rng)
             qpairs = pers.reduce(oq)
             for k in range(order.cx.dim + 1):
-                d1 = pers.diagram(base, order, k)
-                d2 = pers.diagram(qpairs, oq, k)
+                d1 = diagram(base, k)
+                d2 = diagram(qpairs, k)
                 d = bottleneck(d1, d2)
                 assert d <= dist + 1e-12, (k, d, dist)
                 checked += 1
@@ -289,8 +292,9 @@ def test_criterion_8_plateau_reproduction():
         tree = tree_of(f.order)
         finite = [p for p in tree.pairs_table() if p.death_time > p.birth_time]
         target = max(finite, key=lambda p: p.death_time - p.birth_time)
-        rows = sweep_sizes(tree, target, [i * 0.01 for i in range(41)])
-        sizes = [s for _, s in rows]
+        grid = [i * 0.01 for i in range(41)]
+        sizes = sweep_sizes(tree, target, grid).tolist()
+        rows = list(zip(grid, sizes))
         assert sizes == sorted(sizes, reverse=True)
         runs = []
         start = rows[0][0]
@@ -316,7 +320,7 @@ def test_criterion_9_reconstructed_cycles():
     cut = cocycle(pair.birth_rank, pair.death_rank)
     weights = {}
     for k in range(pair.birth_rank, pair.death_rank):
-        res = reconstructed_shortest_cycle(o, pair, k_rank=k, cocycle=cut)
+        res = reconstructed_shortest_cycle(o, pair, cut, k_rank=k)
         weights[k] = res.loop.weight
     ws = [weights[k] for k in sorted(weights)]
     monotone = ws == sorted(ws, reverse=True)
@@ -327,15 +331,15 @@ def test_criterion_9_reconstructed_cycles():
     w4, w5 = weights[analogue(4.0)], weights[analogue(5.0)]
 
     f = alpha_filtration(hexagon().points)
-    hd1 = pers.diagram(pers.reduce(f.order), f.order, 1)
-    hpair = hd1.finite()[0]
+    hpair = finite(diagram(pers.reduce(f.order), 1))[0]
     cap = hpair.birth_time + 0.4
     k_hex = max(
         pos
         for pos in range(hpair.birth_rank, hpair.death_rank)
         if f.order.level_array[f.order.order_array[pos]] <= cap
     )
-    res_hex = reconstructed_shortest_cycle(f.order, hpair, k_rank=k_hex)
+    res_hex = reconstructed_shortest_cycle(f.order, hpair, cocycle_of(f.order, hpair),
+                                           k_rank=k_hex)
     want = shortest_nontrivial_loop(f.order, k_hex)
     hex_ok = set(res_hex.loop.edges) == want[1] and res_hex.loop.weight == want[0]
     elapsed = time.perf_counter() - t0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import alpha_levels_full_scan, geometry_cases
+from helpers import alpha_levels_full_scan, diagram, geometry_cases
 from stablevol import alpha as alpha_module
 from stablevol.alpha import _circum_exact, alpha_filtration, alpha_levels, parse_pointcloud
 from stablevol.delaunay import DegenerateInputError, delaunay
@@ -86,7 +86,7 @@ def test_two_coface_property_convex_position():
 def test_fig1_diagram_through_persistence():
     f = alpha_filtration(fig1_five_points().points)
     pairs = pers.reduce(f.order)
-    vals = sorted(p.coords() for p in pers.diagram(pairs, f.order, 1).pairs)
+    vals = sorted((p.birth_time, p.death_time) for p in diagram(pairs, 1))
     assert len(vals) == 2
     assert abs(vals[0][0] - 0.5) < 1e-9 and abs(vals[0][1] - 1 / SQRT3) < 1e-9
     assert abs(vals[1][0] - 0.5) < 1e-9 and abs(vals[1][1] - 1 / math.sqrt(2)) < 1e-9
@@ -97,9 +97,9 @@ def test_noiseless_lattice_h1_all_at_half_and_inv_sqrt2():
     pc.points[:] = np.round(pc.points)  # exact integers
     f = alpha_filtration(pc.points)
     pairs = pers.reduce(f.order)
-    d1 = pers.diagram(pairs, f.order, 1)
-    assert len(d1.pairs) == 28
-    for p in d1.pairs:
+    d1 = diagram(pairs, 1)
+    assert len(d1) == 28
+    for p in d1:
         assert abs(p.birth_time - 0.5) < 1e-9
         assert abs(p.death_time - 1 / math.sqrt(2)) < 1e-9
 
@@ -131,9 +131,9 @@ def test_exact_grid_square_classes():
     # even though the jittered triangulation carries flat hull slivers
     pts = [(x, y) for x in range(5) for y in range(5)]
     f = alpha_filtration(pts)
-    d1 = pers.diagram(pers.reduce(f.order), f.order, 1)
-    assert len(d1.pairs) == 16
-    for p in d1.pairs:
+    d1 = diagram(pers.reduce(f.order), 1)
+    assert len(d1) == 16
+    for p in d1:
         assert abs(p.birth_time - 0.5) < 1e-9
         assert abs(p.death_time - 1 / math.sqrt(2)) < 1e-9
 
@@ -183,7 +183,7 @@ def test_degree1_diagram_invariant_under_permutation(seed):
 
     def d1(p):
         f = alpha_filtration(p)
-        return sorted(q.coords() for q in pers.diagram(pers.reduce(f.order), f.order, 1).pairs)
+        return sorted((q.birth_time, q.death_time) for q in diagram(pers.reduce(f.order), 1))
 
     a, b = d1(pts), d1(pts[perm])
     assert len(a) == len(b) > 0

@@ -8,6 +8,10 @@ from hypothesis import strategies as st
 
 from helpers import (
     VIEWS,
+    appendix_filtration,
+    cocycle_of,
+    diagram,
+    finite,
     geometry_cases,
     shortest_nontrivial_loop,
     statistical_frequencies_oracle,
@@ -25,7 +29,6 @@ from stablevol.complexes import boundary, chain_z2
 from stablevol.delaunay import DegenerateInputError
 from stablevol.dualtree import build_dual_graph, compute_tree, optimal_volume_tree
 from stablevol.fixtures import (
-    appendix_filtration,
     fig1_five_points,
     generate,
     hexagon,
@@ -35,8 +38,7 @@ from stablevol import persistence as pers
 
 
 def square_pair(order):
-    d1 = pers.diagram(pers.reduce(order), order, 1)
-    return max(d1.finite(), key=lambda p: p.death_time)
+    return max(finite(diagram(pers.reduce(order), 1)), key=lambda p: p.death_time)
 
 
 def test_noise_model_validation():
@@ -79,8 +81,8 @@ def test_fig4_square_robust_apex_not():
 def test_threshold_sets_nest():
     pc = lattice_2d_defects(seed=1, size=8, noise=0.03)
     f = alpha_filtration(pc.points)
-    d1 = pers.diagram(pers.reduce(f.order), f.order, 1)
-    pair = max(d1.finite(), key=lambda p: p.death_time - p.birth_time)
+    d1 = finite(diagram(pers.reduce(f.order), 1))
+    pair = max(d1, key=lambda p: p.death_time - p.birth_time)
     fm = statistical_frequencies(pc, pair, NoiseModel(0.03, seed=5), trials=40)
     hi = {i for i, x in enumerate(fm.frequencies) if x > 0.9}
     lo = {i for i, x in enumerate(fm.frequencies) if x > 0.7}
@@ -133,7 +135,7 @@ def test_appendix_loop_weights_tighten():
 
 def test_birth_rank_returns_birth_loop():
     o, p, cut = appendix_pair_and_cut()
-    res = reconstructed_shortest_cycle(o, p, k_rank=p.birth_rank)
+    res = reconstructed_shortest_cycle(o, p, cut, k_rank=p.birth_rank)
     assert res.loop.weight == 8.0
     assert len(res.loop.edges) == 8
     # it closes: Z/2 boundary of the edge sum vanishes
@@ -142,7 +144,7 @@ def test_birth_rank_returns_birth_loop():
 
 def test_loop_is_simple_and_closed():
     o, p, cut = appendix_pair_and_cut()
-    res = reconstructed_shortest_cycle(o, p, k_rank=p.death_rank - 1)
+    res = reconstructed_shortest_cycle(o, p, cut, k_rank=p.death_rank - 1)
     loop = res.loop
     assert len(set(loop.vertices)) == len(loop.vertices)
     assert len(loop.edges) == len(loop.vertices)
@@ -150,8 +152,8 @@ def test_loop_is_simple_and_closed():
 
 def test_hexagon_loop_equals_bruteforce_oracle():
     f = alpha_filtration(hexagon().points)
-    d1 = pers.diagram(pers.reduce(f.order), f.order, 1)
-    pair = d1.finite()[0]
+    pair = finite(diagram(pers.reduce(f.order), 1))[0]
+    cut = cocycle_of(f.order, pair)
     # bandwidth below the chord level: only the six sides exist
     cap = pair.birth_time + 0.4
     k = max(
@@ -159,35 +161,35 @@ def test_hexagon_loop_equals_bruteforce_oracle():
         for pos in range(pair.birth_rank, pair.death_rank)
         if f.order.level_array[f.order.order_array[pos]] <= cap
     )
-    res = reconstructed_shortest_cycle(f.order, pair, k_rank=k)
+    res = reconstructed_shortest_cycle(f.order, pair, cut, k_rank=k)
     want = shortest_nontrivial_loop(f.order, k)
     assert want is not None
     assert res.loop.weight == want[0] == 6.0
     assert set(res.loop.edges) == want[1]
     # at the default step (just before death) chords admit a tighter loop;
     # it must still match the brute-force optimum and be nontrivial
-    res2 = reconstructed_shortest_cycle(f.order, pair)
+    res2 = reconstructed_shortest_cycle(f.order, pair, cut)
     want2 = shortest_nontrivial_loop(f.order, pair.death_rank - 1)
     assert res2.loop.weight == want2[0]
 
 
 def test_weight_monotone_on_hexagon():
     f = alpha_filtration(hexagon().points)
-    d1 = pers.diagram(pers.reduce(f.order), f.order, 1)
-    pair = d1.finite()[0]
+    pair = finite(diagram(pers.reduce(f.order), 1))[0]
+    cut = cocycle_of(f.order, pair)
     prev = math.inf
     for k in range(pair.birth_rank, pair.death_rank):
-        res = reconstructed_shortest_cycle(f.order, pair, k_rank=k)
+        res = reconstructed_shortest_cycle(f.order, pair, cut, k_rank=k)
         assert res.loop.weight <= prev
         prev = res.loop.weight
 
 
 def test_euclidean_weights():
     f = alpha_filtration(hexagon().points)
-    d1 = pers.diagram(pers.reduce(f.order), f.order, 1)
-    pair = d1.finite()[0]
+    pair = finite(diagram(pers.reduce(f.order), 1))[0]
     res = reconstructed_shortest_cycle(
-        f.order, pair, k_rank=pair.birth_rank, euclidean=True, points=f.points.points
+        f.order, pair, cocycle_of(f.order, pair), k_rank=pair.birth_rank, euclidean=True,
+        points=f.points.points,
     )
     assert abs(res.loop.weight - 6.0) < 1e-9  # unit side length
 
@@ -205,7 +207,7 @@ def test_rsc_degree_guard():
     o, p, _ = appendix_pair_and_cut()
     h0 = [q for q in pers.reduce(o) if q.degree == 0 and not q.essential][0]
     with pytest.raises(ValueError):
-        reconstructed_shortest_cycle(o, h0)
+        reconstructed_shortest_cycle(o, h0, set())
 
 
 def test_unmatched_trials_reported_with_warning():

@@ -2,13 +2,13 @@ import math
 import random
 
 from helpers import bottleneck, bottleneck_bruteforce
-from stablevol.persistence import Diagram, PersistencePair
+from stablevol.persistence import PersistencePair
 
 
 def diag_of(finite=(), essential=()):
     ps = [PersistencePair(1, 0, 1, b, d, 0, 1) for b, d in finite]
     ps += [PersistencePair(1, 0, None, b, math.inf, 0, None) for b in essential]
-    return Diagram(1, ps)
+    return ps
 
 
 def test_identity_distance_zero():
@@ -38,7 +38,7 @@ def test_matches_factorial_oracle():
             return diag_of(fin, ess)
 
         a, b = rand_diag(), rand_diag()
-        if len(a.essential()) != len(b.essential()):
+        if sum(p.essential for p in a) != sum(p.essential for p in b):
             continue
         assert abs(bottleneck(a, b) - bottleneck_bruteforce(a, b)) < 1e-12
 

@@ -19,6 +19,7 @@ from helpers import (
     MISSING_FACE_CASES,
     VIEWS,
     DictChildrenTree,
+    appendix_filtration,
     build_dual_graph_oracle,
     complex_cases,
     complex_from_json_oracle,
@@ -32,7 +33,6 @@ from helpers import (
 )
 from stablevol.cli import PairSelectionError, _load_input, _select_pair, main
 from stablevol.complexes import SimplicialComplex, build_order
-from stablevol.fixtures import appendix_filtration
 
 
 def run(argv, capsys):
@@ -251,6 +251,19 @@ def test_complex_json_missing_face_exit_2(tmp_path, capsys, name):
     p = tmp_path / "cx.json"
     p.write_text(text)
     assert run(["pd", str(p)], capsys) == (2, "", f"error: {message}\n")
+
+
+def test_deeply_nested_complex_json_exit_2_in_a_fresh_process(tmp_path):
+    # json.loads runs out of recursion depth on it
+    p = tmp_path / "deep.json"
+    p.write_text('{"simplices": ' + "[" * 200_000 + "1" + "]" * 200_000 + "}")
+    src = str(Path(stablevol.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "stablevol.cli", "pd", str(p)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: complex JSON is nested too deeply to parse"]
 
 
 def test_benchmark_tracer_attaches_and_detaches(fig1_file, capsys, monkeypatch):
@@ -556,10 +569,10 @@ def test_sweep_writes_its_rows_in_bounded_chunks(fig1_file, tmp_path, monkeypatc
     order = _load_input(fig1_file)[0]
     pairs = pers.pairs(order, [1])
     pair = _select_pair(pairs, SimpleNamespace(pair_index=1, degree=1, birth=None, death=None))
-    grid = cli._parse_grid("0:0.4:0.00001")
-    rows = sweep_sizes(_tree_for(order, pairs, pair), pair, grid)
-    want = "".join(f"{e!r}\t{s}\n" for e, s in rows)
-    assert len(rows) == 40_001 and "".join(rec.writes) == want
+    grid = cli._parse_grid("0:0.4:0.00001").tolist()
+    sizes = sweep_sizes(_tree_for(order, pairs, pair), pair, grid).tolist()
+    want = "".join(f"{e!r}\t{s}\n" for e, s in zip(grid, sizes))
+    assert len(sizes) == 40_001 and "".join(rec.writes) == want
     assert len(rec.writes) > 100 and max(map(len, rec.writes)) <= 64 * 1024
     # -o gets the same bytes
     target = tmp_path / "sweep.tsv"
@@ -894,7 +907,7 @@ def scatter_oracle(pairs, degrees, squared=False):
         for p in listed:
             b, d = p.birth_time, p.death_time
             if squared:
-                b, d = b ** 2, d ** 2
+                b, d = b * b, d * d
             rows.append(f"{k}\t{b!r}\t{'inf' if math.isinf(d) else repr(d)}\n")
     return "".join(rows)
 
@@ -942,6 +955,22 @@ def test_pd_squared_overflow_exit_2(tmp_path, capsys, scatter):
     assert not tsv.exists()
     code, out, _ = run(["pd", str(path), *extra], capsys)
     assert code == 0 and json.loads(out)["diagrams"][0]["pairs"][0]["death"] == 1e200
+
+
+def test_pd_squared_scatter_rows_are_the_json_levels(tmp_path, capsys):
+    # on this cloud two levels x have x ** 2 != x * x; both outputs hold x * x
+    pts = np.random.default_rng([7, 0]).random((1600, 2)) * 40
+    path = tmp_path / "cloud.txt"
+    path.write_text("".join(" ".join(map(repr, p)) + "\n" for p in pts.tolist()))
+    tsv = tmp_path / "scatter.tsv"
+    code, out, err = run(["pd", str(path), "--squared", "--scatter", str(tsv)], capsys)
+    assert code == 0 and err == ""
+    want = [(d["degree"], p["birth"], math.inf if p["death"] is None else p["death"])
+            for d in json.loads(out)["diagrams"] for p in d["pairs"]]
+    header, *lines = tsv.read_text().splitlines()
+    assert header == "degree\tbirth\tdeath"
+    got = [(int(k), float(b), float(d)) for k, b, d in (line.split("\t") for line in lines)]
+    assert len(got) > 3000 and got == want
 
 
 def test_pd_writer_refuses_non_finite_values():

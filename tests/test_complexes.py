@@ -62,14 +62,12 @@ def test_validate_random_delaunay_closed():
 
 def test_build_order_levels_then_dim_then_lex():
     cx = SimplicialComplex([(0, 1, 2)])
-    level = {}
-    for s in cx.simplices:
-        level[s] = {1: 0.0, 2: 1.0, 3: 2.0}[len(s)]
+    level = [{1: 0.0, 2: 1.0, 3: 2.0}[len(s)] for s in cx.simplices]
     o = build_order(cx, level)
     dims = [len(cx.simplices[i]) for i in o.order_array.tolist()]
     assert dims == sorted(dims)
     # equal-level edges tie-break lexicographically
-    level2 = {s: 0.0 if len(s) == 1 else 1.0 for s in cx.simplices}
+    level2 = [0.0 if len(s) == 1 else 1.0 for s in cx.simplices]
     o2 = build_order(cx, level2)
     edge_order = [cx.simplices[i] for i in o2.order_array.tolist() if len(cx.simplices[i]) == 2]
     assert edge_order == [(0, 1), (0, 2), (1, 2)]
@@ -81,7 +79,7 @@ def test_build_order_monotonicity_error():
     level[(0, 1)] = 3.0
     level[(0, 1, 2)] = 2.0
     with pytest.raises(MonotonicityError) as ei:
-        build_order(cx, level)
+        build_order(cx, [level[s] for s in cx.simplices])
     assert ei.value.face == (0, 1) and ei.value.coface == (0, 1, 2)
 
 
@@ -370,7 +368,6 @@ def test_order_with_tied_levels_matches_reference(seed):
     assert_same_order(cx, ref, monotone_repair(ref, raw))
     # the raw draw violates monotonicity many times; the first pair is named
     assert_same_order(cx, ref, raw)
-    assert_same_order(cx, ref, {s: raw[i] for i, s in enumerate(cx.simplices)})
 
 
 @pytest.mark.parametrize("name", sorted(GEOMETRY) + ["complex-json"])

@@ -296,28 +296,34 @@ def test_fallback_receives_raw_and_jittered_tuples(monkeypatch):
     assert all(type(x) is float for p in seen[0][1] for x in p)
 
 
+# (points, error, message) by case number. Each case keeps the test id
+# "points<number>-None-<error>-<message>" that earlier test reports name it
+# by; number 8 was a case of delaunay's former `dim` argument
+REJECTIONS = {
+    0: ([], DegenerateInputError, "no points to triangulate"),
+    1: ([(0, 0, 0, 0)] * 5, ValueError, "only 2D and 3D pointclouds are supported, got dim 4"),
+    2: ([(0, 0), (1, 1)], DegenerateInputError, "need at least 3 points for a 2D triangulation"),
+    3: ([(0, 0), (1, 0), (0, 1, 2)], ValueError, "bad coordinates (0.0, 1.0, 2.0)"),
+    4: ([[0, 0], [1, 0], [2]], ValueError, "bad coordinates (2.0,)"),
+    5: (np.array([[0, 0], [1, np.inf], [0, 1]]), ValueError, "bad coordinates (1.0, inf)"),
+    6: ([(0, 0), (1, float("nan")), (0, 1)], ValueError, "bad coordinates (1.0, nan)"),
+    7: ([(0, 0), (1, 0), (0, float("-inf"))], ValueError, "bad coordinates (0.0, -inf)"),
+    9: ([(0, 0), (1, 0), (0, "x")], ValueError, "could not convert string to float: 'x'"),
+    10: ([(0, 0), (1, 0), (0, None)], TypeError, "float() argument must be"),
+    11: ([(0, 0), (1, 0), (0, 10**400)], OverflowError, "int too large to convert to float"),
+    12: (np.empty((0, 2)), DegenerateInputError, "no points to triangulate"),
+    13: (np.empty((0, 3)), DegenerateInputError, "no points to triangulate"),
+}
+
+
 @pytest.mark.parametrize(
-    "points, dim, error, message",
-    [
-        ([], None, DegenerateInputError, "no points to triangulate"),
-        ([(0, 0, 0, 0)] * 5, None, ValueError, "only 2D and 3D pointclouds are supported, got dim 4"),
-        ([(0, 0), (1, 1)], None, DegenerateInputError, "need at least 3 points for a 2D triangulation"),
-        ([(0, 0), (1, 0), (0, 1, 2)], None, ValueError, "bad coordinates (0.0, 1.0, 2.0)"),
-        ([[0, 0], [1, 0], [2]], None, ValueError, "bad coordinates (2.0,)"),
-        (np.array([[0, 0], [1, np.inf], [0, 1]]), None, ValueError, "bad coordinates (1.0, inf)"),
-        ([(0, 0), (1, float("nan")), (0, 1)], None, ValueError, "bad coordinates (1.0, nan)"),
-        ([(0, 0), (1, 0), (0, float("-inf"))], None, ValueError, "bad coordinates (0.0, -inf)"),
-        ([(0, 0), (1, 0), (0, 1), (1, 1)], 3, ValueError, "bad coordinates (0.0, 0.0)"),
-        ([(0, 0), (1, 0), (0, "x")], None, ValueError, "could not convert string to float: 'x'"),
-        ([(0, 0), (1, 0), (0, None)], None, TypeError, "float() argument must be"),
-        ([(0, 0), (1, 0), (0, 10**400)], None, OverflowError, "int too large to convert to float"),
-        (np.empty((0, 2)), None, DegenerateInputError, "no points to triangulate"),
-        (np.empty((0, 3)), None, DegenerateInputError, "no points to triangulate"),
-    ],
+    "points, error, message",
+    REJECTIONS.values(),
+    ids=[f"points{i}-None-{e.__name__}-{m}" for i, (_, e, m) in REJECTIONS.items()],
 )
-def test_rejections_keep_type_and_message(points, dim, error, message):
+def test_rejections_keep_type_and_message(points, error, message):
     with pytest.raises(error) as info:
-        delaunay(points, dim)
+        delaunay(points)
     assert type(info.value) is error and str(info.value).startswith(message)
 
 

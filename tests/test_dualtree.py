@@ -1,3 +1,4 @@
+import bisect
 import functools
 import json
 import math
@@ -35,7 +36,7 @@ from stablevol.dualtree import (
     stable_volume_tree,
     sweep_sizes,
 )
-from stablevol.fixtures import annulus, fig1_five_points, generate
+from stablevol.fixtures import annulus, fig1_five_points, generate, lattice_2d_defects
 from stablevol.persistence import StarPairError, reduce
 
 
@@ -43,13 +44,9 @@ def pairset(pairs):
     return {(p.birth_simplex, p.death_simplex) for p in pairs}
 
 
-def order_of(simplices, levels):
-    return build_order(SimplicialComplex(simplices), levels)
-
-
 def test_single_triangle_dual_graph():
-    o = order_of([(0, 1, 2)], {s: float(len(s) - 1) for s in
-                               SimplicialComplex([(0, 1, 2)]).simplices})
+    cx = SimplicialComplex([(0, 1, 2)])
+    o = build_order(cx, [float(len(s) - 1) for s in cx.simplices])
     g = build_dual_graph(o)
     assert len(g.cells) == 1
     assert len(dual_edges(g)) == 3
@@ -59,7 +56,7 @@ def test_single_triangle_dual_graph():
 
 def test_two_triangle_square_dual_graph():
     cx = SimplicialComplex([(0, 1, 2), (0, 2, 3)])
-    o = build_order(cx, {s: float(len(s) - 1) for s in cx.simplices})
+    o = build_order(cx, [float(len(s) - 1) for s in cx.simplices])
     g = build_dual_graph(o)
     assert len(g.cells) == 2
     inner = [e for e in dual_edges(g) if OMEGA_INF not in e[1:]]
@@ -69,7 +66,7 @@ def test_two_triangle_square_dual_graph():
 
 def test_condition_error_on_dangling_edge():
     cx = SimplicialComplex([(0, 1, 2), (2, 3)])
-    o = build_order(cx, {s: float(len(s) - 1) for s in cx.simplices})
+    o = build_order(cx, [float(len(s) - 1) for s in cx.simplices])
     with pytest.raises(ConditionError):
         build_dual_graph(o)
 
@@ -97,7 +94,7 @@ def test_merge_order_single_merge():
     lv[(0, 2)] = 2.0  # diagonal enters last among edges
     lv[(0, 1, 2)] = 2.0
     lv[(0, 2, 3)] = 2.0
-    o = build_order(cx, lv)
+    o = build_order(cx, [lv[s] for s in cx.simplices])
     tree = compute_tree(build_dual_graph(o), o)
     t1 = cx.simplices.index((0, 1, 2))
     t2 = cx.simplices.index((0, 2, 3))
@@ -194,14 +191,52 @@ def test_sweep_matches_direct_recount():
     tree = compute_tree(build_dual_graph(f.order), f.order)
     grid = [i * 0.01 for i in range(31)]
     for p in tree.pairs_table():
-        rows = sweep_sizes(tree, p, grid)
-        assert [e for e, _ in rows] == grid
-        sizes = [s for _, s in rows]
+        sizes = sweep_sizes(tree, p, grid)
+        assert sizes.dtype == np.int64 and len(sizes) == len(grid)
+        sizes = sizes.tolist()
         assert sizes == sorted(sizes, reverse=True)
-        for eps, size in rows[::5]:
+        for eps, size in list(zip(grid, sizes))[::5]:
             assert size == len(stable_volume_tree(tree, p, eps).cells)
     with pytest.raises(ValueError):
         sweep_sizes(tree, tree.pairs_table()[0], [0.2, 0.1])
+
+
+def sweep_sizes_oracle(tree, pair, grid):
+    """Stable-volume sizes over a grid by `bisect_left` over the sorted
+    child gaps and suffix sums of the child subtree sizes, in Python."""
+    level = tree.order.level_array.tolist()
+    kids = sorted((level[tree.label(c)] - pair.birth_time, len(tree.descendants(c)))
+                  for c in tree.children(pair.death_simplex))
+    keys = [g for g, _ in kids]
+    suffix = [0] * (len(kids) + 1)
+    for i in range(len(kids) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + kids[i][1]
+    return [1 + suffix[bisect.bisect_left(keys, e)] for e in grid]
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.1], ids=["integer-lattice", "noisy-lattice"])
+def test_sweep_sizes_match_a_bisect_oracle(noise):
+    # on the integer lattice many death cells have children with tied gaps;
+    # each grid holds random bandwidths, every gap, and the floats on either
+    # side of every gap
+    f = alpha_filtration(lattice_2d_defects(1, size=12, noise=noise).points)
+    tree = compute_tree(build_dual_graph(f.order), f.order)
+    level = f.order.level_array
+    rng = np.random.default_rng(3)
+    tied = 0
+    for p in tree.pairs_table():
+        kids = tree.children(p.death_simplex)
+        gaps = level[[tree.label(c) for c in kids]] - p.birth_time
+        tied += len(gaps) > len(np.unique(gaps))
+        for _ in range(3):
+            grid = np.unique(np.concatenate([
+                rng.uniform(-0.1, gaps.max(initial=0.0) + 0.1, rng.integers(1, 40)),
+                gaps, np.nextafter(gaps, -np.inf), np.nextafter(gaps, np.inf),
+            ]))
+            got = sweep_sizes(tree, p, grid)
+            assert got.dtype == np.int64
+            assert got.tolist() == sweep_sizes_oracle(tree, p, grid.tolist())
+    assert tied >= 10 if noise == 0.0 else tied == 0
 
 
 def test_theorem_sampled_inclusion():
@@ -356,5 +391,5 @@ def test_children_csr_matches_dict_oracle(name):
             if eps == 0.05:
                 bnd = boundary(o.cx, chain_z2(want, o.cx))
                 assert z2_boundary(o.cx, o.cx.dim, got.cells).tolist() == sorted(bnd.support())
-            sizes.append((eps, len(want)))
-        assert sweep_sizes(tree, p, grid) == sizes
+            sizes.append(len(want))
+        assert sweep_sizes(tree, p, grid).tolist() == sizes

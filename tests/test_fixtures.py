@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from helpers import appendix_filtration
 from stablevol.fixtures import (
     annulus,
-    appendix_filtration,
     fig1_five_points,
     generate,
     hexagon,

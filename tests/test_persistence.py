@@ -13,6 +13,7 @@ from helpers import (
     cohomology_reduce_all_columns,
     complex_cases,
     complex_json_text,
+    diagram,
     geometry_cases,
     merge_forest_oracle,
     perturbed_order,
@@ -33,7 +34,7 @@ def pairset(pairs):
 
 def test_two_vertices_one_edge():
     cx = SimplicialComplex([(0, 1)])
-    o = build_order(cx, {(0,): 0.0, (1,): 1.0, (0, 1): 2.0})
+    o = build_order(cx, [0.0, 1.0, 2.0])  # ids: (0,), (1,), (0, 1)
     pairs = pers.reduce(o)
     deg0 = [p for p in pairs if p.degree == 0]
     assert len(deg0) == 2
@@ -47,22 +48,21 @@ def test_two_vertices_one_edge():
 
 def test_fig1_d1_has_two_nonzero_pairs():
     f = alpha_filtration(fig1_five_points().points)
-    d1 = pers.diagram(pers.reduce(f.order), f.order, 1)
-    assert len(d1.pairs) == 2
+    assert len(diagram(pers.reduce(f.order), 1)) == 2
 
 
 def test_high_degree_diagram_empty():
     f = alpha_filtration(fig1_five_points().points)
     pairs = pers.reduce(f.order)
-    assert len(pers.diagram(pairs, f.order, 5).pairs) == 0
+    assert len(diagram(pairs, 5)) == 0
 
 
 def test_zero_persistence_pairs_excluded():
     f = alpha_filtration([(0, 0), (1, 0), (1, 1), (0, 1)])
     pairs = pers.reduce(f.order)
     raw1 = [p for p in pairs if p.degree == 1]
-    d1 = pers.diagram(pairs, f.order, 1)
-    assert len(raw1) == 2 and len(d1.pairs) == 1  # the diagonal pair dies instantly
+    d1 = diagram(pairs, 1)
+    assert len(raw1) == 2 and len(d1) == 1  # the diagonal pair dies instantly
 
 
 def test_betti_numbers_match_bruteforce_oracle():
@@ -156,9 +156,6 @@ def test_pair_table_matches_oracle(cohomology_orders, name, clearing):
             key=lambda p: (p.birth_time, p.death_time, p.birth_rank),
         )
         assert table.rows(table.diagram_index(k)) == listed
-        assert pers.diagram(table, o, k).pairs == [
-            p for p in expected if p.degree == k and p.birth_time != p.death_time
-        ]
 
 
 @pytest.mark.parametrize("name", COHOMOLOGY_CASES)
@@ -302,7 +299,7 @@ def test_cocycle_is_alive_cut():
 def test_filled_triangle_has_no_degree1_cocycles():
     # triangle filled from birth: every simplex at level 0
     cx = SimplicialComplex([(0, 1, 2)])
-    o = build_order(cx, {s: 0.0 for s in cx.simplices})
+    o = build_order(cx, [0.0] * len(cx))
     pairs, _ = pers.cohomology_reduce(o)
     assert not [p for p in pairs if p.degree == 1 and p.birth_time != p.death_time]
 
@@ -316,9 +313,7 @@ def test_stability_random_perturbations():
         oq, dist = perturbed_order(f.order, mag, rng)
         qpairs = pers.reduce(oq)
         for k in (0, 1):
-            d = bottleneck(
-                pers.diagram(base, f.order, k), pers.diagram(qpairs, oq, k)
-            )
+            d = bottleneck(diagram(base, k), diagram(qpairs, k))
             assert d <= dist + 1e-12
 
 

@@ -23,7 +23,8 @@ SRC = str(Path(stablevol.__file__).resolve().parents[1])
 
 # the package's exports before they became lazy, by defining module;
 # `delaunay` (the function) is left out: `stablevol.delaunay` is the module,
-# and `validate_complex` is gone: every complex holds all its faces
+# `validate_complex` is gone: every complex holds all its faces, and
+# `Diagram` and `diagram` are gone: `Pairs.diagram_index` gives a diagram
 OLD_EXPORTS = {
     "alpha": ["AlphaFiltration", "PointCloud", "alpha_filtration", "alpha_levels",
               "parse_pointcloud"],
@@ -33,8 +34,8 @@ OLD_EXPORTS = {
     "dualtree": ["ConditionError", "DegreeError", "DualGraph", "PersistenceTree",
                  "StableVolumeResult", "build_dual_graph", "compute_tree",
                  "optimal_volume_tree", "stable_volume_tree", "sweep_sizes"],
-    "persistence": ["Diagram", "Pairs", "PersistencePair", "StarPairError",
-                    "cohomology_reduce", "diagram", "pairs", "reduce"],
+    "persistence": ["Pairs", "PersistencePair", "StarPairError", "cohomology_reduce",
+                    "pairs", "reduce"],
     "volopt": ["ApproximationMismatch", "L1Program", "VolumeProblem", "make_problem",
                "round_support", "solve_lp", "solve_volume", "to_lp"],
 }

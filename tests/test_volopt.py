@@ -15,7 +15,7 @@ from helpers import (
 from stablevol.alpha import alpha_filtration
 from stablevol.dualtree import build_dual_graph, compute_tree, optimal_volume_tree, stable_volume_tree
 from stablevol.fixtures import fig1_five_points, lattice_3x3x3
-from stablevol.persistence import StarPairError, diagram, reduce
+from stablevol.persistence import StarPairError, reduce
 from stablevol import volopt as V
 
 
@@ -65,13 +65,26 @@ def test_huge_epsilon_problem_trivial():
     assert sol.cells == {p.death_simplex}
 
 
-def test_to_lp_counts_and_entries():
+def highs_shapes(monkeypatch, prog):
+    """The shapes of the inequality and equality matrices that `solve_lp`
+    hands HiGHS for the program."""
+    calls = capture_linprog(monkeypatch)
+    try:
+        V.solve_lp(prog)
+    except V.InfeasibleError:
+        pass
+    (_, kwargs), = calls
+    return kwargs["A_ub"].shape, kwargs["A_eq"].shape
+
+
+def test_to_lp_counts_and_entries(monkeypatch):
     f, tree = fig1_tree()
     square = max(tree.pairs_table(), key=lambda p: p.death_time)
     prog = V.to_lp(V.make_problem(f.order, square, "optimal"))
     rows, _ = program_rows(prog)
-    assert prog.n_variables == 2 * len(prog.candidates)
-    assert prog.n_constraints == 2 * len(prog.candidates) + len(rows) + 1
+    m = len(prog.candidates)
+    # 2m variables; 2m coupling rows, the equality rows and the pinned row
+    assert highs_shapes(monkeypatch, prog) == ((2 * m, 2 * m), (len(rows) + 1, 2 * m))
     for tau, coeffs, const in rows:
         assert const in (-1, 0, 1)
         for w, c in coeffs.items():
@@ -85,7 +98,7 @@ def test_to_lp_counts_and_entries():
         assert (const != 0) == (square.death_simplex in cofaces[tau])
 
 
-def test_single_candidate_program_counts():
+def test_single_candidate_program_counts(monkeypatch):
     # one candidate, one constraint -> 2 variables, 3 constraints
     f, tree = fig1_tree()
     square = max(tree.pairs_table(), key=lambda p: p.death_time)
@@ -93,8 +106,7 @@ def test_single_candidate_program_counts():
     prob.candidates = prob.candidates[:1]
     prob.constraints = prob.constraints[:1]
     prog = V.to_lp(prob)
-    assert prog.n_variables == 2
-    assert prog.n_constraints == 3
+    assert highs_shapes(monkeypatch, prog) == ((2, 2), (1, 2))
 
 
 def test_solve_single_square():
@@ -236,14 +248,19 @@ def lattice_optimal_problems(keep=lambda prog: len(prog.candidates) and program_
     out = []
     for seed in range(5):
         f = alpha_filtration(lattice_3x3x3(seed).points)
-        for p in diagram(reduce(f.order), f.order, 1).pairs:
-            if p.essential:
+        for p in reduce(f.order):
+            if p.degree != 1 or p.essential or p.birth_time == p.death_time:
                 continue
             prob = V.make_problem(f.order, p, "optimal")
             prog = V.to_lp(prob)
             if keep(prog):
                 out.append((f.order, p, prob, prog))
     return out
+
+
+def program_of(prog):
+    """An `L1Program`'s candidates, equality rows and pin as Python values."""
+    return prog.candidates.tolist(), program_rows(prog)
 
 
 def count_linprog(monkeypatch):
@@ -266,9 +283,9 @@ def test_pin_sign_hint_is_the_feasible_sign(monkeypatch):
     for order, p, prob, prog in problems:
         hint = V.pin_sign_hint(prog)
         signs.add(hint)
-        V.solve_lp(V.to_lp(prob, pin_sign=hint))
+        V.solve_lp(V._pinned_to(prog, hint))
         with pytest.raises(V.InfeasibleError):
-            V.solve_lp(V.to_lp(prob, pin_sign=-hint))
+            V.solve_lp(V._pinned_to(prog, -hint))
         del calls[:]
         V.solve_volume(order, p, "optimal")
         assert len(calls) == 1
@@ -293,8 +310,9 @@ def test_wrong_pin_sign_hint_retries_to_the_same_cells(monkeypatch):
         assert V.solve_volume(order, p, "optimal").cells == cells
         # the retry solves to_lp's program for the opposite sign
         first, second = solved
-        assert first == V.to_lp(prob, pin_sign=program_rows(first)[1][3])
-        assert second == V.to_lp(prob, pin_sign=-program_rows(first)[1][3])
+        sign = program_rows(first)[1][3]
+        assert program_of(first) == program_of(V._pinned_to(V.to_lp(prob), sign))
+        assert program_of(second) == program_of(V._pinned_to(V.to_lp(prob), -sign))
 
 
 def test_untouched_pin_hint_is_the_feasible_sign(monkeypatch):
@@ -305,9 +323,9 @@ def test_untouched_pin_hint_is_the_feasible_sign(monkeypatch):
     for order, p, prob, prog in problems:
         hint = V.pin_sign_hint(prog)
         signs.add(hint)
-        V.solve_lp(V.to_lp(prob, pin_sign=hint))
+        V.solve_lp(V._pinned_to(prog, hint))
         with pytest.raises(V.InfeasibleError):
-            V.solve_lp(V.to_lp(prob, pin_sign=-hint))
+            V.solve_lp(V._pinned_to(prog, -hint))
         del calls[:]
         V.solve_volume(order, p, "optimal")
         assert len(calls) <= 1
@@ -387,7 +405,8 @@ def oracle_problems():
     sources.append(("torus3d", torus3d_order(), "most-persistent"))
     out = []
     for name, o, pick in sources:
-        pairs = [p for p in diagram(reduce(o), o, 1).pairs if not p.essential]
+        pairs = [p for p in reduce(o)
+                 if p.degree == 1 and not p.essential and p.birth_time != p.death_time]
         if pick:
             pairs = [max(pairs, key=lambda p: p.death_time - p.birth_time)]
         for p in pairs:
@@ -416,7 +435,9 @@ def test_program_and_highs_arguments_match_oracle(monkeypatch):
         assert prob.candidates.tolist() == ref.candidates
         assert prob.constraints.tolist() == ref.constraints
         for sign in (1, -1) if mode == "optimal" else (1,):
-            prog, ref_prog = V.to_lp(prob, pin_sign=sign), to_lp_oracle(ref, sign)
+            prog, ref_prog = V.to_lp(prob), to_lp_oracle(ref, sign)
+            if prog.pin_sign is not None:
+                prog = V._pinned_to(prog, sign)
             assert prog.candidates.tolist() == ref_prog.candidates
             assert program_rows(prog) == (ref_prog.rows, ref_prog.pinned)
             assert V.pin_sign_hint(prog) == pin_sign_hint_oracle(ref_prog)
