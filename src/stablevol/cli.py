@@ -8,11 +8,11 @@ unbounded, solver failure, or a rounded support that is not Z/2-feasible), 4
 pair not uniquely resolvable, 5 essential pair.
 
 The CLI runs OpenBLAS single-threaded unless OPENBLAS_NUM_THREADS is set:
-its dense linear algebra is a few batched 2x2 and 3x3 solves and LSMR's
-vector operations, and the thread pools that numpy's and scipy's OpenBLAS
-would otherwise start at load time cost more start-up than they save. The
-default is set here, before numpy loads, so that importing the library
-alone leaves the environment as it is.
+its dense linear algebra is a few batched 2x2 and 3x3 solves, and the
+thread pools that numpy's and scipy's OpenBLAS would otherwise start at
+load time cost more start-up than they save. The default is set here,
+before numpy loads, so that importing the library alone leaves the
+environment as it is.
 """
 
 from __future__ import annotations

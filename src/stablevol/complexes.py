@@ -47,8 +47,8 @@ def simplex(vertices: Iterable[int]) -> tuple:
 
 
 def faces_of(verts: tuple):
-    """Codimension-1 faces, in vertex-removal order."""
-    return [verts[:i] + verts[i + 1 :] for i in range(len(verts))]
+    """Codimension-1 faces, in vertex-removal order, formed one at a time."""
+    return (verts[:i] + verts[i + 1 :] for i in range(len(verts)))
 
 
 class SimplicialComplex:
@@ -443,9 +443,9 @@ def complex_from_json(obj) -> OrderWithLevel:
         groups[w] = (idx[lex], rows[lex])
     if any(len(r) > 1 and (r[1:] == r[:-1]).all(axis=1).any() for _, r in groups.values()):
         _raise_first_duplicate(vs)
-    cx = SimplicialComplex({w: rows for w, (_, rows) in groups.items()})
-    if len(cx) != len(entries):  # no duplicates, so the build added faces
+    if _lacks_a_face(groups, len(entries)):
         raise ValueError("invalid complex: " + "; ".join(_absent_faces(groups)))
+    cx = SimplicialComplex({w: rows for w, (_, rows) in groups.items()})
     try:
         levels = np.array(levels, dtype=float)
     except OverflowError:  # an integer literal beyond the float range
@@ -509,17 +509,43 @@ def _raise_first_duplicate(vs) -> None:
         first[s] = k
 
 
+def _lacks_a_face(groups, n_entries: int) -> bool:
+    """Whether some given row of a width w lacks a facet among the given
+    rows of width w - 1, checked on arrays before any complex is built;
+    `groups` maps a width to (entry indices, distinct vertex rows).
+
+    If every row has its facets, the rows are closed under faces. A closed
+    set with a row of width w holds at least 2^w - 1 rows, so a row wider
+    than the bit length of the entry count lacks a face, and its facets,
+    which would take memory quadratic in its width, are not formed.
+    """
+    if max(groups, default=0) > n_entries.bit_length():
+        return True
+    values, ranked = _vertex_ranks({w: rows for w, (_, rows) in groups.items()})
+    base = max(len(values), 1)
+    for w, rows in ranked.items():
+        if w > 1:
+            below = ranked.get(w - 1, np.empty((0, w - 1), dtype=np.int64))
+            drop = [[i for i in range(w) if i != j] for j in range(w)]
+            facets = rows[:, drop].reshape(-1, w - 1)
+            if len(_lex_rank(np.concatenate([below, facets]), base)[1]) > len(below):
+                return True
+    return False
+
+
 def _absent_faces(groups) -> list:
     """"missing face F of S" for the first 10 faces that the given rows
     lack, by dimension, then lexicographic order, then vertex-removal order;
     `groups` maps a width to (entry indices, vertex rows)."""
     given = {w: set(map(tuple, rows.tolist())) for w, (_, rows) in groups.items()}
-    out = []
-    for w in sorted(given.keys() - {1}):
-        below = given.get(w - 1, set())
-        out += [f"missing face {f} of {s}" for s in sorted(given[w])
-                for f in faces_of(s) if f not in below]
-    return out[:10]
+    absent = (
+        f"missing face {f} of {s}"
+        for w in sorted(given.keys() - {1})
+        for s in sorted(given[w])
+        for f in faces_of(s)
+        if f not in given.get(w - 1, ())
+    )
+    return list(itertools.islice(absent, 10))
 
 
 def _check_level(e) -> None:

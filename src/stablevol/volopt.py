@@ -6,12 +6,24 @@ The l1 relaxation swaps the coefficient field to the reals and the support
 count for a sum of absolute values; every accepted solution is re-verified
 exactly over Z/2 after rounding, so float error can flag a mismatch but can
 never corrupt an output.
+
+The programs are solved by HiGHS, through the extension module that SciPy
+ships (`scipy.optimize._highspy._core`, checked on SciPy 1.17), loaded from
+its file on the first solve: the model, the options and the status codes are those of
+`scipy.optimize.linprog(method="highs")`, without importing
+`scipy.optimize` or `scipy.sparse`, which would cost a `vol` process about
+as much start-up time as HiGHS spends solving.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, replace
-from typing import Optional
+from types import SimpleNamespace
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -103,6 +115,16 @@ def make_problem(
 # l1 linear program (real coefficients)
 
 
+class Csc(NamedTuple):
+    """A sparse matrix in compressed sparse column form: the rows of column
+    j are `indices[indptr[j]:indptr[j+1]]`, ascending, with values `data`."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+
 @dataclass(eq=False)
 class L1Program:
     """The l1 relaxation in its literal form, as arrays.
@@ -141,18 +163,14 @@ class L1Program:
             b[-1] = -float(self.const[-1] - self.pin_sign)
         return b
 
-    def matrix(self, n_rows: int, n_cols: int):
+    def matrix(self, n_rows: int, n_cols: int) -> Csc:
         """The coefficients of the first `n_rows` rows as a CSC matrix with
         `n_cols` columns; columns past the candidates are empty."""
-        from scipy import sparse
-
         col = np.repeat(np.arange(len(self.candidates)), np.diff(self.indptr))
         keep = self.row < n_rows
         indptr = np.zeros(n_cols + 1, dtype=np.int64)
         np.cumsum(np.bincount(col[keep], minlength=n_cols), out=indptr[1:])
-        return sparse.csc_matrix(
-            (self.coef[keep].astype(float), self.row[keep], indptr), shape=(n_rows, n_cols)
-        )
+        return Csc(indptr, self.row[keep], self.coef[keep].astype(float), (n_rows, n_cols))
 
 
 def to_lp(p: VolumeProblem) -> L1Program:
@@ -197,24 +215,140 @@ class RawSolution:
     residual: float
 
 
-def linprog(*args, **kwargs):
-    """`scipy.optimize.linprog`, imported on the first solve, so that the
-    subcommands that solve no LP never load scipy.optimize."""
-    from scipy.optimize import linprog
+_HIGHS_CORE = "scipy.optimize._highspy._core"
 
-    return linprog(*args, **kwargs)
+# the options that scipy.optimize.linprog(method="highs") gives HiGHS:
+# presolve, the dual simplex (kSimplexStrategyDual), no debug checks
+# (kHighsDebugLevelNone) and no output
+_HIGHS_OPTIONS = {
+    "presolve": "on",
+    "simplex_strategy": 1,
+    "highs_debug_level": 0,
+    "log_to_console": False,
+    "output_flag": False,
+}
+
+# scipy.optimize.linprog's status code per HiGHS model status; any other
+# model status is 4
+_STATUS = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1, "kInfeasible": 2,
+           "kModelError": 2, "kUnbounded": 3}
+
+# linprog's tolerance for a reported optimum: 10 * sqrt(1e-9)
+_FEASIBILITY_TOL = 10 * np.sqrt(1e-9)
+
+
+def _highs():
+    """SciPy's HiGHS extension module.
+
+    If it is not loaded yet, it is loaded from its file in scipy's
+    directory and registered under its own name, so that a later
+    `import scipy.optimize` reuses it; importing its package would load
+    `scipy.optimize` and `scipy.sparse`. A SciPy without the file (before
+    `_highspy`) raises LPError.
+    """
+    core = sys.modules.get(_HIGHS_CORE)
+    if core is None:
+        scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        highspy_dir = os.path.join(scipy_dir, "optimize", "_highspy")
+        finder = importlib.machinery.FileFinder(
+            highspy_dir,
+            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+        )
+        spec = finder.find_spec(_HIGHS_CORE)
+        if spec is None:
+            raise LPError(f"HiGHS needs SciPy >= 1.17: no {_HIGHS_CORE} extension in {highspy_dir}")
+        core = importlib.util.module_from_spec(spec)
+        sys.modules[_HIGHS_CORE] = core
+        spec.loader.exec_module(core)
+    return core
+
+
+def _run_highs(cost, a: Csc, lhs, rhs, lb, ub):
+    """Minimise cost @ x subject to lhs <= a @ x <= rhs and lb <= x <= ub
+    with HiGHS, under `_HIGHS_OPTIONS`.
+
+    Returns `status` (linprog's code), `success`, `x` and `fun` (None unless
+    optimal), `nit` (simplex iterations, or else interior-point ones) and
+    `message`. An optimum more than `_FEASIBILITY_TOL` outside a bound or
+    row bound gets status 4, as in linprog.
+    """
+    h = _highs()
+    lp = h.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(cost)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(lhs)
+    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
+    # the setters copy any sequence element by element, a list faster than
+    # an array (4.7 against 7.2 ms on a torus program)
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost.tolist(), lb.tolist(), ub.tolist()
+    lp.row_lower_, lp.row_upper_ = lhs.tolist(), rhs.tolist()
+    lp.a_matrix_.start_, lp.a_matrix_.index_ = a.indptr.tolist(), a.indices.tolist()
+    lp.a_matrix_.value_ = a.data.tolist()
+    highs = h._Highs()
+    options = h.HighsOptions()
+    for key, val in _HIGHS_OPTIONS.items():
+        setattr(options, key, val)
+    highs.passOptions(options)
+    nit, x, fun, feasible = 0, None, None, False
+    if highs.passModel(lp) == h.HighsStatus.kError:
+        model = h.HighsModelStatus.kModelError
+    elif highs.run() == h.HighsStatus.kError:
+        model = highs.getModelStatus()
+    else:
+        model = highs.getModelStatus()
+        info = highs.getInfo()
+        nit = info.simplex_iteration_count or info.ipm_iteration_count
+        if model == h.HighsModelStatus.kOptimal:
+            solution = highs.getSolution()
+            x, fun = np.array(solution.col_value), info.objective_function_value
+            row = np.array(solution.row_value)
+            tol = _FEASIBILITY_TOL
+            feasible = bool(np.all((lb - tol <= x) & (x <= ub + tol))
+                            and np.all((lhs - tol <= row) & (row <= rhs + tol)))
+    status = _STATUS.get(model.name, 4)
+    message = f"{highs.modelStatusToString(model)} (HiGHS status {int(model)})"
+    if status == 0 and not feasible:
+        status = 4
+        message = (f"the optimum HiGHS reports violates a bound or row by more "
+                   f"than the tolerance {_FEASIBILITY_TOL:.2E}")
+    return SimpleNamespace(status=status, success=status == 0, x=x, fun=fun, nit=nit,
+                           message=message)
+
+
+def linprog(c, *, A_ub: Csc, b_ub, A_eq: Csc, b_eq, lb, ub):
+    """Minimise c @ x subject to A_ub @ x <= b_ub, A_eq @ x == b_eq and
+    lb <= x <= ub, as `scipy.optimize.linprog(method="highs")` does.
+
+    HiGHS gets the model that linprog hands it: A_ub stacked over A_eq in
+    CSC form with ascending rows, row bounds (-inf, b_ub] and [b_eq, b_eq],
+    and the column bounds. Its `x`, `fun`, `nit` and `status` are linprog's;
+    the per-column marginals that linprog also reports are not computed.
+    """
+    return _run_highs(c, _vstack(A_ub, A_eq), np.concatenate([np.full(len(b_ub), -np.inf), b_eq]),
+                      np.concatenate([b_ub, b_eq]), lb, ub)
+
+
+def _vstack(top: Csc, bottom: Csc) -> Csc:
+    """The CSC matrix of `top` over `bottom`, rows ascending per column."""
+    n_cols = top.shape[1]
+    counts = np.diff(top.indptr), np.diff(bottom.indptr)
+    cols = np.repeat(np.tile(np.arange(n_cols), 2), np.concatenate(counts))
+    rows = np.concatenate([top.indices, bottom.indices + top.shape[0]])
+    srt = np.lexsort((rows, cols))
+    indptr = np.zeros(n_cols + 1, dtype=np.int64)
+    np.cumsum(counts[0] + counts[1], out=indptr[1:])
+    data = np.concatenate([top.data, bottom.data])[srt]
+    return Csc(indptr, rows[srt], data, (top.shape[0] + bottom.shape[0], n_cols))
 
 
 def solve_lp(prog: L1Program) -> RawSolution:
     """Solve the l1 program with a deterministic simplex backend (HiGHS).
 
-    The program is fed literally: free alphas, majorant alpha_bars, the two
-    coupling inequalities per candidate, and the equality rows, as CSC
-    matrices built from the program's arrays. The residual is the largest
-    violation of an equality row by the returned alphas.
+    The program is fed literally through `linprog`: free alphas, majorant
+    alpha_bars, the two coupling inequalities per candidate, and the
+    equality rows, as CSC matrices built from the program's arrays. The
+    residual is the largest violation of an equality row by the returned
+    alphas.
     """
-    from scipy import sparse
-
     m = len(prog.candidates)
     b_eq = prog.rhs()
     if m == 0:
@@ -227,13 +361,11 @@ def solve_lp(prog: L1Program) -> RawSolution:
     # alpha - alpha_bar <= 0 and -alpha - alpha_bar <= 0: column i has rows
     # i and m + i, with +1, -1 for an alpha and -1, -1 for an alpha_bar
     i = np.arange(m)
-    A_ub = sparse.csc_matrix(
-        (
-            np.concatenate([np.tile([1.0, -1.0], m), np.full(2 * m, -1.0)]),
-            np.tile(np.stack([i, m + i], axis=1).ravel(), 2),
-            np.arange(0, 4 * m + 1, 2),
-        ),
-        shape=(2 * m, 2 * m),
+    A_ub = Csc(
+        np.arange(0, 4 * m + 1, 2),
+        np.tile(np.stack([i, m + i], axis=1).ravel(), 2),
+        np.concatenate([np.tile([1.0, -1.0], m), np.full(2 * m, -1.0)]),
+        (2 * m, 2 * m),
     )
     res = linprog(
         cost,
@@ -241,8 +373,8 @@ def solve_lp(prog: L1Program) -> RawSolution:
         b_ub=np.zeros(2 * m),
         A_eq=A_eq,
         b_eq=b_eq,
-        bounds=[(None, None)] * m + [(0, None)] * m,
-        method="highs",
+        lb=np.repeat([-np.inf, 0.0], m),
+        ub=np.full(2 * m, np.inf),
     )
     if res.status == 2:
         raise InfeasibleError("l1 program infeasible")
@@ -299,34 +431,36 @@ def z2_violations(p: VolumeProblem, support: set) -> list:
 
 
 def pin_sign_hint(prog: L1Program) -> int:
-    """The pin sign that the equality rows imply; +1 if they cannot tell.
+    """The pin sign that the equality rows imply: the sign of
+    `_birth_coefficient` when it lies within 0.5 of +1 or -1, else +1."""
+    return -1 if abs(_birth_coefficient(prog) + 1) < 0.5 else 1
 
-    Over a field, the equality rows fix the birth-simplex coefficient of the
-    boundary for every feasible real chain. When no candidate touches the
-    pinned row, that coefficient is the row's constant. Otherwise one
-    least-squares solution of the rows (LSMR, on the CSR form of the rows'
-    matrix) gives it. Its sign is taken when the value lies within 0.5 of +1
-    or -1. A program without a pin, or with a touched pin but no rows, gets
-    +1.
+
+def _birth_coefficient(prog: L1Program) -> float:
+    """The birth-simplex coefficient of the boundary of a chain that meets
+    the equality rows of a pinned program; NaN if HiGHS finds no such chain.
+
+    Over a field, the equality rows fix that coefficient for every feasible
+    real chain: two such chains differ by a chain whose boundary is a cycle
+    that bounds before the death, and by the pairing lemma such a cycle has
+    no birth-simplex term. So any one chain gives it. When no candidate
+    touches the pinned row, it is the row's constant. Otherwise a zero-cost
+    HiGHS solve of the equality rows, with free columns, gives one chain;
+    on the torus programs presolve settles it in 0 iterations at exactly
+    +-1. The solve does not go through `linprog`, whose calls are the
+    program's solves.
     """
-    if prog.pin_sign is None:
-        return 1
     n, m = prog.n_rows, len(prog.candidates)
-    const = int(prog.const[-1])
     on_pin = np.flatnonzero(prog.row == n)
-    if not len(on_pin):
-        value = const
-    elif not n:
-        return 1
-    else:
-        from scipy.sparse.linalg import lsmr
-
-        x = lsmr(prog.matrix(n, m).tocsr(), -prog.const[:n].astype(float))[0]
-        # the pinned row's terms in candidate id order
+    value = float(prog.const[-1])
+    if len(on_pin):
+        b = -prog.const[:n].astype(float)
+        res = _run_highs(np.zeros(m), prog.matrix(n, m), b, b, np.full(m, -np.inf), np.full(m, np.inf))
+        if not res.success:
+            return float("nan")
         col = np.repeat(np.arange(m), np.diff(prog.indptr))[on_pin]
-        srt = np.argsort(prog.candidates[col])
-        value = const + sum(c * x[i] for i, c in zip(col[srt].tolist(), prog.coef[on_pin][srt].tolist()))
-    return -1 if abs(value + 1) < 0.5 else 1
+        value += float(prog.coef[on_pin] @ res.x[col])
+    return value
 
 
 def _pinned_to(prog: L1Program, sign: int) -> L1Program:

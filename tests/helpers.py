@@ -1003,6 +1003,45 @@ def lp_arguments_oracle(prog):
     }
 
 
+def highs_model_oracle(args):
+    """What `scipy.optimize.linprog(method="highs")` hands HiGHS for HiGHS
+    arguments from `lp_arguments_oracle`, and linprog's result.
+
+    The model is the arguments of SciPy's `_highs_wrapper` call: the arrays
+    c, indptr, indices, data, lhs, rhs, lb and ub, and under "options" the
+    option values HiGHS gets (unset ones and "sense" dropped, enums as ints,
+    presolve as HiGHS's "on"/"off")."""
+    from scipy.optimize import linprog
+
+    module = sys.modules["scipy.optimize._linprog_highs"]
+    wrapper = module._highs_wrapper
+    seen = []
+
+    def recording(c, indptr, indices, data, lhs, rhs, lb, ub, integrality, options):
+        arrays = dict(c=c, indptr=indptr, indices=indices, data=data, lhs=lhs, rhs=rhs, lb=lb, ub=ub)
+        seen.append({k: np.array(v, copy=True) for k, v in arrays.items()})
+        given = {}
+        for key, val in options.items():
+            if val is None or key == "sense":
+                continue
+            if key == "presolve":
+                val = "on" if val else "off"
+            elif not isinstance(val, (bool, str, float)):
+                val = int(val)
+            given[key] = val
+        seen[-1]["options"] = given
+        return wrapper(c, indptr, indices, data, lhs, rhs, lb, ub, integrality, options)
+
+    module._highs_wrapper = recording
+    try:
+        args = dict(args)
+        res = linprog(args.pop("cost"), method="highs", **args)
+    finally:
+        module._highs_wrapper = wrapper
+    (model,) = seen
+    return model, res
+
+
 def pin_sign_hint_oracle(prog):
     """Reference pin sign of a program from `to_lp_oracle`: the constant
     when no candidate touches the pin, else one LSMR solution of the rows."""

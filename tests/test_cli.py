@@ -28,6 +28,7 @@ from helpers import (
     compute_tree_oracle,
     geometry_cases,
     load_tracing,
+    missing_faces,
     pd_json_oracle,
     reduce_oracle,
 )
@@ -266,6 +267,35 @@ def test_deeply_nested_complex_json_exit_2_in_a_fresh_process(tmp_path):
     assert proc.stderr.splitlines() == ["error: complex JSON is nested too deeply to parse"]
 
 
+# runs main(argv) in a fresh interpreter, then prints its exit code and its
+# peak resident memory (VmHWM, KiB) to stdout
+PEAK_PROBE = """
+import contextlib, io, sys
+from stablevol.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(code, next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+def test_one_wide_entry_exits_2_before_building_its_faces(tmp_path):
+    # the closure of one 24-vertex entry has 2^24 - 1 simplices; the file
+    # lacks faces, so the loader stops before it builds any of them
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps({"simplices": [{"v": list(range(24)), "level": 0}]}))
+    src = str(Path(stablevol.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_PROBE, "pd", str(p)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 2
+    message = "invalid complex: " + "; ".join(missing_faces([tuple(range(24))]))
+    assert proc.stderr.splitlines() == [f"error: {message}"]
+    assert peak_kib < 100 * 1024
+
+
 def test_benchmark_tracer_attaches_and_detaches(fig1_file, capsys, monkeypatch):
     """perfbench/tracing.py wraps stablevol functions by name; every name it
     resolves must exist, and uninstalling must restore the originals."""
@@ -345,7 +375,8 @@ def test_lp_failure_exit_3(fig1_file, capsys, monkeypatch, solve_lp, message):
     assert message in err
 
 
-SCIPY_PARTS = ("scipy.optimize", "scipy.spatial", "scipy.sparse")
+HIGHS_CORE = "scipy.optimize._highspy._core"
+SCIPY_PARTS = ("scipy.optimize", "scipy.spatial", "scipy.sparse", HIGHS_CORE)
 
 # run in a fresh interpreter: prints the scipy parts loaded after each step
 SCIPY_PROBE = """
@@ -372,6 +403,8 @@ def test_scipy_is_loaded_only_where_it_is_used(tmp_path):
     steps = [
         ("gen", ["gen", "fig1-five-points", "-o", fig1]),
         ("rsc", ["rsc", str(cx_path), "--birth", "2", "--death", "7"]),
+        ("vol-json", ["vol", str(cx_path), "--birth", "2", "--death", "7",
+                      "--method", "stable-lp", "--epsilon", "0"]),
         ("pd", ["pd", fig1]),
         ("stat", ["stat", fig1, *pair, "--noise", "0.05", "--trials", "2", "--seed", "1"]),
         ("vol", ["vol", fig1, *pair, "--method", "stable-lp", "--epsilon", "0.05"]),
@@ -384,9 +417,10 @@ def test_scipy_is_loaded_only_where_it_is_used(tmp_path):
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     assert loaded["import"] == loaded["gen"] == loaded["rsc"] == []
-    assert "scipy.optimize" not in loaded["pd"] + loaded["stat"]
+    # an l1 program on a complex JSON loads HiGHS's extension module alone
+    assert loaded["vol-json"] == [HIGHS_CORE]
     assert "scipy.spatial" in loaded["pd"]
-    assert "scipy.optimize" in loaded["vol"]
+    assert all("scipy.optimize" not in parts for parts in loaded.values())
 
 
 def test_ambiguous_pair_exit_4(fig1_file, capsys):

@@ -6,6 +6,7 @@ OPENBLAS_NUM_THREADS to 1 before numpy loads, unless the user has set it,
 and the CLI's stdout does not depend on the BLAS thread count.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -117,3 +118,48 @@ def test_stdout_does_not_depend_on_the_blas_thread_count(cli_inputs):
                 for threads in (None, "1", "2")}
         assert outs[None], name
         assert outs[None] == outs["1"] == outs["2"], name
+
+
+# solves one small LP with volopt.linprog and with scipy.optimize.linprog,
+# in the order given by argv[1], and prints both results
+HIGHS_ORDER_PROBE = """
+import json, sys
+import numpy as np
+from stablevol import volopt as V
+
+def volopt_solve():
+    col = np.array([0, 1, 2])
+    res = V.linprog(np.array([1.0, 2.0]),
+                    A_ub=V.Csc(col, np.zeros(2, int), np.array([-1.0, -1.0]), (1, 2)),
+                    b_ub=np.array([-1.0]),
+                    A_eq=V.Csc(col, np.zeros(2, int), np.array([1.0, -1.0]), (1, 2)),
+                    b_eq=np.array([0.0]), lb=np.zeros(2), ub=np.full(2, np.inf))
+    return [res.status, res.x.tolist(), res.fun, res.nit]
+
+def scipy_solve():
+    from scipy.optimize import linprog
+    res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], A_eq=[[1.0, -1.0]],
+                  b_eq=[0.0], method="highs")
+    return [res.status, res.x.tolist(), res.fun, res.nit]
+
+first, second = volopt_solve, scipy_solve
+if sys.argv[1] == "scipy-first":
+    first, second = second, first
+results = {first.__name__: first()}
+optimize_after_first = "scipy.optimize" in sys.modules
+results[second.__name__] = second()
+from scipy.optimize._highspy import _highs_wrapper
+core = sys.modules["scipy.optimize._highspy._core"]
+assert V._highs() is _highs_wrapper._h is core
+print(json.dumps([optimize_after_first, results]))
+"""
+
+
+def test_highs_core_is_shared_with_scipy_in_either_import_order():
+    runs = {order: json.loads(python(["-c", HIGHS_ORDER_PROBE, order]))
+            for order in ("volopt-first", "scipy-first")}
+    # volopt's solve alone loads no scipy.optimize
+    assert runs["volopt-first"][0] is False and runs["scipy-first"][0] is True
+    results = [r for _, by_solver in runs.values() for r in by_solver.values()]
+    assert results[0] == [0, [0.5, 0.5], 1.5, results[0][3]]
+    assert all(r == results[0] for r in results)

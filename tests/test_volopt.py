@@ -1,6 +1,9 @@
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -117,6 +120,70 @@ def test_solve_single_square():
     assert sol.cells == set(f.cx.ids_of_dim(2))
     assert abs(sol.objective - 1.0) < 1e-8
     assert sol.residual < 1e-8
+
+
+def small_lp(a_ub, b_ub, lb):
+    """volopt.linprog's arguments for min x0 + x1 subject to one inequality
+    row a_ub @ x <= b_ub, no equality row and lb <= x < inf."""
+    col = V.Csc(np.array([0, 1, 2]), np.array([0, 0]), np.array(a_ub, dtype=float), (1, 2))
+    no_rows = V.Csc(np.zeros(3, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), (0, 2))
+    return dict(A_ub=col, b_ub=np.array([float(b_ub)]), A_eq=no_rows, b_eq=np.zeros(0),
+                lb=np.array(lb, dtype=float), ub=np.full(2, np.inf))
+
+
+@pytest.mark.parametrize(
+    "a_ub, b_ub, lb, status",
+    [([-1, -1], -1, [0, 0], 0), ([1, 1], -1, [0, 0], 2), ([1, 1], 1, [-np.inf, 0], 3)],
+    ids=["optimal", "infeasible", "unbounded"],
+)
+def test_linprog_status_and_iterations_match_scipy(a_ub, b_ub, lb, status):
+    from scipy.optimize import linprog
+
+    res = V.linprog(np.ones(2), **small_lp(a_ub, b_ub, lb))
+    ref = linprog(np.ones(2), A_ub=[a_ub], b_ub=[b_ub], bounds=[(lb[0], None), (lb[1], None)],
+                  method="highs")
+    assert (res.status, res.success, res.nit) == (ref.status, ref.success, ref.nit)
+    assert res.status == status
+    assert (res.x is None) == (ref.x is None)
+
+
+def test_optimum_outside_linprog_tolerance_is_a_solver_failure(monkeypatch):
+    # as in linprog, an optimum that misses a bound by more than the
+    # tolerance is status 4; no optimum meets a negative tolerance
+    res = V.linprog(np.ones(2), **small_lp([-1, -1], -1, [0, 0]))
+    assert res.status == 0
+    monkeypatch.setattr(V, "_FEASIBILITY_TOL", -1.0)
+    res = V.linprog(np.ones(2), **small_lp([-1, -1], -1, [0, 0]))
+    assert (res.status, res.success) == (4, False)
+    assert res.message == ("the optimum HiGHS reports violates a bound or row by "
+                           "more than the tolerance -1.00E+00")
+    f, tree = fig1_tree()
+    square = max(tree.pairs_table(), key=lambda p: p.death_time)
+    with pytest.raises(V.LPError, match="LP solver failed: the optimum HiGHS reports violates"):
+        V.solve_volume(f.order, square, "stable", 0.05)
+
+
+def test_scipy_without_the_highs_extension_is_an_lp_error(monkeypatch, tmp_path):
+    # a SciPy whose optimize/_highspy holds no _core extension, as before
+    # SciPy had one, gives a one-line LPError that names the version needed
+    find_spec = importlib.util.find_spec
+
+    def empty_scipy(name, *args):
+        if name != "scipy":
+            return find_spec(name, *args)
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path)]
+        return spec
+
+    monkeypatch.delitem(sys.modules, V._HIGHS_CORE, raising=False)
+    monkeypatch.setattr(importlib.util, "find_spec", empty_scipy)
+    f, tree = fig1_tree()
+    square = max(tree.pairs_table(), key=lambda p: p.death_time)
+    with pytest.raises(V.LPError) as ei:
+        V.solve_volume(f.order, square, "stable", 0.05)
+    highspy_dir = tmp_path / "optimize" / "_highspy"
+    assert str(ei.value) == (f"HiGHS needs SciPy >= 1.17: no {V._HIGHS_CORE} "
+                             f"extension in {highspy_dir}")
 
 
 def test_round_support_threshold():
@@ -332,6 +399,28 @@ def test_untouched_pin_hint_is_the_feasible_sign(monkeypatch):
     assert -1 in signs
 
 
+def test_birth_coefficient_is_exact_and_signs_match_lsmr_oracle():
+    # every feasible chain has the same birth coefficient, +-1, and the
+    # feasibility solve finds it to 1e-9 on every lattice and torus program
+    from helpers import make_problem_oracle, pin_sign_hint_oracle, to_lp_oracle, torus3d_order
+
+    orders = [alpha_filtration(lattice_3x3x3(seed).points).order for seed in range(5)]
+    orders += [torus3d_order(seed=seed) for seed in range(2)]
+    signs = []
+    for o in orders:
+        for p in reduce(o):
+            if p.degree != 1 or p.essential or p.birth_time == p.death_time:
+                continue
+            prog = V.to_lp(V.make_problem(o, p, "optimal"))
+            value = V._birth_coefficient(prog)
+            assert abs(abs(value) - 1) <= 1e-9
+            sign = V.pin_sign_hint(prog)
+            assert sign == (1 if value > 0 else -1)
+            assert sign == pin_sign_hint_oracle(to_lp_oracle(make_problem_oracle(o, p, "optimal")))
+            signs.append(sign)
+    assert len(signs) > 350 and set(signs) == {1, -1}
+
+
 @pytest.mark.parametrize(
     "prog",
     [
@@ -378,18 +467,41 @@ def assert_same_array(got, want):
     assert got.tobytes() == want.tobytes()  # bit for bit, so -0.0 too
 
 
-def assert_same_highs_arguments(args, kwargs, want):
-    (cost,) = args
-    assert_same_array(cost, want["cost"])
-    assert set(kwargs) == {"A_ub", "b_ub", "A_eq", "b_eq", "bounds", "method"}
-    assert kwargs["method"] == "highs" and kwargs["bounds"] == want["bounds"]
-    for name in ("A_ub", "A_eq"):
-        got, ref = kwargs[name], want[name]
-        assert got.format == "csc" and got.shape == ref.shape
-        for attr in ("indptr", "indices", "data"):
-            assert_same_array(getattr(got, attr), getattr(ref, attr))
-    for name in ("b_ub", "b_eq"):
-        assert_same_array(kwargs[name], want[name])
+def capture_highs(monkeypatch):
+    """Record each HiGHS solve as (model arguments, result)."""
+    calls = []
+    run = V._run_highs
+
+    def recording(*args):
+        res = run(*args)
+        calls.append((args, res))
+        return res
+
+    monkeypatch.setattr(V, "_run_highs", recording)
+    return calls
+
+
+def assert_same_highs_model(args, want):
+    """The model that `volopt.linprog` handed HiGHS is, bit for bit, the one
+    that SciPy's linprog hands it (from `helpers.highs_model_oracle`)."""
+    cost, a, lhs, rhs, lb, ub = args
+    got = dict(c=cost, data=a.data, lhs=lhs, rhs=rhs, lb=lb, ub=ub)
+    for name, arr in got.items():
+        assert_same_array(arr, want[name])
+    # HiGHS reads both index arrays as its own integer type
+    assert a.indptr.tolist() == want["indptr"].tolist()
+    assert a.indices.tolist() == want["indices"].tolist()
+    assert V._HIGHS_OPTIONS == want["options"]
+
+
+def assert_same_result(res, ref):
+    """x, fun, nit and status as scipy.optimize.linprog gives them."""
+    assert (res.status, res.success, res.nit) == (ref.status, ref.success, ref.nit)
+    if ref.x is None:
+        assert res.x is None and res.fun is None
+    else:
+        assert_same_array(res.x, ref.x)
+        assert np.float64(res.fun).tobytes() == np.float64(ref.fun).tobytes()
 
 
 @functools.lru_cache(maxsize=None)
@@ -419,6 +531,7 @@ def oracle_problems():
 
 def test_program_and_highs_arguments_match_oracle(monkeypatch):
     from helpers import (
+        highs_model_oracle,
         lp_arguments_oracle,
         make_problem_oracle,
         pin_sign_hint_oracle,
@@ -427,7 +540,7 @@ def test_program_and_highs_arguments_match_oracle(monkeypatch):
 
     problems = oracle_problems()
     assert len(problems) > 1000
-    calls = capture_linprog(monkeypatch)
+    calls = capture_highs(monkeypatch)
     pinned = 0
     for name, o, p, mode, eps, ov in problems:
         prob = V.make_problem(o, p, mode, eps, ov)
@@ -440,16 +553,19 @@ def test_program_and_highs_arguments_match_oracle(monkeypatch):
                 prog = V._pinned_to(prog, sign)
             assert prog.candidates.tolist() == ref_prog.candidates
             assert program_rows(prog) == (ref_prog.rows, ref_prog.pinned)
-            assert V.pin_sign_hint(prog) == pin_sign_hint_oracle(ref_prog)
-            pinned += program_rows(prog)[1] is not None
+            if prog.pin_sign is not None:
+                assert V.pin_sign_hint(prog) == pin_sign_hint_oracle(ref_prog)
+                pinned += 1
             del calls[:]
             try:
                 V.solve_lp(prog)
             except V.InfeasibleError:
                 pass
             if len(prog.candidates):
-                (args, kwargs), = calls
-                assert_same_highs_arguments(args, kwargs, lp_arguments_oracle(ref_prog))
+                (args, res), = calls
+                model, ref_res = highs_model_oracle(lp_arguments_oracle(ref_prog))
+                assert_same_highs_model(args, model)
+                assert_same_result(res, ref_res)
             else:
                 assert not calls
     assert pinned > 400
