@@ -14,12 +14,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "alpha": ("AlphaFiltration", "PointCloud", "alpha_filtration", "alpha_levels",
               "parse_pointcloud"),
-    "complexes": ("Chain", "MonotonicityError", "OrderWithLevel", "SimplicialComplex",
-                  "boundary", "build_order", "chain_z2", "complex_from_json"),
+    "complexes": ("MonotonicityError", "OrderWithLevel", "SimplicialComplex", "boundary",
+                  "build_order", "complex_from_json"),
     "delaunay": ("DegenerateInputError",),
     "dualtree": ("ConditionError", "DegreeError", "DualGraph", "PersistenceTree",
-                 "StableVolumeResult", "build_dual_graph", "compute_tree",
-                 "optimal_volume_tree", "stable_volume_tree", "sweep_sizes"),
+                 "build_dual_graph", "compute_tree", "optimal_volume_tree",
+                 "stable_volume_tree", "sweep_sizes"),
     "persistence": ("Pairs", "PersistencePair", "StarPairError", "cohomology_reduce",
                     "pairs", "reduce"),
     "volopt": ("ApproximationMismatch", "L1Program", "VolumeProblem", "make_problem",

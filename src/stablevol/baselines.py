@@ -153,14 +153,13 @@ class CycleLoop:
     edges: list  # simplex ids, consecutive, closing back to the start
     vertices: list  # loop vertex ids, len == len(edges)
     weight: float
-    k_rank: int
 
 
 @dataclass
 class RscResult:
     loop: Optional[CycleLoop]
+    k_rank: int  # the filtration step the loop was searched at
     status: str = "ok"
-    candidates: int = 0
 
 
 def reconstructed_shortest_cycle(
@@ -223,9 +222,9 @@ def reconstructed_shortest_cycle(
             if best is None or key < best[:2]:
                 best = (*key, loop_edges, verts)
     if best is None:
-        return RscResult(None, "disconnected", len(crossings))
+        return RscResult(None, k_rank, "disconnected")
     total, _, loop_edges, verts = best
-    return RscResult(CycleLoop(loop_edges, verts, total, k_rank), "ok", len(crossings))
+    return RscResult(CycleLoop(loop_edges, verts, total), k_rank)
 
 
 def _lockstep_loop(adj, crossings, ends):

@@ -369,15 +369,16 @@ def cmd_vol(args) -> int:
             obj = _volume_json(order, pc, pair, cells, "tree-optimal", None)
         else:
             sol = volopt.solve_volume(order, pair, "optimal", threshold=args.threshold)
+            # a solve that returns reached the optimum; any other outcome raises LPError
             obj = _volume_json(order, pc, pair, sol.cells, "lp-optimal", None,
-                               {"objective": sol.objective, "status": sol.status})
+                               {"objective": sol.objective, "status": "optimal"})
     elif args.method == "stable-tree":
-        res = stable_volume_tree(_tree_for(order, pairs, pair), pair, eps)
-        obj = _volume_json(order, pc, pair, res.cells, "tree-stable", eps)
+        cells = stable_volume_tree(_tree_for(order, pairs, pair), pair, eps)
+        obj = _volume_json(order, pc, pair, cells, "tree-stable", eps)
     elif args.method == "stable-lp":
         sol = volopt.solve_volume(order, pair, "stable", eps, threshold=args.threshold)
         obj = _volume_json(order, pc, pair, sol.cells, "lp-stable", eps,
-                           {"objective": sol.objective, "status": sol.status})
+                           {"objective": sol.objective, "status": "optimal"})
     else:  # sub
         if tree is not None:
             ov = optimal_volume_tree(tree, pair)
@@ -386,7 +387,7 @@ def cmd_vol(args) -> int:
         sol = volopt.solve_volume(order, pair, "sub", eps, ov_cells=ov,
                                   threshold=args.threshold)
         obj = _volume_json(order, pc, pair, sol.cells, "lp-sub", eps,
-                           {"objective": sol.objective, "status": sol.status})
+                           {"objective": sol.objective, "status": "optimal"})
     _dump_json(obj, args.output)
     return 0
 
@@ -457,7 +458,7 @@ def cmd_rsc(args) -> int:
     if args.euclidean and points is None:
         raise ValueError("euclidean weights need point coordinates")
     if args.degree != 1:
-        raise PairSelectionError("reconstructed shortest cycles need degree 1")
+        raise ValueError("reconstructed shortest cycles need degree 1")
     pairs, cocycle = pers.cohomology_reduce(order)
     pair = _select_pair(pairs, args)
     if pair.essential:
@@ -484,7 +485,7 @@ def cmd_rsc(args) -> int:
         "method": "rsc",
         "status": res.status,
         "weight": None if loop is None else loop.weight,
-        "k_rank": pair.death_rank - 1 if k is None else k,
+        "k_rank": res.k_rank,
     }
     _dump_json(obj, args.output)
     return 0

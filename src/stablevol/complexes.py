@@ -1,4 +1,4 @@
-"""Simplicial complexes, Z/2 and rational chains, and filtration orders.
+"""Simplicial complexes, Z/2 boundaries, and filtration orders.
 
 Simplices are canonical tuples of strictly increasing vertex ids. A complex
 assigns dense integer ids to its simplices at construction; everything
@@ -13,9 +13,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -267,60 +265,25 @@ def _coface_csr(local_faces, m: int, offset: int):
 
 
 # ---------------------------------------------------------------------------
-# chains
+# Z/2 boundaries
 
 
-@dataclass
-class Chain:
-    """Formal sum of equal-dimension simplices. `field` is "z2" or "rational".
-
-    Z/2 coefficients are stored as the integer 1; rational coefficients are
-    exact fractions so that boundary-of-boundary cancels identically.
-    """
-
-    field: str
-    dim: int
-    coeffs: dict
-
-    def support(self) -> set:
-        return set(self.coeffs)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-
-def chain_z2(ids: Iterable[int], cx: SimplicialComplex) -> Chain:
-    ids = list(ids)
-    dims = {cx.dim_of(i) for i in ids}
-    if len(dims) > 1:
-        raise ValueError(f"mixed dimensions in chain: {sorted(dims)}")
-    d = dims.pop() if dims else 0
-    coeffs = {}
-    for i in ids:
-        coeffs[i] = coeffs.get(i, 0) ^ 1
-    return Chain("z2", d, {i: 1 for i, c in coeffs.items() if c})
-
-
-def boundary(cx: SimplicialComplex, ch: Chain) -> Chain:
-    """Boundary with alternating signs on the sorted vertex list (Z/2 drops signs)."""
-    if ch.dim < 1:
+def boundary(cx: SimplicialComplex, k: int, ids: Iterable[int]) -> set:
+    """Ids of the Z/2 boundary of the k-simplices `ids`: the (k-1)-simplices
+    that an odd number of them have as a face, so an id listed twice
+    cancels. It reads the vertex tuples (`simplices`, `faces_of`), not the
+    face arrays, so the tests check `z2_boundary` against it. Raises
+    DimensionError for k < 1 or an id that is not a k-simplex."""
+    if k < 1:
         raise DimensionError("boundary of a 0-chain is undefined")
-    facets = cx.ids_of_dim(ch.dim - 1)
+    cells, facets = cx.ids_of_dim(k), cx.ids_of_dim(k - 1)
     index = dict(zip(cx.simplices[facets.start : facets.stop], facets))
-    out: dict = {}
-    for sid, coef in ch.coeffs.items():
-        verts = cx.simplices[sid]
-        for i, f in enumerate(faces_of(verts)):
-            fi = index[f]
-            if ch.field == "z2":
-                out[fi] = out.get(fi, 0) ^ 1
-            else:
-                out[fi] = out.get(fi, Fraction(0)) + (-1) ** i * coef
-    if ch.field == "z2":
-        coeffs = {i: 1 for i, c in out.items() if c}
-    else:
-        coeffs = {i: c for i, c in out.items() if c != 0}
-    return Chain(ch.field, ch.dim - 1, coeffs)
+    out = set()
+    for sid in ids:
+        if not cells.start <= sid < cells.stop:
+            raise DimensionError(f"simplex {sid} is not a {k}-simplex")
+        out ^= {index[f] for f in faces_of(cx.simplices[sid])}
+    return out
 
 
 def z2_boundary(cx: SimplicialComplex, k: int, cells) -> np.ndarray:

@@ -42,7 +42,6 @@ class DualGraph:
     """Edge j joins the cells a[j] and b[j] (OMEGA_INF for the outside cell)
     and is labelled by the (n-1)-simplex tau[j]; edges are in id order."""
 
-    n: int
     cells: range  # n-simplex ids
     tau: np.ndarray
     a: np.ndarray
@@ -71,7 +70,7 @@ def build_dual_graph(o: OrderWithLevel) -> DualGraph:
     ids = cx.ids_of_dim(n - 1)
     tau = np.arange(ids.start, ids.stop)
     if n < 1:  # no (n-1)-simplices, so no edges
-        return DualGraph(n, top, tau, tau, tau)
+        return DualGraph(top, tau, tau, tau)
     ptr, idx = cx.coface_csr(n - 1)
     count = np.diff(ptr)
     over = np.flatnonzero(count > 2)
@@ -84,7 +83,7 @@ def build_dual_graph(o: OrderWithLevel) -> DualGraph:
     b = np.full(len(tau), OMEGA_INF, dtype=np.int64)
     two = count == 2
     b[two] = idx[ptr[:-1][two] + 1]
-    return DualGraph(n, top, tau, a, b)
+    return DualGraph(top, tau, a, b)
 
 
 class PersistenceTree:
@@ -191,16 +190,7 @@ def optimal_volume_tree(tree: PersistenceTree, pair: PersistencePair) -> set:
     return tree.descendants(pair.death_simplex)
 
 
-@dataclass
-class StableVolumeResult:
-    pair: PersistencePair
-    epsilon: float
-    cells: set
-
-
-def stable_volume_tree(
-    tree: PersistenceTree, pair: PersistencePair, epsilon: float
-) -> StableVolumeResult:
+def stable_volume_tree(tree: PersistenceTree, pair: PersistencePair, epsilon: float) -> set:
     """Stable volume: the death cell plus subtrees of children whose edge
     label sits at least epsilon above the birth level."""
     _check_tree_pair(tree, pair)
@@ -212,7 +202,7 @@ def stable_volume_tree(
     for child in tree.children(pair.death_simplex):
         if level[tree.label(child)] >= threshold:
             cells |= tree.descendants(child)
-    return StableVolumeResult(pair, float(epsilon), cells)
+    return cells
 
 
 def sweep_sizes(tree: PersistenceTree, pair: PersistencePair, eps_grid) -> np.ndarray:

@@ -79,22 +79,3 @@ FREQUENCY_SCHEMA = {
         },
     },
 }
-
-COMPLEX_SCHEMA = {
-    "type": "object",
-    "required": ["vertices", "simplices"],
-    "properties": {
-        "vertices": {"type": "integer", "minimum": 0},
-        "simplices": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["v", "level"],
-                "properties": {
-                    "v": {"type": "array", "items": {"type": "integer"}},
-                    "level": {"type": "number"},
-                },
-            },
-        },
-    },
-}

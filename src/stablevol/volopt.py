@@ -61,13 +61,8 @@ class VolumeProblem:
     order: OrderWithLevel
     pair: PersistencePair
     mode: str
-    epsilon: float
     candidates: np.ndarray  # (k+1)-simplex ids, ascending rank, death cell excluded
     constraints: np.ndarray  # k-simplex ids whose boundary coefficient must vanish
-
-    @property
-    def degree(self) -> int:
-        return self.pair.degree
 
 
 def make_problem(
@@ -108,7 +103,7 @@ def make_problem(
     cons = window[(window >= facets.start) & (window < facets.stop)]
     if mode == "sub":
         cands = cands[np.isin(cands, np.fromiter(ov_cells, np.int64, len(ov_cells)))]
-    return VolumeProblem(o, pair, mode, float(epsilon), cands, cons)
+    return VolumeProblem(o, pair, mode, cands, cons)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +175,8 @@ def to_lp(p: VolumeProblem) -> L1Program:
     coefficient (-1)^j; a `rowpos` array maps each constraint simplex to its
     row. The constants are the death cell's face rows. In optimal mode the
     side constraint "birth coefficient nonzero" is not expressible in an LP;
-    the birth simplex gets the last row, pinned to +1 (`_pinned_to` gives
-    the program with another pin sign).
+    the birth simplex gets the last row, pinned to +1 (`dataclasses.replace`
+    with another `pin_sign` gives the program with that sign).
     """
     cx = p.order.cx
     k = p.pair.degree
@@ -211,8 +206,7 @@ def to_lp(p: VolumeProblem) -> L1Program:
 class RawSolution:
     alphas: np.ndarray  # per candidate, signed reals
     objective: float
-    status: str
-    residual: float
+    residual: float  # the largest violation of an equality row
 
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -355,7 +349,7 @@ def solve_lp(prog: L1Program) -> RawSolution:
         bad = prog.taus[b_eq != 0].tolist()
         if bad:
             raise InfeasibleError(f"no candidates and nonzero constants at {bad}")
-        return RawSolution(np.zeros(0), 0.0, "optimal", 0.0)
+        return RawSolution(np.zeros(0), 0.0, 0.0)
     cost = np.concatenate([np.zeros(m), np.ones(m)])
     A_eq = prog.matrix(len(prog.taus), 2 * m)
     # alpha - alpha_bar <= 0 and -alpha - alpha_bar <= 0: column i has rows
@@ -386,15 +380,13 @@ def solve_lp(prog: L1Program) -> RawSolution:
     col = np.repeat(i, np.diff(prog.indptr))
     lhs = np.bincount(prog.row, weights=prog.coef * alphas[col], minlength=len(b_eq))
     resid = float(np.max(np.abs(lhs - b_eq), initial=0.0))
-    return RawSolution(alphas, float(res.fun), "optimal", resid)
+    return RawSolution(alphas, float(res.fun), resid)
 
 
 @dataclass
 class VolumeSolution:
     cells: set  # rounded support, death cell included
     objective: float
-    status: str
-    residual: float
 
 
 def round_support(
@@ -411,7 +403,7 @@ def round_support(
     bad = z2_violations(p, support)
     if bad:
         raise ApproximationMismatch(bad)
-    return VolumeSolution(support, raw.objective, raw.status, raw.residual)
+    return VolumeSolution(support, raw.objective)
 
 
 def z2_violations(p: VolumeProblem, support: set) -> list:
@@ -463,11 +455,6 @@ def _birth_coefficient(prog: L1Program) -> float:
     return value
 
 
-def _pinned_to(prog: L1Program, sign: int) -> L1Program:
-    """The program with its pin set to `sign`."""
-    return replace(prog, pin_sign=sign)
-
-
 def solve_volume(
     o: OrderWithLevel,
     pair: PersistencePair,
@@ -488,7 +475,7 @@ def solve_volume(
         return round_support(p, solve_lp(prog), threshold)
     sign = pin_sign_hint(prog)
     try:
-        raw = solve_lp(_pinned_to(prog, sign))
+        raw = solve_lp(replace(prog, pin_sign=sign))
     except InfeasibleError:
-        raw = solve_lp(_pinned_to(prog, -sign))
+        raw = solve_lp(replace(prog, pin_sign=-sign))
     return round_support(p, raw, threshold)

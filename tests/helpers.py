@@ -6,7 +6,6 @@ import itertools
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,12 +14,10 @@ import numpy as np
 from stablevol import persistence as pers
 from stablevol.alpha import _circum_batch, _is_gabriel
 from stablevol.complexes import (
-    Chain,
     MonotonicityError,
     SimplicialComplex,
     boundary,
     build_order,
-    chain_z2,
     faces_of,
     simplex,
 )
@@ -272,16 +269,6 @@ def complex_cases():
         "hollow-triangle": build_order(hollow, [0.0, 0.0, 0.0, 1.0, 2.0, 1.0]),
         "vertex": build_order(SimplicialComplex([(0,)]), [0.0]),
     }
-
-
-def chain_rational(coeffs, cx):
-    """Chain with exact rational coefficients; zero coefficients are dropped."""
-    cleaned = {int(i): Fraction(c) for i, c in coeffs.items() if Fraction(c) != 0}
-    dims = {cx.dim_of(i) for i in cleaned}
-    if len(dims) > 1:
-        raise ValueError(f"mixed dimensions in chain: {sorted(dims)}")
-    d = dims.pop() if dims else 0
-    return Chain("rational", d, cleaned)
 
 
 def bottleneck_bruteforce(d1, d2):
@@ -578,9 +565,10 @@ def merge_forest_oracle(n_nodes, ends):
 
 
 def boundary_vertices_oracle(o, cells):
-    """Vertices of the Z/2 boundary of a set of cells, by `boundary()`."""
-    bnd = boundary(o.cx, chain_z2(cells, o.cx))
-    return {v for sid in bnd.support() for v in o.cx.simplices[sid]}
+    """Vertices of the Z/2 boundary of a nonempty set of cells of one
+    dimension, by `boundary()`."""
+    bnd = boundary(o.cx, o.cx.dim_of(next(iter(cells))), cells)
+    return {v for sid in bnd for v in o.cx.simplices[sid]}
 
 
 def statistical_frequencies_oracle(pc, target, noise, trials):

@@ -29,7 +29,7 @@ from stablevol import volopt as V
 from stablevol.alpha import alpha_filtration
 from stablevol.baselines import reconstructed_shortest_cycle
 from stablevol.cli import main
-from stablevol.complexes import boundary, chain_z2
+from stablevol.complexes import boundary
 from stablevol.dualtree import (
     build_dual_graph,
     compute_tree,
@@ -56,8 +56,8 @@ def tree_of(order):
 
 
 def boundary_vertex_count(order, cells):
-    bnd = boundary(order.cx, chain_z2(cells, order.cx))
-    return len({v for sid in bnd.support() for v in order.cx.simplices[sid]})
+    bnd = boundary(order.cx, order.cx.dim_of(next(iter(cells))), cells)
+    return len({v for sid in bnd for v in order.cx.simplices[sid]})
 
 
 def test_criterion_1_fig1_exactness(tmp_path):
@@ -124,7 +124,7 @@ def test_criterion_3_tree_lp_equivalence():
         tree = tree_of(f.order)
         for pair in tree.pairs_table():
             for eps in (0.0, 0.05, 0.1, 0.2):
-                sv_tree = stable_volume_tree(tree, pair, eps).cells
+                sv_tree = stable_volume_tree(tree, pair, eps)
                 sv_lp = V.solve_volume(f.order, pair, "stable", eps).cells
                 cases += 1
                 if sv_lp != sv_tree:
@@ -242,7 +242,7 @@ def test_criterion_6_nesting_laws():
             ov = optimal_volume_tree(tree, p)
             prev = ov
             for eps in grid:
-                sv = stable_volume_tree(tree, p, eps).cells
+                sv = stable_volume_tree(tree, p, eps)
                 assert sv <= prev and sv <= ov
                 prev = sv
             vols.append(ov)
@@ -265,7 +265,7 @@ def test_criterion_7_sampled_inclusion():
     ):
         tree = tree_of(order)
         for pair in tree.pairs_table():
-            sv = stable_volume_tree(tree, pair, eps).cells
+            sv = stable_volume_tree(tree, pair, eps)
             for _ in range(50):
                 oq = admissible_order(order, pair, eps, rng)
                 qtree = tree_of(oq)

@@ -25,7 +25,7 @@ from stablevol.baselines import (
     reconstructed_shortest_cycle,
     statistical_frequencies,
 )
-from stablevol.complexes import boundary, chain_z2
+from stablevol.complexes import boundary
 from stablevol.delaunay import DegenerateInputError
 from stablevol.dualtree import build_dual_graph, compute_tree, optimal_volume_tree
 from stablevol.fixtures import (
@@ -56,7 +56,7 @@ def test_zero_noise_limit_marks_unperturbed_boundary():
     cells = optimal_volume_cells(f.order, pair)
     bverts = {
         v
-        for sid in boundary(f.order.cx, chain_z2(cells, f.order.cx)).support()
+        for sid in boundary(f.order.cx, pair.degree + 1, cells)
         for v in f.order.cx.simplices[sid]
     }
     fm = statistical_frequencies(pc, pair, NoiseModel(1e-9, seed=0), trials=10)
@@ -139,7 +139,7 @@ def test_birth_rank_returns_birth_loop():
     assert res.loop.weight == 8.0
     assert len(res.loop.edges) == 8
     # it closes: Z/2 boundary of the edge sum vanishes
-    assert not boundary(o.cx, chain_z2(res.loop.edges, o.cx))
+    assert boundary(o.cx, 1, res.loop.edges) == set()
 
 
 def test_loop_is_simple_and_closed():
@@ -278,9 +278,9 @@ def per_edge_search(o, k, cocycle, points=None):
     loops = crossing_searches(o, k, cocycle, points)
     found = [q for q in loops if q is not None]
     if not found:
-        return baselines.RscResult(None, "disconnected", len(loops))
+        return baselines.RscResult(None, k, "disconnected")
     weight, _, edges, verts = min(found)
-    return baselines.RscResult(baselines.CycleLoop(edges, verts, weight, k), "ok", len(loops))
+    return baselines.RscResult(baselines.CycleLoop(edges, verts, weight), k)
 
 
 def rsc_inputs(name):
@@ -403,7 +403,6 @@ def test_lockstep_search_with_a_disconnecting_cocycle(cut):
     res = reconstructed_shortest_cycle(o, p, k_rank=k, cocycle=fake)
     assert res == per_edge_search(o, k, fake)
     assert res.status == ("disconnected" if cut == "separating" else "ok")
-    assert res.candidates == len(fake & set(edges))
 
 
 def test_shortest_path_bound_is_strict():

@@ -31,6 +31,7 @@ from helpers import (
     missing_faces,
     pd_json_oracle,
     reduce_oracle,
+    torus3d_order,
 )
 from stablevol.cli import PairSelectionError, _load_input, _select_pair, main
 from stablevol.complexes import SimplicialComplex, build_order
@@ -324,6 +325,38 @@ def test_benchmark_tracer_attaches_and_detaches(fig1_file, capsys, monkeypatch):
     assert list(inspect.signature(parallel.parallel_map).parameters) == ["fn", "items", "threads"]
 
 
+def test_benchmark_tracer_observes_vol_and_stat(fig1_file, tmp_path, capsys, monkeypatch):
+    """Each result the tracer's observers read is there: `linprog`'s matrices
+    and `solve_lp`'s residual on a vol job, and the trial counts of
+    `statistical_frequencies` on a stat job."""
+    tracing = load_tracing(monkeypatch)
+    o = torus3d_order(12, 6)
+    path = tmp_path / "torus.json"
+    path.write_text(complex_json_text(o))
+    table = pers.pairs(o, [1])
+    rows = table.diagram_index(1)
+    top = int(np.argmax(table.death_time[rows] - table.birth_time[rows]))
+    jobs = [
+        ["vol", str(path), "--pair-index", str(top), "--method", "sub", "--epsilon", "0.1"],
+        ["stat", fig1_file, "--pair-index", "1", "--noise", "0.05", "--trials", "2", "--seed", "3"],
+    ]
+    metrics = []
+    for argv in jobs:
+        tracer = tracing.Tracer()
+        tracer.install(counters=True)
+        try:
+            assert run(argv, capsys)[0] == 0
+            metrics.append(tracer.job_metrics(0))
+        finally:
+            tracer.uninstall()
+    vol, stat = metrics
+    assert vol["volopt.lp_solves"] >= 1
+    assert vol["volopt.lp_rows"] > 0 and vol["volopt.lp_cols"] > 0
+    assert math.isfinite(vol["volopt.lp_residual_max"])
+    assert vol["volopt.pin_retries"] == 0
+    assert 0 <= stat["baselines.matched_ratio"] <= 1
+
+
 def test_pd_rejects_threads(fig1_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pd", fig1_file, "--threads", "2"])
@@ -342,7 +375,7 @@ def test_json_output_refuses_nan(tmp_path):
 
 def _zero_alphas(prog):
     # rounds to the death cell alone, which violates the constraints
-    return volopt.RawSolution(np.zeros(len(prog.candidates)), 0.0, "optimal", 0.0)
+    return volopt.RawSolution(np.zeros(len(prog.candidates)), 0.0, 0.0)
 
 
 def _unbounded(prog):
@@ -736,6 +769,27 @@ def test_rsc_euclidean_on_a_complex_exit_2_in_a_fresh_process(tmp_path):
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines() == ["error: euclidean weights need point coordinates"]
+
+
+@pytest.mark.parametrize("degree", ["0", "2"])
+def test_rsc_wrong_degree_exit_2_in_a_fresh_process(fig1_file, degree):
+    # a parse error, as for sweep and vol --method stable-tree, given
+    # before the cohomology reduction
+    src = str(Path(stablevol.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "from stablevol import cli, persistence\n"
+        "def reduced(order):\n"
+        "    raise AssertionError('cohomology reduced')\n"
+        "persistence.cohomology_reduce = reduced\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "rsc", fig1_file, "--degree", degree, "--pair-index", "0"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: reconstructed shortest cycles need degree 1"]
 
 
 def count_pairing_calls(monkeypatch):

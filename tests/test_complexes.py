@@ -11,7 +11,6 @@ from helpers import (
     TupleComplex,
     assert_closed,
     build_order_by_key,
-    chain_rational,
     complex_from_json_oracle,
     complex_json_text,
     complex_to_json,
@@ -25,13 +24,11 @@ from helpers import (
 )
 from stablevol.complexes import (
     _lex_rank,
-    Chain,
     DimensionError,
     MonotonicityError,
     SimplicialComplex,
     boundary,
     build_order,
-    chain_z2,
     complex_from_json,
     simplex,
 )
@@ -110,28 +107,37 @@ def test_every_prefix_is_closed_small():
 
 def test_boundary_of_triangle_z2():
     cx = SimplicialComplex([(0, 1, 2)])
-    ch = chain_z2([cx.simplices.index((0, 1, 2))], cx)
-    b = boundary(cx, ch)
-    assert {cx.simplices[i] for i in b.support()} == {(0, 1), (0, 2), (1, 2)}
+    b = boundary(cx, 2, [cx.simplices.index((0, 1, 2))])
+    assert {cx.simplices[i] for i in b} == {(0, 1), (0, 2), (1, 2)}
 
 
-def test_boundary_squared_is_zero_both_fields():
+def test_boundary_squared_is_zero_z2():
     random.seed(3)
     pts = [(random.random(), random.random()) for _ in range(14)]
     cx = delaunay(pts)
     tri_ids = cx.ids_of_dim(2)
     for _ in range(20):
         picks = random.sample(tri_ids, min(4, len(tri_ids)))
-        z2 = boundary(cx, boundary(cx, chain_z2(picks, cx)))
-        assert not z2
-        rat = chain_rational({i: random.randint(-3, 3) or 1 for i in picks}, cx)
-        assert not boundary(cx, boundary(cx, rat))
+        assert boundary(cx, 1, boundary(cx, 2, picks)) == set()
+
+
+def test_boundary_cancels_an_id_listed_twice():
+    cx = SimplicialComplex([(0, 1, 2), (1, 2, 3)])
+    a, b = (cx.simplices.index(t) for t in ((0, 1, 2), (1, 2, 3)))
+    assert boundary(cx, 2, [a, a]) == set()
+    assert boundary(cx, 2, [a, b, b]) == boundary(cx, 2, [a])
+    shared = cx.simplices.index((1, 2))
+    assert shared in boundary(cx, 2, [a]) and shared not in boundary(cx, 2, [a, b])
 
 
 def test_boundary_dimension_error():
-    cx = SimplicialComplex([(0, 1)])
+    cx = SimplicialComplex([(0, 1, 2)])
     with pytest.raises(DimensionError):
-        boundary(cx, chain_z2([0], cx))
+        boundary(cx, 0, [0])
+    edge, tri = cx.ids_of_dim(1)[0], cx.ids_of_dim(2)[0]
+    for k, ids in ((2, [edge]), (1, [tri]), (1, [0]), (2, [tri, edge]), (3, [tri])):
+        with pytest.raises(DimensionError):
+            boundary(cx, k, ids)
 
 
 def test_boundary_of_annulus_strip():
@@ -144,12 +150,11 @@ def test_boundary_of_annulus_strip():
         tris.append(tuple(sorted((a, b, ia))))
         tris.append(tuple(sorted((b, ia, ib))))
     cx = SimplicialComplex(tris)
-    total = chain_z2(cx.ids_of_dim(2), cx)
-    rim = boundary(cx, total)
+    rim = boundary(cx, 2, cx.ids_of_dim(2))
     # brute-force coefficient count: each edge's triangle cofaces mod 2
     cofaces = views_from_arrays(cx)[3]
     expect = {e for e in cx.ids_of_dim(1) if len(cofaces[e]) % 2 == 1}
-    assert rim.support() == expect
+    assert rim == expect
     # exactly the two boundary n-gons
     assert len(expect) == 2 * n
 

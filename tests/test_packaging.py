@@ -1,0 +1,40 @@
+"""The package metadata and the README's library sketch."""
+
+import importlib.metadata
+import re
+import tomllib
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def lower_bound(spec):
+    """The version that a `>=X.Y` clause of a Requires-Python spec names,
+    as a tuple of ints."""
+    found = re.search(r">=\s*(\d+(?:\.\d+)*)", spec)
+    assert found, f"no >= clause in {spec!r}"
+    return tuple(map(int, found.group(1).split(".")))
+
+
+def test_python_floor_is_not_below_the_dependencies():
+    # a Python the dependencies refuse must be refused by the package first,
+    # not inside the resolver
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        floor = lower_bound(tomllib.load(fh)["project"]["requires-python"])
+    for dist in ("numpy", "scipy"):
+        need = importlib.metadata.metadata(dist)["Requires-Python"]
+        assert floor >= lower_bound(need), f"{dist} needs Python {need}"
+
+
+def test_readme_library_sketch_runs():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    sketch = re.search(r"## Library sketch\n\n```python\n(.*?)```", text, re.S).group(1)
+    points = np.random.default_rng(7).uniform(0, 40, (300, 2))
+    names = {"points": points}
+    exec(compile(sketch, "README.md", "exec"), names)
+    cx = names["filt"].order.cx
+    assert names["sv"] and names["sv"] <= set(cx.ids_of_dim(2))
+    assert names["rim"] <= set(cx.ids_of_dim(1))
+    assert len(names["same"]) == len(names["table"])

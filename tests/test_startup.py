@@ -25,16 +25,18 @@ SRC = str(Path(stablevol.__file__).resolve().parents[1])
 # the package's exports before they became lazy, by defining module;
 # `delaunay` (the function) is left out: `stablevol.delaunay` is the module,
 # `validate_complex` is gone: every complex holds all its faces, and
-# `Diagram` and `diagram` are gone: `Pairs.diagram_index` gives a diagram
+# `Diagram` and `diagram` are gone: `Pairs.diagram_index` gives a diagram,
+# and `Chain`, `chain_z2` and `StableVolumeResult` are gone: `boundary` and
+# `stable_volume_tree` give id sets
 OLD_EXPORTS = {
     "alpha": ["AlphaFiltration", "PointCloud", "alpha_filtration", "alpha_levels",
               "parse_pointcloud"],
-    "complexes": ["Chain", "MonotonicityError", "OrderWithLevel", "SimplicialComplex",
-                  "boundary", "build_order", "chain_z2", "complex_from_json"],
+    "complexes": ["MonotonicityError", "OrderWithLevel", "SimplicialComplex", "boundary",
+                  "build_order", "complex_from_json"],
     "delaunay": ["DegenerateInputError"],
     "dualtree": ["ConditionError", "DegreeError", "DualGraph", "PersistenceTree",
-                 "StableVolumeResult", "build_dual_graph", "compute_tree",
-                 "optimal_volume_tree", "stable_volume_tree", "sweep_sizes"],
+                 "build_dual_graph", "compute_tree", "optimal_volume_tree",
+                 "stable_volume_tree", "sweep_sizes"],
     "persistence": ["Pairs", "PersistencePair", "StarPairError", "cohomology_reduce",
                     "pairs", "reduce"],
     "volopt": ["ApproximationMismatch", "L1Program", "VolumeProblem", "make_problem",
