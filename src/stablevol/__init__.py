@@ -12,8 +12,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "alpha": ("AlphaFiltration", "PointCloud", "alpha_filtration", "alpha_levels",
-              "parse_pointcloud"),
+    "alpha": ("alpha_filtration", "alpha_levels", "parse_pointcloud"),
     "complexes": ("MonotonicityError", "OrderWithLevel", "SimplicialComplex", "boundary",
                   "build_order", "complex_from_json"),
     "delaunay": ("DegenerateInputError",),

@@ -1,5 +1,10 @@
 """Alpha filtrations of 2D/3D pointclouds.
 
+A pointcloud is an (n, d) float array, d = 2 or 3; `parse_pointcloud`
+reads one from text and `format_pointcloud` writes it back. An alpha
+filtration is its `OrderWithLevel`: `alpha_filtration(points).cx` is the
+Delaunay complex.
+
 Levels are circumradii (not squared radii): a simplex that is Gabriel (its
 smallest circumsphere contains no other point strictly inside) enters at its
 own circumradius, anything else inherits the smallest level among its
@@ -40,7 +45,6 @@ that hands `_is_gabriel` every point as a candidate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -54,27 +58,12 @@ _GABRIEL_BAND = 1e-9  # relative width of the float filter around the sphere
 _CANDIDATE_SLACK = 1e-6
 
 
-@dataclass
-class PointCloud:
-    dim: int
-    points: np.ndarray
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[1] != self.dim:
-            raise ValueError(f"expected shape (n, {self.dim})")
-        if not np.all(np.isfinite(self.points)):
-            raise ValueError("non-finite coordinates in pointcloud")
-
-    def __len__(self):
-        return len(self.points)
-
-
-def parse_pointcloud(text: str) -> PointCloud:
-    """Whitespace- or comma-separated coordinates, one point per line.
+def parse_pointcloud(text: str) -> np.ndarray:
+    """Whitespace- or comma-separated coordinates, one point per line, as an
+    (n, d) float array.
 
     Dimension is inferred from the column count (2 or 3). Blank lines and
-    lines starting with '#' are skipped.
+    lines starting with '#' are skipped. A non-finite coordinate is an error.
     """
     rows = []
     for line in text.splitlines():
@@ -88,19 +77,15 @@ def parse_pointcloud(text: str) -> PointCloud:
     width = {len(r) for r in rows}
     if len(width) != 1 or width.pop() not in (2, 3):
         raise ValueError("pointcloud rows must all have 2 or 3 columns")
-    arr = np.array(rows, dtype=float)
-    return PointCloud(arr.shape[1], arr)
+    points = np.array(rows, dtype=float)
+    if not np.isfinite(points).all():
+        raise ValueError("non-finite coordinates in pointcloud")
+    return points
 
 
-def format_pointcloud(pc: PointCloud) -> str:
-    return "\n".join(" ".join(repr(float(x)) for x in row) for row in pc.points) + "\n"
-
-
-@dataclass
-class AlphaFiltration:
-    points: PointCloud
-    cx: SimplicialComplex
-    order: OrderWithLevel
+def format_pointcloud(points: np.ndarray) -> str:
+    """The text `parse_pointcloud` reads back to the same (n, d) array."""
+    return "\n".join(" ".join(repr(float(x)) for x in row) for row in points) + "\n"
 
 
 def _circum_one(pts_row):
@@ -284,14 +269,8 @@ def _is_gabriel(cx, pts, sid, center, r2, candidates) -> bool:
     return True
 
 
-def alpha_filtration(points) -> AlphaFiltration:
-    """Delaunay complex + alpha levels + total order, from a pointcloud."""
-    if isinstance(points, PointCloud):
-        pc = points
-    else:
-        arr = np.asarray(points, dtype=float)
-        pc = PointCloud(arr.shape[1], arr)
-    cx = delaunay(pc.points)
-    levels = alpha_levels(cx, pc.points)
-    order = build_order(cx, levels)
-    return AlphaFiltration(pc, cx, order)
+def alpha_filtration(points) -> OrderWithLevel:
+    """The alpha filtration of an (n, d) pointcloud: its Delaunay complex,
+    alpha levels and total order."""
+    cx = delaunay(points)
+    return build_order(cx, alpha_levels(cx, points))

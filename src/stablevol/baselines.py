@@ -2,10 +2,10 @@
 shortest cycles from persistent cohomology.
 
 The statistical method re-runs the whole pipeline on noise-perturbed copies
-of the pointcloud and counts, per input point, how often it lies on the
-boundary cycle of the matched pair's optimal volume: a subtree of the
-trial's merge tree for a codimension-1 pair, the l1 program's volume
-(`optimal_volume_cells`) for any other degree. Reconstructed shortest
+of the pointcloud, an (n, d) array, and counts, per input point, how often
+it lies on the boundary cycle of the matched pair's optimal volume: a
+subtree of the trial's merge tree for a codimension-1 pair, the l1
+program's volume (`optimal_volume_cells`) for any other degree. Reconstructed shortest
 cycles cut the 1-skeleton along a representative cocycle and search the
 shortest loop that re-crosses the cut: by one lockstep breadth-first search
 over all cut edges for hop weights, by one bounded Dijkstra run per cut
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import persistence as pers
 from . import volopt
-from .alpha import PointCloud, alpha_filtration
+from .alpha import alpha_filtration
 from .complexes import OrderWithLevel, vertices_of, z2_boundary
 from .dualtree import build_dual_graph, compute_tree, optimal_volume_tree
 from .parallel import parallel_map
@@ -92,7 +92,7 @@ def optimal_volume_cells(order: OrderWithLevel, pair: PersistencePair) -> set:
 
 
 def statistical_frequencies(
-    pc: PointCloud,
+    points: np.ndarray,
     target: PersistencePair,
     noise: NoiseModel,
     trials: int,
@@ -100,13 +100,14 @@ def statistical_frequencies(
     """Per-point frequency of lying on the optimal volume-boundary across
     noise-perturbed recomputations.
 
-    Each trial perturbs the cloud, recomputes the alpha filtration and its
-    diagram, matches the target pair to the nearest pair in the l-inf metric
-    (accepted within max(2 * half_width, 1e-6)), and marks the vertices of
-    the matched pair's optimal volume boundary. For a pair of codimension 1
-    the trial builds one persistence tree, which gives both its pairs and
-    the optimal volume, and runs no reduction; other degrees take their
-    pairs from `persistence.pairs`, then solve the l1 program. Unmatched
+    Each trial perturbs the (n, d) pointcloud, recomputes the alpha
+    filtration and its diagram, matches the target pair to the nearest pair
+    in the l-inf metric (accepted within max(2 * half_width, 1e-6)), and
+    marks the vertices of the matched pair's optimal volume boundary. For a
+    pair of codimension 1 the trial builds one persistence tree, which gives
+    both its pairs and the optimal volume, and runs no reduction; other
+    degrees take their pairs from `persistence.pairs`, then solve the l1
+    program. Unmatched
     trials are excluded from the denominator and reported; a majority of
     unmatched trials flags the result with a warning status.
     """
@@ -115,8 +116,7 @@ def statistical_frequencies(
     radius = max(2.0 * noise.half_width, 1e-6)
 
     def one_trial(t: int):
-        pts = noise.perturb(pc.points, t)
-        o = alpha_filtration(pts).order
+        o = alpha_filtration(noise.perturb(points, t))
         if target.degree == o.cx.dim - 1:
             tree = compute_tree(build_dual_graph(o), o)
             hit = _match_pair(tree.pairs_table(), target, radius)
@@ -131,7 +131,7 @@ def statistical_frequencies(
         return vertices_of(o.cx, hit.degree, z2_boundary(o.cx, hit.degree + 1, cells))
 
     results = parallel_map(one_trial, range(trials))
-    counts = np.zeros(len(pc), dtype=int)
+    counts = np.zeros(len(points), dtype=int)
     matched = 0
     for verts in results:
         if verts is None:

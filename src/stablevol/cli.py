@@ -125,8 +125,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_input(path):
-    """Returns (order, pointcloud or None). Pointclouds get an alpha
-    filtration."""
+    """Returns (order, (n, d) points or None). A file whose first non-blank
+    character opens a JSON object, array or string is a complex JSON;
+    anything else is a pointcloud, which gets an alpha filtration."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
@@ -135,10 +136,10 @@ def _load_input(path):
     stripped = text.lstrip()
     if not stripped:
         raise ValueError(f"{path} is empty")
-    if stripped[0] == "{":
+    if stripped[0] in '{["':
         return complex_from_json(text), None
-    pc = parse_pointcloud(text)
-    return alpha_filtration(pc).order, pc
+    points = parse_pointcloud(text)
+    return alpha_filtration(points), points
 
 
 # half width of the window that a single value X of --birth or --death gives
@@ -284,10 +285,10 @@ def _pd_scatter_tsv(listed):
                           for x, y in rows)
 
 
-def _volume_json(order, pc, pair, cells, method, epsilon, extra=None):
+def _volume_json(order, points, pair, cells, method, epsilon, extra=None):
     """The output object of a volume: the cells of dimension degree + 1,
     their Z/2 boundary and its vertices' points (none without a point
-    cloud `pc`), from the face arrays."""
+    cloud `points`), from the face arrays."""
     cx, k = order.cx, pair.degree + 1
     bnd = z2_boundary(cx, k, cells)
     obj = {
@@ -295,8 +296,8 @@ def _volume_json(order, pc, pair, cells, method, epsilon, extra=None):
         "epsilon": epsilon,
         "cells": sorted(cells),
         "boundary": bnd.tolist(),
-        "points": [] if pc is None else [
-            list(map(float, pc.points[v])) for v in vertices_of(cx, k - 1, bnd).tolist()
+        "points": [] if points is None else [
+            list(map(float, points[v])) for v in vertices_of(cx, k - 1, bnd).tolist()
         ],
         "method": method,
     }
@@ -352,7 +353,7 @@ def _tree_for(order, pairs, pair):
 
 
 def cmd_vol(args) -> int:
-    order, pc = _load_input(args.input)
+    order, points = _load_input(args.input)
     pairs = pers.pairs(order, [args.degree])
     pair = _select_pair(pairs, args)
     if pair.essential:
@@ -366,18 +367,18 @@ def cmd_vol(args) -> int:
     if args.method == "optimal":
         if tree is not None:
             cells = optimal_volume_tree(tree, pair)
-            obj = _volume_json(order, pc, pair, cells, "tree-optimal", None)
+            obj = _volume_json(order, points, pair, cells, "tree-optimal", None)
         else:
             sol = volopt.solve_volume(order, pair, "optimal", threshold=args.threshold)
             # a solve that returns reached the optimum; any other outcome raises LPError
-            obj = _volume_json(order, pc, pair, sol.cells, "lp-optimal", None,
+            obj = _volume_json(order, points, pair, sol.cells, "lp-optimal", None,
                                {"objective": sol.objective, "status": "optimal"})
     elif args.method == "stable-tree":
         cells = stable_volume_tree(_tree_for(order, pairs, pair), pair, eps)
-        obj = _volume_json(order, pc, pair, cells, "tree-stable", eps)
+        obj = _volume_json(order, points, pair, cells, "tree-stable", eps)
     elif args.method == "stable-lp":
         sol = volopt.solve_volume(order, pair, "stable", eps, threshold=args.threshold)
-        obj = _volume_json(order, pc, pair, sol.cells, "lp-stable", eps,
+        obj = _volume_json(order, points, pair, sol.cells, "lp-stable", eps,
                            {"objective": sol.objective, "status": "optimal"})
     else:  # sub
         if tree is not None:
@@ -386,7 +387,7 @@ def cmd_vol(args) -> int:
             ov = volopt.solve_volume(order, pair, "optimal", threshold=args.threshold).cells
         sol = volopt.solve_volume(order, pair, "sub", eps, ov_cells=ov,
                                   threshold=args.threshold)
-        obj = _volume_json(order, pc, pair, sol.cells, "lp-sub", eps,
+        obj = _volume_json(order, points, pair, sol.cells, "lp-sub", eps,
                            {"objective": sol.objective, "status": "optimal"})
     _dump_json(obj, args.output)
     return 0
@@ -435,11 +436,11 @@ def cmd_stat(args) -> int:
         noise = NoiseModel(args.noise, seed=args.seed)
     except ValueError as e:
         raise ValueError(f"--noise: {e}") from None
-    order, pc = _load_input(args.input)
-    if pc is None:
+    order, points = _load_input(args.input)
+    if points is None:
         raise ValueError("stat needs a pointcloud input")
     pair = _select_pair(pers.pairs(order, [args.degree]), args)
-    fm = statistical_frequencies(pc, pair, noise, args.trials)
+    fm = statistical_frequencies(points, pair, noise, args.trials)
     obj = {
         "trials": fm.trials,
         "matched": fm.matched,
@@ -453,8 +454,7 @@ def cmd_stat(args) -> int:
 
 
 def cmd_rsc(args) -> int:
-    order, pc = _load_input(args.input)
-    points = None if pc is None else pc.points
+    order, points = _load_input(args.input)
     if args.euclidean and points is None:
         raise ValueError("euclidean weights need point coordinates")
     if args.degree != 1:
@@ -492,8 +492,7 @@ def cmd_rsc(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    pc = generate(args.fixture, args.seed)
-    _emit([format_pointcloud(pc)], args.output)
+    _emit([format_pointcloud(generate(args.fixture, args.seed))], args.output)
     return 0
 
 

@@ -3,7 +3,10 @@
 Simplices are canonical tuples of strictly increasing vertex ids. A complex
 assigns dense integer ids to its simplices at construction; everything
 downstream (orders, boundary matrices, volumes) refers to simplex ids, never
-to vertex tuples, so incidence lookups are O(1).
+to vertex tuples, so incidence lookups are O(1). `complex_from_json` runs
+the same build on the rows a file gives: the build ranks each row once,
+which gives the row its simplex id, and it rejects rows that are not
+closed under faces instead of adding the faces.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 import math
 import operator
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,6 +35,10 @@ class MonotonicityError(ValueError):
 
 class DimensionError(ValueError):
     pass
+
+
+class _MissingFace(Exception):
+    """A row given to the build lacks a face among the given rows."""
 
 
 def simplex(vertices: Iterable[int]) -> tuple:
@@ -56,10 +63,10 @@ class SimplicialComplex:
     complex built from the same simplex set is always indexed identically,
     and the ids of one dimension are contiguous.
 
-    `simplices` may be an iterable of vertex iterables, an (m, k+1) integer
-    array of m k-simplices, or a mapping from a width k+1 to such an array.
-    Repeated simplices are kept once, and every face of a given simplex is
-    added: a complex is closed under faces by construction.
+    `simplices` may be an iterable of vertex iterables or an (m, k+1)
+    integer array of m k-simplices. Repeated simplices are kept once, and
+    every face of a given simplex is added: a complex is closed under faces
+    by construction.
 
     The build runs one dimension at a time on integer arrays, from the top
     dimension down, with each vertex id replaced by its dense rank: one
@@ -70,14 +77,22 @@ class SimplicialComplex:
     lower. `vertex_array`, `face_array` and `coface_csr` give the
     incidences per dimension as arrays.
 
+    `_ids` is `complex_from_json`'s, which must reject a complex that is
+    not closed rather than close it. With a dict, `simplices` maps each
+    width to an (m, width) int64 array of sorted rows. The build then
+    raises `_MissingFace` at the first dimension that gains a row, before
+    it forms any face below it, and sets `_ids[w]` to the rank of each
+    given row of width w: its id among the simplices of its dimension,
+    less the dimension's first id.
+
     `simplices[i]`, the vertex tuple of simplex i, is the one Python view;
     it is built from the arrays on first use and cached. Building it costs
     more than the arrays, so the pipeline from points to persistence pairs,
     and the `stat` trials, read only the arrays.
     """
 
-    def __init__(self, simplices):
-        given = _rows_by_width(simplices)
+    def __init__(self, simplices, _ids=None):
+        given = _rows_by_width(simplices) if _ids is None else simplices
         top = max(given, default=0)
         values, given = _vertex_ranks(given)
         base = max(len(values), 1)
@@ -91,6 +106,10 @@ class SimplicialComplex:
             if below is not None:
                 cand = np.concatenate([cand, below])
             rank, first = _lex_rank(cand, base)
+            if _ids is not None:
+                if not np.bincount(rank[:n_given], minlength=len(first)).all():
+                    raise _MissingFace
+                _ids[k + 1] = rank[:n_given].copy()  # not a view that keeps `rank`
             rows[k] = cand[first]
             if below is not None:
                 local_faces[k + 1] = rank[n_given:].reshape(-1, k + 2)
@@ -167,15 +186,9 @@ class SimplicialComplex:
 
 def _rows_by_width(simplices) -> dict:
     """Canonical (sorted) vertex rows of the given simplices, by width.
-
-    `simplices` may also be a mapping from a width w to an (m, w) integer
-    array of rows, which is taken as it is, one array per width.
     Raises what `simplex` raises for the first simplex it rejects.
     """
-    if isinstance(simplices, Mapping):
-        groups = simplices
-        simplices = (r for g in groups.values() for r in np.asarray(g).tolist())
-    elif isinstance(simplices, np.ndarray):
+    if isinstance(simplices, np.ndarray):
         if simplices.ndim != 2:
             raise ValueError("a simplex array must have shape (m, k+1)")
         groups = {simplices.shape[1]: simplices} if len(simplices) else {}
@@ -358,11 +371,12 @@ def complex_from_json(obj) -> OrderWithLevel:
     """Load the JSON complex format, validate it, and build the order.
 
     The entries are read in bulk: one type check over all vertex ids and one
-    over all levels, one sorted (m, w) int64 array of vertex rows per entry
-    width, and one lexsort per width, which maps each entry to its simplex
-    id (the ids of a dimension are dense and lexicographic). The complex is
-    built from the per-width arrays and the levels from one float array, so
-    no Python view of the complex is built.
+    over all levels, and one sorted (m, w) int64 array of vertex rows per
+    entry width. The complex is built from the per-width arrays, and the
+    build's rank of each row is its entry's simplex id (the ids of a
+    dimension are dense and lexicographic); the build also finds a missing
+    face, as a dimension with more rows than were given. The levels come
+    from one float array, so no Python view of the complex is built.
 
     Input that does not have the format's shape raises a one-line ValueError
     naming the first bad entry, a duplicate (the first entry that repeats an
@@ -392,23 +406,27 @@ def complex_from_json(obj) -> OrderWithLevel:
         ids = None
     starts = np.cumsum(widths) - widths
     seen, first = np.unique(widths, return_index=True)
-    groups = {}  # width -> (entry indices, sorted vertex rows in lex order)
+    entry, rows = {}, {}  # width -> entry indices, and their sorted vertex rows
     for w in seen[np.argsort(first)].tolist():  # widths in order of first entry
-        idx = np.flatnonzero(widths == w)
+        entry[w] = idx = np.flatnonzero(widths == w)
         if ids is None:
-            rows = _sorted_rows([vs[i] for i in idx.tolist()], w)
+            rows[w] = _sorted_rows([vs[i] for i in idx.tolist()], w)
         else:
-            rows = _sorted_rows(ids[starts[idx, None] + np.arange(w)], w)
-        if rows is None:
+            rows[w] = _sorted_rows(ids[starts[idx, None] + np.arange(w)], w)
+        if rows[w] is None:
             for v in vs:
                 simplex(v)
-        lex = np.lexsort(rows.T[::-1])
-        groups[w] = (idx[lex], rows[lex])
-    if any(len(r) > 1 and (r[1:] == r[:-1]).all(axis=1).any() for _, r in groups.values()):
+    # a closed set with a row of width w holds at least 2^w - 1 rows, so a
+    # row wider than the bit length of the entry count lacks a face
+    if max(rows, default=0) > len(entries).bit_length():
+        _reject_unclosed(vs, rows)
+    rank = {}
+    try:
+        cx = SimplicialComplex(rows, _ids=rank)
+    except _MissingFace:
+        _reject_unclosed(vs, rows)
+    if any(len(r) > len(cx.ids_of_dim(w - 1)) for w, r in rank.items()):
         _raise_first_duplicate(vs)
-    if _lacks_a_face(groups, len(entries)):
-        raise ValueError("invalid complex: " + "; ".join(_absent_faces(groups)))
-    cx = SimplicialComplex({w: rows for w, (_, rows) in groups.items()})
     try:
         levels = np.array(levels, dtype=float)
     except OverflowError:  # an integer literal beyond the float range
@@ -417,9 +435,8 @@ def complex_from_json(obj) -> OrderWithLevel:
         for e in entries:
             _check_level(e)
     level = np.empty(len(cx))
-    for w, (idx, _) in groups.items():
-        start = cx.ids_of_dim(w - 1).start
-        level[start : start + len(idx)] = levels[idx]
+    for w, idx in entry.items():
+        level[cx.ids_of_dim(w - 1).start + rank[w]] = levels[idx]
     vertices = obj.get("vertices", cx.vertex_count)
     if not _is_json_int(vertices):
         raise ValueError(f'"vertices" must be an integer, got {vertices!r}')
@@ -472,35 +489,19 @@ def _raise_first_duplicate(vs) -> None:
         first[s] = k
 
 
-def _lacks_a_face(groups, n_entries: int) -> bool:
-    """Whether some given row of a width w lacks a facet among the given
-    rows of width w - 1, checked on arrays before any complex is built;
-    `groups` maps a width to (entry indices, distinct vertex rows).
-
-    If every row has its facets, the rows are closed under faces. A closed
-    set with a row of width w holds at least 2^w - 1 rows, so a row wider
-    than the bit length of the entry count lacks a face, and its facets,
-    which would take memory quadratic in its width, are not formed.
-    """
-    if max(groups, default=0) > n_entries.bit_length():
-        return True
-    values, ranked = _vertex_ranks({w: rows for w, (_, rows) in groups.items()})
-    base = max(len(values), 1)
-    for w, rows in ranked.items():
-        if w > 1:
-            below = ranked.get(w - 1, np.empty((0, w - 1), dtype=np.int64))
-            drop = [[i for i in range(w) if i != j] for j in range(w)]
-            facets = rows[:, drop].reshape(-1, w - 1)
-            if len(_lex_rank(np.concatenate([below, facets]), base)[1]) > len(below):
-                return True
-    return False
+def _reject_unclosed(vs, rows) -> None:
+    """Raise for the given rows (width -> vertex rows), which lack a face:
+    for the first duplicate entry if there is one, else for the first 10
+    missing faces."""
+    _raise_first_duplicate(vs)
+    raise ValueError("invalid complex: " + "; ".join(_absent_faces(rows)))
 
 
-def _absent_faces(groups) -> list:
+def _absent_faces(rows) -> list:
     """"missing face F of S" for the first 10 faces that the given rows
     lack, by dimension, then lexicographic order, then vertex-removal order;
-    `groups` maps a width to (entry indices, vertex rows)."""
-    given = {w: set(map(tuple, rows.tolist())) for w, (_, rows) in groups.items()}
+    `rows` maps a width to vertex rows."""
+    given = {w: set(map(tuple, r.tolist())) for w, r in rows.items()}
     absent = (
         f"missing face {f} of {s}"
         for w in sorted(given.keys() - {1})

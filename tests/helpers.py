@@ -185,7 +185,7 @@ def geometry_cases():
     """Named pointclouds that exercise the geometry: every `gen` fixture,
     seeded random clouds, exact grids, a cocircular ring and far clusters."""
     rng = np.random.default_rng(20211)
-    cases = {f"gen-{name}": generate(name, 0).points for name in sorted(GENERATORS)}
+    cases = {f"gen-{name}": generate(name, 0) for name in sorted(GENERATORS)}
     cases["cloud2d-400"] = rng.random((400, 2))
     cases["cloud2d-3200"] = rng.random((3200, 2)) * 40.0
     cases["cloud3d-800"] = rng.random((800, 3))
@@ -571,7 +571,7 @@ def boundary_vertices_oracle(o, cells):
     return {v for sid in bnd for v in o.cx.simplices[sid]}
 
 
-def statistical_frequencies_oracle(pc, target, noise, trials):
+def statistical_frequencies_oracle(points, target, noise, trials):
     """Per-point counts and the matched-trial count of the trial loop that
     reduces every trial: `reduce`, the nearest pair, the reference dual
     graph and tree (codimension 1) or the l1 program (other degrees), and
@@ -581,10 +581,10 @@ def statistical_frequencies_oracle(pc, target, noise, trials):
     from stablevol.baselines import _match_pair
 
     radius = max(2.0 * noise.half_width, 1e-6)
-    counts = np.zeros(len(pc), dtype=int)
+    counts = np.zeros(len(points), dtype=int)
     matched = 0
     for t in range(trials):
-        o = alpha_filtration(noise.perturb(pc.points, t)).order
+        o = alpha_filtration(noise.perturb(points, t))
         hit = _match_pair(persistence.reduce(o), target, radius)
         if hit is None:
             continue

@@ -85,21 +85,21 @@ def test_criterion_2_lattice_statistics():
     nonsquare_ov_seeds = 0
     seeds = range(20)
     for seed in seeds:
-        f = alpha_filtration(lattice_3x3x3(seed).points)
-        d1 = diagram(pers.reduce(f.order), 1)
+        f = alpha_filtration(lattice_3x3x3(seed))
+        d1 = diagram(pers.reduce(f), 1)
         window = [p for p in finite(d1) if 0.4 <= p.birth_time <= 0.6]
         good = len(window) == 28
         any_big = False
         for p in window:
             try:
-                sv = V.solve_volume(f.order, p, "stable", 0.05)
+                sv = V.solve_volume(f, p, "stable", 0.05)
             except V.ApproximationMismatch:
                 good = False
                 continue
-            if boundary_vertex_count(f.order, sv.cells) != 4:
+            if boundary_vertex_count(f, sv.cells) != 4:
                 good = False
-            ov = V.solve_volume(f.order, p, "optimal")
-            if boundary_vertex_count(f.order, ov.cells) > 4:
+            ov = V.solve_volume(f, p, "optimal")
+            if boundary_vertex_count(f, ov.cells) > 4:
                 any_big = True
         all_square_seeds += good
         nonsquare_ov_seeds += any_big
@@ -121,11 +121,11 @@ def test_criterion_3_tree_lp_equivalence():
         n = int(rng.integers(5, 26))
         pts = rng.random((n, 2)) * 3.0
         f = alpha_filtration(pts)
-        tree = tree_of(f.order)
+        tree = tree_of(f)
         for pair in tree.pairs_table():
             for eps in (0.0, 0.05, 0.1, 0.2):
                 sv_tree = stable_volume_tree(tree, pair, eps)
-                sv_lp = V.solve_volume(f.order, pair, "stable", eps).cells
+                sv_lp = V.solve_volume(f, pair, "stable", eps).cells
                 cases += 1
                 if sv_lp != sv_tree:
                     mismatches += 1
@@ -145,12 +145,12 @@ def test_criterion_4_l0_oracle_agreement():
         n = int(rng.integers(8, 15 if use_3d else 19))
         pts = rng.random((n, 3 if use_3d else 2)) * 2.0
         f = alpha_filtration(pts)
-        pairs = [p for p in pers.reduce(f.order) if p.degree == 1 and not p.essential]
+        pairs = [p for p in pers.reduce(f) if p.degree == 1 and not p.essential]
         order_ids = rng.permutation(len(pairs))
         for idx in order_ids[:3]:
             p = pairs[int(idx)]
             eps = float(rng.choice([0.0, 0.02, 0.06]))
-            prob = V.make_problem(f.order, p, "stable", eps)
+            prob = V.make_problem(f, p, "stable", eps)
             if len(prob.candidates) > 18:
                 continue
             oracle = brute_force_volume(prob)
@@ -158,7 +158,7 @@ def test_criterion_4_l0_oracle_agreement():
             bucket["n"] += 1
             total += 1
             try:
-                sol = V.solve_volume(f.order, p, "stable", eps)
+                sol = V.solve_volume(f, p, "stable", eps)
                 assert not V.z2_violations(prob, sol.cells)  # no silent escape
                 bucket["agree"] += len(sol.cells) == len(oracle)
             except V.ApproximationMismatch:
@@ -186,8 +186,8 @@ def test_criterion_5_stability_fuzz():
 
     t0 = time.perf_counter()
     fixtures = [
-        alpha_filtration(fig1_five_points().points).order,
-        alpha_filtration(hexagon().points).order,
+        alpha_filtration(fig1_five_points()),
+        alpha_filtration(hexagon()),
         appendix_filtration(),
     ]
     rng = random.Random(55)
@@ -220,11 +220,11 @@ def test_criterion_5_stability_fuzz():
 def test_criterion_6_nesting_laws():
     t0 = time.perf_counter()
     fixtures = [
-        alpha_filtration(fig1_five_points().points).order,
-        alpha_filtration(hexagon().points).order,
-        alpha_filtration(annulus(seed=1).points).order,
-        alpha_filtration(lattice_3x3x3(seed=0).points).order,
-        alpha_filtration(lattice_2d_defects(seed=0).points).order,
+        alpha_filtration(fig1_five_points()),
+        alpha_filtration(hexagon()),
+        alpha_filtration(annulus(seed=1)),
+        alpha_filtration(lattice_3x3x3(seed=0)),
+        alpha_filtration(lattice_2d_defects(seed=0)),
     ]
     grid = [0.0, 0.02, 0.05, 0.1, 0.2, 0.4]
     for order in fixtures:
@@ -260,8 +260,8 @@ def test_criterion_7_sampled_inclusion():
     eps = 0.05
     samples = violations = 0
     for order in (
-        alpha_filtration(fig1_five_points().points).order,
-        alpha_filtration(annulus(seed=3).points).order,
+        alpha_filtration(fig1_five_points()),
+        alpha_filtration(annulus(seed=3)),
     ):
         tree = tree_of(order)
         for pair in tree.pairs_table():
@@ -288,8 +288,8 @@ def test_criterion_8_plateau_reproduction():
     t0 = time.perf_counter()
     hits = 0
     for seed in range(20):
-        f = alpha_filtration(lattice_2d_defects(seed).points)
-        tree = tree_of(f.order)
+        f = alpha_filtration(lattice_2d_defects(seed))
+        tree = tree_of(f)
         finite = [p for p in tree.pairs_table() if p.death_time > p.birth_time]
         target = max(finite, key=lambda p: p.death_time - p.birth_time)
         grid = [i * 0.01 for i in range(41)]
@@ -330,17 +330,17 @@ def test_criterion_9_reconstructed_cycles():
 
     w4, w5 = weights[analogue(4.0)], weights[analogue(5.0)]
 
-    f = alpha_filtration(hexagon().points)
-    hpair = finite(diagram(pers.reduce(f.order), 1))[0]
+    f = alpha_filtration(hexagon())
+    hpair = finite(diagram(pers.reduce(f), 1))[0]
     cap = hpair.birth_time + 0.4
     k_hex = max(
         pos
         for pos in range(hpair.birth_rank, hpair.death_rank)
-        if f.order.level_array[f.order.order_array[pos]] <= cap
+        if f.level_array[f.order_array[pos]] <= cap
     )
-    res_hex = reconstructed_shortest_cycle(f.order, hpair, cocycle_of(f.order, hpair),
+    res_hex = reconstructed_shortest_cycle(f, hpair, cocycle_of(f, hpair),
                                            k_rank=k_hex)
-    want = shortest_nontrivial_loop(f.order, k_hex)
+    want = shortest_nontrivial_loop(f, k_hex)
     hex_ok = set(res_hex.loop.edges) == want[1] and res_hex.loop.weight == want[0]
     elapsed = time.perf_counter() - t0
     ok = monotone and w5 < w4 and hex_ok

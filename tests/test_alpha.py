@@ -19,7 +19,7 @@ SQRT3 = math.sqrt(3.0)
 
 
 def levels_by_simplex(filt):
-    return dict(zip(filt.cx.simplices, filt.order.level_array.tolist()))
+    return dict(zip(filt.cx.simplices, filt.level_array.tolist()))
 
 
 def test_equilateral_triangle_levels():
@@ -58,7 +58,7 @@ def test_monotone_under_inclusion():
     random.seed(13)
     pts = [(random.random() * 3, random.random() * 3) for _ in range(40)]
     f = alpha_filtration(pts)
-    level = f.order.level_array
+    level = f.level_array
     for k in range(1, f.cx.dim + 1):
         ids = f.cx.ids_of_dim(k)
         assert (level[f.cx.face_array(k)] <= level[ids.start : ids.stop, None]).all()
@@ -73,7 +73,7 @@ def test_scale_equivariance():
     assert [f1.cx.simplices[i] for i in range(len(f1.cx))] == [
         f2.cx.simplices[i] for i in range(len(f2.cx))
     ]
-    for a, b in zip(f1.order.level_array.tolist(), f2.order.level_array.tolist()):
+    for a, b in zip(f1.level_array.tolist(), f2.level_array.tolist()):
         assert abs(a * s - b) <= 1e-9 * max(1.0, abs(b))
 
 
@@ -84,8 +84,8 @@ def test_two_coface_property_convex_position():
 
 
 def test_fig1_diagram_through_persistence():
-    f = alpha_filtration(fig1_five_points().points)
-    pairs = pers.reduce(f.order)
+    f = alpha_filtration(fig1_five_points())
+    pairs = pers.reduce(f)
     vals = sorted((p.birth_time, p.death_time) for p in diagram(pairs, 1))
     assert len(vals) == 2
     assert abs(vals[0][0] - 0.5) < 1e-9 and abs(vals[0][1] - 1 / SQRT3) < 1e-9
@@ -94,9 +94,9 @@ def test_fig1_diagram_through_persistence():
 
 def test_noiseless_lattice_h1_all_at_half_and_inv_sqrt2():
     pc = lattice_3x3x3(seed=0, noise=0.0)
-    pc.points[:] = np.round(pc.points)  # exact integers
-    f = alpha_filtration(pc.points)
-    pairs = pers.reduce(f.order)
+    pc[:] = np.round(pc)  # exact integers
+    f = alpha_filtration(pc)
+    pairs = pers.reduce(f)
     d1 = diagram(pairs, 1)
     assert len(d1) == 28
     for p in d1:
@@ -106,7 +106,7 @@ def test_noiseless_lattice_h1_all_at_half_and_inv_sqrt2():
 
 def test_single_point_cloud():
     pc = parse_pointcloud("0.5 0.25\n")
-    assert pc.dim == 2 and len(pc) == 1
+    assert pc.shape == (1, 2) and pc.dtype == np.float64
 
 
 def test_parse_rejects_ragged_and_empty():
@@ -116,6 +116,12 @@ def test_parse_rejects_ragged_and_empty():
         parse_pointcloud("# nothing\n")
     with pytest.raises(ValueError):
         parse_pointcloud("1 2 3 4\n")
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-1e400"])
+def test_parse_rejects_non_finite_coordinates(token):
+    with pytest.raises(ValueError, match="^non-finite coordinates in pointcloud$"):
+        parse_pointcloud(f"0 0\n1 {token}\n")
 
 
 def test_alpha_levels_direct_call():
@@ -131,7 +137,7 @@ def test_exact_grid_square_classes():
     # even though the jittered triangulation carries flat hull slivers
     pts = [(x, y) for x in range(5) for y in range(5)]
     f = alpha_filtration(pts)
-    d1 = diagram(pers.reduce(f.order), 1)
+    d1 = diagram(pers.reduce(f), 1)
     assert len(d1) == 16
     for p in d1:
         assert abs(p.birth_time - 0.5) < 1e-9
@@ -183,7 +189,7 @@ def test_degree1_diagram_invariant_under_permutation(seed):
 
     def d1(p):
         f = alpha_filtration(p)
-        return sorted((q.birth_time, q.death_time) for q in diagram(pers.reduce(f.order), 1))
+        return sorted((q.birth_time, q.death_time) for q in diagram(pers.reduce(f), 1))
 
     a, b = d1(pts), d1(pts[perm])
     assert len(a) == len(b) > 0

@@ -18,7 +18,7 @@ from helpers import (
     torus3d_order,
 )
 from stablevol import baselines
-from stablevol.alpha import PointCloud, alpha_filtration
+from stablevol.alpha import alpha_filtration
 from stablevol.baselines import (
     NoiseModel,
     optimal_volume_cells,
@@ -51,13 +51,13 @@ def test_noise_model_validation():
 
 def test_zero_noise_limit_marks_unperturbed_boundary():
     pc = fig1_five_points()
-    f = alpha_filtration(pc.points)
-    pair = square_pair(f.order)
-    cells = optimal_volume_cells(f.order, pair)
+    f = alpha_filtration(pc)
+    pair = square_pair(f)
+    cells = optimal_volume_cells(f, pair)
     bverts = {
         v
-        for sid in boundary(f.order.cx, pair.degree + 1, cells)
-        for v in f.order.cx.simplices[sid]
+        for sid in boundary(f.cx, pair.degree + 1, cells)
+        for v in f.cx.simplices[sid]
     }
     fm = statistical_frequencies(pc, pair, NoiseModel(1e-9, seed=0), trials=10)
     assert fm.matched == 10
@@ -70,8 +70,8 @@ def test_zero_noise_limit_marks_unperturbed_boundary():
 
 def test_fig4_square_robust_apex_not():
     pc = fig1_five_points()
-    f = alpha_filtration(pc.points)
-    pair = square_pair(f.order)
+    f = alpha_filtration(pc)
+    pair = square_pair(f)
     fm = statistical_frequencies(pc, pair, NoiseModel(0.05, seed=123), trials=60)
     assert fm.status == "ok"
     assert all(fm.frequencies[:4] > 0.9)
@@ -80,8 +80,8 @@ def test_fig4_square_robust_apex_not():
 
 def test_threshold_sets_nest():
     pc = lattice_2d_defects(seed=1, size=8, noise=0.03)
-    f = alpha_filtration(pc.points)
-    d1 = finite(diagram(pers.reduce(f.order), 1))
+    f = alpha_filtration(pc)
+    d1 = finite(diagram(pers.reduce(f), 1))
     pair = max(d1, key=lambda p: p.death_time - p.birth_time)
     fm = statistical_frequencies(pc, pair, NoiseModel(0.03, seed=5), trials=40)
     hi = {i for i, x in enumerate(fm.frequencies) if x > 0.9}
@@ -91,8 +91,8 @@ def test_threshold_sets_nest():
 
 def test_bitwise_reproducible_and_thread_invariant():
     pc = fig1_five_points()
-    f = alpha_filtration(pc.points)
-    pair = square_pair(f.order)
+    f = alpha_filtration(pc)
+    pair = square_pair(f)
     # the trials run in order in the calling thread; `stat --threads` has no
     # effect (test_cli.test_stat_deterministic_across_threads)
     runs = [
@@ -151,45 +151,45 @@ def test_loop_is_simple_and_closed():
 
 
 def test_hexagon_loop_equals_bruteforce_oracle():
-    f = alpha_filtration(hexagon().points)
-    pair = finite(diagram(pers.reduce(f.order), 1))[0]
-    cut = cocycle_of(f.order, pair)
+    f = alpha_filtration(hexagon())
+    pair = finite(diagram(pers.reduce(f), 1))[0]
+    cut = cocycle_of(f, pair)
     # bandwidth below the chord level: only the six sides exist
     cap = pair.birth_time + 0.4
     k = max(
         pos
         for pos in range(pair.birth_rank, pair.death_rank)
-        if f.order.level_array[f.order.order_array[pos]] <= cap
+        if f.level_array[f.order_array[pos]] <= cap
     )
-    res = reconstructed_shortest_cycle(f.order, pair, cut, k_rank=k)
-    want = shortest_nontrivial_loop(f.order, k)
+    res = reconstructed_shortest_cycle(f, pair, cut, k_rank=k)
+    want = shortest_nontrivial_loop(f, k)
     assert want is not None
     assert res.loop.weight == want[0] == 6.0
     assert set(res.loop.edges) == want[1]
     # at the default step (just before death) chords admit a tighter loop;
     # it must still match the brute-force optimum and be nontrivial
-    res2 = reconstructed_shortest_cycle(f.order, pair, cut)
-    want2 = shortest_nontrivial_loop(f.order, pair.death_rank - 1)
+    res2 = reconstructed_shortest_cycle(f, pair, cut)
+    want2 = shortest_nontrivial_loop(f, pair.death_rank - 1)
     assert res2.loop.weight == want2[0]
 
 
 def test_weight_monotone_on_hexagon():
-    f = alpha_filtration(hexagon().points)
-    pair = finite(diagram(pers.reduce(f.order), 1))[0]
-    cut = cocycle_of(f.order, pair)
+    f = alpha_filtration(hexagon())
+    pair = finite(diagram(pers.reduce(f), 1))[0]
+    cut = cocycle_of(f, pair)
     prev = math.inf
     for k in range(pair.birth_rank, pair.death_rank):
-        res = reconstructed_shortest_cycle(f.order, pair, cut, k_rank=k)
+        res = reconstructed_shortest_cycle(f, pair, cut, k_rank=k)
         assert res.loop.weight <= prev
         prev = res.loop.weight
 
 
 def test_euclidean_weights():
-    f = alpha_filtration(hexagon().points)
-    pair = finite(diagram(pers.reduce(f.order), 1))[0]
+    f = alpha_filtration(hexagon())
+    pair = finite(diagram(pers.reduce(f), 1))[0]
     res = reconstructed_shortest_cycle(
-        f.order, pair, cocycle_of(f.order, pair), k_rank=pair.birth_rank, euclidean=True,
-        points=f.points.points,
+        f, pair, cocycle_of(f, pair), k_rank=pair.birth_rank, euclidean=True,
+        points=hexagon(),
     )
     assert abs(res.loop.weight - 6.0) < 1e-9  # unit side length
 
@@ -287,7 +287,7 @@ def rsc_inputs(name):
     if name == "appendix":
         return appendix_filtration(), None
     pts = geometry_cases()[name]
-    return alpha_filtration(pts).order, pts
+    return alpha_filtration(pts), pts
 
 
 def spy_on_dijkstra(monkeypatch):
@@ -377,7 +377,7 @@ def test_lockstep_search_on_random_2d_clouds(n, seed, decimals):
     if decimals is not None:
         pts = np.unique(np.round(pts, decimals), axis=0)
     try:
-        o = alpha_filtration(pts).order
+        o = alpha_filtration(pts)
     except DegenerateInputError:
         assume(False)
     for p, k, c in rsc_steps(o, most=4):
@@ -431,9 +431,9 @@ def match_pair_oracle(pairs, target, radius):
                                   "cloud3d-800"])
 def test_match_pair_matches_loop_oracle(name):
     pts = geometry_cases()[name]
-    base = pers.reduce(alpha_filtration(pts).order)
+    base = pers.reduce(alpha_filtration(pts))
     noise = NoiseModel(0.02, seed=3)
-    tables = [pers.reduce(alpha_filtration(noise.perturb(pts, t)).order) for t in range(2)]
+    tables = [pers.reduce(alpha_filtration(noise.perturb(pts, t))) for t in range(2)]
     finite = [p for p in base if not p.essential and p.birth_time != p.death_time]
     targets = finite[:: max(1, len(finite) // 20)] + [p for p in base if p.essential]
     hits = 0
@@ -449,7 +449,7 @@ def test_match_pair_matches_loop_oracle(name):
 
 def test_match_pair_takes_the_first_of_tied_pairs():
     # the grid's degree-1 pairs all sit at one (birth, death) point
-    table = pers.reduce(alpha_filtration(geometry_cases()["grid-20x20"]).order)
+    table = pers.reduce(alpha_filtration(geometry_cases()["grid-20x20"]))
     d1 = table.diagram_index(1)
     assert len(set(zip(table.birth_time[d1].tolist(), table.death_time[d1].tolist()))) < len(d1)
     target = table[d1[0]]
@@ -459,7 +459,7 @@ def test_match_pair_takes_the_first_of_tied_pairs():
 
 
 def most_persistent(pts, k):
-    table = pers.reduce(alpha_filtration(pts).order)
+    table = pers.reduce(alpha_filtration(pts))
     idx = table.diagram_index(k)
     idx = idx[table.death_rank[idx] >= 0]
     return table[idx[np.argmax(table.death_time[idx] - table.birth_time[idx])]]
@@ -472,14 +472,13 @@ def most_persistent(pts, k):
 def test_statistical_frequencies_matches_trial_loop_oracle(case, degree, half_width, trials):
     # 2D degree 1 and 3D degree 2 take the tree path, 3D degree 1 reduces
     if case == "defects":
-        pts = generate("lattice-2d-defects", 7).points
+        pts = generate("lattice-2d-defects", 7)
     else:
         pts = np.random.default_rng(11).random((int(case.split("-")[1]), 3))
-    pc = PointCloud(pts.shape[1], pts)
     target = most_persistent(pts, degree)
     noise = NoiseModel(half_width, seed=3)
-    fm = statistical_frequencies(pc, target, noise, trials)
-    counts, matched = statistical_frequencies_oracle(pc, target, noise, trials)
+    fm = statistical_frequencies(pts, target, noise, trials)
+    counts, matched = statistical_frequencies_oracle(pts, target, noise, trials)
     assert fm.matched == matched > 0
     assert np.array_equal(fm.counts, counts) and counts.any()
 
@@ -509,9 +508,9 @@ def test_pipeline_and_trials_build_no_views(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(baselines, "alpha_filtration", recording_filtration)
-    pts = generate("lattice-2d-defects", 7).points
+    pts = generate("lattice-2d-defects", 7)
     target = most_persistent(pts, 1)
     monkeypatch.setattr(pers, "reduce", lambda o: pytest.fail("a codimension-1 trial reduced"))
-    fm = statistical_frequencies(PointCloud(2, pts), target, NoiseModel(0.05, seed=1), trials=1)
+    fm = statistical_frequencies(pts, target, NoiseModel(0.05, seed=1), trials=1)
     assert fm.matched == len(built) == 1
     assert not set(VIEWS) & set(vars(built[0].cx))

@@ -61,6 +61,32 @@ def test_gen_deterministic(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
+# sha256 of the `gen` output of each fixture at seeds 0 and 7, as recorded
+# when a fixture was still a PointCloud object; an array must give the
+# same bytes
+GEN_SHA256 = {
+    ("fig1-five-points", 0): "07c11c22bc74bd00f31a5494efd9216ef79edd0568ecec8a8b53300e950d9380",
+    ("fig1-five-points", 7): "07c11c22bc74bd00f31a5494efd9216ef79edd0568ecec8a8b53300e950d9380",
+    ("lattice-3x3x3", 0): "17fa372738a6de879a86de640c10ff81bd19983811b75289c1fabf5732be9182",
+    ("lattice-3x3x3", 7): "83e5cd6f11655fefffd219ff4b5181e6ed66d01eeabd8a1f843c74b5085c00a3",
+    ("lattice-2d-defects", 0): "c4d0d1fd5a78fd3d15759de301d0b8403d644c67130a6f07b67fe925e7caddec",
+    ("lattice-2d-defects", 7): "e7ca6fa0589f2f54356c6419fd9c3673936ed2c5a98680dc195c575fa78cfdf9",
+    ("hexagon", 0): "e02c83f6e5cb4cf03db83d0a314f78183d444b8590d7c7a00180d7ec4ac8e95c",
+    ("hexagon", 7): "e02c83f6e5cb4cf03db83d0a314f78183d444b8590d7c7a00180d7ec4ac8e95c",
+    ("annulus", 0): "e9a5667a7d288e0551b94097de22817831689f905d3fe8b1ff31d18218c1330a",
+    ("annulus", 7): "64175a75df386828ab07783709fe85d15852ce017fe0a913604d533da214ce66",
+}
+
+
+@pytest.mark.parametrize("fixture,seed", sorted(GEN_SHA256))
+def test_gen_bytes_are_pinned(fixture, seed, tmp_path):
+    import hashlib
+
+    path = tmp_path / "gen.txt"
+    assert main(["gen", fixture, "--seed", str(seed), "-o", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GEN_SHA256[fixture, seed]
+
+
 def test_pd_fig1(fig1_file, capsys):
     code, out, _ = run(["pd", fig1_file, "--degree", "1"], capsys)
     assert code == 0
@@ -268,6 +294,16 @@ def test_deeply_nested_complex_json_exit_2_in_a_fresh_process(tmp_path):
     assert proc.stderr.splitlines() == ["error: complex JSON is nested too deeply to parse"]
 
 
+@pytest.mark.parametrize("text", ["[1, 2]\n", '\n  "simplices"\n', "[]"],
+                         ids=["array", "string", "empty-array"])
+def test_json_that_is_not_an_object_exit_2_with_the_loader_message(tmp_path, capsys, text):
+    # a first non-blank character of [ or " is JSON, not a pointcloud row
+    p = tmp_path / "cx.json"
+    p.write_text(text)
+    assert run(["pd", str(p)], capsys) == (
+        2, "", 'error: complex JSON must be an object with a "simplices" list\n')
+
+
 # runs main(argv) in a fresh interpreter, then prints its exit code and its
 # peak resident memory (VmHWM, KiB) to stdout
 PEAK_PROBE = """
@@ -295,6 +331,58 @@ def test_one_wide_entry_exits_2_before_building_its_faces(tmp_path):
     message = "invalid complex: " + "; ".join(missing_faces([tuple(range(24))]))
     assert proc.stderr.splitlines() == [f"error: {message}"]
     assert peak_kib < 100 * 1024
+
+
+def test_unclosed_rows_at_the_bit_length_exit_2_at_bounded_memory(tmp_path):
+    # 4,000 distinct width-12 rows without any of their faces: 12 is the bit
+    # length of 4,000, so they pass the width precheck, and a build that
+    # closed them before checking would form about 4,000 * C(12, 6) = 3.7M
+    # rows of width 6; the loader stops at the first dimension that gains a row
+    rng = np.random.default_rng(12)
+    rows = set()
+    while len(rows) < 4000:
+        rows.add(tuple(sorted(rng.choice(1000, 12, replace=False).tolist())))
+    rows = sorted(rows)
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"simplices": [{"v": list(v), "level": 0} for v in rows]}))
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps({"simplices": [
+        {"v": [0], "level": 0}, {"v": [1], "level": 0}, {"v": [0, 1], "level": 1}]}))
+    src = str(Path(stablevol.__file__).resolve().parents[1])
+    procs = [
+        subprocess.run(
+            [sys.executable, "-c", PEAK_PROBE, "pd", str(p)],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+        for p in (wide, small)
+    ]
+    (code, peak_kib), (small_code, small_kib) = (map(int, p.stdout.split()) for p in procs)
+    assert (code, small_code) == (2, 0)
+    message = "invalid complex: " + "; ".join(missing_faces(rows))
+    assert procs[0].stderr.splitlines() == [f"error: {message}"]
+    assert peak_kib - small_kib < 40 * 1024
+
+
+def _entries_text(*rows):
+    return json.dumps({"simplices": [{"v": list(v), "level": len(v) - 1} for v in rows]})
+
+
+@pytest.mark.parametrize("text,first", [
+    # a vertex listed twice beside an edge that lacks a vertex
+    (_entries_text((0,), (0,), (0, 1)), "entries 0 and 1"),
+    # the edges of a triangle are missing, a vertex below them is repeated
+    (_entries_text((2, 1, 0), (0,), (1,), (2,), (1,)), "entries 2 and 4"),
+    # the triangle's edge is repeated, its vertices are missing
+    (_entries_text((0, 1, 2), (0, 1), (1, 2), (0, 2), (1, 0)), "entries 1 and 4"),
+    # a row wider than the bit length of the entry count
+    (_entries_text((0,), (0,), (0, 1, 2, 3, 4)), "entries 0 and 1"),
+], ids=["same-width", "below-the-missing-faces", "above-the-missing-faces", "wide-row"])
+def test_duplicate_beside_a_missing_face_is_reported_first(tmp_path, capsys, text, first):
+    p = tmp_path / "cx.json"
+    p.write_text(text)
+    code, out, err = run(["pd", str(p)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: simplex [") and err.endswith(f"is listed twice, in {first}\n")
 
 
 def test_benchmark_tracer_attaches_and_detaches(fig1_file, capsys, monkeypatch):
@@ -943,13 +1031,13 @@ def test_vol_sub_vs_stable_divergence_3d(tmp_path, capsys):
     # 3D degree-1 pair whose optimal volume excludes the tighter path: the
     # stable volume escapes it, the sub-volume stays inside and is larger
     import numpy as np
-    from stablevol.alpha import PointCloud, format_pointcloud
+    from stablevol.alpha import format_pointcloud
 
     rng = np.random.default_rng(2)
     n = int(rng.integers(10, 16))
     pts = rng.random((n, 3)) * 2
     path = tmp_path / "cloud3d.txt"
-    path.write_text(format_pointcloud(PointCloud(3, pts)))
+    path.write_text(format_pointcloud(pts))
     sel = ["--birth", "0.36:0.38", "--death", "0.49:0.50"]
     _, opt, _ = run(["vol", str(path), *sel, "--method", "optimal"], capsys)
     _, stab, _ = run(["vol", str(path), *sel, "--method", "stable-lp",
@@ -1195,7 +1283,7 @@ def test_select_pair_matches_sorted_list_oracle(name):
     if o is None:
         from stablevol.alpha import alpha_filtration
 
-        o = alpha_filtration(geometry_cases()[name]).order
+        o = alpha_filtration(geometry_cases()[name])
     for table in (pers.reduce(o), pers.cohomology_reduce(o)[0]):
         pairs = list(table)
         for args in selector_args(name, table):

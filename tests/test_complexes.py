@@ -83,7 +83,7 @@ def test_build_order_monotonicity_error():
 def test_order_invariants_on_random_filtration():
     random.seed(11)
     pts = [(random.random() * 2, random.random() * 2) for _ in range(15)]
-    o = alpha_filtration(pts).order
+    o = alpha_filtration(pts)
     cx = o.cx
     for i, faces in enumerate(views_from_arrays(cx)[2]):
         for fi in faces:
@@ -97,8 +97,7 @@ def test_order_invariants_on_random_filtration():
 
 
 def test_every_prefix_is_closed_small():
-    f = alpha_filtration(fig1_five_points().points)
-    o = f.order
+    o = alpha_filtration(fig1_five_points())
     for cut in range(len(o) + 1):
         rows = [o.cx.simplices[i] for i in o.order_array[:cut].tolist()]
         assert missing_faces(rows) == []
@@ -160,8 +159,7 @@ def test_boundary_of_annulus_strip():
 
 
 def test_sublevel_complex():
-    f = alpha_filtration(fig1_five_points().points)
-    o = f.order
+    o = alpha_filtration(fig1_five_points())
     assert len(sublevel_complex(o, -math.inf)) == 0
     assert len(sublevel_complex(o, o.level_array.max() + 1)) == len(o.cx)
     # Fig 1 at t = 0.6: both loops' edges present, square triangles absent
@@ -177,13 +175,13 @@ def test_sublevel_complex():
 
 
 def test_complex_json_roundtrip():
-    f = alpha_filtration(fig1_five_points().points)
-    obj = complex_to_json(f.order)
+    f = alpha_filtration(fig1_five_points())
+    obj = complex_to_json(f)
     o2 = complex_from_json(json.dumps(obj))
     assert [o2.cx.simplices[i] for i in o2.order_array.tolist()] == [
-        f.order.cx.simplices[i] for i in f.order.order_array.tolist()
+        f.cx.simplices[i] for i in f.order_array.tolist()
     ]
-    assert o2.level_array.tolist() == f.order.level_array.tolist()
+    assert o2.level_array.tolist() == f.level_array.tolist()
 
 
 def test_complex_json_rejects_unclosed():
@@ -327,11 +325,12 @@ EXTREME = [
 def test_builder_matches_reference_at_extreme_ids():
     ref = TupleComplex(EXTREME)
     assert_same_complex(SimplicialComplex(EXTREME), ref)
-    by_width = {}
-    for s in EXTREME:
-        by_width.setdefault(len(s), []).append(s)
-    arrays = {w: np.array(rows, dtype=np.int64) for w, rows in by_width.items()}
-    assert_same_complex(SimplicialComplex(arrays), ref)
+    # the loader's rows, in reverse order with reversed vertices: the build
+    # ranks each given row once, and that rank places its level
+    rows = [list(reversed(s)) for s in reversed(ref.simplices)]
+    o = complex_from_json({"simplices": [{"v": v, "level": float(len(v))} for v in rows]})
+    assert_same_complex(o.cx, ref)
+    assert o.level_array.tolist() == [float(len(s)) for s in ref.simplices]
 
 
 @pytest.mark.parametrize("base", [2, 1000, 2**31 + 11, 2**40 + 11, 2**54])
@@ -416,7 +415,7 @@ def assert_same_loaded(o, ref):
 def loader_cases():
     cases = {"torus-6x5": torus_complex(6, 5, seed=0), "torus3d": torus3d_order()}
     for name, pts in GEOMETRY.items():
-        cases[f"alpha-{name}"] = alpha_filtration(pts).order
+        cases[f"alpha-{name}"] = alpha_filtration(pts)
     return cases
 
 

@@ -272,7 +272,7 @@ def test_hull_check_on_a_nearly_straight_hull(n, monkeypatch):
 
 # every `gen` fixture at two more seeds, and the seeded clouds
 CERTIFIED = {
-    f"gen-{name}-seed{seed}": generate(name, seed).points
+    f"gen-{name}-seed{seed}": generate(name, seed)
     for name in sorted(GENERATORS)
     for seed in (1, 7)
 } | SEEDED

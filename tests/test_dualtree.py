@@ -14,8 +14,10 @@ from helpers import (
     compute_tree_oracle,
     dual_edges,
     geometry_cases,
+    monotone_repair,
     parent_map,
 )
+from stablevol import volopt
 from stablevol.alpha import alpha_filtration
 from stablevol.baselines import NoiseModel
 from stablevol.complexes import (
@@ -74,7 +76,7 @@ def test_dual_graph_handshake_on_random_cloud():
     random.seed(41)
     pts = [(random.random(), random.random()) for _ in range(50)]
     f = alpha_filtration(pts)
-    g = build_dual_graph(f.order)
+    g = build_dual_graph(f)
     assert len(dual_edges(g)) == len(f.cx.ids_of_dim(1))
     degree = {c: 0 for c in g.cells}
     degree[OMEGA_INF] = 0
@@ -108,37 +110,37 @@ def test_tree_pairs_equal_reduction_pairs_many_clouds():
     for _ in range(200):
         pts = [(random.random() * 3, random.random() * 3) for _ in range(random.randint(5, 18))]
         f = alpha_filtration(pts)
-        tree = compute_tree(build_dual_graph(f.order), f.order)
-        hp = [p for p in reduce(f.order) if p.degree == 1 and not p.essential]
+        tree = compute_tree(build_dual_graph(f), f)
+        hp = [p for p in reduce(f) if p.degree == 1 and not p.essential]
         assert pairset(tree.pairs_table()) == pairset(hp)
-        assert not [p for p in reduce(f.order) if p.degree == 1 and p.essential]
+        assert not [p for p in reduce(f) if p.degree == 1 and p.essential]
 
 
 def test_tree_pairs_match_in_3d_degree2():
     random.seed(47)
     pts = [tuple(random.random() * 2 for _ in range(3)) for _ in range(25)]
     f = alpha_filtration(pts)
-    tree = compute_tree(build_dual_graph(f.order), f.order)
-    hp = [p for p in reduce(f.order) if p.degree == 2 and not p.essential]
+    tree = compute_tree(build_dual_graph(f), f)
+    hp = [p for p in reduce(f) if p.degree == 2 and not p.essential]
     assert pairset(tree.pairs_table()) == pairset(hp)
 
 
 def test_optimal_volume_single_square():
     f = alpha_filtration([(0, 0), (1, 0), (1, 1), (0, 1)])
-    tree = compute_tree(build_dual_graph(f.order), f.order)
+    tree = compute_tree(build_dual_graph(f), f)
     main = [p for p in tree.pairs_table() if p.death_time > p.birth_time]
     assert len(main) == 1
     assert optimal_volume_tree(tree, main[0]) == set(f.cx.ids_of_dim(2))
 
 
 def test_volume_errors():
-    f = alpha_filtration(fig1_five_points().points)
-    tree = compute_tree(build_dual_graph(f.order), f.order)
+    f = alpha_filtration(fig1_five_points())
+    tree = compute_tree(build_dual_graph(f), f)
     pair = tree.pairs_table()[0]
-    h0 = [p for p in reduce(f.order) if p.degree == 0 and not p.essential][0]
+    h0 = [p for p in reduce(f) if p.degree == 0 and not p.essential][0]
     with pytest.raises(DegreeError):
         optimal_volume_tree(tree, h0)
-    star = [p for p in reduce(f.order) if p.degree == 0 and p.essential][0]
+    star = [p for p in reduce(f) if p.degree == 0 and p.essential][0]
     with pytest.raises((DegreeError, StarPairError)):
         stable_volume_tree(tree, star, 0.1)
     with pytest.raises(ValueError):
@@ -146,8 +148,8 @@ def test_volume_errors():
 
 
 def test_stable_volume_limits():
-    f = alpha_filtration(fig1_five_points().points)
-    tree = compute_tree(build_dual_graph(f.order), f.order)
+    f = alpha_filtration(fig1_five_points())
+    tree = compute_tree(build_dual_graph(f), f)
     for p in tree.pairs_table():
         ov = optimal_volume_tree(tree, p)
         assert stable_volume_tree(tree, p, 0.0) == ov
@@ -156,8 +158,8 @@ def test_stable_volume_limits():
 
 
 def test_nesting_and_disjoint_or_nested():
-    f = alpha_filtration(annulus(seed=2).points)
-    tree = compute_tree(build_dual_graph(f.order), f.order)
+    f = alpha_filtration(annulus(seed=2))
+    tree = compute_tree(build_dual_graph(f), f)
     pairs = list(tree.pairs_table())
     for p in pairs:
         prev = None
@@ -174,11 +176,11 @@ def test_nesting_and_disjoint_or_nested():
 
 
 def test_boundary_cycle_of_volume_closes():
-    f = alpha_filtration(annulus(seed=5).points)
-    tree = compute_tree(build_dual_graph(f.order), f.order)
+    f = alpha_filtration(annulus(seed=5))
+    tree = compute_tree(build_dual_graph(f), f)
     p = max(tree.pairs_table(), key=lambda q: q.death_time - q.birth_time)
     cells = stable_volume_tree(tree, p, 0.05)
-    cx = f.order.cx
+    cx = f.cx
     bnd = boundary(cx, 2, cells)
     assert sorted(bnd) == z2_boundary(cx, 2, cells).tolist()
     assert bnd
@@ -186,8 +188,8 @@ def test_boundary_cycle_of_volume_closes():
 
 
 def test_sweep_matches_direct_recount():
-    f = alpha_filtration(annulus(seed=7).points)
-    tree = compute_tree(build_dual_graph(f.order), f.order)
+    f = alpha_filtration(annulus(seed=7))
+    tree = compute_tree(build_dual_graph(f), f)
     grid = [i * 0.01 for i in range(31)]
     for p in tree.pairs_table():
         sizes = sweep_sizes(tree, p, grid)
@@ -218,9 +220,9 @@ def test_sweep_sizes_match_a_bisect_oracle(noise):
     # on the integer lattice many death cells have children with tied gaps;
     # each grid holds random bandwidths, every gap, and the floats on either
     # side of every gap
-    f = alpha_filtration(lattice_2d_defects(1, size=12, noise=noise).points)
-    tree = compute_tree(build_dual_graph(f.order), f.order)
-    level = f.order.level_array
+    f = alpha_filtration(lattice_2d_defects(1, size=12, noise=noise))
+    tree = compute_tree(build_dual_graph(f), f)
+    level = f.level_array
     rng = np.random.default_rng(3)
     tied = 0
     for p in tree.pairs_table():
@@ -240,13 +242,13 @@ def test_sweep_sizes_match_a_bisect_oracle(noise):
 
 def test_theorem_sampled_inclusion():
     rng = np.random.default_rng(5)
-    f = alpha_filtration(fig1_five_points().points)
-    tree = compute_tree(build_dual_graph(f.order), f.order)
+    f = alpha_filtration(fig1_five_points())
+    tree = compute_tree(build_dual_graph(f), f)
     eps = 0.05
     for pair in tree.pairs_table():
         sv = stable_volume_tree(tree, pair, eps)
         for _ in range(50):
-            oq = admissible_order(f.order, pair, eps, rng)
+            oq = admissible_order(f, pair, eps, rng)
             qtree = compute_tree(build_dual_graph(oq), oq)
             qpair = next(
                 p for p in qtree.pairs_table() if p.death_simplex == pair.death_simplex
@@ -267,7 +269,7 @@ def tree_clouds():
         cases[f"random2d-{i}"] = rng.random((300, 2)) * 10.0
     for i in range(2):
         cases[f"random3d-{i}"] = rng.random((200, 3)) * 10.0
-    defects = generate("lattice-2d-defects", 7).points
+    defects = generate("lattice-2d-defects", 7)
     for t in range(5):
         cases[f"defects-trial-{t}"] = NoiseModel(0.05, seed=7).perturb(defects, t)
     return cases
@@ -278,7 +280,62 @@ TREE_CLOUDS = tree_clouds()
 
 @functools.lru_cache(maxsize=None)
 def tree_order(name):
-    return alpha_filtration(TREE_CLOUDS[name]).order
+    return alpha_filtration(TREE_CLOUDS[name])
+
+
+# the paper's theorem on real inputs: a 2D and a 3D cloud and a `stat`
+# trial of the defects lattice, the 5 most persistent pairs of each, 5
+# sampled perturbations per pair and noise bandwidth
+THEOREM_CASES = [(name, eps) for name in ("random2d-0", "random3d-0", "defects-trial-0")
+                 for eps in (0.05, 0.2)]
+
+
+def theorem_pairs(name):
+    o = tree_order(name)
+    tree = compute_tree(build_dual_graph(o), o)
+    table = tree.pairs_table()
+    return o, tree, table.rows(np.argsort(table.birth_time - table.death_time, kind="stable")[:5])
+
+
+def inclusion_holds(tree, pair, eps, oq):
+    """Whether the stable volume of `pair` lies in the optimal volume of its
+    death cell's pair in the perturbed order `oq`."""
+    qtree = compute_tree(build_dual_graph(oq), oq)
+    qpair = next(p for p in qtree.pairs_table() if p.death_simplex == pair.death_simplex)
+    return stable_volume_tree(tree, pair, eps) <= optimal_volume_tree(qtree, qpair)
+
+
+@pytest.mark.parametrize("name,eps", THEOREM_CASES)
+def test_theorem_sampled_inclusion_on_real_inputs(name, eps):
+    o, tree, pairs = theorem_pairs(name)
+    rng = np.random.default_rng(5)
+    for pair in pairs:
+        for _ in range(5):
+            assert inclusion_holds(tree, pair, eps, admissible_order(o, pair, eps, rng))
+
+
+@pytest.mark.parametrize("name,eps", THEOREM_CASES)
+def test_theorem_inclusion_fails_without_the_death_cell_condition(name, eps):
+    # negative control: the same noise, within eps/2 of every level, but
+    # with nothing kept before the death cell; some samples must break the
+    # inclusion, or the positive test above could not fail
+    o, tree, pairs = theorem_pairs(name)
+    rng = np.random.default_rng(5)
+    held = []
+    for pair in pairs:
+        for _ in range(5):
+            raw = o.level_array + rng.uniform(-0.499 * eps, 0.499 * eps, len(o))
+            oq = build_order(o.cx, monotone_repair(o.cx, raw.tolist()))
+            held.append(inclusion_holds(tree, pair, eps, oq))
+    assert not all(held)
+
+
+@pytest.mark.parametrize("name,eps", THEOREM_CASES)
+def test_stable_lp_equals_tree_on_the_theorem_pairs(name, eps):
+    o, tree, pairs = theorem_pairs(name)
+    for pair in pairs:
+        lp = volopt.solve_volume(o, pair, "stable", eps).cells
+        assert lp == stable_volume_tree(tree, pair, eps)
 
 
 @pytest.mark.parametrize("name", sorted(TREE_CLOUDS))
@@ -298,7 +355,7 @@ def test_pairs_table_equals_reduce_rows(name):
 def test_pairs_have_plain_python_fields(name):
     # json.dumps rejects numpy scalars, so every way to get a pair gives
     # Python ints, floats and None
-    o = alpha_filtration(generate(name, 0).points).order
+    o = alpha_filtration(generate(name, 0))
     tree = compute_tree(build_dual_graph(o), o)
     table = tree.pairs_table()
     pairs = [*table, *reduce(o)]

@@ -47,19 +47,19 @@ def test_two_vertices_one_edge():
 
 
 def test_fig1_d1_has_two_nonzero_pairs():
-    f = alpha_filtration(fig1_five_points().points)
-    assert len(diagram(pers.reduce(f.order), 1)) == 2
+    f = alpha_filtration(fig1_five_points())
+    assert len(diagram(pers.reduce(f), 1)) == 2
 
 
 def test_high_degree_diagram_empty():
-    f = alpha_filtration(fig1_five_points().points)
-    pairs = pers.reduce(f.order)
+    f = alpha_filtration(fig1_five_points())
+    pairs = pers.reduce(f)
     assert len(diagram(pairs, 5)) == 0
 
 
 def test_zero_persistence_pairs_excluded():
     f = alpha_filtration([(0, 0), (1, 0), (1, 1), (0, 1)])
-    pairs = pers.reduce(f.order)
+    pairs = pers.reduce(f)
     raw1 = [p for p in pairs if p.degree == 1]
     d1 = diagram(pairs, 1)
     assert len(raw1) == 2 and len(d1) == 1  # the diagonal pair dies instantly
@@ -69,7 +69,7 @@ def test_betti_numbers_match_bruteforce_oracle():
     random.seed(5)
     pts = [(random.random(), random.random()) for _ in range(12)]
     f = alpha_filtration(pts)
-    pairs = pers.reduce(f.order)
+    pairs = pers.reduce(f)
     for t in (0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 1.0):
         for k in (0, 1):
             alive = sum(
@@ -77,21 +77,21 @@ def test_betti_numbers_match_bruteforce_oracle():
                 for p in pairs
                 if p.degree == k and p.birth_time < t and (p.essential or p.death_time >= t)
             )
-            assert alive == betti_bruteforce(f.order, t, k)
+            assert alive == betti_bruteforce(f, t, k)
 
 
 def test_clearing_equals_plain_reduction():
     random.seed(17)
     for _ in range(10):
         pts = [(random.random() * 2, random.random() * 2) for _ in range(15)]
-        o = alpha_filtration(pts).order
+        o = alpha_filtration(pts)
         assert pairset(pers.reduce(o)) == pairset(reduce_oracle(o, clearing=False))
 
 
 def test_pair_degree_law():
     random.seed(19)
     pts = [tuple(random.random() for _ in range(3)) for _ in range(14)]
-    o = alpha_filtration(pts).order
+    o = alpha_filtration(pts)
     for p in pers.reduce(o):
         if not p.essential:
             assert o.cx.dim_of(p.death_simplex) == o.cx.dim_of(p.birth_simplex) + 1
@@ -102,7 +102,7 @@ def test_cohomology_pairs_equal_homology_pairs():
     random.seed(23)
     for _ in range(10):
         pts = [(random.random(), random.random()) for _ in range(12)]
-        o = alpha_filtration(pts).order
+        o = alpha_filtration(pts)
         pairs = pers.reduce(o)
         all_degrees, _ = cohomology_reduce_all_columns(o)
         assert pairset(all_degrees) == pairset(pairs)
@@ -115,7 +115,7 @@ def cohomology_orders():
     """Orders for the pair-table and degree-1 cohomology tests: every
     geometry case (the `gen` fixtures among them), the appendix filtration,
     two small tori, a hollow triangle and a lone vertex."""
-    cases = {name: alpha_filtration(pts).order for name, pts in geometry_cases().items()}
+    cases = {name: alpha_filtration(pts) for name, pts in geometry_cases().items()}
     cases.update(complex_cases())
     return cases
 
@@ -256,8 +256,7 @@ def test_cocycle_is_alive_cut():
     the class: the killing is checked as a Betti-number drop."""
     from helpers import z2_rank
 
-    f = alpha_filtration(fig1_five_points().points)
-    o = f.order
+    o = alpha_filtration(fig1_five_points())
     faces = views_from_arrays(o.cx)[2]
     pairs, cocycle = pers.cohomology_reduce(o)
     for p in pairs:
@@ -306,11 +305,11 @@ def test_filled_triangle_has_no_degree1_cocycles():
 
 def test_stability_random_perturbations():
     rng = random.Random(31)
-    f = alpha_filtration(fig1_five_points().points)
-    base = pers.reduce(f.order)
+    f = alpha_filtration(fig1_five_points())
+    base = pers.reduce(f)
     for _ in range(100):
         mag = rng.uniform(0.001, 0.2)
-        oq, dist = perturbed_order(f.order, mag, rng)
+        oq, dist = perturbed_order(f, mag, rng)
         qpairs = pers.reduce(oq)
         for k in (0, 1):
             d = bottleneck(diagram(base, k), diagram(qpairs, k))
@@ -361,7 +360,7 @@ def pair_clouds():
     cases = dict(geometry_cases())
     for name in sorted(GENERATORS):
         for seed in (1, 7):
-            cases[f"gen-{name}-seed{seed}"] = generate(name, seed).points
+            cases[f"gen-{name}-seed{seed}"] = generate(name, seed)
     return cases
 
 
@@ -370,7 +369,7 @@ PAIR_CLOUDS = pair_clouds()
 
 @pytest.mark.parametrize("name", sorted(PAIR_CLOUDS))
 def test_pairs_equal_reduce_rows(name, monkeypatch):
-    o = alpha_filtration(PAIR_CLOUDS[name]).order
+    o = alpha_filtration(PAIR_CLOUDS[name])
     tables, made = assert_pairs_equal_reduce(o, monkeypatch)
     # degree 0 by union-find, degree n-1 from the merge tree, a 3D complex's
     # degree 1 from the edge columns: no degree set reduces
@@ -397,9 +396,9 @@ KERNEL_CALLS_3D = [([3], 0), ([2], 1), ([1], 1), ([0], 0), ([0, 3], 0), ([2, 3],
 @pytest.mark.parametrize("name", ["lattice-3x3x3", "cloud3d-300"])
 def test_pairs_compute_only_the_degrees_a_wanted_degree_needs(name, monkeypatch):
     if name == "cloud3d-300":
-        o = alpha_filtration(np.random.default_rng(7).uniform(0.0, 40.0, (300, 3))).order
+        o = alpha_filtration(np.random.default_rng(7).uniform(0.0, 40.0, (300, 3)))
     else:
-        o = alpha_filtration(generate(name, 7).points).order
+        o = alpha_filtration(generate(name, 7))
     full = pers.reduce(o)
     calls = count_kernel_calls(monkeypatch)
     for degrees, expected in KERNEL_CALLS_3D:
@@ -433,7 +432,7 @@ def test_pairs_equal_reduce_on_random_2d_clouds(n, seed, decimals):
     if decimals is not None:
         pts = np.unique(np.round(pts, decimals), axis=0)
     try:
-        o = alpha_filtration(pts).order
+        o = alpha_filtration(pts)
     except DegenerateInputError:
         assume(False)
     assert_pairs_equal_reduce(o)
@@ -453,7 +452,7 @@ def test_pairs_equal_reduce_on_random_3d_clouds(n, seed, decimals):
     if decimals is not None:
         pts = np.unique(np.round(pts, decimals), axis=0)
     try:
-        o = alpha_filtration(pts).order
+        o = alpha_filtration(pts)
     except DegenerateInputError:
         assume(False)
     assume(o.cx.dim == 3)

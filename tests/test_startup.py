@@ -18,7 +18,7 @@ import pytest
 import stablevol
 from helpers import complex_json_text, torus3d_order
 from stablevol import persistence as pers
-from stablevol.alpha import PointCloud, format_pointcloud
+from stablevol.alpha import format_pointcloud
 
 SRC = str(Path(stablevol.__file__).resolve().parents[1])
 
@@ -26,11 +26,11 @@ SRC = str(Path(stablevol.__file__).resolve().parents[1])
 # `delaunay` (the function) is left out: `stablevol.delaunay` is the module,
 # `validate_complex` is gone: every complex holds all its faces, and
 # `Diagram` and `diagram` are gone: `Pairs.diagram_index` gives a diagram,
-# and `Chain`, `chain_z2` and `StableVolumeResult` are gone: `boundary` and
-# `stable_volume_tree` give id sets
+# `Chain`, `chain_z2` and `StableVolumeResult` are gone: `boundary` and
+# `stable_volume_tree` give id sets, and `PointCloud` and `AlphaFiltration`
+# are gone: a pointcloud is its (n, d) array and a filtration its order
 OLD_EXPORTS = {
-    "alpha": ["AlphaFiltration", "PointCloud", "alpha_filtration", "alpha_levels",
-              "parse_pointcloud"],
+    "alpha": ["alpha_filtration", "alpha_levels", "parse_pointcloud"],
     "complexes": ["MonotonicityError", "OrderWithLevel", "SimplicialComplex", "boundary",
                   "build_order", "complex_from_json"],
     "delaunay": ["DegenerateInputError"],
@@ -95,7 +95,7 @@ def cli_inputs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("startup")
     cloud = tmp / "cloud.txt"
     rng = np.random.default_rng(7)
-    cloud.write_text(format_pointcloud(PointCloud(2, rng.random((400, 2)))))
+    cloud.write_text(format_pointcloud(rng.random((400, 2))))
     o = torus3d_order()
     torus = tmp / "torus.json"
     torus.write_text(complex_json_text(o))

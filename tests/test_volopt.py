@@ -24,48 +24,48 @@ from stablevol import volopt as V
 
 
 def fig1_tree():
-    f = alpha_filtration(fig1_five_points().points)
-    return f, compute_tree(build_dual_graph(f.order), f.order)
+    f = alpha_filtration(fig1_five_points())
+    return f, compute_tree(build_dual_graph(f), f)
 
 
 def test_make_problem_windows():
     f, tree = fig1_tree()
     square = max(tree.pairs_table(), key=lambda p: p.death_time)
-    prob = V.make_problem(f.order, square, "optimal")
+    prob = V.make_problem(f, square, "optimal")
     for c in prob.candidates:
-        assert square.birth_rank < f.order.rank_array[c] < square.death_rank
+        assert square.birth_rank < f.rank_array[c] < square.death_rank
         assert f.cx.dim_of(c) == 2
     for t in prob.constraints:
-        assert square.birth_rank < f.order.rank_array[t] < square.death_rank
+        assert square.birth_rank < f.rank_array[t] < square.death_rank
         assert f.cx.dim_of(t) == 1
     eps = 0.05
-    sprob = V.make_problem(f.order, square, "stable", eps)
+    sprob = V.make_problem(f, square, "stable", eps)
     for t in sprob.constraints:
-        assert f.order.level_array[t] >= square.birth_time + eps
-        assert f.order.rank_array[t] < square.death_rank
+        assert f.level_array[t] >= square.birth_time + eps
+        assert f.rank_array[t] < square.death_rank
     # candidate levels sit in [birth + eps, death)
     for c in sprob.candidates:
-        assert square.birth_time + eps <= f.order.level_array[c]
+        assert square.birth_time + eps <= f.level_array[c]
 
 
 def test_make_problem_star_and_mode_errors():
     f, tree = fig1_tree()
-    star = [p for p in reduce(f.order) if p.essential][0]
+    star = [p for p in reduce(f) if p.essential][0]
     with pytest.raises(StarPairError):
-        V.make_problem(f.order, star, "optimal")
+        V.make_problem(f, star, "optimal")
     pair = tree.pairs_table()[0]
     with pytest.raises(ValueError):
-        V.make_problem(f.order, pair, "bogus")
+        V.make_problem(f, pair, "bogus")
     with pytest.raises(ValueError):
-        V.make_problem(f.order, pair, "sub", 0.1)  # ov_cells missing
+        V.make_problem(f, pair, "sub", 0.1)  # ov_cells missing
 
 
 def test_huge_epsilon_problem_trivial():
     f, tree = fig1_tree()
     p = max(tree.pairs_table(), key=lambda q: q.death_time)
-    prob = V.make_problem(f.order, p, "stable", 10.0)
+    prob = V.make_problem(f, p, "stable", 10.0)
     assert len(prob.candidates) == 0 and len(prob.constraints) == 0
-    sol = V.solve_volume(f.order, p, "stable", 10.0)
+    sol = V.solve_volume(f, p, "stable", 10.0)
     assert sol.cells == {p.death_simplex}
 
 
@@ -84,7 +84,7 @@ def highs_shapes(monkeypatch, prog):
 def test_to_lp_counts_and_entries(monkeypatch):
     f, tree = fig1_tree()
     square = max(tree.pairs_table(), key=lambda p: p.death_time)
-    prog = V.to_lp(V.make_problem(f.order, square, "optimal"))
+    prog = V.to_lp(V.make_problem(f, square, "optimal"))
     rows, _ = program_rows(prog)
     m = len(prog.candidates)
     # 2m variables; 2m coupling rows, the equality rows and the pinned row
@@ -106,7 +106,7 @@ def test_single_candidate_program_counts(monkeypatch):
     # one candidate, one constraint -> 2 variables, 3 constraints
     f, tree = fig1_tree()
     square = max(tree.pairs_table(), key=lambda p: p.death_time)
-    prob = V.make_problem(f.order, square, "stable", 0.05)
+    prob = V.make_problem(f, square, "stable", 0.05)
     prob.candidates = prob.candidates[:1]
     prob.constraints = prob.constraints[:1]
     prog = V.to_lp(prob)
@@ -115,11 +115,11 @@ def test_single_candidate_program_counts(monkeypatch):
 
 def test_solve_single_square(monkeypatch):
     f = alpha_filtration([(0, 0), (1, 0), (1, 1), (0, 1)])
-    tree = compute_tree(build_dual_graph(f.order), f.order)
+    tree = compute_tree(build_dual_graph(f), f)
     p = max(tree.pairs_table(), key=lambda q: q.death_time - q.birth_time)
     solve_lp, raws = V.solve_lp, []
     monkeypatch.setattr(V, "solve_lp", lambda prog: raws.append(solve_lp(prog)) or raws[-1])
-    sol = V.solve_volume(f.order, p, "optimal")
+    sol = V.solve_volume(f, p, "optimal")
     assert sol.cells == set(f.cx.ids_of_dim(2))
     assert abs(sol.objective - 1.0) < 1e-8
     assert len(raws) == 1 and raws[0].residual < 1e-8
@@ -163,7 +163,7 @@ def test_optimum_outside_linprog_tolerance_is_a_solver_failure(monkeypatch):
     f, tree = fig1_tree()
     square = max(tree.pairs_table(), key=lambda p: p.death_time)
     with pytest.raises(V.LPError, match="LP solver failed: the optimum HiGHS reports violates"):
-        V.solve_volume(f.order, square, "stable", 0.05)
+        V.solve_volume(f, square, "stable", 0.05)
 
 
 def test_scipy_without_the_highs_extension_is_an_lp_error(monkeypatch, tmp_path):
@@ -183,7 +183,7 @@ def test_scipy_without_the_highs_extension_is_an_lp_error(monkeypatch, tmp_path)
     f, tree = fig1_tree()
     square = max(tree.pairs_table(), key=lambda p: p.death_time)
     with pytest.raises(V.LPError) as ei:
-        V.solve_volume(f.order, square, "stable", 0.05)
+        V.solve_volume(f, square, "stable", 0.05)
     highspy_dir = tmp_path / "optimize" / "_highspy"
     assert str(ei.value) == (f"HiGHS needs SciPy >= 1.17: no {V._HIGHS_CORE} "
                              f"extension in {highspy_dir}")
@@ -192,7 +192,7 @@ def test_scipy_without_the_highs_extension_is_an_lp_error(monkeypatch, tmp_path)
 def test_round_support_threshold():
     f, tree = fig1_tree()
     square = max(tree.pairs_table(), key=lambda p: p.death_time)
-    prob = V.make_problem(f.order, square, "stable", 0.0)
+    prob = V.make_problem(f, square, "stable", 0.0)
     raw = V.solve_lp(V.to_lp(prob))
     raw.alphas = raw.alphas.copy()
     raw.alphas[np.abs(raw.alphas) > 0.5] = 1 - 1e-12  # near-one still counts
@@ -203,7 +203,7 @@ def test_round_support_threshold():
 def test_round_support_mismatch_surfaces():
     f, tree = fig1_tree()
     square = max(tree.pairs_table(), key=lambda p: p.death_time)
-    prob = V.make_problem(f.order, square, "stable", 0.0)
+    prob = V.make_problem(f, square, "stable", 0.0)
     raw = V.solve_lp(V.to_lp(prob))
     raw.alphas = np.zeros_like(raw.alphas)  # force an infeasible support
     with pytest.raises(V.ApproximationMismatch) as ei:
@@ -215,12 +215,12 @@ def test_lp_equals_tree_on_fig1_and_oracle():
     f, tree = fig1_tree()
     for p in tree.pairs_table():
         ov = optimal_volume_tree(tree, p)
-        assert V.solve_volume(f.order, p, "optimal").cells == ov
+        assert V.solve_volume(f, p, "optimal").cells == ov
         for eps in (0.0, 0.05, 0.1, 0.3):
             sv = stable_volume_tree(tree, p, eps)
-            assert V.solve_volume(f.order, p, "stable", eps).cells == sv
-            assert V.solve_volume(f.order, p, "sub", eps, ov_cells=ov).cells == sv
-            prob = V.make_problem(f.order, p, "stable", eps)
+            assert V.solve_volume(f, p, "stable", eps).cells == sv
+            assert V.solve_volume(f, p, "sub", eps, ov_cells=ov).cells == sv
+            prob = V.make_problem(f, p, "stable", eps)
             assert brute_force_volume(prob) == sv
 
 
@@ -234,21 +234,21 @@ def test_volume_cycle_laws():
     for _ in range(10):
         pts = [(random.random() * 2, random.random() * 2) for _ in range(12)]
         f = alpha_filtration(pts)
-        tree = compute_tree(build_dual_graph(f.order), f.order)
+        tree = compute_tree(build_dual_graph(f), f)
         for p in tree.pairs_table():
-            z = V.solve_volume(f.order, p, "optimal").cells
+            z = V.solve_volume(f, p, "optimal").cells
             bz = boundary(f.cx, 2, z)
             assert p.birth_simplex in bz
             for e in bz:
-                assert f.order.rank_array[e] <= p.birth_rank
-            assert is_z2_boundary(f.order, bz, p.death_rank + 1)
-            assert not is_z2_boundary(f.order, bz, p.death_rank)
+                assert f.rank_array[e] <= p.birth_rank
+            assert is_z2_boundary(f, bz, p.death_rank + 1)
+            assert not is_z2_boundary(f, bz, p.death_rank)
 
 
 def test_brute_force_too_large():
     f, tree = fig1_tree()
     p = tree.pairs_table()[0]
-    prob = V.make_problem(f.order, p, "stable", 0.0)
+    prob = V.make_problem(f, p, "stable", 0.0)
     prob.candidates = list(range(25))
     with pytest.raises(TooLargeError):
         brute_force_volume(prob)
@@ -257,7 +257,7 @@ def test_brute_force_too_large():
 def test_brute_force_tie_count():
     f, tree = fig1_tree()
     square = max(tree.pairs_table(), key=lambda p: p.death_time)
-    prob = V.make_problem(f.order, square, "stable", 0.05)
+    prob = V.make_problem(f, square, "stable", 0.05)
     chain, ties = brute_force_volume(prob, count_ties=True)
     assert ties >= 1
 
@@ -267,9 +267,9 @@ def test_lp_objective_never_beats_oracle_unrounded():
     for _ in range(30):
         pts = [(random.random() * 2, random.random() * 2) for _ in range(10)]
         f = alpha_filtration(pts)
-        tree = compute_tree(build_dual_graph(f.order), f.order)
+        tree = compute_tree(build_dual_graph(f), f)
         for p in list(tree.pairs_table())[:2]:
-            prob = V.make_problem(f.order, p, "stable", 0.02)
+            prob = V.make_problem(f, p, "stable", 0.02)
             if len(prob.candidates) > 16:
                 continue
             oracle = brute_force_volume(prob)
@@ -287,11 +287,11 @@ def test_stable_volume_can_escape_optimal_volume_in_3d():
     n = int(rng.integers(10, 16))
     pts = rng.random((n, 3)) * 2
     f = alpha_filtration(pts)
-    d1 = [p for p in reduce(f.order) if p.degree == 1 and not p.essential]
+    d1 = [p for p in reduce(f) if p.degree == 1 and not p.essential]
     pair = next(p for p in d1 if abs(p.birth_time - 0.371702) < 1e-5)
-    ov = V.solve_volume(f.order, pair, "optimal").cells
-    sv = V.solve_volume(f.order, pair, "stable", 0.05).cells
-    sub = V.solve_volume(f.order, pair, "sub", 0.05, ov_cells=ov).cells
+    ov = V.solve_volume(f, pair, "optimal").cells
+    sv = V.solve_volume(f, pair, "stable", 0.05).cells
+    sub = V.solve_volume(f, pair, "sub", 0.05, ov_cells=ov).cells
     assert not sv <= ov          # the tighter path leaves the optimal volume
     assert sub <= ov | {pair.death_simplex}
     assert len(sub) > len(sv)    # confinement makes the sub-volume larger
@@ -304,11 +304,11 @@ def test_lp_equals_tree_in_3d_codim1():
     for _ in range(6):
         pts = rng.random((int(rng.integers(12, 22)), 3)) * 2
         f = alpha_filtration(pts)
-        tree = compute_tree(build_dual_graph(f.order), f.order)
+        tree = compute_tree(build_dual_graph(f), f)
         for p in tree.pairs_table():
             for eps in (0.0, 0.03, 0.1):
                 sv_tree = stable_volume_tree(tree, p, eps)
-                assert V.solve_volume(f.order, p, "stable", eps).cells == sv_tree
+                assert V.solve_volume(f, p, "stable", eps).cells == sv_tree
 
 
 def lattice_optimal_problems(keep=lambda prog: len(prog.candidates) and program_rows(prog)[0]):
@@ -317,14 +317,14 @@ def lattice_optimal_problems(keep=lambda prog: len(prog.candidates) and program_
     equality rows)."""
     out = []
     for seed in range(5):
-        f = alpha_filtration(lattice_3x3x3(seed).points)
-        for p in reduce(f.order):
+        f = alpha_filtration(lattice_3x3x3(seed))
+        for p in reduce(f):
             if p.degree != 1 or p.essential or p.birth_time == p.death_time:
                 continue
-            prob = V.make_problem(f.order, p, "optimal")
+            prob = V.make_problem(f, p, "optimal")
             prog = V.to_lp(prob)
             if keep(prog):
-                out.append((f.order, p, prob, prog))
+                out.append((f, p, prob, prog))
     return out
 
 
@@ -407,7 +407,7 @@ def test_birth_coefficient_is_exact_and_signs_match_lsmr_oracle():
     # feasibility solve finds it to 1e-9 on every lattice and torus program
     from helpers import make_problem_oracle, pin_sign_hint_oracle, to_lp_oracle, torus3d_order
 
-    orders = [alpha_filtration(lattice_3x3x3(seed).points).order for seed in range(5)]
+    orders = [alpha_filtration(lattice_3x3x3(seed)) for seed in range(5)]
     orders += [torus3d_order(seed=seed) for seed in range(2)]
     signs = []
     for o in orders:
@@ -515,7 +515,7 @@ def oracle_problems():
     the most persistent degree-1 pair of a 3D torus complex."""
     from helpers import solve_volume_oracle, torus3d_order
 
-    sources = [(f"lattice-{seed}", alpha_filtration(lattice_3x3x3(seed).points).order, None)
+    sources = [(f"lattice-{seed}", alpha_filtration(lattice_3x3x3(seed)), None)
                for seed in range(5)]
     sources.append(("torus3d", torus3d_order(), "most-persistent"))
     out = []
