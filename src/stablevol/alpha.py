@@ -15,7 +15,14 @@ fallback).
 The Gabriel test classes each other point as inside, outside or borderline
 with a float filter of relative band width `_GABRIEL_BAND`, and decides
 borderline points in exact rational arithmetic, so cocircular
-configurations such as unit squares get exact levels.
+configurations such as unit squares get exact levels. That exact stage
+shares the one Fraction elimination of `predicates`.
+
+The levels are computed on the points scaled by an exact power of two to
+magnitude below 1 (`delaunay._rescaled`), and scaled back. That commutes
+with every float operation here while nothing under- or overflows: levels
+at ordinary scales are the unscaled floats, and at extreme scales no
+square under- or overflows.
 
 `alpha_levels` works one dimension at a time, top down, on arrays.
 `_gabriel_mask` decides the simplices of a dimension in two array stages,
@@ -45,12 +52,14 @@ that hands `_is_gabriel` every point as a candidate.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from .complexes import OrderWithLevel, SimplicialComplex, build_order
-from .delaunay import DegenerateInputError, delaunay
+from .delaunay import DegenerateInputError, _rescaled, delaunay
+from .predicates import _fraction_det
 
 _GABRIEL_BAND = 1e-9  # relative width of the float filter around the sphere
 # radius factor of the candidate search; far above the band and the float
@@ -98,14 +107,16 @@ def _circum_one(pts_row):
     return V[0] + cvec, float(cvec @ cvec)
 
 
-def _circum_batch(pts: np.ndarray, vert_lists: np.ndarray):
-    """Circumcenters and squared circumradii of same-dimension simplices.
+def _circum_batch(pts: np.ndarray, vert_lists: np.ndarray, exp: int = 0):
+    """Circumcenters and squared circumradii of same-dimension simplices of
+    the points `pts`, which are the input points scaled by 2**-exp.
 
     Exactly degenerate simplices (affinely dependent vertices, possible in a
     jitter-resolved triangulation of degenerate inputs) get a sentinel radius
     far beyond the data scale of `pts`: they can never be Gabriel, so they
     inherit their coface levels downstream, which is the correct limit
-    behaviour.
+    behaviour. In the input's units it is 1e12 * (spread + 1), with spread
+    the squared bounding-box diagonal.
     """
     V = pts[vert_lists]  # (m, k+1, d)
     A = V[:, 1:, :] - V[:, :1, :]  # (m, k, d)
@@ -115,6 +126,8 @@ def _circum_batch(pts: np.ndarray, vert_lists: np.ndarray):
         lam = np.linalg.solve(G, g[..., None])[..., 0]
     except np.linalg.LinAlgError:
         spread = float(((pts.max(axis=0) - pts.min(axis=0)) ** 2).sum())
+        # 1 in the input's squared units is 2**-2exp here; capped to stay finite
+        sentinel = 1e12 * (spread + math.ldexp(1.0, min(-2 * exp, 930)))
         centers = np.empty((len(vert_lists), pts.shape[1]))
         r2 = np.empty(len(vert_lists))
         for j, verts in enumerate(vert_lists):
@@ -122,7 +135,7 @@ def _circum_batch(pts: np.ndarray, vert_lists: np.ndarray):
                 centers[j], r2[j] = _circum_one(pts[verts])
             except np.linalg.LinAlgError:
                 centers[j] = pts[verts].mean(axis=0)
-                r2[j] = 1e12 * (spread + 1.0)
+                r2[j] = sentinel
         return centers, r2
     cvec = np.einsum("mk,mkd->md", lam, A)
     centers = V[:, 0, :] + cvec
@@ -131,34 +144,23 @@ def _circum_batch(pts: np.ndarray, vert_lists: np.ndarray):
 
 
 def _circum_exact(verts_pts):
-    """Exact circumcenter and squared circumradius over fractions."""
+    """Exact circumcenter and squared circumradius over fractions: the
+    center is v0 + sum(lam_i a_i), a_i = v_i - v0, where lam solves the
+    Gram system 2 A A^T lam = (|a_i|^2), made integral by scaling A by a
+    common denominator, by Cramer's rule over `_fraction_det`."""
     v0 = [Fraction(x) for x in verts_pts[0]]
     A = [[Fraction(x) - b for x, b in zip(v, v0)] for v in verts_pts[1:]]
-    k = len(A)
-    G = [[2 * sum(A[i][t] * A[j][t] for t in range(len(v0))) for j in range(k)] for i in range(k)]
-    g = [sum(x * x for x in A[i]) for i in range(k)]
-    # gaussian elimination with exact pivots
-    for col in range(k):
-        piv = next((r for r in range(col, k) if G[r][col] != 0), None)
-        if piv is None:
-            raise DegenerateInputError("exactly degenerate simplex")
-        if piv != col:
-            G[col], G[piv] = G[piv], G[col]
-            g[col], g[piv] = g[piv], g[col]
-        for r in range(col + 1, k):
-            if G[r][col] != 0:
-                f = G[r][col] / G[col][col]
-                for c in range(col, k):
-                    G[r][c] -= f * G[col][c]
-                g[r] -= f * g[col]
-    lam = [Fraction(0)] * k
-    for r in range(k - 1, -1, -1):
-        acc = g[r] - sum(G[r][c] * lam[c] for c in range(r + 1, k))
-        lam[r] = acc / G[r][r]
-    cvec = [sum(lam[i] * A[i][t] for i in range(k)) for t in range(len(v0))]
-    center = [b + c for b, c in zip(v0, cvec)]
-    r2 = sum(c * c for c in cvec)
-    return center, r2
+    scale = math.lcm(*(x.denominator for a in A for x in a))
+    N = [[int(x * scale) for x in a] for a in A]
+    G = [[2 * sum(x * y for x, y in zip(a, b)) for b in N] for a in N]
+    g = [sum(x * x for x in a) for a in N]
+    det = _fraction_det(G)
+    if det == 0:
+        raise DegenerateInputError("exactly degenerate simplex")
+    lam = [_fraction_det([r[:i] + [gi] + r[i + 1 :] for r, gi in zip(G, g)]) / det
+           for i in range(len(A))]
+    cvec = [sum(l * a[t] for l, a in zip(lam, A)) for t in range(len(v0))]
+    return [b + c for b, c in zip(v0, cvec)], sum(c * c for c in cvec)
 
 
 def alpha_levels(cx: SimplicialComplex, points) -> np.ndarray:
@@ -170,7 +172,7 @@ def alpha_levels(cx: SimplicialComplex, points) -> np.ndarray:
     """
     from scipy.spatial import cKDTree
 
-    pts = np.asarray(points, dtype=float)
+    pts, exp = _rescaled(np.asarray(points, dtype=float))
     n = cx.dim
     levels = np.zeros(len(cx))
     tree = cKDTree(pts)
@@ -179,7 +181,7 @@ def alpha_levels(cx: SimplicialComplex, points) -> np.ndarray:
         if not ids:
             continue
         verts = cx.vertex_array(k)
-        cs, r2 = _circum_batch(pts, verts)
+        cs, r2 = _circum_batch(pts, verts, exp)
         own = np.sqrt(np.maximum(r2, 0.0))
         if k == n:
             levels[ids.start : ids.stop] = own
@@ -189,7 +191,7 @@ def alpha_levels(cx: SimplicialComplex, points) -> np.ndarray:
         # (float noise can put it above) keeps level(face) <= level(coface)
         cap, has = _coface_min(cx, k, levels)
         levels[ids.start : ids.stop] = np.where(gabriel | ~has, np.minimum(own, cap), cap)
-    return levels
+    return np.ldexp(levels, exp)
 
 
 def _gabriel_mask(cx, pts, tree, k, cs, r2):

@@ -276,8 +276,14 @@ def _expand(adj, parent, frontier, dst):
 
 
 def _edge_weight(u, v, points):
-    """Length of the edge (u, v)."""
-    return float(np.linalg.norm(np.asarray(points[u], float) - np.asarray(points[v], float)))
+    """Length of the edge (u, v), measured on the difference scaled by a
+    power of two to magnitude below 1 and scaled back, so that no square
+    under- or overflows. Where none did unscaled, the float is the same: a
+    square that the scaling makes underflow is below the rounding of the
+    largest one."""
+    d = np.asarray(points[u], float) - np.asarray(points[v], float)
+    _, k = math.frexp(float(np.abs(d).max()))
+    return math.ldexp(float(np.linalg.norm(np.ldexp(d, -k))), k)
 
 
 def _adjacency(ends: np.ndarray, sids: np.ndarray, euclidean, points) -> dict:

@@ -135,18 +135,8 @@ class SimplicialComplex:
 
     @cached_property
     def simplices(self) -> list:
-        """Vertex tuple of each simplex, in id order; one Python int is shared
-        per vertex id."""
-        rows = self._verts
-        flat = np.concatenate([r.ravel() for r in rows]) if rows else np.empty(0, np.int64)
-        values, inverse = np.unique(flat, return_inverse=True)
-        vertex_ints = values.astype(object)[inverse]
-        out, start = [], 0
-        for r in rows:
-            block = vertex_ints[start : start + r.size].reshape(r.shape)
-            out.extend(zip(*block.T.tolist()))
-            start += r.size
-        return out
+        """Vertex tuple of each simplex, in id order."""
+        return [s for rows in self._verts for s in map(tuple, rows.tolist())]
 
     def __len__(self):
         return self._offsets[-1]

@@ -381,7 +381,7 @@ def delaunay(points) -> SimplicialComplex:
         raise ValueError(
             "coordinate range too large: the squared bounding-box extent overflows"
         )
-    cx = _certified_qhull(_rescaled(jit))
+    cx = _certified_qhull(_rescaled(jit)[0])
     if cx is None:
         return _bowyer_watson(
             list(map(tuple, P.tolist())), list(map(tuple, jit.tolist())), dim
@@ -389,14 +389,15 @@ def delaunay(points) -> SimplicialComplex:
     return cx
 
 
-def _rescaled(jit):
-    """jit * 2**-k, with 2**k the smallest power of two above max |jit|, if
-    that scaling is exact (scaling back gives jit), else jit itself.
+def _rescaled(P):
+    """(P * 2**-k, k), with 2**k the smallest power of two above max |P|, if
+    that scaling is exact (scaling back gives P), else (P, 0).
 
     Delaunay cells and the sign of every orient and insphere determinant
     are invariant under an exact scaling, so Qhull and the certificate see
-    coordinates of magnitude below 1 at any input scale.
+    coordinates of magnitude below 1 at any input scale. The alpha levels
+    are computed on the scaled points too, and scaled back by 2**k.
     """
-    _, k = math.frexp(float(np.abs(jit).max()))
-    scaled = np.ldexp(jit, -k)
-    return scaled if np.array_equal(np.ldexp(scaled, k), jit) else jit
+    _, k = math.frexp(float(np.abs(P).max()))
+    scaled = np.ldexp(P, -k)
+    return (scaled, k) if np.array_equal(np.ldexp(scaled, k), P) else (P, 0)

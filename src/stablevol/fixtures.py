@@ -12,22 +12,15 @@ import math
 import numpy as np
 
 
-def fig1_five_points(a: float = 1.0) -> np.ndarray:
+def fig1_five_points() -> np.ndarray:
     """Unit square sharing an edge with a unit equilateral triangle.
 
-    Five points total; the degree-1 diagram is {(a/2, a/sqrt(3)),
-    (a/2, a/sqrt(2))}.
+    Five points total; the degree-1 diagram is {(1/2, 1/sqrt(3)),
+    (1/2, 1/sqrt(2))}.
     """
-    pts = np.array(
-        [
-            [0.0, 0.0],
-            [a, 0.0],
-            [a, a],
-            [0.0, a],
-            [-a * math.sqrt(3.0) / 2.0, a / 2.0],
-        ]
+    return np.array(
+        [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [-math.sqrt(3.0) / 2.0, 0.5]]
     )
-    return pts
 
 
 def lattice_3x3x3(seed: int, noise: float = 0.05) -> np.ndarray:
@@ -39,33 +32,28 @@ def lattice_3x3x3(seed: int, noise: float = 0.05) -> np.ndarray:
     return base + rng.uniform(-noise, noise, base.shape)
 
 
-def lattice_2d_defects(
-    seed: int, size: int = 30, keep_prob: float = 0.5, noise: float = 0.1
-) -> np.ndarray:
-    """size x size lattice: interior points kept with probability keep_prob,
+def lattice_2d_defects(seed: int, size: int = 30, noise: float = 0.1) -> np.ndarray:
+    """size x size lattice: interior points kept with probability 1/2,
     perimeter always kept, uniform noise on (-noise, noise)^2."""
     rng = np.random.default_rng(seed)
     rows = []
     for x in range(size):
         for y in range(size):
             on_perimeter = x in (0, size - 1) or y in (0, size - 1)
-            if on_perimeter or rng.random() < keep_prob:
+            if on_perimeter or rng.random() < 0.5:
                 rows.append([float(x), float(y)])
     base = np.array(rows)
     return base + rng.uniform(-noise, noise, base.shape)
 
 
-def hexagon(radius: float = 1.0) -> np.ndarray:
-    """Regular hexagon; side length equals the radius."""
-    pts = [
-        (radius * math.cos(k * math.pi / 3.0), radius * math.sin(k * math.pi / 3.0))
-        for k in range(6)
-    ]
-    return np.array(pts)
+def hexagon() -> np.ndarray:
+    """Regular hexagon of radius and side length 1."""
+    return np.array([(math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0)) for k in range(6)])
 
 
-def annulus(seed: int = 0, jitter: float = 0.02) -> np.ndarray:
-    """Two concentric rings (radii 1 and 2) with a little seeded jitter."""
+def annulus(seed: int = 0) -> np.ndarray:
+    """Two concentric rings (radii 1 and 2) with seeded uniform jitter on
+    (-0.02, 0.02)^2."""
     rng = np.random.default_rng(seed)
     pts = []
     for k in range(10):
@@ -74,7 +62,7 @@ def annulus(seed: int = 0, jitter: float = 0.02) -> np.ndarray:
     for k in range(20):
         t = 2.0 * math.pi * k / 20.0
         pts.append((2.0 * math.cos(t), 2.0 * math.sin(t)))
-    return np.array(pts) + rng.uniform(-jitter, jitter, (len(pts), 2))
+    return np.array(pts) + rng.uniform(-0.02, 0.02, (len(pts), 2))
 
 
 GENERATORS = {

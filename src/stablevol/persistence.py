@@ -127,17 +127,14 @@ class Pairs:
 def boundary_matrix(o: OrderWithLevel) -> list:
     """Column j = ranks of the codim-1 faces of the rank-j simplex, ascending.
 
-    Built per dimension from `face_array(k)` and the rank array. The columns
-    share one int object per rank, from `rank_array.astype(object)`, which
-    keeps the peak memory of a reduction down.
+    Built per dimension from `face_array(k)` and the rank array.
     """
     cx, rank = o.cx, o.rank_array
-    rank_objs = rank.astype(object)
     cols = [[] for _ in cx.ids_of_dim(0)]  # one column per simplex id
     for k in range(1, cx.dim + 1):
         faces = cx.face_array(k)
         faces = np.take_along_axis(faces, rank[faces].argsort(axis=1), axis=1)
-        cols.extend(rank_objs[faces].tolist())
+        cols.extend(rank[faces].tolist())
     return list(map(cols.__getitem__, o.order_array.tolist()))
 
 

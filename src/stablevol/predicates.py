@@ -4,7 +4,8 @@ Each predicate evaluates a small determinant in double precision together
 with a running magnitude of the summed terms. When the result is safely
 larger than the accumulated rounding error the float sign is returned;
 otherwise the determinant is recomputed exactly over fractions. Inputs are
-floats, so the fraction stage is exact, never heuristic.
+floats, so the fraction stage is exact, never heuristic. Its elimination,
+`_fraction_det`, is the package's one; `alpha` calls it by that name.
 
 The float stage of each predicate is written once and runs either on floats
 or elementwise on numpy arrays. `orient_batch` and `circumsphere_side_batch`
@@ -39,29 +40,31 @@ def _sign(x) -> int:
     return 0
 
 
-def _det_exact(rows) -> Fraction:
+def _fraction_det(rows) -> Fraction:
+    """Determinant over fractions, by Gaussian elimination."""
     m = [[Fraction(x) for x in r] for r in rows]
     n = len(m)
     det = Fraction(1)
     for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
         if piv is None:
             return Fraction(0)
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
             det = -det
         det *= m[col][col]
-        inv = m[col][col]
         for r in range(col + 1, n):
             if m[r][col] != 0:
-                factor = m[r][col] / inv
+                factor = m[r][col] / m[col][col]
                 for c in range(col, n):
                     m[r][c] -= factor * m[col][c]
     return det
+
+
+def _det_exact(rows) -> Fraction:
+    """The predicates' exact stage, under a name of its own so that a count
+    of its calls (the benchmark's `predicates.exact_calls`) is theirs alone."""
+    return _fraction_det(rows)
 
 
 def _orient2d_float(pa, pb, pc):

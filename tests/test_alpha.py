@@ -179,6 +179,56 @@ def test_last_simplex_of_a_dimension_is_not_gabriel(name):
         assert inside
 
 
+def _cross(u, v):
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+
+@pytest.mark.parametrize("dim,k", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+def test_circum_exact_against_its_definition(dim, k):
+    """The exact circumsphere of seeded integer and dyadic simplices, checked
+    by its definition in closed-form arithmetic that shares nothing with the
+    Gram solve: the center is equidistant from every vertex and lies in their
+    affine hull. Edge vectors that span no k-volume must raise."""
+    rng = np.random.default_rng([dim, k])
+    solved = 0
+    for trial in range(60):
+        V = rng.integers(-3, 4, (k + 1, dim)) / (4 if trial % 2 else 1) + 0.5
+        F = [[Fraction(x) for x in v] + [Fraction(0)] * (3 - dim) for v in V]  # in 3D
+        A = [[x - y for x, y in zip(v, F[0])] for v in F[1:]]
+        if k == 1:
+            volume = sum(x * x for x in A[0])
+        elif k == 2:
+            volume = sum(x * x for x in _cross(A[0], A[1]))
+        else:
+            volume = sum(x * y for x, y in zip(A[0], _cross(A[1], A[2])))
+        if volume == 0:
+            with pytest.raises(DegenerateInputError):
+                _circum_exact(V)
+            continue
+        center, r2 = _circum_exact(V)
+        c = list(center) + [Fraction(0)] * (3 - dim)
+        assert all(sum((x - y) ** 2 for x, y in zip(v, c)) == r2 for v in F)
+        d = [x - y for x, y in zip(c, F[0])]
+        if k == 1:
+            assert _cross(d, A[0]) == [0, 0, 0]
+        elif k == 2:
+            assert sum(x * y for x, y in zip(d, _cross(A[0], A[1]))) == 0
+        solved += 1
+    assert solved >= 30
+
+
+@pytest.mark.parametrize("verts", [
+    [(1.0, 2.0), (1.0, 2.0)],
+    [(0.0, 0.0, 1.0), (0.0, 0.0, 1.0)],
+    [(0.0, 0.0), (1.0, 1.0), (3.0, 3.0)],
+    [(0.0, 0.0, 0.0), (0.5, 1.0, 1.5), (1.0, 2.0, 3.0)],
+    [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0)],
+], ids=["repeated-2d", "repeated-3d", "collinear-2d", "collinear-3d", "coplanar-tetrahedron"])
+def test_circum_exact_rejects_degenerate_simplices(verts):
+    with pytest.raises(DegenerateInputError, match="exactly degenerate simplex"):
+        _circum_exact(verts)
+
+
 @pytest.mark.parametrize("seed", [3, 4])
 def test_degree1_diagram_invariant_under_permutation(seed):
     # levels are float circumradii computed from a simplex's lowest-id vertex,

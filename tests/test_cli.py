@@ -1,5 +1,6 @@
 import functools
 import inspect
+import itertools
 import json
 import math
 import os
@@ -33,6 +34,7 @@ from helpers import (
     reduce_oracle,
     torus3d_order,
 )
+from stablevol.alpha import format_pointcloud
 from stablevol.cli import PairSelectionError, _load_input, _select_pair, main
 from stablevol.complexes import SimplicialComplex, build_order
 
@@ -443,6 +445,79 @@ def test_benchmark_tracer_observes_vol_and_stat(fig1_file, tmp_path, capsys, mon
     assert math.isfinite(vol["volopt.lp_residual_max"])
     assert vol["volopt.pin_retries"] == 0
     assert 0 <= stat["baselines.matched_ratio"] <= 1
+
+
+@pytest.mark.parametrize(
+    "side,dim,counts", [(4, 3, (0, 610, 610)), (12, 2, (0, 121, 121))], ids=["4x4x4", "12x12"]
+)
+def test_benchmark_tracer_exact_stage_counts_on_integer_grids(
+    side, dim, counts, tmp_path, capsys, monkeypatch
+):
+    """On an integer grid the Gabriel test of every square's diagonal is
+    borderline and reaches the exact circumsphere. The tracer counts those
+    calls as `alpha.exact_circumspheres`; `predicates.exact_calls` counts the
+    predicates' exact determinants alone, which the jitter leaves to none
+    here, and not the elimination that the circumspheres share with them."""
+    tracing = load_tracing(monkeypatch)
+    grid = np.array(list(itertools.product(range(side), repeat=dim)), dtype=float)
+    path = tmp_path / "grid.txt"
+    path.write_text(format_pointcloud(grid))
+    tracer = tracing.Tracer()
+    tracer.install(counters=True)
+    try:
+        assert run(["pd", str(path)], capsys)[0] == 0
+        m = tracer.job_metrics(0)
+    finally:
+        tracer.uninstall()
+    names = ("predicates.exact_calls", "alpha.exact_circumspheres", "alpha.gabriel_tests")
+    assert tuple(m[n] for n in names) == counts
+
+
+def _scaled_output(out, k):
+    """A pd or rsc output with every float (the levels, the coordinates and
+    the loop weight) times 2**k."""
+    if isinstance(out, float):
+        return math.ldexp(out, k)
+    if isinstance(out, list):
+        return [_scaled_output(v, k) for v in out]
+    if isinstance(out, dict):
+        return {key: _scaled_output(v, k) for key, v in out.items()}
+    return out
+
+
+@pytest.mark.parametrize("k", [-900, -600, -540, -520, 500, 510])
+def test_outputs_scale_exactly_by_powers_of_two(k, tmp_path, capsys):
+    """pd on a cloud scaled by 2**k prints the unscaled diagram with every
+    level times 2**k, exactly, and so does rsc --euclidean with its loop
+    weight: levels and edge lengths are computed at magnitude below 1."""
+    rng = np.random.default_rng(3)
+    clouds = {"2d": rng.random((30, 2)), "3d": rng.random((40, 3))}
+    jobs = [("2d", ["pd"]), ("3d", ["pd"]), ("2d", ["rsc", "--euclidean", "--pair-index", "0"])]
+    for name, argv in jobs:
+        outs = []
+        for scale in (0, k):
+            path = tmp_path / f"{name}_{scale}.txt"
+            path.write_text(format_pointcloud(np.ldexp(clouds[name], scale)))
+            code, out, _ = run([argv[0], str(path), *argv[1:]], capsys)
+            assert code == 0
+            outs.append(json.loads(out))
+        assert outs[1] == _scaled_output(outs[0], k)
+        assert outs[0] != outs[1]
+
+
+def test_pd_on_a_tiny_grid_keeps_degenerate_levels_finite(tmp_path, capsys):
+    """A 4x4x4 grid scaled by 2**-540 has flat tetrahedra. The sentinel level
+    they get stays finite in the scaled units, so pd prints as many pairs
+    as on the unscaled grid."""
+    grid = np.array(list(itertools.product(range(4), repeat=3)), dtype=float)
+    counts = []
+    for k in (0, -540):
+        path = tmp_path / f"grid_{k}.txt"
+        path.write_text(format_pointcloud(np.ldexp(grid, k)))
+        code, out, _ = run(["pd", str(path)], capsys)
+        assert code == 0
+        counts.append(sum(len(d["pairs"]) for d in json.loads(out)["diagrams"]))
+    assert counts[0] == counts[1] > 0
 
 
 def test_pd_rejects_threads(fig1_file, capsys):

@@ -347,12 +347,14 @@ def test_extreme_scales_are_certified_without_fallback(dim, k, monkeypatch):
 def test_rescale_is_exact_or_skipped():
     P = jittered_points(SCALED[3])
     for k in (-500, 0, 6, 500):
-        scaled = dl._rescaled(np.ldexp(P, k))
+        scaled, exp = dl._rescaled(np.ldexp(P, k))
         assert np.abs(scaled).max() < 1 <= 2 * np.abs(scaled).max()
         assert np.array_equal(np.ldexp(scaled, 6), P)  # max |P| is below 2**6
+        assert exp == k + 6
     # scaling down by 2**1024 would round 1e-300 to a subnormal: no rescale
     wide = np.array([[1e300, 1e-300], [0.0, 1.0], [1.0, 0.0]])
-    assert dl._rescaled(wide) is wide
+    scaled, exp = dl._rescaled(wide)
+    assert scaled is wide and exp == 0
 
 
 @pytest.mark.parametrize("name", ["cloud2d-400", "cloud3d-800", "grid-6x6x6", "ring-12"])
