@@ -34,7 +34,10 @@ hands the rest to `_is_gabriel`:
    complex almost every simplex that is not Gabriel has one inside the
    float band.
 2. one KD-tree query of the k+2 points nearest to each remaining
-   circumcenter. Within `_candidate_radius`, slightly more than the
+   circumcenter. The `cKDTree` comes from its extension module
+   `scipy.spatial._ckdtree` alone, loaded by `stablevol._scipy_extension`
+   without the `scipy.spatial` package (the module still imports
+   `scipy.sparse`). Within `_candidate_radius`, slightly more than the
    circumradius, lies every point the float band can class as inside or
    borderline; if the simplex's own vertices are the only points found
    there, it is Gabriel. k+2 points suffice: a k-simplex has k+1
@@ -57,6 +60,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _scipy_extension
 from .complexes import OrderWithLevel, SimplicialComplex, build_order
 from .delaunay import DegenerateInputError, _rescaled, delaunay
 from .predicates import _fraction_det
@@ -168,14 +172,13 @@ def alpha_levels(cx: SimplicialComplex, points) -> np.ndarray:
     float array.
 
     A simplex of lower than top dimension with no coface (possible only in
-    a complex that is not pure) enters at its own circumradius.
+    a complex that is not pure) enters at its own circumradius. A level
+    that overflows once scaled back to the input's units raises ValueError.
     """
-    from scipy.spatial import cKDTree
-
     pts, exp = _rescaled(np.asarray(points, dtype=float))
     n = cx.dim
     levels = np.zeros(len(cx))
-    tree = cKDTree(pts)
+    tree = _scipy_extension("scipy.spatial._ckdtree").cKDTree(pts)
     for k in range(n, 0, -1):
         ids = cx.ids_of_dim(k)
         if not ids:
@@ -191,7 +194,11 @@ def alpha_levels(cx: SimplicialComplex, points) -> np.ndarray:
         # (float noise can put it above) keeps level(face) <= level(coface)
         cap, has = _coface_min(cx, k, levels)
         levels[ids.start : ids.stop] = np.where(gabriel | ~has, np.minimum(own, cap), cap)
-    return np.ldexp(levels, exp)
+    with np.errstate(over="ignore"):
+        levels = np.ldexp(levels, exp)
+    if not np.isfinite(levels).all():
+        raise ValueError("coordinate range too large: an alpha level overflows")
+    return levels
 
 
 def _gabriel_mask(cx, pts, tree, k, cs, r2):

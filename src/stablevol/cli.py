@@ -3,9 +3,10 @@
 Subcommands: pd (diagrams), vol (volumes), sweep (epsilon vs size), stat
 (statistical resampling baseline), rsc (reconstructed shortest cycles), gen
 (dataset fixtures). Results go to stdout or -o; logs go to stderr. Exit
-codes: 0 ok, 2 parse error, 3 degenerate input or a failed LP (infeasible,
-unbounded, solver failure, or a rounded support that is not Z/2-feasible), 4
-pair not uniquely resolvable, 5 essential pair.
+codes: 0 ok, 2 parse error, 3 degenerate input, a failed LP (infeasible,
+unbounded, solver failure, or a rounded support that is not Z/2-feasible) or
+a SciPy without the Qhull or KD-tree extension module, 4 pair not uniquely
+resolvable, 5 essential pair.
 
 The CLI runs OpenBLAS single-threaded unless OPENBLAS_NUM_THREADS is set:
 its dense linear algebra is a few batched 2x2 and 3x3 solves, and the
@@ -29,8 +30,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
+from . import MissingExtensionError, volopt
 from . import persistence as pers
-from . import volopt
 from .alpha import alpha_filtration, format_pointcloud, parse_pointcloud
 from .baselines import NoiseModel, reconstructed_shortest_cycle, statistical_frequencies
 from .complexes import complex_from_json, vertices_of, z2_boundary
@@ -540,6 +541,9 @@ def main(argv=None) -> int:
         return EXIT_DEGENERATE
     except volopt.LPError as e:
         print(f"error: linear program: {e}", file=sys.stderr)
+        return EXIT_DEGENERATE
+    except MissingExtensionError as e:
+        print(f"error: scipy: {e}", file=sys.stderr)
         return EXIT_DEGENERATE
     except StarPairError as e:
         print(f"error: essential pair: {e}", file=sys.stderr)

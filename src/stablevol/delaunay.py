@@ -9,9 +9,14 @@ jittered coordinates scaled by 2**-k, with 2**k the smallest power of two
 above their largest magnitude (`_rescaled`; unscaled if the scaling would
 round a coordinate). An exact power-of-two scaling changes no Delaunay
 cell and no predicate sign, and it keeps Qhull's own arithmetic in range
-at any input scale. Qhull's cells become a `SimplicialComplex`, built
-once, and are accepted only if its arrays pass a certificate evaluated
-with the exact-sign predicates:
+at any input scale; an input is rejected as too large only if the squared
+bounding-box extent of the points Qhull would see overflows, which takes a
+scaling that is not exact. Qhull runs from its extension module
+`scipy.spatial._qhull` alone, loaded by `stablevol._scipy_extension`:
+importing `scipy.spatial` would load `scipy.linalg`, `scipy.special` and
+about 170 other scipy modules. Qhull's cells become a `SimplicialComplex`,
+built once, and are accepted only if its arrays pass a certificate
+evaluated with the exact-sign predicates:
 
 - every point is a vertex, and Qhull set no point aside as coplanar;
 - every cell has nonzero orientation (negative cells are re-oriented);
@@ -39,11 +44,11 @@ of the points are built only for the Bowyer-Watson fallback, or to word a
 rejected input row.
 
 If Qhull fails or any check fails, `_bowyer_watson` builds the
-triangulation: an incremental Bowyer-Watson construction with ghost cells
-through a single vertex at infinity, so hull growth needs no special
-casing (a ghost cell conflicts with a point exactly when the point lies
-strictly outside its hull facet). A predicate that evaluates to zero there
-raises DegenerateInputError.
+triangulation of the same scaled points: an incremental Bowyer-Watson
+construction with ghost cells through a single vertex at infinity, so hull
+growth needs no special casing (a ghost cell conflicts with a point
+exactly when the point lies strictly outside its hull facet). A predicate
+that evaluates to zero there raises DegenerateInputError.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ import math
 
 import numpy as np
 
+from . import _scipy_extension
 from .complexes import SimplicialComplex
 from .predicates import (
     circumsphere_side,
@@ -236,24 +242,31 @@ def _bowyer_watson(pts, jit, dim) -> SimplicialComplex:
 _HULL_CHUNK_ROWS = 1 << 16
 
 
-def Delaunay(P):
-    """`scipy.spatial.Delaunay`, imported on the first triangulation, so that
-    the subcommands that build none never load scipy.spatial."""
-    from scipy.spatial import Delaunay
+def _qhull():
+    """SciPy's Qhull extension module, `scipy.spatial._qhull`, loaded on the
+    first triangulation, so that the subcommands that build none never load
+    it. Its BLAS and LAPACK Cython modules load first: without them in
+    `sys.modules`, the module's init imports the whole `scipy.linalg`
+    package."""
+    _scipy_extension("scipy.linalg.cython_blas")
+    _scipy_extension("scipy.linalg.cython_lapack")
+    return _scipy_extension("scipy.spatial._qhull")
 
-    return Delaunay(P)
+
+def Delaunay(P):
+    """`scipy.spatial.Delaunay` of P, from the Qhull module alone."""
+    return _qhull().Delaunay(P)
 
 
 def _certified_qhull(P):
     """The Delaunay complex of the jittered points P, an (n, d) array, built
     from Qhull's cells if they pass the certificate in the module
     docstring, else None."""
-    from scipy.spatial import QhullError
-
     n, dim = P.shape
+    qhull_error = _qhull().QhullError
     try:
         tri = Delaunay(P)
-    except QhullError:
+    except qhull_error:
         return None
     if len(tri.coplanar):
         return None
@@ -350,8 +363,10 @@ def delaunay(points) -> SimplicialComplex:
     sequence of rows; the dimension is the width of the first row. Raises
     ValueError for a dimension other than 2 or 3, a row of another width or
     with a non-finite coordinate ("bad coordinates"), or a squared
-    bounding-box extent that overflows; DegenerateInputError for no points,
-    fewer than dim + 1 points, or a degeneracy the jitter does not resolve.
+    bounding-box extent of the jittered points after `_rescaled` that
+    overflows (only where that scaling is not exact); DegenerateInputError
+    for no points, fewer than dim + 1 points, or a degeneracy the jitter
+    does not resolve.
     """
     try:
         P = np.asarray(points, dtype=float)
@@ -374,14 +389,14 @@ def delaunay(points) -> SimplicialComplex:
             if len(p) != dim or not all(map(math.isfinite, p)):
                 raise ValueError(f"bad coordinates {p}")
         P = np.array(P, dtype=float)
-    jit = jittered_points(P)
+    jit = _rescaled(jittered_points(P))[0]
     with np.errstate(over="ignore", invalid="ignore"):
         sq_extent = ((jit.max(axis=0) - jit.min(axis=0)) ** 2).sum()
     if not np.isfinite(sq_extent):
         raise ValueError(
             "coordinate range too large: the squared bounding-box extent overflows"
         )
-    cx = _certified_qhull(_rescaled(jit)[0])
+    cx = _certified_qhull(jit)
     if cx is None:
         return _bowyer_watson(
             list(map(tuple, P.tolist())), list(map(tuple, jit.tolist())), dim

@@ -9,7 +9,8 @@ never corrupt an output.
 
 The programs are solved by HiGHS, through the extension module that SciPy
 ships (`scipy.optimize._highspy._core`, checked on SciPy 1.17), loaded from
-its file on the first solve: the model, the options and the status codes are those of
+its file on the first solve by the package's `_scipy_extension`, as Qhull
+and the KD-tree are: the model, the options and the status codes are those of
 `scipy.optimize.linprog(method="highs")`, without importing
 `scipy.optimize` or `scipy.sparse`, which would cost a `vol` process about
 as much start-up time as HiGHS spends solving.
@@ -17,16 +18,13 @@ as much start-up time as HiGHS spends solving.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import os
-import sys
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import MissingExtensionError, _scipy_extension
 from .complexes import OrderWithLevel, z2_boundary
 from .persistence import PersistencePair, StarPairError
 
@@ -232,29 +230,15 @@ _FEASIBILITY_TOL = 10 * np.sqrt(1e-9)
 
 
 def _highs():
-    """SciPy's HiGHS extension module.
-
-    If it is not loaded yet, it is loaded from its file in scipy's
-    directory and registered under its own name, so that a later
-    `import scipy.optimize` reuses it; importing its package would load
-    `scipy.optimize` and `scipy.sparse`. A SciPy without the file (before
-    `_highspy`) raises LPError.
+    """SciPy's HiGHS extension module, from `stablevol._scipy_extension`,
+    so that a later `import scipy.optimize` reuses it; importing its package
+    would load `scipy.optimize` and `scipy.sparse`. A SciPy without the
+    file (before `_highspy`) raises LPError.
     """
-    core = sys.modules.get(_HIGHS_CORE)
-    if core is None:
-        scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
-        highspy_dir = os.path.join(scipy_dir, "optimize", "_highspy")
-        finder = importlib.machinery.FileFinder(
-            highspy_dir,
-            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
-        )
-        spec = finder.find_spec(_HIGHS_CORE)
-        if spec is None:
-            raise LPError(f"HiGHS needs SciPy >= 1.17: no {_HIGHS_CORE} extension in {highspy_dir}")
-        core = importlib.util.module_from_spec(spec)
-        sys.modules[_HIGHS_CORE] = core
-        spec.loader.exec_module(core)
-    return core
+    try:
+        return _scipy_extension(_HIGHS_CORE)
+    except MissingExtensionError as e:
+        raise LPError(f"HiGHS needs SciPy >= 1.17: {e}") from None
 
 
 def _run_highs(cost, a: Csc, lhs, rhs, lb, ub):

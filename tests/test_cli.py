@@ -163,12 +163,18 @@ def test_degenerate_input_exit_3(tmp_path, capsys):
     assert code == 3
 
 
-def test_overflowing_coordinates_exit_2(tmp_path, capsys):
+def test_square_of_side_1e200_has_its_exact_diagram(tmp_path, capsys):
+    # the squared extent of the raw square overflows, but that of the points
+    # Qhull sees, scaled by 2**-665, does not; the loop dies at the nearest
+    # float to 1e200 / sqrt(2)
     p = tmp_path / "huge.txt"
     p.write_text("0 0\n1e200 0\n0 1e200\n1e200 1e200\n")
     code, out, err = run(["pd", str(p)], capsys)
-    assert code == 2 and out == ""
-    assert len(err.strip().splitlines()) == 1 and "extent" in err
+    assert code == 0 and err == ""
+    pairs = {d["degree"]: [(q["birth"], q["death"]) for q in d["pairs"]]
+             for d in json.loads(out)["diagrams"]}
+    assert pairs == {0: [(0.0, 5e199)] * 3 + [(0.0, None)],
+                     1: [(5e199, 7.071067811865475e199)], 2: []}
 
 
 def test_overflowing_coordinates_one_stderr_line_in_a_fresh_process(tmp_path):
@@ -185,6 +191,24 @@ def test_overflowing_coordinates_one_stderr_line_in_a_fresh_process(tmp_path):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines() == [
         "error: coordinate range too large: the squared bounding-box extent overflows"
+    ]
+
+
+def test_overflowing_alpha_level_one_stderr_line_in_a_fresh_process(tmp_path):
+    # the 3x3x3 grid at 2**1020 triangulates, but the placeholder level of
+    # its flat tetrahedra overflows once scaled back to the input's units
+    grid = np.array(list(itertools.product(range(3), repeat=3)), dtype=float)
+    p = tmp_path / "grid.txt"
+    p.write_text(format_pointcloud(np.ldexp(grid, 1020)))
+    src = str(Path(stablevol.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "stablevol.cli", "pd", str(p)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: coordinate range too large: an alpha level overflows"
     ]
 
 
@@ -485,7 +509,7 @@ def _scaled_output(out, k):
     return out
 
 
-@pytest.mark.parametrize("k", [-900, -600, -540, -520, 500, 510])
+@pytest.mark.parametrize("k", [-900, -600, -540, -520, 500, 510, 520, 600, 900, 1000])
 def test_outputs_scale_exactly_by_powers_of_two(k, tmp_path, capsys):
     """pd on a cloud scaled by 2**k prints the unscaled diagram with every
     level times 2**k, exactly, and so does rsc --euclidean with its loop
@@ -572,7 +596,10 @@ def test_lp_failure_exit_3(fig1_file, capsys, monkeypatch, solve_lp, message):
 
 
 HIGHS_CORE = "scipy.optimize._highspy._core"
-SCIPY_PARTS = ("scipy.optimize", "scipy.spatial", "scipy.sparse", HIGHS_CORE)
+QHULL, CKDTREE = "scipy.spatial._qhull", "scipy.spatial._ckdtree"
+# the packages whose import would run their __init__; no command needs one
+SCIPY_PACKAGES = ("scipy.optimize", "scipy.spatial", "scipy.linalg", "scipy.special")
+SCIPY_PARTS = (*SCIPY_PACKAGES, "scipy.sparse", HIGHS_CORE, QHULL, CKDTREE)
 
 # run in a fresh interpreter: prints the scipy parts loaded after each step
 SCIPY_PROBE = """
@@ -592,31 +619,40 @@ print(json.dumps(steps))
 
 
 def test_scipy_is_loaded_only_where_it_is_used(tmp_path):
+    """Which parts of scipy each command loads, with pd, stat and vol on
+    points each in a fresh interpreter of its own: the extension modules
+    they run, and no scipy package whose __init__ would load more."""
     cx_path = tmp_path / "cx.json"
     cx_path.write_text(json.dumps(complex_to_json(appendix_filtration())))
     fig1 = str(tmp_path / "fig1.txt")
     pair = ["--pair-index", "1"]
-    steps = [
-        ("gen", ["gen", "fig1-five-points", "-o", fig1]),
-        ("rsc", ["rsc", str(cx_path), "--birth", "2", "--death", "7"]),
-        ("vol-json", ["vol", str(cx_path), "--birth", "2", "--death", "7",
-                      "--method", "stable-lp", "--epsilon", "0"]),
-        ("pd", ["pd", fig1]),
-        ("stat", ["stat", fig1, *pair, "--noise", "0.05", "--trials", "2", "--seed", "1"]),
-        ("vol", ["vol", fig1, *pair, "--method", "stable-lp", "--epsilon", "0.05"]),
+    processes = [
+        [("gen", ["gen", "fig1-five-points", "-o", fig1]),
+         ("rsc", ["rsc", str(cx_path), "--birth", "2", "--death", "7"]),
+         ("vol-json", ["vol", str(cx_path), "--birth", "2", "--death", "7",
+                       "--method", "stable-lp", "--epsilon", "0"])],
+        [("pd", ["pd", fig1])],
+        [("stat", ["stat", fig1, *pair, "--noise", "0.05", "--trials", "2", "--seed", "1"])],
+        [("vol", ["vol", fig1, *pair, "--method", "stable-lp", "--epsilon", "0.05"])],
     ]
     src = str(Path(stablevol.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, json.dumps(steps)],
-        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
+    loaded = {}
+    for steps in processes:
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE, json.dumps(steps)],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded.update(json.loads(proc.stdout))
     assert loaded["import"] == loaded["gen"] == loaded["rsc"] == []
     # an l1 program on a complex JSON loads HiGHS's extension module alone
     assert loaded["vol-json"] == [HIGHS_CORE]
-    assert "scipy.spatial" in loaded["pd"]
-    assert all("scipy.optimize" not in parts for parts in loaded.values())
+    # a pointcloud loads Qhull's and the KD-tree's modules alone; the
+    # KD-tree's imports scipy.sparse (ROADMAP item 11, step 2)
+    geometry = [QHULL, CKDTREE, "scipy.sparse"]
+    assert sorted(loaded["pd"]) == sorted(loaded["stat"]) == sorted(geometry)
+    assert sorted(loaded["vol"]) == sorted([*geometry, HIGHS_CORE])
+    assert not any(p in parts for parts in loaded.values() for p in SCIPY_PACKAGES)
 
 
 def test_ambiguous_pair_exit_4(fig1_file, capsys):

@@ -1,11 +1,17 @@
-"""The start-up contract, each case in a fresh interpreter.
+"""The start-up contract, each case in a fresh interpreter but the one
+that monkeypatches a SciPy without Qhull.
 
 `import stablevol` loads no numpy and changes no environment variable; the
 package's exports resolve lazily. `import stablevol.cli` sets
 OPENBLAS_NUM_THREADS to 1 before numpy loads, unless the user has set it,
-and the CLI's stdout does not depend on the BLAS thread count.
+imports every module the benchmark's tracer wraps, and the CLI's stdout
+does not depend on the BLAS thread count. The SciPy extension modules that
+stablevol loads from their files (HiGHS, Qhull, the KD-tree) are the ones
+scipy's own packages use, whichever is imported first.
 """
 
+import importlib.machinery
+import importlib.util
 import json
 import os
 import subprocess
@@ -165,3 +171,109 @@ def test_highs_core_is_shared_with_scipy_in_either_import_order():
     results = [r for _, by_solver in runs.values() for r in by_solver.values()]
     assert results[0] == [0, [0.5, 0.5], 1.5, results[0][3]]
     assert all(r == results[0] for r in results)
+
+
+# triangulates and queries a KD-tree through stablevol and through
+# scipy.spatial, in the order given by argv[1], and prints what each order
+# leaves loaded and bound
+QHULL_ORDER_PROBE = """
+import json, sys
+import numpy as np
+
+P = np.random.default_rng(5).random((60, 2))
+x = np.random.default_rng(6).random((10, 2))
+
+def stablevol_side():
+    from stablevol import _scipy_extension, delaunay
+    from stablevol.alpha import alpha_filtration
+    alpha_filtration(P)
+    tree = _scipy_extension("scipy.spatial._ckdtree").cKDTree(P)
+    return delaunay.Delaunay(P).simplices.tolist(), [a.tolist() for a in tree.query(x, k=3)]
+
+def scipy_side():
+    import scipy.spatial
+    tree = scipy.spatial.cKDTree(P)
+    return scipy.spatial.Delaunay(P).simplices.tolist(), [a.tolist() for a in tree.query(x, k=3)]
+
+first, second = stablevol_side, scipy_side
+if sys.argv[1] == "scipy-first":
+    first, second = second, first
+results = {first.__name__: first()}
+packages = [m for m in ("scipy.spatial", "scipy.linalg", "scipy.special") if m in sys.modules]
+results[second.__name__] = second()
+import scipy.linalg, scipy.spatial
+from stablevol import delaunay
+qhull = sys.modules["scipy.spatial._qhull"]
+assert delaunay._qhull() is qhull and scipy.spatial.Delaunay is qhull.Delaunay
+assert scipy.spatial.cKDTree is sys.modules["scipy.spatial._ckdtree"].cKDTree
+from scipy.linalg import cython_lapack
+assert cython_lapack is sys.modules["scipy.linalg.cython_lapack"]
+solved = scipy.linalg.solve(np.diag([2.0, 4.0]), np.ones(2)).tolist()
+bound = [hasattr(scipy.spatial, "_qhull"), hasattr(scipy.spatial, "_ckdtree"),
+         hasattr(scipy.linalg, "cython_blas"), hasattr(scipy.linalg, "cython_lapack")]
+print(json.dumps([packages, results["stablevol_side"] == results["scipy_side"], solved, bound]))
+"""
+
+
+def test_qhull_and_kd_tree_are_shared_with_scipy_in_either_import_order():
+    runs = {order: json.loads(python(["-c", QHULL_ORDER_PROBE, order]))
+            for order in ("stablevol-first", "scipy-first")}
+    # stablevol's alpha filtration loads no scipy package
+    assert runs["stablevol-first"][0] == []
+    assert runs["scipy-first"][0] == ["scipy.spatial", "scipy.linalg", "scipy.special"]
+    for order, (_, same, solved, _) in runs.items():
+        assert same and solved == [0.5, 0.25], order
+    # a submodule that stablevol registered before its package was imported
+    # is reused by the package, but is no attribute of it: `import
+    # scipy.spatial._qhull` and `from scipy.linalg import cython_lapack`
+    # still find it in sys.modules
+    assert runs["stablevol-first"][3] == [False] * 4
+    assert runs["scipy-first"][3] == [True] * 4
+
+
+def test_scipy_without_the_qhull_extension_exits_3(monkeypatch, tmp_path, capsys):
+    # a SciPy whose spatial directory holds no _qhull extension: one stderr
+    # line naming the module and the directory searched, and no traceback
+    from scipy.linalg import cython_blas, cython_lapack  # noqa: F401  loaded, as in a real run
+    from stablevol.cli import main
+
+    fig1 = tmp_path / "fig1.txt"
+    assert main(["gen", "fig1-five-points", "-o", str(fig1)]) == 0
+    find_spec = importlib.util.find_spec
+
+    def empty_scipy(name, *args):
+        if name != "scipy":
+            return find_spec(name, *args)
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path)]
+        return spec
+
+    monkeypatch.delitem(sys.modules, "scipy.spatial._qhull", raising=False)
+    monkeypatch.setattr(importlib.util, "find_spec", empty_scipy)
+    capsys.readouterr()
+    assert main(["pd", str(fig1)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: scipy: no scipy.spatial._qhull extension in {tmp_path / 'spatial'}"
+    ]
+
+
+def test_import_cli_imports_every_module_the_tracer_wraps():
+    """perfbench/tracing.py resolves its spans and counters from the
+    `stablevol.<mod>` modules already imported when it installs, so
+    `import stablevol.cli` alone, in a fresh interpreter, must import each."""
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    script = f"""
+import importlib.util, json, sys
+import stablevol.cli
+loaded = {{m for m in sys.modules if m.startswith("stablevol.")}}
+sys.dont_write_bytecode = True
+spec = importlib.util.spec_from_file_location("perfbench_tracing", {str(tracing)!r})
+tracing = importlib.util.module_from_spec(spec)
+sys.modules[spec.name] = tracing
+spec.loader.exec_module(tracing)
+targets = [*tracing.SPANS.values(), *(t for ts in tracing.COUNTERS.values() for t in ts)]
+print(json.dumps(sorted({{"stablevol." + mod for mod, _ in targets}} - loaded)))
+"""
+    assert json.loads(python(["-c", script])) == []
