@@ -6,9 +6,9 @@ and no numpy, and an exported name such as `stablevol.pairs` imports its
 submodule on first access, as does a submodule's name. `stablevol.delaunay`
 is the submodule; its triangulation function is `stablevol.delaunay.delaunay`.
 
-The SciPy extension modules that the commands run (Qhull, the KD-tree and
-HiGHS) are loaded one by one from their files by `_scipy_extension`, which
-lives here so that every submodule reaches it without a module of its own.
+The SciPy extension modules that the commands run (Qhull and HiGHS) are
+loaded one by one from their files by `_scipy_extension`, which lives here
+so that every submodule reaches it without a module of its own.
 """
 
 import importlib

@@ -26,27 +26,33 @@ square under- or overflows.
 
 `alpha_levels` works one dimension at a time, top down, on arrays.
 `_gabriel_mask` decides the simplices of a dimension in two array stages,
-each of which decides a simplex only as a scan of all points would, and
-hands the rest to `_is_gabriel`:
+each of which decides a simplex only as a scan of all points would:
 
 1. the coface witnesses: the vertex opposite the simplex in each of its
    cofaces, read off the complex's face and vertex arrays. In a Delaunay
    complex almost every simplex that is not Gabriel has one inside the
    float band.
-2. one KD-tree query of the k+2 points nearest to each remaining
-   circumcenter. The `cKDTree` comes from its extension module
-   `scipy.spatial._ckdtree` alone, loaded by `stablevol._scipy_extension`
-   without the `scipy.spatial` package (the module still imports
-   `scipy.sparse`). Within `_candidate_radius`, slightly more than the
-   circumradius, lies every point the float band can class as inside or
-   borderline; if the simplex's own vertices are the only points found
-   there, it is Gabriel. k+2 points suffice: a k-simplex has k+1
-   vertices, and no point beyond the k+2 found is nearer than they are.
+2. one pass over a grid of the points (`_grid`), built once per call:
+   each axis is sorted once and cut into about n**(1/d) bins of equal
+   count, so an outlier or a dense cluster does not stretch or crowd the
+   cells. Only the count per bin of each axis is equal: where the
+   coordinates are correlated (a cloud near a line, a plane or a surface)
+   the points fill fewer cells and a cell holds more of them: up to about
+   n**(1/2) on a line in 2D, and up to about n**(1/3) on a surface in 3D.
+   `_grid_pairs` lists, for each remaining simplex, the points of the
+   cells that the box around its circumcenter of half-width
+   `_candidate_radius` meets, as (simplex, point) pairs, a chunk of
+   `_CHUNK` simplices at a time. Within that radius, slightly more than
+   the circumradius, lies every point the float band can class as inside
+   or borderline. The pairs go through the float band together, and
+   each simplex's own vertices are left out of what it flags: a point
+   inside makes the simplex not Gabriel; borderline points and none
+   inside (on clouds in general position there is no such simplex; on
+   grids, the diagonals of squares) send it to `_is_gabriel` with its
+   candidates, which decides them in exact arithmetic; any other simplex
+   is Gabriel.
 
-A simplex still open (on clouds in general position there is none; on
-grids, the diagonals of squares) gets the points within the candidate
-radius from one batched KD-tree ball query, and `_is_gabriel` runs the
-float band on them and decides its borderline points exactly.
+No SciPy module is loaded for the levels.
 
 Minima over cofaces are per-dimension reductions over the complex's CSR
 coface arrays. The tests compare `alpha_levels` with a per-simplex loop
@@ -60,7 +66,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _scipy_extension
 from .complexes import OrderWithLevel, SimplicialComplex, build_order
 from .delaunay import DegenerateInputError, _rescaled, delaunay
 from .predicates import _fraction_det
@@ -69,6 +74,7 @@ _GABRIEL_BAND = 1e-9  # relative width of the float filter around the sphere
 # radius factor of the candidate search; far above the band and the float
 # error of the distances, so no point the band can flag is missed
 _CANDIDATE_SLACK = 1e-6
+_CHUNK = 2048  # simplices per pass over the grid, which bounds the pair arrays
 
 
 def parse_pointcloud(text: str) -> np.ndarray:
@@ -178,7 +184,7 @@ def alpha_levels(cx: SimplicialComplex, points) -> np.ndarray:
     pts, exp = _rescaled(np.asarray(points, dtype=float))
     n = cx.dim
     levels = np.zeros(len(cx))
-    tree = _scipy_extension("scipy.spatial._ckdtree").cKDTree(pts)
+    grid = _grid(pts)
     for k in range(n, 0, -1):
         ids = cx.ids_of_dim(k)
         if not ids:
@@ -189,7 +195,7 @@ def alpha_levels(cx: SimplicialComplex, points) -> np.ndarray:
         if k == n:
             levels[ids.start : ids.stop] = own
             continue
-        gabriel = _gabriel_mask(cx, pts, tree, k, cs, r2)
+        gabriel = _gabriel_mask(cx, pts, grid, k, cs, r2)
         # the cofaces' levels are final, so capping a Gabriel level at them
         # (float noise can put it above) keeps level(face) <= level(coface)
         cap, has = _coface_min(cx, k, levels)
@@ -201,7 +207,7 @@ def alpha_levels(cx: SimplicialComplex, points) -> np.ndarray:
     return levels
 
 
-def _gabriel_mask(cx, pts, tree, k, cs, r2):
+def _gabriel_mask(cx, pts, grid, k, cs, r2):
     """Gabriel flag of each k-simplex, 0 < k < cx.dim, from the
     circumcenters and squared radii of the k-simplices, by the stages of
     the module docstring."""
@@ -211,16 +217,78 @@ def _gabriel_mask(cx, pts, tree, k, cs, r2):
     gabriel = np.ones(len(verts), dtype=bool)
     gabriel[sim[inside]] = False
     rest = np.flatnonzero(gabriel)
-    if len(rest):
-        radius = _candidate_radius(r2[rest])
-        dist, near = tree.query(cs[rest], k=k + 2, distance_upper_bound=radius.max())
-        own = (near[:, :, None] == verts[rest][:, None, :]).any(axis=2)
-        rest = rest[((dist <= radius[:, None]) & ~own).any(axis=1)]
-    if len(rest):
-        near = tree.query_ball_point(cs[rest], _candidate_radius(r2[rest]))
-        for j, cands in zip(rest.tolist(), near):
+    radius = _candidate_radius(r2)
+    for lo in range(0, len(rest), _CHUNK):
+        js = rest[lo : lo + _CHUNK]
+        q, p = _grid_pairs(grid, cs[js], radius[js])
+        sq = js[q]
+        inside, border = _band(pts[p], cs[sq], r2[sq])
+        # a simplex's own vertices are flagged too (borderline, or inside a
+        # degenerate simplex's sentinel ball): drop them among the flagged
+        flagged = np.flatnonzero(inside | border)
+        flagged = flagged[(verts[sq[flagged]] != p[flagged, None]).all(axis=1)]
+        gabriel[sq[flagged[inside[flagged]]]] = False
+        undecided = np.zeros(len(js), dtype=bool)
+        undecided[q[flagged]] = True
+        undecided &= gabriel[js]
+        # the pairs come in query order, so each simplex's candidates are one run
+        pick = undecided[q]
+        runs = np.split(p[pick], np.flatnonzero(np.diff(q[pick])) + 1)
+        for j, cands in zip(js[undecided].tolist(), runs):
             gabriel[j] = _is_gabriel(cx, pts, ids.start + j, cs[j], r2[j], cands)
     return gabriel
+
+
+def _grid(pts):
+    """Rank-space grid of the (n, d) points: each axis sorted once and cut
+    into about n**(1/d) bins of equal count, none of them empty. Returns
+    the smallest and the largest coordinate of each bin (two (d, bins)
+    arrays, each row sorted), the point ids sorted by cell (axis 0 varying
+    fastest) and the start of each cell in that order."""
+    n, d = pts.shape
+    bins = max(1, round(n ** (1.0 / d)))
+    order = np.argsort(pts.T, axis=1)
+    rank = np.empty((n, d), dtype=np.intp)
+    rank[order.T, np.arange(d)] = np.arange(n)[:, None]
+    cell = (rank * bins // n) @ bins ** np.arange(d)
+    start = np.zeros(bins**d + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cell, minlength=bins**d), out=start[1:])
+    coords = np.take_along_axis(pts.T, order, axis=1)
+    bounds = -(-np.arange(bins + 1) * n // bins)  # the first rank of each bin, then n
+    return coords[:, bounds[:-1]], coords[:, bounds[1:] - 1], np.argsort(cell, kind="stable"), start
+
+
+def _grid_pairs(grid, centers, radii):
+    """(query, point) pairs, sorted by query, that include every point p
+    with |p - centers[i]| <= radii[i] in each coordinate: the points of
+    the cells that the box [c - r, c + r] meets.
+
+    On each axis the box meets the bins from the first whose largest
+    coordinate is at least c - r to the last whose smallest is at most
+    c + r, so a run of equal coordinates split across bins is covered.
+    The box ends are rounded, but rounding is monotone and coordinates are
+    floats, so no point of the exact box is lost. Each query's cells are
+    rows of consecutive cells along axis 0, and each row is one run of the
+    cell-sorted points.
+    """
+    low, high, members, start = grid
+    d, bins = low.shape
+    first = np.stack([np.searchsorted(high[a], centers[:, a] - radii, "left")
+                      for a in range(d)], axis=1)
+    last = np.stack([np.searchsorted(low[a], centers[:, a] + radii, "right")
+                     for a in range(d)], axis=1) - 1
+    span = np.maximum(last - first + 1, 0)
+    rows = span[:, 1:].prod(axis=1) * (span[:, 0] > 0)
+    q = np.repeat(np.arange(len(centers)), rows)
+    t = np.arange(len(q)) - np.repeat(np.cumsum(rows) - rows, rows)
+    cell = first[q, 0]
+    for a in range(1, d):
+        cell += (first[q, a] + t % span[q, a]) * bins**a
+        t //= span[q, a]
+    begin = start[cell]
+    length = start[cell + span[q, 0]] - begin
+    pos = np.arange(length.sum()) + np.repeat(begin - (np.cumsum(length) - length), length)
+    return np.repeat(q, length), members[pos]
 
 
 def _band(p, c, r2):

@@ -5,8 +5,8 @@ Subcommands: pd (diagrams), vol (volumes), sweep (epsilon vs size), stat
 (dataset fixtures). Results go to stdout or -o; logs go to stderr. Exit
 codes: 0 ok, 2 parse error, 3 degenerate input, a failed LP (infeasible,
 unbounded, solver failure, or a rounded support that is not Z/2-feasible) or
-a SciPy without the Qhull or KD-tree extension module, 4 pair not uniquely
-resolvable, 5 essential pair.
+a SciPy without the Qhull extension module, 4 pair not uniquely resolvable,
+5 essential pair.
 
 The CLI runs OpenBLAS single-threaded unless OPENBLAS_NUM_THREADS is set:
 its dense linear algebra is a few batched 2x2 and 3x3 solves, and the

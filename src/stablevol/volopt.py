@@ -10,7 +10,7 @@ never corrupt an output.
 The programs are solved by HiGHS, through the extension module that SciPy
 ships (`scipy.optimize._highspy._core`, checked on SciPy 1.17), loaded from
 its file on the first solve by the package's `_scipy_extension`, as Qhull
-and the KD-tree are: the model, the options and the status codes are those of
+is: the model, the options and the status codes are those of
 `scipy.optimize.linprog(method="highs")`, without importing
 `scipy.optimize` or `scipy.sparse`, which would cost a `vol` process about
 as much start-up time as HiGHS spends solving.

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from helpers import alpha_levels_full_scan, diagram, geometry_cases
 from stablevol import alpha as alpha_module
-from stablevol.alpha import _circum_exact, alpha_filtration, alpha_levels, parse_pointcloud
+from stablevol.alpha import (
+    _circum_exact,
+    _grid,
+    _grid_pairs,
+    alpha_filtration,
+    alpha_levels,
+    parse_pointcloud,
+)
 from stablevol.delaunay import DegenerateInputError, delaunay
 from stablevol.fixtures import fig1_five_points, lattice_3x3x3
 from stablevol import persistence as pers
@@ -152,7 +159,7 @@ CASES["cloud3d-300"] = np.random.default_rng(2024).random((300, 3))
 CASES["last-nongabriel-2d"] = np.array([(2.0, 0.5), (0.0, 0.0), (4.0, 0.0)])
 CASES["last-nongabriel-3d"] = np.random.default_rng(1).random((12, 3))
 # 303 distinct points on a 0.1 lattice: collinear and cocircular subsets
-# leave simplices open after the witnesses and the nearest neighbours
+# leave simplices open after the witnesses and the grid pass
 CASES["rounded2d-300"] = np.unique(
     np.round(np.random.default_rng(0).random((320, 2)) * 6.0, 1), axis=0
 )
@@ -278,9 +285,9 @@ def assert_levels_equal_full_scan(pts):
 
 @pytest.mark.parametrize("name", ["cloud2d-400", "cloud2d-3200", "cloud3d-800", "cloud3d-300"])
 def test_witnesses_and_neighbours_decide_seeded_clouds(name, monkeypatch):
-    # on clouds in general position the coface witnesses and the k+2 nearest
-    # neighbours decide every simplex; no ball list is built and no
-    # per-simplex Gabriel test runs
+    # on clouds in general position the coface witnesses and the float band
+    # over the grid's candidates decide every simplex; no per-simplex
+    # Gabriel test runs
     seen = count_gabriel_tests(monkeypatch)
     pts = CASES[name]
     alpha_levels(delaunay(pts), pts)
@@ -288,18 +295,33 @@ def test_witnesses_and_neighbours_decide_seeded_clouds(name, monkeypatch):
 
 
 def test_ball_list_path_decides_cocircular_grid_squares(monkeypatch):
-    # a unit square's diagonal has the other two corners on its ball, so
-    # neither the witnesses nor the nearest neighbours decide it
+    # a unit square's diagonal has the other two corners on its ball and
+    # none inside, so neither the witnesses nor the grid pass's float band
+    # decide it
     seen = count_gabriel_tests(monkeypatch)
     assert_levels_equal_full_scan(CASES["grid-20x20"][:100])
     assert seen[0] > 0
 
 
 def test_ball_list_path_decides_rounded_cloud_simplices(monkeypatch):
-    # points on a lattice without being a grid: the simplices left open
-    # after the nearest neighbours go to _is_gabriel with their ball lists
+    # points on a lattice without being a grid: the simplices the grid
+    # pass leaves open go to _is_gabriel with their grid candidates
     seen = count_gabriel_tests(monkeypatch)
     assert_levels_equal_full_scan(CASES["rounded2d-300"])
+    assert seen[0] > 0
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_levels_do_not_depend_on_the_chunk_size(chunk, monkeypatch):
+    # small chunks put many chunk boundaries through the grid pass's pairs
+    # and the candidate runs sent to _is_gabriel; on the rounded cloud and
+    # the 3D cluster the grid pass finds points inside simplices that no
+    # coface witness does
+    monkeypatch.setattr(alpha_module, "_CHUNK", chunk)
+    seen = count_gabriel_tests(monkeypatch)
+    assert_levels_equal_full_scan(CASES["grid-20x20"][:100])
+    assert_levels_equal_full_scan(CASES["rounded2d-300"])
+    assert_levels_equal_full_scan(SKEWED["cluster3d"])
     assert seen[0] > 0
 
 
@@ -339,3 +361,91 @@ def near_degenerate_clouds(draw):
 @example(pts=np.array([[1e-15, 1e-15], [0.0, 1.0], [0.0, 2e-15], [0.0, 0.0]]))
 def test_gabriel_cascade_matches_full_scan_on_near_degenerate_clouds(pts):
     assert_levels_equal_full_scan(pts)
+
+
+def _skewed_clouds():
+    """Small clouds that a grid of equal-width cells handles badly: a dense
+    cluster with sparse far points, one far outlier, and heavy tails (cubed
+    normals), in 2D and 3D; and clouds whose coordinates are correlated, so
+    that fewer cells of the rank-space grid hold more points: a uniform
+    cloud turned by 45 degrees, and a noisy torus surface in 3D."""
+    clouds = {}
+    for dim, n in ((2, 300), (3, 160)):
+        rng = np.random.default_rng(dim)
+        clouds[f"cluster{dim}d"] = np.vstack([rng.random((n, dim)) * 1e-3,
+                                              rng.random((12, dim)) * 1e3])
+        outlier = rng.random((n, dim))
+        outlier[0] = 1e6
+        clouds[f"outlier{dim}d"] = outlier
+        clouds[f"cubed-normals{dim}d"] = rng.standard_normal((n, dim)) ** 3
+    rng = np.random.default_rng(4)
+    c = math.sqrt(0.5)
+    clouds["rotated2d"] = rng.random((300, 2)) @ np.array([[c, c], [-c, c]])
+    u, v = rng.random((2, 160)) * (2 * math.pi)
+    ring = 2.0 + 0.6 * np.cos(v)
+    torus = np.stack([ring * np.cos(u), ring * np.sin(u), 0.6 * np.sin(v)], axis=1)
+    clouds["torus3d"] = torus + rng.uniform(-0.05, 0.05, torus.shape)
+    return clouds
+
+
+SKEWED = _skewed_clouds()
+
+
+@pytest.mark.parametrize("name", sorted(SKEWED))
+def test_levels_equal_full_scan_on_skewed_clouds(name):
+    assert_levels_equal_full_scan(SKEWED[name])
+
+
+@st.composite
+def grid_queries(draw):
+    """A cloud, query centers and radii, all scaled by 2**k. The clouds tie
+    coordinates across bin edges (integer grids, repeated points), hold one
+    far outlier or a dense cluster with sparse far points, or have an axis
+    of zero extent. The centers are the points and points of the bounding
+    box; the radii are 0, the distance to another point or its largest
+    coordinate difference (so points lie on the box ends), or a radius that
+    spans the whole cloud, as the degenerate-simplex sentinel does."""
+    dim = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["grid", "repeated", "outlier", "cluster", "flat"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    if kind == "grid":
+        pts = rng.integers(0, 3, (n, dim)).astype(float)
+    elif kind == "repeated":
+        pts = np.repeat(rng.random((draw(st.integers(1, 4)), dim)), n, axis=0)
+    elif kind == "outlier":
+        pts = rng.random((n, dim))
+        pts[-1] = 1e9
+    elif kind == "cluster":
+        pts = np.vstack([rng.random((n, dim)) * 1e-6, rng.random((4, dim)) * 1e4])
+    else:
+        pts = rng.random((n, dim))
+        pts[:, draw(st.integers(0, dim - 1))] = 0.5
+    low, high = pts.min(axis=0), pts.max(axis=0)
+    centers = np.vstack([pts, low + rng.random((8, dim)) * (high - low)])
+    offset = np.abs(pts[rng.integers(0, len(pts), len(centers))] - centers)
+    spread = float(((high - low) ** 2).sum())
+    radii = np.choose(rng.integers(0, 4, len(centers)), [
+        np.zeros(len(centers)),
+        np.sqrt((offset**2).sum(axis=1)),
+        offset.max(axis=1),
+        np.full(len(centers), 1e12 * (spread + 1.0)),
+    ])
+    scale = 2.0 ** draw(st.integers(-60, 60))
+    return pts * scale, centers * scale, radii * scale
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(case=grid_queries())
+def test_grid_pairs_include_every_point_within_the_radius(case):
+    # a brute-force scan in exact arithmetic: each query's candidates must
+    # include every point within its radius, and come in query order
+    pts, centers, radii = case
+    q, p = _grid_pairs(_grid(pts), centers, radii)
+    assert (np.diff(q) >= 0).all()
+    exact = [[Fraction(x) for x in row] for row in pts]
+    for i, (center, radius) in enumerate(zip(centers, radii)):
+        c = [Fraction(x) for x in center]
+        within = {j for j, row in enumerate(exact)
+                  if sum((x - y) ** 2 for x, y in zip(row, c)) <= Fraction(radius) ** 2}
+        assert within <= set(p[q == i].tolist()), i

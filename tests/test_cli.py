@@ -647,11 +647,10 @@ def test_scipy_is_loaded_only_where_it_is_used(tmp_path):
     assert loaded["import"] == loaded["gen"] == loaded["rsc"] == []
     # an l1 program on a complex JSON loads HiGHS's extension module alone
     assert loaded["vol-json"] == [HIGHS_CORE]
-    # a pointcloud loads Qhull's and the KD-tree's modules alone; the
-    # KD-tree's imports scipy.sparse (ROADMAP item 11, step 2)
-    geometry = [QHULL, CKDTREE, "scipy.sparse"]
-    assert sorted(loaded["pd"]) == sorted(loaded["stat"]) == sorted(geometry)
-    assert sorted(loaded["vol"]) == sorted([*geometry, HIGHS_CORE])
+    # a pointcloud loads Qhull's module alone: the Gabriel test searches a
+    # grid of its own, so neither the KD-tree's module nor scipy.sparse loads
+    assert loaded["pd"] == loaded["stat"] == [QHULL]
+    assert sorted(loaded["vol"]) == sorted([QHULL, HIGHS_CORE])
     assert not any(p in parts for parts in loaded.values() for p in SCIPY_PACKAGES)
 
 

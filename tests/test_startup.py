@@ -6,8 +6,9 @@ package's exports resolve lazily. `import stablevol.cli` sets
 OPENBLAS_NUM_THREADS to 1 before numpy loads, unless the user has set it,
 imports every module the benchmark's tracer wraps, and the CLI's stdout
 does not depend on the BLAS thread count. The SciPy extension modules that
-stablevol loads from their files (HiGHS, Qhull, the KD-tree) are the ones
-scipy's own packages use, whichever is imported first.
+`stablevol._scipy_extension` loads from their files (HiGHS and Qhull for
+the commands, and the KD-tree here) are the ones scipy's own packages use,
+whichever is imported first.
 """
 
 import importlib.machinery
