@@ -24,9 +24,10 @@ with every float operation here while nothing under- or overflows: levels
 at ordinary scales are the unscaled floats, and at extreme scales no
 square under- or overflows.
 
-`alpha_levels` works one dimension at a time, top down, on arrays.
-`_gabriel_mask` decides the simplices of a dimension in two array stages,
-each of which decides a simplex only as a scan of all points would:
+`alpha_levels` works one dimension at a time, top down, on arrays: one
+batched solve gives the circumspheres (`_circum_batch`), and
+`_gabriel_mask` decides the simplices in two array stages, each of which
+decides a simplex only as a scan of all points would:
 
 1. the coface witnesses: the vertex opposite the simplex in each of its
    cofaces, read off the complex's face and vertex arrays. In a Delaunay
@@ -107,26 +108,19 @@ def format_pointcloud(points: np.ndarray) -> str:
     return "\n".join(" ".join(repr(float(x)) for x in row) for row in points) + "\n"
 
 
-def _circum_one(pts_row):
-    V = np.asarray(pts_row, dtype=float)
-    A = V[1:] - V[:1]
-    G = 2.0 * A @ A.T
-    g = np.einsum("kd,kd->k", A, A)
-    lam = np.linalg.solve(G, g)
-    cvec = lam @ A
-    return V[0] + cvec, float(cvec @ cvec)
-
-
 def _circum_batch(pts: np.ndarray, vert_lists: np.ndarray, exp: int = 0):
     """Circumcenters and squared circumradii of same-dimension simplices of
-    the points `pts`, which are the input points scaled by 2**-exp.
+    the points `pts`, which are the input points scaled by 2**-exp, by one
+    batched solve of their Gram systems.
 
     Exactly degenerate simplices (affinely dependent vertices, possible in a
-    jitter-resolved triangulation of degenerate inputs) get a sentinel radius
+    jitter-resolved triangulation of degenerate inputs) are the rows whose
+    Gram matrix LAPACK's LU finds singular. Only they get a sentinel radius
     far beyond the data scale of `pts`: they can never be Gabriel, so they
     inherit their coface levels downstream, which is the correct limit
     behaviour. In the input's units it is 1e12 * (spread + 1), with spread
-    the squared bounding-box diagonal.
+    the squared bounding-box diagonal. The other rows are solved again
+    without them, so no row's floats depend on its batch.
     """
     V = pts[vert_lists]  # (m, k+1, d)
     A = V[:, 1:, :] - V[:, :1, :]  # (m, k, d)
@@ -134,22 +128,20 @@ def _circum_batch(pts: np.ndarray, vert_lists: np.ndarray, exp: int = 0):
     g = np.einsum("mkd,mkd->mk", A, A)
     try:
         lam = np.linalg.solve(G, g[..., None])[..., 0]
+        flat = None
     except np.linalg.LinAlgError:
-        spread = float(((pts.max(axis=0) - pts.min(axis=0)) ** 2).sum())
-        # 1 in the input's squared units is 2**-2exp here; capped to stay finite
-        sentinel = 1e12 * (spread + math.ldexp(1.0, min(-2 * exp, 930)))
-        centers = np.empty((len(vert_lists), pts.shape[1]))
-        r2 = np.empty(len(vert_lists))
-        for j, verts in enumerate(vert_lists):
-            try:
-                centers[j], r2[j] = _circum_one(pts[verts])
-            except np.linalg.LinAlgError:
-                centers[j] = pts[verts].mean(axis=0)
-                r2[j] = sentinel
-        return centers, r2
+        # slogdet factors each matrix by the same LU (getrf) as solve
+        flat = np.linalg.slogdet(G)[0] == 0
+        lam = np.zeros_like(g)
+        lam[~flat] = np.linalg.solve(G[~flat], g[~flat, :, None])[..., 0]
     cvec = np.einsum("mk,mkd->md", lam, A)
     centers = V[:, 0, :] + cvec
     r2 = np.einsum("md,md->m", cvec, cvec)
+    if flat is not None:
+        spread = float(((pts.max(axis=0) - pts.min(axis=0)) ** 2).sum())
+        # 1 in the input's squared units is 2**-2exp here; capped to stay finite
+        r2[flat] = 1e12 * (spread + math.ldexp(1.0, min(-2 * exp, 930)))
+        centers[flat] = V[flat].mean(axis=1)
     return centers, r2
 
 

@@ -9,7 +9,8 @@ program's volume (`optimal_volume_cells`) for any other degree. Reconstructed sh
 cycles cut the 1-skeleton along a representative cocycle and search the
 shortest loop that re-crosses the cut: by one lockstep breadth-first search
 over all cut edges for hop weights, by one bounded Dijkstra run per cut
-edge for euclidean weights.
+edge for euclidean weights, whose edge lengths come from one array pass
+(`_edge_lengths`).
 """
 
 from __future__ import annotations
@@ -177,13 +178,13 @@ def reconstructed_shortest_cycle(
     present at step k proposes the loop (shortest path between its
     endpoints avoiding C) + (the edge itself); the lightest proposal wins,
     ties going to the least sorted edge tuple. Weights are hop counts
-    unless euclidean=True (needs points). Hop-count loops come from one
-    lockstep breadth-first search over all crossing edges
-    (`_lockstep_loop`). Euclidean loops come from one Dijkstra run per
-    crossing edge (`_shortest_path`), each bounded by the best loop so far:
-    it stops once its paths plus the proposing edge are strictly heavier.
-    A fully separating cut is reported via status="disconnected", not
-    raised.
+    unless euclidean=True (needs points; an edge length that overflows
+    raises ValueError). Hop-count loops come from one lockstep
+    breadth-first search over all crossing edges (`_lockstep_loop`).
+    Euclidean loops come from one Dijkstra run per crossing edge
+    (`_shortest_path`), each bounded by the best loop so far: it stops
+    once its paths plus the proposing edge are strictly heavier. A fully
+    separating cut is reported via status="disconnected", not raised.
     """
     if pair.degree != 1:
         raise ValueError("reconstructed shortest cycles apply to degree-1 pairs only")
@@ -203,15 +204,15 @@ def reconstructed_shortest_cycle(
     present = present[(present >= edges.start) & (present < edges.stop)]
     cut = np.isin(present, np.fromiter(cocycle, np.int64, len(cocycle)))
     ends = o.cx.vertex_array(1)[present - edges.start]
-    adj = _adjacency(ends[~cut], present[~cut], euclidean, points)
+    weights = _edge_lengths(points, ends) if euclidean else np.ones(len(present))
+    adj = _adjacency(ends[~cut], present[~cut], weights[~cut])
     crossings = present[cut].tolist()
     crossing_ends = ends[cut].tolist()
     if not euclidean:
         best = _lockstep_loop(adj, crossings, crossing_ends)
     else:
         best = None
-        for sid, (u, v) in zip(crossings, crossing_ends):
-            w = _edge_weight(u, v, points)
+        for sid, (u, v), w in zip(crossings, crossing_ends, weights[cut].tolist()):
             bound = math.inf if best is None else best[0]
             path = _shortest_path(adj, u, v, offset=w, bound=bound)
             if path is None:
@@ -275,24 +276,30 @@ def _expand(adj, parent, frontier, dst):
     return nxt
 
 
-def _edge_weight(u, v, points):
-    """Length of the edge (u, v), measured on the difference scaled by a
-    power of two to magnitude below 1 and scaled back, so that no square
-    under- or overflows. Where none did unscaled, the float is the same: a
-    square that the scaling makes underflow is below the rounding of the
-    largest one."""
-    d = np.asarray(points[u], float) - np.asarray(points[v], float)
-    _, k = math.frexp(float(np.abs(d).max()))
-    return math.ldexp(float(np.linalg.norm(np.ldexp(d, -k))), k)
+def _edge_lengths(points, ends: np.ndarray) -> np.ndarray:
+    """Length of each edge, the rows of `ends`, measured on the difference
+    scaled by a power of two to magnitude below 1 and scaled back, so that
+    no square under- or overflows. Where none did unscaled, the float is the
+    same: a square that the scaling makes underflow is below the rounding of
+    the largest one. The squares are summed left to right, elementwise, so
+    a length is the same float on any CPU. An overflow raises ValueError."""
+    P = np.asarray(points, float)
+    d = P[ends[:, 0]] - P[ends[:, 1]]
+    k = np.frexp(np.abs(d).max(axis=1))[1]
+    s = np.ldexp(d, -k[:, None])
+    total = s[:, 0] * s[:, 0]
+    for col in s.T[1:]:
+        total = total + col * col
+    with np.errstate(over="ignore"):
+        lengths = np.ldexp(np.sqrt(total), k)
+    if not np.isfinite(lengths).all():
+        raise ValueError("coordinate range too large: an edge length overflows")
+    return lengths
 
 
-def _adjacency(ends: np.ndarray, sids: np.ndarray, euclidean, points) -> dict:
+def _adjacency(ends: np.ndarray, sids: np.ndarray, weights: np.ndarray) -> dict:
     """Vertex -> [(neighbour, weight, edge id)], sorted, over the edges with
-    ids `sids` and endpoint rows `ends`."""
-    if euclidean:
-        weights = np.array([_edge_weight(u, v, points) for u, v in ends.tolist()])
-    else:
-        weights = np.ones(len(sids))
+    ids `sids`, endpoint rows `ends` and weights `weights`."""
     src = np.concatenate([ends[:, 0], ends[:, 1]])
     dst = np.concatenate([ends[:, 1], ends[:, 0]])
     # a vertex pair has one edge, so the neighbour alone orders a list

@@ -181,6 +181,46 @@ def shortest_nontrivial_loop(order, k_rank):
     return best
 
 
+def edge_length_oracle(p, q):
+    """Euclidean length of the edge from point p to point q in Python
+    floats: the difference scaled by a power of two to magnitude below 1,
+    math.sqrt of its squares summed left to right, scaled back."""
+    d = [float(a) - float(b) for a, b in zip(p, q)]
+    _, k = math.frexp(max(abs(x) for x in d))
+    total = 0.0
+    for x in d:
+        x = math.ldexp(x, -k)
+        total += x * x
+    return math.ldexp(math.sqrt(total), k)
+
+
+def shortest_path_oracle(adj, src, dst):
+    """Unbounded Dijkstra over `adj` (vertex -> [(neighbour, weight, edge
+    id)]), settling vertices in (distance, vertex) order by a scan of the
+    reached ones; a vertex takes a new parent only over a path shorter by
+    more than 1e-15. (distance, edge ids, vertex ids) of the path from src
+    to dst, or None when dst is not reached."""
+    dist, prev, settled = {src: 0.0}, {}, set()
+    while True:
+        open_ = [(d, v) for v, d in dist.items() if v not in settled]
+        if not open_:
+            return None
+        d, u = min(open_)
+        if u == dst:
+            break
+        settled.add(u)
+        for v, w, sid in adj.get(u, ()):
+            if v not in dist or d + w < dist[v] - 1e-15:
+                dist[v] = d + w
+                prev[v] = (u, sid)
+    edges, verts, v = [], [dst], dst
+    while v != src:
+        v, sid = prev[v]
+        edges.append(sid)
+        verts.append(v)
+    return dist[dst], edges[::-1], verts[::-1]
+
+
 def geometry_cases():
     """Named pointclouds that exercise the geometry: every `gen` fixture,
     seeded random clouds, exact grids, a cocircular ring and far clusters."""

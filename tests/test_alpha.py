@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import alpha_levels_full_scan, diagram, geometry_cases
 from stablevol import alpha as alpha_module
 from stablevol.alpha import (
+    _circum_batch,
     _circum_exact,
     _grid,
     _grid_pairs,
@@ -18,7 +19,7 @@ from stablevol.alpha import (
     alpha_levels,
     parse_pointcloud,
 )
-from stablevol.delaunay import DegenerateInputError, delaunay
+from stablevol.delaunay import DegenerateInputError, _rescaled, delaunay
 from stablevol.fixtures import fig1_five_points, lattice_3x3x3
 from stablevol import persistence as pers
 
@@ -236,6 +237,53 @@ def test_circum_exact_rejects_degenerate_simplices(verts):
         _circum_exact(verts)
 
 
+def outlier30():
+    """30 points with one far outlier, whose triangulation holds one
+    triangle with an exactly singular Gram matrix."""
+    pts = np.random.default_rng([7, 30]).random((30, 2)) * 40
+    pts[0] = (1e8, 1.0)
+    return pts
+
+
+SINGULAR_GRAM = {
+    "outlier30": outlier30(),
+    "grid-4x4x4": np.array(list(itertools.product(range(4), repeat=3)), dtype=float),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGULAR_GRAM))
+def test_a_circumsphere_does_not_depend_on_its_batch(name):
+    """Each dimension's batch of simplices, of which some have an exactly
+    singular Gram matrix: exactly the rows whose Gram matrix
+    `np.linalg.solve` rejects alone get the sentinel radius, and every other
+    row is the float it is in a batch without the singular rows, and alone."""
+    P = SINGULAR_GRAM[name]
+    cx = delaunay(P)
+    pts, exp = _rescaled(P)
+    spread = float(((pts.max(axis=0) - pts.min(axis=0)) ** 2).sum())
+    singular_rows = 0
+    for k in range(1, cx.dim + 1):
+        verts = cx.vertex_array(k)
+        A = pts[verts][:, 1:] - pts[verts][:, :1]
+        G = 2.0 * np.einsum("mkd,mld->mkl", A, A)  # the Gram matrices it solves
+        singular = np.zeros(len(verts), dtype=bool)
+        for j in range(len(verts)):
+            try:
+                np.linalg.solve(G[j : j + 1], np.ones((1, k, 1)))
+            except np.linalg.LinAlgError:
+                singular[j] = True
+        centers, r2 = _circum_batch(pts, verts, exp)
+        assert ((r2 >= 1e12 * spread) == singular).all()
+        c_rest, r2_rest = _circum_batch(pts, verts[~singular], exp)
+        assert np.array_equal(centers[~singular], c_rest)
+        assert np.array_equal(r2[~singular], r2_rest)
+        for j in np.flatnonzero(~singular)[::7]:
+            c_one, r2_one = _circum_batch(pts, verts[j : j + 1], exp)
+            assert np.array_equal(c_one[0], centers[j]) and r2_one[0] == r2[j]
+        singular_rows += int(singular.sum())
+    assert singular_rows
+
+
 @pytest.mark.parametrize("seed", [3, 4])
 def test_degree1_diagram_invariant_under_permutation(seed):
     # levels are float circumradii computed from a simplex's lowest-id vertex,
@@ -368,7 +416,8 @@ def _skewed_clouds():
     cluster with sparse far points, one far outlier, and heavy tails (cubed
     normals), in 2D and 3D; and clouds whose coordinates are correlated, so
     that fewer cells of the rank-space grid hold more points: a uniform
-    cloud turned by 45 degrees, and a noisy torus surface in 3D."""
+    cloud turned by 45 degrees, and a noisy torus surface in 3D; and a cloud
+    whose far outlier makes one triangle's Gram matrix singular."""
     clouds = {}
     for dim, n in ((2, 300), (3, 160)):
         rng = np.random.default_rng(dim)
@@ -385,6 +434,7 @@ def _skewed_clouds():
     ring = 2.0 + 0.6 * np.cos(v)
     torus = np.stack([ring * np.cos(u), ring * np.sin(u), 0.6 * np.sin(v)], axis=1)
     clouds["torus3d"] = torus + rng.uniform(-0.05, 0.05, torus.shape)
+    clouds["outlier30"] = outlier30()
     return clouds
 
 

@@ -11,9 +11,11 @@ from helpers import (
     appendix_filtration,
     cocycle_of,
     diagram,
+    edge_length_oracle,
     finite,
     geometry_cases,
     shortest_nontrivial_loop,
+    shortest_path_oracle,
     statistical_frequencies_oracle,
     torus3d_order,
 )
@@ -194,6 +196,19 @@ def test_euclidean_weights():
     assert abs(res.loop.weight - 6.0) < 1e-9  # unit side length
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_edge_lengths_are_the_oracle_floats(dim):
+    """Bit for bit the Python-float lengths, over edges within one scale and
+    between points whose scales differ by up to 2**1800."""
+    rng = np.random.default_rng([dim, 4000])
+    pts = rng.random((4000, dim)) * 40
+    pts[1::2] = np.ldexp(pts[1::2], rng.integers(-900, 900, (2000, 1)))
+    ends = rng.integers(0, len(pts), (4000, 2))
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    got = baselines._edge_lengths(pts, ends).tolist()
+    assert got == [edge_length_oracle(pts[u], pts[v]) for u, v in ends.tolist()]
+
+
 def test_disconnecting_cut_reported_not_fatal():
     o, p, _ = appendix_pair_and_cut()
     # a fake cut isolating vertex 0 disconnects every crossing
@@ -243,14 +258,15 @@ SEARCH = baselines._shortest_path
 
 def crossing_searches(o, k, cocycle, points=None):
     """(weight, sorted edge tuple, edges, vertices) of every crossing edge's
-    loop at step k, in crossing order, from one unbounded `_shortest_path`
-    run each (None where the endpoints are not joined). Weights are hop
-    counts, or edge lengths given `points`."""
+    loop at step k, in crossing order, from one unbounded
+    `shortest_path_oracle` run each (None where the endpoints are not
+    joined). Weights are hop counts, or `edge_length_oracle` lengths given
+    `points`."""
     cx = o.cx
     present = [sid for sid in o.order_array[: k + 1].tolist() if cx.dim_of(sid) == 1]
 
     def weight(u, v):
-        return 1.0 if points is None else baselines._edge_weight(u, v, points)
+        return 1.0 if points is None else edge_length_oracle(points[u], points[v])
 
     adj = {}
     for sid in present:
@@ -264,7 +280,7 @@ def crossing_searches(o, k, cocycle, points=None):
     for sid in present:
         if sid in cocycle:
             u, v = cx.simplices[sid]
-            path = SEARCH(adj, u, v)
+            path = shortest_path_oracle(adj, u, v)
             if path is None:
                 out.append(None)
             else:

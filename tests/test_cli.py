@@ -212,6 +212,25 @@ def test_overflowing_alpha_level_one_stderr_line_in_a_fresh_process(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("side, message", [
+    # the diagonal of the square is longer than the largest float
+    ("1.5e308", "coordinate range too large: an edge length overflows"),
+    # every edge length is finite, but the loop's weight is not
+    ("1e308", "Out of range float values are not JSON compliant: inf"),
+], ids=["edge", "loop"])
+def test_rsc_euclidean_overflow_one_stderr_line_in_a_fresh_process(tmp_path, side, message):
+    p = tmp_path / "square.txt"
+    p.write_text(f"0 0\n{side} 0\n{side} {side}\n0 {side}\n")
+    src = str(Path(stablevol.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "stablevol.cli", "rsc", str(p), "--pair-index", "0", "--euclidean"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: {message}"]
+
+
 def test_pd_on_a_3d_cloud_at_2_to_the_400_is_the_scaled_diagram(tmp_path, capsys):
     # Qhull once crashed the process (SIGSEGV) on this input; it now gets a
     # copy scaled by an exact power of two, so the run goes in a subprocess
