@@ -178,8 +178,8 @@ def reconstructed_shortest_cycle(
     present at step k proposes the loop (shortest path between its
     endpoints avoiding C) + (the edge itself); the lightest proposal wins,
     ties going to the least sorted edge tuple. Weights are hop counts
-    unless euclidean=True (needs points; an edge length that overflows
-    raises ValueError). Hop-count loops come from one lockstep
+    unless euclidean=True (needs points; an edge length or a loop weight
+    that overflows raises ValueError). Hop-count loops come from one lockstep
     breadth-first search over all crossing edges (`_lockstep_loop`).
     Euclidean loops come from one Dijkstra run per crossing edge
     (`_shortest_path`), each bounded by the best loop so far: it stops
@@ -225,6 +225,8 @@ def reconstructed_shortest_cycle(
     if best is None:
         return RscResult(None, k_rank, "disconnected")
     total, _, loop_edges, verts = best
+    if not math.isfinite(total):
+        raise ValueError("coordinate range too large: a loop weight overflows")
     return RscResult(CycleLoop(loop_edges, verts, total), k_rank)
 
 

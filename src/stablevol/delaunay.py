@@ -40,15 +40,23 @@ cannot decide reach the scalar predicates.
 
 `delaunay` works on arrays up to the triangulation: one conversion and one
 finiteness check of the input, the jitter in one numpy pass. Python tuples
-of the points are built only for the Bowyer-Watson fallback, or to word a
-rejected input row.
+of the jittered points are built only for the Bowyer-Watson fallback, and
+of the input rows only to word a rejected row.
 
 If Qhull fails or any check fails, `_bowyer_watson` builds the
 triangulation of the same scaled points: an incremental Bowyer-Watson
 construction with ghost cells through a single vertex at infinity, so hull
 growth needs no special casing (a ghost cell conflicts with a point
-exactly when the point lies strictly outside its hull facet). A predicate
-that evaluates to zero there raises DegenerateInputError.
+exactly when the point lies strictly outside its hull facet). It inserts
+the jittered points in lexicographic order. Each point is then
+lexicographically larger than every earlier one, so it lies strictly
+outside their hull and sees a hull facet through the previous point; the
+first ghost cell of the previous insertion that conflicts with it starts
+the cavity, with no walk. In 2D a point on the line of a hull edge lies
+past both of the edge's ends, so that ghost cell does not conflict. Any
+other zero predicate in the construction (a point on a circumsphere, on
+the plane of a hull facet in 3D, or equal to the previous point) raises
+DegenerateInputError.
 """
 
 from __future__ import annotations
@@ -82,7 +90,7 @@ class _Triangulation:
         self.verts = {}  # cell id -> tuple of d+1 vertex ids (INFINITE allowed)
         self.nbrs = {}  # cell id -> list of d+1 cell ids, nbrs[k] opposite verts[k]
         self.next_id = 0
-        self.hint = None
+        self.last = []  # the cells the previous insertion created
 
     def _new_cell(self, verts):
         cid = self.next_id
@@ -91,11 +99,8 @@ class _Triangulation:
         self.nbrs[cid] = [None] * (self.dim + 1)
         return cid
 
-    def _coords(self, vid):
-        return self.pts[vid]
-
     def _orient_ids(self, vids):
-        return orient([self._coords(v) for v in vids])
+        return orient([self.pts[v] for v in vids])
 
     def _conflict(self, cell, p):
         verts = self.verts[cell]
@@ -105,13 +110,14 @@ class _Triangulation:
             inner = self.nbrs[cell][k]  # finite cell across the hull facet
             w = next(v for v in self.verts[inner] if v not in facet)
             s_p = self._orient_ids(facet + (p,))
-            s_w = self._orient_ids(facet + (w,))
-            if s_p == 0 or s_w == 0:
+            if s_p == 0:
+                if self.dim == 2:
+                    return False  # p is on the edge's line, past both its ends
                 raise DegenerateInputError(
                     f"point {p} is coplanar with hull facet {facet} after jitter"
                 )
-            return s_p != s_w
-        side = circumsphere_side([self._coords(v) for v in verts], self._coords(p))
+            return s_p != self._orient_ids(facet + (w,))
+        side = circumsphere_side([self.pts[v] for v in verts], self.pts[p])
         if side == 0:
             raise DegenerateInputError(
                 f"point {p} is cospherical with cell {verts} after jitter"
@@ -119,37 +125,14 @@ class _Triangulation:
         return side > 0
 
     def _locate(self, p):
-        cell = self.hint
-        if cell is None or cell not in self.verts:
-            cell = next(iter(self.verts))
-        if INFINITE in self.verts[cell]:
-            cell = self.nbrs[cell][self.verts[cell].index(INFINITE)]
-        limit = 4 * len(self.verts) + 64
-        for _ in range(limit):
-            verts = self.verts[cell]
-            moved = False
-            for k, v in enumerate(verts):
-                facet = verts[:k] + verts[k + 1 :]
-                s_p = self._orient_ids(facet + (p,))
-                if s_p == 0:
-                    raise DegenerateInputError(
-                        f"point {p} degenerate against facet {facet} after jitter"
-                    )
-                if s_p != self._orient_ids(facet + (v,)):
-                    nb = self.nbrs[cell][k]
-                    if INFINITE in self.verts[nb]:
-                        return nb  # p is outside the hull through this facet
-                    cell = nb
-                    moved = True
-                    break
-            if not moved:
+        """A ghost cell in conflict with p, among the cells of the previous
+        insertion: p sees a hull facet through the previous point."""
+        for cell in self.last:
+            if INFINITE in self.verts[cell] and self._conflict(cell, p):
                 return cell
-        # visibility walks terminate on Delaunay triangulations; this fallback
-        # is pure defensive programming
-        for cid in sorted(self.verts):
-            if self._conflict(cid, p):
-                return cid
-        raise DegenerateInputError(f"no conflict cell found for point {p}")
+        raise DegenerateInputError(
+            f"point {p} sees no hull facet through the previous point after jitter"
+        )
 
     def insert(self, p):
         start = self._locate(p)
@@ -194,7 +177,7 @@ class _Triangulation:
         for c in region:
             del self.verts[c]
             del self.nbrs[c]
-        self.hint = created[-1]
+        self.last = created
 
 
 def _initial_cells(tri: _Triangulation, seed_ids):
@@ -211,6 +194,7 @@ def _initial_cells(tri: _Triangulation, seed_ids):
         tri.nbrs[g][d] = c0
         tri.nbrs[c0][k] = g
         ghosts.append((g, facet))
+    tri.last = [g for g, _ in ghosts]
     # ghost-ghost adjacency along hull ridges
     for g, facet in ghosts:
         for j, u in enumerate(facet):
@@ -221,15 +205,18 @@ def _initial_cells(tri: _Triangulation, seed_ids):
                     break
 
 
-def _bowyer_watson(pts, jit, dim) -> SimplicialComplex:
-    """Incremental Bowyer-Watson triangulation of the jittered points `jit`.
+def _bowyer_watson(jit, dim) -> SimplicialComplex:
+    """Incremental Bowyer-Watson triangulation of the jittered points `jit`,
+    a list of d-tuples, inserted in lexicographic order.
 
-    Insertion follows the coordinate-sorted order of the raw points `pts`
-    for determinism and walk locality.
+    Each point is lexicographically larger than every earlier one, so it
+    lies strictly outside their hull and outside its tangent cone at the
+    previous point: it sees a hull facet through that point, whose ghost
+    cell the previous insertion created (`_Triangulation._locate`).
     """
     tri = _Triangulation(jit, dim)
-    insertion = sorted(range(len(pts)), key=lambda i: pts[i])
-    _initial_cells(tri, list(insertion[: dim + 1]))
+    insertion = sorted(range(len(jit)), key=jit.__getitem__)
+    _initial_cells(tri, insertion[: dim + 1])
     for p in insertion[dim + 1 :]:
         tri.insert(p)
     top = [
@@ -398,9 +385,7 @@ def delaunay(points) -> SimplicialComplex:
         )
     cx = _certified_qhull(jit)
     if cx is None:
-        return _bowyer_watson(
-            list(map(tuple, P.tolist())), list(map(tuple, jit.tolist())), dim
-        )
+        return _bowyer_watson(list(map(tuple, jit.tolist())), dim)
     return cx
 
 

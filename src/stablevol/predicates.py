@@ -89,11 +89,17 @@ def _orient3d_float(pa, pb, pc, pd):
     cdx = pd[0] - pa[0]
     cdy = pd[1] - pa[1]
     cdz = pd[2] - pa[2]
-    t1 = adx * (bdy * cdz - bdz * cdy)
-    t2 = ady * (bdx * cdz - bdz * cdx)
-    t3 = adz * (bdx * cdy - bdy * cdx)
-    det = t1 - t2 + t3
-    mag = abs(t1) + abs(t2) + abs(t3)
+    xy, yx = bdx * cdy, bdy * cdx
+    xz, zx = bdx * cdz, bdz * cdx
+    yz, zy = bdy * cdz, bdz * cdy
+    det = adx * (yz - zy) - ady * (xz - zx) + adz * (xy - yx)
+    # the permanent bounds the rounding of the 2x2 minors too, whose terms
+    # can cancel; |adx * (yz - zy)| + ... would not
+    mag = (
+        abs(adx) * (abs(yz) + abs(zy))
+        + abs(ady) * (abs(xz) + abs(zx))
+        + abs(adz) * (abs(xy) + abs(yx))
+    )
     return det, mag, [[adx, ady, adz], [bdx, bdy, bdz], [cdx, cdy, cdz]]
 
 

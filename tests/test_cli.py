@@ -216,7 +216,7 @@ def test_overflowing_alpha_level_one_stderr_line_in_a_fresh_process(tmp_path):
     # the diagonal of the square is longer than the largest float
     ("1.5e308", "coordinate range too large: an edge length overflows"),
     # every edge length is finite, but the loop's weight is not
-    ("1e308", "Out of range float values are not JSON compliant: inf"),
+    ("1e308", "coordinate range too large: a loop weight overflows"),
 ], ids=["edge", "loop"])
 def test_rsc_euclidean_overflow_one_stderr_line_in_a_fresh_process(tmp_path, side, message):
     p = tmp_path / "square.txt"
@@ -229,6 +229,26 @@ def test_rsc_euclidean_overflow_one_stderr_line_in_a_fresh_process(tmp_path, sid
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("shift", [0, 2**19, 2**21, 2**22])
+@pytest.mark.parametrize("m", [4, 8, 10, 15])
+def test_pd_on_a_translated_integer_grid_is_the_closed_form(m, shift, tmp_path, capsys):
+    # degree 0: m*m - 1 pairs (0, 1/2) and one essential class; degree 1:
+    # (m - 1)**2 pairs (1/2, sqrt(2)/2), one per unit square. From a shift of
+    # 2**19 on, the jitter rounds to a few ulps, Qhull's cells fail the
+    # certificate and Bowyer-Watson builds the complex
+    path = tmp_path / "grid.txt"
+    path.write_text("".join(f"{x + shift} {y + shift}\n" for x in range(m) for y in range(m)))
+    code, out, _ = run(["pd", str(path)], capsys)
+    assert code == 0
+    pairs = {d["degree"]: d["pairs"] for d in json.loads(out)["diagrams"]}
+    finite = [(p["birth"], p["death"]) for p in pairs[0] if p["death"] is not None]
+    assert len(pairs[0]) - len(finite) == 1
+    assert finite == [(0.0, pytest.approx(0.5, rel=1e-12))] * (m * m - 1)
+    loops = [(p["birth"], p["death"]) for p in pairs[1]]
+    want = (pytest.approx(0.5, rel=1e-12), pytest.approx(math.sqrt(0.5), rel=1e-12))
+    assert loops == [want] * (m - 1) ** 2
 
 
 def test_pd_on_a_3d_cloud_at_2_to_the_400_is_the_scaled_diagram(tmp_path, capsys):

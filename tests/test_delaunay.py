@@ -19,8 +19,8 @@ HULL_CHECK = dl._hull_is_convex
 
 
 def bowyer_watson(points):
-    pts = [tuple(map(float, p)) for p in points]
-    return dl._bowyer_watson(pts, jittered_points_oracle(pts), len(pts[0]))
+    jit = jittered_points_oracle(points)
+    return dl._bowyer_watson(jit, len(jit[0]))
 
 
 def count_fallbacks(monkeypatch):
@@ -287,13 +287,56 @@ def test_qhull_is_certified_without_fallback(name, monkeypatch):
     assert calls == []
 
 
-def test_fallback_receives_raw_and_jittered_tuples(monkeypatch):
+def test_fallback_receives_jittered_tuples(monkeypatch):
     seen = []
     monkeypatch.setattr(dl, "_bowyer_watson", lambda *args: seen.append(args))
     raw = [(0.5, 0.5)] * 5  # Qhull sets duplicates aside
     delaunay(np.array(raw))
-    assert seen == [(raw, jittered_points_oracle(raw), 2)]
-    assert all(type(x) is float for p in seen[0][1] for x in p)
+    assert seen == [(jittered_points_oracle(raw), 2)]
+    assert all(type(x) is float for p in seen[0][0] for x in p)
+
+
+GRID30 = np.array([(x, y) for x in range(30) for y in range(30)], dtype=float)
+# four points, each repeated; their jittered copies are about 1e-9 apart, so
+# that orient3d's 2x2 minors cancel almost entirely
+COPIES3D = np.array(
+    [(0.5, 0.5, 0.5)] * 5 + [(1, 2, 0)] * 3 + [(3, 1, 1)] * 4 + [(0, 0, 2)] * 2, dtype=float
+)
+
+
+@pytest.mark.parametrize(
+    "points", [GRID30, np.array([(0.5, 0.5)] * 5), COPIES3D], ids=["grid-30x30", "copies2d", "copies3d"]
+)
+def test_bowyer_watson_output_passes_the_certificate(points, monkeypatch):
+    # the certificate proves its input cells the unique Delaunay cells, and
+    # it shares no code with Bowyer-Watson's insertion order or point location
+    calls = count_fallbacks(monkeypatch)
+    cx = delaunay(points)
+    assert calls == [1]  # the certificate rejected Qhull's cells
+    cells = cx.vertex_array(cx.dim)
+
+    class QhullResult:
+        simplices = cells
+        coplanar = np.empty((0, cx.dim + 1), dtype=int)
+
+    monkeypatch.setattr(dl, "Delaunay", lambda P: QhullResult)
+    result, _ = same_certificate(monkeypatch, dl._rescaled(jittered_points(points))[0])
+    assert result is not None
+    assert np.array_equal(result.vertex_array(cx.dim), cells)
+
+
+FAR = 2.0**30  # the jitter, under 1e-8 here, is below half an ulp: copies stay equal
+
+
+@pytest.mark.parametrize("points, message", [
+    ([(0, 0), (1, 5), (3, 1), (4, 4), (4, 4)], "point 4 sees no hull facet through the previous point"),
+    ([(0, 0, 0), (1, 5, 0), (3, 1, 2), (2, 0, 5), (4, 4, 4), (4, 4, 4)], "point 5 is coplanar with hull facet"),
+], ids=["2d", "3d"])
+def test_a_copy_of_the_previous_point_is_degenerate(points, message):
+    # Bowyer-Watson inserts in lexicographic order, so the copy comes right
+    # after its original and lies on every hull facet through it
+    with pytest.raises(DegenerateInputError, match=message):
+        delaunay(np.array(points) + FAR)
 
 
 # (points, error, message) by case number. Each case keeps the test id

@@ -12,6 +12,7 @@ from stablevol.predicates import (
     jittered_points,
     orient2d,
     orient3d,
+    orient_batch,
 )
 
 
@@ -40,6 +41,27 @@ def test_orient3d_matches_exact_random():
     for _ in range(300):
         pts = [tuple(random.choice([0.0, 0.25, 0.5, 1.0]) for _ in range(3)) for _ in range(4)]
         assert orient3d(*pts) == exact_orient3d(*pts)
+
+
+def test_orient3d_matches_exact_when_the_minors_cancel():
+    # a = 0, and b, c, d within 1e-9 of a point about 1 away: each 2x2 minor
+    # cancels terms of size 1 down to about 1e-9, and the determinant is about
+    # 1e-18, below the rounding of those terms. The differences from a are
+    # exact, so the oracle is the determinant of the input Fractions
+    rng = np.random.default_rng(5)
+    near = rng.random((100, 1, 3)) + 0.5 + rng.random((100, 3, 3)) * 1e-9
+    want = []
+    for (bx, by, bz), (cx, cy, cz), (dx, dy, dz) in near.tolist():
+        b, c, d = (tuple(map(Fraction, p)) for p in ((bx, by, bz), (cx, cy, cz), (dx, dy, dz)))
+        v = (
+            b[0] * (c[1] * d[2] - c[2] * d[1])
+            - b[1] * (c[0] * d[2] - c[2] * d[0])
+            + b[2] * (c[0] * d[1] - c[1] * d[0])
+        )
+        want.append((v > 0) - (v < 0))
+    P = np.concatenate([np.zeros((100, 1, 3)), near], axis=1)
+    assert [orient3d(*map(tuple, q)) for q in P.tolist()] == want
+    assert orient_batch(P.reshape(-1, 3), np.arange(400).reshape(-1, 4)).tolist() == want
 
 
 def test_circumsphere_side_known_cases():
