@@ -83,13 +83,17 @@ def parse_pointcloud(text: str) -> np.ndarray:
     (n, d) float array.
 
     Dimension is inferred from the column count (2 or 3). Blank lines and
-    lines starting with '#' are skipped. A non-finite coordinate is an error.
+    lines starting with '#' are skipped. A non-finite coordinate is an error,
+    and so is an empty CSV field: a doubled, leading or trailing comma, with
+    or without whitespace around it.
     """
     rows = []
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        if "," in line and not all(map(str.strip, line.split(","))):
+            raise ValueError(f"empty field in pointcloud row {line!r}")
         parts = line.replace(",", " ").split()
         rows.append([float(x) for x in parts])
     if not rows:

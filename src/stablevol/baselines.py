@@ -45,7 +45,7 @@ class NoiseModel:
         if not math.isfinite(2.0 * self.half_width):
             raise ValueError(f"noise half width must be finite, got {self.half_width}")
         if self.half_width <= 0:
-            raise ValueError("noise half_width must be positive")
+            raise ValueError(f"noise half width must be positive, got {self.half_width}")
 
     def perturb(self, points: np.ndarray, trial: int) -> np.ndarray:
         rng = np.random.default_rng([self.seed, trial])
@@ -202,7 +202,8 @@ def reconstructed_shortest_cycle(
     edges = o.cx.ids_of_dim(1)
     present = o.order_array[: k_rank + 1]
     present = present[(present >= edges.start) & (present < edges.stop)]
-    cut = np.isin(present, np.fromiter(cocycle, np.int64, len(cocycle)))
+    # kind="table" never calls np.unique, which imports numpy.ma
+    cut = np.isin(present, np.fromiter(cocycle, np.int64, len(cocycle)), kind="table")
     ends = o.cx.vertex_array(1)[present - edges.start]
     weights = _edge_lengths(points, ends) if euclidean else np.ones(len(present))
     adj = _adjacency(ends[~cut], present[~cut], weights[~cut])

@@ -300,8 +300,16 @@ def z2_boundary(cx: SimplicialComplex, k: int, cells) -> np.ndarray:
 
 
 def vertices_of(cx: SimplicialComplex, k: int, ids) -> np.ndarray:
-    """Sorted distinct vertex ids of the k-simplices `ids`."""
-    return np.unique(cx.vertex_array(k)[np.asarray(ids, dtype=np.int64) - cx.ids_of_dim(k).start])
+    """Sorted distinct vertex ids of the k-simplices `ids`.
+
+    A sort and a neighbour mask, not `np.unique`: with no `return_*` option,
+    numpy 2.4's `np.unique` calls `np.ma.is_masked`, which imports numpy.ma.
+    """
+    rows = cx.vertex_array(k)[np.asarray(ids, dtype=np.int64) - cx.ids_of_dim(k).start]
+    v = np.sort(rows, axis=None)
+    keep = np.ones(len(v), dtype=bool)
+    keep[1:] = v[1:] != v[:-1]
+    return v[keep]
 
 
 # ---------------------------------------------------------------------------

@@ -4,19 +4,21 @@ All predicate decisions run on deterministically jittered coordinates with
 exact signs, so the combinatorics are those of a genuinely general-position
 pointcloud, whose Delaunay triangulation is unique.
 
-The triangulation comes from Qhull (`scipy.spatial.Delaunay`) run on the
-jittered coordinates scaled by 2**-k, with 2**k the smallest power of two
-above their largest magnitude (`_rescaled`; unscaled if the scaling would
-round a coordinate). An exact power-of-two scaling changes no Delaunay
-cell and no predicate sign, and it keeps Qhull's own arithmetic in range
-at any input scale; an input is rejected as too large only if the squared
-bounding-box extent of the points Qhull would see overflows, which takes a
-scaling that is not exact. Qhull runs from its extension module
-`scipy.spatial._qhull` alone, loaded by `stablevol._scipy_extension`:
-importing `scipy.spatial` would load `scipy.linalg`, `scipy.special` and
-about 170 other scipy modules. Qhull's cells become a `SimplicialComplex`,
-built once, and are accepted only if its arrays pass a certificate
-evaluated with the exact-sign predicates:
+The triangulation comes from Qhull run on the jittered coordinates scaled
+by 2**-k, with 2**k the smallest power of two above their largest magnitude
+(`_rescaled`; unscaled if the scaling would round a coordinate). An exact
+power-of-two scaling changes no Delaunay cell and no predicate sign, and it
+keeps Qhull's own arithmetic in range at any input scale; an input is
+rejected as too large only if the squared bounding-box extent of the points
+Qhull would see overflows, which takes a scaling that is not exact. Qhull
+runs from its extension module `scipy.spatial._qhull` alone, loaded by
+`stablevol._scipy_extension`: importing `scipy.spatial` would load
+`scipy.linalg`, `scipy.special` and about 170 other scipy modules.
+`Delaunay` calls the module's `_Qhull` core with the options that
+`scipy.spatial.Delaunay` passes, not that wrapper, whose masked-array check
+imports numpy.ma. Qhull's cells become a `SimplicialComplex`, built once,
+and are accepted only if its arrays pass a certificate evaluated with the
+exact-sign predicates:
 
 - every point is a vertex, and Qhull set no point aside as coplanar;
 - every cell has nonzero orientation (negative cells are re-oriented);
@@ -240,9 +242,23 @@ def _qhull():
     return _scipy_extension("scipy.spatial._qhull")
 
 
-def Delaunay(P):
-    """`scipy.spatial.Delaunay` of P, from the Qhull module alone."""
-    return _qhull().Delaunay(P)
+class Delaunay:
+    """Qhull's Delaunay cells of P: `simplices`, (m, d+1), and `coplanar`,
+    one row per point Qhull set aside, as `scipy.spatial.Delaunay` gives
+    them. Qhull runs with the options that wrapper passes for d <= 4, but
+    through the module's `_Qhull` core: the wrapper first evaluates
+    `np.ma.isMaskedArray(points)`, which imports numpy.ma."""
+
+    def __init__(self, P):
+        qhull = _qhull()._Qhull(
+            b"d", np.ascontiguousarray(P, dtype=np.double), b"Qbb Qc Qz Q12",
+            required_options=b"Qt",
+        )
+        try:
+            qhull.triangulate()
+            self.simplices, _, _, self.coplanar, _ = qhull.get_simplex_facet_array()
+        finally:
+            qhull.close()
 
 
 def _certified_qhull(P):

@@ -126,6 +126,21 @@ def test_parse_rejects_ragged_and_empty():
         parse_pointcloud("1 2 3 4\n")
 
 
+@pytest.mark.parametrize(
+    "row",
+    ["1,,0", "1, ,0", "1 , , 0", "1,0,", "1,0 ,", ",1,0", " , 1, 0", "1,,0,2", "1,0,,", ","],
+)
+def test_parse_rejects_an_empty_csv_field(row):
+    # a doubled, leading or trailing comma is an empty field, not a separator
+    with pytest.raises(ValueError, match="^empty field in pointcloud row "):
+        parse_pointcloud(f"0,0\n{row}\n0,1\n")
+
+
+def test_parse_reads_commas_with_or_without_spaces():
+    expected = np.array([[1.0, 0.5], [2.0, -1.0], [3.0, 4.0]])
+    assert np.array_equal(parse_pointcloud("1,0.5\n2 , -1\n  3,\t4  \n"), expected)
+
+
 @pytest.mark.parametrize("token", ["nan", "inf", "-1e400"])
 def test_parse_rejects_non_finite_coordinates(token):
     with pytest.raises(ValueError, match="^non-finite coordinates in pointcloud$"):

@@ -44,8 +44,10 @@ def square_pair(order):
 
 
 def test_noise_model_validation():
-    with pytest.raises(ValueError):
-        NoiseModel(0.0, seed=1)
+    # both messages name the rejected value
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match=f"^noise half width must be positive, got {bad}$"):
+            NoiseModel(bad, seed=1)
     for bad in (math.nan, math.inf, -math.inf, 1e308):
         with pytest.raises(ValueError, match="finite"):
             NoiseModel(bad, seed=1)

@@ -944,6 +944,8 @@ def test_rsc_two_bandwidths(tmp_path, capsys):
         (["stat", "--noise", "nan", "--seed", "1"], "--noise"),
         (["stat", "--noise", "inf", "--seed", "1"], "--noise"),
         (["stat", "--noise", "1e308", "--seed", "1"], "--noise"),
+        (["stat", "--noise", "0", "--seed", "1"], "--noise"),
+        (["stat", "--noise", "-1", "--seed", "1"], "--noise"),
         (["vol", "--method", "stable-lp", "--epsilon", "nan"], "--epsilon"),
         (["vol", "--method", "sub", "--epsilon", "inf"], "--epsilon"),
         (["vol", "--method", "stable-lp", "--epsilon", "0.05", "--threshold", "nan"],
@@ -951,11 +953,12 @@ def test_rsc_two_bandwidths(tmp_path, capsys):
         (["rsc", "--bandwidth", "nan"], "--bandwidth"),
         (["rsc", "--bandwidth=-inf"], "--bandwidth"),
     ],
-    ids=["noise-nan", "noise-inf", "noise-1e308", "epsilon-nan", "epsilon-inf",
-         "threshold-nan", "bandwidth-nan", "bandwidth-neg-inf"],
+    ids=["noise-nan", "noise-inf", "noise-1e308", "noise-0", "noise-neg", "epsilon-nan",
+         "epsilon-inf", "threshold-nan", "bandwidth-nan", "bandwidth-neg-inf"],
 )
 def test_non_finite_option_exit_2(fig1_file, tmp_path, capsys, argv, option, missing_input):
-    # the option is checked before the input is read
+    # a non-finite value, or a --noise that is not positive: the option is
+    # checked before the input is read
     path = str(tmp_path / "missing.txt") if missing_input else fig1_file
     code, out, err = run([argv[0], path, "--pair-index", "1", *argv[1:]], capsys)
     assert code == 2 and out == ""

@@ -31,6 +31,7 @@ from stablevol.complexes import (
     build_order,
     complex_from_json,
     simplex,
+    vertices_of,
 )
 from stablevol.delaunay import delaunay
 from stablevol.alpha import alpha_filtration, alpha_levels
@@ -118,6 +119,22 @@ def test_boundary_squared_is_zero_z2():
     for _ in range(20):
         picks = random.sample(tri_ids, min(4, len(tri_ids)))
         assert boundary(cx, 1, boundary(cx, 2, picks)) == set()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_vertices_of_matches_np_unique(dim):
+    rng = np.random.default_rng(11 + dim)
+    cx = delaunay(rng.random((60, dim)))
+    for k in range(dim + 1):
+        ids = cx.ids_of_dim(k)
+        sizes = [0, 1, 2, len(ids), *rng.integers(1, len(ids), 8).tolist()]
+        for size in sizes:
+            # repeated ids too: a multiset of k-simplices
+            picks = rng.choice(np.arange(ids.start, ids.stop), size, replace=bool(size % 2))
+            expected = np.unique(cx.vertex_array(k)[picks - ids.start])
+            got = vertices_of(cx, k, picks.tolist())
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), (k, size)
+    assert vertices_of(cx, 1, []).shape == (0,)
 
 
 def test_boundary_cancels_an_id_listed_twice():

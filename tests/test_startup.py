@@ -8,7 +8,9 @@ imports every module the benchmark's tracer wraps, and the CLI's stdout
 does not depend on the BLAS thread count. The SciPy extension modules that
 `stablevol._scipy_extension` loads from their files (HiGHS and Qhull for
 the commands, and the KD-tree here) are the ones scipy's own packages use,
-whichever is imported first.
+whichever is imported first, and stablevol's Qhull call, made through the
+module's `_Qhull` core, gives what `scipy.spatial.Delaunay` gives. A
+command on points never imports numpy.ma.
 """
 
 import importlib.machinery
@@ -183,18 +185,35 @@ import numpy as np
 
 P = np.random.default_rng(5).random((60, 2))
 x = np.random.default_rng(6).random((10, 2))
+# a 2D cloud, a 3D cloud, the 2D cloud with a point repeated (Qhull sets the
+# copy aside as coplanar) and four collinear points (Qhull fails)
+CLOUDS = [P, np.random.default_rng(7).random((40, 3)), np.vstack([P, P[:1]]),
+          np.arange(8.0).reshape(4, 2)]
+
+def cells(triangulate, qhull_error):
+    out = []
+    for cloud in CLOUDS:
+        try:
+            tri = triangulate(cloud)
+        except qhull_error:
+            out.append("QhullError")
+        else:
+            out.append([tri.simplices.tolist(), tri.coplanar.tolist()])
+    return out
 
 def stablevol_side():
     from stablevol import _scipy_extension, delaunay
     from stablevol.alpha import alpha_filtration
     alpha_filtration(P)
     tree = _scipy_extension("scipy.spatial._ckdtree").cKDTree(P)
-    return delaunay.Delaunay(P).simplices.tolist(), [a.tolist() for a in tree.query(x, k=3)]
+    return (cells(delaunay.Delaunay, delaunay._qhull().QhullError),
+            [a.tolist() for a in tree.query(x, k=3)])
 
 def scipy_side():
     import scipy.spatial
     tree = scipy.spatial.cKDTree(P)
-    return scipy.spatial.Delaunay(P).simplices.tolist(), [a.tolist() for a in tree.query(x, k=3)]
+    return (cells(scipy.spatial.Delaunay, scipy.spatial.QhullError),
+            [a.tolist() for a in tree.query(x, k=3)])
 
 first, second = stablevol_side, scipy_side
 if sys.argv[1] == "scipy-first":
@@ -212,7 +231,9 @@ assert cython_lapack is sys.modules["scipy.linalg.cython_lapack"]
 solved = scipy.linalg.solve(np.diag([2.0, 4.0]), np.ones(2)).tolist()
 bound = [hasattr(scipy.spatial, "_qhull"), hasattr(scipy.spatial, "_ckdtree"),
          hasattr(scipy.linalg, "cython_blas"), hasattr(scipy.linalg, "cython_lapack")]
-print(json.dumps([packages, results["stablevol_side"] == results["scipy_side"], solved, bound]))
+coplanar = [c if c == "QhullError" else len(c[1]) for c in results["stablevol_side"][0]]
+print(json.dumps([packages, results["stablevol_side"] == results["scipy_side"], solved, bound,
+                  coplanar]))
 """
 
 
@@ -222,14 +243,61 @@ def test_qhull_and_kd_tree_are_shared_with_scipy_in_either_import_order():
     # stablevol's alpha filtration loads no scipy package
     assert runs["stablevol-first"][0] == []
     assert runs["scipy-first"][0] == ["scipy.spatial", "scipy.linalg", "scipy.special"]
-    for order, (_, same, solved, _) in runs.items():
+    for order, (_, same, solved, _, coplanar) in runs.items():
+        # scipy.spatial.Delaunay is the oracle for stablevol's Qhull call:
+        # the same simplices and coplanar points, or a QhullError on both
         assert same and solved == [0.5, 0.25], order
+        assert coplanar == [0, 0, 1, "QhullError"], order
     # a submodule that stablevol registered before its package was imported
     # is reused by the package, but is no attribute of it: `import
     # scipy.spatial._qhull` and `from scipy.linalg import cython_lapack`
     # still find it in sys.modules
     assert runs["stablevol-first"][3] == [False] * 4
     assert runs["scipy-first"][3] == [True] * 4
+
+
+# runs main(argv) in a fresh interpreter, stdout discarded, and prints its
+# exit code and whether numpy.ma was imported
+NUMPY_MA_PROBE = """
+import contextlib, io, sys
+from stablevol.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+@pytest.fixture(scope="module")
+def point_commands(tmp_path_factory):
+    """argv per command on points: a seeded 2D and 3D cloud, and the
+    defects lattice."""
+    tmp = tmp_path_factory.mktemp("numpy-ma")
+    clouds = {}
+    for dim, n in ((2, 400), (3, 300)):
+        clouds[dim] = str(tmp / f"cloud{dim}d.txt")
+        Path(clouds[dim]).write_text(format_pointcloud(np.random.default_rng(7).random((n, dim))))
+    defects = str(tmp / "defects.txt")
+    python(["-m", "stablevol.cli", "gen", "lattice-2d-defects", "--seed", "7", "-o", defects])
+    pair = [clouds[2], "--pair-index", "0"]
+    return {
+        "pd-2d": ["pd", clouds[2]],
+        "pd-3d": ["pd", clouds[3]],
+        "stat": ["stat", defects, "--pair-index", "0", "--noise", "0.05", "--trials", "8",
+                 "--threads", "2", "--seed", "3"],
+        "vol-optimal": ["vol", *pair, "--method", "optimal"],
+        "vol-sub": ["vol", *pair, "--method", "sub", "--epsilon", "0.1"],
+        "rsc": ["rsc", *pair],
+        "sweep": ["sweep", *pair, "--epsilon-grid", "0:0.1:0.02"],
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["pd-2d", "pd-3d", "stat", "vol-optimal", "vol-sub", "rsc", "sweep"])
+def test_commands_on_points_never_import_numpy_ma(point_commands, name):
+    # scipy.spatial.Delaunay, np.unique without a return_* option, and
+    # np.isin's sort path each import numpy.ma (numpy 2.4)
+    out = python(["-c", NUMPY_MA_PROBE, *point_commands[name]])
+    assert out.split() == [b"0", b"False"]
 
 
 def test_scipy_without_the_qhull_extension_exits_3(monkeypatch, tmp_path, capsys):
