@@ -25,7 +25,7 @@ import numpy as np
 from . import persistence as pers
 from . import volopt
 from .alpha import alpha_filtration
-from .complexes import OrderWithLevel, vertices_of, z2_boundary
+from .complexes import OrderWithLevel, id_mask, vertices_of, z2_boundary
 from .dualtree import build_dual_graph, compute_tree, optimal_volume_tree
 from .parallel import parallel_map
 from .persistence import PersistencePair
@@ -202,8 +202,7 @@ def reconstructed_shortest_cycle(
     edges = o.cx.ids_of_dim(1)
     present = o.order_array[: k_rank + 1]
     present = present[(present >= edges.start) & (present < edges.stop)]
-    # kind="table" never calls np.unique, which imports numpy.ma
-    cut = np.isin(present, np.fromiter(cocycle, np.int64, len(cocycle)), kind="table")
+    cut = id_mask(o.cx, 1, present, cocycle)
     ends = o.cx.vertex_array(1)[present - edges.start]
     weights = _edge_lengths(points, ends) if euclidean else np.ones(len(present))
     adj = _adjacency(ends[~cut], present[~cut], weights[~cut])

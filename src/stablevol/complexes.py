@@ -299,17 +299,27 @@ def z2_boundary(cx: SimplicialComplex, k: int, cells) -> np.ndarray:
     return np.flatnonzero(count & 1) + facets.start
 
 
-def vertices_of(cx: SimplicialComplex, k: int, ids) -> np.ndarray:
-    """Sorted distinct vertex ids of the k-simplices `ids`.
+# Distinct ids and id membership on command paths go through these two, not
+# through `np.unique` or `np.isin`: with no `return_*` option, numpy 2.4's
+# `np.unique` calls `np.ma.is_masked`, which imports numpy.ma (12-18 ms and
+# 1.28 MiB in a fresh process), and `np.setdiff1d` and `np.isin`'s sort path
+# call it.
 
-    A sort and a neighbour mask, not `np.unique`: with no `return_*` option,
-    numpy 2.4's `np.unique` calls `np.ma.is_masked`, which imports numpy.ma.
-    """
+
+def vertices_of(cx: SimplicialComplex, k: int, ids) -> np.ndarray:
+    """Sorted distinct vertex ids of the k-simplices `ids`, by a bincount
+    over the vertex ids."""
     rows = cx.vertex_array(k)[np.asarray(ids, dtype=np.int64) - cx.ids_of_dim(k).start]
-    v = np.sort(rows, axis=None)
-    keep = np.ones(len(v), dtype=bool)
-    keep[1:] = v[1:] != v[:-1]
-    return v[keep]
+    return np.flatnonzero(np.bincount(rows.ravel()))
+
+
+def id_mask(cx: SimplicialComplex, k: int, ids, members) -> np.ndarray:
+    """For each of the k-simplices `ids`, whether it is among `members`
+    (k-simplex ids too, any iterable), by a bool mask over `ids_of_dim(k)`."""
+    span = cx.ids_of_dim(k)
+    mask = np.zeros(len(span), dtype=bool)
+    mask[np.fromiter(members, np.int64, len(members)) - span.start] = True
+    return mask[np.asarray(ids, dtype=np.int64) - span.start]
 
 
 # ---------------------------------------------------------------------------

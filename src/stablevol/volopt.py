@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import MissingExtensionError, _scipy_extension
-from .complexes import OrderWithLevel, z2_boundary
+from .complexes import OrderWithLevel, id_mask, z2_boundary
 from .persistence import PersistencePair, StarPairError
 
 
@@ -100,10 +100,7 @@ def make_problem(
     cands = window[(window >= cells.start) & (window < cells.stop)]
     cons = window[(window >= facets.start) & (window < facets.stop)]
     if mode == "sub":
-        # kind="table": a lookup table over the ids' range; the sort path
-        # calls np.unique, which imports numpy.ma (see complexes.vertices_of)
-        ov = np.fromiter(ov_cells, np.int64, len(ov_cells))
-        cands = cands[np.isin(cands, ov, kind="table")]
+        cands = cands[id_mask(cx, k + 1, cands, ov_cells)]
     return VolumeProblem(o, pair, mode, cands, cons)
 
 
@@ -403,7 +400,7 @@ def z2_violations(p: VolumeProblem, support: set) -> list:
     ids = np.fromiter(support, np.int64, len(support))
     bnd = z2_boundary(cx, k + 1, ids[(ids >= cells.start) & (ids < cells.stop)])
     cons = np.asarray(p.constraints, dtype=np.int64)
-    bad = cons[np.isin(cons, bnd, kind="table")].tolist()  # no np.unique, as in make_problem
+    bad = cons[id_mask(cx, k, cons, bnd)].tolist()
     if p.mode == "optimal" and p.pair.birth_simplex not in bnd:
         bad.append(p.pair.birth_simplex)
     return bad

@@ -30,6 +30,7 @@ from stablevol.complexes import (
     boundary,
     build_order,
     complex_from_json,
+    id_mask,
     simplex,
     vertices_of,
 )
@@ -135,6 +136,21 @@ def test_vertices_of_matches_np_unique(dim):
             got = vertices_of(cx, k, picks.tolist())
             assert got.dtype == expected.dtype and np.array_equal(got, expected), (k, size)
     assert vertices_of(cx, 1, []).shape == (0,)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_id_mask_matches_np_isin(dim):
+    rng = np.random.default_rng(23 + dim)
+    cx = delaunay(rng.random((60, dim)))
+    for k in range(dim + 1):
+        span = np.arange(cx.ids_of_dim(k).start, cx.ids_of_dim(k).stop)
+        for size in [0, 1, 2, len(span), *rng.integers(1, len(span), 6).tolist()]:
+            ids = rng.choice(span, 2 * size, replace=True)
+            members = rng.choice(span, size, replace=bool(size % 2))
+            expected = np.isin(ids, members)
+            for given in (set(members.tolist()), members.tolist(), members):
+                got = id_mask(cx, k, ids, given)
+                assert got.dtype == bool and np.array_equal(got, expected), (k, size)
 
 
 def test_boundary_cancels_an_id_listed_twice():
