@@ -7,10 +7,9 @@ it lies on the boundary cycle of the matched pair's optimal volume: a
 subtree of the trial's merge tree for a codimension-1 pair, the l1
 program's volume (`optimal_volume_cells`) for any other degree. Reconstructed shortest
 cycles cut the 1-skeleton along a representative cocycle and search the
-shortest loop that re-crosses the cut: by one lockstep breadth-first search
-over all cut edges for hop weights, by one bounded Dijkstra run per cut
-edge for euclidean weights, whose edge lengths come from one array pass
-(`_edge_lengths`).
+shortest loop that re-crosses the cut: one Dijkstra search per cut edge,
+all sharing one heap, with hop or euclidean weights; edge lengths come
+from one array pass (`_edge_lengths`).
 """
 
 from __future__ import annotations
@@ -179,12 +178,9 @@ def reconstructed_shortest_cycle(
     endpoints avoiding C) + (the edge itself); the lightest proposal wins,
     ties going to the least sorted edge tuple. Weights are hop counts
     unless euclidean=True (needs points; an edge length or a loop weight
-    that overflows raises ValueError). Hop-count loops come from one lockstep
-    breadth-first search over all crossing edges (`_lockstep_loop`).
-    Euclidean loops come from one Dijkstra run per crossing edge
-    (`_shortest_path`), each bounded by the best loop so far: it stops
-    once its paths plus the proposing edge are strictly heavier. A fully
-    separating cut is reported via status="disconnected", not raised.
+    that overflows raises ValueError). One Dijkstra heap serves the
+    searches of all crossing edges (`_shortest_path`). A fully separating
+    cut is reported via status="disconnected", not raised.
     """
     if pair.degree != 1:
         raise ValueError("reconstructed shortest cycles apply to degree-1 pairs only")
@@ -206,76 +202,15 @@ def reconstructed_shortest_cycle(
     ends = o.cx.vertex_array(1)[present - edges.start]
     weights = _edge_lengths(points, ends) if euclidean else np.ones(len(present))
     adj = _adjacency(ends[~cut], present[~cut], weights[~cut])
-    crossings = present[cut].tolist()
-    crossing_ends = ends[cut].tolist()
-    if not euclidean:
-        best = _lockstep_loop(adj, crossings, crossing_ends)
-    else:
-        best = None
-        for sid, (u, v), w in zip(crossings, crossing_ends, weights[cut].tolist()):
-            bound = math.inf if best is None else best[0]
-            path = _shortest_path(adj, u, v, offset=w, bound=bound)
-            if path is None:
-                continue
-            dist, path_edges, verts = path
-            loop_edges = path_edges + [sid]
-            key = (dist + w, tuple(sorted(loop_edges)))
-            if best is None or key < best[:2]:
-                best = (*key, loop_edges, verts)
+    wmin = float(weights[~cut].min(initial=math.inf))
+    best = _shortest_path(adj, present[cut].tolist(), ends[cut].tolist(),
+                          weights[cut].tolist(), wmin)
     if best is None:
         return RscResult(None, k_rank, "disconnected")
     total, _, loop_edges, verts = best
     if not math.isfinite(total):
         raise ValueError("coordinate range too large: a loop weight overflows")
     return RscResult(CycleLoop(loop_edges, verts, total), k_rank)
-
-
-def _lockstep_loop(adj, crossings, ends):
-    """The lightest hop-count loop through one crossing edge, as (weight,
-    sorted edge tuple, edges, vertices), or None when no crossing edge's
-    endpoints are joined in `adj`.
-
-    Crossing edge (u, v) starts a breadth-first search at u, and all
-    searches advance one hop per round. A search expands its frontier in
-    ascending vertex id and keeps the first parent it finds for a vertex,
-    which is the parent that Dijkstra with (distance, vertex) heap order
-    keeps; so each loop is `_shortest_path`'s. A search stops when it finds
-    v, or drops out when its frontier empties. The first round in which
-    some search finds its v holds the lightest loops, and the least sorted
-    edge tuple among them wins.
-    """
-    searches = [(sid, u, v, {u: None}, [u]) for sid, (u, v) in zip(crossings, ends)]
-    hops = 0
-    while searches:
-        hops += 1
-        loops, alive = [], []
-        for sid, u, v, parent, frontier in searches:
-            nxt = _expand(adj, parent, frontier, v)
-            if nxt is None:
-                edges, verts = _path(parent, u, v)
-                edges.append(sid)
-                loops.append((hops + 1.0, tuple(sorted(edges)), edges, verts))
-            elif nxt:
-                nxt.sort()
-                alive.append((sid, u, v, parent, nxt))
-        if loops:
-            return min(loops)
-        searches = alive
-    return None
-
-
-def _expand(adj, parent, frontier, dst):
-    """One breadth-first round: the vertices first reached from `frontier`,
-    unsorted, or None once `dst` is reached (its parent then recorded)."""
-    nxt = []
-    for a in frontier:
-        for b, _, sid in adj.get(a, ()):
-            if b not in parent:
-                parent[b] = (a, sid)
-                if b == dst:
-                    return None
-                nxt.append(b)
-    return nxt
 
 
 def _edge_lengths(points, ends: np.ndarray) -> np.ndarray:
@@ -316,37 +251,55 @@ def _adjacency(ends: np.ndarray, sids: np.ndarray, weights: np.ndarray) -> dict:
     return {u: triples[a:b] for u, (a, b) in zip(src[starts].tolist(), bounds)}
 
 
-def _shortest_path(adj, src, dst, offset=0.0, bound=math.inf):
-    """Dijkstra with deterministic tie-breaking by vertex id.
+def _shortest_path(adj, crossings, ends, weights, wmin):
+    """The lightest loop that a crossing edge closes through `adj`, as
+    (weight, sorted edge tuple, edges, vertices), or None when no crossing
+    edge's endpoints are joined in `adj`. `wmin` is a lower bound on the
+    weights in `adj`.
 
-    Returns (distance, edge ids, vertex ids) of the path from src to dst, or
-    None if dst cannot be reached within the bound: the search gives up once
-    a popped distance d has d + offset > bound. Popped distances never
-    decrease, so every later path is as long. The test is strict, so a path
-    whose d + offset equals the bound is still found.
+    Crossing edge s (id `crossings[s]`, endpoints `ends[s]`, weight
+    w_s = `weights[s]`) runs a Dijkstra search between its endpoints, and
+    all searches share one heap of (distance + w_s, s, distance, vertex).
+    Rounding is monotone, so each search pops its vertices in (distance,
+    vertex) order and keeps a vertex's first parent unless a path shorter
+    by more than 1e-15 replaces it, as a search of its own would. `cap`,
+    the lightest loop total that a search has reached, bounds them all: no
+    entry above it is pushed, no vertex whose next hop would pass it is
+    expanded, and popping stops at the first key above it. A tie at the
+    cap still pops, so every loop of the lightest total is found.
     """
-    dist = {src: 0.0}
-    prev = {}
-    heap = [(0.0, src)]
-    seen = set()
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in seen:
+    dists = [{u: 0.0} for u, _ in ends]
+    parents = [{} for _ in ends]
+    heap = [(w, s, 0.0, u) for s, ((u, _), w) in enumerate(zip(ends, weights))]
+    heapq.heapify(heap)
+    cap = math.inf
+    loops = []
+    while heap and heap[0][0] <= cap:
+        total, s, d, a = heapq.heappop(heap)
+        dist = dists[s]
+        if dist[a] != d:
+            continue  # stale: a shorter path replaced it
+        u, v = ends[s]
+        if a == v:
+            edges, verts = _path(parents[s], u, v)
+            edges.append(crossings[s])
+            loops.append((total, tuple(sorted(edges)), edges, verts))
             continue
-        if d + offset > bound:
-            return None
-        seen.add(u)
-        if u == dst:
-            break
-        for v, w, sid in adj.get(u, ()):
+        ws = weights[s]
+        if (d + wmin) + ws > cap:
+            continue
+        parent = parents[s]
+        for b, w, sid in adj.get(a, ()):
             nd = d + w
-            if v not in dist or nd < dist[v] - 1e-15:
-                dist[v] = nd
-                prev[v] = (u, sid)
-                heapq.heappush(heap, (nd, v))
-    if dst not in seen:
-        return None
-    return (dist[dst], *_path(prev, src, dst))
+            if b not in dist or nd < dist[b] - 1e-15:
+                dist[b] = nd
+                parent[b] = (a, sid)
+                key = nd + ws
+                if key <= cap:
+                    if b == v:
+                        cap = key
+                    heapq.heappush(heap, (key, s, nd, b))
+    return min(loops) if loops else None
 
 
 def _path(prev, src, dst):

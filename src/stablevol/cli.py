@@ -519,6 +519,13 @@ def main(argv=None) -> int:
     if getattr(args, "seed", 0) < 0:
         print("error: --seed must be >= 0", file=sys.stderr)
         return EXIT_PARSE
+    if getattr(args, "trials", 1) < 1:
+        print(f"error: --trials must be >= 1, got {args.trials}", file=sys.stderr)
+        return EXIT_PARSE
+    # both select rsc's step, and the output's epsilon would not be the one used
+    if getattr(args, "k_index", None) is not None and args.bandwidth is not None:
+        print("error: --k-index and --bandwidth cannot be combined", file=sys.stderr)
+        return EXIT_PARSE
     # rounding at a threshold of 1 or more would drop every +-1 coefficient
     for opt, ok, rule in (
         ("epsilon", lambda x: x >= 0, ">= 0"),

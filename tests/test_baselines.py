@@ -239,9 +239,9 @@ def test_unmatched_trials_reported_with_warning():
 
 
 # ---------------------------------------------------------------------------
-# loop search: lockstep breadth-first search (hop weights), bounded
-# Dijkstra (euclidean weights), both against one unbounded Dijkstra run per
-# crossing edge
+# loop search: one Dijkstra heap shared by the searches of all crossing
+# edges, with hop or euclidean weights, against one unbounded Dijkstra run
+# per crossing edge
 
 
 def rsc_steps(o, most=12):
@@ -308,20 +308,16 @@ def rsc_inputs(name):
     return alpha_filtration(pts), pts
 
 
-def spy_on_dijkstra(monkeypatch):
-    """Records the target of every `_shortest_path` call, and in `pruned`
-    those that the bound gave up on though the target is reachable."""
-    searched, pruned = [], []
+def spy_on_search(monkeypatch):
+    """Records the crossing edge ids of every `_shortest_path` call."""
+    searched = []
 
-    def spy(adj, src, dst, offset=0.0, bound=math.inf):
-        searched.append(dst)
-        path = SEARCH(adj, src, dst, offset=offset, bound=bound)
-        if path is None and SEARCH(adj, src, dst) is not None:
-            pruned.append(dst)
-        return path
+    def spy(adj, crossings, ends, weights, wmin):
+        searched.append(crossings)
+        return SEARCH(adj, crossings, ends, weights, wmin)
 
     monkeypatch.setattr(baselines, "_shortest_path", spy)
-    return searched, pruned
+    return searched
 
 
 @pytest.mark.parametrize(
@@ -342,20 +338,16 @@ def test_bounded_search_gives_the_unbounded_loop(monkeypatch, name, euclidean):
     o, pts = rsc_inputs(name)
     steps = list(rsc_steps(o))
     assert steps
-    searched, pruned = spy_on_dijkstra(monkeypatch)
+    searched = spy_on_search(monkeypatch)
     kw = {"euclidean": euclidean, "points": pts}
     got = [reconstructed_shortest_cycle(o, p, k_rank=k, cocycle=c, **kw) for p, k, c in steps]
-    if euclidean:
-        # the bound cut some Dijkstra runs short
-        assert pruned
-    else:
-        # hop weights take the lockstep search, which runs no Dijkstra
-        assert not searched
+    # one search over all crossing edges per loop, whatever the weights
+    assert len(searched) == len(steps) and all(searched)
     for (p, k, c), res in zip(steps, got):
         assert res == per_edge_search(o, k, c, pts if euclidean else None)
 
 
-def test_bounded_search_keeps_tied_loops(monkeypatch):
+def test_bounded_search_keeps_tied_loops():
     """On the annulus, hop-count loops tie, and at some steps the winning
     loop (least sorted edge tuple among the lightest) is proposed after
     another loop of the same weight: a search that stopped at the first
@@ -369,10 +361,8 @@ def test_bounded_search_keeps_tied_loops(monkeypatch):
         if first_tied != best:
             late.append((p, k, c))
     assert late
-    searched, _ = spy_on_dijkstra(monkeypatch)
     for p, k, c in late:
         assert reconstructed_shortest_cycle(o, p, k_rank=k, cocycle=c) == per_edge_search(o, k, c)
-    assert not searched
 
 
 def test_lockstep_search_on_a_3d_torus():
@@ -400,6 +390,8 @@ def test_lockstep_search_on_random_2d_clouds(n, seed, decimals):
         assume(False)
     for p, k, c in rsc_steps(o, most=4):
         assert reconstructed_shortest_cycle(o, p, k_rank=k, cocycle=c) == per_edge_search(o, k, c)
+        got = reconstructed_shortest_cycle(o, p, k_rank=k, cocycle=c, euclidean=True, points=pts)
+        assert got == per_edge_search(o, k, c, pts)
 
 
 @pytest.mark.parametrize("cut", ["separating", "isolated-vertex"])
@@ -423,12 +415,52 @@ def test_lockstep_search_with_a_disconnecting_cocycle(cut):
     assert res.status == ("disconnected" if cut == "separating" else "ok")
 
 
+def adjacency_of(edges):
+    """`_adjacency`'s map from (u, v, weight, edge id) rows."""
+    adj = {}
+    for u, v, w, sid in edges:
+        adj.setdefault(u, []).append((v, w, sid))
+        adj.setdefault(v, []).append((u, w, sid))
+    return {u: sorted(lst) for u, lst in adj.items()}
+
+
+def oracle_loop(adj, crossings, ends, weights):
+    """The lightest of the loops that one `shortest_path_oracle` run per
+    crossing edge gives, as `_shortest_path` returns it."""
+    loops = []
+    for sid, (u, v), w in zip(crossings, ends, weights):
+        path = shortest_path_oracle(adj, u, v)
+        if path is not None:
+            edges = path[1] + [sid]
+            loops.append((path[0] + w, tuple(sorted(edges)), edges, path[2]))
+    return min(loops, default=None)
+
+
 def test_shortest_path_bound_is_strict():
-    # path 0-1-2 of two unit hops, plus an offset of 1: total 3
-    adj = {0: [(1, 1.0, 10)], 1: [(0, 1.0, 10), (2, 1.0, 11)], 2: [(1, 1.0, 11)]}
-    assert baselines._shortest_path(adj, 0, 2) == (2.0, [10, 11], [0, 1, 2])
-    assert baselines._shortest_path(adj, 0, 2, offset=1.0, bound=3.0) == (2.0, [10, 11], [0, 1, 2])
-    assert baselines._shortest_path(adj, 0, 2, offset=1.0, bound=2.5) is None
+    """Paths 0-1-2 and 3-4-5 of two unit hops each, closed by crossing
+    edges 20 and 5 of weight 1: both loops weigh 3. Search 0 reaches its
+    loop first and sets the cap to 3; the loop of search 1, which ties at
+    the cap, is still found, and its lesser edge tuple wins."""
+    adj = adjacency_of([(0, 1, 1.0, 10), (1, 2, 1.0, 11), (3, 4, 1.0, 12), (4, 5, 1.0, 13)])
+    args = (adj, [20, 5], [(0, 2), (3, 5)], [1.0, 1.0])
+    assert SEARCH(*args, 1.0) == (3.0, (5, 12, 13), [12, 13, 5], [3, 4, 5])
+    assert SEARCH(*args, 1.0) == oracle_loop(*args)
+    # a crossing edge whose endpoints adj does not join closes no loop
+    assert SEARCH(adj, [30], [(0, 5)], [1.0], 1.0) is None
+    assert SEARCH(adj, [], [], [], 1.0) is None
+
+
+def test_search_order_when_a_crossing_weight_absorbs_the_path_lengths():
+    """A crossing weight of 2**60 rounds every key d + 2**60 with d < 128
+    to 2**60, so the heap order falls to (search, distance, vertex). From 9
+    to 1, the path 9-8-1 is shorter than 9-2-3-4-1, whose vertices and
+    edges have the lesser ids: popping by vertex before distance would
+    reach 1 over the longer path first, and its loop, of the same rounded
+    weight and a lesser edge tuple, would win."""
+    adj = adjacency_of([(9, 8, 1.0, 11), (8, 1, 1.0, 12), (9, 2, 1.0, 1), (2, 3, 1.0, 2),
+                        (3, 4, 1.0, 3), (4, 1, 1.0, 4)])
+    args = (adj, [100], [(9, 1)], [2.0**60])
+    assert SEARCH(*args, 1.0) == oracle_loop(*args) == (2.0**60, (11, 12, 100), [11, 12, 100], [9, 8, 1])
 
 
 def match_pair_oracle(pairs, target, radius):

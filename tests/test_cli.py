@@ -952,13 +952,18 @@ def test_rsc_two_bandwidths(tmp_path, capsys):
          "--threshold"),
         (["rsc", "--bandwidth", "nan"], "--bandwidth"),
         (["rsc", "--bandwidth=-inf"], "--bandwidth"),
+        (["rsc", "--k-index", "3", "--bandwidth", "0.3"], "--k-index and --bandwidth"),
+        (["stat", "--noise", "0.05", "--seed", "1", "--trials", "0"], "--trials"),
+        (["stat", "--noise", "0.05", "--seed", "1", "--trials", "-3"], "--trials"),
     ],
     ids=["noise-nan", "noise-inf", "noise-1e308", "noise-0", "noise-neg", "epsilon-nan",
-         "epsilon-inf", "threshold-nan", "bandwidth-nan", "bandwidth-neg-inf"],
+         "epsilon-inf", "threshold-nan", "bandwidth-nan", "bandwidth-neg-inf",
+         "k-index-with-bandwidth", "trials-0", "trials-neg"],
 )
 def test_non_finite_option_exit_2(fig1_file, tmp_path, capsys, argv, option, missing_input):
-    # a non-finite value, or a --noise that is not positive: the option is
-    # checked before the input is read
+    # a non-finite value, a --noise that is not positive, a --trials below 1
+    # or both of rsc's step selectors: the options are checked before the
+    # input is read
     path = str(tmp_path / "missing.txt") if missing_input else fig1_file
     code, out, err = run([argv[0], path, "--pair-index", "1", *argv[1:]], capsys)
     assert code == 2 and out == ""
