@@ -268,37 +268,31 @@ def _shortest_path(adj, crossings, ends, weights, wmin):
     expanded, and popping stops at the first key above it. A tie at the
     cap still pops, so every loop of the lightest total is found.
     """
-    dists = [{u: 0.0} for u, _ in ends]
-    parents = [{} for _ in ends]
-    heap = [(w, s, 0.0, u) for s, ((u, _), w) in enumerate(zip(ends, weights))]
+    searches = [(u, v, w, {u: 0.0}, {}) for (u, v), w in zip(ends, weights)]
+    heap = [(w, s, 0.0, u) for s, (u, _, w, _, _) in enumerate(searches)]
     heapq.heapify(heap)
     cap = math.inf
     loops = []
     while heap and heap[0][0] <= cap:
         total, s, d, a = heapq.heappop(heap)
-        dist = dists[s]
+        u, v, ws, dist, parent = searches[s]
         if dist[a] != d:
             continue  # stale: a shorter path replaced it
-        u, v = ends[s]
         if a == v:
-            edges, verts = _path(parents[s], u, v)
+            edges, verts = _path(parent, u, v)
             edges.append(crossings[s])
             loops.append((total, tuple(sorted(edges)), edges, verts))
-            continue
-        ws = weights[s]
-        if (d + wmin) + ws > cap:
-            continue
-        parent = parents[s]
-        for b, w, sid in adj.get(a, ()):
-            nd = d + w
-            if b not in dist or nd < dist[b] - 1e-15:
-                dist[b] = nd
-                parent[b] = (a, sid)
-                key = nd + ws
-                if key <= cap:
-                    if b == v:
-                        cap = key
-                    heapq.heappush(heap, (key, s, nd, b))
+        elif (d + wmin) + ws <= cap:
+            for b, w, sid in adj.get(a, ()):
+                nd = d + w
+                if b not in dist or nd < dist[b] - 1e-15:
+                    dist[b] = nd
+                    parent[b] = (a, sid)
+                    key = nd + ws
+                    if key <= cap:
+                        if b == v:
+                            cap = key
+                        heapq.heappush(heap, (key, s, nd, b))
     return min(loops) if loops else None
 
 
