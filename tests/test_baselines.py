@@ -258,37 +258,52 @@ def rsc_steps(o, most=12):
 SEARCH = baselines._shortest_path
 
 
+def adjacency_of(edges):
+    """`_adjacency`'s map, vertex -> sorted [(neighbour, weight, edge id)],
+    from (u, v, weight, edge id) rows."""
+    adj = {}
+    for u, v, w, sid in edges:
+        adj.setdefault(u, []).append((v, w, sid))
+        adj.setdefault(v, []).append((u, w, sid))
+    return {u: sorted(lst) for u, lst in adj.items()}
+
+
+def oracle_loops(adj, crossings, ends, weights):
+    """(weight, sorted edge tuple, edges, vertices) of each crossing edge's
+    loop, in crossing order, from one unbounded `shortest_path_oracle` run
+    each (None where the endpoints are not joined)."""
+    out = []
+    for sid, (u, v), w in zip(crossings, ends, weights):
+        path = shortest_path_oracle(adj, u, v)
+        if path is None:
+            out.append(None)
+        else:
+            edges = path[1] + [sid]
+            out.append((path[0] + w, tuple(sorted(edges)), edges, path[2]))
+    return out
+
+
+def oracle_loop(adj, crossings, ends, weights):
+    """The lightest of `oracle_loops`, as `_shortest_path` returns it."""
+    return min((q for q in oracle_loops(adj, crossings, ends, weights) if q is not None),
+               default=None)
+
+
 def crossing_searches(o, k, cocycle, points=None):
-    """(weight, sorted edge tuple, edges, vertices) of every crossing edge's
-    loop at step k, in crossing order, from one unbounded
-    `shortest_path_oracle` run each (None where the endpoints are not
-    joined). Weights are hop counts, or `edge_length_oracle` lengths given
-    `points`."""
+    """`oracle_loops` of the crossing edges at step k. Weights are hop
+    counts, or `edge_length_oracle` lengths given `points`."""
     cx = o.cx
     present = [sid for sid in o.order_array[: k + 1].tolist() if cx.dim_of(sid) == 1]
 
-    def weight(u, v):
+    def weight(sid):
+        u, v = cx.simplices[sid]
         return 1.0 if points is None else edge_length_oracle(points[u], points[v])
 
-    adj = {}
-    for sid in present:
-        if sid not in cocycle:
-            u, v = cx.simplices[sid]
-            adj.setdefault(u, []).append((v, weight(u, v), sid))
-            adj.setdefault(v, []).append((u, weight(u, v), sid))
-    for lst in adj.values():
-        lst.sort()
-    out = []
-    for sid in present:
-        if sid in cocycle:
-            u, v = cx.simplices[sid]
-            path = shortest_path_oracle(adj, u, v)
-            if path is None:
-                out.append(None)
-            else:
-                edges = path[1] + [sid]
-                out.append((path[0] + weight(u, v), tuple(sorted(edges)), edges, path[2]))
-    return out
+    crossings = [sid for sid in present if sid in cocycle]
+    adj = adjacency_of([(*cx.simplices[sid], weight(sid), sid)
+                        for sid in present if sid not in cocycle])
+    return oracle_loops(adj, crossings, [cx.simplices[sid] for sid in crossings],
+                        [weight(sid) for sid in crossings])
 
 
 def per_edge_search(o, k, cocycle, points=None):
@@ -413,27 +428,6 @@ def test_lockstep_search_with_a_disconnecting_cocycle(cut):
     res = reconstructed_shortest_cycle(o, p, k_rank=k, cocycle=fake)
     assert res == per_edge_search(o, k, fake)
     assert res.status == ("disconnected" if cut == "separating" else "ok")
-
-
-def adjacency_of(edges):
-    """`_adjacency`'s map from (u, v, weight, edge id) rows."""
-    adj = {}
-    for u, v, w, sid in edges:
-        adj.setdefault(u, []).append((v, w, sid))
-        adj.setdefault(v, []).append((u, w, sid))
-    return {u: sorted(lst) for u, lst in adj.items()}
-
-
-def oracle_loop(adj, crossings, ends, weights):
-    """The lightest of the loops that one `shortest_path_oracle` run per
-    crossing edge gives, as `_shortest_path` returns it."""
-    loops = []
-    for sid, (u, v), w in zip(crossings, ends, weights):
-        path = shortest_path_oracle(adj, u, v)
-        if path is not None:
-            edges = path[1] + [sid]
-            loops.append((path[0] + w, tuple(sorted(edges)), edges, path[2]))
-    return min(loops, default=None)
 
 
 def test_shortest_path_bound_is_strict():
