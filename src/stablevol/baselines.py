@@ -26,13 +26,16 @@ from . import volopt
 from .alpha import alpha_filtration
 from .complexes import OrderWithLevel, id_mask, vertices_of, z2_boundary
 from .dualtree import build_dual_graph, compute_tree, optimal_volume_tree
+from .fixtures import Pcg64Stream
 from .parallel import parallel_map
 from .persistence import PersistencePair
 
 
 @dataclass
 class NoiseModel:
-    """Uniform box noise; identical seed means identical perturbation stream.
+    """Uniform box noise: trial t adds the draws that
+    `numpy.random.default_rng([seed, t]).uniform(-half_width, half_width)`
+    makes, computed by `fixtures.Pcg64Stream`.
 
     The half width must be positive, and the box width 2 * half_width finite.
     """
@@ -47,8 +50,8 @@ class NoiseModel:
             raise ValueError(f"noise half width must be positive, got {self.half_width}")
 
     def perturb(self, points: np.ndarray, trial: int) -> np.ndarray:
-        rng = np.random.default_rng([self.seed, trial])
-        return points + rng.uniform(-self.half_width, self.half_width, points.shape)
+        noise = Pcg64Stream([self.seed, trial])
+        return points + noise.uniform(-self.half_width, self.half_width, points.shape)
 
 
 @dataclass
@@ -261,8 +264,8 @@ def _shortest_path(adj, crossings, ends, weights, wmin):
     w_s = `weights[s]`) runs a Dijkstra search between its endpoints, and
     all searches share one heap of (distance + w_s, s, distance, vertex).
     Rounding is monotone, so each search pops its vertices in (distance,
-    vertex) order and keeps a vertex's first parent unless a path shorter
-    by more than 1e-15 replaces it, as a search of its own would. `cap`,
+    vertex) order and keeps a vertex's first parent unless a strictly
+    shorter path replaces it, as a search of its own would. `cap`,
     the lightest loop total that a search has reached, bounds them all: no
     entry above it is pushed, no vertex whose next hop would pass it is
     expanded, and popping stops at the first key above it. A tie at the
@@ -285,7 +288,7 @@ def _shortest_path(adj, crossings, ends, weights, wmin):
         elif (d + wmin) + ws <= cap:
             for b, w, sid in adj.get(a, ()):
                 nd = d + w
-                if b not in dist or nd < dist[b] - 1e-15:
+                if b not in dist or nd < dist[b]:
                     dist[b] = nd
                     parent[b] = (a, sid)
                     key = nd + ws

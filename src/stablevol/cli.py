@@ -274,6 +274,34 @@ def _pd_json(diagrams, squared):
     yield f'{listed},\n  "squared": {"true" if squared else "false"}\n}}\n'
 
 
+# One stat frequency as json.dumps(indent=2, sort_keys=True) lays it out,
+# at the depth of a row inside {"frequencies": [...]}.
+_STAT_ROW = '    {\n      "f": %s,\n      "point": %d\n    }'
+
+
+def _stat_json(fm):
+    """stat's document for the FrequencyMap `fm`, as text chunks that join
+    to what json.dumps(indent=2, sort_keys=True, allow_nan=False) writes of
+    {"trials", "matched", "status", "frequencies": [{"point", "f"}]}. A
+    non-finite frequency raises ValueError before any chunk; the chunks are
+    formatted as they are iterated."""
+    freqs = fm.frequencies
+    if not np.isfinite(freqs).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+
+    def chunks():
+        yield '{\n  "frequencies": ['
+        for start in range(0, len(freqs), _CHUNK):
+            rows = zip(map(float.__repr__, freqs[start : start + _CHUNK].tolist()),
+                       range(start, len(freqs)))
+            yield (",\n" if start else "\n") + ",\n".join(map(_STAT_ROW.__mod__, rows))
+        yield "\n  ]" if len(freqs) else "]"
+        yield (f',\n  "matched": {fm.matched},\n  "status": {json.dumps(fm.status)},\n'
+               f'  "trials": {fm.trials}\n}}\n')
+
+    return chunks()
+
+
 def _pd_scatter_tsv(listed):
     """pd's --scatter table, as text chunks, from (degree, births, deaths)
     arrays of the levels that the JSON lists."""
@@ -442,15 +470,7 @@ def cmd_stat(args) -> int:
         raise ValueError("stat needs a pointcloud input")
     pair = _select_pair(pers.pairs(order, [args.degree]), args)
     fm = statistical_frequencies(points, pair, noise, args.trials)
-    obj = {
-        "trials": fm.trials,
-        "matched": fm.matched,
-        "status": fm.status,
-        "frequencies": [
-            {"point": i, "f": float(f)} for i, f in enumerate(fm.frequencies)
-        ],
-    }
-    _dump_json(obj, args.output)
+    _emit(_stat_json(fm), args.output)
     return 0
 
 

@@ -197,9 +197,9 @@ def edge_length_oracle(p, q):
 def shortest_path_oracle(adj, src, dst):
     """Unbounded Dijkstra over `adj` (vertex -> [(neighbour, weight, edge
     id)]), settling vertices in (distance, vertex) order by a scan of the
-    reached ones; a vertex takes a new parent only over a path shorter by
-    more than 1e-15. (distance, edge ids, vertex ids) of the path from src
-    to dst, or None when dst is not reached."""
+    reached ones; a vertex takes a new parent only over a strictly shorter
+    path. (distance, edge ids, vertex ids) of the path from src to dst, or
+    None when dst is not reached."""
     dist, prev, settled = {src: 0.0}, {}, set()
     while True:
         open_ = [(d, v) for v, d in dist.items() if v not in settled]
@@ -210,7 +210,7 @@ def shortest_path_oracle(adj, src, dst):
             break
         settled.add(u)
         for v, w, sid in adj.get(u, ()):
-            if v not in dist or d + w < dist[v] - 1e-15:
+            if v not in dist or d + w < dist[v]:
                 dist[v] = d + w
                 prev[v] = (u, sid)
     edges, verts, v = [], [dst], dst

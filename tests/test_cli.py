@@ -1322,6 +1322,39 @@ def test_pd_writer_refuses_non_finite_values():
     ]}
 
 
+def stat_json_oracle(fm):
+    """stat's document as json.dumps writes it, from a FrequencyMap."""
+    obj = {"trials": fm.trials, "matched": fm.matched, "status": fm.status,
+           "frequencies": [{"point": i, "f": float(f)} for i, f in enumerate(fm.frequencies)]}
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("n, trials, matched, status", [
+    (600, 7, 7, "ok"),  # three chunks of rows, frequencies such as 3/7
+    (5, 6, 0, "warning: 6 of 6 trials unmatched"),  # all-zero frequencies
+    (0, 2, 2, "ok"),
+    (1, 1, 1, 'a "quoted" status, \u00e9'),
+])
+def test_stat_writer_equals_json_dumps_oracle(n, trials, matched, status):
+    from stablevol.baselines import FrequencyMap
+    from stablevol.cli import _stat_json
+
+    counts = np.random.default_rng(n).integers(0, matched + 1, n)
+    fm = FrequencyMap(trials, matched, counts, status)
+    assert "".join(_stat_json(fm)) == stat_json_oracle(fm)
+    if matched == 0:
+        assert not fm.frequencies.any()
+
+
+def test_stat_writer_refuses_non_finite_frequencies():
+    from stablevol.baselines import FrequencyMap
+    from stablevol.cli import _stat_json
+
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            _stat_json(FrequencyMap(2, 2, np.array([1.0, bad])))
+
+
 class RecordingStdout:
     """A stdout that keeps every string written to it, one entry a write."""
 

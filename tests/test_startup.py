@@ -10,7 +10,7 @@ does not depend on the BLAS thread count. The SciPy extension modules that
 the commands, and the KD-tree here) are the ones scipy's own packages use,
 whichever is imported first, and stablevol's Qhull call, made through the
 module's `_Qhull` core, gives what `scipy.spatial.Delaunay` gives. A
-command on points never imports numpy.ma.
+command on points never imports numpy.ma, numpy.random or hashlib.
 """
 
 import importlib.machinery
@@ -257,20 +257,20 @@ def test_qhull_and_kd_tree_are_shared_with_scipy_in_either_import_order():
 
 
 # runs main(argv) in a fresh interpreter, stdout discarded, and prints its
-# exit code and whether numpy.ma was imported
+# exit code and whether numpy.ma, numpy.random and hashlib were imported
 NUMPY_MA_PROBE = """
 import contextlib, io, sys
 from stablevol.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, "numpy.ma" in sys.modules)
+print(code, *(m in sys.modules for m in ("numpy.ma", "numpy.random", "hashlib")))
 """
 
 
 @pytest.fixture(scope="module")
 def point_commands(tmp_path_factory):
     """argv per command on points: a seeded 2D and 3D cloud, and the
-    defects lattice."""
+    defects lattice, which `gen` also writes."""
     tmp = tmp_path_factory.mktemp("numpy-ma")
     clouds = {}
     for dim, n in ((2, 400), (3, 300)):
@@ -288,16 +288,18 @@ def point_commands(tmp_path_factory):
         "vol-sub": ["vol", *pair, "--method", "sub", "--epsilon", "0.1"],
         "rsc": ["rsc", *pair],
         "sweep": ["sweep", *pair, "--epsilon-grid", "0:0.1:0.02"],
+        "gen-defects": ["gen", "lattice-2d-defects", "--seed", "7"],
     }
 
 
 @pytest.mark.parametrize(
-    "name", ["pd-2d", "pd-3d", "stat", "vol-optimal", "vol-sub", "rsc", "sweep"])
+    "name", ["pd-2d", "pd-3d", "stat", "vol-optimal", "vol-sub", "rsc", "sweep", "gen-defects"])
 def test_commands_on_points_never_import_numpy_ma(point_commands, name):
     # scipy.spatial.Delaunay, np.unique without a return_* option, and
-    # np.isin's sort path each import numpy.ma (numpy 2.4)
+    # np.isin's sort path each import numpy.ma (numpy 2.4); numpy.random
+    # imports hashlib (OpenSSL), which stat's and gen's noise stream needs not
     out = python(["-c", NUMPY_MA_PROBE, *point_commands[name]])
-    assert out.split() == [b"0", b"False"]
+    assert out.split() == [b"0", b"False", b"False", b"False"]
 
 
 def test_scipy_without_the_qhull_extension_exits_3(monkeypatch, tmp_path, capsys):
