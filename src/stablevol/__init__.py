@@ -9,6 +9,11 @@ is the submodule; its triangulation function is `stablevol.delaunay.delaunay`.
 The SciPy extension modules that the commands run (Qhull and HiGHS) are
 loaded one by one from their files by `_scipy_extension`, which lives here
 so that every submodule reaches it without a module of its own.
+
+`_lazy_submodules` registers submodules that a caller may not need:
+`cli` and `baselines` name theirs that way, so each command compiles and
+runs only the modules it uses, on the first use of one of their names,
+while every module stays in `sys.modules` for code that looks it up there.
 """
 
 import importlib
@@ -51,6 +56,27 @@ def _scipy_extension(name):
         sys.modules[name] = module
         spec.loader.exec_module(module)
     return module
+
+
+def _lazy_submodules(*names):
+    """Registers each submodule `name` not yet imported, under its full name
+    in `sys.modules` and as an attribute of this package, without running
+    it: `importlib.util.LazyLoader` compiles and runs the module on the
+    first access to one of its attributes. A later `from . import name`
+    binds the registered module and runs nothing. On Python 3.11 that first
+    access takes no import lock; stablevol starts no thread, so no two
+    threads run a module at once.
+    """
+    for name in names:
+        full = f"{__name__}.{name}"
+        if full not in sys.modules:
+            spec = importlib.util.find_spec(full)
+            spec.loader = importlib.util.LazyLoader(spec.loader)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[full] = module
+            globals()[name] = module
+            spec.loader.exec_module(module)
+
 
 _EXPORTS = {
     "alpha": ("alpha_filtration", "alpha_levels", "parse_pointcloud"),

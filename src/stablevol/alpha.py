@@ -63,7 +63,6 @@ that hands `_is_gabriel` every point as a candidate.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -154,6 +153,8 @@ def _circum_exact(verts_pts):
     center is v0 + sum(lam_i a_i), a_i = v_i - v0, where lam solves the
     Gram system 2 A A^T lam = (|a_i|^2), made integral by scaling A by a
     common denominator, by Cramer's rule over `_fraction_det`."""
+    from fractions import Fraction  # only in the exact stages, as in predicates
+
     v0 = [Fraction(x) for x in verts_pts[0]]
     A = [[Fraction(x) - b for x, b in zip(v, v0)] for v in verts_pts[1:]]
     scale = math.lcm(*(x.denominator for a in A for x in a))
@@ -334,6 +335,8 @@ def _is_gabriel(cx, pts, sid, center, r2, candidates) -> bool:
         return False
     if not border.any():
         return True
+    from fractions import Fraction
+
     ec, er2 = _circum_exact([pts[v] for v in verts])
     for i in idx[border]:
         dd = sum((Fraction(x) - c) ** 2 for x, c in zip(pts[i], ec))

@@ -21,14 +21,15 @@ from typing import Optional
 
 import numpy as np
 
+from . import _lazy_submodules
 from . import persistence as pers
-from . import volopt
-from .alpha import alpha_filtration
 from .complexes import OrderWithLevel, id_mask, vertices_of, z2_boundary
-from .dualtree import build_dual_graph, compute_tree, optimal_volume_tree
-from .fixtures import Pcg64Stream
-from .parallel import parallel_map
 from .persistence import PersistencePair
+
+# registered before they are bound: `rsc` runs none of them, and each
+# compiles and runs on the first use of one of its names
+_lazy_submodules("alpha", "dualtree", "fixtures", "parallel", "volopt")
+from . import alpha, dualtree, fixtures, parallel, volopt  # noqa: E402
 
 
 @dataclass
@@ -50,7 +51,7 @@ class NoiseModel:
             raise ValueError(f"noise half width must be positive, got {self.half_width}")
 
     def perturb(self, points: np.ndarray, trial: int) -> np.ndarray:
-        noise = Pcg64Stream([self.seed, trial])
+        noise = fixtures.Pcg64Stream([self.seed, trial])
         return points + noise.uniform(-self.half_width, self.half_width, points.shape)
 
 
@@ -119,13 +120,13 @@ def statistical_frequencies(
     radius = max(2.0 * noise.half_width, 1e-6)
 
     def one_trial(t: int):
-        o = alpha_filtration(noise.perturb(points, t))
+        o = alpha.alpha_filtration(noise.perturb(points, t))
         if target.degree == o.cx.dim - 1:
-            tree = compute_tree(build_dual_graph(o), o)
+            tree = dualtree.compute_tree(dualtree.build_dual_graph(o), o)
             hit = _match_pair(tree.pairs_table(), target, radius)
             if hit is None:
                 return None
-            cells = optimal_volume_tree(tree, hit)
+            cells = dualtree.optimal_volume_tree(tree, hit)
         else:
             hit = _match_pair(pers.pairs(o, [target.degree]), target, radius)
             if hit is None:
@@ -133,7 +134,7 @@ def statistical_frequencies(
             cells = optimal_volume_cells(o, hit)
         return vertices_of(o.cx, hit.degree, z2_boundary(o.cx, hit.degree + 1, cells))
 
-    results = parallel_map(one_trial, range(trials))
+    results = parallel.parallel_map(one_trial, range(trials))
     counts = np.zeros(len(points), dtype=int)
     matched = 0
     for verts in results:

@@ -14,6 +14,12 @@ thread pools that numpy's and scipy's OpenBLAS would otherwise start at
 load time cost more start-up than they save. The default is set here,
 before numpy loads, so that importing the library alone leaves the
 environment as it is.
+
+Importing the CLI runs only `complexes`, `persistence` and `kernels`. The
+other modules are registered lazily (`stablevol._lazy_submodules`) and each
+compiles and runs on the first use of one of its names: `vol` on a complex
+JSON runs `volopt` alone of them, `rsc` on a complex JSON `baselines`, and
+`pd` on points `alpha`, `delaunay`, `predicates` and `dualtree`.
 """
 
 from __future__ import annotations
@@ -30,23 +36,22 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import MissingExtensionError, volopt
+from . import MissingExtensionError, _lazy_submodules
 from . import persistence as pers
-from .alpha import alpha_filtration, format_pointcloud, parse_pointcloud
-from .baselines import NoiseModel, reconstructed_shortest_cycle, statistical_frequencies
 from .complexes import complex_from_json, vertices_of, z2_boundary
-from .delaunay import DegenerateInputError
-from .dualtree import (
-    ConditionError,
-    build_dual_graph,
-    check_tree_degree,
-    compute_tree,
-    optimal_volume_tree,
-    stable_volume_tree,
-    sweep_sizes,
-)
-from .fixtures import GENERATORS, generate
 from .persistence import StarPairError
+
+# Registered before they are bound, so that each compiles and runs on the
+# first use of one of its names and a command runs only the modules it uses.
+# `parallel` and `predicates` are registered for code that looks the
+# package's modules up in sys.modules once the CLI is imported.
+_lazy_submodules("alpha", "baselines", "delaunay", "dualtree", "fixtures", "parallel",
+                 "predicates", "volopt")
+from . import alpha, baselines, delaunay, dualtree, fixtures, volopt  # noqa: E402
+
+# the names of `fixtures.GENERATORS`, sorted; a literal, so that building
+# the parser does not run `fixtures`
+_FIXTURES = ("annulus", "fig1-five-points", "hexagon", "lattice-2d-defects", "lattice-3x3x3")
 
 EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
@@ -115,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="weigh edges by length instead of hop count")
 
     p = sub.add_parser("gen", help="write a named pointcloud fixture")
-    p.add_argument("fixture", choices=sorted(GENERATORS))
+    p.add_argument("fixture", choices=_FIXTURES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None)
     return ap
@@ -139,8 +144,8 @@ def _load_input(path):
         raise ValueError(f"{path} is empty")
     if stripped[0] in '{["':
         return complex_from_json(text), None
-    points = parse_pointcloud(text)
-    return alpha_filtration(points), points
+    points = alpha.parse_pointcloud(text)
+    return alpha.alpha_filtration(points), points
 
 
 # half width of the window that a single value X of --birth or --death gives
@@ -373,12 +378,12 @@ def _tree_for(order, pairs, pair):
     not of codimension 1 raises `DegreeError`, and a complex that fails the
     dual-graph condition `ConditionError` (the one `pairs` met, if it tried),
     before any tree is built."""
-    check_tree_degree(order.cx.dim, pair)
+    dualtree.check_tree_degree(order.cx.dim, pair)
     if pairs.tree is not None:
         return pairs.tree
     if pairs.tree_error is not None:
         raise pairs.tree_error
-    return compute_tree(build_dual_graph(order), order)
+    return dualtree.compute_tree(dualtree.build_dual_graph(order), order)
 
 
 def cmd_vol(args) -> int:
@@ -391,11 +396,11 @@ def cmd_vol(args) -> int:
     if args.method in ("optimal", "sub") and pair.degree == order.cx.dim - 1:
         try:
             tree = _tree_for(order, pairs, pair)
-        except ConditionError:  # no merge tree: the l1 program solves the pair
+        except dualtree.ConditionError:  # no merge tree: the l1 program solves the pair
             pass
     if args.method == "optimal":
         if tree is not None:
-            cells = optimal_volume_tree(tree, pair)
+            cells = dualtree.optimal_volume_tree(tree, pair)
             obj = _volume_json(order, points, pair, cells, "tree-optimal", None)
         else:
             sol = volopt.solve_volume(order, pair, "optimal", threshold=args.threshold)
@@ -403,7 +408,7 @@ def cmd_vol(args) -> int:
             obj = _volume_json(order, points, pair, sol.cells, "lp-optimal", None,
                                {"objective": sol.objective, "status": "optimal"})
     elif args.method == "stable-tree":
-        cells = stable_volume_tree(_tree_for(order, pairs, pair), pair, eps)
+        cells = dualtree.stable_volume_tree(_tree_for(order, pairs, pair), pair, eps)
         obj = _volume_json(order, points, pair, cells, "tree-stable", eps)
     elif args.method == "stable-lp":
         sol = volopt.solve_volume(order, pair, "stable", eps, threshold=args.threshold)
@@ -411,7 +416,7 @@ def cmd_vol(args) -> int:
                            {"objective": sol.objective, "status": "optimal"})
     else:  # sub
         if tree is not None:
-            ov = optimal_volume_tree(tree, pair)
+            ov = dualtree.optimal_volume_tree(tree, pair)
         else:
             ov = volopt.solve_volume(order, pair, "optimal", threshold=args.threshold).cells
         sol = volopt.solve_volume(order, pair, "sub", eps, ov_cells=ov,
@@ -453,7 +458,7 @@ def cmd_sweep(args) -> int:
     order, _ = _load_input(args.input)
     pairs = pers.pairs(order, [args.degree])
     pair = _select_pair(pairs, args)
-    sizes = sweep_sizes(_tree_for(order, pairs, pair), pair, grid)
+    sizes = dualtree.sweep_sizes(_tree_for(order, pairs, pair), pair, grid)
     _emit(("".join(map("%r\t%d\n".__mod__, zip(grid[i : i + _CHUNK].tolist(),
                                                  sizes[i : i + _CHUNK].tolist())))
            for i in range(0, len(grid), _CHUNK)), args.output)
@@ -462,14 +467,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_stat(args) -> int:
     try:
-        noise = NoiseModel(args.noise, seed=args.seed)
+        noise = baselines.NoiseModel(args.noise, seed=args.seed)
     except ValueError as e:
         raise ValueError(f"--noise: {e}") from None
     order, points = _load_input(args.input)
     if points is None:
         raise ValueError("stat needs a pointcloud input")
     pair = _select_pair(pers.pairs(order, [args.degree]), args)
-    fm = statistical_frequencies(points, pair, noise, args.trials)
+    fm = baselines.statistical_frequencies(points, pair, noise, args.trials)
     _emit(_stat_json(fm), args.output)
     return 0
 
@@ -490,7 +495,7 @@ def cmd_rsc(args) -> int:
         window = order.level_array[order.order_array[pair.birth_rank : pair.death_rank]]
         below = np.flatnonzero(window <= pair.birth_time + args.bandwidth)
         k = pair.birth_rank + (int(below[-1]) if len(below) else 0)
-    res = reconstructed_shortest_cycle(
+    res = baselines.reconstructed_shortest_cycle(
         order, pair, cocycle(pair.birth_rank, pair.death_rank), k_rank=k,
         euclidean=args.euclidean, points=points,
     )
@@ -513,7 +518,7 @@ def cmd_rsc(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    _emit([format_pointcloud(generate(args.fixture, args.seed))], args.output)
+    _emit([alpha.format_pointcloud(fixtures.generate(args.fixture, args.seed))], args.output)
     return 0
 
 
@@ -563,7 +568,7 @@ def main(argv=None) -> int:
             return EXIT_PARSE
     try:
         return handlers[args.command](args)
-    except DegenerateInputError as e:
+    except delaunay.DegenerateInputError as e:
         print(f"error: degenerate input: {e}", file=sys.stderr)
         return EXIT_DEGENERATE
     except volopt.LPError as e:

@@ -5,7 +5,9 @@ with a running magnitude of the summed terms. When the result is safely
 larger than the accumulated rounding error the float sign is returned;
 otherwise the determinant is recomputed exactly over fractions. Inputs are
 floats, so the fraction stage is exact, never heuristic. Its elimination,
-`_fraction_det`, is the package's one; `alpha` calls it by that name.
+`_fraction_det`, is the package's one; `alpha` calls it by that name. Only
+the exact stages import `fractions` (which imports `decimal`), so a process
+whose float filters decide every sign loads neither.
 
 The float stage of each predicate is written once and runs either on floats
 or elementwise on numpy arrays. `orient_batch` and `circumsphere_side_batch`
@@ -20,8 +22,6 @@ Delaunay construction runs its predicates on, in one numpy pass.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -42,6 +42,8 @@ def _sign(x) -> int:
 
 def _fraction_det(rows) -> Fraction:
     """Determinant over fractions, by Gaussian elimination."""
+    from fractions import Fraction  # only here: fractions imports decimal
+
     m = [[Fraction(x) for x in r] for r in rows]
     n = len(m)
     det = Fraction(1)

@@ -19,6 +19,7 @@ from helpers import (
     statistical_frequencies_oracle,
     torus3d_order,
 )
+from stablevol import alpha as alpha_module
 from stablevol import baselines
 from stablevol.alpha import alpha_filtration
 from stablevol.baselines import (
@@ -574,13 +575,13 @@ def test_pipeline_and_trials_build_no_views(monkeypatch):
     assert not set(VIEWS) & set(vars(cx))
 
     built = []
-    filtration = baselines.alpha_filtration
+    filtration = alpha_module.alpha_filtration
 
     def recording_filtration(points):
         built.append(filtration(points))
         return built[-1]
 
-    monkeypatch.setattr(baselines, "alpha_filtration", recording_filtration)
+    monkeypatch.setattr(alpha_module, "alpha_filtration", recording_filtration)
     pts = generate("lattice-2d-defects", 7)
     target = most_persistent(pts, 1)
     monkeypatch.setattr(pers, "reduce", lambda o: pytest.fail("a codimension-1 trial reduced"))

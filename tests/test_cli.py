@@ -590,6 +590,28 @@ def test_pd_rejects_threads(fig1_file, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+def test_fixture_names_are_the_generators(monkeypatch, capsys):
+    # the parser takes gen's choices from a literal, so that building it
+    # runs no `fixtures`; its help and its error for an unknown fixture are
+    # those of a parser with the generators' sorted names as choices
+    from stablevol import fixtures
+
+    assert cli._FIXTURES == tuple(sorted(fixtures.GENERATORS))
+
+    def outcome(argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    got = [outcome(["gen", "--help"]), outcome(["gen", "no-such-fixture"])]
+    monkeypatch.setattr(cli, "_FIXTURES", sorted(fixtures.GENERATORS))
+    want = [outcome(["gen", "--help"]), outcome(["gen", "no-such-fixture"])]
+    assert got == want
+    assert [code for code, _, _ in got] == [0, 2]
+    assert "invalid choice: 'no-such-fixture'" in got[1][2]
+
+
 def test_json_output_refuses_nan(tmp_path):
     from stablevol.cli import _dump_json
 
@@ -796,7 +818,6 @@ def test_a_failed_dual_graph_condition_is_met_once(tmp_path, capsys, monkeypatch
         return build(*args, **kwargs)
 
     monkeypatch.setattr(dualtree, "build_dual_graph", counted)
-    monkeypatch.setattr(cli, "build_dual_graph", counted)
     got, out, err = run([argv[0], path, "--pair-index", "0", *argv[1:]], capsys)
     assert got == code and len(calls) == 1
     if code:
@@ -1039,8 +1060,8 @@ def test_rsc_wrong_degree_exit_2_in_a_fresh_process(fig1_file, degree):
 
 def count_pairing_calls(monkeypatch):
     """Counts of `reduce` and `compute_tree` calls, under every name the
-    commands reach them by."""
-    from stablevol import baselines, dualtree
+    commands reach them by: the commands read both from their modules."""
+    from stablevol import dualtree
 
     calls = {"reduce": 0, "compute_tree": 0}
 
@@ -1049,8 +1070,7 @@ def count_pairing_calls(monkeypatch):
         return _fn(*args, **kwargs)
 
     originals = {"reduce": pers.reduce, "compute_tree": dualtree.compute_tree}
-    for module, name in ((pers, "reduce"), (dualtree, "compute_tree"), (cli, "compute_tree"),
-                         (baselines, "compute_tree")):
+    for module, name in ((pers, "reduce"), (dualtree, "compute_tree")):
         wrapper = functools.partial(counted, _name=name, _fn=originals[name])
         monkeypatch.setattr(module, name, wrapper)
     return calls

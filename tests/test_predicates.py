@@ -2,12 +2,12 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import jittered_points_oracle
 from stablevol.predicates import (
-    _det_exact,
     circumsphere_side,
     jittered_points,
     orient2d,
@@ -15,32 +15,72 @@ from stablevol.predicates import (
     orient_batch,
 )
 
-
-def exact_orient2d(a, b, c):
-    d = _det_exact([[a[0] - c[0], a[1] - c[1]], [b[0] - c[0], b[1] - c[1]]])
-    return (d > 0) - (d < 0)
+# cofactor signs along the first row of a 2x2 and a 3x3 determinant
+SIGNS = {2: (1, -1), 3: (1, -1, 1)}
 
 
-def exact_orient3d(a, b, c, d):
-    rows = [[p[i] - a[i] for i in range(3)] for p in (b, c, d)]
-    v = _det_exact(rows)
-    return (v > 0) - (v < 0)
+def fraction_det(rows, signs=None):
+    """Determinant of a 2x2 or 3x3 float matrix over Fractions, by cofactor
+    expansion along the first row with the cofactor signs `signs` (the
+    right ones by default): an oracle that shares no arithmetic with the
+    predicates' Gaussian elimination."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    signs = SIGNS[len(m)] if signs is None else signs
+    if len(m) == 2:
+        return signs[0] * m[0][0] * m[1][1] + signs[1] * m[0][1] * m[1][0]
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return (signs[0] * a * (e * i - f * h) + signs[1] * b * (d * i - f * g)
+            + signs[2] * c * (d * h - e * g))
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+# the float differences that orient2d and orient3d hand their exact stage
+def exact_orient2d(a, b, c, signs=None):
+    return sign(fraction_det([[a[0] - c[0], a[1] - c[1]], [b[0] - c[0], b[1] - c[1]]], signs))
+
+
+def exact_orient3d(a, b, c, d, signs=None):
+    return sign(fraction_det([[p[i] - a[i] for i in range(3)] for p in (b, c, d)], signs))
+
+
+def adversarial_grid():
+    """Near-collinear triples around a double-precision boundary."""
+    base = [(12.0, 12.0), (24.0, 24.0)]
+    return [((0.5 + i * 2.0 ** -53, 0.5 + j * 2.0 ** -53), *base)
+            for i in range(-8, 9) for j in range(-8, 9)]
+
+
+def random_quadruples():
+    random.seed(2)
+    return [[tuple(random.choice([0.0, 0.25, 0.5, 1.0]) for _ in range(3)) for _ in range(4)]
+            for _ in range(300)]
 
 
 def test_orient2d_matches_exact_on_adversarial_grid():
-    # near-collinear configurations around a double-precision boundary
-    base = [(12.0, 12.0), (24.0, 24.0)]
-    for i in range(-8, 9):
-        for j in range(-8, 9):
-            p = (0.5 + i * 2.0 ** -53, 0.5 + j * 2.0 ** -53)
-            assert orient2d(p, *base) == exact_orient2d(p, *base)
+    for pts in adversarial_grid():
+        assert orient2d(*pts) == exact_orient2d(*pts)
 
 
 def test_orient3d_matches_exact_random():
-    random.seed(2)
-    for _ in range(300):
-        pts = [tuple(random.choice([0.0, 0.25, 0.5, 1.0]) for _ in range(3)) for _ in range(4)]
+    for pts in random_quadruples():
         assert orient3d(*pts) == exact_orient3d(*pts)
+
+
+@pytest.mark.parametrize("flip", range(5))
+def test_an_oracle_with_one_sign_flipped_disagrees(flip):
+    # a copy of the oracle with cofactor sign `flip` of the five negated
+    # must fail the comparison that the right one passes
+    signs = [*SIGNS[2], *SIGNS[3]]
+    signs[flip] = -signs[flip]
+    s2, s3 = tuple(signs[:2]), tuple(signs[2:])
+    mismatches = sum(orient2d(*pts) != exact_orient2d(*pts, signs=s2)
+                     for pts in adversarial_grid())
+    mismatches += sum(orient3d(*pts) != exact_orient3d(*pts, signs=s3)
+                      for pts in random_quadruples())
+    assert mismatches > 0
 
 
 def test_orient3d_matches_exact_when_the_minors_cancel():

@@ -5,12 +5,15 @@ that monkeypatches a SciPy without Qhull.
 package's exports resolve lazily. `import stablevol.cli` sets
 OPENBLAS_NUM_THREADS to 1 before numpy loads, unless the user has set it,
 imports every module the benchmark's tracer wraps, and the CLI's stdout
-does not depend on the BLAS thread count. The SciPy extension modules that
+does not depend on the BLAS thread count. Of the modules it registers,
+`import stablevol.cli` runs only `cli`, `complexes`, `persistence` and
+`kernels`; each command runs only the modules it uses. The SciPy extension modules that
 `stablevol._scipy_extension` loads from their files (HiGHS and Qhull for
 the commands, and the KD-tree here) are the ones scipy's own packages use,
 whichever is imported first, and stablevol's Qhull call, made through the
 module's `_Qhull` core, gives what `scipy.spatial.Delaunay` gives. A
-command on points never imports numpy.ma, numpy.random or hashlib.
+command on points never imports numpy.ma, numpy.random, hashlib, fractions
+or decimal.
 """
 
 import importlib.machinery
@@ -257,13 +260,15 @@ def test_qhull_and_kd_tree_are_shared_with_scipy_in_either_import_order():
 
 
 # runs main(argv) in a fresh interpreter, stdout discarded, and prints its
-# exit code and whether numpy.ma, numpy.random and hashlib were imported
+# exit code and whether numpy.ma, numpy.random, hashlib, fractions and
+# decimal were imported
 NUMPY_MA_PROBE = """
 import contextlib, io, sys
 from stablevol.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, *(m in sys.modules for m in ("numpy.ma", "numpy.random", "hashlib")))
+print(code, *(m in sys.modules
+              for m in ("numpy.ma", "numpy.random", "hashlib", "fractions", "decimal")))
 """
 
 
@@ -297,9 +302,69 @@ def point_commands(tmp_path_factory):
 def test_commands_on_points_never_import_numpy_ma(point_commands, name):
     # scipy.spatial.Delaunay, np.unique without a return_* option, and
     # np.isin's sort path each import numpy.ma (numpy 2.4); numpy.random
-    # imports hashlib (OpenSSL), which stat's and gen's noise stream needs not
+    # imports hashlib (OpenSSL), which stat's and gen's noise stream needs
+    # not; fractions imports decimal, and only the exact stages of the
+    # predicates and the Gabriel test, which these clouds never reach,
+    # import it
     out = python(["-c", NUMPY_MA_PROBE, *point_commands[name]])
-    assert out.split() == [b"0", b"False", b"False", b"False"]
+    assert out.split() == [b"0", b"False", b"False", b"False", b"False", b"False"]
+
+
+# the modules that `import stablevol.cli` registers without running them
+LAZY = {"alpha", "baselines", "delaunay", "dualtree", "fixtures", "parallel", "predicates",
+        "volopt"}
+# the modules that `import stablevol.cli` runs
+CORE = {"cli", "complexes", "kernels", "persistence"}
+
+# imports the CLI in a fresh interpreter, runs main(argv) with stdout
+# discarded, and prints the exit code, the stablevol modules registered
+# after the import, and those that had run after the import and after
+# main: a registered module has run once it is a plain module, no longer
+# the lazy subclass
+RAN_PROBE = """
+import contextlib, io, json, sys, types
+
+def registered():
+    return sorted(name.split(".")[1] for name in sys.modules if name.startswith("stablevol."))
+
+def ran():
+    return sorted(name.split(".")[1] for name, m in sys.modules.items()
+                  if name.startswith("stablevol.") and type(m) is types.ModuleType)
+
+import stablevol.cli
+at_import = [registered(), ran()]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = stablevol.cli.main(sys.argv[1:])
+print(json.dumps([code, *at_import, ran()]))
+"""
+
+
+def test_each_command_runs_only_its_modules(cli_inputs, point_commands):
+    commands = dict(cli_inputs)
+    # vol and rsc on the torus complex JSON, the pair vol selects
+    _, torus, _, index, *_ = commands["vol-sub"]
+    runs = {
+        "gen": point_commands["gen-defects"],
+        "pd": commands["pd"],
+        "vol-sub": commands["vol-sub"],
+        "rsc": ["rsc", torus, "--pair-index", index],
+        "stat": commands["stat"],
+    }
+    geometry = {"alpha", "delaunay", "predicates"}
+    expected = {
+        "gen": CORE | geometry | {"fixtures"},
+        "pd": CORE | geometry | {"dualtree"},
+        "vol-sub": CORE | {"volopt"},
+        "rsc": CORE | {"baselines"},
+        # a codimension-1 pair: the merge tree, no linear program
+        "stat": CORE | LAZY - {"volopt"},
+    }
+    for name, argv in runs.items():
+        code, registered, at_import, ran = json.loads(python(["-c", RAN_PROBE, *argv]))
+        assert code == 0, name
+        assert set(registered) == CORE | LAZY, name
+        assert set(at_import) == CORE, name
+        assert set(ran) == expected[name], name
 
 
 def test_scipy_without_the_qhull_extension_exits_3(monkeypatch, tmp_path, capsys):
